@@ -1,0 +1,9 @@
+"""Make ``bench/`` and ``src/`` importable: ``python -m pytest bench/tests``."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for entry in (BENCH, BENCH.parent / "src"):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
