@@ -26,7 +26,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -102,7 +101,7 @@ class Database:
         self._hash_accs: Optional[Dict[str, int]] = None
         self._canonical_key: Optional[Tuple] = None
         self._sorted_rows: Dict[str, Tuple[Tuple_, ...]] = {}
-        self._indexes: Dict[Tuple[str, Tuple[int, ...]], Mapping[Tuple_, FrozenSet[Tuple_]]] = {}
+        self._indexes: Dict[Tuple[str, Tuple[int, ...]], BucketMap] = {}
         self._delta_base: Optional[Tuple["weakref.ref[Database]", "Delta"]] = None
         self._delta_skip: Optional[Tuple["weakref.ref[Database]", "Delta"]] = None
         self._stats = None  # lazily built DatabaseStats (see stats())
@@ -151,10 +150,12 @@ class Database:
         """How many tuple positions each active-domain value occupies (cached).
 
         The counts are what make the active domain *incrementally*
-        maintainable: :meth:`apply_delta` patches them in O(|delta|), and a
-        value leaves the domain exactly when its count reaches zero.  The
-        returned view is read-only: the underlying dict is shared state
-        patched forward through every successor database.
+        maintainable: a value leaves the domain exactly when its count
+        reaches zero, so :meth:`apply_delta` looks at the delta's values
+        only.  The dict itself is *copied* for the successor — one
+        O(|dom(D)|) copy per update, proportional to the distinct values,
+        not the rows — and then patched in O(|delta|); a predecessor's
+        counts are never mutated.  The returned view is read-only.
         """
         if self._domain_counts is None:
             counts: Dict[object, int] = {}
@@ -169,7 +170,7 @@ class Database:
         """Per-relation cardinality/distinct/most-common-value statistics.
 
         Built lazily on first request (one pass over the database) and from
-        then on carried forward through :meth:`apply_delta` in O(|Δ|) —
+        then on carried forward through :meth:`apply_delta` without a rescan —
         see :class:`repro.engine.stats.DatabaseStats`.  The cost-based plan
         optimizer is the consumer; databases that are never optimized
         against never pay for statistics.
@@ -226,9 +227,14 @@ class Database:
 
         ``columns`` is a 0-based column index or a tuple of them; the result
         maps each key tuple to the frozen set of full rows carrying that key.
-        Indexes are built lazily, cached on the database, and never need
-        invalidation because databases are immutable.  They back the query
-        engine's constant-bound scans and the graph neighbourhood accessors.
+        Indexes are built lazily (one pass over the relation), cached on the
+        database, and never need invalidation because databases are
+        immutable.  The result is a read-only persistent
+        :class:`~repro.db.delta.BucketMap`: :meth:`apply_delta` hands the
+        successor a map that shares every partition the delta does not touch
+        with this one, so keeping an index current costs O(√keys) per changed
+        row rather than a copy of the index.  Indexes back the query engine's
+        constant-bound scans and the graph neighbourhood accessors.
         """
         if isinstance(columns, int):
             columns = (columns,)
@@ -242,12 +248,7 @@ class Database:
             raise DatabaseError(
                 f"index columns {list(key[1])} out of range for {name!r} (arity {arity})"
             )
-        buckets: Dict[Tuple_, Set[Tuple_]] = {}
-        for row in rows:
-            buckets.setdefault(tuple(row[c] for c in key[1]), set()).add(row)
-        # read-only view: the index is shared by every consumer of this
-        # (immutable) database, so callers must not be able to mutate it
-        built = MappingProxyType({k: frozenset(v) for k, v in buckets.items()})
+        built = BucketMap.build(rows, _column_key(key[1]))
         self._indexes[key] = built
         return built
 
@@ -303,13 +304,26 @@ class Database:
     def apply_delta(self, delta: "Delta") -> "Database":
         """Apply a :class:`~repro.db.delta.Delta`, sharing everything untouched.
 
-        This is the trusted update fast path: cost is O(|delta|) plus cache
-        patching — untouched relations are shared without re-validation, the
-        active-domain occurrence counts and the parent's hash indexes are
-        cloned and patched instead of rebuilt, and the per-relation canonical
-        orderings of untouched relations carry over.  The result records its
-        ``(parent, delta)`` provenance (weakly), which is what the incremental
-        query engine and the transactional store's replay path consume.
+        This is the trusted update fast path.  Untouched relations, their
+        hash indexes and their canonical orderings are *shared* with the
+        parent without re-validation.  For a touched relation:
+
+        * each hash index is a persistent :class:`~repro.db.delta.BucketMap`
+          and is patched per partition — O(√keys) per changed row, every
+          other partition shared by identity;
+        * the content hash and the optimizer's counters are patched in
+          O(|delta|) (the per-column value counters are copied, O(distinct
+          values));
+        * the **row set is copied once** per non-empty half of the delta (a
+          pure insertion or pure deletion — every single-tuple commit — is
+          one copy).  It stays a real ``frozenset`` because the engine's
+          C-speed set algebra depends on it; at 24k rows that copy is about
+          0.7 ms and is the one O(|relation|) term left on the commit path.
+
+        The active-domain occurrence counts, when the parent has them, are
+        copied (O(|dom(D)|)) and patched.  The result records its ``(parent,
+        delta)`` provenance (weakly), which is what the incremental query
+        engine and the transactional store's replay path consume.
 
         An ineffective delta returns ``self`` unchanged.
         """
@@ -319,24 +333,28 @@ class Database:
         touched = delta.touched()
         relations = dict(self._relations)
         for name in touched:
-            inserted = delta.inserted.get(name, _EMPTY_ROWS)
-            deleted = delta.deleted.get(name, _EMPTY_ROWS)
-            # normalized: deleted is a subset of the old rows, inserted is disjoint
-            relations[name] = (relations[name] - deleted) | inserted
+            # normalized: deleted is a subset of the old rows, inserted is
+            # disjoint — each non-empty half is one copy, an empty half none
+            rows = relations[name]
+            deleted = delta.deleted.get(name)
+            if deleted:
+                rows = rows - deleted
+            inserted = delta.inserted.get(name)
+            if inserted:
+                rows = rows | inserted
+            relations[name] = rows
         # type(self), not Database: subclasses (the sharded database) stay
         # closed under functional updates and finish via _derive_from_parent
         child = type(self)._from_validated(self._schema, relations)
-        # hash indexes: share the untouched ones, clone-and-patch the rest
+        # hash indexes: share the untouched ones, patch the rest per partition
         for (name, columns), index in self._indexes.items():
-            if name not in touched:
-                child._indexes[(name, columns)] = index
-            else:
-                child._indexes[(name, columns)] = _patch_index(
-                    index,
-                    columns,
+            if name in touched:
+                index = index.patched(
+                    _column_key(columns),
                     delta.inserted.get(name, _EMPTY_ROWS),
                     delta.deleted.get(name, _EMPTY_ROWS),
                 )
+            child._indexes[(name, columns)] = index
         # canonical per-relation orderings of untouched relations stay valid
         for name, ordered in self._sorted_rows.items():
             if name not in touched:
@@ -598,19 +616,14 @@ class Database:
         return f"Database({', '.join(parts)})"
 
 
-def _patch_index(
-    index: Mapping[Tuple_, FrozenSet[Tuple_]],
-    columns: Tuple[int, ...],
-    inserted: FrozenSet[Tuple_],
-    deleted: FrozenSet[Tuple_],
-) -> Mapping[Tuple_, FrozenSet[Tuple_]]:
-    """Clone-and-patch a hash index for a relation delta (O(delta) buckets)."""
-    patched = patch_buckets(
-        index, lambda row: tuple(row[c] for c in columns), inserted, deleted
-    )
-    return MappingProxyType(patched)
+def _column_key(columns: Tuple[int, ...]):
+    """The index key of a row: its values at ``columns``, as a tuple."""
+    if len(columns) == 1:
+        (column,) = columns
+        return lambda row: (row[column],)
+    return lambda row: tuple(row[c] for c in columns)
 
 
 # late import: Delta only depends on duck-typed databases, Database needs the
 # class at update time — importing here keeps ``repro.db.delta`` import-light
-from .delta import Delta, patch_buckets  # noqa: E402
+from .delta import BucketMap, Delta  # noqa: E402

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import pickle
 import struct
+from collections.abc import Mapping as _MappingABC
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Delta",
     "DeltaError",
-    "patch_buckets",
+    "BucketMap",
     "encode_wire_value",
     "decode_wire_value",
 ]
@@ -43,30 +44,108 @@ Rows = FrozenSet[Row]
 _EMPTY: Rows = frozenset()
 
 
-def patch_buckets(buckets, key_of, inserted, deleted) -> Dict[Row, Rows]:
-    """Clone-and-patch a ``key -> frozenset-of-rows`` index for a row delta.
+class BucketMap(_MappingABC):
+    """A persistent hash-partitioned ``key -> frozenset-of-rows`` map.
 
-    The one algorithm behind both the database's hash-index maintenance and
-    the incremental engine's per-key join state: deleted rows leave their
-    bucket (an emptied bucket is dropped), inserted rows join theirs.  The
-    input is never mutated — predecessors keep their indexes valid.
+    The one representation behind both the database's hash indexes
+    (:meth:`Database.index <repro.db.database.Database.index>`) and the
+    incremental engine's per-key join state.  The buckets are spread over
+    about √n small dicts by ``hash(key)``; :meth:`patched` copies the
+    partition table and only the partitions a row delta touches, so a
+    successor costs O(√n) per touched key and shares every other partition
+    *by identity* with its predecessor — which is never mutated, so
+    predecessors stay valid.  The partition count is fixed from the size at
+    build time; a map that has outgrown its table (four times the buckets the
+    table was sized for) is re-partitioned by the patch that notices.
+
+    Read-only :class:`~collections.abc.Mapping` surface: ``get``, ``[]``,
+    ``in``, ``len`` and iteration; there is no item assignment.
     """
-    patched: Dict[Row, Rows] = dict(buckets)
-    for row in deleted:
-        key = key_of(row)
-        bucket = patched.get(key)
-        if bucket is None:
-            continue
-        remaining = bucket - {row}
-        if remaining:
-            patched[key] = remaining
-        else:
-            del patched[key]
-    for row in inserted:
-        key = key_of(row)
-        bucket = patched.get(key)
-        patched[key] = frozenset({row}) if bucket is None else bucket | {row}
-    return patched
+
+    __slots__ = ("_parts", "_mask", "_len")
+
+    def __init__(self, parts: list, size: int):
+        self._parts = parts  # a power-of-two number of ``key -> bucket`` dicts
+        self._mask = len(parts) - 1
+        self._len = size
+
+    @classmethod
+    def _partition(cls, buckets: Dict[Row, Rows]) -> "BucketMap":
+        size = len(buckets)
+        # a power of two near sqrt(size): size lies in [count²/2, 2·count²)
+        count = 1 << (size.bit_length() >> 1)
+        mask = count - 1
+        parts: list = [{} for _ in range(count)]
+        for key, bucket in buckets.items():
+            parts[hash(key) & mask][key] = bucket
+        return cls(parts, size)
+
+    @classmethod
+    def build(cls, rows: Iterable[Row], key_of) -> "BucketMap":
+        """Group ``rows`` into buckets by ``key_of(row)``."""
+        grouped: Dict[Row, set] = {}
+        for row in rows:
+            grouped.setdefault(key_of(row), set()).add(row)
+        return cls._partition({key: frozenset(b) for key, b in grouped.items()})
+
+    def patched(self, key_of, inserted: Iterable[Row], deleted: Iterable[Row]) -> "BucketMap":
+        """The map after a row delta: deleted rows leave their bucket (an
+        emptied bucket is dropped), inserted rows join theirs."""
+        if not inserted and not deleted:
+            return self
+        parts = list(self._parts)
+        mask = self._mask
+        size = self._len
+        copied = set()  # slots whose partition this patch already owns
+
+        def put(slot: int, key: Row, bucket: Optional[Rows]) -> None:
+            if slot not in copied:
+                parts[slot] = dict(parts[slot])
+                copied.add(slot)
+            if bucket is None:
+                del parts[slot][key]
+            else:
+                parts[slot][key] = bucket
+
+        for row in deleted:
+            key = key_of(row)
+            slot = hash(key) & mask
+            bucket = parts[slot].get(key)
+            if bucket is None or row not in bucket:
+                continue
+            if len(bucket) == 1:
+                put(slot, key, None)
+                size -= 1
+            else:
+                put(slot, key, bucket - {row})
+        for row in inserted:
+            key = key_of(row)
+            slot = hash(key) & mask
+            bucket = parts[slot].get(key)
+            if bucket is None:
+                put(slot, key, frozenset({row}))
+                size += 1
+            elif row not in bucket:
+                put(slot, key, bucket | {row})
+        if size >= 4 * len(parts) * len(parts):
+            return BucketMap._partition({k: b for part in parts for k, b in part.items()})
+        return BucketMap(parts, size)
+
+    def get(self, key, default=None):
+        return self._parts[hash(key) & self._mask].get(key, default)
+
+    def __getitem__(self, key):
+        return self._parts[hash(key) & self._mask][key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._parts[hash(key) & self._mask]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for part in self._parts:
+            yield from part
 
 
 class DeltaError(ValueError):

@@ -121,6 +121,11 @@ class TransactionStats:
     # both for readers that want the old total
     committed_wall_time: float = 0.0
     aborted_wall_time: float = 0.0
+    # how each changing commit advanced the committed snapshot: a successor
+    # state that already existed was promoted, or the snapshot had to be
+    # re-patched under the store lock by the next reader (the degraded mode)
+    snapshot_promoted: int = 0
+    snapshot_repatched: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -149,6 +154,8 @@ class TransactionStats:
             self.precondition_checks = 0
             self.committed_wall_time = 0.0
             self.aborted_wall_time = 0.0
+            self.snapshot_promoted = 0
+            self.snapshot_repatched = 0
 
 
 def _fold_ops(ops: Sequence[WriteOp]) -> Delta:
@@ -314,8 +321,13 @@ class Store:
 
         Never includes the open transaction's write log — this is the view a
         concurrent snapshot reader is allowed to see while a writer is
-        mid-transaction.  Cached and patched forward by the committed deltas,
-        so the cost is O(writes since the last call).
+        mid-transaction.  Cached: a commit that came with its successor state
+        (the checkers' tentative snapshot, or the group-commit leader's final
+        state — see :meth:`commit_unchecked`) already promoted it, so this is
+        a field read.  Otherwise the cached snapshot is patched forward here,
+        under the store lock, by the deltas committed since —
+        ``Database.apply_delta``, which still copies each touched relation's
+        row set — and ``stats.snapshot_repatched`` counts it.
         """
         with self._lock:
             if self._snapshot is None:
@@ -331,6 +343,7 @@ class Store:
                     _fold_ops(self._since_snapshot)
                 )
                 self._since_snapshot.clear()
+                self.stats.add(snapshot_repatched=1)
             return self._snapshot
 
     def pin(self) -> Tuple[int, Database]:
@@ -380,13 +393,20 @@ class Store:
         not, regardless of the committed state.
         """
         with self._lock:
-            validated = self._schema[relation].validate_tuple(row)
-            if self._log is not None:
-                if validated in self._pending_add.get(relation, ()):
-                    return True
-                if validated in self._pending_del.get(relation, ()):
-                    return False
-            return validated in self._data[relation]
+            return self._present(relation, self._schema[relation].validate_tuple(row))
+
+    def _present(self, relation: str, row: Row) -> bool:
+        """Is the validated ``row`` visible through the open log (locked)?
+
+        Two or three set probes: the pending overlay, then the committed
+        rows — never a materialised ``(rows - removed) | added``.
+        """
+        if self._log is not None:
+            if row in self._pending_add.get(relation, ()):
+                return True
+            if row in self._pending_del.get(relation, ()):
+                return False
+        return row in self._data[relation]
 
     def scan(self, relation: str) -> Iterable[Row]:
         """Iterate over the rows of ``relation`` (a stable copy).
@@ -398,7 +418,12 @@ class Store:
             return list(self._effective_rows(relation))
 
     def _effective_rows(self, relation: str) -> Set[Row]:
-        """Committed rows overlaid with the open write log (internal, locked)."""
+        """Committed rows overlaid with the open write log (internal, locked).
+
+        Materialises a full copy of the relation once the transaction wrote
+        to it, so only the whole-relation reads (``scan``, ``cardinality``)
+        use it; per-row decisions go through :meth:`_present`.
+        """
         rows = self._data[relation]
         if self._log is None:
             return rows
@@ -454,7 +479,7 @@ class Store:
             removed = self._pending_del.get(relation)
             if removed is not None and validated in removed:
                 removed.discard(validated)  # re-insert of a row this txn deleted
-            elif validated in self._effective_rows(relation):
+            elif self._present(relation, validated):
                 return False
             else:
                 self._pending_add.setdefault(relation, set()).add(validated)
@@ -469,7 +494,7 @@ class Store:
             added = self._pending_add.get(relation)
             if added is not None and validated in added:
                 added.discard(validated)  # delete of a row this txn inserted
-            elif validated not in self._effective_rows(relation):
+            elif not self._present(relation, validated):
                 return False
             else:
                 self._pending_del.setdefault(relation, set()).add(validated)
@@ -541,17 +566,26 @@ class Store:
             self.stats.add(rolled_back_writes=undone, aborted=1)
             return undone
 
-    def commit_unchecked(self) -> None:
+    def commit_unchecked(self, successor: Optional[Database] = None) -> None:
         """Commit the open transaction without running the integrity checkers.
 
         Used by maintenance policies that have already established integrity
         by other means (e.g. a weakest-precondition check before execution),
         and by the service's group-commit pipeline, whose admission controller
         decided per transaction how much checking was needed.
+
+        ``successor`` is the post-commit state, if the caller already built
+        it (the group-commit leader holds ``current ⊕ batch``).  It becomes
+        the committed snapshot — so the next :meth:`pin` patches nothing —
+        only after the storage engine accepted the batch, and only if its
+        ``apply_delta`` provenance from the current committed snapshot
+        composes to exactly the delta being committed; a successor that
+        cannot prove that is ignored and the snapshot is re-patched as if
+        none had been given.
         """
         with self._lock:
             self._require_transaction()
-            self._commit_pending()
+            self._commit_pending(successor)
             self.stats.add(committed=1)
 
     def commit(self) -> None:
@@ -598,7 +632,7 @@ class Store:
 
     # -- internal ------------------------------------------------------------------
 
-    def _commit_pending(self) -> None:
+    def _commit_pending(self, successor: Optional[Database] = None) -> None:
         """Fold the open write log into the committed state (locked).
 
         With a durable engine this is the **group-commit WAL append unit**:
@@ -625,15 +659,20 @@ class Store:
         for name, rows in self._pending_del.items():
             self._data[name] -= rows
         if changed:
-            if (
-                self._tentative is not None
-                and self._tentative[0] == len(log)
-                and self._snapshot is not None
-                and not self._since_snapshot
-            ):
-                # the tentative snapshot the checkers just saw *is* the new
-                # committed state — promote it instead of re-patching later
-                self._snapshot = self._tentative[1]
+            promoted: Optional[Database] = None
+            if self._snapshot is not None and not self._since_snapshot:
+                if self._tentative is not None and self._tentative[0] == len(log):
+                    # the tentative snapshot the checkers just saw *is* the
+                    # new committed state
+                    promoted = self._tentative[1]
+                elif (
+                    successor is not None
+                    and Delta.between(self._snapshot, successor) == delta
+                ):
+                    promoted = successor
+            if promoted is not None:
+                self._snapshot = promoted
+                self.stats.add(snapshot_promoted=1)
             else:
                 self._since_snapshot.extend(log)
             self._version += 1

@@ -15,9 +15,9 @@ operator             delta rule
 ``Select``           filter only the child's delta (when the predicate's
                      declared base relations are untouched)
 ``Project``          per-output-row support counters (the counting algorithm)
-``HashJoin``         ``Δ(L ⋈ R) = ΔL ⋈ R ∪ L ⋈ ΔR`` over clone-and-patched
-                     per-key indexes; the semijoin shape keeps a support
-                     count per key of the right side
+``HashJoin``         ``Δ(L ⋈ R) = ΔL ⋈ R ∪ L ⋈ ΔR`` over persistent per-key
+                     indexes (patched per partition); the semijoin shape
+                     keeps a support count per key of the right side
 ``Antijoin``         dual of the semijoin rule (keys born ⇒ rows leave,
                      keys died ⇒ rows return)
 ``UnionAll``         per-row branch-support counters
@@ -36,9 +36,11 @@ changed).  ``REPRO_DELTA=verify`` makes the backend shadow every incremental
 result with a full execution and assert equality — the delta analogue of
 keeping :class:`~repro.engine.backend.NaiveBackend` as the semantics oracle.
 
-The per-node auxiliary state (counters, key indexes) is cloned and patched,
-never mutated, because the previous database's state must stay valid — a
-rolled-back transaction resumes the stream from the *parent* state.
+The per-node auxiliary state is never mutated, because the previous
+database's state must stay valid — a rolled-back transaction resumes the
+stream from the *parent* state.  Key indexes are persistent
+:class:`~repro.db.delta.BucketMap` values (a successor shares every partition the
+delta does not touch); support counters are cloned and patched.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..db.database import Database
-from ..db.delta import Delta, patch_buckets
+from ..db.delta import BucketMap, Delta
 from .plan import (
     join_key as _plan_join_key,
 )
@@ -247,9 +249,10 @@ class _IncrementalRun:
     def _aux_for(self, node: Plan, build):
         """The node's previous auxiliary state, building it on first use.
 
-        The returned object must be treated as read-only — the patch helpers
-        (``_patch_counts`` / ``patch_buckets``) clone before patching, so the
-        predecessor state stays valid for rollback-style branching.
+        The returned object must be treated as read-only — ``_patch_counts``
+        clones before patching and ``BucketMap.patched`` copies the touched
+        partitions, so the predecessor state stays valid for rollback-style
+        branching.
         """
         aux = self.old.aux.get(node)
         if aux is None:
@@ -430,32 +433,14 @@ class _IncrementalRun:
         right_key = _join_key(right.columns, shared)
 
         def build():
-            left_index: Dict[Row, Rows] = {}
-            for row in self.old.rows[left]:
-                key = left_key(row)
-                bucket = left_index.get(key)
-                left_index[key] = frozenset({row}) if bucket is None else bucket | {row}
+            left_index = BucketMap.build(self.old.rows[left], left_key)
             if count_right:
-                right_side: Dict[Row, object] = {}
-                for row in self.old.rows[right]:
-                    key = right_key(row)
-                    right_side[key] = right_side.get(key, 0) + 1
+                right_side = self._count_rows(self.old.rows[right], right_key)
             else:
-                right_side = {}
-                for row in self.old.rows[right]:
-                    key = right_key(row)
-                    bucket = right_side.get(key)
-                    right_side[key] = (
-                        frozenset({row}) if bucket is None else bucket | {row}
-                    )
+                right_side = BucketMap.build(self.old.rows[right], right_key)
             return left_index, right_side
 
         return self._aux_for(node, build), left_key, right_key
-
-    @staticmethod
-    def _patch_bucket_index(index: Dict[Row, Rows], key_of, added, removed) -> Dict[Row, Rows]:
-        # same clone-and-patch algorithm as the database's hash indexes
-        return patch_buckets(index, key_of, added, removed)
 
     @staticmethod
     def _count_rows(rows, key_of) -> Dict[Row, int]:
@@ -496,9 +481,7 @@ class _IncrementalRun:
         (old_left_index, old_counts), left_key, right_key = self._join_aux(
             node, left, right, shared, count_right=True
         )
-        new_left_index = self._patch_bucket_index(
-            old_left_index, left_key, left_added, left_removed
-        )
+        new_left_index = old_left_index.patched(left_key, left_added, left_removed)
         new_counts, touched_keys = self._patch_counts(
             old_counts, right_key, right_added, right_removed
         )
@@ -520,12 +503,8 @@ class _IncrementalRun:
         (old_left_index, old_right_index), left_key, right_key = self._join_aux(
             node, left, right, shared, count_right=False
         )
-        new_left_index = self._patch_bucket_index(
-            old_left_index, left_key, left_added, left_removed
-        )
-        new_right_index = self._patch_bucket_index(
-            old_right_index, right_key, right_added, right_removed
-        )
+        new_left_index = old_left_index.patched(left_key, left_added, left_removed)
+        new_right_index = old_right_index.patched(right_key, right_added, right_removed)
         extra_indices = tuple(right.columns.index(c) for c in node._right_extra)
 
         def extra(row: Row) -> Row:
@@ -570,9 +549,7 @@ class _IncrementalRun:
         (old_left_index, old_counts), left_key, right_key = self._join_aux(
             node, left, right, shared, count_right=True
         )
-        new_left_index = self._patch_bucket_index(
-            old_left_index, left_key, left_added, left_removed
-        )
+        new_left_index = old_left_index.patched(left_key, left_added, left_removed)
         new_counts, touched_keys = self._patch_counts(
             old_counts, right_key, right_added, right_removed
         )

@@ -235,6 +235,11 @@ class Scan(Plan):
                 # wrong-arity atoms match nothing (the interpreter's
                 # behaviour); indexing the out-of-range column would raise
                 candidates = ()
+            elif not self._var_positions:
+                # every column bound: one membership test, not a full-row
+                # index of |relation| singleton buckets
+                row = self._const_values
+                candidates = (row,) if row in candidates else ()
             else:
                 index = ctx.db.index(self.relation, self._const_positions)
                 candidates = index.get(self._const_values, frozenset())

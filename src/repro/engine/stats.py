@@ -15,13 +15,14 @@ common ones.  This module keeps those statistics on the database itself:
   lazily by :meth:`repro.db.database.Database.stats` the first time a query
   is optimized against the database.
 
-Freshness is O(|Δ|): :meth:`Database.apply_delta
+Freshness never rescans rows: :meth:`Database.apply_delta
 <repro.db.database.Database.apply_delta>` derives the successor's statistics
 from the parent's via :meth:`DatabaseStats.patched` — untouched relations
 share their ``RelationStats`` objects, touched relations clone-and-patch
-their counters — so a long update stream never rebuilds statistics from
-scratch.  Like every other database cache, statistics are never mutated in
-place: predecessors stay valid for rollback-style branching.
+their counters (one dict copy per column, O(distinct values), then O(|Δ|))
+— so a long update stream never rebuilds statistics from scratch.  Like
+every other database cache, statistics are never mutated in place:
+predecessors stay valid for rollback-style branching.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ class DatabaseStats:
     """Per-relation statistics of a whole database.
 
     Built once per database (lazily) and carried forward through
-    :meth:`~repro.db.database.Database.apply_delta` in O(|Δ|); relations a
-    delta does not touch share their ``RelationStats`` with the parent.
+    :meth:`~repro.db.database.Database.apply_delta` without a rescan;
+    relations a delta does not touch share their ``RelationStats`` with the
+    parent.
     """
 
     __slots__ = ("_relations",)

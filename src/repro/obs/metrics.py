@@ -103,6 +103,8 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "precondition_checks": "store.precondition_checks",
     "committed_wall_time": "store.committed_wall_time",
     "aborted_wall_time": "store.aborted_wall_time",
+    "snapshot_promoted": "store.snapshot_promoted",
+    "snapshot_repatched": "store.snapshot_repatched",
     # ServiceStats.as_dict()
     "submitted": "service.submitted",
     "read_only_commits": "service.read_only_commits",

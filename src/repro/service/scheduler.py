@@ -17,7 +17,10 @@ multi-client transaction processor.  The lifecycle of one client transaction:
    constraint work, composes the surviving deltas with
    :meth:`Delta.then <repro.db.delta.Delta.then>`, and applies the whole
    batch to the canonical store in **one** ``apply_delta`` — one write-log
-   pass, one snapshot patch, one version bump, amortised over the batch.
+   pass, one version bump, amortised over the batch.  The state the leader
+   validated the last request against *is* the post-batch state, so it is
+   handed to the store as the new committed snapshot: each surviving request
+   costs one ``Database.apply_delta`` and the next ``pin()`` patches nothing.
    With a durable store (``REPRO_DURABLE=on``) the batch is also the WAL
    unit: one framed delta append and at most one fsync cover every commit in
    the batch, and outcomes are reported to clients only after the storage
@@ -592,6 +595,11 @@ class TransactionService:
         try:
             with _trace.span("service.group_commit", requests=len(batch)) as gc_span:
                 _version, current = self.store.pin()
+                # every state of the batch, held strongly until the store has
+                # the batch: `Database` keeps its parent weakly, and the store
+                # accepts `running` as its next snapshot only while the
+                # provenance chain back to `current` is walkable
+                lineage = [current]
                 running = current
                 batch_delta = Delta()
                 survivors: List[_CommitRequest] = []
@@ -602,19 +610,21 @@ class TransactionService:
                         serial=request.serial,
                     ) as req_span:
                         try:
-                            effective = self._process(request, running, batch_delta)
+                            admitted = self._process(request, running, batch_delta)
                         except Exception as exc:  # noqa: BLE001 - one bad txn must not sink the batch
                             request.status = "aborted"
                             request.reason = f"transaction failed: {exc!r}"
                             req_span.annotate(status="aborted")
                             continue
-                        if effective is None:
+                        if admitted is None:
                             req_span.annotate(status=request.status)
                             continue
                         req_span.annotate(status="committed")
                     survivors.append(request)
-                    if not effective.is_empty():
-                        running = running.apply_delta(effective)
+                    effective, successor = admitted
+                    if successor is not running:
+                        running = successor
+                        lineage.append(running)
                         batch_delta = batch_delta.then(effective)
                 if not batch_delta.is_empty():
                     with _trace.span(
@@ -625,7 +635,7 @@ class TransactionService:
                         self.store.begin()
                         try:
                             self.store.apply_delta(batch_delta)
-                            self.store.commit_unchecked()
+                            self.store.commit_unchecked(successor=running)
                         except Exception as exc:  # noqa: BLE001 - classified below
                             # the storage engine (or the apply itself) refused
                             # the batch: the store rolled nothing committed
@@ -677,11 +687,13 @@ class TransactionService:
 
     def _process(
         self, request: _CommitRequest, running: Database, batch_delta: Delta
-    ) -> Optional[Delta]:
+    ) -> Optional[Tuple[Delta, Database]]:
         """Validate and admission-check one request against the running state.
 
-        Returns the request's effective delta (to fold into the batch) when
-        it commits, ``None`` otherwise — with ``request.status`` set to the
+        Returns the request's effective delta (to fold into the batch) and
+        the state it leaves behind — ``running ⊕ effective``, built once and
+        shared by the runtime checks and the rest of the batch — when it
+        commits; ``None`` otherwise, with ``request.status`` set to the
         conflict/rejection/abort it suffered.
         """
         lag = _faults.delay("service.validate.delay")
@@ -742,15 +754,16 @@ class TransactionService:
             runtime_checks.append(constraint)
 
         effective = delta.normalized(running)
-        if runtime_checks and not effective.is_empty():
-            candidate = running.apply_delta(effective)
-            for constraint in runtime_checks:
-                self.stats.add(runtime_checks=1)
-                if not constraint.holds(candidate, self.signature):
-                    request.status = "aborted"
-                    request.reason = f"constraint {constraint.name!r} violated"
-                    return None
-        return effective
+        if effective.is_empty():
+            return effective, running
+        candidate = running.apply_delta(effective)
+        for constraint in runtime_checks:
+            self.stats.add(runtime_checks=1)
+            if not constraint.holds(candidate, self.signature):
+                request.status = "aborted"
+                request.reason = f"constraint {constraint.name!r} violated"
+                return None
+        return effective, candidate
 
     # -- observability ---------------------------------------------------------------
 
@@ -773,6 +786,8 @@ class TransactionService:
                 "precondition_checks": store_stats.precondition_checks,
                 "committed_wall_time": store_stats.committed_wall_time,
                 "aborted_wall_time": store_stats.aborted_wall_time,
+                "snapshot_promoted": store_stats.snapshot_promoted,
+                "snapshot_repatched": store_stats.snapshot_repatched,
             }
         cache_stats = getattr(self.backend, "cache_stats", None)
         return {

@@ -270,3 +270,91 @@ class TestLifecycle:
         for key in ("wal_appends", "fsyncs", "checkpoints", "recovered_batches"):
             assert stats[key] == 0
         store.close()
+
+
+class TestSuccessorPromotion:
+    """``commit_unchecked(successor=...)``: promote only what proves itself."""
+
+    @staticmethod
+    def commit(store, successor=None):
+        store.begin()
+        store.insert("E", (3, 4))
+        store.delete("E", (1, 2))
+        if successor is None:
+            store.commit_unchecked()
+        else:
+            store.commit_unchecked(successor=successor)
+
+    @staticmethod
+    def assert_snapshot_is_the_stores_rows(store):
+        rows = frozenset(store.scan("E"))
+        assert rows == frozenset({(2, 3), (3, 4)})
+        assert store.pin()[1].relation("E") == rows
+
+    def test_matching_successor_becomes_the_snapshot_without_patching(self, store):
+        base = store.pin()[1]
+        # two steps, as a two-request batch builds it; every step stays alive
+        lineage = [base, base.insert("E", (3, 4))]
+        lineage.append(lineage[-1].delete("E", (1, 2)))
+        self.commit(store, lineage[-1])
+        assert store.pin() == (1, lineage[-1])
+        assert store.pin()[1] is lineage[-1]
+        assert (store.stats.snapshot_promoted, store.stats.snapshot_repatched) == (1, 0)
+        self.assert_snapshot_is_the_stores_rows(store)
+
+    def test_without_successor_the_next_pin_repatches_as_before(self, store):
+        base = store.pin()[1]
+        self.commit(store)
+        assert store.stats.snapshot_repatched == 0  # lazily, by the reader
+        snapshot = store.pin()[1]
+        assert snapshot.delta_base()[0] is base
+        assert (store.stats.snapshot_promoted, store.stats.snapshot_repatched) == (0, 1)
+        self.assert_snapshot_is_the_stores_rows(store)
+
+    @pytest.mark.parametrize(
+        "make_successor",
+        [
+            # provenance from the snapshot, but a different delta
+            lambda base: base.insert("E", (3, 4)),
+            lambda base: base.insert("E", (3, 4)).delete("E", (1, 2)).insert("E", (7, 8)),
+            # the right contents with no provenance at all
+            lambda base: Database.graph([(2, 3), (3, 4)]),
+            # the right delta on top of a state that is not the snapshot
+            lambda base: Database.graph(base.relation("E"))
+            .insert("E", (3, 4)).delete("E", (1, 2)),
+        ],
+        ids=["partial", "extra-row", "unrelated", "foreign-base"],
+    )
+    def test_unproven_successor_is_refused(self, store, make_successor):
+        successor = make_successor(store.pin()[1])
+        self.commit(store, successor)
+        assert store.pin()[1] is not successor
+        assert (store.stats.snapshot_promoted, store.stats.snapshot_repatched) == (0, 1)
+        self.assert_snapshot_is_the_stores_rows(store)
+
+    def test_stale_successor_from_an_older_snapshot_is_refused(self, store):
+        stale = store.pin()[1].insert("E", (3, 4)).delete("E", (1, 2))
+        store.begin(); store.insert("E", (8, 9)); store.commit_unchecked()
+        store.pin()
+        store.begin(); store.delete("E", (8, 9)); store.commit_unchecked()
+        store.pin()
+        self.commit(store, stale)
+        assert store.pin()[1] is not stale
+        assert store.stats.snapshot_promoted == 0
+        self.assert_snapshot_is_the_stores_rows(store)
+
+    def test_k_row_transaction_never_materialises_the_relation(self, store, monkeypatch):
+        # insert/delete decide effectiveness by probing the overlay and the
+        # committed set; only scan/cardinality may build the overlaid copy
+        monkeypatch.setattr(
+            Store, "_effective_rows",
+            lambda self, relation: pytest.fail("materialised the relation"),
+        )
+        store.begin()
+        for row in [(5, 6), (6, 7), (5, 6), (1, 2)]:
+            store.insert("E", row)
+        assert store.delete("E", (6, 7)) and store.delete("E", (1, 2))
+        assert not store.delete("E", (6, 7)) and not store.delete("E", (9, 9))
+        assert store.insert("E", (1, 2)) and not store.insert("E", (1, 2))
+        store.commit_unchecked()
+        assert store.pin()[1].relation("E") == {(1, 2), (2, 3), (5, 6)}

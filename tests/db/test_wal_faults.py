@@ -215,3 +215,33 @@ class TestCheckpointFaults:
         assert engine.stats()["checkpoint_failures"] == 1
         store.engine.crash()
         assert recovered_edges(tmp_path) == frozenset({(1, 2)})
+
+
+class TestSuccessorPromotionUnderFaults:
+    @pytest.mark.parametrize(
+        "site, exc",
+        [("wal.fsync", "oserror"), ("wal.append", "oserror"),
+         ("storage.commit_batch", "storage")],
+    )
+    def test_refused_batch_never_promotes_its_successor(self, tmp_path, site, exc):
+        store = make_store(tmp_path, fsync="commit")
+        commit_edges(store, (1, 2))
+        version, base = store.pin()
+        successor = base.insert("E", (3, 4))
+
+        faults.install(faults.FaultPlan().site(site, exc=exc, limit=1))
+        store.begin()
+        store.insert("E", (3, 4))
+        with pytest.raises(StorageEngineError):
+            store.commit_unchecked(successor=successor)
+        store.rollback()
+        assert store.pin() == (version, base) and store.pin()[1] is base
+        assert store.stats.snapshot_promoted == 0
+
+        # the same successor is promoted once the engine accepts the batch
+        store.begin()
+        store.insert("E", (3, 4))
+        store.commit_unchecked(successor=successor)
+        assert store.pin()[1] is successor
+        store.engine.crash()
+        assert recovered_edges(tmp_path) == frozenset({(1, 2), (3, 4)})

@@ -49,6 +49,18 @@ class TestPlanOperators:
         ctx = ExecutionContext(db, domain=[0, 1])
         assert scan_xy().rows(ctx) == {(0, 1)}
 
+    def test_fully_bound_scan_is_a_membership_test_not_an_index(self):
+        db = Database.graph([(0, 1), (1, 2)])
+        ctx = ExecutionContext(db)
+        bound = lambda *values: Scan("E", [("const", v) for v in values])  # noqa: E731
+        assert bound(0, 1).rows(ctx) == {()}
+        assert bound(1, 0).rows(ctx) == frozenset()
+        assert bound(0.0, True).rows(ctx) == {()}  # equality, as match_row compares
+        assert bound(0, 1, 2).rows(ctx) == bound(0).rows(ctx) == frozenset()  # wrong arity
+        assert not db._indexes  # no |E| singleton buckets were built to answer those
+        guard = parse("~E(1, 1) & E(0, 1)")
+        assert CompiledBackend().evaluate(guard, db) is NaiveBackend().evaluate(guard, db) is True
+
     def test_hash_join_on_shared_column(self):
         db = Database.graph([(0, 1), (1, 2), (2, 0)])
         ctx = ExecutionContext(db)

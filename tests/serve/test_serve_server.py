@@ -156,13 +156,19 @@ class TestBatching:
             [{"template": "link-forward", "params": [800 + i, 900 + i]}
              for i in range(4)]
         )
-        snapshot = client.stats()["metrics"]
+        stats = client.stats()
+        snapshot = stats["metrics"]
         assert snapshot["serve.batches"] >= 1
         assert snapshot["serve.batched_requests"] >= 4
         # the /stats request observing the gauge is control-plane: it is
         # neither shed nor counted against the dispatch-bound capacity
         assert snapshot["serve.inflight"] == 0
         assert snapshot["serve.txn.latency_ms"]["count"] >= 4
+        # every commit handed the store its successor state: an operator sees
+        # promotions, and would see a process that fell back to re-patching
+        assert snapshot["store.snapshot_promoted"] >= 1
+        store = stats["store"]["transactions"]
+        assert store["snapshot_promoted"] >= 1 and store["snapshot_repatched"] == 0
 
 
 class TestFailureHandling:

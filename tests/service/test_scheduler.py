@@ -21,6 +21,56 @@ def service():
     return build_service(Database.graph([(1, 2), (2, 3)]))
 
 
+def link(a, b):
+    """An ``(work, template, params)`` request inserting the forward edge."""
+    return (lambda txn: txn.insert("E", (a, b)), "link-forward", (a, b))
+
+
+def execute(service, request):
+    work, template, params = request
+    return service.execute(work, template=template, params=params)
+
+
+def run_as_one_batch(service, requests):
+    """Queue every request behind a held commit lock, then let one leader drain.
+
+    No leader can emerge while the lock is held, so all the requests pile up
+    in the queue and are committed by one drain.  Followers block on the
+    condition (no polling), so the release must notify exactly as a leader's
+    does.
+    """
+    import time
+
+    outcomes = [None] * len(requests)
+
+    def client(index, request):
+        outcomes[index] = execute(service, request)
+
+    service._commit_lock.acquire()
+    try:
+        threads = [
+            threading.Thread(target=client, args=(index, request))
+            for index, request in enumerate(requests)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with service._queue_lock:
+                if len(service._queue) == len(requests):
+                    break
+            time.sleep(0.005)
+        with service._queue_lock:
+            assert len(service._queue) == len(requests)
+    finally:
+        with service._commit_cond:
+            service._commit_lock.release()
+            service._commit_cond.notify_all()
+    for thread in threads:
+        thread.join()
+    return outcomes
+
+
 class TestOutcomes:
     def test_simple_commit(self, service):
         outcome = service.execute(
@@ -152,41 +202,10 @@ class TestConcurrency:
         assert service.invariant_holds()
 
     def test_group_commit_batches_one_apply_per_batch(self):
-        import time
-
         service = build_service(forward_graph(50, 2, seed=4), commit_timeout=30.0)
         n = 12
-        # hold the commit lock: no leader can emerge, so all n requests pile
-        # up in the queue and must be committed by one drain — one store
-        # transaction, one version bump, for n client commits
-        service._commit_lock.acquire()
-        try:
-            threads = []
-            for index in range(n):
-                edge = (100 + index, 200 + index)
-                thread = threading.Thread(
-                    target=service.execute,
-                    args=(lambda txn, e=edge: txn.insert("E", e),),
-                    kwargs={"template": "link-forward", "params": edge},
-                )
-                thread.start()
-                threads.append(thread)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                with service._queue_lock:
-                    if len(service._queue) == n:
-                        break
-                time.sleep(0.005)
-            with service._queue_lock:
-                assert len(service._queue) == n
-        finally:
-            # followers block on the condition (no polling), so an external
-            # unwedge must notify exactly as the leader's release does
-            with service._commit_cond:
-                service._commit_lock.release()
-                service._commit_cond.notify_all()
-        for thread in threads:
-            thread.join()
+        # one drain — one store transaction, one version bump — for n commits
+        run_as_one_batch(service, [link(100 + i, 200 + i) for i in range(n)])
         stats = service.stats.as_dict()
         assert stats["committed"] == n
         assert stats["max_batch"] == n
@@ -383,3 +402,99 @@ class TestFailFast:
             t.join()
         rows = service.snapshot().relation("E")
         assert all((40 + i, 90 + i) in rows for i in range(6))
+
+
+class TestOneSuccessorStatePerBatch:
+    """The leader's final state becomes the committed snapshot, unpatched."""
+
+    @pytest.fixture
+    def service(self):
+        svc = build_service(forward_graph(50, 2, seed=4), commit_timeout=30.0)
+        yield svc
+        svc.close()
+
+    @pytest.fixture
+    def spy(self, service, monkeypatch):
+        """Successors handed to the store, and top-level apply_delta calls."""
+        seen = {"successors": [], "applies": 0}
+        snapshot_type = type(service.snapshot())  # shards apply their own
+        commit_unchecked = service.store.commit_unchecked
+        apply_delta = Database.apply_delta
+
+        def spying_commit(successor=None):
+            seen["successors"].append(successor)
+            return commit_unchecked(successor=successor)
+
+        def counting_apply(self, delta):
+            if type(self) is snapshot_type:
+                seen["applies"] += 1
+            return apply_delta(self, delta)
+
+        monkeypatch.setattr(service.store, "commit_unchecked", spying_commit)
+        monkeypatch.setattr(Database, "apply_delta", counting_apply)
+        return seen
+
+    def assert_promoted(self, service, spy, applies):
+        stats = service.store.stats
+        assert service.store.pin()[1] is spy["successors"][-1]
+        assert stats.snapshot_promoted == len(spy["successors"])
+        assert stats.snapshot_repatched == 0
+        assert spy["applies"] == applies
+        assert service.snapshot().relation("E") == frozenset(service.store.scan("E"))
+        assert service.invariant_holds()
+
+    def test_single_request(self, service, spy):
+        assert execute(service, link(100, 200)).committed
+        self.assert_promoted(service, spy, applies=1)
+
+    def test_multi_request_batch(self, service, spy):
+        outcomes = run_as_one_batch(
+            service, [link(100 + i, 200 + i) for i in range(6)]
+        )
+        assert all(o.committed for o in outcomes)
+        assert len(spy["successors"]) == 1  # one batch, one store commit
+        self.assert_promoted(service, spy, applies=6)
+
+    def test_batch_with_rejected_and_conflicted_requests(self, service, spy):
+        loop = (lambda txn: txn.insert("E", (7, 7)), "add-edge", (7, 7))
+        outcomes = run_as_one_batch(
+            service,
+            [link(100, 200), loop, link(101, 201),
+             link(100, 200),  # same row twice: the second one conflicts
+             link(102, 202)],
+        )
+        assert [o.status for o in outcomes].count("rejected") == 1
+        assert sum(o.committed for o in outcomes) == 4
+        assert service.stats.conflicts == 1
+        # the loser retried against the new snapshot, found the row present
+        # and finished read-only: three survivors changed the state, once each
+        assert len(spy["successors"]) == 1
+        self.assert_promoted(service, spy, applies=3)
+
+    def test_runtime_checked_request_reuses_its_candidate_state(self, service, spy):
+        outcome = service.execute(lambda txn: txn.insert("E", (100, 200)))
+        assert outcome.committed and service.stats.runtime_checks > 0
+        self.assert_promoted(service, spy, applies=1)
+
+    def test_refused_batch_promotes_nothing(self, service, spy):
+        from repro import faults
+
+        service.commit_retries = 0
+        version, base = service.store.pin()
+        faults.install(faults.FaultPlan().site("storage.commit_batch", exc="storage"))
+        try:
+            outcomes = run_as_one_batch(
+                service, [link(100 + i, 200 + i) for i in range(3)]
+            )
+        finally:
+            faults.uninstall()
+        assert all(o.status == "aborted" and o.retryable for o in outcomes)
+        assert service.store.pin() == (version, base)
+        assert service.store.pin()[1] is base
+        assert service.store.stats.snapshot_promoted == 0
+
+    def test_promotion_counters_reach_stats(self, service):
+        execute(service, link(100, 200))
+        transactions = service.observability()["store"]["transactions"]
+        assert transactions["snapshot_promoted"] == 1
+        assert transactions["snapshot_repatched"] == 0
