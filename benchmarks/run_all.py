@@ -32,6 +32,8 @@ Usage::
 (exported as ``REPRO_SEED`` / ``REPRO_SERVICE_WORKERS``); both are recorded
 in the trajectory file, and experiments that print ``BENCH-METRIC`` lines
 (E16's throughput/speedup/abort-rate) get them folded into their row.
+``METRIC_CEILINGS`` holds the recorded ratios that every run must stay under
+(E13's static-precondition over run-time-check cost).
 """
 
 from __future__ import annotations
@@ -119,6 +121,18 @@ BASELINE_METRICS = {
     # recorded in the trajectory but deliberately NOT gated here: retry
     # backoff and injected latency make them wall-time-shaped, and the
     # benchmark asserts its own deterministic invariants inline
+}
+
+
+#: metric ceilings checked on every run, no baseline needed: ratios between
+#: two configurations measured inside one benchmark process, so they survive
+#: a change of hardware.  ``(metric name, field, highest accepted value)``.
+METRIC_CEILINGS = {
+    # the paper's opening argument: guarding with wpc(T, alpha) on the
+    # pre-state must not cost a multiple of execute / re-check / roll back.
+    # 13x before preconditions over fresh constants rode the state history's
+    # carried sub-plans; about 2x since.
+    "e13": (("e13-static-vs-runtime", "static_over_runtime", 8.0),),
 }
 
 
@@ -421,6 +435,16 @@ def main(argv=None) -> int:
                     f"{experiment:<5} metrics-overhead        "
                     f"{'skipped' if off['ok'] else 'FAIL: ' + off['summary']}"
                 )
+        for metric, field, ceiling in METRIC_CEILINGS.get(experiment, ()):
+            value = row.get("metrics", {}).get(metric, {}).get(field)
+            if value is None:  # no backend that reports it was requested
+                continue
+            gate_ok = value <= ceiling
+            all_ok = all_ok and gate_ok
+            print(
+                f"{experiment:<5} {field} {value:>7.2f}x  "
+                f"{'ok' if gate_ok else f'FAIL: above the {ceiling}x ceiling'}"
+            )
         if "naive" in row and "compiled" in row and row["compiled"] > 0:
             row["speedup"] = round(row["naive"] / row["compiled"], 2)
             print(f"{experiment:<5} speedup  {row['speedup']:>7.2f}x")

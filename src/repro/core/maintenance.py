@@ -12,6 +12,16 @@ constraints true while transactions run:
   precondition can be simplified (e.g. assuming ``alpha`` already holds) the
   check can be far cheaper than re-checking ``alpha`` from scratch.
 
+What the two cost on the compiled engine: a run-time check re-evaluates a
+constraint the engine has seen, so it runs through the incremental delta
+rules — O(delta).  A precondition is usually a formula the engine has *not*
+seen (its constants are the transaction's tuple), so it is compiled and
+executed; its constant-free sub-plans, however, are shared by every instance
+and carried along the update stream like any remembered state, so the check
+costs O(compile) plus what the constants touch, not O(database) — see
+"Shared sub-plans along the stream" in ``docs/engine.md``.  Experiment E13
+holds the ratio between the two policies under a ceiling.
+
 This module implements both policies (plus an unsafe baseline) on top of the
 transactional :class:`~repro.db.storage.Store`, together with an
 :class:`IntegrityMaintainer` that executes a stream of transactions under a

@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from ..db.database import Database
 from ..logic.evaluation import Model, evaluate
+from ..logic.normalform import simplify
 from ..logic.rewrite import AtomDefinition
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import (
@@ -146,7 +147,16 @@ class WpcCalculator:
     # -- public API --------------------------------------------------------------
 
     def wpc(self, constraint: Formula) -> Formula:
-        """The weakest precondition of a sentence.
+        """The weakest precondition of a sentence, folded.
+
+        The Theorem 8 output is run through the simplifier's
+        domain-independent rules (ground equalities, ``true``/``false``
+        propagation, duplicate parts — *not* the vacuous-quantifier foldings,
+        which assume a non-empty domain), so the contract ``D |= wpc`` iff
+        ``T(D) |= constraint`` holds on every database, the empty one
+        included, and a transaction over concrete tuples gets a precondition
+        a fraction of the mechanical size (an insert that can only violate
+        the constraint folds to ``false`` outright).
 
         Memoised per constraint: the transformation is purely syntactic (it
         never looks at a signature extension or a database), so validation
@@ -169,9 +179,9 @@ class WpcCalculator:
         unknown = constraint.relation_symbols() - set(self.spec.schema.relation_names)
         if unknown:
             raise WpcError(f"constraint mentions unknown relations {sorted(unknown)}")
-        transformed = self._transform(constraint)
-        self._wpc_memo[constraint] = transformed
-        return transformed
+        folded = simplify(self._transform(constraint), nonempty_domain=False)
+        self._wpc_memo[constraint] = folded
+        return folded
 
     def guarded_transaction(self, constraint: Formula) -> Transaction:
         """``if wpc(T, alpha) then T else abort`` for this specification's transaction."""
@@ -552,9 +562,7 @@ def classify_preservation(
     elif not simplify_guard:
         simplified = precondition
     else:
-        from ..logic.normalform import simplify as syntactic_simplify
-
-        simplified = syntactic_simplify(precondition)
+        simplified = simplify(precondition)
         if simplified == TOP:
             return PreservationVerdict(
                 "static", None, precondition,

@@ -50,7 +50,6 @@ from .optimize import (
     optimize_plan,
 )
 from .delta import (
-    DeltaFallback,
     PlanState,
     evaluate_under,
     incremental_update,
@@ -99,7 +98,6 @@ __all__ = [
     "explain_plan",
     "optimize_plan",
     "OPTIMIZER_ENV",
-    "DeltaFallback",
     "PlanState",
     "incremental_update",
     "evaluate_under",

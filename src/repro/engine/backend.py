@@ -46,7 +46,7 @@ from ..logic.syntax import Formula
 from ..obs import metrics as _metrics
 from ..obs.profile import PlanProfiler, observe_estimation
 from .compile import CompileError, compile_extension
-from .delta import DeltaFallback, PlanState, incremental_update
+from .delta import PlanState, incremental_update
 from .optimize import (
     Estimator,
     OptimizerParams,
@@ -94,10 +94,6 @@ _OPT_SKIP_COST = 256.0
 # execution dwarfs optimization time and the rewrite happens eagerly.
 _OPT_EAGER_ROWS = 1024
 _OPT_JIT_REQUESTS = 3
-# structural-interning table size before it is wiped (a safety valve; real
-# workloads stay far below it)
-_CANON_CAP = 16_384
-
 #: environment knob selecting the cost-based optimizer mode
 OPTIMIZER_ENV = "REPRO_OPTIMIZER"
 
@@ -129,6 +125,8 @@ _BACKEND_METRICS = {
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
     "shared_subplans": "engine.optimizer.shared_subplans",
+    "shared_carried": "engine.shared.carried",
+    "shared_rebuilt": "engine.shared.rebuilt",
     "complements_avoided": "engine.optimizer.complements_avoided",
     "naive_wins": "engine.optimizer.naive_wins",
     "estimation_checks": "engine.optimizer.estimation_checks",
@@ -289,6 +287,15 @@ class CompiledBackend(Backend):
     ``delta`` constructor argument) controls this: ``verify`` shadows every
     incremental result with a full execution and asserts they agree.
 
+    The same state history serves formulas the backend has *never* evaluated:
+    constant-free sub-plans are interned across formulas, and one that two
+    plans share (or a full relation scan) keeps its node-level state along
+    the update stream exactly like a whole formula's, seeding whichever plan
+    asks next.  A formula over fresh constants — every instance of a
+    transaction's weakest precondition is one — therefore costs what its
+    constants touch, not the database (``shared_carried`` / ``shared_rebuilt``
+    count the two outcomes per shared sub-plan).
+
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
     the interpreter's result exactly like a compiled one, so repeated checks
@@ -325,7 +332,10 @@ class CompiledBackend(Backend):
                 f"unknown delta mode {delta!r}; expected 'on', 'off' or 'verify'"
             )
         self.delta_mode = delta
-        # per-(db, memo key) node-level plan states for incremental updates.
+        # per-(db, key) node-level plan states for incremental updates — the
+        # one state history.  A key is a memo key (a whole formula's plan) or
+        # ``(node, domain, signature)`` (a sub-plan shared between formulas);
+        # both kinds advance along the provenance chain the same way.
         # Unlike the result memo this holds the database *strongly*: in the
         # canonical stream pattern (``db = db.apply_delta(...)`` in a loop,
         # the store patching its snapshot) the parent loses its last strong
@@ -356,19 +366,17 @@ class CompiledBackend(Backend):
         # key tuple keeps it alive) so the lookup never re-hashes a formula.
         self._opt_plans: _LRU = _LRU(plan_cache_size)
         self._opt_lock = threading.Lock()
-        # structural-interning table + the sub-plans two constraints share
+        # structural-interning table (constant-free sub-plans only, so it is
+        # bounded by the number of plan shapes) + the sub-plans formulas share
         self._canon: Dict[Tuple, Plan] = {}
         self._shared_nodes: Set[Plan] = set()
-        # per-database rows of shared intermediates (weakly keyed, like the
-        # result memo): a sub-plan two constraints have in common is executed
-        # once per (db, domain, signature) and reused by the second constraint
-        self._shared_rows: "weakref.WeakKeyDictionary[Database, _LRU]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._shared_rows_lock = threading.Lock()
         self.plans_rewritten = 0
         self.join_reorders = 0
         self.shared_subplans = 0
+        # shared sub-plans brought to a successor state by the delta rules /
+        # executed in full because no ancestor state was within reach
+        self.shared_carried = 0
+        self.shared_rebuilt = 0
         self.complements_avoided = 0
         self.naive_wins = 0
         self.estimation_checks = 0
@@ -396,16 +404,12 @@ class CompiledBackend(Backend):
         with self._opt_lock:
             self._canon.clear()
             self._shared_nodes.clear()
-        with self._shared_rows_lock:
-            self._shared_rows.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         with self._states_lock:
             states = sum(len(states) for _db, states in self._states.values())
         with self._memo_lock:
             memo = sum(len(lru) for lru in self._memo.values())
-        with self._shared_rows_lock:
-            shared_rows = sum(len(lru) for lru in self._shared_rows.values())
         return {
             "plans": len(self._plans),
             "memo": memo,
@@ -416,7 +420,8 @@ class CompiledBackend(Backend):
             "shared_subplans": self.shared_subplans,
             "complements_avoided": self.complements_avoided,
             "naive_wins": self.naive_wins,
-            "shared_intermediates": shared_rows,
+            "shared_carried": self.shared_carried,
+            "shared_rebuilt": self.shared_rebuilt,
             "estimation_checks": self.estimation_checks,
             "estimation_error": self.estimation_error,
         }
@@ -565,9 +570,6 @@ class CompiledBackend(Backend):
             if info.complements_avoided:
                 self._bump("complements_avoided", info.complements_avoided)
         with self._opt_lock:
-            if len(self._canon) > _CANON_CAP:
-                self._canon.clear()
-                self._shared_nodes.clear()
             best, hits = canonical_plan(best, self._canon, self._shared_nodes)
         if hits:
             self._bump("shared_subplans", hits)
@@ -604,7 +606,7 @@ class CompiledBackend(Backend):
                     return set(cached)
                 if plan is not None:
                     ctx = ExecutionContext(db, domain_key, signature)
-                    self._incremental_extension(plan, db, memo_key, ctx, warming=True)
+                    self._incremental_extension(plan, memo_key, ctx, warming=True)
             return set(cached)
         self._m_memo_misses.inc()
         try:
@@ -630,7 +632,7 @@ class CompiledBackend(Backend):
         ctx = ExecutionContext(db, domain_key, signature)
         rows = None
         if self.delta_mode != "off":
-            rows = self._incremental_extension(plan, db, memo_key, ctx)
+            rows = self._incremental_extension(plan, memo_key, ctx)
         return self._finish_extension(plan, db, memo_key, ctx, memo, rows)
 
     def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
@@ -682,7 +684,10 @@ class CompiledBackend(Backend):
         per-node cardinalities (the formula is executed once to measure
         them), the modelled costs of the syntactic and optimized plans, and
         the interpreter yardstick — the tool for diagnosing why the
-        optimizer picked (or refused) a shape.
+        optimizer picked (or refused) a shape.  A sub-plan whose rows came
+        from carried state instead of being run is marked ``[carried]``; a
+        node no line shows ``act=`` for was skipped by a short-circuiting
+        join.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -715,36 +720,55 @@ class CompiledBackend(Backend):
             f"chosen: {'optimized' if chosen is not original else 'syntactic'} plan "
             f"(cost~{estimator.cost(chosen):.0f}, syntactic~{estimator.cost(original):.0f})"
         )
-        lines.append(explain_plan(chosen, estimator, ctx.cache, ctx.profiler))
+        lines.append(
+            explain_plan(chosen, estimator, ctx.cache, ctx.profiler, ctx.seeded)
+        )
         return "\n".join(lines)
 
     def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> frozenset:
         """Full (non-incremental) plan execution — the sharded backend's hook.
 
         Sub-plans the structural interner identified as shared between
-        constraints are seeded from (and saved to) a per-database memo, so
-        evaluating a whole constraint set against one database computes each
-        common intermediate once.  A seeded entry carries its entire
-        sub-DAG's rows, which keeps the remembered node-level plan states
-        complete for the incremental delta path.
+        formulas are not executed here when the state history can supply
+        them: each is looked up at ``ctx.db`` — or brought there from the
+        nearest evaluated ancestor by the delta rules — and its whole
+        sub-DAG's rows seed the execution.  A formula over fresh constants
+        therefore pays for what its constants touch; the constant-free part
+        arrives at delta cost.  A shared sub-plan this execution had to run
+        itself is remembered, so the next formula (or the next state) finds
+        it.
         """
-        shared = self._shared_in(plan)
-        if shared:
-            lru = self._shared_rows_for(ctx.db, create=False)
-            if lru is not None:
-                for node in shared:
-                    hit = lru.get((node, ctx.domain, ctx.signature))
-                    if hit is not None:
-                        ctx.cache.update(hit)
+        built, seeded = [], []
+        for node in self._shared_in(plan):
+            state = self._shared_state(node, ctx)
+            if state is None:
+                built.append(node)
+            else:
+                ctx.cache.update(state.rows)
+                seeded.append(node)
+        ctx.seeded = tuple(seeded)
         rows = plan.rows(ctx)
-        if shared:
-            lru = self._shared_rows_for(ctx.db, create=True)
-            for node in shared:
-                if node in ctx.cache:
-                    lru.put(
-                        (node, ctx.domain, ctx.signature), self._subtree_rows(node, ctx)
-                    )
+        for node in built:
+            if node in ctx.cache:  # a short-circuiting join may have skipped it
+                self._bump("shared_rebuilt")
+                self._remember_state(
+                    ctx.db,
+                    (node, ctx.domain_key, ctx.signature),
+                    PlanState(self._subtree_rows(node, ctx)),
+                )
         return rows
+
+    def _shared_state(self, node: Plan, ctx: ExecutionContext) -> Optional[PlanState]:
+        """The shared sub-plan's state at ``ctx.db``, carried there if need be."""
+        key = (node, ctx.domain_key, ctx.signature)
+        state = self._state_for(ctx.db, key)
+        if state is None and self.delta_mode != "off":
+            state = self._advance_state(
+                node, key, ExecutionContext(ctx.db, ctx.domain_key, ctx.signature)
+            )
+            if state is not None:
+                self._bump("shared_carried")
+        return state
 
     def _shared_in(self, plan: Plan) -> Tuple[Plan, ...]:
         """The nodes of ``plan``'s DAG known to be shared with other plans."""
@@ -780,14 +804,6 @@ class CompiledBackend(Backend):
             rows[current] = cached
             stack.extend(current.children())
         return rows
-
-    def _shared_rows_for(self, db: Database, create: bool) -> Optional[_LRU]:
-        with self._shared_rows_lock:
-            lru = self._shared_rows.get(db)
-            if lru is None and create:
-                lru = _LRU(self._memo_size)
-                self._shared_rows[db] = lru
-            return lru
 
     def _plan_state_from(self, ctx: ExecutionContext) -> PlanState:
         """The rememberable node-level state of a full execution (hook)."""
@@ -825,64 +841,66 @@ class CompiledBackend(Backend):
                 self._states.popitem(last=False)
 
     def _incremental_extension(
-        self,
-        plan: Plan,
-        db: Database,
-        memo_key: Tuple,
-        ctx: ExecutionContext,
-        warming: bool = False,
+        self, plan: Plan, memo_key: Tuple, ctx: ExecutionContext, warming: bool = False
     ):
         """Evaluate through the delta rules when a usable parent state exists.
 
-        Walks the database's ``apply_delta`` provenance (composing the
-        per-step deltas) until it finds an ancestor this backend evaluated
-        ``memo_key`` against; returns ``None`` — full execution — when there
-        is no such ancestor or the incremental pass declines.  A ``warming``
-        call (state propagation behind a memo hit) leaves ``delta_misses``
-        alone on failure: no full execution follows, so nothing was missed.
+        Returns ``None`` — full execution — when no ancestor of ``ctx.db`` was
+        evaluated under ``memo_key``.  A ``warming`` call (state propagation
+        behind a memo hit) leaves the hit/miss counters (surfaced as
+        ``incremental_evaluations`` in maintenance reports) alone: the check
+        itself was answered by the memo, and no full execution follows a
+        failure, so nothing was missed.
         """
+        state = self._advance_state(plan, memo_key, ctx)
+        if not warming:
+            self._bump("delta_misses" if state is None else "delta_hits")
+        return None if state is None else state.rows[plan]
+
+    def _advance_state(
+        self, plan: Plan, key: Tuple, ctx: ExecutionContext
+    ) -> Optional[PlanState]:
+        """Bring ``plan``'s remembered state under ``key`` forward to ``ctx.db``.
+
+        Walks the database's ``apply_delta`` provenance (composing the
+        per-step deltas) until it finds an ancestor with a state under
+        ``key`` — a memo key for a whole formula's plan, ``(node, domain,
+        signature)`` for a shared sub-plan — and applies the delta rules to
+        it.  Remembers and returns the successor state, or ``None`` when no
+        such ancestor is within reach.
+        """
+        db = ctx.db
         current = db
-        delta_to_db: Optional[Delta] = None
+        delta = None
         for _ in range(_MAX_PROVENANCE_CHAIN):
             link = current.provenance_step()
             if link is None:
-                break
+                return None
             parent, step = link
-            delta_to_db = step if delta_to_db is None else step.then(delta_to_db)
-            state = self._state_for(parent, memo_key)
+            delta = step if delta is None else step.then(delta)
+            state = self._state_for(parent, key)
             if state is None:
                 current = parent
                 continue
-            delta = delta_to_db
             try:
                 rows, new_state = incremental_update(
-                    plan, parent, state, delta, ctx, fixed_domain=memo_key[2] is not None
+                    plan, parent, state, delta, ctx,
+                    fixed_domain=ctx.domain_key is not None,
                 )
-            except DeltaFallback:
-                break
             except (DatabaseError, SignatureError) as exc:
                 from ..logic.evaluation import EvaluationError
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode == "verify":
-                check_ctx = ExecutionContext(db, memo_key[2], memo_key[3])
-                full = plan.rows(check_ctx)
+                full = plan.rows(ExecutionContext(db, ctx.domain_key, ctx.signature))
                 if full != rows:
                     raise AssertionError(
-                        f"incremental evaluation diverged for {memo_key[0]!r}: "
+                        f"incremental evaluation diverged for {key[0]!r}: "
                         f"delta says {sorted(rows, key=repr)[:5]}..., "
                         f"full run says {sorted(full, key=repr)[:5]}..."
                     )
-            if not warming:
-                # a warming pass only refreshes node states behind a memo
-                # hit — the check itself was answered by the memo, so the
-                # hit/miss counters (surfaced as incremental_evaluations in
-                # maintenance reports) stay untouched either way
-                self._bump("delta_hits")
-            self._remember_state(db, memo_key, new_state)
-            return rows
-        if not warming:
-            self._bump("delta_misses")
+            self._remember_state(db, key, new_state)
+            return new_state
         return None
 
     def evaluate(self, formula, db, assignment=None, signature=EMPTY_SIGNATURE, domain=None):

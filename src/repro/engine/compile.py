@@ -19,7 +19,8 @@ Rule sketch (see ``docs/engine.md`` for the quantifier-by-quantifier story):
   conjuncts turned into antijoins,
 * disjunction compiles to a union after padding each disjunct to the shared
   free variables,
-* ``exists x`` compiles to early projection (dropping ``x``),
+* ``exists x`` compiles to early projection (dropping ``x``), distributed
+  over a disjunctive body (``exists x (A | B)`` is ``exists x A | exists x B``),
 * ``forall x`` compiles via its dual ``~ exists x ~``,
 * ``exists^{>= k} x`` compiles to a grouped count over the witness column,
 * negation in any remaining position compiles to a domain complement.
@@ -431,6 +432,11 @@ def _compile_or(parts: Sequence[Formula]) -> Plan:
 
 
 def _compile_exists(variable: str, body: Formula) -> Plan:
+    if isinstance(body, Or):
+        # projection through union: each disjunct is projected on its own, so
+        # a constant-free one (a relation scan, say) is not buried under a
+        # union with a constant row and stays shareable across formulas
+        return _compile_or([Exists(variable, part) for part in body.parts])
     plan = _compile(body)
     if variable not in plan.columns:
         # vacuous quantification still requires a witness: empty domain => false

@@ -30,11 +30,15 @@ Any node the rules cannot handle — an unknown operator, a selection with
 unknown dependencies, a domain-dependent node under a changed quantification
 domain — is *recomputed from its children's new results* and diffed against
 its old result, so incrementality degrades per node, never per plan, and the
-worst case is one ordinary plan execution.  :class:`DeltaFallback` aborts the
-whole attempt only when the previous state is unusable (e.g. the plan shape
-changed).  ``REPRO_DELTA=verify`` makes the backend shadow every incremental
-result with a full execution and assert equality — the delta analogue of
-keeping :class:`~repro.engine.backend.NaiveBackend` as the semantics oracle.
+worst case is one ordinary plan execution.  The same rule covers a node with
+no remembered result at all — one a short-circuiting join skipped (or that a
+re-planned shape introduced): it is computed from its children and enters as
+all-new rows, which is exact because every remembered consumer of a skipped
+node holds what an empty input would have given it.  ``REPRO_DELTA=verify``
+makes the backend shadow every incremental result — whole formulas and
+carried shared sub-plans alike — with a full execution and assert equality,
+the delta analogue of keeping :class:`~repro.engine.backend.NaiveBackend` as
+the semantics oracle.
 
 The per-node auxiliary state is never mutated, because the previous
 database's state must stay valid — a rolled-back transaction resumes the
@@ -71,7 +75,6 @@ from .plan import (
 )
 
 __all__ = [
-    "DeltaFallback",
     "PlanState",
     "incremental_update",
     "evaluate_under",
@@ -88,14 +91,11 @@ def _identity(row: Row) -> Row:
     return row
 
 
-class DeltaFallback(Exception):
-    """Internal signal: incremental evaluation is impossible, run the full plan."""
-
-
 class PlanState:
     """Everything remembered about one plan execution against one database.
 
-    ``rows`` maps every node of the plan DAG to the rows it produced;
+    ``rows`` maps every node of the plan DAG that ran to the rows it produced
+    (a node skipped by a short-circuiting join has no entry);
     ``aux`` holds per-node support counters / key indexes, built lazily the
     first time a node is updated incrementally and patched forward after
     that.
@@ -122,7 +122,7 @@ def incremental_update(
     is the (normalized) difference ``ctx.db - base_db``.  ``fixed_domain``
     says the quantification domain was supplied explicitly (so it cannot have
     changed with the database).  Returns the root rows plus the successor
-    state; raises :class:`DeltaFallback` when the old state is unusable.
+    state.
     """
     if fixed_domain:
         dom_added: FrozenSet[object] = frozenset()
@@ -169,8 +169,12 @@ class _IncrementalRun:
             self.visit(child)
         old_rows = self.old.rows.get(node)
         if old_rows is None:
-            raise DeltaFallback(f"no remembered rows for {node.label()}")
-        rows, added, removed = self._dispatch(node, old_rows)
+            # a short-circuiting join never ran this node against the base
+            # state, so every remembered consumer holds what an empty input
+            # gives: it enters as all-new rows, computed from its children
+            rows, added, removed = self._recompute(node, _EMPTY)
+        else:
+            rows, added, removed = self._dispatch(node, old_rows)
         self.ctx.cache[node] = rows
         result = (added, removed)
         self.results[node] = result
@@ -246,6 +250,11 @@ class _IncrementalRun:
     def _unchanged(self, old_rows: Rows):
         return old_rows, _EMPTY, _EMPTY
 
+    def _old_rows(self, node: Plan) -> Rows:
+        """The node's rows against the base state (empty where it never ran)."""
+        rows = self.old.rows.get(node)
+        return _EMPTY if rows is None else rows
+
     def _aux_for(self, node: Plan, build):
         """The node's previous auxiliary state, building it on first use.
 
@@ -320,7 +329,7 @@ class _IncrementalRun:
             return tuple(row[i] for i in indices)
 
         def build():
-            return self._count_rows(self.old.rows[node.child], key_of)
+            return self._count_rows(self._old_rows(node.child), key_of)
 
         counts, touched_keys = self._patch_counts(
             self._aux_for(node, build), key_of, child_added, child_removed
@@ -349,7 +358,7 @@ class _IncrementalRun:
         key_of = _join_key(node.child.columns, node.columns)
 
         def build():
-            return self._count_rows(self.old.rows[node.child], key_of)
+            return self._count_rows(self._old_rows(node.child), key_of)
 
         counts, touched_groups = self._patch_counts(
             self._aux_for(node, build), key_of, child_added, child_removed
@@ -374,7 +383,7 @@ class _IncrementalRun:
         def build():
             counts: Dict[Row, int] = {}
             for part in node.parts:
-                for row in self.old.rows[part]:
+                for row in self._old_rows(part):
                     counts[row] = counts.get(row, 0) + 1
             return counts
 
@@ -398,7 +407,7 @@ class _IncrementalRun:
         if not (left_added or left_removed or right_added or right_removed):
             return self._unchanged(old_rows)
         left_new, right_new = self.ctx.cache[left], self.ctx.cache[right]
-        left_old, right_old = self.old.rows[left], self.old.rows[right]
+        left_old, right_old = self._old_rows(left), self._old_rows(right)
         if not node._right_extra:
             if not node.shared:
                 # the right child is a pure emptiness guard
@@ -433,11 +442,11 @@ class _IncrementalRun:
         right_key = _join_key(right.columns, shared)
 
         def build():
-            left_index = BucketMap.build(self.old.rows[left], left_key)
+            left_index = BucketMap.build(self._old_rows(left), left_key)
             if count_right:
-                right_side = self._count_rows(self.old.rows[right], right_key)
+                right_side = self._count_rows(self._old_rows(right), right_key)
             else:
-                right_side = BucketMap.build(self.old.rows[right], right_key)
+                right_side = BucketMap.build(self._old_rows(right), right_key)
             return left_index, right_side
 
         return self._aux_for(node, build), left_key, right_key
@@ -536,7 +545,7 @@ class _IncrementalRun:
         if not shared:
             left_new = self.ctx.cache[left]
             right_new = self.ctx.cache[right]
-            was, now = bool(self.old.rows[right]), bool(right_new)
+            was, now = bool(self._old_rows(right)), bool(right_new)
             if not was and not now:
                 added, removed = left_added, left_removed
             elif was and now:

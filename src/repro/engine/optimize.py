@@ -1141,49 +1141,69 @@ def _shallow_key(node: Plan) -> Optional[Tuple]:
     return None
 
 
+def _mentions_constant(node: Plan) -> bool:
+    """Does the node's own operator (not its children) embed a formula constant?"""
+    if isinstance(node, Scan):
+        return bool(node._const_positions)
+    if isinstance(node, SingletonIfActive):
+        return True
+    if isinstance(node, ConstantTable):
+        return bool(node.columns)  # the 0-ary TRUE/FALSE tables carry no value
+    if isinstance(node, Select):
+        return node.formula is None or bool(node.formula.constants())
+    return False
+
+
 def canonical_plan(
     plan: Plan,
     interned: Dict[Tuple, Plan],
     shared: Set[Plan],
 ) -> Tuple[Plan, int]:
-    """Replace every sub-plan already seen (structurally) by its first copy.
+    """Replace every constant-free sub-plan already seen by its first copy.
 
     ``interned`` maps structural keys to canonical nodes across calls (the
     backend owns it, and must hold its values strongly — the keys embed the
-    ids of canonical children); nodes that unify with a previously interned
-    copy are recorded in ``shared`` — the set of cross-constraint
-    intermediates worth materialising once per database.  Returns the
-    canonicalised plan and the number of sub-plans that unified.
+    ids of canonical children).  Only sub-plans that mention no constant are
+    interned: a sub-plan over a constant cannot unify with another instance
+    of the same formula shape, so the table is bounded by the number of
+    *shapes* a backend meets, not by the number of formulas.  Nodes that
+    unify with a previously interned copy are recorded in ``shared`` — the
+    cross-formula intermediates worth keeping along the update stream — and
+    so is every constant-free full relation scan, the leaf whose cost is the
+    relation's size.  Returns the canonicalised plan and the number of
+    sub-plans that unified.
     """
-    memo: Dict[Plan, Plan] = {}
+    memo: Dict[Plan, Tuple[Plan, bool]] = {}
     hits = 0
 
-    def visit(node: Plan) -> Plan:
+    def visit(node: Plan) -> Tuple[Plan, bool]:
         nonlocal hits
         done = memo.get(node)
         if done is not None:
             return done
         children = node.children()
-        new_children = tuple(visit(child) for child in children)
+        visited = [visit(child) for child in children]
+        new_children = tuple(child for child, _free in visited)
         rebuilt = node if new_children == children else _with_children(node, new_children)
-        try:
-            key = _shallow_key(rebuilt)
-            canonical = interned.get(key) if key is not None else None
-        except TypeError:  # unhashable constant somewhere in the key
-            canonical = None
-            key = None
-        if canonical is not None and canonical is not rebuilt:
-            if canonical.columns == rebuilt.columns:
+        constant_free = not _mentions_constant(rebuilt) and all(
+            free for _child, free in visited
+        )
+        key = _shallow_key(rebuilt) if constant_free else None
+        if key is not None:
+            canonical = interned.get(key)
+            if canonical is None:
+                interned[key] = rebuilt
+                if isinstance(rebuilt, Scan):
+                    shared.add(rebuilt)
+            elif canonical is not rebuilt and canonical.columns == rebuilt.columns:
                 if canonical.children():  # leaves are cheap; only count real work
                     shared.add(canonical)
                     hits += 1
                 rebuilt = canonical
-        elif key is not None:
-            interned[key] = rebuilt
-        memo[node] = rebuilt
-        return rebuilt
+        memo[node] = (rebuilt, constant_free)
+        return memo[node]
 
-    return visit(plan), hits
+    return visit(plan)[0], hits
 
 
 def _with_children(node: Plan, children: Tuple[Plan, ...]) -> Plan:
@@ -1216,6 +1236,7 @@ def explain_plan(
     estimator: Estimator,
     actual: Optional[Dict[Plan, object]] = None,
     profile=None,
+    seeded: Sequence[Plan] = (),
 ) -> str:
     """An indented rendering of ``plan`` with estimated (and actual) rows.
 
@@ -1224,7 +1245,9 @@ def explain_plan(
     visible node by node — the optimizer's debugging loop.  ``profile`` (a
     :class:`repro.obs.profile.PlanProfiler` the execution context carried)
     additionally shows each node's measured wall time, turning
-    estimated-vs-actual into measured-vs-actual.
+    estimated-vs-actual into measured-vs-actual.  ``seeded`` lists the
+    sub-plan roots the backend supplied from carried state; they are marked
+    ``[carried]`` (and, never having run, show no time).
     """
     lines: List[str] = []
 
@@ -1237,6 +1260,8 @@ def explain_plan(
             if rows is not None:
                 line += f" act={len(rows)}"
         line += f" cost={estimator.op_cost(node):.1f}"
+        if node in seeded:
+            line += " [carried]"
         if profile is not None:
             seconds = profile.seconds(node)
             if seconds is not None:

@@ -70,6 +70,8 @@ __all__ = [
 Row = Tuple[object, ...]
 Rows = FrozenSet[Row]
 
+_EMPTY: Rows = frozenset()
+
 
 class PlanError(RuntimeError):
     """Raised for malformed plans or execution failures."""
@@ -84,7 +86,10 @@ class ExecutionContext:
     operator kind, which the tests and ``EXPLAIN``-style debugging use.
     """
 
-    __slots__ = ("db", "domain", "signature", "functions", "stats", "cache", "profiler")
+    __slots__ = (
+        "db", "domain_key", "domain", "signature", "functions", "stats", "cache",
+        "seeded", "profiler",
+    )
 
     def __init__(
         self,
@@ -93,8 +98,12 @@ class ExecutionContext:
         signature: Signature = EMPTY_SIGNATURE,
     ):
         self.db = db
+        # the domain as the caller fixed it (``None``: it follows the database)
+        self.domain_key: Optional[FrozenSet[object]] = (
+            frozenset(domain) if domain is not None else None
+        )
         self.domain: FrozenSet[object] = (
-            frozenset(domain) if domain is not None else db.active_domain
+            self.domain_key if self.domain_key is not None else db.active_domain
         )
         self.signature = signature
         self.functions = signature.functions_mapping()
@@ -104,6 +113,9 @@ class ExecutionContext:
         # Keyed by the node itself (identity hash) — holding the reference
         # prevents id-reuse if a caller evaluates several plans in one context.
         self.cache: Dict["Plan", Rows] = {}
+        # the sub-plan roots whose rows the backend put into ``cache`` from
+        # carried state instead of running them (``explain()`` marks them)
+        self.seeded: Tuple["Plan", ...] = ()
         # optional per-node wall-time/cardinality recorder (a
         # repro.obs.profile.PlanProfiler); None keeps rows() on the fast path
         self.profiler = None
@@ -510,6 +522,10 @@ class HashJoin(Plan):
     *semijoin* (a pure filter — nothing is concatenated), which is how
     ``exists``-shaped conjuncts whose variables are already bound get
     evaluated without materialising anything wider.
+
+    The filtering side (the right child of a semijoin, the left child
+    otherwise) is evaluated first; when it is empty the join is empty and the
+    other child is never run.
     """
 
     __slots__ = ("left", "right", "shared", "_right_extra")
@@ -526,8 +542,16 @@ class HashJoin(Plan):
         return (self.left, self.right)
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
-        left_rows = self.left.rows(ctx)
-        right_rows = self.right.rows(ctx)
+        # the filtering side runs first, and an empty side ends the join: the
+        # other child is never evaluated (its rows stay out of ctx.cache)
+        if self._right_extra:
+            left_rows = self.left.rows(ctx)
+            right_rows = self.right.rows(ctx) if left_rows else _EMPTY
+        else:
+            right_rows = self.right.rows(ctx)
+            left_rows = self.left.rows(ctx) if right_rows else _EMPTY
+        if not left_rows or not right_rows:
+            return _EMPTY
         shared = self.shared
         if not self._right_extra:
             # semijoin fast path: right adds no columns, only filters
@@ -537,7 +561,7 @@ class HashJoin(Plan):
                 else None
             )
             if right_keys is None:
-                result = left_rows if right_rows else frozenset()
+                result = left_rows  # a non-empty right side lets everything pass
             else:
                 left_key = _join_key(self.left.columns, shared)
                 result = frozenset(row for row in left_rows if left_key(row) in right_keys)
@@ -572,7 +596,11 @@ class HashJoin(Plan):
 
 
 class Antijoin(Plan):
-    """Keep left rows with *no* matching right row — ``not exists`` / negated conjuncts."""
+    """Keep left rows with *no* matching right row — ``not exists`` / negated conjuncts.
+
+    With no left rows there is nothing to filter, and the right child is
+    never run.
+    """
 
     __slots__ = ("left", "right", "shared")
 
@@ -587,6 +615,8 @@ class Antijoin(Plan):
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
         left_rows = self.left.rows(ctx)
+        if not left_rows:
+            return _EMPTY  # nothing to filter: the right side never runs
         right_rows = self.right.rows(ctx)
         if not self.shared:
             result = frozenset() if right_rows else left_rows

@@ -40,7 +40,7 @@ from .syntax import (
     make_and,
     make_or,
 )
-from .terms import Var
+from .terms import Const, Var
 
 __all__ = [
     "eliminate_implications",
@@ -190,31 +190,38 @@ def _prenex(formula: Formula, names: _FreshNames) -> Tuple[List[Tuple[type, str]
 # simplification
 # ---------------------------------------------------------------------------
 
-def simplify(formula: Formula) -> Formula:
+def simplify(formula: Formula, nonempty_domain: bool = True) -> Formula:
     """Local syntactic simplification (equivalence-preserving).
 
     Applies constant folding (``phi & true = phi`` ...), double-negation
-    elimination, trivial equality folding (``t = t`` becomes ``true``), removal
-    of duplicate conjuncts/disjuncts, and elimination of vacuous quantifiers
-    (quantifiers whose variable does not occur free in the body).
+    elimination, equality folding (``t = t`` becomes ``true``, ``c = d`` for
+    distinct constants ``false``), removal of duplicate conjuncts/disjuncts,
+    and elimination of vacuous quantifiers (quantifiers whose variable does
+    not occur free in the body).
 
-    The quantifier foldings assume a *non-empty* quantification domain, i.e. a
-    non-empty database or a formula mentioning at least one constant.  This is
-    the convention of classical model theory and matches the paper, which
-    restricts attention to non-empty databases whenever it matters
-    (cf. the proof of Proposition 1).  On the empty database with a
-    constant-free formula the folded formula may differ; callers that care use
-    the exact evaluator directly.
+    The vacuous-quantifier foldings assume a *non-empty* quantification
+    domain, i.e. a non-empty database or a formula mentioning at least one
+    constant.  This is the convention of classical model theory and matches
+    the paper, which restricts attention to non-empty databases whenever it
+    matters (cf. the proof of Proposition 1).  On the empty database with a
+    constant-free formula the folded formula may differ; pass
+    ``nonempty_domain=False`` to apply only the rules that hold over every
+    domain, the empty one included (``exists x . false`` and ``forall x .
+    true`` still fold; ``exists x . true`` and ``forall x . false`` — which
+    *say* whether the domain is empty — and quantifiers over a variable the
+    body does not mention are left alone).
     """
-    simplified = _simplify_once(formula)
+    simplified = _simplify_once(formula, nonempty_domain)
     while simplified != formula:
         formula = simplified
-        simplified = _simplify_once(formula)
+        simplified = _simplify_once(formula, nonempty_domain)
     return simplified
 
 
-def _simplify_once(formula: Formula) -> Formula:
-    formula = formula.map_children(_simplify_once)
+def _simplify_once(formula: Formula, nonempty_domain: bool) -> Formula:
+    formula = formula.map_children(
+        lambda child: _simplify_once(child, nonempty_domain)
+    )
 
     if isinstance(formula, Not):
         body = formula.body
@@ -229,6 +236,8 @@ def _simplify_once(formula: Formula) -> Formula:
     if isinstance(formula, Eq):
         if formula.left == formula.right:
             return TOP
+        if isinstance(formula.left, Const) and isinstance(formula.right, Const):
+            return BOTTOM  # distinct constants denote distinct values
         return formula
 
     if isinstance(formula, And):
@@ -272,7 +281,7 @@ def _simplify_once(formula: Formula) -> Formula:
         if isinstance(formula.premise, Top):
             return formula.conclusion
         if isinstance(formula.conclusion, Bottom):
-            return _simplify_once(Not(formula.premise))
+            return _simplify_once(Not(formula.premise), nonempty_domain)
         return formula
 
     if isinstance(formula, Iff):
@@ -283,17 +292,22 @@ def _simplify_once(formula: Formula) -> Formula:
         if isinstance(formula.right, Top):
             return formula.left
         if isinstance(formula.left, Bottom):
-            return _simplify_once(Not(formula.right))
+            return _simplify_once(Not(formula.right), nonempty_domain)
         if isinstance(formula.right, Bottom):
-            return _simplify_once(Not(formula.left))
+            return _simplify_once(Not(formula.left), nonempty_domain)
         return formula
 
     if isinstance(formula, (Exists, Forall)):
-        # Folding assumes a non-empty quantification domain (see docstring).
-        if isinstance(formula.body, (Top, Bottom)):
-            return formula.body
-        if formula.variable not in formula.body.free_variables():
-            return formula.body
+        body = formula.body
+        # no witness satisfies ``false``; every value (of none) satisfies ``true``
+        if isinstance(body, Bottom if isinstance(formula, Exists) else Top):
+            return body
+        # the rest assumes a non-empty quantification domain (see docstring)
+        if nonempty_domain and (
+            isinstance(body, (Top, Bottom))
+            or formula.variable not in body.free_variables()
+        ):
+            return body
         return formula
 
     return formula

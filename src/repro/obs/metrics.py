@@ -70,6 +70,8 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
     "shared_subplans": "engine.optimizer.shared_subplans",
+    "shared_carried": "engine.shared.carried",
+    "shared_rebuilt": "engine.shared.rebuilt",
     "complements_avoided": "engine.optimizer.complements_avoided",
     "naive_wins": "engine.optimizer.naive_wins",
     "estimation_checks": "engine.optimizer.estimation_checks",

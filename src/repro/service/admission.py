@@ -97,6 +97,10 @@ class AdmissionController:
         self.constraints = list(constraints)
         self.signature = signature
         self.family = list(family) if family is not None else None
+        # the default verification family, built on first use and kept: the
+        # same Database objects serve every classification, so the engine
+        # evaluates an invariant on each of them once, not once per call
+        self._graph_family: Optional[List[Database]] = None
         self._lock = threading.Lock()
         self._templates: Dict[str, TransactionTemplate] = {}
         self._verdicts: Dict[str, Dict[str, PreservationVerdict]] = {}
@@ -141,61 +145,74 @@ class AdmissionController:
     ) -> PreservationVerdict:
         """One (template, constraint) verdict: worst sample wins."""
         worst: Optional[PreservationVerdict] = None
+        sampled: List[Tuple[Tuple, Optional[Formula], List[Database]]] = []
         for params in template.samples:
+            transaction = template.build(*params)
+            family = self._family_for(transaction)
             verdict = classify_preservation(
-                template.build(*params),
+                transaction,
                 constraint.formula,
-                databases=self.family,
+                databases=family,
                 signature=self.signature,
                 # the controller supplies its own (verified) parametric
                 # guards or per-instance wpcs — skip the simplification sweep
                 simplify_guard=False,
             )
+            sampled.append((params, verdict.precondition, family))
             if worst is None or _MODE_RANK[verdict.mode] > _MODE_RANK[worst.mode]:
                 worst = verdict
         assert worst is not None
         if worst.precondition is not None:
             constraint.register_precondition(template.name, worst.precondition)
         if worst.mode == "guarded":
-            self._verify_template_guard(template, constraint)
+            self._verify_template_guard(template, constraint, sampled)
         return worst
 
     def _verify_template_guard(
-        self, template: TransactionTemplate, constraint: Constraint
+        self,
+        template: TransactionTemplate,
+        constraint: Constraint,
+        sampled: Sequence[Tuple[Tuple, Optional[Formula], List[Database]]],
     ) -> None:
         """Check a hand-written parametric guard against the true wpc.
 
-        A guard that is not equivalent to the weakest precondition under the
-        invariant (on the family, for every sample) is silently dropped — the
-        controller then falls back to per-instance ``wpc`` computation, which
-        is always sound.
+        ``sampled`` holds, per sample, the ``wpc`` classification just
+        computed (the same formula object, so the engine's plan cache answers
+        by identity) and the family it was classified on.  A guard that is
+        not equivalent to it under the invariant (on the family, for every
+        sample) is silently dropped — the controller then falls back to
+        per-instance ``wpc`` computation, which is always sound.
         """
         builder = template.guards.get(constraint.name)
-        if builder is None or not isinstance(constraint.formula, Formula):
+        if builder is None:
             return
-        family = self.family if self.family is not None else self._default_family(
-            template
-        )
-        for params in template.samples:
-            precondition = weakest_precondition(
-                template.build(*params), constraint.formula
-            )
+        for params, precondition, family in sampled:
             if not equivalent_under(
-                constraint.formula,
-                builder(*params),
-                precondition,
-                family,
+                constraint.formula, builder(*params), precondition, family,
                 self.signature,
             ):
                 del template.guards[constraint.name]
                 return
 
-    def _default_family(self, template: TransactionTemplate) -> List[Database]:
+    def _family_for(self, transaction: Transaction) -> List[Database]:
+        """The bounded-verification family for one transaction's schema.
+
+        The caller's family when one was given; otherwise every graph on at
+        most 3 nodes for graph-schema transactions (built once per
+        controller) and the empty family for anything else — the defaults of
+        :func:`~repro.core.wpc.classify_preservation`.
+        """
+        if self.family is not None:
+            return self.family
         from ..db.graph import all_graphs
         from ..db.schema import GRAPH_SCHEMA
 
-        schema = getattr(template.build(*template.samples[0]), "schema", None)
-        return list(all_graphs(3)) if schema == GRAPH_SCHEMA else []
+        if getattr(transaction, "schema", None) != GRAPH_SCHEMA:
+            return []
+        with self._lock:
+            if self._graph_family is None:
+                self._graph_family = list(all_graphs(3))
+            return self._graph_family
 
     # -- commit-time lookups (hot path) -------------------------------------------
 

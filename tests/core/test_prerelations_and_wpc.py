@@ -16,6 +16,7 @@ from repro.logic import (
     successor_signature,
 )
 from repro.logic.builder import E
+from repro.logic.syntax import BOTTOM
 from repro.core import (
     PrerelationSpec,
     PrerelationTransaction,
@@ -142,6 +143,41 @@ class TestWpcCalculatorCorrectness:
             spec.as_transaction(), constraint, precondition, graphs_2
         )
         assert witness is None, witness
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            FOProgram([InsertTuple("E", 0, 1)], name="insert-0-1"),
+            FOProgram([InsertTuple("E", 1, 1)], name="insert-1-1"),
+            FOProgram([InsertTuple("E", 7, 8)], name="insert-7-8"),  # never active
+            FOProgram(
+                [DeleteWhere("E", ("x", "y"), parse("x = 0 & y = 1"))], name="delete-0-1"
+            ),
+            FOProgram([InsertWhere("E", ("x", "y"), parse("E(y, x)"))], name="symmetrise"),
+            FOProgram([DeleteWhere("E", ("x", "y"), parse("x = y"))], name="prune"),
+        ],
+        ids=lambda program: program.name,
+    )
+    @pytest.mark.parametrize(
+        "constraint",
+        [parse("forall x . ~E(x, x)"), parse("exists x . forall y . E(x, y) -> x = y")],
+        ids=["no-loops", "some-sink"],
+    )
+    def test_folded_wpc_agrees_with_the_theorem_8_output(self, program, constraint, graphs_3):
+        # wpc() folds ground equalities and true/false through the mechanical
+        # output; the family includes the empty graph, where a folding that
+        # assumed a witness (exists x . true ~> true) would show
+        calculator = WpcCalculator(PrerelationSpec.from_fo_program(program))
+        folded, mechanical = calculator.wpc(constraint), calculator._transform(constraint)
+        assert folded.size() <= mechanical.size()
+        for graph in graphs_3:
+            assert evaluate(folded, graph) == evaluate(mechanical, graph), graph
+        assert check_wpc(program, constraint, folded, graphs_3)
+
+    def test_insert_that_can_only_violate_folds_to_false(self):
+        program = FOProgram([InsertTuple("E", 5, 5)], name="insert-5-5")
+        calculator = WpcCalculator(PrerelationSpec.from_fo_program(program))
+        assert calculator.wpc(parse("forall x . ~E(x, x)")) == BOTTOM
 
     def test_constraint_with_constants(self, graphs_2):
         spec = symmetric_difference_spec()

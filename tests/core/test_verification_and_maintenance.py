@@ -1,6 +1,8 @@
 """Tests for the Preserve problem, the Proposition 1 reduction, guarded
 transactions and the integrity-maintenance engine."""
 
+import random
+
 import pytest
 
 from repro.db import Database, GRAPH_SCHEMA, Store, chain, cycle
@@ -28,6 +30,7 @@ from repro.transactions import (
     DeleteWhere,
     FOProgram,
     FunctionTransaction,
+    InsertTuple,
     InsertWhere,
     complete_graph_transaction,
     diagonal_transaction,
@@ -191,3 +194,51 @@ class TestMaintenancePolicies:
         report = maintainer.run([self.unsafe_transaction])
         assert report.rolled_back == 1
         assert report.precondition_evaluations == 0
+
+
+class TestPoliciesOnTheE13Mix:
+    """Experiment E13's stream, ``symmetrise`` included: both safe policies agree."""
+
+    NO_LOOPS = parse("forall x . ~E(x, x)")
+
+    def workload(self, length, accounts, seed):
+        rng = random.Random(seed)
+        programs = []
+        for _ in range(length):
+            kind = rng.choice(["symmetrise", "insert", "insert-loop", "prune"])
+            a, b = rng.randrange(accounts), rng.randrange(accounts)
+            if kind == "symmetrise":
+                programs.append(FOProgram(
+                    [InsertWhere("E", ("x", "y"), parse("E(y, x)"))], name="symmetrise"))
+            elif kind == "insert":
+                programs.append(FOProgram([InsertTuple("E", a, b)], name=f"insert-{a}-{b}"))
+            elif kind == "insert-loop":
+                programs.append(FOProgram([InsertTuple("E", a, a)], name=f"loop-{a}"))
+            else:
+                programs.append(FOProgram(
+                    [DeleteWhere("E", ("x", "y"), parse("x = y"))], name="prune"))
+        return programs
+
+    @pytest.mark.parametrize("seed", [7, 9, 13])
+    def test_static_and_runtime_policies_end_in_the_same_state(self, seed):
+        programs = self.workload(40, 12, seed)
+        preconditions = {
+            program.name: WpcCalculator(
+                PrerelationSpec.from_fo_program(program)
+            ).wpc(self.NO_LOOPS)
+            for program in programs
+        }
+        constraint = Constraint("no-loops", self.NO_LOOPS, preconditions)
+        start = [(n, (n * 5 + 1) % 12) for n in range(12) if n != (n * 5 + 1) % 12]
+        reports, finals = {}, {}
+        for policy in (RuntimeCheckPolicy(), StaticPreconditionPolicy()):
+            store = account_schema_store(start)
+            maintainer = IntegrityMaintainer(store, [constraint], policy)
+            reports[policy.name] = maintainer.run(programs)
+            assert maintainer.invariant_holds()
+            finals[policy.name] = store.snapshot()
+        assert finals["static-precondition"] == finals["runtime-check"]
+        static, runtime = reports["static-precondition"], reports["runtime-check"]
+        assert static.rolled_back == 0
+        assert static.rejected_statically == runtime.rolled_back > 0
+        assert static.committed == runtime.committed

@@ -1,0 +1,209 @@
+"""Shared sub-plans along the update stream: carried state, skipped nodes.
+
+A formula over fresh constants is new to the backend, so nothing is
+remembered for it as a whole — but its constant-free sub-plans are the same
+nodes in every instance.  These tests pin down that those nodes live in the
+one state history: built once, brought from state to state by the delta
+rules (also across a rollback-style branch), shadowed by ``REPRO_DELTA=verify``
+like any other incremental result, and never the reason a later evaluation
+loses its incremental path.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import PrerelationSpec, WpcCalculator
+from repro.db import Database, Delta, random_graph
+from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
+from repro.engine import backend as backend_module
+from repro.engine.delta import _IncrementalRun
+from repro.logic import parse
+from repro.transactions import DeleteWhere, FOProgram, InsertTuple, InsertWhere
+
+from strategies import graph_deltas, graphs, maybe_seed
+
+NAIVE = NaiveBackend()
+NO_LOOPS = parse("forall x . ~E(x, x)")
+ANTISYMMETRIC = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def optimise_small_databases():
+    """Interning (hence sharing) happens when a plan is optimised, and test
+    graphs sit below the row count where that is eager."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend_module, "_OPT_EAGER_ROWS", 0)
+        yield
+
+
+def precondition(program: FOProgram, constraint=NO_LOOPS):
+    return WpcCalculator(PrerelationSpec.from_fo_program(program)).wpc(constraint)
+
+
+def insert(a, b) -> FOProgram:
+    return FOProgram([InsertTuple("E", a, b)], name=f"insert-{a}-{b}")
+
+
+def programs():
+    """Single-tuple and bulk programs; the constants are drawn per step."""
+    node = st.sampled_from([0, 1, 2, 3, 7, 99])  # 7 and 99 are never active
+    single = st.tuples(node, node).map(lambda edge: insert(*edge))
+    remove = st.tuples(node, node).map(
+        lambda edge: FOProgram(
+            [DeleteWhere("E", ("x", "y"), parse(f"x = {edge[0]} & y = {edge[1]}"))],
+            name=f"delete-{edge[0]}-{edge[1]}",
+        )
+    )
+    bulk = st.sampled_from([
+        FOProgram([InsertWhere("E", ("x", "y"), parse("E(y, x)"))], name="symmetrise"),
+        FOProgram([DeleteWhere("E", ("x", "y"), parse("x = y"))], name="prune"),
+    ])
+    mixed = st.tuples(node, node).map(
+        lambda edge: FOProgram(
+            [InsertTuple("E", *edge), DeleteWhere("E", ("x", "y"), parse("x = y"))],
+            name=f"insert-{edge[0]}-{edge[1]}-then-prune",
+        )
+    )
+    return st.one_of(single, remove, bulk, mixed)
+
+
+@maybe_seed
+@given(
+    base=graphs(),
+    steps=st.lists(
+        st.tuples(st.booleans(), graph_deltas(), programs()), min_size=1, max_size=8
+    ),
+)
+def test_fresh_preconditions_along_a_branching_stream(base, steps):
+    carried = CompiledBackend(delta="verify", optimizer="on")  # carries are shadow-checked
+    full = CompiledBackend(delta="off")  # nothing is ever carried
+    history = [base]
+    for branch, delta, program in steps:
+        # the rollback pattern: the stream resumes from the parent state
+        origin = history[-2] if branch and len(history) > 1 else history[-1]
+        current = origin.apply_delta(delta)
+        history.append(current)
+        for constraint in (NO_LOOPS, ANTISYMMETRIC):
+            formula = precondition(program, constraint)
+            expected = NAIVE.evaluate(formula, current)
+            assert carried.evaluate(formula, current) == expected, (program, constraint)
+            assert full.evaluate(formula, current) == expected, (program, constraint)
+
+
+def loop_free_stream(length):
+    db = random_graph(12, 0.2, seed=3)
+    db = db.apply_delta(Delta(deleted={"E": {(n, n) for n in range(12)}}))
+    yield db
+    for step in range(length):
+        db = db.insert("E", (step % 12, (step * 5 + 1) % 12))
+        yield db
+
+
+def test_shared_subplans_are_carried_not_rebuilt():
+    backend = CompiledBackend(delta="verify", optimizer="on")
+    for step, db in enumerate(loop_free_stream(10)):
+        formula = precondition(insert(100 + step, 200 + step))  # never seen before
+        assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+    stats = backend.cache_stats()
+    # the first formulas build the shared nodes, later ones only move them on
+    assert stats["shared_carried"] >= 9
+    assert stats["shared_rebuilt"] <= 8
+    assert "shared_intermediates" not in stats
+
+
+def test_rejected_update_finds_the_shared_state_where_it_left_it():
+    backend = CompiledBackend(delta="on", optimizer="on")
+    db = next(loop_free_stream(0))
+    backend.evaluate(precondition(insert(100, 200)), db)
+    backend.evaluate(precondition(insert(101, 201)), db)
+    before = backend.cache_stats()
+    backend.evaluate(precondition(insert(102, 202)), db)  # same state again
+    after = backend.cache_stats()
+    assert after["shared_rebuilt"] == before["shared_rebuilt"]
+    assert after["shared_carried"] == before["shared_carried"]
+
+
+def test_interning_table_is_bounded_by_shapes_not_by_constants():
+    backend = CompiledBackend(delta="on", optimizer="on")
+    db = next(loop_free_stream(0))
+    backend.evaluate(precondition(insert(100, 200)), db)
+    backend.evaluate(precondition(insert(101, 201)), db)
+    interned, shared = len(backend._canon), len(backend._shared_nodes)
+    for step in range(40):
+        backend.evaluate(precondition(insert(300 + step, 400 + step)), db)
+    assert len(backend._canon) == interned
+    assert len(backend._shared_nodes) == shared
+
+
+def test_delta_off_backend_shares_per_state_but_never_carries():
+    backend = CompiledBackend(delta="off", optimizer="on")
+    states = list(loop_free_stream(3))
+    for step, db in enumerate(states):
+        for offset in (0, 50):  # two fresh formulas per state
+            formula = precondition(insert(100 + step + offset, 200 + step))
+            assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+    stats = backend.cache_stats()
+    assert stats["shared_carried"] == 0
+    assert stats["shared_rebuilt"] > 0
+    assert backend.delta_hits == 0 and backend.delta_misses == 0
+
+
+def test_verify_mode_shadows_carried_shared_nodes(monkeypatch):
+    db = next(loop_free_stream(0))
+    warm = CompiledBackend(delta="verify", optimizer="on")
+    warm.evaluate(precondition(insert(100, 200)), db)
+    warm.evaluate(precondition(insert(101, 201)), db)
+    # break the scan rule: inserted rows never reach a remembered scan
+    monkeypatch.setattr(
+        _IncrementalRun, "_scan", lambda self, node, old_rows: self._unchanged(old_rows)
+    )
+    successor = db.insert("E", (5, 5))
+    fresh = precondition(insert(102, 202))  # no whole-formula state exists for it
+    with pytest.raises(AssertionError, match="incremental evaluation diverged"):
+        warm.evaluate(fresh, successor)
+
+
+def test_explain_marks_nodes_seeded_from_carried_state():
+    backend = CompiledBackend(delta="on", optimizer="on")
+    states = list(loop_free_stream(2))
+    backend.evaluate(precondition(insert(100, 200)), states[0])
+    backend.evaluate(precondition(insert(101, 201)), states[1])
+    report = backend.explain(precondition(insert(102, 202)), states[2])
+    assert "[carried]" in report
+
+
+# -- short-circuiting joins ---------------------------------------------------
+
+LOOP_WITH_SUCCESSOR = parse("exists x . exists y . E(x, x) & E(x, y)")
+
+
+def test_join_with_an_empty_side_never_runs_the_other():
+    backend = CompiledBackend(delta="on")
+    db = Database.graph([(0, 1), (1, 2)])
+    plan = backend.plan_for(LOOP_WITH_SUCCESSOR, ())
+    nodes, stack = set(), [plan]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(node.children())
+    ctx = ExecutionContext(db)
+    assert plan.rows(ctx) == frozenset()
+    assert set(ctx.cache) < nodes  # E(x, y) was never scanned: no loop to extend
+
+
+def test_short_circuited_plan_answers_the_next_step_incrementally():
+    backend = CompiledBackend(delta="verify")
+    db = Database.graph([(0, 1), (1, 2)])
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    assert (backend.delta_hits, backend.delta_misses) == (0, 1)
+    db = db.insert("E", (3, 4))  # still no loop: the join stays empty
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    db = db.insert("E", (1, 1))  # the skipped side is needed now
+    assert backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    db = db.delete("E", (1, 2)).delete("E", (1, 1)).insert("E", (1, 0))
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    assert (backend.delta_hits, backend.delta_misses) == (3, 1)

@@ -301,7 +301,9 @@ class TestBackendIntegration:
         # large enough (>= _OPT_EAGER_ROWS rows) that optimization is eager
         # rather than request-counted
         db = random_graph(60, 0.4, seed=7)
-        premise = "(exists y . exists z . E(a, y) & E(y, z) & E(z, 0))"
+        # constant-free: only such sub-plans are interned (a sub-plan over a
+        # constant cannot unify across instances of a formula shape)
+        premise = "(exists y . exists z . E(a, y) & E(y, z) & E(z, a))"
         one = parse(f"forall a . {premise} -> (exists w . E(a, w))")
         two = parse(f"forall a . {premise} -> (exists w . E(w, a))")
         backend.evaluate(one, db)
