@@ -18,9 +18,17 @@ with the database size.
 The constraints are deliberately join-shaped (triangle-freedom plus
 loop-freedom) so a full re-check costs O(|E| * degree) while a single-tuple
 delta touches O(degree) intermediate rows.
+
+That the price of a step is the price of the *update*, not of the database,
+is recorded in its hardware-independent form: the per-transaction median of
+the same mix at 19.2k rows over the one at 2.4k rows (``BENCH-METRIC
+e15-scale``, folded into ``BENCH_<rev>.json``; ``run_all.py`` holds it under
+a ceiling on every run).
 """
 
+import json
 import random
+import time
 
 import pytest
 
@@ -104,6 +112,50 @@ def test_e15_single_tuple_update_stream(benchmark, size):
     assert all(backend.evaluate(c, final) for c in constraints)
     benchmark.extra_info["committed"] = committed
     benchmark.extra_info["delta_hits"] = getattr(backend, "delta_hits", 0)
+
+
+def test_e15_update_cost_scale_ratio(benchmark):
+    """What a single-tuple transaction costs at 8x the rows.
+
+    The mix above at 300x8 and at 2400x8 rows, one transaction at a time
+    (apply, re-check, keep or discard); the figure is the ratio of the
+    per-transaction medians.  The first two transactions of each stream are
+    the cold ones — the first full evaluation, and the first incremental step,
+    which builds the join state — and are left out.  A claim about the
+    incremental engine, so the interpreter and the delta-off engine sit out.
+    """
+    backend = active_backend()
+    if backend.name != "compiled" or backend.delta_mode == "off":
+        pytest.skip("update cost against |D| is a property of the incremental engine")
+    constraints = (NO_TRIANGLES, NO_LOOPS)
+
+    def median_ms(accounts):
+        db = initial_database(accounts, 8)
+        times = []
+        for delta in build_updates(accounts, 160, seed=accounts):
+            begun = time.perf_counter()
+            candidate = db.apply_delta(delta)
+            if candidate is db:
+                continue
+            if all(backend.evaluate(c, candidate) for c in constraints):
+                db = candidate
+            times.append(time.perf_counter() - begun)
+        warm = sorted(times[2:])
+        assert len(warm) >= 100 and backend.delta_hits > 0
+        return warm[len(warm) // 2] * 1e3
+
+    def run():
+        return median_ms(300), median_ms(2400)
+
+    small_ms, large_ms = benchmark(run)
+    payload = {
+        "metric": "e15-scale",
+        "small_ms": round(small_ms, 3),
+        "large_ms": round(large_ms, 3),
+        "scale_ratio": round(large_ms / small_ms, 2),
+    }
+    print(f"BENCH-METRIC {json.dumps(payload, sort_keys=True)}")
+    benchmark.extra_info.update(payload)
 
 
 def test_e15_maintenance_policy_stream(benchmark):

@@ -19,6 +19,7 @@ import itertools
 import weakref
 from types import MappingProxyType
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -78,7 +79,7 @@ class Database:
         if not isinstance(schema, Schema):
             raise DatabaseError(f"expected Schema, got {type(schema).__name__}")
         self._schema = schema
-        rels: Dict[str, FrozenSet[Tuple_]] = {}
+        rels: Dict[str, AbstractSet[Tuple_]] = {}
         relations = relations or {}
         unknown = set(relations) - set(schema.relation_names)
         if unknown:
@@ -91,8 +92,12 @@ class Database:
             rels[rel_schema.name] = validated
         self._init_caches(rels)
 
-    def _init_caches(self, relations: Dict[str, FrozenSet[Tuple_]]) -> None:
-        self._relations = relations
+    def _init_caches(self, relations: Mapping[str, AbstractSet[Tuple_]]) -> None:
+        # the one row representation: persistent row sets, so a successor
+        # state shares every partition its delta does not touch
+        self._relations: Dict[str, RowSet] = {
+            name: RowSet.of(rows) for name, rows in relations.items()
+        }
         # lazily computed caches — databases are immutable, so none of these
         # ever needs invalidation
         self._domain: Optional[FrozenSet[object]] = None
@@ -120,12 +125,12 @@ class Database:
 
     @classmethod
     def _from_validated(
-        cls, schema: Schema, relations: Dict[str, FrozenSet[Tuple_]]
+        cls, schema: Schema, relations: Mapping[str, AbstractSet[Tuple_]]
     ) -> "Database":
         """Trusted constructor: ``relations`` is complete and already validated.
 
         This is the internal fast path every functional update goes through —
-        unchanged relations are *shared* (the same frozenset objects) with the
+        unchanged relations are *shared* (the same row-set objects) with the
         parent database and no row is re-validated.
         """
         db = cls.__new__(cls)
@@ -215,18 +220,26 @@ class Database:
                 return anchor, self._delta_skip[1]
         return None
 
-    def relation(self, name: str) -> FrozenSet[Tuple_]:
-        """The set of tuples currently in relation ``name``."""
+    def relation(self, name: str) -> AbstractSet[Tuple_]:
+        """The set of tuples currently in relation ``name``.
+
+        An immutable set equal to the ``frozenset`` of the rows: a real
+        ``frozenset`` while the relation is small or has never been updated,
+        a persistent :class:`~repro.db.delta.RowSet` (same read-only set
+        surface, same hash) once an update partitioned it.  Never copied to
+        be handed out.
+        """
         try:
-            return self._relations[name]
+            return self._relations[name].plain()
         except KeyError as exc:
             raise DatabaseError(f"no relation named {name!r}") from exc
 
-    def index(self, name: str, columns) -> Mapping[Tuple_, FrozenSet[Tuple_]]:
+    def index(self, name: str, columns) -> Mapping[Tuple_, Tuple[Tuple_, ...]]:
         """A hash index on relation ``name`` keyed by the given column(s).
 
         ``columns`` is a 0-based column index or a tuple of them; the result
-        maps each key tuple to the frozen set of full rows carrying that key.
+        maps each key tuple to the rows carrying that key (a tuple of distinct
+        full rows, in no particular order).
         Indexes are built lazily (one pass over the relation), cached on the
         database, and never need invalidation because databases are
         immutable.  The result is a read-only persistent
@@ -248,16 +261,16 @@ class Database:
             raise DatabaseError(
                 f"index columns {list(key[1])} out of range for {name!r} (arity {arity})"
             )
-        built = BucketMap.build(rows, _column_key(key[1]))
+        built = BucketMap.build(rows, row_key(key[1]))
         self._indexes[key] = built
         return built
 
-    def __getitem__(self, name: str) -> FrozenSet[Tuple_]:
+    def __getitem__(self, name: str) -> AbstractSet[Tuple_]:
         return self.relation(name)
 
-    def relations(self) -> Dict[str, FrozenSet[Tuple_]]:
-        """A copy of the relation-name -> tuple-set mapping."""
-        return dict(self._relations)
+    def relations(self) -> Dict[str, AbstractSet[Tuple_]]:
+        """A copy of the relation-name -> tuple-set mapping (see :meth:`relation`)."""
+        return {name: rows.plain() for name, rows in self._relations.items()}
 
     def contains(self, name: str, row: Sequence[object]) -> bool:
         """Does relation ``name`` contain ``row``?"""
@@ -276,7 +289,7 @@ class Database:
     # -- graph view --------------------------------------------------------------
 
     @property
-    def edges(self) -> FrozenSet[Tuple[object, object]]:
+    def edges(self) -> AbstractSet[Tuple[object, object]]:
         """Edge set for graph databases (relation ``E``)."""
         return self.relation("E")  # type: ignore[return-value]
 
@@ -308,20 +321,17 @@ class Database:
         hash indexes and their canonical orderings are *shared* with the
         parent without re-validation.  For a touched relation:
 
-        * each hash index is a persistent :class:`~repro.db.delta.BucketMap`
-          and is patched per partition — O(√keys) per changed row, every
-          other partition shared by identity;
+        * the rows are a persistent :class:`~repro.db.delta.RowSet` and each
+          hash index a persistent :class:`~repro.db.delta.BucketMap`; both
+          are patched per partition — O(√n) per changed row, every other
+          partition shared by identity with the parent, which stays valid;
         * the content hash and the optimizer's counters are patched in
           O(|delta|) (the per-column value counters are copied, O(distinct
-          values));
-        * the **row set is copied once** per non-empty half of the delta (a
-          pure insertion or pure deletion — every single-tuple commit — is
-          one copy).  It stays a real ``frozenset`` because the engine's
-          C-speed set algebra depends on it; at 24k rows that copy is about
-          0.7 ms and is the one O(|relation|) term left on the commit path.
+          values)).
 
         The active-domain occurrence counts, when the parent has them, are
-        copied (O(|dom(D)|)) and patched.  The result records its ``(parent,
+        copied (O(|dom(D)|)) and patched — with the column counters, the
+        terms still proportional to the data.  The result records its ``(parent,
         delta)`` provenance (weakly), which is what the incremental query
         engine and the transactional store's replay path consume.
 
@@ -333,16 +343,10 @@ class Database:
         touched = delta.touched()
         relations = dict(self._relations)
         for name in touched:
-            # normalized: deleted is a subset of the old rows, inserted is
-            # disjoint — each non-empty half is one copy, an empty half none
-            rows = relations[name]
-            deleted = delta.deleted.get(name)
-            if deleted:
-                rows = rows - deleted
-            inserted = delta.inserted.get(name)
-            if inserted:
-                rows = rows | inserted
-            relations[name] = rows
+            relations[name] = relations[name].patched(
+                delta.inserted.get(name, _EMPTY_ROWS),
+                delta.deleted.get(name, _EMPTY_ROWS),
+            )
         # type(self), not Database: subclasses (the sharded database) stay
         # closed under functional updates and finish via _derive_from_parent
         child = type(self)._from_validated(self._schema, relations)
@@ -350,7 +354,7 @@ class Database:
         for (name, columns), index in self._indexes.items():
             if name in touched:
                 index = index.patched(
-                    _column_key(columns),
+                    row_key(columns),
                     delta.inserted.get(name, _EMPTY_ROWS),
                     delta.deleted.get(name, _EMPTY_ROWS),
                 )
@@ -616,14 +620,6 @@ class Database:
         return f"Database({', '.join(parts)})"
 
 
-def _column_key(columns: Tuple[int, ...]):
-    """The index key of a row: its values at ``columns``, as a tuple."""
-    if len(columns) == 1:
-        (column,) = columns
-        return lambda row: (row[column],)
-    return lambda row: tuple(row[c] for c in columns)
-
-
 # late import: Delta only depends on duck-typed databases, Database needs the
 # class at update time — importing here keeps ``repro.db.delta`` import-light
-from .delta import BucketMap, Delta  # noqa: E402
+from .delta import BucketMap, Delta, RowSet, row_key  # noqa: E402

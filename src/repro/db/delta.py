@@ -28,12 +28,29 @@ from __future__ import annotations
 import pickle
 import struct
 from collections.abc import Mapping as _MappingABC
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from collections.abc import Set as _SetABC
+from itertools import chain
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "Delta",
     "DeltaError",
     "BucketMap",
+    "RowSet",
+    "row_key",
     "encode_wire_value",
     "decode_wire_value",
 ]
@@ -44,8 +61,234 @@ Rows = FrozenSet[Row]
 _EMPTY: Rows = frozenset()
 
 
+def row_key(indices: Sequence[int]) -> Callable[[Row], Row]:
+    """A ``row -> tuple of its values at indices`` extractor, at C speed.
+
+    The one key extractor behind the database's hash indexes, the join
+    family, projections and the incremental engine's per-key state.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda row: (row[index],)
+    return lambda row: ()
+
+
+# ---------------------------------------------------------------------------
+# persistent hash-partitioned containers
+# ---------------------------------------------------------------------------
+#
+# Both containers below spread their entries over a table of about √n small
+# built-in containers chosen by ``hash(entry) & mask``; a successor copies the
+# table and the partitions a delta touches and shares every other partition
+# *by identity* with its predecessor, whose contents never change.  The two
+# functions here are the one sizing rule they share.
+
+#: below this many entries a table is a single partition: one built-in
+#: container with nothing to look up around it
+_WHOLE_BELOW = 64
+
+
+def _table_size(size: int) -> int:
+    """Partitions for ``size`` entries: one while small, else the power of two
+    near √size (``size`` lies in ``[count²/2, 2·count²)``)."""
+    return 1 if size < _WHOLE_BELOW else 1 << (size.bit_length() >> 1)
+
+
+def _outgrown(size: int, count: int) -> bool:
+    """Does a ``count``-partition table hold four times what it was sized for?
+    A patch that notices re-partitions."""
+    return size >= max(_WHOLE_BELOW, 4 * count * count)
+
+
+class RowSet(_SetABC):
+    """A persistent hash-partitioned immutable set of rows.
+
+    The one representation of rows carried from state to state: a database's
+    relations and the node results the incremental engine patches.
+    :meth:`patched` is the one place rows are patched — it costs O(√n) per
+    changed row where a flat ``frozenset`` would be copied whole, and leaves
+    the predecessor valid (rollback resumes from the parent state).
+
+    A set starts whole — :meth:`of` wraps a ``frozenset`` as the single
+    partition, so rows that are never patched (a cold database, a one-off
+    result) pay nothing — and is partitioned by the first patch that finds
+    it outgrown.
+
+    Read-only :class:`~collections.abc.Set` surface; equal, and hashing
+    equal, to the ``frozenset`` of the same rows.  Membership probes one
+    partition; iteration, comparison and the binary operators (which return
+    flat ``frozenset`` values) run partition by partition inside the
+    built-in set type.  Pickles as its rows, because ``hash(row)`` — hence
+    the partitioning — is not stable across processes.
+    """
+
+    __slots__ = ("_parts", "_len", "_hash")
+
+    def __init__(self, parts: List[Rows], size: int):
+        # a power-of-two number of frozensets, a row in the one its hash
+        # selects.  Only ever replaced as a whole (see patched), so a reader
+        # that takes the list once sees one consistent table.
+        self._parts = parts
+        self._len = size
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def of(cls, rows: Iterable[Row]) -> "RowSet":
+        """``rows`` as a row set (itself when it already is one)."""
+        if isinstance(rows, RowSet):
+            return rows
+        if not isinstance(rows, frozenset):
+            rows = frozenset(rows)
+        return cls([rows], len(rows))
+
+    def patched(self, added: Iterable[Row], removed: Iterable[Row]) -> "RowSet":
+        """``(self - removed) | added``, copying only the touched partitions."""
+        if not added and not removed:
+            return self
+        if _outgrown(self._len, len(self._parts)):
+            # the same rows over a table of the right size, kept (one
+            # reference store): every later successor of this set, a second
+            # child of a rolled-back parent included, finds it partitioned
+            count = _table_size(self._len)
+            table: List[List[Row]] = [[] for _ in range(count)]
+            for row in self:
+                table[hash(row) & (count - 1)].append(row)
+            self._parts = [frozenset(part) for part in table]
+        parts = list(self._parts)
+        mask = len(parts) - 1
+        changes: Dict[int, Tuple[Iterable[Row], Iterable[Row]]] = {}
+        if not mask:
+            changes[0] = (added, removed)
+        else:
+            for row in added:
+                changes.setdefault(hash(row) & mask, ([], []))[0].append(row)
+            for row in removed:
+                changes.setdefault(hash(row) & mask, ([], []))[1].append(row)
+        size = self._len
+        for slot, (joining, leaving) in changes.items():
+            part = parts[slot]
+            size -= len(part)
+            if leaving:
+                part = part.difference(leaving)
+            if joining:
+                part = part.union(joining)
+            size += len(part)
+            parts[slot] = part
+        return RowSet(parts, size)
+
+    def plain(self) -> AbstractSet[Row]:
+        """The cheapest equal set to read from: the sole partition (a real
+        ``frozenset``) while there is only one, else this row set."""
+        parts = self._parts
+        return self if len(parts) > 1 else parts[0]
+
+    def _flat(self) -> Rows:
+        parts = self._parts
+        return parts[0] if len(parts) == 1 else frozenset().union(*parts)
+
+    # -- the Set surface ---------------------------------------------------------
+
+    _from_iterable = frozenset  # what the inherited operators build
+
+    def __contains__(self, row: object) -> bool:
+        parts = self._parts
+        return row in parts[hash(row) & (len(parts) - 1)]
+
+    def __iter__(self) -> Iterator[Row]:
+        return chain.from_iterable(self._parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._flat())
+        return self._hash
+
+    def __reduce__(self):
+        return RowSet.of, (self._flat(),)
+
+    def __repr__(self) -> str:
+        return f"RowSet({set(self)!r})"
+
+    def _aligned(self, other: object) -> Optional[Iterable[Tuple[Rows, Rows]]]:
+        """Partition pairs, when ``other`` is a row set over an equal table."""
+        if isinstance(other, RowSet):
+            mine, theirs = self._parts, other._parts
+            if len(mine) == len(theirs):
+                return zip(mine, theirs)
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        if len(other) != self._len:
+            return False
+        pairs = self._aligned(other)
+        if pairs is not None:
+            return all(p is q or p == q for p, q in pairs)
+        return self <= other
+
+    def __le__(self, other: AbstractSet) -> bool:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        if self._len > len(other):
+            return False
+        pairs = self._aligned(other)
+        if pairs is not None:
+            return all(p is q or p <= q for p, q in pairs)
+        other = _builtin(other)
+        return all(part <= other for part in self._parts)
+
+    def __ge__(self, other: AbstractSet) -> bool:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        return len(other) <= self._len and not self.__rsub__(other)
+
+    def __and__(self, other: AbstractSet) -> Rows:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        parts = self._parts
+        if len(other) <= len(parts):
+            return frozenset(row for row in other if row in self)
+        other = _builtin(other)
+        return frozenset().union(*[part & other for part in parts])
+
+    __rand__ = __and__
+
+    def __or__(self, other: AbstractSet) -> Rows:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        return frozenset().union(_builtin(other), *self._parts)
+
+    __ror__ = __or__
+
+    def __sub__(self, other: AbstractSet) -> Rows:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        other = _builtin(other)
+        return frozenset().union(*[part - other for part in self._parts])
+
+    def __rsub__(self, other: AbstractSet) -> Rows:
+        if not isinstance(other, _SetABC):
+            return NotImplemented
+        parts = self._parts
+        if len(other) <= len(parts):
+            return frozenset(row for row in other if row not in self)
+        return frozenset(_builtin(other).difference(*parts))
+
+
+def _builtin(rows: AbstractSet) -> AbstractSet[Row]:
+    """``rows`` as a built-in set, for the C-speed operators."""
+    if isinstance(rows, RowSet):
+        return rows._flat()
+    return rows if isinstance(rows, (frozenset, set)) else frozenset(rows)
+
+
 class BucketMap(_MappingABC):
-    """A persistent hash-partitioned ``key -> frozenset-of-rows`` map.
+    """A persistent hash-partitioned ``key -> tuple-of-rows`` map.
 
     The one representation behind both the database's hash indexes
     (:meth:`Database.index <repro.db.database.Database.index>`) and the
@@ -54,9 +297,13 @@ class BucketMap(_MappingABC):
     partition table and only the partitions a row delta touches, so a
     successor costs O(√n) per touched key and shares every other partition
     *by identity* with its predecessor — which is never mutated, so
-    predecessors stay valid.  The partition count is fixed from the size at
-    build time; a map that has outgrown its table (four times the buckets the
-    table was sized for) is re-partitioned by the patch that notices.
+    predecessors stay valid.  Sized and re-partitioned by the rule
+    :class:`RowSet` uses.
+
+    A bucket is a tuple of distinct rows in no particular order: buckets are
+    small (most hold one row), a tuple is a third the size of a ``frozenset``,
+    and the cyclic collector stops tracking a tuple of plain rows after its
+    first pass where it would revisit a ``frozenset`` for life.
 
     Read-only :class:`~collections.abc.Mapping` surface: ``get``, ``[]``,
     ``in``, ``len`` and iteration; there is no item assignment.
@@ -70,23 +317,23 @@ class BucketMap(_MappingABC):
         self._len = size
 
     @classmethod
-    def _partition(cls, buckets: Dict[Row, Rows]) -> "BucketMap":
-        size = len(buckets)
-        # a power of two near sqrt(size): size lies in [count²/2, 2·count²)
-        count = 1 << (size.bit_length() >> 1)
+    def _partition(cls, buckets: Iterable[Tuple[Row, Tuple[Row, ...]]], size: int) -> "BucketMap":
+        count = _table_size(size)
         mask = count - 1
         parts: list = [{} for _ in range(count)]
-        for key, bucket in buckets.items():
+        for key, bucket in buckets:
             parts[hash(key) & mask][key] = bucket
         return cls(parts, size)
 
     @classmethod
     def build(cls, rows: Iterable[Row], key_of) -> "BucketMap":
-        """Group ``rows`` into buckets by ``key_of(row)``."""
-        grouped: Dict[Row, set] = {}
+        """Group ``rows`` (distinct) into buckets by ``key_of(row)``."""
+        grouped: Dict[Row, List[Row]] = {}
         for row in rows:
-            grouped.setdefault(key_of(row), set()).add(row)
-        return cls._partition({key: frozenset(b) for key, b in grouped.items()})
+            grouped.setdefault(key_of(row), []).append(row)
+        return cls._partition(
+            ((key, tuple(bucket)) for key, bucket in grouped.items()), len(grouped)
+        )
 
     def patched(self, key_of, inserted: Iterable[Row], deleted: Iterable[Row]) -> "BucketMap":
         """The map after a row delta: deleted rows leave their bucket (an
@@ -98,7 +345,7 @@ class BucketMap(_MappingABC):
         size = self._len
         copied = set()  # slots whose partition this patch already owns
 
-        def put(slot: int, key: Row, bucket: Optional[Rows]) -> None:
+        def put(slot: int, key: Row, bucket: Optional[Tuple[Row, ...]]) -> None:
             if slot not in copied:
                 parts[slot] = dict(parts[slot])
                 copied.add(slot)
@@ -117,18 +364,20 @@ class BucketMap(_MappingABC):
                 put(slot, key, None)
                 size -= 1
             else:
-                put(slot, key, bucket - {row})
+                put(slot, key, tuple(kept for kept in bucket if kept != row))
         for row in inserted:
             key = key_of(row)
             slot = hash(key) & mask
             bucket = parts[slot].get(key)
             if bucket is None:
-                put(slot, key, frozenset({row}))
+                put(slot, key, (row,))
                 size += 1
             elif row not in bucket:
-                put(slot, key, bucket | {row})
-        if size >= 4 * len(parts) * len(parts):
-            return BucketMap._partition({k: b for part in parts for k, b in part.items()})
+                put(slot, key, bucket + (row,))
+        if _outgrown(size, len(parts)):
+            return BucketMap._partition(
+                (item for part in parts for item in part.items()), size
+            )
         return BucketMap(parts, size)
 
     def get(self, key, default=None):

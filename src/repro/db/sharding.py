@@ -38,7 +38,7 @@ import zlib
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .database import Database, DatabaseError
-from .delta import Delta
+from .delta import Delta, RowSet
 from .schema import Schema
 
 __all__ = [
@@ -100,7 +100,8 @@ def _stable_key(value: object) -> int:
     every process.  Numbers therefore route through ``hash()`` (defined by
     Python to agree across numeric types, and unsalted); strings and bytes
     — whose built-in hashes *are* salted — route through CRC-32; tuples
-    and frozensets recurse so equal composites agree element-wise.
+    and frozensets (row sets included) recurse so equal composites agree
+    element-wise.
     """
     if isinstance(value, numbers.Number):
         return hash(value) if value == value else 0  # NaN: stable bucket
@@ -113,7 +114,7 @@ def _stable_key(value: object) -> int:
         for item in value:
             acc = (acc * 69069 + _stable_key(item)) & 0xFFFFFFFFFFFFFFFF
         return acc
-    if isinstance(value, frozenset):
+    if isinstance(value, (frozenset, RowSet)):
         acc = 0
         for item in value:  # XOR: order-free, matching set equality
             acc ^= _stable_key(item)

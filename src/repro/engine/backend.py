@@ -55,7 +55,7 @@ from .optimize import (
     explain_plan,
     optimize_plan,
 )
-from .plan import ExecutionContext, Plan
+from .plan import ExecutionContext, Plan, Rows
 from .stats import size_bucket
 
 __all__ = [
@@ -289,9 +289,9 @@ class CompiledBackend(Backend):
 
     The same state history serves formulas the backend has *never* evaluated:
     constant-free sub-plans are interned across formulas, and one that two
-    plans share (or a full relation scan) keeps its node-level state along
-    the update stream exactly like a whole formula's, seeding whichever plan
-    asks next.  A formula over fresh constants — every instance of a
+    plans share (or a relation scan that filters) keeps its node-level state
+    along the update stream exactly like a whole formula's, seeding whichever
+    plan asks next.  A formula over fresh constants — every instance of a
     transaction's weakest precondition is one — therefore costs what its
     constants touch, not the database (``shared_carried`` / ``shared_rebuilt``
     count the two outcomes per shared sub-plan).
@@ -725,7 +725,7 @@ class CompiledBackend(Backend):
         )
         return "\n".join(lines)
 
-    def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> frozenset:
+    def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> Rows:
         """Full (non-incremental) plan execution — the sharded backend's hook.
 
         Sub-plans the structural interner identified as shared between
@@ -790,9 +790,9 @@ class CompiledBackend(Backend):
         return tuple(found)
 
     @staticmethod
-    def _subtree_rows(node: Plan, ctx: ExecutionContext) -> Dict[Plan, frozenset]:
+    def _subtree_rows(node: Plan, ctx: ExecutionContext) -> Dict[Plan, Rows]:
         """``{node: rows}`` for the node's whole evaluated sub-DAG."""
-        rows: Dict[Plan, frozenset] = {}
+        rows: Dict[Plan, Rows] = {}
         stack = [node]
         while stack:
             current = stack.pop()

@@ -12,6 +12,7 @@ engine's physical operators:
 operator             delta rule
 ===================  ========================================================
 ``Scan``             pattern-match only the relation's inserted/deleted rows
+                     (a scan that *is* the relation hands on the successor's)
 ``Select``           filter only the child's delta (when the predicate's
                      declared base relations are untouched)
 ``Project``          per-output-row support counters (the counting algorithm)
@@ -40,11 +41,19 @@ carried shared sub-plans alike — with a full execution and assert equality,
 the delta analogue of keeping :class:`~repro.engine.backend.NaiveBackend` as
 the semantics oracle.
 
-The per-node auxiliary state is never mutated, because the previous
-database's state must stay valid — a rolled-back transaction resumes the
-stream from the *parent* state.  Key indexes are persistent
-:class:`~repro.db.delta.BucketMap` values (a successor shares every partition the
-delta does not touch); support counters are cloned and patched.
+Nothing remembered is ever mutated, because the previous database's state
+must stay valid — a rolled-back transaction resumes the stream from the
+*parent* state.  Node results are persistent :class:`~repro.db.delta.RowSet`
+values and key indexes persistent :class:`~repro.db.delta.BucketMap` values:
+a successor shares every partition the delta does not touch with its
+predecessor, so patching a node, and later dropping the predecessor from the
+state history, cost what the delta touched and not what the node holds.  (A
+full execution leaves flat ``frozenset`` results; each is partitioned once,
+by the first incremental step that changes it.)  Support counters are cloned
+and patched.  What a step builds lazily from the *old* rows — a result's
+partitions, a join's key indexes — is a pure function of them and is
+remembered on the old state too, so a second successor of the same parent
+finds it.
 """
 
 from __future__ import annotations
@@ -52,10 +61,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..db.database import Database
-from ..db.delta import BucketMap, Delta
-from .plan import (
-    join_key as _plan_join_key,
-)
+from ..db.delta import BucketMap, Delta, RowSet, row_key
 from .plan import (
     Antijoin,
     ConstantTable,
@@ -68,10 +74,12 @@ from .plan import (
     HashJoin,
     Plan,
     Project,
+    Rows,
     Scan,
     Select,
     SingletonIfActive,
     UnionAll,
+    join_key,
 )
 
 __all__ = [
@@ -82,9 +90,8 @@ __all__ = [
 ]
 
 Row = Tuple[object, ...]
-Rows = FrozenSet[Row]
 
-_EMPTY: Rows = frozenset()
+_EMPTY: FrozenSet[Row] = frozenset()
 
 
 def _identity(row: Row) -> Row:
@@ -132,9 +139,6 @@ def incremental_update(
     run = _IncrementalRun(old_state, delta, ctx, dom_added, dom_removed)
     run.visit(plan)
     return ctx.cache[plan], PlanState(dict(ctx.cache), run.new_aux)
-
-
-_join_key = _plan_join_key
 
 
 class _IncrementalRun:
@@ -229,18 +233,20 @@ class _IncrementalRun:
 
     # -- shared helpers ----------------------------------------------------------
 
-    @staticmethod
-    def _patch(old_rows: Rows, added, removed) -> Rows:
-        if removed:
-            old_rows = old_rows - removed
-        if added:
-            old_rows = old_rows | added
-        return old_rows
+    def _patch(self, node: Plan, old_rows: Rows, added, removed) -> Rows:
+        if not added and not removed:
+            return old_rows
+        if not isinstance(old_rows, RowSet):
+            # a full execution's flat result: the row set that wraps it is
+            # kept on the old state, so the partitioning its first patch
+            # does serves every later successor of that state
+            old_rows = self.old.rows[node] = RowSet.of(old_rows)
+        return old_rows.patched(added, removed)
 
-    def _finish(self, old_rows: Rows, added, removed):
+    def _finish(self, node: Plan, old_rows: Rows, added, removed):
         added = frozenset(added)
         removed = frozenset(removed)
-        return self._patch(old_rows, added, removed), added, removed
+        return self._patch(node, old_rows, added, removed), added, removed
 
     def _recompute(self, node: Plan, old_rows: Rows):
         """The universal rule: re-run the node on its children's new rows."""
@@ -265,7 +271,9 @@ class _IncrementalRun:
         """
         aux = self.old.aux.get(node)
         if aux is None:
-            aux = build()
+            # a pure function of the old rows: remembered where it was built
+            # from, so a second successor of the old state does not rebuild it
+            aux = self.old.aux[node] = build()
         return aux
 
     # -- leaves ------------------------------------------------------------------
@@ -275,15 +283,21 @@ class _IncrementalRun:
             return self._unchanged(old_rows)
         added = frozenset(shape(v) for v in self.dom_added)
         removed = frozenset(shape(v) for v in self.dom_removed)
-        return self._patch(old_rows, added, removed), added, removed
+        return self._patch(node, old_rows, added, removed), added, removed
 
     def _scan(self, node: Scan, old_rows: Rows):
+        inserted = self.delta.inserted.get(node.relation, _EMPTY)
+        deleted = self.delta.deleted.get(node.relation, _EMPTY)
+        if node.is_relation(self.ctx):
+            # the scan is the relation: the successor database already holds
+            # its new rows (the guards only matter where the old domain did
+            # not cover the old database)
+            rows = self.ctx.db.relation(node.relation)
+            return rows, inserted - old_rows, deleted & old_rows
         if self.domain_changed:
             # rows of the *unchanged* relation may enter/leave the scan when
             # the domain filter moves; a node-local rescan is the honest cost
             return self._recompute(node, old_rows)
-        inserted = self.delta.inserted.get(node.relation)
-        deleted = self.delta.deleted.get(node.relation)
         if not inserted and not deleted:
             return self._unchanged(old_rows)
         added = self._match_pattern(node, inserted) if inserted else _EMPTY
@@ -292,7 +306,7 @@ class _IncrementalRun:
         # the intersections guard the invariant at O(delta) cost
         added = added - old_rows
         removed = removed & old_rows
-        return self._patch(old_rows, added, removed), added, removed
+        return self._patch(node, old_rows, added, removed), added, removed
 
     def _match_pattern(self, node: Scan, candidates) -> Rows:
         """Scan's matching semantics (``Scan.match_row``) over delta rows only."""
@@ -317,16 +331,13 @@ class _IncrementalRun:
         ctx = self.ctx
         added = frozenset(row for row in child_added if predicate(row, ctx))
         removed = child_removed & old_rows
-        return self._patch(old_rows, added, removed), added, removed
+        return self._patch(node, old_rows, added, removed), added, removed
 
     def _project(self, node: Project, old_rows: Rows):
         child_added, child_removed = self.results[node.child]
         if not child_added and not child_removed:
             return self._unchanged(old_rows)
-        indices = node._indices
-
-        def key_of(row: Row) -> Row:
-            return tuple(row[i] for i in indices)
+        key_of = row_key(node._indices)
 
         def build():
             return self._count_rows(self._old_rows(node.child), key_of)
@@ -337,7 +348,7 @@ class _IncrementalRun:
         self.new_aux[node] = counts
         added = [k for k in touched_keys if k in counts and k not in old_rows]
         removed = [k for k in touched_keys if k not in counts and k in old_rows]
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
     def _complement(self, node: DomainComplement, old_rows: Rows):
         if not node.columns:
@@ -349,13 +360,13 @@ class _IncrementalRun:
         child_added, child_removed = self.results[node.child]
         # child rows always lie inside domain^k, so the swap is exact
         added, removed = child_removed, child_added
-        return self._patch(old_rows, added, removed), added, removed
+        return self._patch(node, old_rows, added, removed), added, removed
 
     def _group_count(self, node: GroupCount, old_rows: Rows):
         child_added, child_removed = self.results[node.child]
         if not child_added and not child_removed:
             return self._unchanged(old_rows)
-        key_of = _join_key(node.child.columns, node.columns)
+        key_of = join_key(node.child.columns, node.columns)
 
         def build():
             return self._count_rows(self._old_rows(node.child), key_of)
@@ -373,7 +384,7 @@ class _IncrementalRun:
             g for g in touched_groups
             if counts.get(g, 0) < threshold and g in old_rows
         ]
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
     def _union(self, node: UnionAll, old_rows: Rows):
         deltas = [self.results[part] for part in node.parts]
@@ -396,7 +407,7 @@ class _IncrementalRun:
         self.new_aux[node] = counts
         added = [r for r in touched_rows if r in counts and r not in old_rows]
         removed = [r for r in touched_rows if r not in counts and r in old_rows]
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
     # -- binary operators --------------------------------------------------------
 
@@ -420,7 +431,7 @@ class _IncrementalRun:
                     added, removed = left_new, _EMPTY
                 else:
                     added, removed = _EMPTY, old_rows
-                return self._patch(old_rows, added, removed), added, removed
+                return self._patch(node, old_rows, added, removed), added, removed
             return self._semijoin(node, old_rows, True)
         if not node.shared:
             # cartesian product: every delta row pairs with the whole other side
@@ -428,18 +439,18 @@ class _IncrementalRun:
             added.update(l + r for l in left_new for r in right_added)
             removed = {l + r for l in left_removed for r in right_old}
             removed.update(l + r for l in left_old for r in right_removed)
-            return self._finish(old_rows, added, removed)
+            return self._finish(node, old_rows, added, removed)
         return self._general_join(node, old_rows)
 
     def _join_aux(self, node: Plan, left: Plan, right: Plan, shared, count_right: bool):
         """``(left_index, right_side)`` aux for (semi/anti/full) joins.
 
-        ``left_index`` maps join keys to the frozenset of full left rows;
+        ``left_index`` maps join keys to the full left rows carrying them;
         ``right_side`` is either a per-key support count (semijoin/antijoin)
-        or a per-key frozenset of full right rows (general join).
+        or the same map over the right rows (general join).
         """
-        left_key = _join_key(left.columns, shared)
-        right_key = _join_key(right.columns, shared)
+        left_key = join_key(left.columns, shared)
+        right_key = join_key(right.columns, shared)
 
         def build():
             left_index = BucketMap.build(self._old_rows(left), left_key)
@@ -503,7 +514,7 @@ class _IncrementalRun:
         for key in died:
             removed.update(old_left_index.get(key, _EMPTY))
         self.new_aux[node] = (new_left_index, new_counts)
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
     def _general_join(self, node: HashJoin, old_rows: Rows):
         left, right, shared = node.left, node.right, node.shared
@@ -514,11 +525,7 @@ class _IncrementalRun:
         )
         new_left_index = old_left_index.patched(left_key, left_added, left_removed)
         new_right_index = old_right_index.patched(right_key, right_added, right_removed)
-        extra_indices = tuple(right.columns.index(c) for c in node._right_extra)
-
-        def extra(row: Row) -> Row:
-            return tuple(row[i] for i in extra_indices)
-
+        extra = join_key(right.columns, node._right_extra)
         added: Set[Row] = set()
         for l in left_added:
             for r in new_right_index.get(left_key(l), _EMPTY):
@@ -534,7 +541,7 @@ class _IncrementalRun:
             for l in old_left_index.get(right_key(r), _EMPTY):
                 removed.add(l + extra(r))
         self.new_aux[node] = (new_left_index, new_right_index)
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
     def _antijoin(self, node: Antijoin, old_rows: Rows):
         left, right, shared = node.left, node.right, node.shared
@@ -554,7 +561,7 @@ class _IncrementalRun:
                 added, removed = _EMPTY, old_rows
             else:  # right became empty: every current left row qualifies
                 added, removed = left_new, _EMPTY
-            return self._patch(old_rows, added, removed), added, removed
+            return self._patch(node, old_rows, added, removed), added, removed
         (old_left_index, old_counts), left_key, right_key = self._join_aux(
             node, left, right, shared, count_right=True
         )
@@ -571,7 +578,7 @@ class _IncrementalRun:
         for key in born:
             removed.update(old_left_index.get(key, _EMPTY))
         self.new_aux[node] = (new_left_index, new_counts)
-        return self._finish(old_rows, added, removed)
+        return self._finish(node, old_rows, added, removed)
 
 
 # ---------------------------------------------------------------------------

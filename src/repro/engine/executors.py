@@ -52,6 +52,8 @@ import pickle
 import threading
 import time
 import warnings
+from collections import Counter
+from collections.abc import Set as AbstractSet
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -243,6 +245,7 @@ def _worker_main(conn, memo_size: int) -> None:  # pragma: no cover - subprocess
     Runs in a child process; all state is process-local.  Exits on
     ``("stop",)``, on a closed pipe, or with the (daemonic) parent.
     """
+    from ..db.delta import row_key
     from ..db.sharding import ShardStateMachine, shard_of
     from .codec import decode_plan
     from .plan import (
@@ -252,6 +255,8 @@ def _worker_main(conn, memo_size: int) -> None:  # pragma: no cover - subprocess
         group_count_rows,
         join_key,
         join_rows,
+        probe_left_table,
+        probe_right_table,
     )
 
     # worker spans cannot share the coordinator's ring: queue them for the
@@ -326,10 +331,7 @@ def _worker_main(conn, memo_size: int) -> None:  # pragma: no cover - subprocess
             predicate = node.predicate
             value = frozenset(r for r in resolve(op[1]) if predicate(r, ctx))
         elif kind == "project":
-            indices = node._indices
-            value = frozenset(
-                tuple(r[j] for j in indices) for r in resolve(op[1])
-            )
+            value = frozenset(map(row_key(node._indices), resolve(op[1])))
         elif kind == "dscan":
             part = domain_split(op[2], op[3])[shard_idx]
             if op[1] == "diag":
@@ -356,27 +358,13 @@ def _worker_main(conn, memo_size: int) -> None:  # pragma: no cover - subprocess
                     (plan_id, node_id, bid, "R"),
                     lambda: build_right_table(node, broadcast),
                 )
-                left_key = join_key(node.left.columns, shared)
-                out = set()
-                for row in kept_rows:
-                    for extra in table.get(left_key(row), ()):
-                        out.add(row + extra)
-                value = frozenset(out)
+                value = probe_right_table(node, table, kept_rows)
             else:
                 table = probe_structure(
                     (plan_id, node_id, bid, "L"),
                     lambda: build_left_table(node, broadcast),
                 )
-                right_key = join_key(node.right.columns, shared)
-                extra_indices = tuple(
-                    node.right.columns.index(c) for c in node._right_extra
-                )
-                out = set()
-                for row in kept_rows:
-                    extra = tuple(row[j] for j in extra_indices)
-                    for left_row in table.get(right_key(row), ()):
-                        out.add(left_row + extra)
-                value = frozenset(out)
+                value = probe_left_table(node, table, kept_rows)
         elif kind == "anti_co":
             left_rows, right_rows = resolve(op[1]), resolve(op[2])
             if not right_rows:
@@ -402,12 +390,7 @@ def _worker_main(conn, memo_size: int) -> None:  # pragma: no cover - subprocess
         elif kind == "group":
             value = group_count_rows(node, resolve(op[1]))
         elif kind == "gpart":
-            key_fn = join_key(node.child.columns, node.columns)
-            counts: Dict[Tuple[object, ...], int] = {}
-            for row in resolve(op[1]):
-                group = key_fn(row)
-                counts[group] = counts.get(group, 0) + 1
-            value = counts
+            value = Counter(map(join_key(node.child.columns, node.columns), resolve(op[1])))
         elif kind == "compl":
             merged = tables[op[1]]
             part = domain_split(op[2], op[3])[shard_idx]
@@ -1067,7 +1050,7 @@ class ProcessShardExecutor(ShardExecutor):
                 out.append(("d", info.did))
             elif comp is info.sig_obj:
                 out.append(("s", info.sig_id))
-            elif isinstance(comp, frozenset):
+            elif isinstance(comp, AbstractSet):  # a broadcast table: frozenset or RowSet
                 out.append(("t", self._table_id(comp)))
             else:
                 out.append(comp)

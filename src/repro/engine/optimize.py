@@ -1169,9 +1169,10 @@ def canonical_plan(
     *shapes* a backend meets, not by the number of formulas.  Nodes that
     unify with a previously interned copy are recorded in ``shared`` — the
     cross-formula intermediates worth keeping along the update stream — and
-    so is every constant-free full relation scan, the leaf whose cost is the
-    relation's size.  Returns the canonicalised plan and the number of
-    sub-plans that unified.
+    so is every constant-free scan that has to look at the rows (a repeated
+    variable), the leaf whose cost is the relation's size; a scan over
+    distinct variables is the stored relation and has nothing to carry.
+    Returns the canonicalised plan and the number of sub-plans that unified.
     """
     memo: Dict[Plan, Tuple[Plan, bool]] = {}
     hits = 0
@@ -1193,7 +1194,7 @@ def canonical_plan(
             canonical = interned.get(key)
             if canonical is None:
                 interned[key] = rebuilt
-                if isinstance(rebuilt, Scan):
+                if isinstance(rebuilt, Scan) and not rebuilt.is_identity:
                     shared.add(rebuilt)
             elif canonical is not rebuilt and canonical.columns == rebuilt.columns:
                 if canonical.children():  # leaves are cheap; only count real work

@@ -59,9 +59,11 @@ import os
 import threading
 import warnings
 import weakref
+from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..db.database import Database
+from ..db.delta import row_key as _row_key
 from ..db.sharding import (
     PARTITION_COLUMN,
     ShardedDatabase,
@@ -89,6 +91,12 @@ from .plan import (
     join_rows as _join_rows,
 )
 from .plan import (
+    probe_left_table as _probe_left_table,
+)
+from .plan import (
+    probe_right_table as _probe_right_table,
+)
+from .plan import (
     Antijoin,
     ConstantTable,
     DomainComplement,
@@ -100,6 +108,7 @@ from .plan import (
     HashJoin,
     Plan,
     Project,
+    Rows,
     Scan,
     Select,
     SingletonIfActive,
@@ -109,9 +118,8 @@ from .plan import (
 __all__ = ["POOL_ENV", "PROCS_ENV", "ShardedBackend"]
 
 Row = Tuple[object, ...]
-Rows = FrozenSet[Row]
 
-_EMPTY: Rows = frozenset()
+_EMPTY: FrozenSet[Row] = frozenset()
 _EMPTY_DEPENDS: FrozenSet[str] = frozenset()
 
 #: environment knob: worker threads of the per-shard pool (0 = inline)
@@ -217,8 +225,12 @@ class _ShardedRun:
         self.n = len(self.shards)
         self.domain = ctx.domain
         self.signature = ctx.signature
+        # a domain that covers the merged database covers each shard of it
+        # (scans of whole relations hand out the shard's relation unfiltered);
+        # one that does not leaves each shard to compare for itself
+        covers = True if ctx.covers_database() else None
         self.shard_ctxs = [
-            ExecutionContext(shard, self.domain, self.signature)
+            ExecutionContext(shard, self.domain, self.signature, covers=covers)
             for shard in self.shards
         ]
         # (domain, signature) prefix every shard-cache key carries: a cached
@@ -457,17 +469,12 @@ class _ShardedRun:
 
     def _project(self, node: Project) -> _ShardResult:
         child = self.visit(node.child)
-        indices = node._indices
+        project = _row_key(node._indices)
         if child.parts is None:
-            rows = frozenset(
-                tuple(r[i] for i in indices) for r in child.merged()
-            )
-            return _ShardResult.whole(rows)
+            return _ShardResult.whole(frozenset(map(project, child.merged())))
         parts = self.per_shard(
             node,
-            lambda i: frozenset(
-                tuple(r[j] for j in indices) for r in child.parts[i]
-            ),
+            lambda i: frozenset(map(project, child.parts[i])),
             key=self.base_key if child.local else None,
             per_index_key=child.indexed,
             task=("project", node.child),
@@ -538,39 +545,25 @@ class _ShardedRun:
                 # partial; the lazy box is shared across shard tasks
                 # (idempotent under a pool race)
                 table_box: List[Optional[dict]] = [None]
-                left_key = _join_key(node.left.columns, shared)
 
                 def fn(i: int) -> Rows:
                     table = table_box[0]
                     if table is None:
                         table = _build_right_table(node, broadcast)
                         table_box[0] = table
-                    out = set()
-                    for row in kept.parts[i]:
-                        for extra in table.get(left_key(row), ()):
-                            out.add(row + extra)
-                    return frozenset(out)
+                    return _probe_right_table(node, table, kept.parts[i])
 
             else:
                 # broadcast the left side: key its full rows once, probe each
                 # right partial and emit in left+extra order
                 table_box = [None]
-                right_key = _join_key(node.right.columns, shared)
-                extra_indices = tuple(
-                    node.right.columns.index(c) for c in node._right_extra
-                )
 
                 def fn(i: int) -> Rows:
                     table = table_box[0]
                     if table is None:
                         table = _build_left_table(node, broadcast)
                         table_box[0] = table
-                    out = set()
-                    for row in kept.parts[i]:
-                        extra = tuple(row[j] for j in extra_indices)
-                        for left_row in table.get(right_key(row), ()):
-                            out.add(left_row + extra)
-                    return frozenset(out)
+                    return _probe_left_table(node, table, kept.parts[i])
 
             # the broadcast side depends on every shard: it joins the cache
             # key as a fingerprint (with the orientation, since which side
@@ -734,11 +727,7 @@ class _ShardedRun:
             key_fn = _join_key(node.child.columns, node.columns)
 
             def partial(i: int) -> Dict[Row, int]:
-                counts: Dict[Row, int] = {}
-                for row in child.parts[i]:
-                    group = key_fn(row)
-                    counts[group] = counts.get(group, 0) + 1
-                return counts
+                return Counter(map(key_fn, child.parts[i]))
 
             partials = self.per_shard(
                 node, partial,

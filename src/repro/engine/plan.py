@@ -28,7 +28,9 @@ validation sweeps that evaluate one formula on hundreds of databases).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -36,11 +38,11 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 from ..db.database import Database
+from ..db.delta import row_key
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 
 __all__ = [
@@ -49,6 +51,8 @@ __all__ = [
     "join_rows",
     "build_right_table",
     "build_left_table",
+    "probe_right_table",
+    "probe_left_table",
     "group_count_rows",
     "ExecutionContext",
     "Plan",
@@ -68,9 +72,12 @@ __all__ = [
 ]
 
 Row = Tuple[object, ...]
-Rows = FrozenSet[Row]
+#: what a node evaluates to: an immutable set of rows — a ``frozenset``, or
+#: the persistent :class:`~repro.db.delta.RowSet` of a stored relation or of
+#: a result the delta rules carried here
+Rows = AbstractSet[Row]
 
-_EMPTY: Rows = frozenset()
+_EMPTY: FrozenSet[Row] = frozenset()
 
 
 class PlanError(RuntimeError):
@@ -82,13 +89,16 @@ class ExecutionContext:
 
     ``domain`` is the quantification domain (defaults to the database's active
     domain); ``signature`` interprets ``Omega`` symbols referenced by
-    interpreted selections.  The context also counts rows produced by each
-    operator kind, which the tests and ``EXPLAIN``-style debugging use.
+    interpreted selections.  ``covers`` is for a caller that already knows
+    whether the domain contains the database's active domain (the sharded run
+    knows it of every shard from the whole); see :meth:`covers_database`.
+    The context also counts rows produced by each operator kind, which the
+    tests and ``EXPLAIN``-style debugging use.
     """
 
     __slots__ = (
         "db", "domain_key", "domain", "signature", "functions", "stats", "cache",
-        "seeded", "profiler",
+        "seeded", "profiler", "_covers",
     )
 
     def __init__(
@@ -96,6 +106,7 @@ class ExecutionContext:
         db: Database,
         domain: Optional[Iterable[object]] = None,
         signature: Signature = EMPTY_SIGNATURE,
+        covers: Optional[bool] = None,
     ):
         self.db = db
         # the domain as the caller fixed it (``None``: it follows the database)
@@ -105,6 +116,9 @@ class ExecutionContext:
         self.domain: FrozenSet[object] = (
             self.domain_key if self.domain_key is not None else db.active_domain
         )
+        # ``None``: not compared yet (a domain that follows the database
+        # always covers it)
+        self._covers: Optional[bool] = True if self.domain_key is None else covers
         self.signature = signature
         self.functions = signature.functions_mapping()
         self.stats: Dict[str, int] = {}
@@ -122,6 +136,16 @@ class ExecutionContext:
 
     def count(self, operator: str, rows: int) -> None:
         self.stats[operator] = self.stats.get(operator, 0) + rows
+
+    def covers_database(self) -> bool:
+        """Does the quantification domain contain the database's active domain?
+
+        Where it does, the active-domain filter of a scan passes every stored
+        row.
+        """
+        if self._covers is None:
+            self._covers = self.db.active_domain <= self.domain
+        return self._covers
 
 
 class Plan:
@@ -188,6 +212,11 @@ class Scan(Plan):
     for consistency, and variable values must lie in the context domain (the
     active-domain restriction).  Output columns are the distinct variables in
     first-occurrence order.
+
+    A pattern of distinct variables at the relation's arity, under a domain
+    that contains the database's active domain, filters nothing and reorders
+    nothing: the scan **is** the stored relation and returns that object (see
+    :meth:`is_relation`).
     """
 
     __slots__ = ("relation", "pattern", "_const_positions", "_const_values", "_var_positions")
@@ -240,29 +269,43 @@ class Scan(Plan):
                 return None
         return tuple(binding[name] for name in self.columns)
 
+    @property
+    def is_identity(self) -> bool:
+        """Distinct variables only: a row of the right arity over domain
+        values is an output row as it stands."""
+        return len(self._var_positions) == len(self.pattern)
+
+    def is_relation(self, ctx: ExecutionContext) -> bool:
+        """Is this scan's result the stored relation itself, row for row?"""
+        return (
+            self.is_identity
+            and len(self.pattern) == ctx.db.schema[self.relation].arity
+            and ctx.covers_database()
+        )
+
     def _rows(self, ctx: ExecutionContext) -> Rows:
         candidates: Iterable[Row] = ctx.db.relation(self.relation)
+        if len(self.pattern) != ctx.db.schema[self.relation].arity:
+            # wrong-arity atoms match nothing (the interpreter's behaviour);
+            # indexing an out-of-range column would raise
+            return _EMPTY
+        if self.is_identity and ctx.covers_database():
+            ctx.count("scan", len(candidates))
+            return candidates  # the stored relation itself: see is_relation
         if self._const_positions:
-            if len(self.pattern) != ctx.db.schema[self.relation].arity:
-                # wrong-arity atoms match nothing (the interpreter's
-                # behaviour); indexing the out-of-range column would raise
-                candidates = ()
-            elif not self._var_positions:
+            if not self._var_positions:
                 # every column bound: one membership test, not a full-row
                 # index of |relation| singleton buckets
                 row = self._const_values
                 candidates = (row,) if row in candidates else ()
             else:
                 index = ctx.db.index(self.relation, self._const_positions)
-                candidates = index.get(self._const_values, frozenset())
+                candidates = index.get(self._const_values, ())
         domain = ctx.domain
-        result: Set[Row] = set()
-        for row in candidates:
-            out = self.match_row(row, domain)
-            if out is not None:
-                result.add(out)
+        matches = (self.match_row(row, domain) for row in candidates)
+        result = frozenset(out for out in matches if out is not None)
         ctx.count("scan", len(result))
-        return frozenset(result)
+        return result
 
     def label(self) -> str:
         rendered = ", ".join(
@@ -425,10 +468,7 @@ class Project(Plan):
         return (self.child,)
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
-        indices = self._indices
-        result = frozenset(
-            tuple(row[i] for i in indices) for row in self.child.rows(ctx)
-        )
+        result = frozenset(map(row_key(self._indices), self.child.rows(ctx)))
         ctx.count("project", len(result))
         return result
 
@@ -438,80 +478,78 @@ class Project(Plan):
 # ---------------------------------------------------------------------------
 
 def join_key(columns: Sequence[str], shared: Sequence[str]) -> Callable[[Row], Row]:
-    """A row -> key-tuple extractor for the named ``shared`` columns.
-
-    The one key-extraction helper behind the join family here, the
-    incremental delta rules and the sharded executor (all three used to keep
-    private copies).
-    """
-    indices = tuple(columns.index(c) for c in shared)
-    return lambda row: tuple(row[i] for i in indices)
-
-
-_join_key = join_key
+    """:func:`~repro.db.delta.row_key` for the named ``shared`` columns."""
+    return row_key(tuple(columns.index(c) for c in shared))
 
 
 def join_rows(node: "HashJoin", left_rows: Rows, right_rows: Rows) -> Rows:
-    """The serial :class:`HashJoin` semantics over explicit inputs.
+    """The :class:`HashJoin` semantics over explicit inputs.
 
-    Shared by the sharded executor (which feeds per-shard partials) and the
-    process-mode worker loop (which receives the inputs over IPC), so both
-    evaluate joins with exactly the in-process operator's semantics.
+    The one join body: the operator itself, the sharded executor (which feeds
+    per-shard partials) and the process-mode worker loop (which receives the
+    inputs over IPC) all evaluate joins through it.  The hash table is built
+    on the smaller side.
     """
     shared = node.shared
     if not node._right_extra:
+        # semijoin: the right side adds no columns, it only filters
         if not shared:
-            return left_rows if right_rows else frozenset()
-        right_key = _join_key(node.right.columns, shared)
-        keys = {right_key(r) for r in right_rows}
-        left_key = _join_key(node.left.columns, shared)
+            return left_rows if right_rows else _EMPTY
+        keys = set(map(join_key(node.right.columns, shared), right_rows))
+        left_key = join_key(node.left.columns, shared)
         return frozenset(row for row in left_rows if left_key(row) in keys)
     if not shared:
         return frozenset(l + r for l in left_rows for r in right_rows)
-    right_key = _join_key(node.right.columns, shared)
-    extra_indices = tuple(node.right.columns.index(c) for c in node._right_extra)
-    table: Dict[Row, List[Row]] = {}
-    for row in right_rows:
-        table.setdefault(right_key(row), []).append(
-            tuple(row[i] for i in extra_indices)
-        )
-    left_key = _join_key(node.left.columns, shared)
-    out = set()
-    for row in left_rows:
-        for extra in table.get(left_key(row), ()):
-            out.add(row + extra)
-    return frozenset(out)
+    if len(right_rows) <= len(left_rows):
+        return probe_right_table(node, build_right_table(node, right_rows), left_rows)
+    return probe_left_table(node, build_left_table(node, left_rows), right_rows)
 
 
-def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, Tuple[Row, ...]]:
+def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, List[Row]]:
     """``join key -> right-extra tuples`` for probing left rows (built once)."""
-    right_key = _join_key(node.right.columns, node.shared)
-    extra_indices = tuple(node.right.columns.index(c) for c in node._right_extra)
+    right_key = join_key(node.right.columns, node.shared)
+    extra = join_key(node.right.columns, node._right_extra)
     table: Dict[Row, List[Row]] = {}
     for row in right_rows:
-        table.setdefault(right_key(row), []).append(
-            tuple(row[i] for i in extra_indices)
-        )
-    return {key: tuple(values) for key, values in table.items()}
+        table.setdefault(right_key(row), []).append(extra(row))
+    return table
 
 
-def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, Tuple[Row, ...]]:
+def probe_right_table(node: "HashJoin", table: Dict[Row, List[Row]], left_rows: Rows) -> Rows:
+    """The join of ``left_rows`` with the side :func:`build_right_table` keyed."""
+    left_key = join_key(node.left.columns, node.shared)
+    get = table.get
+    return frozenset(
+        row + extra for row in left_rows for extra in get(left_key(row), ())
+    )
+
+
+def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, List[Row]]:
     """``join key -> full left rows`` for probing right rows (built once)."""
-    left_key = _join_key(node.left.columns, node.shared)
+    left_key = join_key(node.left.columns, node.shared)
     table: Dict[Row, List[Row]] = {}
     for row in left_rows:
         table.setdefault(left_key(row), []).append(row)
-    return {key: tuple(values) for key, values in table.items()}
+    return table
+
+
+def probe_left_table(node: "HashJoin", table: Dict[Row, List[Row]], right_rows: Rows) -> Rows:
+    """The join of the side :func:`build_left_table` keyed with ``right_rows``."""
+    right_key = join_key(node.right.columns, node.shared)
+    extra = join_key(node.right.columns, node._right_extra)
+    get = table.get
+    return frozenset(
+        left_row + extra(row)
+        for row in right_rows
+        for left_row in get(right_key(row), ())
+    )
 
 
 def group_count_rows(node: "GroupCount", rows: Rows) -> Rows:
-    """The serial :class:`GroupCount` semantics over explicit input rows."""
-    key = _join_key(node.child.columns, node.columns)
-    counts: Dict[Row, int] = {}
-    for row in rows:
-        group = key(row)
-        counts[group] = counts.get(group, 0) + 1
-    return frozenset(g for g, n in counts.items() if n >= node.threshold)
+    """The :class:`GroupCount` semantics over explicit input rows."""
+    counts = Counter(map(join_key(node.child.columns, node.columns), rows))
+    threshold = node.threshold
+    return frozenset(group for group, n in counts.items() if n >= threshold)
 
 
 class HashJoin(Plan):
@@ -552,40 +590,12 @@ class HashJoin(Plan):
             left_rows = self.left.rows(ctx) if right_rows else _EMPTY
         if not left_rows or not right_rows:
             return _EMPTY
-        shared = self.shared
+        result = join_rows(self, left_rows, right_rows)
         if not self._right_extra:
-            # semijoin fast path: right adds no columns, only filters
-            right_keys = (
-                {_join_key(self.right.columns, shared)(r) for r in right_rows}
-                if shared
-                else None
-            )
-            if right_keys is None:
-                result = left_rows  # a non-empty right side lets everything pass
-            else:
-                left_key = _join_key(self.left.columns, shared)
-                result = frozenset(row for row in left_rows if left_key(row) in right_keys)
             ctx.count("semijoin", len(result))
-            return result
-        if not shared:
-            result = frozenset(l + r for l in left_rows for r in right_rows)
-            ctx.count("product", len(result))
-            return result
-        # classic build/probe hash join; build on the smaller side
-        right_key = _join_key(self.right.columns, shared)
-        extra_indices = tuple(self.right.columns.index(c) for c in self._right_extra)
-        table: Dict[Row, List[Row]] = {}
-        for row in right_rows:
-            table.setdefault(right_key(row), []).append(
-                tuple(row[i] for i in extra_indices)
-            )
-        left_key = _join_key(self.left.columns, shared)
-        result_set: Set[Row] = set()
-        for row in left_rows:
-            for extra in table.get(left_key(row), ()):
-                result_set.add(row + extra)
-        ctx.count("join", len(result_set))
-        return frozenset(result_set)
+        else:
+            ctx.count("join" if self.shared else "product", len(result))
+        return result
 
     def label(self) -> str:
         if not self._right_extra:
@@ -621,9 +631,8 @@ class Antijoin(Plan):
         if not self.shared:
             result = frozenset() if right_rows else left_rows
         else:
-            right_key = _join_key(self.right.columns, self.shared)
-            keys = {right_key(row) for row in right_rows}
-            left_key = _join_key(self.left.columns, self.shared)
+            keys = set(map(join_key(self.right.columns, self.shared), right_rows))
+            left_key = join_key(self.left.columns, self.shared)
             result = frozenset(row for row in left_rows if left_key(row) not in keys)
         ctx.count("antijoin", len(result))
         return result
@@ -653,9 +662,7 @@ class UnionAll(Plan):
         return self.parts
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
-        result: FrozenSet[Row] = frozenset()
-        for part in self.parts:
-            result |= part.rows(ctx)
+        result = frozenset().union(*[part.rows(ctx) for part in self.parts])
         ctx.count("union", len(result))
         return result
 
@@ -716,12 +723,7 @@ class GroupCount(Plan):
         return (self.child,)
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
-        key = _join_key(self.child.columns, self.columns)
-        counts: Dict[Row, int] = {}
-        for row in self.child.rows(ctx):
-            group = key(row)
-            counts[group] = counts.get(group, 0) + 1
-        result = frozenset(g for g, n in counts.items() if n >= self.threshold)
+        result = group_count_rows(self, self.child.rows(ctx))
         ctx.count("group_count", len(result))
         return result
 

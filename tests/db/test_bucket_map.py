@@ -1,6 +1,6 @@
 """The persistent partitioned index: equal to a rebuild, persistent, shared.
 
-``BucketMap`` is the one ``key -> frozenset-of-rows`` representation behind
+``BucketMap`` is the one ``key -> tuple-of-rows`` representation behind
 ``Database.index()`` and the incremental engine's join state.  Three
 properties carry the commit path's cost claim, and none of them is a timing:
 
@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db import Database, Delta
-from repro.db.delta import BucketMap
+from repro.db.delta import BucketMap, _outgrown
 
 from strategies import graphs, maybe_seed, update_streams
 
@@ -28,9 +28,16 @@ def first_column(row):
     return (row[0],)
 
 
+def contents(index) -> dict:
+    """``key -> set of rows``: a bucket is a tuple of distinct rows, unordered."""
+    held = {key: set(bucket) for key, bucket in index.items()}
+    assert all(len(held[key]) == len(bucket) for key, bucket in index.items())
+    return held
+
+
 def rebuilt(db: Database, columns) -> dict:
     """The index a database built from scratch on the same rows would hold."""
-    return dict(Database.graph(db.relation("E")).index("E", columns))
+    return contents(Database.graph(db.relation("E")).index("E", columns))
 
 
 class TestAgainstRebuild:
@@ -42,24 +49,25 @@ class TestAgainstRebuild:
             db.index("E", columns)  # built on the root, patched from then on
         history = []
         for delta in stream:
-            history.append((db, {c: dict(db.index("E", c)) for c in columns_under_test}))
+            history.append((db, {c: contents(db.index("E", c)) for c in columns_under_test}))
             db = db.apply_delta(delta)
             for columns in columns_under_test:
                 index = db.index("E", columns)
                 expected = rebuilt(db, columns)
-                assert dict(index) == expected
+                assert contents(index) == expected
                 assert len(index) == len(expected)
                 for key, bucket in expected.items():
-                    assert key in index and index[key] == index.get(key) == bucket
+                    assert key in index and index[key] is index.get(key)
+                    assert set(index[key]) == bucket
         # persistence: no later patch wrote into an earlier state's index
         for predecessor, seen in history:
-            for columns, contents in seen.items():
-                assert dict(predecessor.index("E", columns)) == contents
+            for columns in seen:
+                assert contents(predecessor.index("E", columns)) == seen[columns]
 
     @maybe_seed
     @given(
         st.lists(
-            st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=120, unique=True
+            st.tuples(st.integers(0, 300), st.integers(0, 40)), max_size=200, unique=True
         )
     )
     def test_growth_from_empty_repartitions_without_changing_contents(self, rows):
@@ -67,13 +75,22 @@ class TestAgainstRebuild:
         assert len(index._parts) == 1
         for row in rows:
             index = index.patched(first_column, [row], ())
-        assert dict(index) == dict(BucketMap.build(rows, first_column))
-        # never more than four times the buckets its table was sized for
-        assert len(index) < 4 * len(index._parts) ** 2
+        assert contents(index) == contents(BucketMap.build(rows, first_column))
+        # never four times the buckets its table was sized for
+        assert not _outgrown(len(index), len(index._parts))
+
+    def test_a_small_map_is_one_partition_until_it_outgrows_it(self):
+        index = BucketMap.build((), first_column)
+        tables = set()
+        for key in range(1100):
+            index = index.patched(first_column, [(key, 0)], ())
+            tables.add(len(index._parts))
+            assert not _outgrown(len(index), len(index._parts))
+        assert tables == {1, 8, 16, 32}
 
     def test_mapping_surface_is_read_only(self):
         index = BucketMap.build([(0, 1), (0, 2), (1, 2)], first_column)
-        assert index[(0,)] == {(0, 1), (0, 2)}
+        assert set(index[(0,)]) == {(0, 1), (0, 2)}
         assert index.get((9,)) is None and index.get((9,), ()) == ()
         assert (1,) in index and (9,) not in index
         assert len(index) == 2 and sorted(index) == [(0,), (1,)]
@@ -104,4 +121,4 @@ class TestStructuralSharing:
         assert len(child._parts) == len(parent._parts) > 32
         copied = sum(1 for old, new in zip(parent._parts, child._parts) if old is not new)
         assert 1 <= copied <= len(delta)
-        assert dict(child) == rebuilt(db.apply_delta(delta), 0)
+        assert contents(child) == rebuilt(db.apply_delta(delta), 0)

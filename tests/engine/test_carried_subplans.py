@@ -21,6 +21,7 @@ from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
 from repro.engine import backend as backend_module
 from repro.engine.delta import _IncrementalRun
 from repro.logic import parse
+from repro.logic.signature import EMPTY_SIGNATURE
 from repro.transactions import DeleteWhere, FOProgram, InsertTuple, InsertWhere
 
 from strategies import graph_deltas, graphs, maybe_seed
@@ -112,6 +113,50 @@ def test_shared_subplans_are_carried_not_rebuilt():
     assert stats["shared_carried"] >= 9
     assert stats["shared_rebuilt"] <= 8
     assert "shared_intermediates" not in stats
+
+
+def test_partitioned_row_sets_are_shadowed_by_full_executions():
+    """The families above hold a handful of rows, so every row set in them is
+    one partition.  At 2 000 rows the relation, the 2-path join and the
+    carried scans span many: the same stream shapes — whole formulas, fresh
+    preconditions, a rolled-back branch — under ``verify``."""
+    from repro.db.delta import RowSet
+
+    no_triangles = parse("forall x . forall y . forall z . (E(x, y) & E(y, z)) -> ~E(z, x)")
+    carried = CompiledBackend(delta="verify", optimizer="on")
+    full = CompiledBackend(delta="off")
+    db = Database.graph(
+        (a, a + 1 + (a * 7 + j * 13) % 40) for a in range(250) for j in range(8)
+    )
+    assert db.cardinality("E") >= 2000
+    updates = [
+        ("insert", (3, 200)), ("insert", (200, 3)), ("delete", (200, 3)),
+        ("insert", (7, 7)), ("delete", (7, 7)), ("insert", (120, 5)),
+        ("delete", (0, 1)), ("insert", (400, 401)), ("delete", (400, 401)),
+        ("insert", (60, 2)), ("insert", (249, 0)), ("delete", (3, 200)),
+    ]
+    for step, (kind, edge) in enumerate(updates):
+        candidate = db.insert("E", edge) if kind == "insert" else db.delete("E", edge)
+        verdicts = [
+            carried.evaluate(constraint, candidate)  # shadowed by a full run
+            for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
+        ]
+        assert verdicts == [
+            full.evaluate(constraint, candidate)
+            for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
+        ]
+        fresh = precondition(insert(1000 + step, 5), ANTISYMMETRIC)
+        assert carried.evaluate(fresh, candidate) == full.evaluate(fresh, candidate)
+        if all(verdicts):  # keep it; otherwise the stream resumes from the parent
+            db = candidate
+    assert carried.delta_hits >= len(updates)  # no-op and re-met states hit the memo
+    assert carried.cache_stats()["shared_carried"] > 0
+    state = carried._state_for(db, (no_triangles, (), None, EMPTY_SIGNATURE))
+    spans_partitions = [
+        rows for rows in state.rows.values()
+        if isinstance(rows, RowSet) and len(rows._parts) > 1
+    ]
+    assert len(spans_partitions) >= 2  # the relation and a join over it
 
 
 def test_rejected_update_finds_the_shared_state_where_it_left_it():

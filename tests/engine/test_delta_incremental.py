@@ -137,6 +137,39 @@ def test_branching_streams_from_one_base_state():
     assert backend.delta_hits >= 5
 
 
+def test_lazily_built_join_state_serves_every_successor_of_its_state(monkeypatch):
+    # rejected-update shape again: what the first child builds from the
+    # parent's rows (a join's key indexes, a partitioned result) is a pure
+    # function of them, so the second child of the same parent finds it
+    from repro.db.delta import BucketMap, RowSet
+
+    calls = {"build": 0, "partition": 0}
+    build, of = BucketMap.build.__func__, RowSet.of.__func__
+
+    def counting_build(cls, rows, key_of):
+        calls["build"] += 1
+        return build(cls, rows, key_of)
+
+    def counting_of(cls, rows):
+        calls["partition"] += not isinstance(rows, RowSet)
+        return of(cls, rows)
+
+    monkeypatch.setattr(BucketMap, "build", classmethod(counting_build))
+    monkeypatch.setattr(RowSet, "of", classmethod(counting_of))
+    backend = CompiledBackend(delta="on", optimizer="off")
+    no_triangles = FORMULAS[2]
+    base = Database.graph([(a, (a + j) % 40) for a in range(40) for j in (1, 2)])
+    backend.evaluate(no_triangles, base)
+    assert calls["build"] == 0
+    backend.evaluate(no_triangles, base.insert("E", (0, 20)))
+    first_child = dict(calls)
+    assert first_child["build"] >= 2  # each side of a join was keyed ...
+    backend.evaluate(no_triangles, base.insert("E", (1, 21)))
+    backend.evaluate(no_triangles, base.delete("E", (2, 3)))
+    assert calls == first_child  # ... once, for all three children
+    assert backend.delta_hits == 3
+
+
 def test_explicit_domain_is_treated_as_fixed():
     backend = CompiledBackend(delta="verify")
     formula = parse("exists x . E(x, x)")

@@ -25,7 +25,9 @@ from repro.engine import (
     set_backend,
     using_backend,
 )
+from repro.engine.plan import join_rows
 from repro.logic import parse
+from repro.logic.signature import EMPTY_SIGNATURE
 from repro.logic.syntax import Atom, CountingExists, Exists, Not
 
 
@@ -60,6 +62,19 @@ class TestPlanOperators:
         assert not db._indexes  # no |E| singleton buckets were built to answer those
         guard = parse("~E(1, 1) & E(0, 1)")
         assert CompiledBackend().evaluate(guard, db) is NaiveBackend().evaluate(guard, db) is True
+
+    def test_hash_join_builds_on_either_side_with_the_same_rows(self):
+        few = Database.graph([(0, 1), (1, 2)])
+        many = Database.graph([(a, b) for a in range(4) for b in range(4)])
+        left, right = scan_xy(), Scan("E", [("var", "y"), ("var", "z")])
+        join = HashJoin(left, right)
+        for left_db, right_db in ((few, many), (many, few)):
+            left_rows = left.rows(ExecutionContext(left_db))
+            right_rows = right.rows(ExecutionContext(right_db))
+            assert len(left_rows) != len(right_rows)  # each side is the build side once
+            assert join_rows(join, left_rows, right_rows) == {
+                (x, y, z) for x, y in left_rows for y2, z in right_rows if y == y2
+            }
 
     def test_hash_join_on_shared_column(self):
         db = Database.graph([(0, 1), (1, 2), (2, 0)])
@@ -113,6 +128,71 @@ class TestPlanOperators:
         assert "Complement" in rendered
 
 
+class TestScanIsTheRelation:
+    """``E(x, y)`` filters and reorders nothing: the scan is the stored set."""
+
+    DB = Database.graph([(0, 1), (1, 2), (2, 2)])
+    NAIVE = NaiveBackend()
+
+    def agrees_with_the_interpreter(self, atom: str, variables, domain=None):
+        formula = parse(atom)
+        compiled = CompiledBackend().extension(formula, self.DB, variables, domain=domain)
+        assert compiled == self.NAIVE.extension(formula, self.DB, variables, domain=domain)
+        return compiled
+
+    def test_fires_for_distinct_variables_over_the_default_domain(self):
+        for scan in (scan_xy(), Scan("E", [("var", "y"), ("var", "x")])):
+            ctx = ExecutionContext(self.DB)
+            assert scan.is_relation(ctx)
+            assert scan.rows(ctx) is self.DB.relation("E")
+        assert self.agrees_with_the_interpreter("E(x, y)", ("x", "y")) == set(self.DB.edges)
+
+    def test_fires_under_an_explicit_domain_that_covers_the_database(self):
+        ctx = ExecutionContext(self.DB, domain=[0, 1, 2, 9])
+        assert scan_xy().rows(ctx) is self.DB.relation("E")
+        self.agrees_with_the_interpreter("E(x, y)", ("x", "y"), domain=[0, 1, 2, 9])
+
+    def test_does_not_fire_for_a_repeated_variable(self):
+        scan = Scan("E", [("var", "x"), ("var", "x")])
+        ctx = ExecutionContext(self.DB)
+        assert not scan.is_relation(ctx) and scan.rows(ctx) == {(2,)}
+        assert self.agrees_with_the_interpreter("E(x, x)", ("x",)) == {(2,)}
+
+    def test_does_not_fire_for_a_constant(self):
+        scan = Scan("E", [("var", "x"), ("const", 2)])
+        ctx = ExecutionContext(self.DB)
+        assert not scan.is_relation(ctx) and scan.rows(ctx) == {(1,), (2,)}
+        assert self.agrees_with_the_interpreter("E(x, 2)", ("x",)) == {(1,), (2,)}
+
+    def test_does_not_fire_for_a_wrong_arity_atom(self):
+        scan = Scan("E", [("var", "x"), ("var", "y"), ("var", "z")])
+        ctx = ExecutionContext(self.DB)
+        assert not scan.is_relation(ctx) and scan.rows(ctx) == frozenset()
+        assert self.agrees_with_the_interpreter("E(x, y, z)", ("x", "y", "z")) == set()
+
+    def test_does_not_fire_when_the_domain_misses_an_active_value(self):
+        ctx = ExecutionContext(self.DB, domain=[1, 2])
+        assert not scan_xy().is_relation(ctx)
+        assert scan_xy().rows(ctx) == {(1, 2), (2, 2)}
+        assert self.agrees_with_the_interpreter(
+            "E(x, y)", ("x", "y"), domain=[1, 2]
+        ) == {(1, 2), (2, 2)}
+
+    def test_delta_rule_hands_on_the_successors_relation(self):
+        backend = CompiledBackend(delta="verify")
+        formula, db = parse("exists x . exists y . E(x, y) & E(y, x)"), self.DB
+        backend.evaluate(formula, db)
+        for inserted, deleted in (
+            ([(5, 6)], []), ([(6, 5)], []), ([(0, 7)], [(6, 5), (2, 2)]),  # the domain moves
+        ):
+            db = db.insert("E", *inserted).delete("E", *deleted)
+            assert backend.evaluate(formula, db) == self.NAIVE.evaluate(formula, db)
+        assert backend.delta_hits == 3
+        state = backend._state_for(db, (formula, (), None, EMPTY_SIGNATURE))
+        scans = [node for node in state.rows if isinstance(node, Scan)]
+        assert scans and all(state.rows[node] is db.relation("E") for node in scans)
+
+
 class TestCompiledShapes:
     """The compiler should produce the efficient operator, not just a correct one."""
 
@@ -159,12 +239,12 @@ class TestDatabaseIndexes:
     def test_index_groups_rows_by_key(self):
         db = Database.graph([(0, 1), (0, 2), (1, 2)])
         by_source = db.index("E", 0)
-        assert by_source[(0,)] == {(0, 1), (0, 2)}
-        assert by_source[(1,)] == {(1, 2)}
+        assert set(by_source[(0,)]) == {(0, 1), (0, 2)}
+        assert set(by_source[(1,)]) == {(1, 2)}
 
     def test_index_accepts_column_tuples(self):
         db = Database.graph([(0, 1), (0, 2)])
-        assert db.index("E", (0, 1))[(0, 2)] == {(0, 2)}
+        assert set(db.index("E", (0, 1))[(0, 2)]) == {(0, 2)}
 
     def test_index_is_cached(self):
         db = Database.graph([(0, 1)])
