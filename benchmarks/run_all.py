@@ -56,7 +56,12 @@ QUICK = (
 )
 # per-experiment extra backends beyond the requested ones: the update-stream
 # experiment A/Bs the compiled engine with delta evaluation off, so the
-# trajectory records the incremental win (``delta_speedup``) explicitly
+# trajectory records the incremental win (``delta_speedup``) explicitly.
+# Recorded, not gated: the ratio falls whenever *full* execution gets faster
+# (8.54 at PR 10, 2.2 after PRs 13-18 made the non-incremental run 3.3x
+# faster), so it cannot tell a slower incremental path from a faster
+# baseline; ``e15-scale``'s ``scale_ratio`` ceiling below gates the
+# incremental path in a form that survives both that and a change of hardware
 EXTRA_BACKENDS = {"e15": ("compiled-nodelta",)}
 # per-experiment backend restriction: the service experiment compares the
 # concurrent pipeline against a serial baseline *inside* one process, the
@@ -80,18 +85,17 @@ ONLY_BACKENDS = {
 
 #: per-experiment ratio fields gated by ``--baseline`` (a drop below
 #: ``BASELINE_TOLERANCE`` x the committed value fails the run)
-BASELINE_FIELDS = ("speedup", "delta_speedup")
+BASELINE_FIELDS = ("speedup",)
 BASELINE_TOLERANCE = 0.95
 
 #: tighter floors for experiments that carry the fault-injection no-op
-#: hooks on their hot paths (per-update delta application, per-request
-#: serving): with ``REPRO_FAULTS`` unset the hooks must cost nothing, so
-#: these ratios get a stricter gate than the general 0.95x.  Keys are
-#: ``(experiment, field)`` for BASELINE_FIELDS entries and
-#: ``(experiment, metric, field)`` for BASELINE_METRICS entries.
+#: hooks on their hot paths (per-request serving): with ``REPRO_FAULTS``
+#: unset the hooks must cost nothing, so these ratios get a stricter gate
+#: than the general 0.95x.  Keys are ``(experiment, field)`` for
+#: BASELINE_FIELDS entries and ``(experiment, metric, field)`` for
+#: BASELINE_METRICS entries.
 STRICT_BASELINE_TOLERANCE = 0.97
 STRICT_BASELINE_KEYS = {
-    ("e15", "delta_speedup"),
     ("e21", "e21-open-loop", "batch_amortization"),
 }
 
@@ -131,8 +135,9 @@ METRIC_CEILINGS = {
     # the paper's opening argument: guarding with wpc(T, alpha) on the
     # pre-state must not cost a multiple of execute / re-check / roll back.
     # 13x before preconditions over fresh constants rode the state history's
-    # carried sub-plans; about 2x since.
-    "e13": (("e13-static-vs-runtime", "static_over_runtime", 8.0),),
+    # carried sub-plans, 1.5x after; 1.33-1.39x measured since every instance
+    # of a precondition runs one prepared plan (the paper's claim is < 1).
+    "e13": (("e13-static-vs-runtime", "static_over_runtime", 2.0),),
     # a transaction is a function from databases to databases, so a step
     # must cost what the update touches: a single-tuple transaction at 19.2k
     # rows over the same at 2.4k rows.  About 8x while each step copied the
@@ -462,6 +467,9 @@ def main(argv=None) -> int:
     payload = {
         "rev": rev,
         "python": platform.python_version(),
+        # wall-time ratios between backends are hardware-shaped: a baseline
+        # is only comparable with a run on as many processors
+        "cpus": os.cpu_count(),
         "backends": backends,
         "seed": args.seed,
         "jobs": args.jobs,

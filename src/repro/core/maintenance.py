@@ -15,12 +15,14 @@ constraints true while transactions run:
 What the two cost on the compiled engine: a run-time check re-evaluates a
 constraint the engine has seen, so it runs through the incremental delta
 rules — O(delta).  A precondition is usually a formula the engine has *not*
-seen (its constants are the transaction's tuple), so it is compiled and
-executed; its constant-free sub-plans, however, are shared by every instance
-and carried along the update stream like any remembered state, so the check
-costs O(compile) plus what the constants touch, not O(database) — see
-"Shared sub-plans along the stream" in ``docs/engine.md``.  Experiment E13
-holds the ratio between the two policies under a ceiling.
+seen (its constants are the transaction's tuple) — but only its constants
+are new: every instance of a transaction template's precondition has one
+shape, the engine runs one prepared plan for all of them, and the plan's
+parameter-free sub-plans are carried along the update stream like any
+remembered state.  The check costs a shape lookup plus what the constants
+touch, not a compilation and not O(database) — see "Shapes and parameters"
+and "Shared sub-plans along the stream" in ``docs/engine.md``.  Experiment
+E13 holds the ratio between the two policies under a ceiling.
 
 This module implements both policies (plus an unsafe baseline) on top of the
 transactional :class:`~repro.db.storage.Store`, together with an
@@ -138,6 +140,22 @@ class MaintenancePolicy:
         raise NotImplementedError
 
 
+def _post_state(store: Store, new_state: Database) -> Database:
+    """The open transaction's post-state, as the engine should be shown it.
+
+    ``new_state`` itself when the transaction built it by ``apply_delta``
+    (every functional update does): it already chains off the committed
+    snapshot, so incremental evaluation reaches the pre-state through it and
+    :meth:`Store.commit_unchecked` can take it as the successor — patching
+    the snapshot a second time with the write log would apply the same delta
+    twice.  A state built from scratch has no such chain; the store's
+    tentative snapshot supplies one.
+    """
+    if new_state.provenance_step() is not None:
+        return new_state
+    return store.snapshot()
+
+
 class UncheckedPolicy(MaintenancePolicy):
     """Apply the transaction without any integrity checking (unsafe baseline).
 
@@ -153,7 +171,7 @@ class UncheckedPolicy(MaintenancePolicy):
         new_state = transaction.apply(state)
         store.begin()
         store.apply_database(new_state)
-        store.commit_unchecked()
+        store.commit_unchecked(successor=new_state)
         violated = any(not c.holds(new_state, signature) for c in constraints)
         if violated:
             report.violations_missed += 1
@@ -171,14 +189,14 @@ class RuntimeCheckPolicy(MaintenancePolicy):
         new_state = transaction.apply(state)
         store.begin()
         store.apply_database(new_state)
-        tentative = store.snapshot()
+        tentative = _post_state(store, new_state)
         for constraint in constraints:
             report.constraint_evaluations += 1
             if not constraint.holds(tentative, signature):
                 store.rollback()
                 report.rolled_back += 1
                 return False
-        store.commit_unchecked()
+        store.commit_unchecked(successor=tentative)
         report.committed += 1
         return True
 
@@ -213,14 +231,15 @@ class StaticPreconditionPolicy(MaintenancePolicy):
         new_state = transaction.apply(state)
         store.begin()
         store.apply_database(new_state)
-        tentative = store.snapshot()
+        if runtime_fallback:
+            new_state = _post_state(store, new_state)
         for constraint in runtime_fallback:
             report.constraint_evaluations += 1
-            if not constraint.holds(tentative, signature):
+            if not constraint.holds(new_state, signature):
                 store.rollback()
                 report.rolled_back += 1
                 return False
-        store.commit_unchecked()
+        store.commit_unchecked(successor=new_state)
         report.committed += 1
         return True
 

@@ -87,13 +87,6 @@ _NAIVE_FALLBACK_FLOOR = 512.0
 # reorderer's own overhead would exceed anything it could save (tiny
 # databases, trivial formulas) — they are canonicalised and run as-is
 _OPT_SKIP_COST = 256.0
-# below this many total database rows, optimization is *lazy*: an entry is
-# only optimized at its third request, so one-shot formulas (the
-# per-transaction weakest preconditions of a maintenance stream especially)
-# never pay for a rewrite they cannot amortise.  At or above it, a single
-# execution dwarfs optimization time and the rewrite happens eagerly.
-_OPT_EAGER_ROWS = 1024
-_OPT_JIT_REQUESTS = 3
 #: environment knob selecting the cost-based optimizer mode
 OPTIMIZER_ENV = "REPRO_OPTIMIZER"
 
@@ -266,9 +259,15 @@ class CompiledBackend(Backend):
 
     Two caches make the common access patterns cheap:
 
-    * a **plan cache** keyed by ``(formula, variables)`` — plans are
+    * a **plan cache** keyed by ``(shape, variables)`` — plans are
       database-independent, so a constraint checked against hundreds of
-      databases is compiled exactly once;
+      databases is compiled exactly once, and *constant*-independent: a
+      formula's :meth:`~repro.logic.syntax.Formula.shape` factors its
+      constants out, the plan is compiled from the parameterised formula and
+      each execution binds the constants of the formula at hand
+      (``ExecutionContext.params``), so the thousands of instances of one
+      guard or weakest precondition are one entry here and one in the
+      optimized-plan cache;
     * a **result memo**, weakly keyed by database, mapping ``(formula,
       variables, domain, signature)`` to the computed extension — databases
       are immutable value objects, so memoised extensions stay valid for as
@@ -287,14 +286,17 @@ class CompiledBackend(Backend):
     ``delta`` constructor argument) controls this: ``verify`` shadows every
     incremental result with a full execution and asserts they agree.
 
-    The same state history serves formulas the backend has *never* evaluated:
-    constant-free sub-plans are interned across formulas, and one that two
-    plans share (or a relation scan that filters) keeps its node-level state
-    along the update stream exactly like a whole formula's, seeding whichever
-    plan asks next.  A formula over fresh constants — every instance of a
-    transaction's weakest precondition is one — therefore costs what its
-    constants touch, not the database (``shared_carried`` / ``shared_rebuilt``
-    count the two outcomes per shared sub-plan).
+    The result memo and the state history are keyed per formula, that is per
+    *binding* of a shape.  A formula over fresh constants — every instance
+    of a transaction's weakest precondition is one — finds its plan (by
+    shape) but no result and no state of its own.  What it shares with every
+    other binding is the parameter-free part of the plan: those sub-plans
+    are interned, and each keeps its node-level state along the update
+    stream exactly like a whole formula's, seeding whichever execution asks
+    next.  Such a formula therefore costs a shape lookup plus what its
+    constants touch, not a compilation and not the database
+    (``shared_carried`` / ``shared_rebuilt`` count the two outcomes per
+    shared sub-plan).
 
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
@@ -360,14 +362,14 @@ class CompiledBackend(Backend):
             )
         self.optimizer_mode = optimizer
         # (syntactic plan, domain default?, stats profile) -> ("plan", plan,
-        # root estimate) or ("naive", None, naive cost): one optimization per
-        # plan shape per database-size profile, shared across every database
-        # matching it.  Keyed by the cached plan *object* (identity hash, the
-        # key tuple keeps it alive) so the lookup never re-hashes a formula.
+        # root estimate) or ("naive", plan, naive cost): one optimization per
+        # formula shape per database-size profile, shared across every
+        # database matching it.  Keyed by the cached plan *object* (identity
+        # hash, the key tuple keeps it alive) so the lookup hashes no formula.
         self._opt_plans: _LRU = _LRU(plan_cache_size)
         self._opt_lock = threading.Lock()
-        # structural-interning table (constant-free sub-plans only, so it is
-        # bounded by the number of plan shapes) + the sub-plans formulas share
+        # structural-interning table (parameter-free sub-plans only) + the
+        # sub-plans that formulas, or the bindings of one shape, share
         self._canon: Dict[Tuple, Plan] = {}
         self._shared_nodes: Set[Plan] = set()
         self.plans_rewritten = 0
@@ -442,19 +444,31 @@ class CompiledBackend(Backend):
                 self._memo[db] = lru
             return lru
 
-    def plan_for(self, formula: Formula, variables: Tuple[str, ...]) -> Plan:
-        """The (cached) compiled plan for ``formula`` over ``variables``.
+    def _shape(self, formula: Formula) -> Tuple[object, Tuple[object, ...]]:
+        """``(shape key, parameter values)`` of ``formula``.
 
-        Known-uncompilable formulas are cached too (as a sentinel), so a
+        Plans are cached per key and executed under the values.  A backend
+        whose executor reads constants out of the plan (the sharded one)
+        overrides this to make every formula its own, parameterless shape.
+        """
+        return formula.shape()
+
+    def plan_for(self, formula: Formula, variables: Tuple[str, ...]) -> Plan:
+        """The (cached) compiled plan for ``formula``'s shape over ``variables``.
+
+        Known-uncompilable shapes are cached too (as a sentinel), so a
         formula the compiler rejects is not re-compiled on every check.
         """
-        key = (formula, variables)
+        shape, params = self._shape(formula)
+        key = (shape, variables)
         plan = self._plans.get(key)
         if plan is _UNCOMPILABLE:
             raise CompileError(f"formula {formula!r} is not compilable (cached)")
         if plan is None:
             try:
-                plan = compile_extension(formula, variables)
+                plan = compile_extension(
+                    formula.parameterised() if params else formula, variables
+                )
             except CompileError:
                 self._plans.put(key, _UNCOMPILABLE)
                 raise
@@ -476,10 +490,12 @@ class CompiledBackend(Backend):
     ) -> Optional[Plan]:
         """The plan to run for ``formula`` against ``db`` — or ``None``.
 
-        With the optimizer off this is the compiler's plan verbatim.  With it
-        on, the plan is rewritten cost-based for the database's statistics
-        profile (cached per profile), canonicalised against the backend's
-        structural-interning table, and priced against the naive interpreter;
+        With the optimizer off this is the compiler's plan for the formula's
+        shape, verbatim.  With it on, the plan is rewritten cost-based for
+        the database's statistics profile (once per shape and profile: every
+        other formula of the shape finds the entry), canonicalised against the
+        backend's structural-interning table, and priced against the naive
+        interpreter;
         ``None`` means the interpreter is estimated cheaper than every plan
         the optimizer could find (the cheap-plan fallback — never run a plan
         costed worse than naive evaluation).  Raises :class:`CompileError`
@@ -501,17 +517,6 @@ class CompiledBackend(Backend):
         )
         key = (plan, default_domain, profile)
         entry = self._opt_plans.get(key)
-        if entry is None and sum(sizes) < _OPT_EAGER_ROWS:
-            # small database: count requests instead of optimizing —
-            # see _OPT_EAGER_ROWS above
-            self._opt_plans.put(key, ("count", plan, 1))
-            return plan
-        if entry is not None and entry[0] == "count":
-            requests = entry[2] + 1
-            if requests < _OPT_JIT_REQUESTS:
-                self._opt_plans.put(key, ("count", plan, requests))
-                return plan
-            entry = None  # third request: the entry has earned a rewrite
         if entry is None:
             entry = self._optimize_entry(
                 formula, variables, plan, db, domain_size, default_domain
@@ -605,7 +610,7 @@ class CompiledBackend(Backend):
                 except CompileError:
                     return set(cached)
                 if plan is not None:
-                    ctx = ExecutionContext(db, domain_key, signature)
+                    ctx = self._context(formula, db, domain_key, signature)
                     self._incremental_extension(plan, memo_key, ctx, warming=True)
             return set(cached)
         self._m_memo_misses.inc()
@@ -629,11 +634,17 @@ class CompiledBackend(Backend):
             )
             memo.put(memo_key, rows)
             return set(rows)
-        ctx = ExecutionContext(db, domain_key, signature)
+        ctx = self._context(formula, db, domain_key, signature)
         rows = None
         if self.delta_mode != "off":
             rows = self._incremental_extension(plan, memo_key, ctx)
         return self._finish_extension(plan, db, memo_key, ctx, memo, rows)
+
+    def _context(self, formula, db, domain_key, signature) -> ExecutionContext:
+        """An execution context binding the plan's slots to ``formula``'s constants."""
+        return ExecutionContext(
+            db, domain_key, signature, params=self._shape(formula)[1]
+        )
 
     def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
         """Full execution (when the incremental path declined) plus memoing."""
@@ -682,12 +693,13 @@ class CompiledBackend(Backend):
 
         Shows the plan the backend would execute, its estimated and *actual*
         per-node cardinalities (the formula is executed once to measure
-        them), the modelled costs of the syntactic and optimized plans, and
-        the interpreter yardstick — the tool for diagnosing why the
-        optimizer picked (or refused) a shape.  A sub-plan whose rows came
-        from carried state instead of being run is marked ``[carried]``; a
-        node no line shows ``act=`` for was skipped by a short-circuiting
-        join.
+        them), the values its constants bind the plan's parameter slots
+        (``$0``, ``$1``, ...) to, the modelled costs of the syntactic and
+        optimized plans, and the interpreter yardstick — the tool for
+        diagnosing why the optimizer picked (or refused) a shape.  A sub-plan
+        whose rows came from carried state instead of being run is marked
+        ``[carried]``; a node no line shows ``act=`` for was skipped by a
+        short-circuiting join.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -705,6 +717,12 @@ class CompiledBackend(Backend):
             f"optimizer: {self.optimizer_mode}  domain={domain_size}  "
             f"naive_cost~{naive_cost:.0f}",
         ]
+        bound = self._shape(formula)[1]
+        if bound:
+            lines.append(
+                "parameters: "
+                + "  ".join(f"${slot}={value!r}" for slot, value in enumerate(bound))
+            )
         if chosen is None:
             lines.append(
                 "chosen: naive interpreter (every plan costed worse than "
@@ -713,7 +731,7 @@ class CompiledBackend(Backend):
             lines.append("rejected plan:")
             lines.append(explain_plan(original, estimator))
             return "\n".join(lines)
-        ctx = ExecutionContext(db, domain_key, signature)
+        ctx = self._context(formula, db, domain_key, signature)
         ctx.profiler = PlanProfiler()
         self._execute_plan(chosen, ctx)
         lines.append(
@@ -862,26 +880,29 @@ class CompiledBackend(Backend):
     ) -> Optional[PlanState]:
         """Bring ``plan``'s remembered state under ``key`` forward to ``ctx.db``.
 
-        Walks the database's ``apply_delta`` provenance (composing the
-        per-step deltas) until it finds an ancestor with a state under
-        ``key`` — a memo key for a whole formula's plan, ``(node, domain,
-        signature)`` for a shared sub-plan — and applies the delta rules to
-        it.  Remembers and returns the successor state, or ``None`` when no
-        such ancestor is within reach.
+        Walks the database's ``apply_delta`` provenance until it finds an
+        ancestor with a state under ``key`` — a memo key for a whole
+        formula's plan, ``(node, domain, signature)`` for a shared sub-plan —
+        and applies the delta rules to it under the composition of the steps
+        climbed.  Remembers and returns the successor state, or ``None`` when
+        no such ancestor is within reach.
         """
         db = ctx.db
         current = db
-        delta = None
+        steps = []  # newest first; composed only once an ancestor state is found
         for _ in range(_MAX_PROVENANCE_CHAIN):
             link = current.provenance_step()
             if link is None:
                 return None
             parent, step = link
-            delta = step if delta is None else step.then(delta)
+            steps.append(step)
             state = self._state_for(parent, key)
             if state is None:
                 current = parent
                 continue
+            delta = steps.pop()
+            while steps:
+                delta = delta.then(steps.pop())
             try:
                 rows, new_state = incremental_update(
                     plan, parent, state, delta, ctx,
@@ -892,7 +913,11 @@ class CompiledBackend(Backend):
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode == "verify":
-                full = plan.rows(ExecutionContext(db, ctx.domain_key, ctx.signature))
+                full = plan.rows(
+                    ExecutionContext(
+                        db, ctx.domain_key, ctx.signature, params=ctx.params
+                    )
+                )
                 if full != rows:
                     raise AssertionError(
                         f"incremental evaluation diverged for {key[0]!r}: "

@@ -26,12 +26,15 @@ Rule sketch (see ``docs/engine.md`` for the quantifier-by-quantifier story):
 * negation in any remaining position compiles to a domain complement.
 
 Plans depend only on the formula, never on the database, so one compiled plan
-serves every database an experiment sweeps over.
+serves every database an experiment sweeps over.  A formula whose constants
+were replaced by :class:`~repro.logic.terms.Param` slots compiles to a plan
+that reads them from the execution context, so it serves every formula of
+that shape as well.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..logic.syntax import (
     And,
@@ -49,7 +52,7 @@ from ..logic.syntax import (
     Or,
     Top,
 )
-from ..logic.terms import Const, Term, Var, evaluate_term
+from ..logic.terms import Const, Param, Term, Var, evaluate_term
 from .plan import (
     Antijoin,
     ConstantTable,
@@ -136,7 +139,7 @@ def _pad(plan: Plan, columns: Tuple[str, ...]) -> Plan:
 
 
 def _is_simple(term: Term) -> bool:
-    return isinstance(term, (Var, Const))
+    return isinstance(term, (Var, Const, Param))
 
 
 def _has_function_terms(formula: Formula) -> bool:
@@ -147,11 +150,23 @@ def _has_function_terms(formula: Formula) -> bool:
     return False
 
 
-def _row_env(columns: Tuple[str, ...]) -> Callable[[Tuple[object, ...]], Dict[str, object]]:
-    def env(row: Tuple[object, ...]) -> Dict[str, object]:
-        return dict(zip(columns, row))
+def _term_reader(term: Term, columns: Tuple[str, ...]):
+    """``(row, ctx) -> value`` of ``term`` over rows laid out as ``columns``."""
+    if isinstance(term, Var) and term.name in columns:
+        position = columns.index(term.name)
+        return lambda row, ctx: row[position]
+    if isinstance(term, Const):
+        value = term.value
+        return lambda row, ctx: value
+    if isinstance(term, Param):
+        slot = term.index
+        return lambda row, ctx: ctx.params[slot]
+    # function terms (and unbound variables, for the error): the term evaluator
 
-    return env
+    def read(row, ctx: ExecutionContext):
+        return evaluate_term(term, dict(zip(columns, row)), ctx.functions, ctx.params)
+
+    return read
 
 
 def predicate_for(formula: Formula, columns: Tuple[str, ...]):
@@ -160,37 +175,34 @@ def predicate_for(formula: Formula, columns: Tuple[str, ...]):
     This is the tuple-at-a-time escape hatch for the constructs a positional
     algebra cannot evaluate set-at-a-time — interpreted (``Omega``) atoms and
     function terms — applied only once the relational part of the plan has
-    bound every variable they mention (a pushed-down selection).  Public
-    because the cost-based optimizer re-derives predicates when its rewritten
-    plans bind the same formula against a different column layout.
+    bound every variable they mention (a pushed-down selection); a negated
+    equality is one too, since nothing set-at-a-time is cheaper than
+    comparing two bound values.  Public because the cost-based optimizer
+    re-derives predicates when its rewritten plans bind the same formula
+    against a different column layout.
     """
-    env_of = _row_env(columns)
     if isinstance(formula, InterpretedAtom):
-        symbol, terms = formula.symbol, formula.terms
+        symbol = formula.symbol
+        readers = [_term_reader(t, columns) for t in formula.terms]
 
         def check_interpreted(row, ctx: ExecutionContext) -> bool:
-            env = env_of(row)
             predicate = ctx.signature.predicate(symbol)
-            return predicate(*(evaluate_term(t, env, ctx.functions) for t in terms))
+            return predicate(*[read(row, ctx) for read in readers])
 
         return check_interpreted
     if isinstance(formula, Eq):
-        left, right = formula.left, formula.right
-
-        def check_eq(row, ctx: ExecutionContext) -> bool:
-            env = env_of(row)
-            return evaluate_term(left, env, ctx.functions) == evaluate_term(
-                right, env, ctx.functions
-            )
-
-        return check_eq
+        left = _term_reader(formula.left, columns)
+        right = _term_reader(formula.right, columns)
+        return lambda row, ctx: left(row, ctx) == right(row, ctx)
+    if isinstance(formula, Not) and isinstance(formula.body, Eq):
+        holds = predicate_for(formula.body, columns)
+        return lambda row, ctx: not holds(row, ctx)
     if isinstance(formula, Atom):
-        relation, terms = formula.relation, formula.terms
+        relation = formula.relation
+        readers = [_term_reader(t, columns) for t in formula.terms]
 
         def check_atom(row, ctx: ExecutionContext) -> bool:
-            env = env_of(row)
-            values = tuple(evaluate_term(t, env, ctx.functions) for t in terms)
-            return values in ctx.db.relation(relation)
+            return tuple(read(row, ctx) for read in readers) in ctx.db.relation(relation)
 
         return check_atom
     raise CompileError(f"no row predicate for {type(formula).__name__}")
@@ -210,14 +222,33 @@ def _fallback_atomic(formula: Formula) -> Plan:
     opaque interpreted predicate, and it matches the naive interpreter's cost
     for exactly these constructs (everything else stays set-at-a-time).
     """
-    columns = _free(formula)
-    base: Plan = DomainProduct(columns)
+    return _select(DomainProduct(_free(formula)), formula)
+
+
+def _select(child: Plan, formula: Formula) -> Plan:
+    """``child`` filtered by ``formula``, whose variables ``child`` binds."""
     return Select(
-        base,
-        predicate_for(formula, columns),
+        child,
+        predicate_for(formula, child.columns),
         description=str(formula),
         depends=depends_for(formula),
         formula=formula,
+    )
+
+
+def _is_bound_inequality(negation: Formula) -> bool:
+    """``~(s = t)`` over simple terms, at least one a variable.
+
+    Once its variables are bound such a conjunct compares two values per row;
+    as an antijoin it would materialise the equality's own extension (the
+    whole domain's diagonal, for two variables) to subtract it.
+    """
+    body = negation.body  # type: ignore[attr-defined]
+    return (
+        isinstance(body, Eq)
+        and _is_simple(body.left)
+        and _is_simple(body.right)
+        and (isinstance(body.left, Var) or isinstance(body.right, Var))
     )
 
 
@@ -321,6 +352,8 @@ def _compile_atom(formula: Atom) -> Plan:
     for term in formula.terms:
         if isinstance(term, Var):
             pattern.append(("var", term.name))
+        elif isinstance(term, Param):
+            pattern.append(("param", term.index))
         else:
             pattern.append(("const", term.value))  # type: ignore[union-attr]
     plan: Plan = Scan(formula.relation, pattern)
@@ -336,12 +369,19 @@ def _compile_eq(formula: Eq) -> Plan:
         return _fallback_atomic(formula)
     if isinstance(left, Const) and isinstance(right, Const):
         return ConstantTable((), [()] if left.value == right.value else [])
+    if isinstance(left, Param) and isinstance(right, Param):
+        # distinct slots of one shape hold distinct values
+        return ConstantTable((), [()] if left.index == right.index else [])
     if isinstance(left, Var) and isinstance(right, Var):
         if left.name == right.name:
             return DomainScan(left.name)
         first, second = sorted((left.name, right.name))
         return DomainDiagonal(first, second)
+    if not isinstance(left, Var) and not isinstance(right, Var):
+        return _fallback_atomic(formula)  # a constant against a slot: decided per binding
     variable, constant = (left, right) if isinstance(left, Var) else (right, left)
+    if isinstance(constant, Param):
+        return SingletonIfActive(variable.name, slot=constant.index)
     return SingletonIfActive(variable.name, constant.value)  # type: ignore[union-attr]
 
 
@@ -391,18 +431,17 @@ def _compile_and(parts: Sequence[Formula]) -> Plan:
             covered = set(current.columns)
             for pending in list(filters):
                 if pending.free_variables() <= covered:
-                    current = Select(
-                        current,
-                        predicate_for(pending, current.columns),
-                        description=str(pending),
-                        depends=depends_for(pending),
-                        formula=pending,
-                    )
+                    current = _select(current, pending)
                     filters.remove(pending)
                     changed = True
             for pending in list(negations):
                 if pending.free_variables() <= covered:
-                    current = Antijoin(current, _compile(pending.body))  # type: ignore[attr-defined]
+                    if _is_bound_inequality(pending):
+                        current = _select(current, pending)
+                    else:
+                        current = Antijoin(
+                            current, _compile(pending.body)  # type: ignore[attr-defined]
+                        )
                     negations.remove(pending)
                     changed = True
         return current

@@ -310,10 +310,10 @@ class _IncrementalRun:
 
     def _match_pattern(self, node: Scan, candidates) -> Rows:
         """Scan's matching semantics (``Scan.match_row``) over delta rows only."""
-        domain = self.ctx.domain
+        domain, params = self.ctx.domain, self.ctx.params
         out: Set[Row] = set()
         for row in candidates:
-            matched = node.match_row(row, domain)
+            matched = node.match_row(row, domain, params)
             if matched is not None:
                 out.add(matched)
         return frozenset(out)

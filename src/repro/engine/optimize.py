@@ -292,6 +292,9 @@ class Estimator:
             if kind == "const":
                 # the counters are complete, so this selectivity is exact
                 selectivity *= rel.column(position).frequency(spec) / cardinality
+            elif kind == "param":
+                # the plan serves every binding: the column's mean frequency
+                selectivity *= 1.0 / max(rel.column(position).distinct, 1)
             elif spec in first_position:
                 # repeated variable: rows must agree across the two columns
                 selectivity *= 1.0 / max(rel.column(position).distinct, 1)
@@ -1142,7 +1145,10 @@ def _shallow_key(node: Plan) -> Optional[Tuple]:
 
 
 def _mentions_constant(node: Plan) -> bool:
-    """Does the node's own operator (not its children) embed a formula constant?"""
+    """Does the node's own operator (not its children) embed a formula constant?
+
+    A parameter slot counts: what the node yields depends on the binding.
+    """
     if isinstance(node, Scan):
         return bool(node._const_positions)
     if isinstance(node, SingletonIfActive):
@@ -1163,15 +1169,17 @@ def canonical_plan(
 
     ``interned`` maps structural keys to canonical nodes across calls (the
     backend owns it, and must hold its values strongly — the keys embed the
-    ids of canonical children).  Only sub-plans that mention no constant are
-    interned: a sub-plan over a constant cannot unify with another instance
-    of the same formula shape, so the table is bounded by the number of
-    *shapes* a backend meets, not by the number of formulas.  Nodes that
-    unify with a previously interned copy are recorded in ``shared`` — the
-    cross-formula intermediates worth keeping along the update stream — and
-    so is every constant-free scan that has to look at the rows (a repeated
-    variable), the leaf whose cost is the relation's size; a scan over
-    distinct variables is the stored relation and has nothing to carry.
+    ids of canonical children).  Only sub-plans that mention no constant and
+    no parameter are interned — the part of a plan that is the same whatever
+    its constants are bound to.  ``shared`` collects the intermediates worth
+    keeping along the update stream: nodes that unify with a previously
+    interned copy (shared between formulas); the constant-free sub-plans
+    sitting directly under a node that does mention a constant (shared
+    between the bindings of one shape — whole-formula state is per binding,
+    so a fresh binding would otherwise rebuild them); and every
+    constant-free scan that has to look at the rows (a repeated variable),
+    the leaf whose cost is the relation's size.  A scan over distinct
+    variables is the stored relation and has nothing to carry.
     Returns the canonicalised plan and the number of sub-plans that unified.
     """
     memo: Dict[Plan, Tuple[Plan, bool]] = {}
@@ -1201,6 +1209,10 @@ def canonical_plan(
                     shared.add(canonical)
                     hits += 1
                 rebuilt = canonical
+        if not constant_free:
+            shared.update(
+                child for child, free in visited if free and child.children()
+            )
         memo[node] = (rebuilt, constant_free)
         return memo[node]
 

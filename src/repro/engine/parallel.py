@@ -1043,6 +1043,12 @@ class ShardedBackend(CompiledBackend):
             formula, self._promote(db), variables, signature, domain
         )
 
+    def _shape(self, formula):
+        """Every formula is its own shape, with no parameters: the sharded
+        walk routes a scan by the constant in its partition column and ships
+        sub-plans to worker processes by value."""
+        return formula, ()
+
     def _optimizer_params(self) -> OptimizerParams:
         """Partition-aware costing: co-partitioned joins parallelise across
         the shards, broadcast joins pay to replicate their smaller side —

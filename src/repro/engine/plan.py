@@ -92,13 +92,16 @@ class ExecutionContext:
     interpreted selections.  ``covers`` is for a caller that already knows
     whether the domain contains the database's active domain (the sharded run
     knows it of every shard from the whole); see :meth:`covers_database`.
+    ``params`` binds the plan's parameter slots: a plan is compiled once per
+    formula *shape*, with a slot where each constant stood, and every
+    execution supplies the constants of the formula at hand.
     The context also counts rows produced by each operator kind, which the
     tests and ``EXPLAIN``-style debugging use.
     """
 
     __slots__ = (
-        "db", "domain_key", "domain", "signature", "functions", "stats", "cache",
-        "seeded", "profiler", "_covers",
+        "db", "domain_key", "domain", "signature", "functions", "params", "stats",
+        "cache", "seeded", "profiler", "_covers",
     )
 
     def __init__(
@@ -107,8 +110,10 @@ class ExecutionContext:
         domain: Optional[Iterable[object]] = None,
         signature: Signature = EMPTY_SIGNATURE,
         covers: Optional[bool] = None,
+        params: Tuple[object, ...] = (),
     ):
         self.db = db
+        self.params = params
         # the domain as the caller fixed it (``None``: it follows the database)
         self.domain_key: Optional[FrozenSet[object]] = (
             frozenset(domain) if domain is not None else None
@@ -206,7 +211,9 @@ class Plan:
 class Scan(Plan):
     """Scan a base relation through an atom pattern ``R(t1, ..., tn)``.
 
-    ``pattern`` is a tuple of ``("var", name)`` / ``("const", value)`` entries.
+    ``pattern`` is a tuple of ``("var", name)`` / ``("const", value)`` /
+    ``("param", slot)`` entries; a parameter position is a constant position
+    whose value the execution context supplies (``ctx.params[slot]``).
     Constant positions are matched via a per-relation hash index
     (:meth:`repro.db.database.Database.index`), repeated variables are checked
     for consistency, and variable values must lie in the context domain (the
@@ -219,19 +226,27 @@ class Scan(Plan):
     :meth:`is_relation`).
     """
 
-    __slots__ = ("relation", "pattern", "_const_positions", "_const_values", "_var_positions")
+    __slots__ = (
+        "relation", "pattern", "_const_positions", "_const_values", "_param_slots",
+        "_var_positions",
+    )
 
     def __init__(self, relation: str, pattern: Sequence[Tuple[str, object]]):
         self.relation = relation
         self.pattern = tuple(pattern)
-        const_positions: List[int] = []
+        const_positions: List[int] = []  # constants and parameters alike
         const_values: List[object] = []
+        param_slots: List[Tuple[int, int]] = []  # (index into const_values, slot)
         var_positions: List[Tuple[str, int]] = []  # (name, first position)
         seen: Dict[str, int] = {}
         for position, (kind, value) in enumerate(self.pattern):
             if kind == "const":
                 const_positions.append(position)
                 const_values.append(value)
+            elif kind == "param":
+                param_slots.append((len(const_values), value))
+                const_positions.append(position)
+                const_values.append(None)
             elif kind == "var":
                 if value not in seen:
                     seen[value] = position
@@ -240,10 +255,20 @@ class Scan(Plan):
                 raise PlanError(f"unknown pattern entry kind {kind!r}")
         self._const_positions = tuple(const_positions)
         self._const_values = tuple(const_values)
+        self._param_slots = tuple(param_slots)
         self._var_positions = tuple(var_positions)
         super().__init__([name for name, _pos in var_positions])
 
-    def match_row(self, row: Row, domain) -> Optional[Row]:
+    def bound_values(self, params: Tuple[object, ...]) -> Row:
+        """What the constant positions must hold, parameters bound from ``params``."""
+        if not self._param_slots:
+            return self._const_values
+        values = list(self._const_values)
+        for where, slot in self._param_slots:
+            values[where] = params[slot]
+        return tuple(values)
+
+    def match_row(self, row: Row, domain, params: Tuple[object, ...] = ()) -> Optional[Row]:
         """The output tuple this pattern produces for ``row``, or ``None``.
 
         The single source of truth for the scan semantics (constant
@@ -258,6 +283,10 @@ class Scan(Plan):
         for value, (kind, spec) in zip(row, pattern):
             if kind == "const":
                 if value != spec:
+                    return None
+                continue
+            if kind == "param":
+                if value != params[spec]:
                     return None
                 continue
             bound = binding.get(spec, _MISSING)
@@ -292,25 +321,25 @@ class Scan(Plan):
         if self.is_identity and ctx.covers_database():
             ctx.count("scan", len(candidates))
             return candidates  # the stored relation itself: see is_relation
+        params = ctx.params
         if self._const_positions:
+            bound = self.bound_values(params)
             if not self._var_positions:
                 # every column bound: one membership test, not a full-row
                 # index of |relation| singleton buckets
-                row = self._const_values
-                candidates = (row,) if row in candidates else ()
+                candidates = (bound,) if bound in candidates else ()
             else:
                 index = ctx.db.index(self.relation, self._const_positions)
-                candidates = index.get(self._const_values, ())
+                candidates = index.get(bound, ())
         domain = ctx.domain
-        matches = (self.match_row(row, domain) for row in candidates)
+        matches = (self.match_row(row, domain, params) for row in candidates)
         result = frozenset(out for out in matches if out is not None)
         ctx.count("scan", len(result))
         return result
 
     def label(self) -> str:
-        rendered = ", ".join(
-            str(value) if kind == "var" else repr(value) for kind, value in self.pattern
-        )
+        render = {"var": str, "const": repr, "param": "${}".format}
+        rendered = ", ".join(render[kind](value) for kind, value in self.pattern)
         return f"Scan {self.relation}({rendered})"
 
 
@@ -363,22 +392,26 @@ class SingletonIfActive(Plan):
     """``{(c,)}`` when the constant ``c`` lies in the domain, else empty.
 
     The extension of ``x = c`` under active-domain semantics: the constant may
-    name any universe element, but ``x`` only ranges over the domain.
+    name any universe element, but ``x`` only ranges over the domain.  With
+    ``slot`` given, ``c`` is that parameter of the execution context.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "slot")
 
-    def __init__(self, column: str, value: object):
+    def __init__(self, column: str, value: object = None, slot: Optional[int] = None):
         super().__init__([column])
         self.value = value
+        self.slot = slot
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
-        if self.value in ctx.domain:
-            return frozenset({(self.value,)})
+        value = self.value if self.slot is None else ctx.params[self.slot]
+        if value in ctx.domain:
+            return frozenset({(value,)})
         return frozenset()
 
     def label(self) -> str:
-        return f"SingletonIfActive {self.columns[0]}={self.value!r}"
+        constant = repr(self.value) if self.slot is None else f"${self.slot}"
+        return f"SingletonIfActive {self.columns[0]}={constant}"
 
 
 class DomainDiagonal(Plan):
@@ -564,6 +597,12 @@ class HashJoin(Plan):
     The filtering side (the right child of a semijoin, the left child
     otherwise) is evaluated first; when it is empty the join is empty and the
     other child is never run.
+
+    When one input *is* a stored relation (:meth:`Scan.is_relation`) and the
+    other is smaller, the join probes the relation's own index
+    (:meth:`~repro.db.database.Database.index`, which ``apply_delta`` keeps
+    current from state to state) once per row of the small side, instead of
+    walking the relation through a hash table built for the occasion.
     """
 
     __slots__ = ("left", "right", "shared", "_right_extra")
@@ -590,12 +629,55 @@ class HashJoin(Plan):
             left_rows = self.left.rows(ctx) if right_rows else _EMPTY
         if not left_rows or not right_rows:
             return _EMPTY
-        result = join_rows(self, left_rows, right_rows)
+        result = self._probe_stored(ctx, left_rows, right_rows)
+        if result is None:
+            result = join_rows(self, left_rows, right_rows)
         if not self._right_extra:
             ctx.count("semijoin", len(result))
         else:
             ctx.count("join" if self.shared else "product", len(result))
         return result
+
+    def _probe_stored(
+        self, ctx: ExecutionContext, left_rows: Rows, right_rows: Rows
+    ) -> Optional[Rows]:
+        """The join by index probes; ``None`` unless one side is the larger
+        input and a stored relation."""
+        left, right = self.left, self.right
+        if not self.shared or len(left_rows) == len(right_rows):
+            return None
+        if len(left_rows) < len(right_rows):
+            stored, stored_rows, small, small_rows = right, right_rows, left, left_rows
+        else:
+            stored, stored_rows, small, small_rows = left, left_rows, right, right_rows
+        if not (isinstance(stored, Scan) and stored.is_relation(ctx)):
+            return None
+        # a stored relation's columns are its positions; keys go in position
+        # order so one index serves every join on the same column set
+        positions = tuple(sorted(stored.columns.index(c) for c in self.shared))
+        key_of = join_key(small.columns, [stored.columns[p] for p in positions])
+        if len(positions) == len(stored.columns):
+            def partners(key: Row) -> Sequence[Row]:  # the key is the whole row
+                return (key,) if key in stored_rows else ()
+        else:
+            index = ctx.db.index(stored.relation, positions)
+
+            def partners(key: Row) -> Sequence[Row]:
+                return index.get(key, ())
+        extra = join_key(right.columns, self._right_extra)
+        if stored is right:
+            if not self._right_extra:
+                return frozenset(row for row in small_rows if partners(key_of(row)))
+            return frozenset(
+                row + extra(match) for row in small_rows for match in partners(key_of(row))
+            )
+        if not self._right_extra:
+            return frozenset(
+                match for key in set(map(key_of, small_rows)) for match in partners(key)
+            )
+        return frozenset(
+            match + extra(row) for row in small_rows for match in partners(key_of(row))
+        )
 
     def label(self) -> str:
         if not self._right_extra:

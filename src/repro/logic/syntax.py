@@ -27,9 +27,9 @@ written once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from .terms import Const, Func, Term, TermError, Var
+from .terms import Const, Func, Param, Term, TermError, Var
 
 __all__ = [
     "Formula",
@@ -80,11 +80,56 @@ class Formula:
         """Rebuild this node with ``fn`` applied to each immediate subformula."""
         return self
 
+    def map_terms(self, fn: Callable[[Term], Term]) -> "Formula":
+        """Rebuild this formula with ``fn`` applied to every atom's argument terms."""
+        return self.map_children(lambda child: child.map_terms(fn))
+
     def walk(self) -> Iterator["Formula"]:
         """Yield this formula and all subformulas, pre-order."""
         yield self
         for child in self.children():
             yield from child.walk()
+
+    # -- shapes -----------------------------------------------------------------
+
+    def shape(self) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:
+        """``(key, constants)``: the formula with its constants factored out.
+
+        ``constants`` lists the distinct constants in first-occurrence order
+        and ``key`` is a hashable rendering of the formula with each constant
+        replaced by its position in that list.  Two formulas have equal keys
+        exactly when they differ only in *which* constants they mention, not
+        in where or in which of them coincide — so whatever was derived from
+        one (:meth:`parameterised`, a compiled plan) serves the other under
+        its own ``constants``.  One pass building no formula, memoised on the
+        instance.
+        """
+        try:
+            return self._shape_value  # type: ignore[attr-defined]
+        except AttributeError:
+            slots: Dict[object, int] = {}
+            out: List[object] = []
+            self._shape_into(slots, out)
+            value = (tuple(out), tuple(slots))
+            object.__setattr__(self, "_shape_value", value)
+            return value
+
+    def _shape_into(self, slots: Dict[object, int], out: List[object]) -> None:
+        """Append this node's tokens (a prefix code: tag, arity, operands)."""
+        # a formula class this module does not know is opaque: its own shape
+        out.append(self)
+
+    def parameterised(self) -> "Formula":
+        """This formula with ``Param(i)`` where its ``i``-th constant stood.
+
+        The numbering is :meth:`shape`'s, so every formula of one shape has
+        the same parameterised form.
+        """
+        constants = self.shape()[1]
+        if not constants:
+            return self
+        params = {value: Param(index) for index, value in enumerate(constants)}
+        return self.map_terms(lambda term: _parameterise(term, params))
 
     # -- syntactic measures ----------------------------------------------------
 
@@ -178,6 +223,9 @@ class Formula:
 class Top(Formula):
     """The true constant."""
 
+    def _shape_into(self, slots, out) -> None:
+        out.append("true")
+
     def __str__(self) -> str:
         return "true"
 
@@ -185,6 +233,9 @@ class Top(Formula):
 @dataclass(frozen=True)
 class Bottom(Formula):
     """The false constant."""
+
+    def _shape_into(self, slots, out) -> None:
+        out.append("false")
 
     def __str__(self) -> str:
         return "false"
@@ -236,6 +287,13 @@ class Atom(Formula):
     def _substitute(self, mapping: Dict[str, Term]) -> Formula:
         return Atom(self.relation, *(t.substitute(mapping) for t in self.terms))
 
+    def map_terms(self, fn: Callable[[Term], Term]) -> Formula:
+        return Atom(self.relation, *map(fn, self.terms))
+
+    def _shape_into(self, slots, out) -> None:
+        out.extend(("atom", self.relation, len(self.terms)))
+        _shape_terms(self.terms, slots, out)
+
     @property
     def arity(self) -> int:
         return len(self.terms)
@@ -267,6 +325,13 @@ class Eq(Formula):
 
     def _substitute(self, mapping: Dict[str, Term]) -> Formula:
         return Eq(self.left.substitute(mapping), self.right.substitute(mapping))
+
+    def map_terms(self, fn: Callable[[Term], Term]) -> Formula:
+        return Eq(fn(self.left), fn(self.right))
+
+    def _shape_into(self, slots, out) -> None:
+        out.append("=")
+        _shape_terms((self.left, self.right), slots, out)
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
@@ -313,6 +378,13 @@ class InterpretedAtom(Formula):
     def _substitute(self, mapping: Dict[str, Term]) -> Formula:
         return InterpretedAtom(self.symbol, *(t.substitute(mapping) for t in self.terms))
 
+    def map_terms(self, fn: Callable[[Term], Term]) -> Formula:
+        return InterpretedAtom(self.symbol, *map(fn, self.terms))
+
+    def _shape_into(self, slots, out) -> None:
+        out.extend(("omega", self.symbol, len(self.terms)))
+        _shape_terms(self.terms, slots, out)
+
     def __str__(self) -> str:
         inner = ", ".join(str(t) for t in self.terms)
         return f"{self.symbol}({inner})"
@@ -333,6 +405,10 @@ class Not(Formula):
 
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return Not(fn(self.body))
+
+    def _shape_into(self, slots, out) -> None:
+        out.append("~")
+        self.body._shape_into(slots, out)
 
     def __str__(self) -> str:
         return f"~({self.body})"
@@ -362,6 +438,11 @@ class _NaryConnective(Formula):
 
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return type(self)(*(fn(part) for part in self.parts))
+
+    def _shape_into(self, slots, out) -> None:
+        out.extend((self._symbol, len(self.parts)))
+        for part in self.parts:
+            part._shape_into(slots, out)
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.parts == other.parts  # type: ignore[attr-defined]
@@ -402,6 +483,11 @@ class Implies(Formula):
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return Implies(fn(self.premise), fn(self.conclusion))
 
+    def _shape_into(self, slots, out) -> None:
+        out.append("->")
+        self.premise._shape_into(slots, out)
+        self.conclusion._shape_into(slots, out)
+
     def __str__(self) -> str:
         return f"({self.premise} -> {self.conclusion})"
 
@@ -418,6 +504,11 @@ class Iff(Formula):
 
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return Iff(fn(self.left), fn(self.right))
+
+    def _shape_into(self, slots, out) -> None:
+        out.append("<->")
+        self.left._shape_into(slots, out)
+        self.right._shape_into(slots, out)
 
     def __str__(self) -> str:
         return f"({self.left} <-> {self.right})"
@@ -448,6 +539,10 @@ class _Quantifier(Formula):
 
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return type(self)(self.variable, fn(self.body))
+
+    def _shape_into(self, slots, out) -> None:
+        out.extend((self._symbol, self.variable))
+        self.body._shape_into(slots, out)
 
     def free_variables(self) -> FrozenSet[str]:
         return self.body.free_variables() - {self.variable}
@@ -533,6 +628,10 @@ class CountingExists(Formula):
 
     def map_children(self, fn: Callable[[Formula], Formula]) -> Formula:
         return CountingExists(self.variable, self.count, fn(self.body))
+
+    def _shape_into(self, slots, out) -> None:
+        out.extend(("exists>=", self.variable, self.count))
+        self.body._shape_into(slots, out)
 
     def free_variables(self) -> FrozenSet[str]:
         return self.body.free_variables() - {self.variable}
@@ -624,6 +723,37 @@ del _formula_class
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _shape_terms(
+    terms: Sequence[Term], slots: Dict[object, int], out: List[object]
+) -> None:
+    """The :meth:`Formula.shape` tokens of argument terms.
+
+    A variable is its name (a string), a constant its slot (an integer,
+    allotted at first occurrence — equal values share one), a function
+    application ``(symbol, arity)`` followed by its arguments; a parameter
+    already in place stands for itself.
+    """
+    for term in terms:
+        kind = type(term)
+        if kind is Var:
+            out.append(term.name)
+        elif kind is Const:
+            out.append(slots.setdefault(term.value, len(slots)))
+        elif kind is Func:
+            out.append((term.symbol, len(term.args)))
+            _shape_terms(term.args, slots, out)
+        else:
+            out.append(term)
+
+
+def _parameterise(term: Term, params: Mapping[object, Param]) -> Term:
+    if isinstance(term, Const):
+        return params[term.value]
+    if isinstance(term, Func):
+        return Func(term.symbol, *(_parameterise(arg, params) for arg in term.args))
+    return term
+
 
 def _fresh_variable(base: str, taken: Iterable[str]) -> str:
     """A variable name based on ``base`` that does not clash with ``taken``."""

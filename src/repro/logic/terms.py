@@ -11,19 +11,22 @@ contain, besides the relational schema,
 set ``Gamma`` of such terms to describe how a transaction may extend the
 active domain (Section 2).
 
-This module defines the term AST: :class:`Var`, :class:`Const` and
-:class:`Func` (an application of an interpreted function symbol).  Terms are
-immutable, hashable and comparable, and support substitution and evaluation
-under an assignment plus a :class:`~repro.logic.signature.Signature` providing
-the function interpretations.
+This module defines the term AST: :class:`Var`, :class:`Const`,
+:class:`Func` (an application of an interpreted function symbol) and
+:class:`Param` (a constant whose value is bound at run time — what the query
+engine puts where a formula's constants stood, so one compiled plan serves
+every formula of the same shape).  Terms are immutable, hashable and
+comparable, and support substitution and evaluation under an assignment plus
+a :class:`~repro.logic.signature.Signature` providing the function
+interpretations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
-__all__ = ["Term", "Var", "Const", "Func", "TermError", "evaluate_term"]
+__all__ = ["Term", "Var", "Const", "Param", "Func", "TermError", "evaluate_term"]
 
 
 class TermError(ValueError):
@@ -111,6 +114,44 @@ class Const(Term):
 
 
 @dataclass(frozen=True)
+class Param(Term):
+    """The ``index``-th distinct constant of a formula, bound at run time.
+
+    :meth:`repro.logic.syntax.Formula.parameterised` numbers a formula's
+    constants by first occurrence and puts ``Param(i)`` where the ``i``-th
+    stood; evaluation then takes the values as a separate tuple.  Distinct
+    parameters of one formula always denote distinct values, so
+    ``Param(i) = Param(j)`` is decided by ``i == j``.  A parameter *is* a
+    constant symbol — :meth:`constants` reports it — whose denotation the
+    binding supplies.
+    """
+
+    index: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.index, int) or self.index < 0:
+            raise TermError("parameter index must be a non-negative integer")
+
+    def free_variables(self) -> FrozenSet[str]:
+        return frozenset()
+
+    def substitute(self, mapping: Mapping[str, Term]) -> Term:
+        return self
+
+    def constants(self) -> FrozenSet[object]:
+        return frozenset({self})
+
+    def function_symbols(self) -> FrozenSet[str]:
+        return frozenset()
+
+    def depth(self) -> int:
+        return 0
+
+    def __str__(self) -> str:
+        return f"${self.index}"
+
+
+@dataclass(frozen=True)
 class Func(Term):
     """An application ``f(t1, ..., tn)`` of an interpreted function symbol.
 
@@ -169,13 +210,15 @@ def evaluate_term(
     term: Term,
     assignment: Mapping[str, object],
     functions: Optional[Mapping[str, object]] = None,
+    params: Sequence[object] = (),
 ) -> object:
     """Evaluate ``term`` under a variable ``assignment``.
 
     ``functions`` maps interpreted function symbols to Python callables; it is
-    usually supplied by a :class:`~repro.logic.signature.Signature`.  Raises
-    :class:`TermError` when a variable is unassigned or a symbol has no
-    interpretation.
+    usually supplied by a :class:`~repro.logic.signature.Signature`.
+    ``params`` holds the values of the term's :class:`Param` slots.  Raises
+    :class:`TermError` when a variable is unassigned, a parameter unbound or
+    a symbol has no interpretation.
     """
     if isinstance(term, Var):
         try:
@@ -184,10 +227,17 @@ def evaluate_term(
             raise TermError(f"variable {term.name!r} is not assigned") from exc
     if isinstance(term, Const):
         return term.value
+    if isinstance(term, Param):
+        try:
+            return params[term.index]
+        except IndexError as exc:
+            raise TermError(f"parameter {term} is not bound") from exc
     if isinstance(term, Func):
         if not functions or term.symbol not in functions:
             raise TermError(f"no interpretation for function symbol {term.symbol!r}")
         func = functions[term.symbol]
-        values = [evaluate_term(arg, assignment, functions) for arg in term.args]
+        values = [
+            evaluate_term(arg, assignment, functions, params) for arg in term.args
+        ]
         return func(*values)
     raise TermError(f"unknown term type {type(term).__name__}")

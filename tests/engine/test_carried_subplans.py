@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core import PrerelationSpec, WpcCalculator
 from repro.db import Database, Delta, random_graph
 from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
-from repro.engine import backend as backend_module
 from repro.engine.delta import _IncrementalRun
 from repro.logic import parse
 from repro.logic.signature import EMPTY_SIGNATURE
@@ -29,15 +28,6 @@ from strategies import graph_deltas, graphs, maybe_seed
 NAIVE = NaiveBackend()
 NO_LOOPS = parse("forall x . ~E(x, x)")
 ANTISYMMETRIC = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
-
-
-@pytest.fixture(autouse=True, scope="module")
-def optimise_small_databases():
-    """Interning (hence sharing) happens when a plan is optimised, and test
-    graphs sit below the row count where that is eager."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(backend_module, "_OPT_EAGER_ROWS", 0)
-        yield
 
 
 def precondition(program: FOProgram, constraint=NO_LOOPS):
@@ -119,7 +109,10 @@ def test_partitioned_row_sets_are_shadowed_by_full_executions():
     """The families above hold a handful of rows, so every row set in them is
     one partition.  At 2 000 rows the relation, the 2-path join and the
     carried scans span many: the same stream shapes — whole formulas, fresh
-    preconditions, a rolled-back branch — under ``verify``."""
+    preconditions, a rolled-back branch — under ``verify``.  Three standing
+    preconditions share one plan with the fresh ones and are met again at
+    every state, so the plan's parameterised scans are also *updated*
+    incrementally, each binding from its own state, and shadowed."""
     from repro.db.delta import RowSet
 
     no_triangles = parse("forall x . forall y . forall z . (E(x, y) & E(y, z)) -> ~E(z, x)")
@@ -129,6 +122,11 @@ def test_partitioned_row_sets_are_shadowed_by_full_executions():
         (a, a + 1 + (a * 7 + j * 13) % 40) for a in range(250) for j in range(8)
     )
     assert db.cardinality("E") >= 2000
+    standing = [
+        precondition(insert(3, 200), ANTISYMMETRIC),
+        precondition(insert(0, 1), ANTISYMMETRIC),
+        precondition(insert(249, 9999), ANTISYMMETRIC),  # 9999 is never active
+    ]
     updates = [
         ("insert", (3, 200)), ("insert", (200, 3)), ("delete", (200, 3)),
         ("insert", (7, 7)), ("delete", (7, 7)), ("insert", (120, 5)),
@@ -146,10 +144,14 @@ def test_partitioned_row_sets_are_shadowed_by_full_executions():
             for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
         ]
         fresh = precondition(insert(1000 + step, 5), ANTISYMMETRIC)
-        assert carried.evaluate(fresh, candidate) == full.evaluate(fresh, candidate)
+        for formula in [fresh] + standing:
+            assert carried.evaluate(formula, candidate) == full.evaluate(formula, candidate)
         if all(verdicts):  # keep it; otherwise the stream resumes from the parent
             db = candidate
-    assert carried.delta_hits >= len(updates)  # no-op and re-met states hit the memo
+    # no-op and re-met states hit the memo; past the first state every
+    # standing precondition is advanced, not re-run
+    assert carried.delta_hits >= len(updates) + len(standing) * (len(updates) - 2)
+    assert carried.cache_stats()["plans"] == 4  # three constraints, one precondition shape
     assert carried.cache_stats()["shared_carried"] > 0
     state = carried._state_for(db, (no_triangles, (), None, EMPTY_SIGNATURE))
     spans_partitions = [
