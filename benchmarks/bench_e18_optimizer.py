@@ -18,8 +18,7 @@ Three engines run the identical query set:
 The headline metric is ``opt_vs_noopt`` — the acceptance bar is **>= 2x** on
 the production size — plus a multi-constraint *plan sharing* figure (shared
 sub-plans detected across the constraint set, and the optimizer counters
-from ``cache_stats()``).  A sharded leg re-runs the star/chain mix under
-``ShardedBackend`` with the partition-aware cost model on and off.
+from ``cache_stats()``).
 
 Every figure is emitted as a ``BENCH-METRIC`` line for ``run_all.py``.
 """
@@ -31,7 +30,7 @@ import time
 import pytest
 
 from repro.db import Database, RelationSchema, Schema
-from repro.engine import CompiledBackend, NaiveBackend, ShardedBackend
+from repro.engine import CompiledBackend, NaiveBackend
 
 AUDIT = Schema(
     [
@@ -203,32 +202,3 @@ def test_e18_oracle_parity(benchmark):
     emit_metric("e18-tiny", payload)
     benchmark.extra_info.update(payload)
 
-
-def test_e18_sharded_cost_model(benchmark):
-    """The partition-aware cost model under the sharded engine."""
-    accounts, users, transfers, follows, suspects = SIZES["small"]
-    seed = bench_seed()
-    dbs = [
-        audit_db(accounts, users, transfers, follows, suspects, seed + 17 + i)
-        for i in range(2)
-    ]
-    noopt_s, noopt_results = timed(
-        ShardedBackend(shards=4, optimizer="off", pool_threads=0), dbs
-    )
-    rounds = []
-
-    def opt_round():
-        backend = ShardedBackend(shards=4, optimizer="on", pool_threads=0)
-        rounds.append(timed(backend, dbs))
-        backend.close()
-
-    benchmark(opt_round)
-    opt_s, opt_results = min(rounds, key=lambda r: r[0])
-    assert opt_results == noopt_results
-    payload = {
-        "sharded_noopt_s": round(noopt_s, 3),
-        "sharded_opt_s": round(opt_s, 3),
-        "sharded_opt_vs_noopt": round(noopt_s / opt_s, 2) if opt_s > 0 else 0.0,
-    }
-    emit_metric("e18-sharded", payload)
-    benchmark.extra_info.update(payload)

@@ -10,6 +10,8 @@ root::
     {
       "rev": "abc1234",
       "python": "3.11.7",
+      "src_lines": 22593,
+      "repro_knobs": 17,
       "results": {
         "e09": {"naive": 12.81, "compiled": 1.07, "speedup": 11.9, "ok": true},
         ...
@@ -33,7 +35,10 @@ Usage::
 in the trajectory file, and experiments that print ``BENCH-METRIC`` lines
 (E16's throughput/speedup/abort-rate) get them folded into their row.
 ``METRIC_CEILINGS`` holds the recorded ratios that every run must stay under
-(E13's static-precondition over run-time-check cost).
+(E13's static-precondition over run-time-check cost).  ``src_lines`` (lines
+of ``src/**/*.py``) and ``repro_knobs`` (distinct ``REPRO_*`` names under
+``src/``) track the size of the code and of its configuration surface;
+they are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 # the experiments dominated by formula evaluation (the engine's hot paths)
 QUICK = (
-    "e09", "e12", "e13", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22",
+    "e09", "e12", "e13", "e15", "e16", "e18", "e20", "e21", "e22",
 )
 # per-experiment extra backends beyond the requested ones: the update-stream
 # experiment A/Bs the compiled engine with delta evaluation off, so the
@@ -64,15 +69,12 @@ QUICK = (
 # incremental path in a form that survives both that and a change of hardware
 EXTRA_BACKENDS = {"e15": ("compiled-nodelta",)}
 # per-experiment backend restriction: the service experiment compares the
-# concurrent pipeline against a serial baseline *inside* one process, the
-# sharded experiment sweeps its own shard-count matrix internally, and the
+# concurrent pipeline against a serial baseline *inside* one process, and the
 # optimizer experiment times naive/unoptimized/optimized itself — the naive
 # interpreter plays no role and would only burn the timeout
 ONLY_BACKENDS = {
     "e16": ("compiled",),
-    "e17": ("compiled",),
     "e18": ("compiled",),
-    "e19": ("compiled",),
     # the durability experiment measures the storage engine (WAL appends,
     # fsyncs, recovery replay); the query backend never runs
     "e20": ("compiled",),
@@ -105,16 +107,10 @@ STRICT_BASELINE_KEYS = {
 METRICS_OVERHEAD_FLOOR = 0.97
 
 #: per-experiment *metric* ratios additionally gated by ``--baseline``:
-#: (metric name, field) pairs read from ``row["metrics"]``.  Process-mode
-#: ratios are hardware-shaped, so a pair is only compared when both runs
-#: recorded the same ``cpus`` — a baseline from a different runner is not
-#: a regression oracle for IPC-vs-GIL trade-offs
+#: (metric name, field) pairs read from ``row["metrics"]``.  A pair is only
+#: compared when both runs recorded the same ``cpus`` — a baseline from a
+#: different runner is not a regression oracle
 BASELINE_METRICS = {
-    "e19": (
-        ("e19-cold-scaling", "procs4_vs_threads4"),
-        ("e19-cold-scaling", "procs4_vs_compiled"),
-        ("e19-join-heavy", "procs4_vs_threads4"),
-    ),
     # deterministic (replay counts, not wall time): checkpoints must keep
     # shrinking recovery work by the same factor
     "e20": (("e20-checkpoint-recovery", "replay_reduction"),),
@@ -155,6 +151,18 @@ def discover() -> dict:
         if match:
             experiments[match.group(1)] = path
     return experiments
+
+
+def source_size() -> tuple:
+    """``(lines of src/**/*.py, distinct REPRO_* names under src/)``."""
+    lines = 0
+    knobs = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        lines += text.count("\n")
+        knobs.update(re.findall(r"REPRO_[A-Z_]+", text))
+    return lines, len(knobs)
 
 
 def git_revision() -> str:
@@ -464,9 +472,13 @@ def main(argv=None) -> int:
             print(f"{experiment:<5} delta-speedup  {row['delta_speedup']:>7.2f}x")
         results[experiment] = row
 
+    src_lines, repro_knobs = source_size()
+    print(f"src_lines {src_lines}  repro_knobs {repro_knobs}")
     payload = {
         "rev": rev,
         "python": platform.python_version(),
+        "src_lines": src_lines,
+        "repro_knobs": repro_knobs,
         # wall-time ratios between backends are hardware-shaped: a baseline
         # is only comparable with a run on as many processors
         "cpus": os.cpu_count(),

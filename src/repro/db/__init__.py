@@ -42,14 +42,6 @@ from .graph import (
     two_branch_tree,
     weakly_connected,
 )
-from .sharding import (
-    DEFAULT_SHARDS,
-    SHARDS_ENV,
-    ShardedDatabase,
-    shard_of,
-    shards_from_env,
-    split_delta,
-)
 from .engines import (
     DURABLE_ENV,
     WAL_DIR_ENV,
@@ -100,12 +92,6 @@ __all__ = [
     "transitive_closure",
     "two_branch_tree",
     "weakly_connected",
-    "DEFAULT_SHARDS",
-    "SHARDS_ENV",
-    "ShardedDatabase",
-    "shard_of",
-    "shards_from_env",
-    "split_delta",
     "DURABLE_ENV",
     "WAL_DIR_ENV",
     "WAL_CHECKPOINT_ENV",

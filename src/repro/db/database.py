@@ -347,9 +347,7 @@ class Database:
                 delta.inserted.get(name, _EMPTY_ROWS),
                 delta.deleted.get(name, _EMPTY_ROWS),
             )
-        # type(self), not Database: subclasses (the sharded database) stay
-        # closed under functional updates and finish via _derive_from_parent
-        child = type(self)._from_validated(self._schema, relations)
+        child = Database._from_validated(self._schema, relations)
         # hash indexes: share the untouched ones, patch the rest per partition
         for (name, columns), index in self._indexes.items():
             if name in touched:
@@ -415,16 +413,7 @@ class Database:
             if parent_ref() is not None:
                 skip = (parent_ref, to_self.then(delta))
         child._delta_skip = skip
-        child._derive_from_parent(self, delta)
         return child
-
-    def _derive_from_parent(self, parent: "Database", delta: "Delta") -> None:
-        """Subclass hook: finish a child produced by :meth:`apply_delta`.
-
-        Called with the (normalized, non-empty) delta after every cache has
-        been patched; the sharded database uses it to advance its per-shard
-        decomposition in O(|delta|).
-        """
 
     def with_relation(
         self, name: str, rows: Iterable[Sequence[object]]

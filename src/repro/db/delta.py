@@ -625,11 +625,10 @@ class Delta:
     WIRE_VERSION = "delta/1"
 
     def to_wire(self) -> Tuple:
-        """A versioned, deterministic, plain-tuple form for IPC and logs.
+        """A versioned, deterministic, plain-tuple form for logs.
 
-        Deltas pickle fine as objects, but the wire form is what crosses
-        process boundaries (the sharded backend's worker protocol) and what
-        a durable log would record: no class reference, a version tag for
+        Deltas pickle fine as objects, but the wire form is what the
+        durable log records: no class reference, a version tag for
         forward compatibility, and deterministic ordering (relations and
         rows sorted) so equal deltas serialize identically.
         """

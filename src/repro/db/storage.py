@@ -64,7 +64,6 @@ from .database import Database
 from .delta import Delta
 from .engines import MemoryEngine, StorageEngine, StorageEngineError, engine_from_env
 from .schema import Schema
-from .sharding import ShardedDatabase
 
 logger = logging.getLogger(__name__)
 
@@ -202,16 +201,10 @@ class Store:
         schema: Schema,
         initial: Optional[Database] = None,
         *,
-        shards: Optional[int] = None,
         engine: Optional[StorageEngine] = None,
     ):
         self._lock = threading.RLock()
         self._schema = schema
-        # shard count for materialised snapshots: snapshots come out as
-        # ShardedDatabase (hash-partitioned), and since apply_delta preserves
-        # shardedness, the whole MVCC version chain stays sharded — the
-        # group-commit batch delta is split per shard on application
-        self._shards = shards
         # the persistence layer: every committed batch is offered to the
         # engine before the in-memory state moves (see _commit_pending);
         # `engine=None` defers to REPRO_DURABLE/REPRO_WAL_DIR, whose default
@@ -246,8 +239,6 @@ class Store:
             if initial is not None:
                 for name in schema.relation_names:
                     self._data[name] = set(initial.relation(name))
-                if shards is not None and not isinstance(initial, ShardedDatabase):
-                    initial = ShardedDatabase.from_database(initial, shards)
                 self._snapshot = initial
                 # persist the starting state: the log alone cannot
                 # reconstruct rows it never saw
@@ -332,11 +323,7 @@ class Store:
         with self._lock:
             if self._snapshot is None:
                 relations = {k: list(v) for k, v in self._data.items()}
-                self._snapshot = (
-                    ShardedDatabase(self._schema, relations, self._shards)
-                    if self._shards is not None
-                    else Database(self._schema, relations)
-                )
+                self._snapshot = Database(self._schema, relations)
                 self._since_snapshot.clear()
             elif self._since_snapshot:
                 self._snapshot = self._snapshot.apply_delta(

@@ -32,10 +32,17 @@ Crash points and their recovery:
   the checkpoint version.
 * mid-checkpoint → the temp file never renamed; recovery uses the previous
   checkpoint (or the empty state) plus the intact log.
+
+**One writer per directory.**  An engine holds an exclusive ``flock`` on
+``<directory>/LOCK`` from open to close (or crash); a second engine on a live
+directory is refused with :class:`~repro.db.engines.StorageEngineError`.  The
+kernel drops the lock when the holding process dies, so a restart after a
+kill reopens the directory.
 """
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import shutil
@@ -82,6 +89,7 @@ _KIND_BATCH = 0x44       # "D": one committed (version, delta) batch
 _KIND_CHECKPOINT = 0x53  # "S": one full (version, relations) snapshot
 
 _WAL_NAME = "wal.log"
+_LOCK_NAME = "LOCK"
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".snap"
 
@@ -143,8 +151,34 @@ def _canonical_relations(relations: Mapping[str, FrozenSet[Row]]) -> Tuple:
     )
 
 
+def _lock_directory(directory: str) -> int:
+    """Take ``directory``'s single-writer lock; returns the descriptor holding it.
+
+    A non-blocking exclusive ``flock`` on ``<directory>/LOCK``: a directory
+    another engine holds — in this process or any other — is refused at once
+    instead of interleaving two writers' appends.
+    """
+    fd = os.open(os.path.join(directory, _LOCK_NAME), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(fd)
+        raise StorageEngineError(
+            f"WAL directory {directory} is locked by another storage engine"
+        ) from exc
+    return fd
+
+
+def _release_lock(state: Dict[str, object]) -> None:
+    fd = state.get("lock")
+    if fd is not None:
+        state["lock"] = None
+        os.close(fd)
+
+
 def _cleanup(state: Dict[str, object]) -> None:
-    """Close the WAL handle and drop ephemeral directories (finalizer-safe).
+    """Close the WAL handle, release the directory lock and drop ephemeral
+    directories (finalizer-safe).
 
     Runs via ``weakref.finalize`` when an engine is garbage collected without
     :meth:`WalStorageEngine.close` — the net that keeps the full-suite
@@ -158,6 +192,7 @@ def _cleanup(state: Dict[str, object]) -> None:
             handle.close()
         except Exception:  # noqa: BLE001 - nothing to do at GC time
             pass
+    _release_lock(state)
     if state.get("ephemeral"):
         shutil.rmtree(str(state["dir"]), ignore_errors=True)
 
@@ -165,10 +200,11 @@ def _cleanup(state: Dict[str, object]) -> None:
 class WalStorageEngine(StorageEngine):
     """Durable delta WAL + snapshot checkpoints in one directory.
 
-    ``directory`` is created if missing and owns three kinds of files:
+    ``directory`` is created if missing and owns four kinds of files:
     ``wal.log`` (the current log segment), ``checkpoint-<version>.snap``
     (the newest snapshot; older ones are deleted after a successful
-    checkpoint) and transient ``*.tmp`` files from interrupted checkpoints.
+    checkpoint), transient ``*.tmp`` files from interrupted checkpoints and
+    ``LOCK``, whose ``flock`` the engine holds while it is open.
 
     One engine instance belongs to exactly one store; the engine takes its
     own lock around file mutation, so a store shared across threads (the
@@ -208,6 +244,7 @@ class WalStorageEngine(StorageEngine):
         self.fsync_policy = fsync
         self.checkpoint_interval = max(0, checkpoint_interval)
         os.makedirs(self.directory, exist_ok=True)
+        lock_fd = _lock_directory(self.directory)
         self._lock = threading.Lock()
         self._closed = False
         self._last_version = -1
@@ -239,6 +276,7 @@ class WalStorageEngine(StorageEngine):
         # file descriptor or (for ephemeral engines) the directory
         self._state: Dict[str, object] = {
             "file": None,
+            "lock": lock_fd,
             "dir": self.directory,
             "ephemeral": _ephemeral,
         }
@@ -626,11 +664,11 @@ class WalStorageEngine(StorageEngine):
     def crash(self) -> None:
         """Testing hook: die without the orderly close.
 
-        Drops the file handle exactly as an abrupt process death would leave
-        the directory — every acked append is already flushed to the OS, any
-        torn tail the test wants must be carved with direct file truncation.
-        Ephemeral directories are *not* removed: the point of crashing is to
-        recover from what is left.
+        Drops the file handle and the directory lock exactly as an abrupt
+        process death would leave the directory — every acked append is
+        already flushed to the OS, any torn tail the test wants must be carved
+        with direct file truncation.  Ephemeral directories are *not* removed:
+        the point of crashing is to recover from what is left.
         """
         with self._lock:
             self._closed = True
@@ -642,6 +680,7 @@ class WalStorageEngine(StorageEngine):
                     handle.close()
                 except OSError:
                     pass
+            _release_lock(self._state)
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

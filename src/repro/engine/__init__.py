@@ -15,10 +15,7 @@ Quick orientation:
 * :mod:`repro.engine.backend` — :class:`NaiveBackend` (the original recursive
   interpreter, kept as the semantics oracle) and :class:`CompiledBackend`
   (plans + per-``(formula, db)`` memo), plus the process-global active
-  backend selected by ``REPRO_BACKEND``;
-* :mod:`repro.engine.parallel` — :class:`ShardedBackend`: per-shard plan
-  execution over hash-partitioned databases (co-partitioned/broadcast joins,
-  partial aggregation, shard-level result caches), ``REPRO_SHARDS`` knob.
+  backend selected by ``REPRO_BACKEND``.
 """
 
 from .plan import (
@@ -66,7 +63,6 @@ from .backend import (
     set_backend,
     using_backend,
 )
-from .parallel import ShardedBackend
 
 __all__ = [
     "Antijoin",
@@ -106,7 +102,6 @@ __all__ = [
     "Backend",
     "CompiledBackend",
     "NaiveBackend",
-    "ShardedBackend",
     "active_backend",
     "backend_from_name",
     "set_backend",

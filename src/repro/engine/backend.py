@@ -444,22 +444,15 @@ class CompiledBackend(Backend):
                 self._memo[db] = lru
             return lru
 
-    def _shape(self, formula: Formula) -> Tuple[object, Tuple[object, ...]]:
-        """``(shape key, parameter values)`` of ``formula``.
-
-        Plans are cached per key and executed under the values.  A backend
-        whose executor reads constants out of the plan (the sharded one)
-        overrides this to make every formula its own, parameterless shape.
-        """
-        return formula.shape()
-
     def plan_for(self, formula: Formula, variables: Tuple[str, ...]) -> Plan:
         """The (cached) compiled plan for ``formula``'s shape over ``variables``.
 
-        Known-uncompilable shapes are cached too (as a sentinel), so a
-        formula the compiler rejects is not re-compiled on every check.
+        Plans are cached per shape key (:meth:`Formula.shape`) and executed
+        under the formula's constants.  Known-uncompilable shapes are cached
+        too (as a sentinel), so a formula the compiler rejects is not
+        re-compiled on every check.
         """
-        shape, params = self._shape(formula)
+        shape, params = formula.shape()
         key = (shape, variables)
         plan = self._plans.get(key)
         if plan is _UNCOMPILABLE:
@@ -476,10 +469,6 @@ class CompiledBackend(Backend):
         return plan
 
     # -- cost-based plan selection ----------------------------------------------
-
-    def _optimizer_params(self) -> OptimizerParams:
-        """The cost-model configuration (the sharded backend overrides this)."""
-        return OptimizerParams()
 
     def _plan_for_execution(
         self,
@@ -541,7 +530,7 @@ class CompiledBackend(Backend):
         domain_size: int,
         default_domain: bool,
     ) -> Tuple[str, Optional[Plan], float]:
-        params = self._optimizer_params()
+        params = OptimizerParams()
         stats = db.stats()
         estimator = Estimator(stats, domain_size, default_domain, params)
         syntactic_cost = estimator.cost(plan)
@@ -642,9 +631,7 @@ class CompiledBackend(Backend):
 
     def _context(self, formula, db, domain_key, signature) -> ExecutionContext:
         """An execution context binding the plan's slots to ``formula``'s constants."""
-        return ExecutionContext(
-            db, domain_key, signature, params=self._shape(formula)[1]
-        )
+        return ExecutionContext(db, domain_key, signature, params=formula.shape()[1])
 
     def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
         """Full execution (when the incremental path declined) plus memoing."""
@@ -658,7 +645,7 @@ class CompiledBackend(Backend):
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode != "off":
-                self._remember_state(db, memo_key, self._plan_state_from(ctx))
+                self._remember_state(db, memo_key, PlanState(dict(ctx.cache)))
             if self.optimizer_mode == "explain":
                 self._record_estimation(plan, db, memo_key, rows)
         memo.put(memo_key, rows)
@@ -670,7 +657,7 @@ class CompiledBackend(Backend):
         domain_size = len(domain_key) if domain_key is not None else len(db.active_domain)
         try:
             estimator = Estimator(
-                db.stats(), domain_size, domain_key is None, self._optimizer_params()
+                db.stats(), domain_size, domain_key is None, OptimizerParams()
             )
             estimate = estimator.estimate(plan).rows
         except Exception:  # estimation must never break evaluation
@@ -707,7 +694,7 @@ class CompiledBackend(Backend):
             len(domain_key) if domain_key is not None else len(db.active_domain)
         )
         original = self.plan_for(formula, variables)  # CompileError propagates
-        params = self._optimizer_params()
+        params = OptimizerParams()
         stats = db.stats()
         estimator = Estimator(stats, domain_size, domain_key is None, params)
         naive_cost = estimate_naive_cost(formula, variables, domain_size)
@@ -717,7 +704,7 @@ class CompiledBackend(Backend):
             f"optimizer: {self.optimizer_mode}  domain={domain_size}  "
             f"naive_cost~{naive_cost:.0f}",
         ]
-        bound = self._shape(formula)[1]
+        bound = formula.shape()[1]
         if bound:
             lines.append(
                 "parameters: "
@@ -744,7 +731,7 @@ class CompiledBackend(Backend):
         return "\n".join(lines)
 
     def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> Rows:
-        """Full (non-incremental) plan execution — the sharded backend's hook.
+        """Full (non-incremental) plan execution.
 
         Sub-plans the structural interner identified as shared between
         formulas are not executed here when the state history can supply
@@ -822,10 +809,6 @@ class CompiledBackend(Backend):
             rows[current] = cached
             stack.extend(current.children())
         return rows
-
-    def _plan_state_from(self, ctx: ExecutionContext) -> PlanState:
-        """The rememberable node-level state of a full execution (hook)."""
-        return PlanState(dict(ctx.cache))
 
     # -- incremental (delta) evaluation -----------------------------------------
 
@@ -964,7 +947,7 @@ class CompiledBackend(Backend):
 # ---------------------------------------------------------------------------
 
 #: Names accepted by :func:`backend_from_name` (and ``REPRO_BACKEND``).
-BACKEND_NAMES = ("naive", "compiled", "compiled-delta", "compiled-nodelta", "sharded")
+BACKEND_NAMES = ("naive", "compiled", "compiled-delta", "compiled-nodelta")
 
 
 def backend_from_name(name: str) -> Backend:
@@ -973,8 +956,6 @@ def backend_from_name(name: str) -> Backend:
     ``compiled-delta`` / ``compiled-nodelta`` are the compiled engine with
     incremental delta evaluation forced on / off regardless of
     ``REPRO_DELTA`` (the benchmarks use them to A/B the update fast path).
-    ``sharded`` is the hash-partitioned parallel engine; its shard count
-    comes from ``REPRO_SHARDS`` (default 4).
     """
     normalized = name.strip().lower()
     if normalized in ("naive", "interpreter", "model"):
@@ -985,10 +966,6 @@ def backend_from_name(name: str) -> Backend:
         return CompiledBackend(delta="on")
     if normalized == "compiled-nodelta":
         return CompiledBackend(delta="off")
-    if normalized in ("sharded", "parallel"):
-        from .parallel import ShardedBackend
-
-        return ShardedBackend()
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )

@@ -7,8 +7,7 @@ statistics a database maintains (:mod:`repro.engine.stats`), it
 
 * **estimates** the cardinality of every plan node (:class:`Estimator`) and
   prices plans with a cost model that charges for rows scanned, hashed and
-  materialised — and, under a sharded backend, knows that co-partitioned
-  joins parallelise while broadcast joins pay to replicate one side;
+  materialised;
 * **reorders joins**: maximal join blocks (trees of hash joins with their
   pushed-down selections and antijoin filters) are collected and re-assembled
   bottom-up — exact dynamic programming over subsets (bushy shapes included)
@@ -103,55 +102,15 @@ _BLOCK_SKIP_COST = 128.0
 
 
 class OptimizerParams:
-    """Tuning knobs of the optimizer (one instance per backend).
+    """Tuning knobs of the optimizer (one instance per backend)."""
 
-    ``num_shards > 1`` switches the cost model into partition-aware mode:
-    co-partitioned joins divide their work across shards while broadcast
-    joins pay ``|small side| * shards`` to replicate — which is exactly what
-    makes the reorderer pick join orders that keep the partition column in
-    the join key for as long as possible (the repartition point).
+    __slots__ = ("dp_cap", "naive_margin")
 
-    ``executor`` names how the sharded backend runs per-shard tasks.
-    Under ``"procs"`` co-partitioned operators *really* divide their work
-    across cores (not just across GIL-bound threads), and every broadcast
-    or repartition additionally pays an explicit serialization term —
-    ``ship_cost`` per replicated row — because the replicated side crosses
-    a process boundary instead of being shared memory.  Thread-mode
-    costing is unchanged.
-    """
-
-    __slots__ = (
-        "dp_cap",
-        "num_shards",
-        "partition_column",
-        "naive_margin",
-        "executor",
-        "ship_cost",
-    )
-
-    def __init__(
-        self,
-        dp_cap: int = 5,
-        num_shards: int = 1,
-        partition_column: int = 0,
-        naive_margin: float = 2.0,
-        executor: str = "threads",
-        ship_cost: float = 0.25,
-    ):
+    def __init__(self, dp_cap: int = 5, naive_margin: float = 2.0):
         self.dp_cap = dp_cap
-        self.num_shards = num_shards
-        self.partition_column = partition_column
         # a plan must be costed worse than `naive_margin` x the interpreter
         # before the backend abandons it for naive evaluation
         self.naive_margin = naive_margin
-        self.executor = executor
-        self.ship_cost = ship_cost
-
-    def broadcast_factor(self) -> float:
-        """Per-replicated-row multiplier for broadcast/repartition edges."""
-        if self.executor == "procs":
-            return 1.0 + self.ship_cost
-        return 1.0
 
 
 DEFAULT_PARAMS = OptimizerParams()
@@ -200,7 +159,6 @@ class Estimator:
         self._estimates: Dict[Plan, Estimate] = {}
         self._op_costs: Dict[Plan, float] = {}
         self._total_costs: Dict[Plan, float] = {}
-        self._partitions: Dict[Plan, Optional[str]] = {}
 
     # -- cardinalities -----------------------------------------------------------
 
@@ -350,66 +308,6 @@ class Estimator:
             rows = left.rows * max(1.0 - match, 0.05)
         return Estimate(rows, {c: min(v, rows) for c, v in left.ndv.items()})
 
-    # -- partition-column inference (for the sharded cost model) -----------------
-
-    def partition_of(self, node: Plan) -> Optional[str]:
-        """The column on which this node's sharded result stays partitioned.
-
-        A static mirror of the runtime rules in
-        :class:`repro.engine.parallel._ShardedRun` — close enough for
-        costing, without executing anything.
-        """
-        cached = self._partitions.get(node, _MISSING)
-        if cached is not _MISSING:
-            return cached  # type: ignore[return-value]
-        partition = self._partition_of(node)
-        self._partitions[node] = partition
-        return partition
-
-    def _partition_of(self, node: Plan) -> Optional[str]:
-        column = self.params.partition_column
-        if isinstance(node, Scan):
-            kind, spec = node.pattern[column]
-            return spec if kind == "var" else None
-        if isinstance(node, (DomainScan, DomainDiagonal, DomainProduct, DomainComplement)):
-            return node.columns[0] if node.columns else None
-        if isinstance(node, Select):
-            return self.partition_of(node.child)
-        if isinstance(node, Project):
-            partition = self.partition_of(node.child)
-            return partition if partition in node.columns else None
-        if isinstance(node, (HashJoin, Antijoin)):
-            return self.partition_of(node.left if isinstance(node, Antijoin) else self._kept_side(node))
-        if isinstance(node, UnionAll):
-            partitions = {self.partition_of(part) for part in node.parts}
-            return partitions.pop() if len(partitions) == 1 else None
-        if isinstance(node, GroupCount):
-            partition = self.partition_of(node.child)
-            return partition if partition in node.columns else None
-        return None
-
-    def _kept_side(self, node: HashJoin) -> Plan:
-        left_part = self.partition_of(node.left)
-        right_part = self.partition_of(node.right)
-        if (
-            left_part is not None
-            and left_part == right_part
-            and left_part in node.shared
-        ):
-            return node.left  # co-partitioned: output keeps the partition
-        # broadcast keeps the bigger side partitioned
-        if self.estimate(node.left).rows >= self.estimate(node.right).rows:
-            return node.left
-        return node.right
-
-    def _is_co_partitioned(self, node) -> bool:
-        left_part = self.partition_of(node.left)
-        return (
-            left_part is not None
-            and left_part == self.partition_of(node.right)
-            and left_part in node.shared
-        )
-
     # -- costs -------------------------------------------------------------------
 
     def cost(self, root: Plan) -> float:
@@ -437,7 +335,6 @@ class Estimator:
 
     def _op_cost(self, node: Plan) -> float:
         rows = self.estimate(node).rows
-        shards = max(self.params.num_shards, 1)
         if isinstance(node, Scan):
             if node._const_positions:
                 return rows + 1.0  # index lookup
@@ -445,40 +342,29 @@ class Estimator:
                 cardinality = float(self.stats.relation(node.relation).cardinality)
             except KeyError:
                 cardinality = 0.0
-            return cardinality / shards + rows + 1.0
+            return cardinality + rows + 1.0
         if isinstance(node, (DomainScan, DomainDiagonal, DomainProduct)):
-            return rows / shards + 1.0
+            return rows + 1.0
         if isinstance(node, (ConstantTable, SingletonIfActive)):
             return 1.0
         if isinstance(node, Select):
             child_rows = self.estimate(node.child).rows
-            return child_rows * _PREDICATE_COST / shards + rows
+            return child_rows * _PREDICATE_COST + rows
         if isinstance(node, Project):
-            return self.estimate(node.child).rows / shards + rows
+            return self.estimate(node.child).rows + rows
         if isinstance(node, (HashJoin, Antijoin)):
             left = self.estimate(node.left).rows
             right = self.estimate(node.right).rows
             if isinstance(node, HashJoin) and not node.shared and node._right_extra:
-                work = min(left * right, _CAP) + rows  # cartesian product
-            else:
-                work = left + right + rows
-            if shards > 1:
-                if self._is_co_partitioned(node):
-                    return work / shards + 1.0
-                # broadcast: replicate the smaller side to every shard; in
-                # process mode each replicated row also pays serialization
-                broadcast = min(left, right)
-                return work / shards + (
-                    broadcast * shards * self.params.broadcast_factor()
-                )
-            return work
+                return min(left * right, _CAP) + rows  # cartesian product
+            return left + right + rows
         if isinstance(node, UnionAll):
-            return sum(self.estimate(part).rows for part in node.parts) / shards + rows
+            return sum(self.estimate(part).rows for part in node.parts) + rows
         if isinstance(node, DomainComplement):
             total = min(self.n ** len(node.columns), _CAP)
-            return total / shards + self.estimate(node.child).rows
+            return total + self.estimate(node.child).rows
         if isinstance(node, GroupCount):
-            return self.estimate(node.child).rows / shards + rows
+            return self.estimate(node.child).rows + rows
         return rows + 1.0
 
 
@@ -573,14 +459,13 @@ class _Sub:
     at materialisation), ``applied`` their ids across the whole subtree.
     """
 
-    __slots__ = ("cost", "rows", "ndv", "cols", "part", "tree", "applied", "attached")
+    __slots__ = ("cost", "rows", "ndv", "cols", "tree", "applied", "attached")
 
-    def __init__(self, cost, rows, ndv, cols, part, tree):
+    def __init__(self, cost, rows, ndv, cols, tree):
         self.cost = cost
         self.rows = rows
         self.ndv = ndv
         self.cols = cols
-        self.part = part
         self.tree = tree
         self.applied: Set[int] = set()
         self.attached: List[object] = []
@@ -835,7 +720,6 @@ class _Rewriter:
             rows=estimate.rows,
             ndv=dict(estimate.ndv),
             cols=frozenset(item.columns),
-            part=self.estimator.partition_of(item),
             tree=index,
         )
         self._decorate_sub(sub)
@@ -844,7 +728,6 @@ class _Rewriter:
     def _decorate_sub(self, sub: "_Sub") -> None:
         """Price (and record) every filter/negation ``sub`` newly covers."""
         estimator = self.estimator
-        shards = max(self.params.num_shards, 1)
         changed = True
         while changed:
             changed = False
@@ -852,7 +735,7 @@ class _Rewriter:
                 if id(pending) in sub.applied or not pending.variables <= sub.cols:
                     continue
                 new_rows = sub.rows * _SELECT_SEL
-                sub.cost += sub.rows * _PREDICATE_COST / shards + new_rows
+                sub.cost += sub.rows * _PREDICATE_COST + new_rows
                 sub.rows = new_rows
                 sub.ndv = {c: min(v, new_rows) for c, v in sub.ndv.items()}
                 sub.applied.add(id(pending))
@@ -902,23 +785,6 @@ class _Rewriter:
             )
             rows = min(left.rows * right.rows / denominator, _CAP)
             work = left.rows + right.rows + rows
-        shards = max(self.params.num_shards, 1)
-        co_partitioned = (
-            left.part is not None and left.part == right.part and left.part in shared
-        )
-        if shards > 1:
-            if co_partitioned:
-                work = work / shards + 1.0
-            else:
-                work = work / shards + (
-                    min(left.rows, right.rows)
-                    * shards
-                    * self.params.broadcast_factor()
-                )
-        if co_partitioned:
-            part = left.part
-        else:
-            part = left.part if left.rows >= right.rows else right.part
         ndv: Dict[str, float] = {}
         for column in left.cols | right.cols:
             value = left.ndv.get(column)
@@ -933,7 +799,6 @@ class _Rewriter:
             rows=rows,
             ndv=ndv,
             cols=left.cols | right.cols,
-            part=part,
             tree=(left, right),
         )
 
@@ -1285,6 +1150,3 @@ def explain_plan(
 
     walk(plan, 0)
     return "\n".join(lines)
-
-
-_MISSING = object()

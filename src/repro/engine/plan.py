@@ -89,13 +89,10 @@ class ExecutionContext:
 
     ``domain`` is the quantification domain (defaults to the database's active
     domain); ``signature`` interprets ``Omega`` symbols referenced by
-    interpreted selections.  ``covers`` is for a caller that already knows
-    whether the domain contains the database's active domain (the sharded run
-    knows it of every shard from the whole); see :meth:`covers_database`.
-    ``params`` binds the plan's parameter slots: a plan is compiled once per
-    formula *shape*, with a slot where each constant stood, and every
-    execution supplies the constants of the formula at hand.
-    The context also counts rows produced by each operator kind, which the
+    interpreted selections.  ``params`` binds the plan's parameter slots: a
+    plan is compiled once per formula *shape*, with a slot where each
+    constant stood, and every execution supplies the constants of the
+    formula at hand.  The context also counts rows produced by each operator kind, which the
     tests and ``EXPLAIN``-style debugging use.
     """
 
@@ -109,7 +106,6 @@ class ExecutionContext:
         db: Database,
         domain: Optional[Iterable[object]] = None,
         signature: Signature = EMPTY_SIGNATURE,
-        covers: Optional[bool] = None,
         params: Tuple[object, ...] = (),
     ):
         self.db = db
@@ -123,7 +119,7 @@ class ExecutionContext:
         )
         # ``None``: not compared yet (a domain that follows the database
         # always covers it)
-        self._covers: Optional[bool] = True if self.domain_key is None else covers
+        self._covers: Optional[bool] = True if self.domain_key is None else None
         self.signature = signature
         self.functions = signature.functions_mapping()
         self.stats: Dict[str, int] = {}
@@ -518,10 +514,8 @@ def join_key(columns: Sequence[str], shared: Sequence[str]) -> Callable[[Row], R
 def join_rows(node: "HashJoin", left_rows: Rows, right_rows: Rows) -> Rows:
     """The :class:`HashJoin` semantics over explicit inputs.
 
-    The one join body: the operator itself, the sharded executor (which feeds
-    per-shard partials) and the process-mode worker loop (which receives the
-    inputs over IPC) all evaluate joins through it.  The hash table is built
-    on the smaller side.
+    The operator's join body, callable over inputs computed elsewhere.  The
+    hash table is built on the smaller side.
     """
     shared = node.shared
     if not node._right_extra:

@@ -1,7 +1,7 @@
 """Deterministic, seed-driven fault injection.
 
 The framework is a registry of *named injection sites* threaded through
-the commit path (``wal.fsync``, ``executor.crash``, ``serve.write.reset``,
+the commit path (``wal.fsync``, ``storage.commit_batch``, ``serve.write.reset``,
 ...).  Production code calls the module-level hooks:
 
     from repro import faults as _faults

@@ -6,8 +6,7 @@ Three pillars, one import:
   (counters / gauges / histograms under dotted names, ``REPRO_METRICS`` knob,
   JSON snapshot + Prometheus text exposition);
 * :mod:`repro.obs.trace` — span tracing of per-transaction timelines
-  (``REPRO_TRACE`` knob, ring buffer, JSON-lines dump, worker-span
-  forwarding);
+  (``REPRO_TRACE`` knob, ring buffer, JSON-lines dump);
 * :mod:`repro.obs.profile` — per-plan-node wall-time/cardinality profiling
   merged into ``backend.explain()``.
 

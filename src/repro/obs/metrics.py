@@ -2,7 +2,7 @@
 
 One process-wide :class:`MetricsRegistry` (``get_registry()``) collects every
 counter the system bumps — engine plan-cache traffic, optimizer rewrites,
-shard-executor dispatches, service commit outcomes, WAL appends and fsyncs —
+service commit outcomes, WAL appends and fsyncs —
 under one hierarchical dotted naming scheme (``engine.plan_cache.hits``,
 ``wal.fsyncs``, ``service.commit.batch_size``; the full scheme and its mapping
 onto the legacy per-component dict views is tabulated in
@@ -17,10 +17,8 @@ Design constraints, in order:
 * **Thread safety.**  Real instruments take a per-instrument lock; a snapshot
   observed concurrently with increments is a consistent per-instrument read
   (the concurrent-increment hypothesis test pins the sum exactly).
-* **Process awareness.**  Each process owns its registry; worker processes
-  don't share memory with the coordinator, so cross-process aggregation
-  happens at the snapshot layer (``merge_snapshots``) — the same way the
-  shard executor already merges worker ``stats`` replies.
+* **Process awareness.**  Each process owns its registry; cross-process
+  aggregation happens at the snapshot layer (``merge_snapshots``).
 
 Export formats: :meth:`MetricsRegistry.snapshot` (plain dict, JSON-ready,
 embedded into every ``BENCH_<rev>.json`` by ``benchmarks/run_all.py``) and
@@ -80,15 +78,6 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "delta_misses": "engine.delta.misses",
     "fallbacks": "engine.compile.fallbacks",
     "incremental_evaluations": "engine.delta.hits",
-    # ShardedBackend.cache_stats()
-    "shard_hits": "engine.shard_cache.hits",
-    "shard_misses": "engine.shard_cache.misses",
-    # ProcessShardExecutor.stats()
-    "proc_tasks": "executor.tasks",
-    "proc_task_hits": "executor.task_hits",
-    "proc_fallbacks": "executor.fallbacks",
-    "proc_restarts": "executor.restarts",
-    "proc_breaker_trips": "executor.breaker_trips",
     # Store.storage_stats() / WalStorageEngine.stats()
     "wal_appends": "wal.appends",
     "fsyncs": "wal.fsyncs",
@@ -433,9 +422,9 @@ def merge_snapshots(*snapshots: Mapping[str, object]) -> Dict[str, object]:
     """Sum same-named numeric metrics across per-process snapshots.
 
     Histogram exports merge bucket-wise; later snapshots win for anything
-    non-numeric.  This is the cross-process aggregation layer: worker
-    processes serialise their registry with ``snapshot()`` and the
-    coordinator folds the dicts together.
+    non-numeric.  This is the cross-process aggregation layer: each
+    process serialises its registry with ``snapshot()`` and one caller
+    folds the dicts together.
     """
     merged: Dict[str, object] = {}
     for snap in snapshots:

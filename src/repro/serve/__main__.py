@@ -13,6 +13,9 @@ Knobs (flags override the environment):
 * ``--port`` / ``REPRO_SERVE_PORT`` (default ``7453``; ``0`` = ephemeral)
 * ``--workers`` / ``REPRO_SERVE_WORKERS`` (default 8)
 * ``--accounts`` / ``--edges-per`` — initial graph shape
+
+A storage engine that cannot start — ``REPRO_WAL_DIR`` held by another
+server, say — is logged and the process exits with status 1.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import logging
 import os
 import signal
+import sys
 
+from ..db.engines import StorageEngineError
 from ..service.workloads import build_service, forward_graph
 from .server import (
     SERVE_HOST_ENV,
@@ -34,6 +40,8 @@ from .server import (
 
 #: the default listening port (spells "SERV" on a phone pad, near enough)
 DEFAULT_PORT = 7453
+
+logger = logging.getLogger("repro.serve")
 
 
 async def _serve(args: argparse.Namespace) -> None:
@@ -64,7 +72,7 @@ async def _serve(args: argparse.Namespace) -> None:
     print("bye", flush=True)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve", description=__doc__.split("\n\n")[0]
     )
@@ -80,8 +88,13 @@ def main(argv=None) -> None:
     parser.add_argument("--edges-per", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    asyncio.run(_serve(args))
+    try:
+        asyncio.run(_serve(args))
+    except StorageEngineError as exc:
+        logger.error("cannot start: %s", exc)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -288,22 +288,12 @@ class TransactionService:
         commit_retries: Optional[int] = None,
         backend: Optional[Backend] = None,
         history_limit: int = 1024,
-        owns_backend: bool = False,
         owns_store: bool = False,
     ):
         self.backend = backend if backend is not None else active_backend()
-        self._owns_backend = owns_backend and backend is not None
         self._owns_store = owns_store
         if isinstance(store, Database):
-            # under a sharded backend the canonical store materialises
-            # hash-partitioned snapshots: every pinned version is a
-            # ShardedDatabase, and the group-commit batch delta splits into
-            # one composed sub-delta per shard when it is applied
-            store = Store(
-                store.schema,
-                store,
-                shards=getattr(self.backend, "num_shards", None),
-            )
+            store = Store(store.schema, store)
             # the service built this store, so the service must close it —
             # with REPRO_DURABLE=on it holds WAL file handles
             self._owns_store = True
@@ -339,19 +329,11 @@ class TransactionService:
     def close(self) -> None:
         """Release service-owned resources.
 
-        When the service was built with ``owns_backend=True`` (as
-        :func:`~repro.service.workloads.build_service` does for dedicated
-        sharded/process backends) this shuts down the backend's worker
-        pool; a shared/ambient backend is left untouched.  A store the
-        service created itself (one passed as a plain :class:`Database`, or
-        ``owns_store=True``) is closed too, releasing the storage engine's
-        file handles under ``REPRO_DURABLE=on``.  Idempotent.
+        A store the service created itself (one passed as a plain
+        :class:`Database`, or ``owns_store=True``) is closed, releasing the
+        storage engine's file handles under ``REPRO_DURABLE=on``.
+        Idempotent.
         """
-        if self._owns_backend:
-            self._owns_backend = False
-            closer = getattr(self.backend, "close", None)
-            if closer is not None:
-                closer()
         if self._owns_store:
             self._owns_store = False
             self.store.close()

@@ -257,8 +257,6 @@ def build_service(
     initial: Database,
     max_retries: int = 8,
     commit_timeout: float = 60.0,
-    shards: Optional[int] = None,
-    procs: Optional[int] = None,
     engine: Optional["StorageEngine"] = None,
 ) -> TransactionService:
     """A service over ``initial`` with the standard constraints and templates.
@@ -266,45 +264,21 @@ def build_service(
     The WPC classification of the standard templates is computed once per
     process and shared (see :func:`_standard_admission`), so repeated
     ``build_service`` calls — one per test, one per benchmark phase — pay for
-    admission verdicts exactly once.
-
-    By default the service evaluates on the ambient backend.  Passing
-    ``shards`` (and optionally ``procs``, the ``REPRO_SHARD_PROCS``
-    equivalent) builds a *dedicated* :class:`~repro.engine.parallel.
-    ShardedBackend` owned by the service — call
-    :meth:`~repro.service.scheduler.TransactionService.close` when done so
-    its process pool shuts down promptly.
+    admission verdicts exactly once.  The service evaluates on the ambient
+    backend.
 
     ``engine`` selects the store's :class:`~repro.db.engines.StorageEngine`
     (default: the ``REPRO_DURABLE``/``REPRO_WAL_DIR`` environment choice).
     The service owns the store it builds here, so ``close()`` releases the
     engine's file handles.
     """
-    from ..engine.backend import active_backend
-
     admission, constraints = _standard_admission()
-    backend = None
-    owns_backend = False
-    if shards is not None or procs is not None:
-        from ..engine.parallel import ShardedBackend
-
-        backend = ShardedBackend(shards=shards, procs=procs)
-        owns_backend = True
-    ambient = backend if backend is not None else active_backend()
-    store = Store(
-        GRAPH_SCHEMA,
-        initial,
-        shards=getattr(ambient, "num_shards", None),
-        engine=engine,
-    )
     return TransactionService(
-        store,
+        Store(GRAPH_SCHEMA, initial, engine=engine),
         constraints,
         admission=admission,
         max_retries=max_retries,
         commit_timeout=commit_timeout,
-        backend=backend,
-        owns_backend=owns_backend,
         # the store was built here, so service.close() must release it (it
         # may hold WAL handles under REPRO_DURABLE=on or an explicit engine)
         owns_store=True,

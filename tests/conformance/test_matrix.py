@@ -1,11 +1,10 @@
 """Cross-configuration conformance: every backend agrees with the oracle.
 
-The matrix is **backend × delta mode × shard count**: the compiled engine
-with incremental delta evaluation on and off, and the sharded parallel
-engine at 1, 2 and 4 shards — all compared against the naive recursive
-interpreter (the semantics oracle) on grammar-generated formulas crossed
-with random graph databases, under default and explicitly enlarged/shrunk
-quantification domains.
+The matrix is **backend × delta mode × optimizer**: the compiled engine
+with incremental delta evaluation on and off and with the optimizer off —
+all compared against the naive recursive interpreter (the semantics
+oracle) on grammar-generated formulas crossed with random graph databases,
+under default and explicitly enlarged/shrunk quantification domains.
 
 The generators live in ``tests/strategies.py`` (shared with the property
 suites); ``REPRO_SEED`` pins them for exact replay, and every failure
@@ -17,7 +16,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db import Database, ShardedDatabase, chain, cycle, random_graph
+from repro.db import Database, chain, cycle, random_graph
 from repro.engine import NaiveBackend
 from repro.logic import parse
 from repro.logic.syntax import Atom, BOTTOM, CountingExists, Eq, Exists, Forall, Or
@@ -25,7 +24,6 @@ from repro.logic.terms import Const
 
 from strategies import (
     CONSTANTS,
-    SHARD_COUNTS,
     VARIABLES,
     backend_matrix,
     formulas,
@@ -110,16 +108,6 @@ def test_counting_with_constants_conforms(db, value, threshold):
         "y", threshold, Or(Atom("E", "x", "y"), Eq("y", Const(value)))
     )
     assert_matrix_extension(formula, db, ["x"])
-
-
-@maybe_seed
-@given(db=graphs(), count=st.sampled_from(SHARD_COUNTS))
-def test_sharded_database_input_conforms(db, count):
-    """A natively sharded database evaluates like its merged contents."""
-    sharded = ShardedDatabase.from_database(db, count)
-    assert sharded == db
-    formula = parse("forall x . forall y . E(x, y) -> (exists z . E(y, z))")
-    assert_matrix_sentence(formula, sharded)
 
 
 class TestDeterministicCorners:

@@ -6,9 +6,8 @@ generators) into a WAL-backed store and an in-memory reference, crash the
 durable one at an arbitrary point with everything re-driven up to the crash,
 recover, finish the stream on both — the final states must be *equal*
 (``Database.__eq__``, which compares schema and relations) and
-content-hash-identical.  The sweep covers plain and sharded stores; the CI
-matrix legs (compiled/delta on and off, sharded) re-run this file under every
-backend configuration.
+content-hash-identical.  The CI matrix legs (compiled/delta on and off,
+optimizer off, naive) re-run this file under every backend configuration.
 """
 
 from __future__ import annotations
@@ -20,14 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, GRAPH_SCHEMA, ShardedDatabase, Store, WalStorageEngine
+from repro.db import Database, GRAPH_SCHEMA, Store, WalStorageEngine
 
 from strategies import maybe_seed, update_streams
-
-#: the shard axis: a plain store and a sharded-snapshot store must both
-#: recover; the shard count is a property of the snapshot layer, not of the
-#: durable log, so a log written plain may even be recovered sharded
-SHARD_AXIS = (None, 2)
 
 
 def drive(store: Store, stream) -> None:
@@ -41,17 +35,15 @@ class TestKillAndRecover:
     @maybe_seed
     @given(stream=update_streams(length=8), data=st.data())
     @settings(max_examples=40, deadline=None)
-    @pytest.mark.parametrize("shards", SHARD_AXIS)
-    def test_recovered_equals_never_crashed(self, shards, stream, data):
+    def test_recovered_equals_never_crashed(self, stream, data):
         crash_at = data.draw(
             st.integers(0, len(stream)), label="crash after step"
         )
         directory = tempfile.mkdtemp(prefix="repro-recover-")
         try:
-            reference = Store(GRAPH_SCHEMA, shards=shards)
+            reference = Store(GRAPH_SCHEMA)
             durable = Store(
                 GRAPH_SCHEMA,
-                shards=shards,
                 engine=WalStorageEngine(directory, checkpoint_interval=3),
             )
             drive(reference, stream)
@@ -60,7 +52,6 @@ class TestKillAndRecover:
 
             recovered = Store(
                 GRAPH_SCHEMA,
-                shards=shards,
                 engine=WalStorageEngine(directory, checkpoint_interval=3),
             )
             drive(recovered, stream[crash_at:])
@@ -70,9 +61,6 @@ class TestKillAndRecover:
             assert a == b
             assert hash(a) == hash(b)      # the patchable content digest agrees
             assert reference.version == recovered.version
-            if shards is not None:
-                assert isinstance(b, ShardedDatabase)
-                assert b.num_shards == shards
             recovered.engine.crash()
         finally:
             shutil.rmtree(directory, ignore_errors=True)
@@ -106,9 +94,9 @@ class TestKillAndRecover:
     @maybe_seed
     @given(stream=update_streams(length=6))
     @settings(max_examples=25, deadline=None)
-    def test_plain_log_recovers_into_sharded_store(self, stream):
-        """Durability is below the snapshot layer: shard counts may differ
-        across lifetimes and the recovered content is still identical."""
+    def test_log_recovers_identical_content(self, stream):
+        """A store reopened on a crashed writer's log holds the same
+        content, down to the content hash."""
         directory = tempfile.mkdtemp(prefix="repro-recover-")
         try:
             writer = Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
@@ -116,14 +104,11 @@ class TestKillAndRecover:
             expected = writer.committed_snapshot()
             writer.engine.crash()
 
-            sharded = Store(
-                GRAPH_SCHEMA, shards=2, engine=WalStorageEngine(directory)
-            )
-            got = sharded.committed_snapshot()
-            assert isinstance(got, ShardedDatabase)
+            reopened = Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
+            got = reopened.committed_snapshot()
             assert got == expected
             assert hash(got) == hash(expected)
-            sharded.engine.crash()
+            reopened.engine.crash()
         finally:
             shutil.rmtree(directory, ignore_errors=True)
 

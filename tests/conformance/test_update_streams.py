@@ -4,26 +4,20 @@ A random database evolves through a random stream of deltas
 (``apply_delta``, the provenance-recording fast path every functional
 update and store snapshot takes); at each step every backend configuration
 must agree with the oracle — this is what exercises the *incremental* code
-paths (the compiled engine's delta rules, the sharded engine's shard-level
-partial caches) rather than cold evaluation.
+paths (the compiled engine's delta rules) rather than cold evaluation.
 
-The sharded engine additionally runs in ``delta="verify"`` mode here, so
+The compiled engine additionally runs in ``delta="verify"`` mode here, so
 every incremental result is shadowed by a full execution inside the backend
-itself, and the sharded database's partition invariants (disjoint shards,
-union equals the merged relations, stable routing) are asserted along the
-way.
+itself.
 """
 
 from __future__ import annotations
 
 from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.db import Database, ShardedDatabase, shard_of
-from repro.engine import NaiveBackend, ShardedBackend
+from repro.engine import CompiledBackend, NaiveBackend
 
 from strategies import (
-    SHARD_COUNTS,
     backend_matrix,
     formulas,
     graphs,
@@ -33,21 +27,8 @@ from strategies import (
 
 ORACLE = NaiveBackend()
 MATRIX = backend_matrix() + [
-    ("sharded-4-verify", ShardedBackend(shards=4, delta="verify")),
+    ("compiled-verify", CompiledBackend(delta="verify")),
 ]
-
-
-def check_partition_invariants(sharded: ShardedDatabase) -> None:
-    shards = sharded.shards
-    assert len(shards) == sharded.num_shards
-    for name in sharded.schema.relation_names:
-        merged = frozenset().union(*(s.relation(name) for s in shards))
-        assert merged == sharded.relation(name)
-        total = sum(len(s.relation(name)) for s in shards)
-        assert total == len(sharded.relation(name)), "shards must be disjoint"
-        for index, shard in enumerate(shards):
-            for row in shard.relation(name):
-                assert shard_of(row[0], sharded.num_shards) == index
 
 
 @maybe_seed
@@ -67,48 +48,16 @@ def test_stream_conformance(formula, db, stream):
 
 
 @maybe_seed
-@given(db=graphs(), stream=update_streams(), count=st.sampled_from(SHARD_COUNTS))
-def test_sharded_stream_invariants(db, stream, count):
-    """Sharded databases stay correctly partitioned along apply_delta chains."""
-    current = ShardedDatabase.from_database(db, count)
-    check_partition_invariants(current)
-    plain = db
-    for delta in stream:
-        previous = current
-        current = current.apply_delta(delta)
-        plain = plain.apply_delta(delta)
-        assert isinstance(current, ShardedDatabase)
-        assert current == plain
-        check_partition_invariants(current)
-        # untouched shards are carried over as the same objects — the
-        # invariant the backend's shard-level caches key on
-        touched = {
-            shard_of(row[0], count)
-            for name in delta.touched()
-            for row in delta.rows_in(name)
-        }
-        for index, (before, after) in enumerate(
-            zip(previous.shards, current.shards)
-        ):
-            if index not in touched:
-                assert before is after
-
-
-@maybe_seed
 @given(db=graphs(), stream=update_streams(length=4))
 def test_store_snapshot_stream_conformance(db, stream):
-    """Sharded store snapshots agree with plain store snapshots step by step."""
+    """Store snapshots agree with the databases apply_delta derives step by step."""
     from repro.db import Store
 
-    plain = Store(db.schema, db)
-    sharded = Store(db.schema, db, shards=4)
+    store = Store(db.schema, db)
+    current = db
     for delta in stream:
-        for store in (plain, sharded):
-            store.begin()
-            store.apply_delta(delta)
-            store.commit_unchecked()
-        a = plain.committed_snapshot()
-        b = sharded.committed_snapshot()
-        assert isinstance(b, ShardedDatabase)
-        assert a == b
-        check_partition_invariants(b)
+        store.begin()
+        store.apply_delta(delta)
+        store.commit_unchecked()
+        current = current.apply_delta(delta)
+        assert store.committed_snapshot() == current

@@ -9,7 +9,7 @@ Three jobs live here:
   ``HYPOTHESIS_PROFILE=ci`` for the larger CI sweep, ``dev`` for a quick
   local pass;
 * failure reporting: every failing test gets a ``repro configuration``
-  section naming the active seed, backend, shard count and delta mode, so a
+  section naming the active seed, backend and delta mode, so a
   flake from one leg of the backend matrix can be replayed exactly.
 """
 

@@ -114,7 +114,7 @@ class TestDelta:
 
 
 class TestDeltaWire:
-    """The picklable wire form the process executor ships shard deltas in."""
+    """The picklable wire form the durable log records deltas in."""
 
     @given(edge_sets(), edge_sets())
     @settings(max_examples=60, deadline=None)

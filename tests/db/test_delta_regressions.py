@@ -1,6 +1,6 @@
 """Regression tests for Delta algebra edge cases and Store provenance routing.
 
-These pin down behaviours the sharded engine and the transaction service
+These pin down behaviours the incremental engine and the transaction service
 lean on: composing a delta with its inverse is the identity, cancelling
 writes normalize away, ``Delta.between`` still answers across skip-link
 boundaries once transient intermediates are gone, and the store's

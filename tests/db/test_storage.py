@@ -118,6 +118,17 @@ class TestVersionPinning:
         link = after.provenance_step()
         assert link is not None and link[0] is before
 
+    def test_store_without_initial_starts_empty_and_chains(self):
+        store = Store(GRAPH_SCHEMA)
+        first = store.committed_snapshot()
+        assert first == Database.empty()
+        store.begin(); store.insert("E", (1, 2)); store.commit_unchecked()
+        second = store.committed_snapshot()
+        assert second == Database.graph([(1, 2)])
+        link = second.delta_base()
+        assert link is not None and link[0] is first
+        store.close()
+
 
 class TestTransactions:
     def test_commit_applies_writes(self, store):

@@ -223,7 +223,7 @@ class TestCheckpoints:
         store = make_store(tmp_path / "good")
         assert store.engine.checkpoint_interval == 16
         store.close()
-        # garbage warns (like REPRO_SHARDS) instead of a silent default —
+        # garbage warns (like REPRO_DELTA) instead of a silent default —
         # the operator asked for a custom interval and must hear it dropped
         monkeypatch.setenv(WAL_CHECKPOINT_ENV, "often")
         with pytest.warns(RuntimeWarning, match="REPRO_WAL_CHECKPOINT"):

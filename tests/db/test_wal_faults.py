@@ -5,16 +5,22 @@ fails the commit with the in-memory store **unmutated** and the log clean
 (a retry lands contiguously); a checkpoint that dies mid write-temp→rename
 never leaves a half-written snapshot where recovery could load it —
 recovery falls back to the previous checkpoint plus a longer tail replay.
+One directory has one writer: a second engine on a live directory is
+refused, and a crashed or killed holder leaves it reopenable.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import faults
-from repro.db import GRAPH_SCHEMA, Store, StorageEngineError, WalStorageEngine
+from repro.db import Database, GRAPH_SCHEMA, Store, StorageEngineError, WalStorageEngine
+from repro.service.workloads import build_service
 
 
 @pytest.fixture(autouse=True)
@@ -36,9 +42,21 @@ def commit_edges(store: Store, *edges) -> None:
     store.commit_unchecked()
 
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+
 def recovered_edges(directory) -> frozenset:
     with make_store(directory) as store:
         return frozenset(store.committed_snapshot().relation("E"))
+
+
+def directory_bytes(directory) -> dict:
+    """Every file in ``directory``, name -> contents."""
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
 
 
 class TestAppendFaults:
@@ -245,3 +263,106 @@ class TestSuccessorPromotionUnderFaults:
         assert store.pin()[1] is successor
         store.engine.crash()
         assert recovered_edges(tmp_path) == frozenset({(1, 2), (3, 4)})
+
+
+class TestSingleWriter:
+    def test_second_engine_on_a_live_directory_is_refused(self, tmp_path):
+        store = make_store(tmp_path)
+        commit_edges(store, (1, 2))
+        with pytest.raises(StorageEngineError, match=str(tmp_path)):
+            WalStorageEngine(str(tmp_path))
+        # the refused opener touched nothing: the holder keeps committing
+        commit_edges(store, (2, 3))
+        store.close()
+        assert recovered_edges(tmp_path) == frozenset({(1, 2), (2, 3)})
+
+    def test_crashed_engine_releases_the_directory(self, tmp_path):
+        store = make_store(tmp_path)
+        commit_edges(store, (1, 2))
+        store.engine.crash()
+        assert recovered_edges(tmp_path) == frozenset({(1, 2)})
+
+    def test_closed_engine_releases_the_directory(self, tmp_path):
+        store = make_store(tmp_path)
+        commit_edges(store, (1, 2))
+        store.close()
+        store.close()  # a second close leaves the next holder alone
+        with make_store(tmp_path) as reborn:
+            commit_edges(reborn, (2, 3))
+        assert recovered_edges(tmp_path) == frozenset({(1, 2), (2, 3)})
+
+    def test_collected_engine_releases_the_directory(self, tmp_path):
+        engine = WalStorageEngine(str(tmp_path))
+        del engine
+        gc.collect()
+        WalStorageEngine(str(tmp_path)).close()
+
+    def test_refused_opener_leaves_the_files_untouched(self, tmp_path):
+        store = make_store(tmp_path)
+        commit_edges(store, (1, 2))
+        before = directory_bytes(tmp_path)
+        with pytest.raises(StorageEngineError):
+            make_store(tmp_path)
+        assert directory_bytes(tmp_path) == before
+        store.close()
+
+    def test_each_directory_has_its_own_lock(self, tmp_path):
+        left = make_store(tmp_path / "left")
+        right = make_store(tmp_path / "right")
+        commit_edges(left, (1, 2))
+        commit_edges(right, (3, 4))
+        left.close()
+        right.close()
+        assert recovered_edges(tmp_path / "left") == frozenset({(1, 2)})
+        assert recovered_edges(tmp_path / "right") == frozenset({(3, 4)})
+
+    def test_closing_a_service_releases_its_wal_directory(self, tmp_path):
+        service = build_service(
+            Database.graph([(1, 2)]), engine=WalStorageEngine(str(tmp_path))
+        )
+        with pytest.raises(StorageEngineError):
+            WalStorageEngine(str(tmp_path))
+        service.close()
+        assert recovered_edges(tmp_path) == frozenset({(1, 2)})
+
+    def test_killed_holder_process_releases_the_directory(self, tmp_path):
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.db import WalStorageEngine\n"
+             "engine = WalStorageEngine(sys.argv[1])\n"
+             "print('held', flush=True)\n"
+             "time.sleep(600)\n",
+             str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE,
+        )
+        try:
+            assert holder.stdout.readline().strip() == b"held"
+            with pytest.raises(StorageEngineError):
+                WalStorageEngine(str(tmp_path))
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        WalStorageEngine(str(tmp_path)).close()
+
+    def test_serve_exits_1_on_a_held_directory(self, tmp_path):
+        holder = WalStorageEngine(str(tmp_path))
+        try:
+            env = {
+                **os.environ,
+                "PYTHONPATH": SRC,
+                "REPRO_DURABLE": "on",
+                "REPRO_WAL_DIR": str(tmp_path),
+            }
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.serve", "--port", "0",
+                 "--accounts", "10"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+        finally:
+            holder.close()
+        assert proc.returncode == 1
+        assert "locked by another storage engine" in proc.stderr
+        assert "listening on" not in proc.stdout

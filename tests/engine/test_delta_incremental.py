@@ -210,7 +210,9 @@ def test_bulk_deltas_update_in_one_step():
 # ---------------------------------------------------------------------------
 
 
-def test_invalid_repro_backend_warns_instead_of_crashing_import():
+def _import_repro_with_backend(value: str) -> str:
+    """Import ``repro`` in a fresh interpreter under ``REPRO_BACKEND=value``;
+    assert it warned and fell back to ``compiled``, return the warnings."""
     code = (
         "import warnings\n"
         "with warnings.catch_warnings(record=True) as caught:\n"
@@ -220,15 +222,40 @@ def test_invalid_repro_backend_warns_instead_of_crashing_import():
         "assert any('REPRO_BACKEND' in str(w.message) for w in caught), caught\n"
         "assert active_backend().name == 'compiled'\n"
         "print('IMPORT-OK')\n"
+        "print('\\n'.join(str(w.message) for w in caught))\n"
     )
     env = dict(os.environ)
-    env["REPRO_BACKEND"] = "compilde"  # the typo of the bug report
+    env["REPRO_BACKEND"] = value
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert "IMPORT-OK" in proc.stdout
+    return proc.stdout
+
+
+def test_invalid_repro_backend_warns_instead_of_crashing_import():
+    _import_repro_with_backend("compilde")  # the typo of the bug report
+
+
+def test_removed_sharded_backend_name_is_an_invalid_value():
+    messages = _import_repro_with_backend("sharded")
+    assert "'sharded'" in messages
+    assert "naive, compiled, compiled-delta, compiled-nodelta" in messages
+    assert "falling back to 'compiled'" in messages
+
+
+def test_removed_parallel_backend_name_is_an_invalid_value():
+    messages = _import_repro_with_backend("parallel")
+    assert "'parallel'" in messages
+    assert "falling back to 'compiled'" in messages
+
+
+@pytest.mark.parametrize("name", ["sharded", "parallel"])
+def test_backend_from_name_rejects_the_removed_names(name):
+    with pytest.raises(ValueError, match="naive, compiled"):
+        backend_from_name(name)
 
 
 def test_invalid_repro_delta_warns_and_defaults_on(monkeypatch):

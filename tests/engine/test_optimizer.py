@@ -34,11 +34,9 @@ from repro.engine import (
     Estimator,
     HashJoin,
     NaiveBackend,
-    OptimizerParams,
     Plan,
     Project,
     Scan,
-    ShardedBackend,
     canonical_plan,
     compile_extension,
     estimate_naive_cost,
@@ -239,19 +237,6 @@ class TestRewriter:
         if not info.rewritten:
             assert optimized is plan
 
-    def test_sharded_params_prefer_co_partitioned_orders(self):
-        """The partition-aware cost model prices a co-partitioned join
-        below the same join under broadcast."""
-        db = random_graph(30, 0.4, seed=9)
-        left = Scan("E", [("var", "a"), ("var", "b")])
-        right_co = Scan("E", [("var", "a"), ("var", "c")])   # shares the partition col
-        right_bc = Scan("E", [("var", "b"), ("var", "c")])   # join key off-partition
-        sharded = OptimizerParams(num_shards=4)
-        estimator = Estimator(db.stats(), len(db.active_domain), params=sharded)
-        co_cost = estimator.op_cost(HashJoin(left, right_co))
-        bc_cost = estimator.op_cost(HashJoin(left, right_bc))
-        assert co_cost < bc_cost
-
 
 # ---------------------------------------------------------------------------
 # the backend integration: fallback, sharing, explain, counters
@@ -372,14 +357,6 @@ class TestBackendIntegration:
         mirrored = db.apply_delta(Delta(inserted={"E": [(b, a) for (a, b) in db.edges]}))
         assert backend.evaluate(constraint, mirrored)
         assert backend.delta_hits >= 1
-
-    def test_sharded_backend_optimizes(self):
-        backend = ShardedBackend(shards=2, optimizer="on", pool_threads=0)
-        db = random_graph(24, 0.4, seed=12)
-        formula = parse("exists y . E(x, y) & E(y, z) & E(z, 0)")
-        got = backend.extension(formula, db, ("x", "z"))
-        expected = NaiveBackend().extension(formula, db, ("x", "z"))
-        assert got == expected
 
 
 # ---------------------------------------------------------------------------

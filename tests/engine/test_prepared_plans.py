@@ -352,20 +352,6 @@ def test_explain_prints_slots_with_their_bound_values():
     assert "parameters:" not in backend.explain(parse("exists x . E(x, x)"), db)
 
 
-def test_sharded_backend_keeps_formulas_as_their_own_shapes():
-    from repro.engine import ShardedBackend
-
-    backend = ShardedBackend(shards=2)
-    try:
-        db = Database.graph([(0, 1), (1, 2), (2, 3)])
-        for a in range(4):
-            formula = parse(f"exists x . E({a}, x)")
-            assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
-        assert backend.cache_stats()["plans"] == 4
-    finally:
-        backend.close()
-
-
 def test_two_threads_share_one_plan_under_different_bindings():
     backend = CompiledBackend()
     db = forward_graph(60, 4, seed=1)

@@ -7,6 +7,7 @@ from typing import Iterator, Optional, Tuple
 
 import pytest
 
+from repro.obs import metrics
 from repro.serve import ServeClient, ServerThread, preregister
 from repro.service import TransactionService
 from repro.service.workloads import build_service, forward_graph
@@ -29,9 +30,32 @@ def serving(
             yield service, harness, client
 
 
-@pytest.fixture()
-def served():
-    """A small standard service behind a freshly started server."""
+def _standard_server():
     service = build_service(forward_graph(40, 2, seed=9), commit_timeout=30.0)
     with serving(service) as bundle:
         yield bundle
+
+
+@pytest.fixture()
+def served():
+    """A small standard service behind a freshly started server."""
+    yield from _standard_server()
+
+
+@pytest.fixture()
+def metrics_on():
+    """A real metrics registry for one test, whatever ``REPRO_METRICS`` says.
+
+    Components capture their instruments when built, so this must run before
+    the service and server are; the ambient mode is restored afterwards.
+    """
+    ambient = "on" if metrics.metrics_enabled() else "off"
+    metrics.configure("on")
+    yield
+    metrics.configure(ambient)
+
+
+@pytest.fixture()
+def served_metered(metrics_on):
+    """``served``, built after :func:`metrics_on` switched the registry on."""
+    yield from _standard_server()

@@ -143,8 +143,8 @@ class TestHealthyPath:
 
 
 class TestDisconnects:
-    def test_injected_write_reset_is_counted_not_crashed(self, served):
-        _, harness, client = served
+    def test_injected_write_reset_is_counted_not_crashed(self, served_metered):
+        _, harness, client = served_metered
         faults.install(faults.FaultPlan().site("serve.write.reset", hits=(1,)))
         with pytest.raises(ConnectionError):
             client.submit("link-forward", [520, 521])

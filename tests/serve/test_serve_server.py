@@ -150,8 +150,8 @@ class TestBatching:
         assert stats["max_batch"] >= count
         assert stats["batches"] == batches_before + 1
 
-    def test_batch_metrics_are_recorded(self, served):
-        _service, _harness, client = served
+    def test_batch_metrics_are_recorded(self, served_metered):
+        _service, _harness, client = served_metered
         client.submit_many(
             [{"template": "link-forward", "params": [800 + i, 900 + i]}
              for i in range(4)]
@@ -232,8 +232,8 @@ class TestObservability:
         ]
         assert children, "service.txn must be parented under serve.request"
 
-    def test_prometheus_exposition_includes_serve_metrics(self, served):
-        _service, _harness, client = served
+    def test_prometheus_exposition_includes_serve_metrics(self, served_metered):
+        _service, _harness, client = served_metered
         client.submit("link-forward", [985, 986])
         text = client.metrics_text()
         assert "serve_requests" in text

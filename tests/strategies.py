@@ -9,7 +9,7 @@ Determinism: ``REPRO_SEED`` (the same knob ``benchmarks/run_all.py --seed``
 exports) pins hypothesis' randomness via :func:`maybe_seed`, and
 :func:`config_text` renders the active ``REPRO_*`` configuration — the test
 harness (``tests/conftest.py``) appends it to every failure report so a flake
-can be replayed exactly: same seed, same backend, same shard count.
+can be replayed exactly: same seed, same backend, same delta mode.
 """
 
 from __future__ import annotations
@@ -53,16 +53,12 @@ __all__ = [
     "graph_deltas",
     "update_streams",
     "backend_matrix",
-    "SHARD_COUNTS",
 ]
 
 VARIABLES = ("x", "y", "z")
 
 #: constants 0..3 can be active in generated graphs; 7 and "ghost" never are
 CONSTANTS = (0, 1, 2, 3, 7, "ghost")
-
-#: the shard counts the conformance matrix sweeps over
-SHARD_COUNTS = (1, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +89,10 @@ def maybe_seed(test):
 
 
 def config_text() -> str:
-    """The active backend/shard/delta/seed configuration, for failure output."""
+    """The active backend/delta/seed configuration, for failure output."""
     parts = [
         f"REPRO_SEED={os.environ.get('REPRO_SEED', '<unset>')}",
         f"REPRO_BACKEND={os.environ.get('REPRO_BACKEND', '<unset>')}",
-        f"REPRO_SHARDS={os.environ.get('REPRO_SHARDS', '<unset>')}",
-        f"REPRO_SHARD_PROCS={os.environ.get('REPRO_SHARD_PROCS', '<unset>')}",
         f"REPRO_DELTA={os.environ.get('REPRO_DELTA', '<unset>')}",
         f"REPRO_SERVICE_WORKERS={os.environ.get('REPRO_SERVICE_WORKERS', '<unset>')}",
     ]
@@ -250,27 +244,16 @@ def backend_matrix():
     """Fresh instances of every non-oracle backend configuration under test.
 
     Returns ``[(name, backend), ...]`` covering the compiled engine with
-    delta evaluation on and off, the sharded engine at every shard count in
-    :data:`SHARD_COUNTS`, and the **optimizer axis**: explicit
-    optimizer-off variants of the compiled and one sharded configuration
-    (the remaining configurations inherit ``REPRO_OPTIMIZER`` from the
-    environment, so the CI optimizer-off leg flips the whole matrix at
-    once).  The naive interpreter is the oracle the matrix is compared
-    against, so it is not part of the matrix itself.
+    delta evaluation on and off, and the **optimizer axis**: an explicit
+    optimizer-off variant (the remaining configurations inherit
+    ``REPRO_OPTIMIZER`` from the environment, so the CI optimizer-off leg
+    flips the whole matrix at once).  The naive interpreter is the oracle
+    the matrix is compared against, so it is not part of the matrix itself.
     """
-    from repro.engine import CompiledBackend, ShardedBackend
+    from repro.engine import CompiledBackend
 
-    matrix = [
+    return [
         ("compiled-delta", CompiledBackend(delta="on")),
         ("compiled-nodelta", CompiledBackend(delta="off")),
         ("compiled-noopt", CompiledBackend(optimizer="off")),
     ]
-    for count in SHARD_COUNTS:
-        matrix.append((f"sharded-{count}", ShardedBackend(shards=count)))
-    matrix.append(
-        ("sharded-2-noopt", ShardedBackend(shards=2, optimizer="off"))
-    )
-    # the process-executor axis: shard evaluation shipped to worker
-    # processes over the plan/delta wire protocol (REPRO_SHARD_PROCS)
-    matrix.append(("sharded-2-procs", ShardedBackend(shards=2, procs=2)))
-    return matrix
