@@ -98,6 +98,22 @@ def _identity(row: Row) -> Row:
     return row
 
 
+class _RowsByThemselves:
+    """A join's left index keyed on the whole left row: the rows themselves,
+    so nothing O(rows) is built on first use (``R(x, y) & condition``)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Rows):
+        self.rows = RowSet.of(rows)
+
+    def get(self, key: Row, default=None):
+        return (key,) if key in self.rows else default
+
+    def patched(self, _key_of, added, removed) -> "_RowsByThemselves":
+        return _RowsByThemselves(self.rows.patched(added, removed))
+
+
 class PlanState:
     """Everything remembered about one plan execution against one database.
 
@@ -453,7 +469,10 @@ class _IncrementalRun:
         right_key = join_key(right.columns, shared)
 
         def build():
-            left_index = BucketMap.build(self._old_rows(left), left_key)
+            if tuple(shared) == tuple(left.columns):
+                left_index = _RowsByThemselves(self._old_rows(left))
+            else:
+                left_index = BucketMap.build(self._old_rows(left), left_key)
             if count_right:
                 right_side = self._count_rows(self._old_rows(right), right_key)
             else:

@@ -96,12 +96,6 @@ class ExecutionContext:
             self.gamma_values | frozenset(values),
         )
 
-    def candidate_tuples(self, arity: int):
-        ordered = sorted(self.gamma_values, key=repr)
-        import itertools
-
-        return itertools.product(ordered, repeat=arity)
-
     def satisfying_candidates(self, condition: Formula, variables: Sequence[str]):
         """All candidate tuples over ``Gamma`` satisfying ``condition``, set-at-a-time.
 
@@ -226,7 +220,15 @@ class InsertWhere(Statement):
 
 @dataclass(frozen=True)
 class DeleteWhere(Statement):
-    """Delete every tuple of the relation satisfying ``condition``."""
+    """Delete every tuple of the relation satisfying ``condition``.
+
+    A row binds the variables like ``zip(variables, row)``: variables past
+    the arity never bind, columns past the variable list are unconstrained,
+    and a repeated variable takes its last column.  Execution costs
+    O(matches) where the condition binds columns to constants — the doomed
+    rows are one prepared plan's extension, probing the relation's index —
+    plus O(rows carrying constants inserted earlier in the program).
+    """
 
     relation: str
     variables: Tuple[str, ...]
@@ -245,33 +247,33 @@ class DeleteWhere(Statement):
         return state.replace(self.relation, new_body)
 
     def execute(self, context: ExecutionContext) -> ExecutionContext:
-        # one set-at-a-time extension decides every stored row whose values
-        # lie in the base domain; rows touching inserted constants (outside
-        # the quantification domain) fall back to the interpreter.  Only the
-        # first min(len(variables), arity) variables ever bind to a row (zip
-        # semantics), so the extension ranges over exactly those.
-        arity = context.database.schema[self.relation].arity
-        bound = tuple(self.variables[:arity])
-        width = len(bound)
-        extension = None
-        model = None
-        doomed = []
-        for row in context.database.relation(self.relation):
-            values = tuple(row[:width])
-            if all(value in context.base_domain for value in values):
-                if extension is None:
-                    extension = context.condition_extension(self.condition, bound)
-                if values in extension:
-                    doomed.append(row)
-            else:
-                if model is None:
-                    model = context.model()
-                if model.check(self.condition, dict(zip(self.variables, row))):
-                    doomed.append(row)
+        # rows over the base domain: the extension of R(c1, ..., cn) &
+        # condition, where a column past the variable list, or bound by a
+        # later occurrence of its variable, gets a name of its own; rows
+        # carrying inserted constants: R's column indexes and the interpreter
+        database = context.database
+        arity = database.schema[self.relation].arity
+        bound = self.variables[:arity]
+        columns = tuple(
+            name if name not in bound[position + 1:] else f"_row{position}"
+            for position, name in enumerate(bound)
+        ) + tuple(f"_row{position}" for position in range(len(bound), arity))
+        atom = Atom(self.relation, *map(Var, columns))
+        doomed = context.condition_extension(make_and(atom, self.condition), columns)
+        fresh = context.gamma_values - context.base_domain
+        if fresh:
+            model = context.model()
+            for position in range(arity):
+                index = database.index(self.relation, position)
+                for value in fresh:
+                    for row in index.get((value,), ()):
+                        if model.check(self.condition, dict(zip(self.variables, row))):
+                            doomed.add(row)
         if not doomed:
             return context
-        database = context.database.apply_delta(Delta(deleted={self.relation: doomed}))
-        return context.with_database(database)
+        return context.with_database(
+            database.apply_delta(Delta(deleted={self.relation: doomed}))
+        )
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,22 @@ def test_extensions_are_updated_incrementally_not_only_sentences():
     assert backend.delta_hits >= 2
 
 
+def test_joins_keyed_on_the_whole_left_row_patch_the_rows_forward():
+    # R(x, y) & condition, DeleteWhere's plan: the (semi/anti)join key is the
+    # whole left row, so the left index is the relation's rows themselves
+    backend = CompiledBackend(delta="verify")
+    formulas = [parse("E(x, y) & x = y"), parse("E(x, y) & ~E(y, x)")]
+    db = Database.graph((i, i % 9) for i in range(80))  # partitioned rows
+    updates = [("insert", (40, 40)), ("insert", (2, 4)), ("insert", (4, 2)),
+               ("delete", (40, 40)), ("delete", (0, 0)), ("delete", (9, 0))]
+    for op, e in [(None, None)] + updates:
+        db = apply_update(db, op, e) if op else db
+        for formula in formulas:
+            expected = NAIVE.extension(formula, db, ("x", "y"))
+            assert backend.extension(formula, db, ("x", "y")) == expected
+    assert backend.delta_hits == 2 * len(updates)
+
+
 def test_domain_growth_and_shrinkage():
     backend = CompiledBackend(delta="verify")
     connected = parse("forall x . exists y . E(x, y) | E(y, x)")
