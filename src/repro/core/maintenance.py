@@ -12,13 +12,21 @@ constraints true while transactions run:
   precondition can be simplified (e.g. assuming ``alpha`` already holds) the
   check can be far cheaper than re-checking ``alpha`` from scratch.
 
-What the two cost on the compiled engine: a run-time check re-evaluates a
-constraint the engine has seen, so it runs through the incremental delta
-rules — O(delta).  A precondition is usually a formula the engine has *not*
-seen (its constants are the transaction's tuple) — but only its constants
-are new: every instance of a transaction template's precondition has one
-shape, the engine runs one prepared plan for all of them, and the plan's
-parameter-free sub-plans are carried along the update stream like any
+What the two cost on the compiled engine.  A run-time check starts from a
+state known to satisfy the constraints (the policy remembers the last one),
+so by the paper's closing remark it need not re-check ``alpha`` either: a
+constraint in denial form — ``no-loops``, ``no-triangles``, antisymmetry —
+is evaluated only at the rows the transaction inserted, one small formula
+per inserted row that can complete a violation, answered by index probes:
+O(delta) whatever the size of the database, and nothing for a deletion
+(:func:`repro.core.simplification.holds_after_update`).  Any other
+constraint, and any check from a state not known to satisfy them, evaluates
+the whole constraint, through the engine's incremental delta rules when it
+has seen an ancestor state.  A precondition is usually a formula the engine
+has *not* seen (its constants are the transaction's tuple) — but only its
+constants are new: every instance of a transaction template's precondition
+has one shape, the engine runs one prepared plan for all of them, and the
+plan's parameter-free sub-plans are carried along the update stream like any
 remembered state.  The check costs a shape lookup plus what the constants
 touch, not a compilation and not O(database) — see "Shapes and parameters"
 and "Shared sub-plans along the stream" in ``docs/engine.md``.  Experiment
@@ -38,11 +46,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..db.database import Database
+from ..db.delta import Delta
 from ..db.storage import Store
 from ..engine.backend import active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import Formula
 from ..transactions.base import Transaction
+from .simplification import holds_after_update
 
 __all__ = [
     "Constraint",
@@ -100,6 +110,11 @@ class MaintenanceReport:
     transaction-body condition queries of bulk statements, all of which sit
     on the same per-update hot path (zero under the naive backend or with
     ``REPRO_DELTA=off``; approximate if other threads share the backend).
+    ``full_checks`` counts the constraint checks that evaluated the whole
+    constraint rather than its instances at the inserted rows: every check
+    of a constraint without a denial form, every check from a state not
+    known to satisfy the constraints, and the static policy's run-time
+    fallbacks.
     """
 
     policy: str = ""
@@ -111,6 +126,7 @@ class MaintenanceReport:
     constraint_evaluations: int = 0
     precondition_evaluations: int = 0
     incremental_evaluations: int = 0
+    full_checks: int = 0
     wall_time: float = 0.0
 
     def summary(self) -> str:
@@ -120,6 +136,7 @@ class MaintenanceReport:
             f"{self.rolled_back} rolled back, "
             f"{self.violations_missed} violations missed, "
             f"{self.incremental_evaluations} incremental evaluations, "
+            f"{self.full_checks} full checks, "
             f"{self.wall_time * 1000:.1f} ms"
         )
 
@@ -138,6 +155,11 @@ class MaintenancePolicy:
         signature: Signature,
     ) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def invariant_established(
+        self, state: Database, constraints: Sequence[Constraint]
+    ) -> None:
+        """Every constraint holds on ``state`` (a hint; ignored by default)."""
 
 
 def _post_state(store: Store, new_state: Database) -> Database:
@@ -180,9 +202,23 @@ class UncheckedPolicy(MaintenancePolicy):
 
 
 class RuntimeCheckPolicy(MaintenancePolicy):
-    """Execute, check all constraints on the post-state, roll back on violation."""
+    """Execute, check all constraints on the post-state, roll back on violation.
+
+    The policy remembers the last state known to satisfy every constraint —
+    the one a passing :meth:`IntegrityMaintainer.invariant_holds` saw, or
+    the one its own last commit left — and recognises it by identity with
+    the store's snapshot.  From that state each constraint is checked by
+    :func:`~repro.core.simplification.holds_after_update` at the rows the
+    transaction inserted; from any other state, in full.
+    """
 
     name = "runtime-check"
+
+    def __init__(self) -> None:
+        self._verified: Optional[Tuple[Database, Tuple[Constraint, ...]]] = None
+
+    def invariant_established(self, state, constraints):
+        self._verified = (state, tuple(constraints))
 
     def execute(self, store, transaction, constraints, report, signature):
         state = store.snapshot()
@@ -190,13 +226,20 @@ class RuntimeCheckPolicy(MaintenancePolicy):
         store.begin()
         store.apply_database(new_state)
         tentative = _post_state(store, new_state)
+        delta: Optional[Delta] = None
+        verified = self._verified
+        if verified is not None and verified[0] is state and verified[1] == tuple(constraints):
+            delta = Delta.between(state, tentative)
         for constraint in constraints:
             report.constraint_evaluations += 1
-            if not constraint.holds(tentative, signature):
+            holds, full = holds_after_update(constraint, tentative, delta, signature)
+            report.full_checks += full
+            if not holds:
                 store.rollback()
                 report.rolled_back += 1
                 return False
         store.commit_unchecked(successor=tentative)
+        self.invariant_established(store.snapshot(), constraints)
         report.committed += 1
         return True
 
@@ -235,6 +278,7 @@ class StaticPreconditionPolicy(MaintenancePolicy):
             new_state = _post_state(store, new_state)
         for constraint in runtime_fallback:
             report.constraint_evaluations += 1
+            report.full_checks += 1
             if not constraint.holds(new_state, signature):
                 store.rollback()
                 report.rolled_back += 1
@@ -264,11 +308,13 @@ class IntegrityMaintainer:
 
         The per-transaction hot path is delta-shaped end to end: the store's
         snapshot is patched (not rebuilt) from the write log, the tentative
-        post-state shares everything untouched with the pre-state, and the
-        engine re-checks each constraint through incremental delta rules
-        whenever the post-state's provenance reaches a state it has already
-        evaluated — so the cost of one update scales with the delta, not with
-        the database.
+        post-state shares everything untouched with the pre-state, and a
+        run-time check from a state known to satisfy the constraints
+        evaluates a denial constraint only at the rows the transaction
+        inserted — so the cost of one update scales with the delta, not with
+        the database.  A constraint without a denial form is re-checked in
+        full, through the engine's incremental delta rules where the
+        post-state's provenance reaches a state it has evaluated.
         """
         report = MaintenanceReport(policy=self.policy.name)
         backend = active_backend()
@@ -284,6 +330,13 @@ class IntegrityMaintainer:
         return report
 
     def invariant_holds(self) -> bool:
-        """Do all constraints hold on the current store state?"""
+        """Do all constraints hold on the current store state?
+
+        A state that passes is handed to the policy, so a run-time check
+        from it need not re-check the constraints in full.
+        """
         state = self.store.snapshot()
-        return all(c.holds(state, self.signature) for c in self.constraints)
+        holds = all(c.holds(state, self.signature) for c in self.constraints)
+        if holds:
+            self.policy.invariant_established(state, self.constraints)
+        return holds

@@ -26,21 +26,58 @@ reproduction:
 
 Experiment E13's ablation uses this to quantify how much cheaper the guarded
 transaction becomes when the invariant is exploited.
+
+The same remark applies *after* the transaction: when the pre-state is known
+to satisfy a universal constraint, the post-state check may be any sentence
+equivalent to it under that constraint, and for a constraint in *denial
+form* (:func:`denial_form`) an exact one is small.  A violation in the
+post-state that uses no inserted row was already a violation of the
+pre-state, so only the constraint's instances at the inserted rows need
+evaluating (Nicolas' simplification), and a deletion needs none.
+:func:`holds_after_update` is that check, with the whole constraint as its
+fallback; both run-time check sites — the run-time maintenance policy and the
+transaction service — call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..db.database import Database
+from ..db.delta import Delta
 from ..db.graph import all_graphs
+from ..engine.backend import active_backend
 from ..logic.evaluation import evaluate
 from ..logic.normalform import simplify as syntactic_simplify
 from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import And, Formula, Or, TOP, make_and, make_or
+from ..logic.syntax import (
+    And,
+    Atom,
+    Bottom,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    TOP,
+    Top,
+    make_and,
+    make_or,
+)
+from ..logic.terms import Const, Term, Var
 
-__all__ = ["equivalent_under", "SimplificationResult", "BoundedSimplifier"]
+__all__ = [
+    "equivalent_under",
+    "SimplificationResult",
+    "BoundedSimplifier",
+    "DenialForm",
+    "denial_form",
+    "holds_after_update",
+]
 
 
 def equivalent_under(
@@ -179,3 +216,209 @@ class BoundedSimplifier:
             for db in self.databases
             if evaluate(invariant, db, signature=self.signature)
         )
+
+
+# ---------------------------------------------------------------------------
+# run-time checks at the touched tuples
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DenialForm:
+    """A universal constraint read as ``forall x̄ . ~(A1 & ... & Ak & C)``.
+
+    ``atoms`` are the relation atoms ``Ai`` of the violation conjunction and
+    ``conditions`` its equalities and negated equalities.  Every variable
+    occurs in some atom, so a violation is one row per atom (plus the
+    conditions), and one that uses no inserted row was a violation before
+    the update: under the constraint, the :meth:`instances` at the inserted
+    rows decide the post-state exactly.
+    """
+
+    atoms: Tuple[Atom, ...]
+    conditions: Tuple[Formula, ...]
+
+    def instances(self, delta: Delta) -> Iterator[Formula]:
+        """Sentences true on the post-state iff a violation uses an inserted row.
+
+        One per atom ``Ai`` and row of ``delta.inserted[Ai.relation]`` that
+        unifies with it (constants match, a repeated variable meets one
+        value): ``exists rest . σ(the other literals)`` for the unifier
+        ``σ``.  A ground (in)equality is decided here — a false one drops the
+        instance, a true one drops out of it — and instances that differ
+        only in the names of their variables are yielded once (the three
+        atoms of ``no-triangles`` give one instance per inserted edge).
+        Deleted rows give none.
+        """
+        seen = set()
+        for index, atom in enumerate(self.atoms):
+            rows = delta.inserted.get(atom.relation)
+            if not rows:
+                continue
+            rest = self.atoms[:index] + self.atoms[index + 1:] + self.conditions
+            for row in rows:
+                binding = _unify(atom, row)
+                if binding is None:
+                    continue
+                instance = _instantiate(rest, binding)
+                if instance is not None and instance not in seen:
+                    seen.add(instance)
+                    yield instance
+
+
+def denial_form(constraint: object) -> Optional[DenialForm]:
+    """``constraint`` as a :class:`DenialForm`, or ``None`` outside the fragment.
+
+    The fragment: after the ``forall`` prefix, a disjunction of negated
+    relation atoms and (in)equalities over variables and constants, whose
+    variables are exactly the quantified ones and each occur in some atom —
+    ``no-loops``, ``no-triangles``, antisymmetry,
+    ``(E(x, y) & E(y, x)) -> x = y``.  Outside it: existential, counting and
+    interpreted parts, a relation atom the violation needs *absent* (a
+    deletion could complete it), a variable ranging over the whole domain,
+    and objects that are not formulas.  Derived once per formula.
+    """
+    if not isinstance(constraint, Formula):
+        return None
+    return _denial_form(constraint)
+
+
+@lru_cache(maxsize=256)
+def _denial_form(formula: Formula) -> Optional[DenialForm]:
+    quantified = set()
+    body = formula
+    while isinstance(body, Forall):
+        quantified.add(body.variable)
+        body = body.body
+    literals: List[Formula] = []
+    if not _violation_literals(body, False, literals):
+        return None
+    terms = [term for literal in literals for term in _terms_of(literal)]
+    if any(type(term) not in (Var, Const) for term in terms):
+        return None
+    atoms = tuple(literal for literal in literals if isinstance(literal, Atom))
+    conditions = tuple(literal for literal in literals if not isinstance(literal, Atom))
+    in_atoms = {term.name for atom in atoms for term in atom.terms if type(term) is Var}
+    if in_atoms != quantified or not all(
+        condition.free_variables() <= in_atoms for condition in conditions
+    ):
+        return None
+    return DenialForm(atoms, conditions)
+
+
+def _violation_literals(formula: Formula, positive: bool, out: List[Formula]) -> bool:
+    """Append the literals of ``formula`` (of its negation unless ``positive``)
+    read as a conjunction; ``False`` when it is not a conjunction of relation
+    atoms and (in)equalities."""
+    if isinstance(formula, Not):
+        return _violation_literals(formula.body, not positive, out)
+    if isinstance(formula, (And, Or)) and (
+        len(formula.parts) == 1 or isinstance(formula, And) == positive
+    ):
+        return all(_violation_literals(part, positive, out) for part in formula.parts)
+    if isinstance(formula, Implies) and not positive:
+        return _violation_literals(formula.premise, True, out) and _violation_literals(
+            formula.conclusion, False, out
+        )
+    if isinstance(formula, Top if positive else Bottom):
+        return True
+    if isinstance(formula, Atom) and positive:
+        out.append(formula)
+        return True
+    if isinstance(formula, Eq):
+        out.append(formula if positive else Not(formula))
+        return True
+    return False
+
+
+def _terms_of(literal: Formula) -> Tuple[Term, ...]:
+    """The argument terms of a relation atom or an (in)equality, in order."""
+    core = literal.body if isinstance(literal, Not) else literal
+    if isinstance(core, Atom):
+        return core.terms
+    return (core.left, core.right)
+
+
+def _unify(atom: Atom, row: Tuple[object, ...]) -> Optional[Dict[str, object]]:
+    """The assignment under which ``atom`` reads ``row``, if there is one."""
+    if len(row) != len(atom.terms):
+        return None
+    binding: Dict[str, object] = {}
+    for term, value in zip(atom.terms, row):
+        if type(term) is Const:
+            if term.value != value:
+                return None
+        elif binding.setdefault(term.name, value) != value:
+            return None
+    return binding
+
+
+def _instantiate(
+    literals: Sequence[Formula], binding: Dict[str, object]
+) -> Optional[Formula]:
+    """``exists rest . σ(literals)``, or ``None`` when a ground (in)equality
+    refutes it; the remaining variables are renamed in a canonical order so
+    that instances equal up to their names compare equal."""
+    mapping = {name: Const(value) for name, value in binding.items()}
+    kept: List[Formula] = []
+    for literal in literals:
+        literal = literal.substitute(mapping)
+        core = literal.body if isinstance(literal, Not) else literal
+        if isinstance(core, Eq) and type(core.left) is Const and type(core.right) is Const:
+            if (core.left.value == core.right.value) != (core is literal):
+                return None
+            continue
+        kept.append(literal)
+    kept.sort(key=_literal_key)
+    renaming: Dict[str, Term] = {}
+    for literal in kept:
+        for term in _terms_of(literal):
+            if type(term) is Var and term.name not in renaming:
+                renaming[term.name] = Var(f"_v{len(renaming)}")
+    instance = make_and(*(literal.substitute(renaming) for literal in kept))
+    for variable in reversed(list(renaming.values())):
+        instance = Exists(variable.name, instance)
+    return instance
+
+
+def _literal_key(literal: Formula) -> Tuple[object, ...]:
+    """A sort key for literals that ignores the names of their variables."""
+    core = literal.body if isinstance(literal, Not) else literal
+    return (
+        core is not literal,
+        core.relation if isinstance(core, Atom) else "=",
+        tuple(repr(term.value) if type(term) is Const else "" for term in _terms_of(core)),
+    )
+
+
+def holds_after_update(
+    constraint,
+    post: Database,
+    delta: Optional[Delta],
+    signature: Signature = EMPTY_SIGNATURE,
+) -> Tuple[bool, bool]:
+    """Does ``constraint`` hold on ``post``?  Returns ``(holds, full)``.
+
+    ``delta`` is the exact update that turned a pre-state known to satisfy
+    the constraint into ``post``, or ``None`` when no such pre-state is
+    known.  With a delta, a constraint in denial form is decided by its
+    :meth:`~DenialForm.instances` at the inserted rows, stopping at the
+    first that holds: exact under that assumption, and each instance is a
+    formula with fresh constants of a shape the engine has seen after the
+    first — one prepared plan whose constants probe the relations' indexes,
+    so O(|delta|) probes whatever the size of the database, nothing for a
+    deletion.  Otherwise — no delta, or no denial form — the whole
+    constraint is evaluated on ``post`` (``constraint.holds``) and ``full``
+    is ``True``.  ``constraint`` is a
+    :class:`~repro.core.maintenance.Constraint`: anything with a ``formula``
+    and ``holds(db, signature)``.
+    """
+    form = denial_form(constraint.formula) if delta is not None else None
+    if form is None:
+        return constraint.holds(post, signature), True
+    backend = active_backend()
+    violated = any(
+        backend.evaluate(instance, post, signature=signature)
+        for instance in form.instances(delta)
+    )
+    return not violated, False

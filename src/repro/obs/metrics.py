@@ -107,6 +107,7 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "static_skips": "service.admission.static_skips",
     "guard_checks": "service.admission.guard_checks",
     "runtime_checks": "service.admission.runtime_checks",
+    "runtime_full_checks": "service.admission.runtime_full_checks",
     "transient_retries": "service.transient_retries",
     "commit_failures": "service.commit_failures",
 }

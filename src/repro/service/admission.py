@@ -13,8 +13,8 @@ verdict cache instead of doing constraint work:
   pre-state at commit time; a failing guard rejects the transaction before it
   touches the store, so nothing is ever rolled back;
 * **runtime** — no syntactic precondition exists: the scheduler falls back to
-  incremental post-state checking (the :class:`RuntimeCheckPolicy` strategy,
-  riding the engine's delta rules).
+  post-state checking (the :class:`RuntimeCheckPolicy` strategy: at the
+  inserted rows for a constraint in denial form, in full otherwise).
 
 Shapes are registered as **templates**: a builder producing an
 :class:`~repro.transactions.fo_transactions.FOProgram` instance per parameter

@@ -34,8 +34,10 @@ multi-client transaction processor.  The lifecycle of one client transaction:
 Admission (see :mod:`repro.service.admission`) decides the constraint work
 per request: ``static`` shapes commit with zero checks, ``guarded`` shapes
 get one pre-state guard evaluation (no rollback ever), everything else gets
-incremental post-state checking — the engine re-derives each constraint
-through its delta rules along the batch's provenance chain.
+a post-state check — at the rows the request inserted for a constraint in
+denial form (:func:`~repro.core.simplification.holds_after_update`; the
+invariant that assumes is established by one full check the first time such
+a request arrives), of the whole constraint otherwise.
 
 A ``commit_timeout`` bounds every wait in the pipeline, so a deadlock (or a
 stuck leader) surfaces as a :class:`ServiceError` instead of a hang — both
@@ -55,6 +57,7 @@ import warnings
 
 from .. import faults as _faults
 from ..core.maintenance import Constraint
+from ..core.simplification import holds_after_update
 from ..db.database import Database
 from ..db.delta import Delta
 from ..db.engines import StorageEngineError
@@ -159,6 +162,7 @@ _SERVICE_METRICS = {
     "static_skips": "service.admission.static_skips",
     "guard_checks": "service.admission.guard_checks",
     "runtime_checks": "service.admission.runtime_checks",
+    "runtime_full_checks": "service.admission.runtime_full_checks",
     "transient_retries": "service.transient_retries",
     "commit_failures": "service.commit_failures",
 }
@@ -174,7 +178,7 @@ class ServiceStats:
         "submitted", "committed", "read_only_commits", "conflicts", "retries",
         "serial_fallbacks", "rejected", "aborted", "batches", "batched_commits",
         "max_batch", "static_skips", "guard_checks", "runtime_checks",
-        "transient_retries", "commit_failures",
+        "runtime_full_checks", "transient_retries", "commit_failures",
     )
 
     def __init__(self) -> None:
@@ -325,6 +329,10 @@ class TransactionService:
         #: the commit lock; read-only commits never enter the pipeline and
         #: serialize at their snapshot point instead)
         self.commit_log: List[object] = []
+        #: the constraints hold on the committed state — and so on every
+        #: later one, each commit being checked or admitted under them;
+        #: established lazily by one full check (see ``_process``)
+        self._invariant_known = False
 
     def close(self) -> None:
         """Release service-owned resources.
@@ -739,9 +747,17 @@ class TransactionService:
         if effective.is_empty():
             return effective, running
         candidate = running.apply_delta(effective)
+        if runtime_checks and not self._invariant_known:
+            self._invariant_known = all(
+                c.holds(running, self.signature) for c in self.constraints
+            )
+        known = effective if self._invariant_known else None
         for constraint in runtime_checks:
-            self.stats.add(runtime_checks=1)
-            if not constraint.holds(candidate, self.signature):
+            holds, full = holds_after_update(
+                constraint, candidate, known, self.signature
+            )
+            self.stats.add(runtime_checks=1, runtime_full_checks=int(full))
+            if not holds:
                 request.status = "aborted"
                 request.reason = f"constraint {constraint.name!r} violated"
                 return None

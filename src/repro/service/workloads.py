@@ -34,11 +34,12 @@ E16 throughput numbers reproducible.
 
 The serial baseline (:func:`run_serial_baseline`) is the pre-service
 execution model: one transaction at a time against the store, every
-constraint re-checked on the post-state before each individual commit —
-exactly :class:`~repro.core.maintenance.RuntimeCheckPolicy`, including the
-engine's incremental re-checks, so the comparison isolates what the service
-layer itself adds (admission fast paths, group commit, overlap of optimistic
-execution) rather than re-measuring PR-2's delta rules.
+constraint re-checked in full on the post-state before each individual
+commit (through the engine's incremental re-checks), so the comparison
+isolates what the service layer itself adds (admission fast paths, group
+commit, overlap of optimistic execution).  It deliberately keeps the full
+check where :class:`~repro.core.maintenance.RuntimeCheckPolicy` checks a
+denial constraint only at the inserted rows.
 """
 
 from __future__ import annotations

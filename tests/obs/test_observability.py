@@ -56,6 +56,10 @@ class TestObservability:
             assert snap["service.submitted"] == stats["submitted"]
             assert snap["service.committed"] == stats["committed"]
             assert snap["service.aborted"] == stats["aborted"]
+            assert (
+                snap["service.admission.runtime_full_checks"]
+                == stats["runtime_full_checks"]
+            )
             assert snap["service.commit.batches"] == stats["batches"]
             batch_hist = snap["service.commit.batch_size"]
             assert batch_hist["count"] == stats["batches"]

@@ -169,6 +169,8 @@ class TestBatching:
         assert snapshot["store.snapshot_promoted"] >= 1
         store = stats["store"]["transactions"]
         assert store["snapshot_promoted"] >= 1 and store["snapshot_repatched"] == 0
+        # guarded template requests: no run-time check, in full or otherwise
+        assert stats["service"]["runtime_full_checks"] == 0
 
 
 class TestFailureHandling:
