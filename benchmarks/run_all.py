@@ -132,8 +132,11 @@ METRIC_CEILINGS = {
     # pre-state must not cost a multiple of execute / re-check / roll back.
     # 13x before preconditions over fresh constants rode the state history's
     # carried sub-plans, 1.5x after; 1.33-1.39x measured since every instance
-    # of a precondition runs one prepared plan (the paper's claim is < 1).
-    "e13": (("e13-static-vs-runtime", "static_over_runtime", 2.0),),
+    # of a precondition runs one prepared plan.  Since the static policy
+    # checks the guard derived from the constraint's denial form from a
+    # state known consistent — true or false for the workload's edge
+    # inserts, nothing to evaluate — it is below 1, the paper's claim.
+    "e13": (("e13-static-vs-runtime", "static_over_runtime", 1.2),),
     # a transaction is a function from databases to databases, so a step
     # must cost what the update touches: a single-tuple transaction at 19.2k
     # rows over the same at 2.4k rows.  About 8x while each step copied the

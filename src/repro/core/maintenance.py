@@ -12,25 +12,32 @@ constraints true while transactions run:
   precondition can be simplified (e.g. assuming ``alpha`` already holds) the
   check can be far cheaper than re-checking ``alpha`` from scratch.
 
-What the two cost on the compiled engine.  A run-time check starts from a
-state known to satisfy the constraints (the policy remembers the last one),
-so by the paper's closing remark it need not re-check ``alpha`` either: a
-constraint in denial form — ``no-loops``, ``no-triangles``, antisymmetry —
-is evaluated only at the rows the transaction inserted, one small formula
-per inserted row that can complete a violation, answered by index probes:
-O(delta) whatever the size of the database, and nothing for a deletion
-(:func:`repro.core.simplification.holds_after_update`).  Any other
-constraint, and any check from a state not known to satisfy them, evaluates
-the whole constraint, through the engine's incremental delta rules when it
-has seen an ancestor state.  A precondition is usually a formula the engine
-has *not* seen (its constants are the transaction's tuple) — but only its
-constants are new: every instance of a transaction template's precondition
-has one shape, the engine runs one prepared plan for all of them, and the
-plan's parameter-free sub-plans are carried along the update stream like any
-remembered state.  The check costs a shape lookup plus what the constants
-touch, not a compilation and not O(database) — see "Shapes and parameters"
-and "Shared sub-plans along the stream" in ``docs/engine.md``.  Experiment
-E13 holds the ratio between the two policies under a ceiling.
+What the two cost on the compiled engine.  Both policies start from a state
+known to satisfy the constraints (each remembers the last one), so by the
+paper's closing remark neither need re-check ``alpha``.  A run-time check
+of a constraint in denial form — ``no-loops``, ``no-triangles``,
+antisymmetry — is evaluated only at the rows the transaction inserted, one
+small formula per inserted row that can complete a violation, answered by
+index probes: O(delta) whatever the size of the database, and nothing for a
+deletion (:func:`repro.core.simplification.holds_after_update`).  The static
+policy moves the same instances to the pre-state: for a program of tuple
+inserts and deletions it checks the ``Delta`` that
+:func:`repro.core.simplification.derived_guard` pulled back through the
+program once per shape of its constants, bound to the transaction's own —
+``true`` for a forward edge under ``no-loops`` and for any deletion,
+``false`` for a loop, both decided without evaluating anything, and the
+2-path probe ``~exists w . E(b, w) & E(w, a)`` for an edge under
+``no-triangles``.  Any other constraint or transaction, and any check from
+a state not known to satisfy the constraints, takes the general route: the
+whole constraint on the post-state (through the engine's incremental delta
+rules when it has seen an ancestor state), or the registered weakest
+precondition on the pre-state.  A precondition is usually a formula the
+engine has *not* seen (its constants are the transaction's tuple) — but
+only its constants are new: every instance of one shape runs one prepared
+plan, and the plan's parameter-free sub-plans are carried along the update
+stream like any remembered state — see "Shapes and parameters" and "Shared
+sub-plans along the stream" in ``docs/engine.md``.  Experiment E13 holds
+the ratio between the two policies under a ceiling.
 
 This module implements both policies (plus an unsafe baseline) on top of the
 transactional :class:`~repro.db.storage.Store`, together with an
@@ -50,9 +57,9 @@ from ..db.delta import Delta
 from ..db.storage import Store
 from ..engine.backend import active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import Formula
+from ..logic.syntax import BOTTOM, TOP, Formula
 from ..transactions.base import Transaction
-from .simplification import holds_after_update
+from .simplification import bind_slots, derived_guard, holds_after_update
 
 __all__ = [
     "Constraint",
@@ -71,7 +78,8 @@ class Constraint:
 
     ``preconditions`` maps transaction names to their weakest precondition for
     this constraint; the static policy looks preconditions up there (they are
-    computed once, offline — that is the point of static verification).
+    computed once, offline — that is the point of static verification) for
+    the transactions it cannot guard with a derived ``Delta``.
     """
 
     name: str
@@ -89,13 +97,12 @@ class Constraint:
         return self.preconditions.get(transaction.name)
 
     def register_precondition(self, transaction_name: str, precondition) -> None:
-        """Record a precomputed precondition for a named transaction shape.
+        """Record the precondition of the transaction named ``transaction_name``.
 
-        The admission controller of :mod:`repro.service` calls this after
-        classifying a transaction (see
-        :func:`repro.core.wpc.classify_preservation`), so the same
-        precondition table serves both :class:`StaticPreconditionPolicy` and
-        the concurrent service's admission fast path.
+        The name must denote one transaction, not a template: a weakest
+        precondition is computed for one instance, and its constants are that
+        instance's.  (The service's admission controller keeps its guards per
+        template shape and writes nothing here.)
         """
         self.preconditions[transaction_name] = precondition
 
@@ -245,23 +252,48 @@ class RuntimeCheckPolicy(MaintenancePolicy):
 
 
 class StaticPreconditionPolicy(MaintenancePolicy):
-    """Evaluate weakest preconditions on the current state; never roll back.
+    """Evaluate preconditions on the current state; never roll back.
 
-    Every constraint must supply a precondition for the transaction being run
-    (otherwise the policy falls back to a run-time check for that constraint,
+    From the last state known to satisfy every constraint — recognised by
+    identity, exactly as :class:`RuntimeCheckPolicy` does — a transaction
+    and constraint in the fragment of
+    :func:`~repro.core.simplification.derived_guard` are checked by the
+    derived ``Delta`` bound to the transaction's constants; a ``Delta`` of
+    ``true`` or ``false`` decides without evaluating anything.  Otherwise
+    each constraint must supply a precondition for the transaction being
+    run (else the policy falls back to a run-time check for that constraint,
     recorded separately so the benchmark stays honest).
     """
 
     name = "static-precondition"
 
+    def __init__(self) -> None:
+        self._verified: Optional[Tuple[Database, Tuple[Constraint, ...]]] = None
+
+    def invariant_established(self, state, constraints):
+        self._verified = (state, tuple(constraints))
+
     def execute(self, store, transaction, constraints, report, signature):
         state = store.snapshot()
+        verified = self._verified
+        known = (
+            verified is not None and verified[0] is state and verified[1] == tuple(constraints)
+        )
         runtime_fallback: List[Constraint] = []
         for constraint in constraints:
-            precondition = constraint.precondition_for(transaction)
-            if precondition is None:
-                runtime_fallback.append(constraint)
+            derived = derived_guard(transaction, constraint.formula) if known else None
+            if derived is None:
+                precondition = constraint.precondition_for(transaction)
+                if precondition is None:
+                    runtime_fallback.append(constraint)
+                    continue
+            elif derived[0] == TOP:
                 continue
+            elif derived[0] == BOTTOM:
+                report.rejected_statically += 1
+                return False
+            else:
+                precondition = bind_slots(*derived)
             report.precondition_evaluations += 1
             ok = (
                 active_backend().evaluate(precondition, state, signature=signature)
@@ -284,6 +316,7 @@ class StaticPreconditionPolicy(MaintenancePolicy):
                 report.rolled_back += 1
                 return False
         store.commit_unchecked(successor=new_state)
+        self.invariant_established(store.snapshot(), constraints)
         report.committed += 1
         return True
 

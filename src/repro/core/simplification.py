@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..db.database import Database
 from ..db.delta import Delta
@@ -55,6 +55,7 @@ from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import (
     And,
     Atom,
+    BOTTOM,
     Bottom,
     Eq,
     Exists,
@@ -68,7 +69,11 @@ from ..logic.syntax import (
     make_and,
     make_or,
 )
-from ..logic.terms import Const, Term, Var
+from ..logic.terms import Const, Param, Term, Var
+from ..transactions.base import TransactionError
+from ..transactions.fo_transactions import DeleteWhere, FOProgram, InsertTuple
+from .prerelations import PrerelationSpec
+from .wpc import WpcCalculator, WpcError
 
 __all__ = [
     "equivalent_under",
@@ -77,6 +82,9 @@ __all__ = [
     "DenialForm",
     "denial_form",
     "holds_after_update",
+    "program_shape",
+    "derived_guard",
+    "bind_slots",
 ]
 
 
@@ -250,17 +258,29 @@ class DenialForm:
         atoms of ``no-triangles`` give one instance per inserted edge).
         Deleted rows give none.
         """
+        return self._instances(delta.inserted, keep_matched=False)
+
+    def _instances(
+        self, inserted: Mapping[str, Iterable[Tuple[object, ...]]], keep_matched: bool
+    ) -> Iterator[Formula]:
+        """:meth:`instances` at ``inserted``, whose rows may hold :class:`Param`
+        slots: a slot meets a constant of the constraint through an equality
+        the instance keeps.  ``keep_matched`` keeps the row itself in the
+        instance, so that one a later statement deletes is judged exactly."""
         seen = set()
         for index, atom in enumerate(self.atoms):
-            rows = delta.inserted.get(atom.relation)
+            rows = inserted.get(atom.relation)
             if not rows:
                 continue
             rest = self.atoms[:index] + self.atoms[index + 1:] + self.conditions
             for row in rows:
-                binding = _unify(atom, row)
-                if binding is None:
+                unified = _unify(atom, row)
+                if unified is None:
                     continue
-                instance = _instantiate(rest, binding)
+                binding, equalities = unified
+                if keep_matched:
+                    equalities += (Atom(atom.relation, *row),)
+                instance = _instantiate(rest + equalities, binding)
                 if instance is not None and instance not in seen:
                     seen.add(instance)
                     yield instance
@@ -339,18 +359,35 @@ def _terms_of(literal: Formula) -> Tuple[Term, ...]:
     return (core.left, core.right)
 
 
-def _unify(atom: Atom, row: Tuple[object, ...]) -> Optional[Dict[str, object]]:
-    """The assignment under which ``atom`` reads ``row``, if there is one."""
+def _unify(
+    atom: Atom, row: Tuple[object, ...]
+) -> Optional[Tuple[Dict[str, object], Tuple[Formula, ...]]]:
+    """The assignment under which ``atom`` reads ``row``, if there is one,
+    with the equalities a :class:`Param` cell owes a constant of ``atom``."""
     if len(row) != len(atom.terms):
         return None
     binding: Dict[str, object] = {}
+    equalities: Tuple[Formula, ...] = ()
     for term, value in zip(atom.terms, row):
         if type(term) is Const:
-            if term.value != value:
+            if type(value) is Param:
+                equalities += (Eq(value, term),)
+            elif term.value != value:
                 return None
         elif binding.setdefault(term.name, value) != value:
             return None
-    return binding
+    return binding, equalities
+
+
+def _ground_equality(core: Eq) -> Optional[bool]:
+    """The truth of an equality between constants or slots, when it is known:
+    distinct slots denote distinct values; a slot and a constant may meet."""
+    left, right = type(core.left), type(core.right)
+    if left not in (Const, Param) or right not in (Const, Param):
+        return None
+    if left is not right:
+        return None
+    return core.left == core.right
 
 
 def _instantiate(
@@ -359,13 +396,17 @@ def _instantiate(
     """``exists rest . σ(literals)``, or ``None`` when a ground (in)equality
     refutes it; the remaining variables are renamed in a canonical order so
     that instances equal up to their names compare equal."""
-    mapping = {name: Const(value) for name, value in binding.items()}
+    mapping = {
+        name: value if type(value) is Param else Const(value)
+        for name, value in binding.items()
+    }
     kept: List[Formula] = []
     for literal in literals:
         literal = literal.substitute(mapping)
         core = literal.body if isinstance(literal, Not) else literal
-        if isinstance(core, Eq) and type(core.left) is Const and type(core.right) is Const:
-            if (core.left.value == core.right.value) != (core is literal):
+        truth = _ground_equality(core) if isinstance(core, Eq) else None
+        if truth is not None:
+            if truth != (core is literal):
                 return None
             continue
         kept.append(literal)
@@ -387,8 +428,15 @@ def _literal_key(literal: Formula) -> Tuple[object, ...]:
     return (
         core is not literal,
         core.relation if isinstance(core, Atom) else "=",
-        tuple(repr(term.value) if type(term) is Const else "" for term in _terms_of(core)),
+        tuple(_term_key(term) for term in _terms_of(core)),
     )
+
+
+def _term_key(term: Term) -> str:
+    """A constant by its value, a slot by its number, a variable as blank."""
+    if type(term) is Const:
+        return repr(term.value)
+    return str(term) if type(term) is Param else ""
 
 
 def holds_after_update(
@@ -422,3 +470,191 @@ def holds_after_update(
         for instance in form.instances(delta)
     )
     return not violated, False
+
+
+# ---------------------------------------------------------------------------
+# pre-state guards, derived once per program shape
+# ---------------------------------------------------------------------------
+
+
+def program_shape(program: object) -> Optional[Tuple[Tuple[object, ...], Tuple[object, ...]]]:
+    """``(key, values)``: ``program`` with its constants factored into slots.
+
+    ``values`` lists the program's distinct constants in first-occurrence
+    order and ``key`` is the program with :class:`Param` ``i`` where the
+    ``i``-th of them stood (with its schema) — numbered the way
+    :meth:`Formula.shape` numbers a formula's constants, so equal values
+    share a slot and distinct slots are distinct values.  ``None`` outside
+    the fragment :func:`derived_guard` covers: an :class:`FOProgram` of
+    :class:`InsertTuple` statements over constants and :class:`DeleteWhere`
+    statements without interpreted symbols.
+    """
+    if type(program) is not FOProgram:
+        return None
+    slots: Dict[object, Param] = {}
+
+    def slot(term: Term) -> Term:
+        if type(term) is Const:
+            return slots.setdefault(term.value, Param(len(slots)))
+        return term
+
+    statements: List[object] = []
+    for statement in program.statements:
+        if type(statement) is InsertTuple:
+            if any(type(term) is not Const for term in statement.terms):
+                return None
+            statements.append(InsertTuple(statement.relation, *map(slot, statement.terms)))
+        elif type(statement) is DeleteWhere:
+            condition = statement.condition
+            if condition.interpreted_symbols() or any(
+                type(value) is Param for value in condition.constants()
+            ):
+                return None
+            statements.append(
+                DeleteWhere(statement.relation, statement.variables, condition.map_terms(slot))
+            )
+        else:
+            return None
+    return (program.schema, tuple(statements)), tuple(slots)
+
+
+def derived_guard(
+    program: object, constraint: object
+) -> Optional[Tuple[Formula, Tuple[object, ...]]]:
+    """The closing remark's ``Delta`` for ``program`` and ``constraint``.
+
+    Returns ``(guard, values)``: a sentence over the :class:`Param` slots of
+    :func:`program_shape` with ``alpha |= (Delta <-> wpc(T, alpha))`` for
+    every instance of the shape, and this program's slot values
+    (:func:`bind_slots` puts them in).  ``None`` outside the fragment — a
+    program :func:`program_shape` rejects, a constraint without a
+    :func:`denial_form`.
+
+    The construction: on a pre-state satisfying ``alpha`` every violation on
+    the post-state uses a row the program inserted, so the post-state
+    satisfies ``alpha`` iff no :meth:`DenialForm.instances` at those rows
+    holds there — each kept with the atom that matched the row, so a row a
+    later statement deletes is judged exactly.  Each instance is pulled back
+    through the program by :class:`WpcCalculator`; ``Delta`` is the
+    conjunction of their negations, folded.  A program that only deletes
+    gets ``true``.  Derived once per (shape, constraint) and remembered.
+    """
+    shape = program_shape(program)
+    if shape is None or denial_form(constraint) is None:
+        return None
+    key, values = shape
+    guard = _derive(key, constraint)
+    return None if guard is None else (guard, values)
+
+
+def bind_slots(formula: Formula, values: Sequence[object]) -> Formula:
+    """``formula`` with the constant ``values[i]`` for each ``Param(i)``."""
+    if not values:
+        return formula
+    return formula.map_terms(
+        lambda term: Const(values[term.index]) if type(term) is Param else term
+    )
+
+
+@lru_cache(maxsize=1024)
+def _derive(key: Tuple[object, ...], constraint: Formula) -> Optional[Formula]:
+    schema, statements = key
+    inserted: Dict[str, Dict[Tuple[Term, ...], None]] = {}
+    for statement in statements:
+        if type(statement) is InsertTuple:
+            inserted.setdefault(statement.relation, {})[statement.terms] = None
+    instances = list(denial_form(constraint)._instances(inserted, keep_matched=True))
+    if not instances:
+        return TOP
+    try:
+        calculator = _InstanceWpc(
+            PrerelationSpec.from_fo_program(FOProgram(statements, schema=schema))
+        )
+        pulled = [calculator.wpc(instance) for instance in instances]
+    except (WpcError, TransactionError):
+        return None
+    return syntactic_simplify(
+        make_and(*(Not(_drop_covered(_fold_slots(part))) for part in pulled)),
+        nonempty_domain=False,
+    )
+
+
+class _InstanceWpc(WpcCalculator):
+    """Theorem 8's ``wpc`` for the instances of :func:`derived_guard`.
+
+    Over a program of tuple inserts and deletions a relation's prerelation
+    already holds exactly at the post-state's rows, and every variable of an
+    instance occurs in one of its relation atoms, so a witness the instance
+    finds lies in the post-state's domain by itself: the calculator's
+    ``Gamma``-membership and post-state activity guards are ``true`` there,
+    and are left out.
+    """
+
+    def _in_gamma(self, term: Term) -> Formula:
+        return TOP
+
+    def _active_after(self, term: Term) -> Formula:
+        return TOP
+
+
+def _fold_slots(formula: Formula) -> Formula:
+    """Decide the equalities between slots and fold the result."""
+
+    def fold(node: Formula) -> Formula:
+        if isinstance(node, Eq):
+            truth = _ground_equality(node)
+            return node if truth is None else TOP if truth else BOTTOM
+        return node.map_children(fold)
+
+    return syntactic_simplify(fold(formula), nonempty_domain=False)
+
+
+def _drop_covered(formula: Formula) -> Formula:
+    """Drop each disjunct that implies an existential sibling.
+
+    The pull-back of ``exists v . phi`` lists ``phi`` at every inserted value
+    next to ``exists v . phi`` over the pre-state's domain; where ``v``
+    occurs in a relation atom of ``phi``, a value that satisfies ``phi`` is
+    in that domain, so a disjunct holding ``phi[v := c]`` among its
+    conjuncts adds nothing.
+    """
+    formula = formula.map_children(_drop_covered)
+    if not isinstance(formula, Or):
+        return formula
+    witnessed = [
+        (part.variable, _conjuncts(part.body))
+        for part in formula.parts
+        if isinstance(part, Exists)
+        and any(
+            isinstance(literal, Atom) and Var(part.variable) in literal.terms
+            for literal in _conjuncts(part.body)
+        )
+    ]
+    if not witnessed:
+        return formula
+    kept = [
+        part
+        for part in formula.parts
+        if not any(_covers(variable, body, part) for variable, body in witnessed)
+    ]
+    return make_or(*kept)
+
+
+def _conjuncts(formula: Formula) -> Tuple[Formula, ...]:
+    return formula.parts if isinstance(formula, And) else (formula,)
+
+
+def _covers(variable: str, body: Tuple[Formula, ...], part: Formula) -> bool:
+    """Does ``part`` hold ``body[variable := c]`` among its conjuncts for some
+    constant or slot ``c`` it mentions?"""
+    held = set(_conjuncts(part))
+    candidates = {
+        term
+        for atom in part.atoms()
+        for term in atom.terms
+        if type(term) in (Const, Param)
+    }
+    return any(
+        all(literal.substitute({variable: term}) in held for literal in body)
+        for term in candidates
+    )

@@ -26,11 +26,9 @@ needs:
   its MVCC snapshot, so optimistic validation sees precise row-level
   footprints instead of opaque reads.
 
-Optional ``guards`` entries are formula strings over the parameter variables
-``p0..pn`` (parsed with :func:`repro.logic.parser.parse`, instantiated by
-substituting each ``pi`` with the submitted constant); they are verified
-against the true weakest precondition at registration time like any
-hand-written guard.
+Templates carry no guards: admission derives each (template, constraint)
+guard from the program and the constraint, and a spec that sends a
+``guards`` field is refused.
 """
 
 from __future__ import annotations
@@ -39,8 +37,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..logic.parser import parse as parse_formula
-from ..logic.syntax import Eq, Formula, make_and
+# the wire's formula parser, kept here for bench/spans.py to wrap
+from ..logic.parser import parse as parse_formula  # noqa: F401
+from ..logic.syntax import Eq, make_and
 from ..logic.terms import Const, Var
 from ..service.admission import TransactionTemplate
 from ..transactions.fo_transactions import DeleteWhere, FOProgram, InsertTuple
@@ -274,21 +273,10 @@ class WireTemplate:
                 raise ProtocolError(f"each sample must be a list, got {sample!r}")
             samples.append(tuple(sample))
         self.samples = tuple(samples)
-        raw_guards = spec.get("guards", {})
-        if not isinstance(raw_guards, dict):
-            raise ProtocolError("'guards' must map constraint names to formula strings")
-        self._guard_sources: Dict[str, str] = {}
-        self._guard_formulas: Dict[str, Formula] = {}
-        for constraint, source in raw_guards.items():
-            if not isinstance(source, str):
-                raise ProtocolError(f"guard for {constraint!r} must be a formula string")
-            try:
-                self._guard_formulas[constraint] = parse_formula(source)
-            except Exception as exc:
-                raise ProtocolError(
-                    f"guard for {constraint!r} does not parse: {exc}"
-                ) from None
-            self._guard_sources[constraint] = source
+        if "guards" in spec:
+            raise ProtocolError(
+                "'guards' is not a template field: guards are derived at registration"
+            )
         # every sample must instantiate every op (catches out-of-range
         # placeholders at registration, not first submission)
         for sample in self.samples:
@@ -327,26 +315,9 @@ class WireTemplate:
 
         return work
 
-    def _guard_builder(self, constraint: str) -> Callable[..., Formula]:
-        formula = self._guard_formulas[constraint]
-
-        def build_guard(*params: object) -> Formula:
-            return formula.substitute(
-                {f"p{i}": Const(value) for i, value in enumerate(params)}
-            )
-
-        return build_guard
-
     def admission_template(self) -> TransactionTemplate:
         """The :class:`TransactionTemplate` the service classifies once."""
-        return TransactionTemplate(
-            self.name,
-            self.build_program,
-            samples=self.samples,
-            guards={
-                name: self._guard_builder(name) for name in self._guard_formulas
-            },
-        )
+        return TransactionTemplate(self.name, self.build_program, samples=self.samples)
 
     def describe(self) -> Dict[str, object]:
         """The JSON-safe registration record (``GET /templates``)."""
@@ -356,5 +327,4 @@ class WireTemplate:
                 {op.kind: [op.relation, list(op.row)]} for op in self.ops
             ],
             "samples": [list(sample) for sample in self.samples],
-            "guards": dict(self._guard_sources),
         }

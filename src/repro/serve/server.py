@@ -575,11 +575,6 @@ def _outcome_payload(outcome: TxnOutcome) -> Dict[str, object]:
 # the standard workload, as wire templates
 # ---------------------------------------------------------------------------
 
-#: the guard of an arbitrary edge insert ``(p0, p1)`` against ``no-triangles``
-#: — the paper's closing-remark simplification, as a wire formula string
-_NO_NEW_TRIANGLE = "~(p0 = p1) & ~(exists w . E(p1, w) & E(w, p0))"
-
-
 def standard_wire_templates() -> List[WireTemplate]:
     """The standard referral-graph templates, re-expressed as wire specs.
 
@@ -595,7 +590,6 @@ def standard_wire_templates() -> List[WireTemplate]:
                 "name": "link-forward",
                 "ops": [{"insert": ["E", ["$0", "$1"]]}],
                 "samples": [[0, 1], [1, 2]],
-                "guards": {"no-triangles": _NO_NEW_TRIANGLE},
             }
         ),
         WireTemplate(
@@ -610,10 +604,6 @@ def standard_wire_templates() -> List[WireTemplate]:
                 "name": "add-edge",
                 "ops": [{"insert": ["E", ["$0", "$1"]]}],
                 "samples": [[0, 1], [1, 0], [2, 2]],
-                "guards": {
-                    "no-loops": "~(p0 = p1)",
-                    "no-triangles": _NO_NEW_TRIANGLE,
-                },
             }
         ),
     ]

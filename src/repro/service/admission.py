@@ -1,30 +1,32 @@
 """WPC-verified admission: decide once how much checking each commit needs.
 
 The paper's point, turned into a serving-layer fast path: for a *registered*
-transaction shape, the weakest precondition ``wpc(T, alpha)`` is computed and
-classified **once** (:func:`repro.core.wpc.classify_preservation`), and every
-subsequent commit of that shape consults a per-``(transaction, constraint)``
-verdict cache instead of doing constraint work:
+transaction shape the constraint work of its commits is decided **once**,
+and every subsequent commit of that shape consults a per-``(transaction,
+constraint)`` verdict cache instead of doing constraint work:
 
-* **static** — ``alpha |= wpc(T, alpha)`` on the verification family: the
-  shape preserves the constraint from any consistent state, so its commits
-  run with *zero* runtime constraint checks;
-* **guarded** — the (possibly simplified) precondition is evaluated on the
-  pre-state at commit time; a failing guard rejects the transaction before it
-  touches the store, so nothing is ever rolled back;
+* **static** — the shape preserves the constraint from any consistent
+  state, so its commits run with *zero* runtime constraint checks;
+* **guarded** — a pre-state guard is evaluated at commit time; a failing
+  guard rejects the transaction before it touches the store, so nothing is
+  ever rolled back;
 * **runtime** — no syntactic precondition exists: the scheduler falls back to
   post-state checking (the :class:`RuntimeCheckPolicy` strategy: at the
   inserted rows for a constraint in denial form, in full otherwise).
 
 Shapes are registered as **templates**: a builder producing an
 :class:`~repro.transactions.fo_transactions.FOProgram` instance per parameter
-tuple, plus sample parameters.  Classification runs on every sample and the
-*most conservative* verdict wins, so a template whose instances differ in
-kind (one sample static, one guarded) is treated uniformly at the safe level.
-A template may also ship a hand-written parametric guard (the paper's
-closing-remark simplification ``Delta``): it is verified against the true
-``wpc`` on the family for every sample before being trusted, and then used
-per instance — typically far smaller than the mechanical precondition.
+tuple, plus sample parameters.  For a program of tuple inserts and deletions
+and a constraint in denial form the guard is the paper's closing-remark
+``Delta``, derived from the program and the constraint
+(:func:`repro.core.simplification.derived_guard`): exact under the
+invariant, one formula per shape of the program's constants, so the verdict
+is ``static`` when every sample's ``Delta`` is ``true`` and ``guarded``
+otherwise — no bounded sweep.  Any other pair is classified by
+:func:`repro.core.wpc.classify_preservation` on every sample, the *most
+conservative* verdict winning, and guarded by its mechanical ``wpc``.
+Either guard is computed once per (template, constraint, shape) and bound
+to each instance's constants.
 """
 
 from __future__ import annotations
@@ -33,14 +35,18 @@ import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.maintenance import Constraint
-from ..core.simplification import equivalent_under
-from ..core.wpc import PreservationVerdict, classify_preservation, weakest_precondition
+from ..core.simplification import bind_slots, derived_guard, program_shape
+# classification of pairs outside the derived fragment (wrapped by bench/spans.py)
+from ..core.wpc import PreservationVerdict, classify_preservation
+# the mechanical guard of pairs outside the fragment (wrapped by bench/spans.py)
+from ..core.wpc import WpcError, weakest_precondition
 from ..db.database import Database
 from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import TOP, Formula
+from ..logic.syntax import TOP, Formula, FormulaError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..transactions.base import Transaction
+from ..transactions.fo_transactions import FOProgram
 from .snapshots import ServiceError
 
 __all__ = ["TransactionTemplate", "AdmissionController"]
@@ -56,8 +62,6 @@ class TransactionTemplate:
     :class:`FOProgram`, anything :func:`weakest_precondition` accepts) for one
     parameter tuple; ``samples`` are representative parameter tuples used for
     classification — supply one per qualitatively different instance shape.
-    ``guards`` optionally maps a constraint name to ``guard(*params)``, a
-    hand-simplified parametric precondition (verified before use).
     """
 
     def __init__(
@@ -65,17 +69,27 @@ class TransactionTemplate:
         name: str,
         build: Callable[..., Transaction],
         samples: Sequence[Tuple] = ((),),
-        guards: Optional[Mapping[str, Callable[..., Formula]]] = None,
     ):
         if not samples:
             raise ServiceError(f"template {name!r} needs at least one sample")
         self.name = name
         self.build = build
         self.samples = tuple(tuple(s) for s in samples)
-        self.guards = dict(guards or {})
 
     def __repr__(self) -> str:
         return f"TransactionTemplate({self.name!r}, samples={len(self.samples)})"
+
+
+class _Pair:
+    """What registration decided for one (template, constraint) pair."""
+
+    __slots__ = ("mode", "source", "guards", "wpcs")
+
+    def __init__(self, mode: str, source: str, guards: List[Formula]):
+        self.mode = mode
+        self.source = source  # "derived" or "wpc"
+        self.guards = guards  # per sample: the guard registration computed
+        self.wpcs: Optional[List[Formula]] = None  # per sample, on first stats()
 
 
 class AdmissionController:
@@ -83,9 +97,9 @@ class AdmissionController:
 
     Thread-safe; classification happens at registration time (offline, the
     point of static verification), lookups at commit time are dictionary
-    reads.  Guard formulas for *guarded* verdicts are produced per instance —
-    from the template's verified parametric guard when available, otherwise
-    from a freshly computed ``wpc`` — and memoised per parameter tuple.
+    reads.  Guard formulas for *guarded* verdicts are computed once per
+    (template, constraint, shape of the instance's constants) and bound to
+    each instance's constants.
     """
 
     def __init__(
@@ -104,6 +118,7 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._templates: Dict[str, TransactionTemplate] = {}
         self._verdicts: Dict[str, Dict[str, PreservationVerdict]] = {}
+        self._pairs: Dict[Tuple[str, str], _Pair] = {}
         self._guard_cache: Dict[Tuple[str, str, Tuple], Formula] = {}
         # bookkeeping for reports/benchmarks (mirrored into the metrics
         # registry under service.admission.* — docs/observability.md)
@@ -117,82 +132,65 @@ class AdmissionController:
 
     # -- registration (offline) --------------------------------------------------
 
+    # the registration span of the traced benchmark (wrapped by bench/spans.py)
     def register(self, template: TransactionTemplate) -> Dict[str, PreservationVerdict]:
         """Classify ``template`` against every constraint; returns the verdicts.
 
-        Idempotent per template name.  As a side effect the representative
-        precondition is recorded on each :class:`Constraint` via
-        :meth:`~repro.core.maintenance.Constraint.register_precondition`, so
-        the classic :class:`StaticPreconditionPolicy` shares the table.
+        Idempotent per template name.  Nothing is written into the
+        constraints' precondition tables: a precondition belongs to one
+        transaction instance, not to a template's name.
         """
         with self._lock:
             cached = self._verdicts.get(template.name)
             if cached is not None:
                 return dict(cached)
         verdicts: Dict[str, PreservationVerdict] = {}
+        pairs: Dict[Tuple[str, str], _Pair] = {}
         with _trace.span("service.admission.classify", template=template.name):
             for constraint in self.constraints:
-                verdicts[constraint.name] = self._classify(template, constraint)
+                verdicts[constraint.name], pairs[(template.name, constraint.name)] = (
+                    self._classify(template, constraint)
+                )
         with self._lock:
             self._templates[template.name] = template
             self._verdicts[template.name] = verdicts
+            self._pairs.update(pairs)
             self.classified += len(verdicts)
         self._m_classified.inc(len(verdicts))
         return dict(verdicts)
 
     def _classify(
         self, template: TransactionTemplate, constraint: Constraint
-    ) -> PreservationVerdict:
-        """One (template, constraint) verdict: worst sample wins."""
+    ) -> Tuple[PreservationVerdict, _Pair]:
+        """One (template, constraint) verdict, from the derived guards of the
+        samples when every one has one, else the worst sample's
+        :func:`classify_preservation`."""
+        programs = [template.build(*params) for params in template.samples]
+        derived = [derived_guard(program, constraint.formula) for program in programs]
+        if all(found is not None for found in derived):
+            guards = [found[0] for found in derived]
+            mode = "static" if all(guard == TOP for guard in guards) else "guarded"
+            verdict = PreservationVerdict(
+                mode, None, None, "guard derived from the constraint's denial form"
+            )
+            return verdict, _Pair(mode, "derived", guards)
         worst: Optional[PreservationVerdict] = None
-        sampled: List[Tuple[Tuple, Optional[Formula], List[Database]]] = []
-        for params in template.samples:
-            transaction = template.build(*params)
-            family = self._family_for(transaction)
+        guards = []
+        for program in programs:
             verdict = classify_preservation(
-                transaction,
+                program,
                 constraint.formula,
-                databases=family,
+                databases=self._family_for(program),
                 signature=self.signature,
-                # the controller supplies its own (verified) parametric
-                # guards or per-instance wpcs — skip the simplification sweep
+                # the guard is the per-shape wpc — skip the simplification sweep
                 simplify_guard=False,
             )
-            sampled.append((params, verdict.precondition, family))
+            if verdict.precondition is not None:
+                guards.append(verdict.precondition)
             if worst is None or _MODE_RANK[verdict.mode] > _MODE_RANK[worst.mode]:
                 worst = verdict
         assert worst is not None
-        if worst.precondition is not None:
-            constraint.register_precondition(template.name, worst.precondition)
-        if worst.mode == "guarded":
-            self._verify_template_guard(template, constraint, sampled)
-        return worst
-
-    def _verify_template_guard(
-        self,
-        template: TransactionTemplate,
-        constraint: Constraint,
-        sampled: Sequence[Tuple[Tuple, Optional[Formula], List[Database]]],
-    ) -> None:
-        """Check a hand-written parametric guard against the true wpc.
-
-        ``sampled`` holds, per sample, the ``wpc`` classification just
-        computed (the same formula object, so the engine's plan cache answers
-        by identity) and the family it was classified on.  A guard that is
-        not equivalent to it under the invariant (on the family, for every
-        sample) is silently dropped — the controller then falls back to
-        per-instance ``wpc`` computation, which is always sound.
-        """
-        builder = template.guards.get(constraint.name)
-        if builder is None:
-            return
-        for params, precondition, family in sampled:
-            if not equivalent_under(
-                constraint.formula, builder(*params), precondition, family,
-                self.signature,
-            ):
-                del template.guards[constraint.name]
-                return
+        return worst, _Pair(worst.mode, "wpc", guards)
 
     def _family_for(self, transaction: Transaction) -> List[Database]:
         """The bounded-verification family for one transaction's schema.
@@ -225,45 +223,100 @@ class AdmissionController:
         with self._lock:
             return self._verdicts.get(template_name)
 
-    def stats(self) -> Dict[str, int]:
-        """Classification bookkeeping (part of the merged observability view)."""
+    def stats(self) -> Dict[str, object]:
+        """Classification bookkeeping (part of the merged observability view).
+
+        ``guards`` lists, per (template, constraint), the verdict's ``mode``,
+        where its guard comes from (``source``: ``derived`` or ``wpc``), and
+        the largest size and quantifier rank among the samples' guards next
+        to their mechanical ``wpc``'s — computed on the first call, not at
+        registration.
+        """
+        with self._lock:
+            templates = dict(self._templates)
+            pairs = dict(self._pairs)
+        rows = []
+        for (template_name, constraint_name), pair in sorted(pairs.items()):
+            if pair.wpcs is None:
+                pair.wpcs = self._mechanical(templates[template_name], constraint_name)
+            rows.append(
+                {
+                    "template": template_name,
+                    "constraint": constraint_name,
+                    "mode": pair.mode,
+                    "source": pair.source,
+                    "guard_size": max((g.size() for g in pair.guards), default=0),
+                    "guard_rank": max((g.quantifier_rank() for g in pair.guards), default=0),
+                    "wpc_size": max((w.size() for w in pair.wpcs), default=0),
+                    "wpc_rank": max((w.quantifier_rank() for w in pair.wpcs), default=0),
+                }
+            )
         with self._lock:
             return {
                 "templates": len(self._templates),
                 "classified": self.classified,
                 "guard_cache_hits": self.guard_cache_hits,
+                "guards": rows,
             }
 
+    def _mechanical(self, template: TransactionTemplate, constraint_name: str) -> List[Formula]:
+        """The mechanical ``wpc`` of each sample (none for a semantic constraint)."""
+        constraint = next(c for c in self.constraints if c.name == constraint_name)
+        if not isinstance(constraint.formula, Formula):
+            return []
+        try:
+            return [
+                weakest_precondition(template.build(*params), constraint.formula)
+                for params in template.samples
+            ]
+        except (WpcError, FormulaError):  # no prerelations: checked at run time
+            return []
+
+    # the per-instance guard lookup of the traced benchmark (wrapped by bench/spans.py)
     def guard_for(
         self, template_name: str, constraint: Constraint, params: Tuple
     ) -> Formula:
-        """The pre-state guard for one *guarded* instance (memoised).
+        """The pre-state guard for one *guarded* instance.
 
-        Uses the template's verified parametric guard when present; otherwise
-        computes ``wpc(build(*params), alpha)`` on demand.  Either way the
-        result is cached per parameter tuple, so hot parameters pay once.
+        The guard of the instance's shape — the derived ``Delta`` inside the
+        fragment, the mechanical ``wpc`` of the program over its slots
+        outside it — is computed once per (template, constraint, shape) and
+        bound to ``params``' constants; a program whose constants cannot be
+        factored into slots gets its own ``wpc`` every time.
         """
-        key = (template_name, constraint.name, params)
         with self._lock:
-            guard = self._guard_cache.get(key)
             template = self._templates.get(template_name)
-        if guard is not None:
-            with self._lock:
-                self.guard_cache_hits += 1
-            self._m_guard_cache_hits.inc()
-            return guard
         if template is None:
             raise ServiceError(f"template {template_name!r} is not registered")
-        builder = template.guards.get(constraint.name)
-        if builder is not None:
-            guard = builder(*params)
+        program = template.build(*params)
+        shape = program_shape(program)
+        if shape is None:
+            if not isinstance(constraint.formula, Formula):
+                return TOP
+            return weakest_precondition(program, constraint.formula)
+        key, values = shape
+        cache_key = (template_name, constraint.name, key)
+        with self._lock:
+            guard = self._guard_cache.get(cache_key)
+            if guard is not None:
+                self.guard_cache_hits += 1
+        if guard is not None:
+            self._m_guard_cache_hits.inc()
+            return bind_slots(guard, values)
+        derived = derived_guard(program, constraint.formula)
+        if derived is not None:
+            guard = derived[0]
         elif isinstance(constraint.formula, Formula):
-            guard = weakest_precondition(template.build(*params), constraint.formula)
+            schema, statements = key
+            guard = weakest_precondition(
+                FOProgram(statements, schema=schema, signature=program.signature),
+                constraint.formula,
+            )
         else:
             guard = TOP
         with self._lock:
-            self._guard_cache[key] = guard
-        return guard
+            self._guard_cache[cache_key] = guard
+        return bind_slots(guard, values)
 
     def __repr__(self) -> str:
         with self._lock:

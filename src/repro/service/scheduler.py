@@ -64,7 +64,7 @@ from ..db.engines import StorageEngineError
 from ..db.storage import Store
 from ..engine.backend import Backend, active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import Formula
+from ..logic.syntax import BOTTOM, TOP, Formula
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..transactions.base import Transaction, TransactionAbortedSignal
@@ -731,11 +731,14 @@ class TransactionService:
                     request.template, constraint, request.params
                 )
                 self.stats.add(guard_checks=1)
-                ok = (
-                    self.backend.evaluate(guard, running, signature=self.signature)
-                    if isinstance(guard, Formula)
-                    else guard.holds(running)
-                )
+                if guard == TOP or guard == BOTTOM:
+                    ok = guard == TOP  # decided by the shape alone
+                else:
+                    ok = (
+                        self.backend.evaluate(guard, running, signature=self.signature)
+                        if isinstance(guard, Formula)
+                        else guard.holds(running)
+                    )
                 if not ok:
                     request.status = "rejected"
                     request.reason = f"guard of {constraint.name!r} failed on the pre-state"

@@ -56,7 +56,7 @@ from ..core.maintenance import Constraint
 from ..db.database import Database
 from ..db.schema import GRAPH_SCHEMA
 from ..db.storage import Store
-from ..logic.syntax import And, Atom, Eq, Exists, Not, make_and
+from ..logic.syntax import And, Atom, Eq, Exists
 from ..logic.terms import Const, Var
 from ..obs import metrics as _metrics
 from ..transactions.fo_transactions import DeleteWhere, FOProgram, InsertTuple
@@ -146,30 +146,6 @@ def standard_constraints() -> List[Constraint]:
     ]
 
 
-def _no_new_triangle_guard(a: object, b: object):
-    """Hand-simplified guard: inserting ``(a, b)`` keeps ``no-triangles``.
-
-    Under the invariant the only new violation an edge insert can create is a
-    2-path ``b -> w -> a`` closing through the new edge (plus the degenerate
-    loop ``a = b``) — the paper's closing-remark ``Delta``: far smaller than
-    the mechanical ``wpc``, and verified against it at registration time.
-    """
-    return make_and(
-        Not(Eq(Const(a), Const(b))),
-        Not(
-            Exists(
-                "w",
-                And(Atom("E", Const(b), Var("w")), Atom("E", Var("w"), Const(a))),
-            )
-        ),
-    )
-
-
-def _not_a_loop_guard(a: object, b: object):
-    """Hand-simplified guard: inserting ``(a, b)`` keeps ``no-loops`` iff ``a != b``."""
-    return Not(Eq(Const(a), Const(b)))
-
-
 def _insert_edge_program(a: object, b: object) -> FOProgram:
     return FOProgram([InsertTuple("E", a, b)], name="add-edge")
 
@@ -188,30 +164,19 @@ def standard_templates() -> List[TransactionTemplate]:
 
     * ``link-forward`` — insert one strictly forward edge (``a < b``); its
       instances preserve ``no-loops`` outright and need only the 2-path guard
-      for ``no-triangles``;
+      ``~exists w . E(b, w) & E(w, a)`` for ``no-triangles``;
     * ``unlink`` — delete one edge: statically safe for both constraints
       (universal constraints survive deletions);
     * ``add-edge`` — insert an *arbitrary* edge (loops and back-edges
       included): guarded for both constraints.
+
+    The guards are derived at registration
+    (:func:`repro.core.simplification.derived_guard`), not written here.
     """
-    guards = {
-        "no-loops": _not_a_loop_guard,
-        "no-triangles": _no_new_triangle_guard,
-    }
     return [
-        TransactionTemplate(
-            "link-forward",
-            _link_forward_program,
-            samples=((0, 1), (1, 2)),
-            guards={"no-triangles": _no_new_triangle_guard},
-        ),
+        TransactionTemplate("link-forward", _link_forward_program, samples=((0, 1), (1, 2))),
         TransactionTemplate("unlink", _unlink_program, samples=((0, 1), (2, 1))),
-        TransactionTemplate(
-            "add-edge",
-            _insert_edge_program,
-            samples=((0, 1), (1, 0), (2, 2)),
-            guards=guards,
-        ),
+        TransactionTemplate("add-edge", _insert_edge_program, samples=((0, 1), (1, 0), (2, 2))),
     ]
 
 

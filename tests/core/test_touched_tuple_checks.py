@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Constraint, IntegrityMaintainer, RuntimeCheckPolicy
-from repro.core.simplification import denial_form, holds_after_update
+from repro.core.simplification import bind_slots, denial_form, derived_guard, holds_after_update
 from repro.db import Database, Delta, GRAPH_SCHEMA, MemoryEngine, Schema, Store
 from repro.db.delta import BucketMap
 from repro.engine import CompiledBackend, NaiveBackend, using_backend
@@ -23,13 +23,7 @@ from repro.logic import evaluate, parse
 from repro.logic.syntax import And, Atom, Eq, Forall, Implies, Not, Or, make_and, make_or
 from repro.logic.terms import Const
 from repro.service import TransactionService
-from repro.service.workloads import (
-    NO_LOOPS,
-    NO_TRIANGLES,
-    _no_new_triangle_guard,
-    _not_a_loop_guard,
-    forward_graph,
-)
+from repro.service.workloads import NO_LOOPS, NO_TRIANGLES, _insert_edge_program, forward_graph
 from repro.transactions import DeleteWhere, FOProgram, InsertTuple, InsertWhere
 
 from strategies import maybe_seed
@@ -393,28 +387,38 @@ class TestServiceFallbacks:
 
 
 # ---------------------------------------------------------------------------
-# the hand-written guards are the derivation, moved to the pre-state
+# the hand-written guards the templates once shipped are the derivation
 # ---------------------------------------------------------------------------
 
+#: inserting ``(a, b)``: the guards the standard templates once shipped by hand
+_HAND_GUARDS = {
+    "no-triangles": "~({a} = {b}) & ~(exists w . E({b}, w) & E(w, {a}))",
+    "no-loops": "~({a} = {b})",
+}
+
+
 @pytest.mark.parametrize(
-    "constraint, guard",
-    [(NO_TRIANGLES, _no_new_triangle_guard), (NO_LOOPS, _not_a_loop_guard)],
+    "constraint, name", [(NO_TRIANGLES, "no-triangles"), (NO_LOOPS, "no-loops")]
 )
-def test_the_derived_query_is_the_hand_guard(constraint, guard, graphs_3):
-    """Inserting ``(a, b)`` into every <= 3-node graph satisfying the
-    constraint: the derived instance query on the post-state holds exactly
-    when the hand-written guard fails on the pre-state."""
+def test_the_derived_query_is_the_hand_guard(constraint, name, graphs_3):
+    """Inserting ``(a, b)`` into every <= 3-node graph: the derived instance
+    query on the post-state holds exactly when the hand-written guard fails
+    on a pre-state satisfying the constraint, and the derived pre-state
+    guard is the hand-written one on every pre-state."""
     form = denial_form(constraint)
     checked = 0
-    for pre in graphs_3:
-        if not evaluate(constraint, pre):
-            continue
-        for a in range(3):
-            for b in range(3):
+    for a in range(3):
+        for b in range(3):
+            guard = parse(_HAND_GUARDS[name].format(a=a, b=b))
+            derived = bind_slots(*derived_guard(_insert_edge_program(a, b), constraint))
+            for pre in graphs_3:
+                assert evaluate(derived, pre) == evaluate(guard, pre), (pre, a, b)
+                if not evaluate(constraint, pre):
+                    continue
                 delta = Delta.insertion("E", (a, b)).normalized(pre)
                 post = pre.apply_delta(delta)
                 violated = evaluate(_violation(form, delta), post)
-                assert violated == (not evaluate(guard(a, b), pre)), (pre, a, b)
+                assert violated == (not evaluate(guard, pre)), (pre, a, b)
                 checked += 1
     assert checked >= 9 * 40
 

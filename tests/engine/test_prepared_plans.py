@@ -25,7 +25,9 @@ from repro.engine.plan import HashJoin, Plan, Scan, join_rows
 from repro.logic import arithmetic_signature, parse
 from repro.logic.syntax import And, Atom, Eq, Exists, Formula, InterpretedAtom, Not
 from repro.logic.terms import Const, Func, Param, Var
-from repro.service.workloads import _no_new_triangle_guard, _not_a_loop_guard, forward_graph
+from repro.core.simplification import bind_slots, derived_guard
+from repro.db.graph import all_graphs
+from repro.service.workloads import NO_LOOPS, NO_TRIANGLES, _insert_edge_program, forward_graph
 from repro.transactions import FOProgram, InsertTuple
 
 from strategies import formulas, graph_deltas, graphs, maybe_seed
@@ -265,6 +267,28 @@ def test_a_maintenance_stream_of_fresh_preconditions_is_a_handful_of_plans():
     assert stats["shared_carried"] > stats["shared_rebuilt"]
 
 
+def _edge_guard(constraint, a, b):
+    """The derived pre-state guard of inserting the edge ``(a, b)``."""
+    return bind_slots(*derived_guard(_insert_edge_program(a, b), constraint))
+
+
+#: the guards the standard templates once shipped by hand, as formulas
+_HAND_GUARDS = (
+    (NO_LOOPS, "~({a} = {b})"),
+    (NO_TRIANGLES, "~({a} = {b}) & ~(exists w . E({b}, w) & E(w, {a}))"),
+)
+
+
+def test_the_derived_edge_guards_are_the_hand_guards():
+    graphs = list(all_graphs(3))
+    for constraint, source in _HAND_GUARDS:
+        for a in range(3):
+            for b in range(3):
+                hand, derived = parse(source.format(a=a, b=b)), _edge_guard(constraint, a, b)
+                for db in graphs:
+                    assert NAIVE.evaluate(derived, db) == NAIVE.evaluate(hand, db), (a, b, db)
+
+
 def test_reads_and_guards_of_many_accounts_are_a_handful_of_plans():
     reads = [
         parse(source) for source in (
@@ -288,9 +312,9 @@ def test_reads_and_guards_of_many_accounts_are_a_handful_of_plans():
         assert answers[4] == any(model["out"].get(y) for y in out)
         assert answers[6] == (len(out) >= 2)
         other = (account * 7 + 1) % 400
-        assert backend.evaluate(_not_a_loop_guard(account, other), db) == (account != other)
+        assert backend.evaluate(_edge_guard(NO_LOOPS, account, other), db) == (account != other)
         closes = any(account in model["out"].get(w, ()) for w in model["out"].get(other, ()))
-        assert backend.evaluate(_no_new_triangle_guard(account, other), db) == (
+        assert backend.evaluate(_edge_guard(NO_TRIANGLES, account, other), db) == (
             account != other and not closes
         )
     stats = backend.cache_stats()

@@ -153,31 +153,48 @@ class TestWireTemplates:
             {"name": "x", "ops": [{"insert": ["E", [1, 2]], "delete": ["E", [1, 2]]}]},
             {"name": "x", "ops": [{"insert": ["E", [[1], 2]]}], "samples": [[]]},
             {"name": "x", "ops": [{"insert": ["E", [1, 2]]}], "samples": []},
-            {"name": "x", "ops": [{"insert": ["E", [1, 2]]}],
-             "guards": {"no-loops": "~(p0 ="}},                # unparseable guard
         ],
     )
     def test_malformed_specs_are_rejected(self, spec):
         with pytest.raises(ProtocolError):
             WireTemplate(spec)
 
-    def test_admission_template_carries_guards_and_samples(self):
+    def test_a_spec_with_guards_is_refused(self):
+        spec = {
+            "name": "proto-guarded",
+            "ops": [{"insert": ["E", ["$0", "$1"]]}],
+            "samples": [[0, 1]],
+            "guards": {"no-loops": "~(p0 = p1)"},
+        }
+        with pytest.raises(ProtocolError, match="derived"):
+            WireTemplate(spec)
+
+    def test_admission_template_derives_its_guards(self):
+        from repro.engine import NaiveBackend
+        from repro.service import AdmissionController
+        from repro.service.workloads import standard_constraints
+
         wire = WireTemplate(
             {
                 "name": "proto-guarded",
                 "ops": [{"insert": ["E", ["$0", "$1"]]}],
-                "samples": [[0, 1], [1, 0]],
-                "guards": {"no-loops": "~(p0 = p1)"},
+                "samples": [[0, 1], [1, 0], [2, 2]],
             }
         )
         template = wire.admission_template()
-        assert template.samples == ((0, 1), (1, 0))
-        guard = template.guards["no-loops"](3, 3)
-        from repro.engine import NaiveBackend
-
-        assert not NaiveBackend().evaluate(guard, Database.graph([]))
+        assert template.samples == ((0, 1), (1, 0), (2, 2))
+        controller = AdmissionController(standard_constraints())
+        verdicts = controller.register(template)
+        assert {name: v.mode for name, v in verdicts.items()} == {
+            "no-loops": "guarded", "no-triangles": "guarded",
+        }
+        no_loops = controller.constraints[0]
+        empty = Database.graph([])
+        assert not NaiveBackend().evaluate(
+            controller.guard_for("proto-guarded", no_loops, (3, 3)), empty
+        )
         assert NaiveBackend().evaluate(
-            template.guards["no-loops"](3, 4), Database.graph([])
+            controller.guard_for("proto-guarded", no_loops, (3, 4)), empty
         )
 
     def test_describe_round_trips_through_json(self):
