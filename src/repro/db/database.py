@@ -265,6 +265,10 @@ class Database:
         self._indexes[key] = built
         return built
 
+    def has_index(self, name: str, columns: Tuple[int, ...]) -> bool:
+        """Has :meth:`index` built (or inherited) this index already?"""
+        return (name, tuple(columns)) in self._indexes
+
     def __getitem__(self, name: str) -> AbstractSet[Tuple_]:
         return self.relation(name)
 

@@ -32,6 +32,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Mapping,
     Optional,
@@ -56,6 +57,9 @@ from .optimize import (
     optimize_plan,
 )
 from .plan import ExecutionContext, Plan, Rows
+
+_TRUE: Rows = frozenset({()})
+_FALSE: Rows = frozenset()
 from .stats import size_bucket
 
 __all__ = [
@@ -113,8 +117,11 @@ def _delta_mode_from_env() -> str:
 #: legacy ``cache_stats()`` keys stay unchanged; this is the registry side)
 _BACKEND_METRICS = {
     "fallbacks": "engine.compile.fallbacks",
+    "streamed": "engine.backend.streamed",
     "delta_hits": "engine.delta.hits",
     "delta_misses": "engine.delta.misses",
+    "states_deferred": "engine.delta.states_deferred",
+    "states_built_on_demand": "engine.delta.states_built_on_demand",
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
     "shared_subplans": "engine.optimizer.shared_subplans",
@@ -298,6 +305,18 @@ class CompiledBackend(Backend):
     (``shared_carried`` / ``shared_rebuilt`` count the two outcomes per
     shared sub-plan).
 
+    A closed sentence — a constraint, a weakest precondition, a guard — asks
+    yes or no.  Where the memo and the delta rules both miss, its plan is
+    *streamed* (``ExecutionContext.lazy``): rows are pulled through the
+    operators only until the root has one, so a witness found early ends
+    the check, and no intermediate result is kept beyond the sides a join
+    had to hash.  The verdict is memoised and leaves a *deferred* state,
+    which a successor that asks for it turns into a real one by a full
+    execution at that state (``streamed``, ``states_deferred`` and
+    ``states_built_on_demand`` count the three events): an update stream
+    does the same incremental work as with eager states, one step later,
+    and a one-off check pays for no node state at all.
+
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
     the interpreter's result exactly like a compiled one, so repeated checks
@@ -352,6 +371,9 @@ class CompiledBackend(Backend):
         self._states_lock = threading.Lock()
         self.delta_hits = 0
         self.delta_misses = 0
+        self.streamed = 0
+        self.states_deferred = 0
+        self.states_built_on_demand = 0
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
             optimizer = _optimizer_mode_from_env()
@@ -368,6 +390,8 @@ class CompiledBackend(Backend):
         # hash, the key tuple keeps it alive) so the lookup hashes no formula.
         self._opt_plans: _LRU = _LRU(plan_cache_size)
         self._opt_lock = threading.Lock()
+        # plan -> the nodes of its DAG that several consumers read
+        self._fan_ins: _LRU = _LRU(plan_cache_size)
         # structural-interning table (parameter-free sub-plans only) + the
         # sub-plans that formulas, or the bindings of one shape, share
         self._canon: Dict[Tuple, Plan] = {}
@@ -399,6 +423,7 @@ class CompiledBackend(Backend):
     def clear_caches(self) -> None:
         self._plans.clear()
         self._opt_plans.clear()
+        self._fan_ins.clear()
         with self._memo_lock:
             self._memo.clear()
         with self._states_lock:
@@ -426,6 +451,9 @@ class CompiledBackend(Backend):
             "shared_rebuilt": self.shared_rebuilt,
             "estimation_checks": self.estimation_checks,
             "estimation_error": self.estimation_error,
+            "streamed": self.streamed,
+            "states_deferred": self.states_deferred,
+            "states_built_on_demand": self.states_built_on_demand,
         }
 
     def _bump(self, counter: str, amount: int = 1) -> None:
@@ -634,10 +662,12 @@ class CompiledBackend(Backend):
         return ExecutionContext(db, domain_key, signature, params=formula.shape()[1])
 
     def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
-        """Full execution (when the incremental path declined) plus memoing."""
+        """Full execution, or a streamed verdict for a closed sentence (when
+        the incremental path declined), plus memoing."""
         if rows is None:
+            sentence = not memo_key[1]
             try:
-                rows = self._execute_plan(plan, ctx)
+                rows = self._execute_plan(plan, ctx, lazy=sentence)
             except (DatabaseError, SignatureError) as exc:
                 # match the interpreter's error contract (missing relations or
                 # Omega symbols surface as EvaluationError)
@@ -645,7 +675,11 @@ class CompiledBackend(Backend):
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode != "off":
-                self._remember_state(db, memo_key, PlanState(dict(ctx.cache)))
+                self._remember_state(
+                    db, memo_key, PlanState(dict(ctx.cache), deferred=sentence)
+                )
+                if sentence:
+                    self._bump("states_deferred")
             if self.optimizer_mode == "explain":
                 self._record_estimation(plan, db, memo_key, rows)
         memo.put(memo_key, rows)
@@ -686,7 +720,9 @@ class CompiledBackend(Backend):
         diagnosing why the optimizer picked (or refused) a shape.  A sub-plan
         whose rows came from carried state instead of being run is marked
         ``[carried]``; a node no line shows ``act=`` for was skipped by a
-        short-circuiting join.
+        short-circuiting join.  ``path:`` names the way :meth:`extension`
+        answers the formula at ``db`` right now (over no variables: the way
+        :meth:`evaluate` does) — memo, delta rules, streamed or full.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -710,6 +746,9 @@ class CompiledBackend(Backend):
                 "parameters: "
                 + "  ".join(f"${slot}={value!r}" for slot, value in enumerate(bound))
             )
+        lines.append(
+            "path: " + self._path(formula, db, variables, domain_key, signature, chosen)
+        )
         if chosen is None:
             lines.append(
                 "chosen: naive interpreter (every plan costed worse than "
@@ -730,8 +769,33 @@ class CompiledBackend(Backend):
         )
         return "\n".join(lines)
 
-    def _execute_plan(self, plan: Plan, ctx: ExecutionContext) -> Rows:
-        """Full (non-incremental) plan execution.
+    def _path(self, formula, db, variables, domain_key, signature, chosen) -> str:
+        """Which way :meth:`extension` would answer ``formula`` at ``db`` now."""
+        if chosen is None:
+            return "naive interpreter"
+        memo_key = (formula, variables, domain_key, signature)
+        if self._memo_for(db).get(memo_key) is not None:
+            return "memo (answered at this database already)"
+        if self.delta_mode != "off":
+            current = db
+            for _ in range(_MAX_PROVENANCE_CHAIN):
+                link = current.provenance_step()
+                if link is None:
+                    break
+                current = link[0]
+                state = self._state_for(current, memo_key)
+                if state is not None:
+                    built = ", built there on demand" if state.deferred else ""
+                    return f"delta rules (from an ancestor's state{built})"
+        if not variables:
+            deferred = "; node state deferred" if self.delta_mode != "off" else ""
+            return f"streamed (closed sentence: stops at the first witness{deferred})"
+        return "full execution"
+
+    def _execute_plan(
+        self, plan: Plan, ctx: ExecutionContext, lazy: bool = False
+    ) -> Rows:
+        """Full (non-incremental) plan execution, or a streamed verdict.
 
         Sub-plans the structural interner identified as shared between
         formulas are not executed here when the state history can supply
@@ -742,6 +806,14 @@ class CompiledBackend(Backend):
         arrives at delta cost.  A shared sub-plan this execution had to run
         itself is remembered, so the next formula (or the next state) finds
         it.
+
+        ``lazy`` (a closed sentence's plan) streams the plan to its first
+        root row instead.  A plan with parameter slots is one binding of a
+        shape whose next bindings arrive with fresh constants: the shared
+        sub-plans its stream reaches are materialised and remembered all the
+        same, for them.  A constant-free sentence is its own memo and state
+        key, so its stream runs through shared sub-plans as through any
+        other (those with a state at hand are seeded either way).
         """
         built, seeded = [], []
         for node in self._shared_in(plan):
@@ -752,7 +824,18 @@ class CompiledBackend(Backend):
                 ctx.cache.update(state.rows)
                 seeded.append(node)
         ctx.seeded = tuple(seeded)
-        rows = plan.rows(ctx)
+        if lazy:
+            materialise = self._fan_in(plan)
+            if ctx.params:
+                materialise = materialise.union(built)
+            ctx.lazy, ctx.materialise = True, materialise
+            rows = _TRUE if plan.nonempty(ctx) else _FALSE
+            ctx.lazy = False
+            self._bump("streamed")
+            if self.delta_mode == "verify":
+                self._verify(plan, ctx, rows, "streamed verdict", ctx.db)
+        else:
+            rows = plan.rows(ctx)
         for node in built:
             if node in ctx.cache:  # a short-circuiting join may have skipped it
                 self._bump("shared_rebuilt")
@@ -774,6 +857,26 @@ class CompiledBackend(Backend):
             if state is not None:
                 self._bump("shared_carried")
         return state
+
+    def _fan_in(self, plan: Plan) -> FrozenSet[Plan]:
+        """The nodes of ``plan``'s DAG read by more than one consumer: a
+        stream materialises them, so each still runs once."""
+        found = self._fan_ins.get(plan)
+        if found is None:
+            consumers: Dict[Plan, int] = {}
+            seen: Set[Plan] = set()
+            stack = [plan]
+            while stack:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                for child in node.children():
+                    consumers[child] = consumers.get(child, 0) + 1
+                    stack.append(child)
+            found = frozenset(node for node, n in consumers.items() if n > 1)
+            self._fan_ins.put(plan, found)
+        return found
 
     def _shared_in(self, plan: Plan) -> Tuple[Plan, ...]:
         """The nodes of ``plan``'s DAG known to be shared with other plans."""
@@ -887,6 +990,8 @@ class CompiledBackend(Backend):
             while steps:
                 delta = delta.then(steps.pop())
             try:
+                if state.deferred:
+                    state = self._build_deferred(plan, parent, key, state, ctx)
                 rows, new_state = incremental_update(
                     plan, parent, state, delta, ctx,
                     fixed_domain=ctx.domain_key is not None,
@@ -896,20 +1001,51 @@ class CompiledBackend(Backend):
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode == "verify":
-                full = plan.rows(
-                    ExecutionContext(
-                        db, ctx.domain_key, ctx.signature, params=ctx.params
-                    )
-                )
-                if full != rows:
-                    raise AssertionError(
-                        f"incremental evaluation diverged for {key[0]!r}: "
-                        f"delta says {sorted(rows, key=repr)[:5]}..., "
-                        f"full run says {sorted(full, key=repr)[:5]}..."
-                    )
+                self._verify(plan, ctx, rows, "incremental evaluation", key[0])
             self._remember_state(db, key, new_state)
             return new_state
         return None
+
+    def _build_deferred(
+        self, plan: Plan, db: Database, key: Tuple, deferred: PlanState,
+        ctx: ExecutionContext,
+    ) -> PlanState:
+        """A streamed verdict's deferred state at ``db``, made real: a full
+        execution there, seeded with the sub-plans the stream materialised
+        (each a whole sub-DAG, see :meth:`Plan.rows`)."""
+        at = ExecutionContext(db, ctx.domain_key, ctx.signature, params=ctx.params)
+        at.cache.update(deferred.rows)
+        rows = self._execute_plan(plan, at)
+        if self.delta_mode == "verify":
+            self._verify(plan, at, rows, "state built on demand", key[0], nodes=True)
+        state = PlanState(dict(at.cache))
+        self._remember_state(db, key, state)
+        self._bump("states_built_on_demand")
+        return state
+
+    @staticmethod
+    def _verify(
+        plan: Plan, ctx: ExecutionContext, rows: Rows, what: str, subject,
+        nodes: bool = False,
+    ) -> None:
+        """``REPRO_DELTA=verify``: ``rows`` (and, with ``nodes``, every node
+        result in ``ctx.cache``) must equal a fresh full execution's."""
+        full = ExecutionContext(ctx.db, ctx.domain_key, ctx.signature, params=ctx.params)
+        expected = plan.rows(full)
+        pairs = [(rows, expected)]
+        if nodes:
+            pairs += [
+                (ctx.cache[node], result)
+                for node, result in full.cache.items()
+                if node in ctx.cache
+            ]
+        for got, want in pairs:
+            if got != want:
+                raise AssertionError(
+                    f"{what} diverged for {subject!r}: "
+                    f"got {sorted(got, key=repr)[:5]}..., "
+                    f"full run says {sorted(want, key=repr)[:5]}..."
+                )
 
     def evaluate(self, formula, db, assignment=None, signature=EMPTY_SIGNATURE, domain=None):
         env = dict(assignment or {})

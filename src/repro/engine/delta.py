@@ -122,13 +122,24 @@ class PlanState:
     ``aux`` holds per-node support counters / key indexes, built lazily the
     first time a node is updated incrementally and patched forward after
     that.
+
+    A ``deferred`` state stands for a plan whose verdict was streamed: its
+    ``rows`` hold only the sub-plans the stream materialised, and the
+    backend turns it into a real state, by a full execution seeded with
+    them, the first time a successor asks for it.
     """
 
-    __slots__ = ("rows", "aux")
+    __slots__ = ("rows", "aux", "deferred")
 
-    def __init__(self, rows: Dict[Plan, Rows], aux: Optional[Dict[Plan, object]] = None):
+    def __init__(
+        self,
+        rows: Dict[Plan, Rows],
+        aux: Optional[Dict[Plan, object]] = None,
+        deferred: bool = False,
+    ):
         self.rows = rows
         self.aux = aux if aux is not None else {}
+        self.deferred = deferred
 
 
 def incremental_update(

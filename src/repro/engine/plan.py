@@ -18,6 +18,14 @@ execution context (scans filter variable positions against it), which is the
 plan-level counterpart of active-domain semantics: the extension of a formula
 only contains domain values, whatever the database relations contain.
 
+Every operator's semantics is one method, :meth:`Plan._stream`, which may
+return a set or a lazy iterator of distinct rows.  A *full* execution
+(:meth:`Plan.rows`) materialises it and remembers the result per node; a
+*lazy* context (``ExecutionContext.lazy``) pulls rows through the operators
+only as far as a consumer asks, which is how a closed sentence is decided
+at its first witness (:meth:`Plan.nonempty`) without building the
+intermediate results a full execution keeps.
+
 Plans are database-independent: they reference relations by name, read the
 domain from the :class:`ExecutionContext`, and look up interpreted symbols in
 the context's signature, so a plan compiled once can be executed against any
@@ -28,7 +36,6 @@ validation sweeps that evaluate one formula on hundreds of databases).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import (
     AbstractSet,
     Callable,
@@ -53,7 +60,6 @@ __all__ = [
     "build_left_table",
     "probe_right_table",
     "probe_left_table",
-    "group_count_rows",
     "ExecutionContext",
     "Plan",
     "Scan",
@@ -78,6 +84,7 @@ Row = Tuple[object, ...]
 Rows = AbstractSet[Row]
 
 _EMPTY: FrozenSet[Row] = frozenset()
+_TRUE: FrozenSet[Row] = frozenset({()})
 
 
 class PlanError(RuntimeError):
@@ -94,11 +101,15 @@ class ExecutionContext:
     constant stood, and every execution supplies the constants of the
     formula at hand.  The context also counts rows produced by each operator kind, which the
     tests and ``EXPLAIN``-style debugging use.
+
+    ``lazy`` makes :meth:`Plan.stream` pull rows through the operators
+    instead of materialising each node; the nodes in ``materialise`` are
+    materialised (and cached) all the same when a stream reaches them.
     """
 
     __slots__ = (
         "db", "domain_key", "domain", "signature", "functions", "params", "stats",
-        "cache", "seeded", "profiler", "_covers",
+        "cache", "seeded", "profiler", "lazy", "materialise", "_covers",
     )
 
     def __init__(
@@ -134,6 +145,8 @@ class ExecutionContext:
         # optional per-node wall-time/cardinality recorder (a
         # repro.obs.profile.PlanProfiler); None keeps rows() on the fast path
         self.profiler = None
+        self.lazy = False
+        self.materialise: AbstractSet["Plan"] = _EMPTY
 
     def count(self, operator: str, rows: int) -> None:
         self.stats[operator] = self.stats.get(operator, 0) + rows
@@ -152,15 +165,33 @@ class ExecutionContext:
 class Plan:
     """Base class of plan nodes.  ``columns`` is the ordered output header."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_expands")
+
+    #: the ``ExecutionContext.stats`` key a materialised result is counted under
+    counter: Optional[str] = None
 
     def __init__(self, columns: Sequence[str]):
         self.columns: Tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
             raise PlanError(f"duplicate columns in plan header {self.columns}")
+        self._expands: Optional[bool] = None
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:  # pragma: no cover - interface
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:  # pragma: no cover - interface
+        """The operator: its distinct rows, as a set or a lazy iterator.
+
+        Inputs are read through the children's :meth:`stream` (a full
+        execution materialises them there) or :meth:`rows` where the
+        operator needs them whole.
+        """
         raise NotImplementedError
+
+    def _rows(self, ctx: ExecutionContext) -> Rows:
+        result = self._stream(ctx)
+        if not isinstance(result, AbstractSet):
+            result = frozenset(result)
+        if self.counter is not None:
+            ctx.count(self.counter, len(result))
+        return result
 
     def rows(self, ctx: ExecutionContext) -> Rows:
         """Evaluate this node, memoised per execution context.
@@ -168,18 +199,51 @@ class Plan:
         Identical subformulas compile to one shared plan node, so the
         per-context cache turns the repeated subtrees that formula
         transformations love to emit (weakest preconditions especially) into
-        single evaluations.
+        single evaluations.  A node is always materialised together with its
+        whole sub-DAG, also inside a lazy execution: every cached node's
+        inputs are cached too, which is what the delta rules read.
         """
         cache = ctx.cache
         if self in cache:
             return cache[self]
-        profiler = ctx.profiler
-        if profiler is None:
-            result = self._rows(ctx)
-        else:
-            result = profiler.measure(self, lambda: self._rows(ctx))
+        lazy, ctx.lazy = ctx.lazy, False
+        try:
+            profiler = ctx.profiler
+            if profiler is None:
+                result = self._rows(ctx)
+            else:
+                result = profiler.measure(self, lambda: self._rows(ctx))
+        finally:
+            ctx.lazy = lazy
         cache[self] = result
         return result
+
+    def stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        """This node's distinct rows: lazily in a lazy context, else :meth:`rows`.
+
+        A node already in ``ctx.cache`` (seeded from carried state, or
+        materialised earlier in this execution) is iterated as it is.
+        """
+        cached = ctx.cache.get(self)
+        if cached is not None:
+            return cached
+        if ctx.lazy and self not in ctx.materialise:
+            return self._stream(ctx)
+        return self.rows(ctx)
+
+    def nonempty(self, ctx: ExecutionContext) -> bool:
+        """Does this node produce a row?  A lazy context stops at the first."""
+        return _nonempty(self.stream(ctx)) is not None
+
+    def expands(self) -> bool:
+        """Can this sub-plan produce more rows than its inputs hold?
+
+        True where it contains a join that adds columns: the side a lazy
+        join would rather stream than materialise.
+        """
+        if self._expands is None:
+            self._expands = any(child.expands() for child in self.children())
+        return self._expands
 
     # -- introspection ---------------------------------------------------------
 
@@ -308,14 +372,15 @@ class Scan(Plan):
             and ctx.covers_database()
         )
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    counter = "scan"
+
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         candidates: Iterable[Row] = ctx.db.relation(self.relation)
         if len(self.pattern) != ctx.db.schema[self.relation].arity:
             # wrong-arity atoms match nothing (the interpreter's behaviour);
             # indexing an out-of-range column would raise
             return _EMPTY
         if self.is_identity and ctx.covers_database():
-            ctx.count("scan", len(candidates))
             return candidates  # the stored relation itself: see is_relation
         params = ctx.params
         if self._const_positions:
@@ -329,9 +394,8 @@ class Scan(Plan):
                 candidates = index.get(bound, ())
         domain = ctx.domain
         matches = (self.match_row(row, domain, params) for row in candidates)
-        result = frozenset(out for out in matches if out is not None)
-        ctx.count("scan", len(result))
-        return result
+        # match_row is injective on the rows it matches: the outputs are distinct
+        return (out for out in matches if out is not None)
 
     def label(self) -> str:
         render = {"var": str, "const": repr, "param": "${}".format}
@@ -347,8 +411,8 @@ class DomainScan(Plan):
     def __init__(self, column: str):
         super().__init__([column])
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        return frozenset((value,) for value in ctx.domain)
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        return ((value,) for value in ctx.domain)
 
     def label(self) -> str:
         return f"DomainScan {self.columns[0]}"
@@ -359,10 +423,13 @@ class DomainProduct(Plan):
 
     __slots__ = ()
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         if not self.columns:
-            return frozenset({()})
-        return frozenset(itertools.product(ctx.domain, repeat=len(self.columns)))
+            return _TRUE
+        return itertools.product(ctx.domain, repeat=len(self.columns))
+
+    def expands(self) -> bool:
+        return len(self.columns) > 1
 
     def label(self) -> str:
         return f"DomainProduct^{len(self.columns)}"
@@ -377,7 +444,7 @@ class ConstantTable(Plan):
         super().__init__(columns)
         self._data = frozenset(tuple(row) for row in rows)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         return self._data
 
     def label(self) -> str:
@@ -399,11 +466,11 @@ class SingletonIfActive(Plan):
         self.value = value
         self.slot = slot
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         value = self.value if self.slot is None else ctx.params[self.slot]
         if value in ctx.domain:
             return frozenset({(value,)})
-        return frozenset()
+        return _EMPTY
 
     def label(self) -> str:
         constant = repr(self.value) if self.slot is None else f"${self.slot}"
@@ -418,8 +485,8 @@ class DomainDiagonal(Plan):
     def __init__(self, left: str, right: str):
         super().__init__([left, right])
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        return frozenset((value, value) for value in ctx.domain)
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        return ((value, value) for value in ctx.domain)
 
     def label(self) -> str:
         return f"Diagonal {self.columns[0]}={self.columns[1]}"
@@ -468,11 +535,11 @@ class Select(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    counter = "select"
+
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         predicate = self.predicate
-        result = frozenset(row for row in self.child.rows(ctx) if predicate(row, ctx))
-        ctx.count("select", len(result))
-        return result
+        return (row for row in self.child.stream(ctx) if predicate(row, ctx))
 
     def label(self) -> str:
         return f"Select[{self.description}]"
@@ -496,10 +563,17 @@ class Project(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        result = frozenset(map(row_key(self._indices), self.child.rows(ctx)))
-        ctx.count("project", len(result))
-        return result
+    counter = "project"
+
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        if not self.columns:  # one row or none: the child's first row decides
+            return _TRUE if self.child.nonempty(ctx) else _EMPTY
+        projected = map(row_key(self._indices), self.child.stream(ctx))
+        if not ctx.lazy or len(self._indices) == len(self.child.columns):
+            # a full execution's frozenset drops the duplicates; a
+            # reordering makes none
+            return projected
+        return _distinct(projected)  # a stream drops them as it goes
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +585,40 @@ def join_key(columns: Sequence[str], shared: Sequence[str]) -> Callable[[Row], R
     return row_key(tuple(columns.index(c) for c in shared))
 
 
+def _nonempty(rows: Iterable[Row]) -> Optional[Iterable[Row]]:
+    """``rows`` again, or ``None`` when there are none.
+
+    A set is asked; a stream has its first row pulled and put back.
+    """
+    if isinstance(rows, AbstractSet):
+        return rows if rows else None
+    rows = iter(rows)
+    first = next(rows, _MISSING)
+    return None if first is _MISSING else itertools.chain((first,), rows)
+
+
+def _distinct(rows: Iterable[Row]) -> Iterable[Row]:
+    """``rows`` without repeats, as they come."""
+    seen: set = set()
+    add = seen.add
+    for row in rows:
+        if row not in seen:
+            add(row)
+            yield row
+
+
+def _is_stored(node: Plan, ctx: ExecutionContext) -> bool:
+    return isinstance(node, Scan) and node.is_relation(ctx)
+
+
 def join_rows(node: "HashJoin", left_rows: Rows, right_rows: Rows) -> Rows:
-    """The :class:`HashJoin` semantics over explicit inputs.
+    """The :class:`HashJoin` semantics over explicit inputs, materialised.
 
     The operator's join body, callable over inputs computed elsewhere.  The
     hash table is built on the smaller side.
     """
-    shared = node.shared
-    if not node._right_extra:
-        # semijoin: the right side adds no columns, it only filters
-        if not shared:
-            return left_rows if right_rows else _EMPTY
-        keys = set(map(join_key(node.right.columns, shared), right_rows))
-        left_key = join_key(node.left.columns, shared)
-        return frozenset(row for row in left_rows if left_key(row) in keys)
-    if not shared:
-        return frozenset(l + r for l in left_rows for r in right_rows)
-    if len(right_rows) <= len(left_rows):
-        return probe_right_table(node, build_right_table(node, right_rows), left_rows)
-    return probe_left_table(node, build_left_table(node, left_rows), right_rows)
+    result = node._hash_join(left_rows, right_rows)
+    return result if isinstance(result, AbstractSet) else frozenset(result)
 
 
 def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, List[Row]]:
@@ -542,13 +631,13 @@ def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, List[Row]
     return table
 
 
-def probe_right_table(node: "HashJoin", table: Dict[Row, List[Row]], left_rows: Rows) -> Rows:
+def probe_right_table(
+    node: "HashJoin", table: Dict[Row, List[Row]], left_rows: Iterable[Row]
+) -> Iterable[Row]:
     """The join of ``left_rows`` with the side :func:`build_right_table` keyed."""
     left_key = join_key(node.left.columns, node.shared)
     get = table.get
-    return frozenset(
-        row + extra for row in left_rows for extra in get(left_key(row), ())
-    )
+    return (row + extra for row in left_rows for extra in get(left_key(row), ()))
 
 
 def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, List[Row]]:
@@ -560,23 +649,18 @@ def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, List[Row]]:
     return table
 
 
-def probe_left_table(node: "HashJoin", table: Dict[Row, List[Row]], right_rows: Rows) -> Rows:
+def probe_left_table(
+    node: "HashJoin", table: Dict[Row, List[Row]], right_rows: Iterable[Row]
+) -> Iterable[Row]:
     """The join of the side :func:`build_left_table` keyed with ``right_rows``."""
     right_key = join_key(node.right.columns, node.shared)
     extra = join_key(node.right.columns, node._right_extra)
     get = table.get
-    return frozenset(
+    return (
         left_row + extra(row)
         for row in right_rows
         for left_row in get(right_key(row), ())
     )
-
-
-def group_count_rows(node: "GroupCount", rows: Rows) -> Rows:
-    """The :class:`GroupCount` semantics over explicit input rows."""
-    counts = Counter(map(join_key(node.child.columns, node.columns), rows))
-    threshold = node.threshold
-    return frozenset(group for group, n in counts.items() if n >= threshold)
 
 
 class HashJoin(Plan):
@@ -593,10 +677,15 @@ class HashJoin(Plan):
     other child is never run.
 
     When one input *is* a stored relation (:meth:`Scan.is_relation`) and the
-    other is smaller, the join probes the relation's own index
+    other is not larger, the join probes the relation's own index
     (:meth:`~repro.db.database.Database.index`, which ``apply_delta`` keeps
-    current from state to state) once per row of the small side, instead of
+    current from state to state) once per row of the other side, instead of
     walking the relation through a hash table built for the occasion.
+
+    In a lazy context one side streams and the other is probed: a stored
+    relation is always the probed side; otherwise the side that
+    :meth:`~Plan.expands` streams, and the left one when that does not
+    decide.  A side that streams is never materialised.
     """
 
     __slots__ = ("left", "right", "shared", "_right_extra")
@@ -612,43 +701,103 @@ class HashJoin(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
+    @property
+    def counter(self) -> str:  # type: ignore[override]
+        if not self._right_extra:
+            return "semijoin"
+        return "join" if self.shared else "product"
+
+    def expands(self) -> bool:
+        return bool(self._right_extra) or super().expands()
+
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        left, right = self.left, self.right
+        if not self._right_extra and not self.shared:
+            # the right side only guards: it has a row or it has none
+            return left.stream(ctx) if right.nonempty(ctx) else _EMPTY
+        stream_right = (
+            ctx.lazy
+            and not _is_stored(right, ctx)
+            and (_is_stored(left, ctx) or (right.expands() and not left.expands()))
+        )
         # the filtering side runs first, and an empty side ends the join: the
         # other child is never evaluated (its rows stay out of ctx.cache)
-        if self._right_extra:
-            left_rows = self.left.rows(ctx)
-            right_rows = self.right.rows(ctx) if left_rows else _EMPTY
+        if stream_right:
+            left_rows = left.rows(ctx)
+            if not left_rows:
+                return _EMPTY
+            right_rows = right.stream(ctx)
+        elif self._right_extra:
+            left_rows = _nonempty(left.stream(ctx))
+            if left_rows is None:
+                return _EMPTY
+            right_rows = right.rows(ctx)
+            if not right_rows:
+                return _EMPTY
         else:
-            right_rows = self.right.rows(ctx)
-            left_rows = self.left.rows(ctx) if right_rows else _EMPTY
-        if not left_rows or not right_rows:
-            return _EMPTY
-        result = self._probe_stored(ctx, left_rows, right_rows)
-        if result is None:
-            result = join_rows(self, left_rows, right_rows)
+            right_rows = right.rows(ctx)
+            if not right_rows:
+                return _EMPTY
+            left_rows = left.stream(ctx)
+        probes = self._probes(ctx, left_rows, right_rows)
+        return probes if probes is not None else self._hash_join(left_rows, right_rows)
+
+    def _hash_join(self, left_rows: Iterable[Row], right_rows: Iterable[Row]) -> Iterable[Row]:
+        """The join through a hash table over a materialised side (at most
+        one side may be a stream; with both materialised, the smaller)."""
+        shared = self.shared
         if not self._right_extra:
-            ctx.count("semijoin", len(result))
-        else:
-            ctx.count("join" if self.shared else "product", len(result))
-        return result
+            # semijoin: the right side adds no columns, it only filters
+            if not shared:
+                return left_rows if _nonempty(right_rows) is not None else _EMPTY
+            # the key covers every right column: distinct right rows, distinct keys
+            right_key = join_key(self.right.columns, shared)
+            if not isinstance(right_rows, AbstractSet):
+                table = build_left_table(self, left_rows)
+                get = table.get
+                return (row for key in map(right_key, right_rows) for row in get(key, ()))
+            keys = right_rows if shared == self.right.columns else set(map(right_key, right_rows))
+            left_key = join_key(self.left.columns, shared)
+            return (row for row in left_rows if left_key(row) in keys)
+        if not shared:
+            if isinstance(right_rows, AbstractSet):
+                return (l + r for l in left_rows for r in right_rows)
+            return (l + r for r in right_rows for l in left_rows)
+        if shared == self.left.columns and isinstance(left_rows, AbstractSet):
+            # the key is the whole left row: the left rows are their own table
+            right_key = join_key(self.right.columns, shared)
+            extra = join_key(self.right.columns, self._right_extra)
+            return (
+                key + extra(row) for row in right_rows if (key := right_key(row)) in left_rows
+            )
+        if not isinstance(left_rows, AbstractSet) or (
+            isinstance(right_rows, AbstractSet) and len(right_rows) <= len(left_rows)
+        ):
+            return probe_right_table(self, build_right_table(self, right_rows), left_rows)
+        return probe_left_table(self, build_left_table(self, left_rows), right_rows)
 
     def _probe_stored(
         self, ctx: ExecutionContext, left_rows: Rows, right_rows: Rows
     ) -> Optional[Rows]:
-        """The join by index probes; ``None`` unless one side is the larger
-        input and a stored relation."""
+        """:meth:`_probes`, materialised."""
+        probes = self._probes(ctx, left_rows, right_rows)
+        return None if probes is None else frozenset(probes)
+
+    def _probes(
+        self, ctx: ExecutionContext, left_rows: Iterable[Row], right_rows: Iterable[Row]
+    ) -> Optional[Iterable[Row]]:
+        """The join by index probes; ``None`` unless one side is a stored
+        relation worth probing (:meth:`_probed`), the right one first."""
+        if not self.shared:
+            return None
         left, right = self.left, self.right
-        if not self.shared or len(left_rows) == len(right_rows):
-            return None
-        if len(left_rows) < len(right_rows):
+        if self._probed(ctx, right, right_rows, left_rows):
             stored, stored_rows, small, small_rows = right, right_rows, left, left_rows
-        else:
+        elif self._probed(ctx, left, left_rows, right_rows):
             stored, stored_rows, small, small_rows = left, left_rows, right, right_rows
-        if not (isinstance(stored, Scan) and stored.is_relation(ctx)):
+        else:
             return None
-        # a stored relation's columns are its positions; keys go in position
-        # order so one index serves every join on the same column set
-        positions = tuple(sorted(stored.columns.index(c) for c in self.shared))
+        positions = self._positions(stored)
         key_of = join_key(small.columns, [stored.columns[p] for p in positions])
         if len(positions) == len(stored.columns):
             def partners(key: Row) -> Sequence[Row]:  # the key is the whole row
@@ -661,16 +810,40 @@ class HashJoin(Plan):
         extra = join_key(right.columns, self._right_extra)
         if stored is right:
             if not self._right_extra:
-                return frozenset(row for row in small_rows if partners(key_of(row)))
-            return frozenset(
-                row + extra(match) for row in small_rows for match in partners(key_of(row))
-            )
+                return (row for row in small_rows if partners(key_of(row)))
+            return (row + extra(match) for row in small_rows for match in partners(key_of(row)))
         if not self._right_extra:
-            return frozenset(
-                match for key in set(map(key_of, small_rows)) for match in partners(key)
-            )
-        return frozenset(
-            match + extra(row) for row in small_rows for match in partners(key_of(row))
+            # the key covers every right column: distinct right rows, distinct keys
+            return (match for key in map(key_of, small_rows) for match in partners(key))
+        return (match + extra(row) for row in small_rows for match in partners(key_of(row)))
+
+    def _positions(self, stored: "Scan") -> Tuple[int, ...]:
+        # a stored relation's columns are its positions; keys go in position
+        # order so one index serves every join on the same column set
+        return tuple(sorted(stored.columns.index(c) for c in self.shared))
+
+    def _probed(
+        self, ctx: ExecutionContext, stored: Plan, stored_rows, other_rows
+    ) -> bool:
+        """Should the join probe ``stored``'s index rather than hash it?
+
+        Where ``stored`` is a stored relation larger than the other side (a
+        stream counts as larger).  On a tie, where the probes need no index
+        (the key is the whole row) or where the index outlives the join:
+        built already, or carried to the successors of a database in an
+        update stream by ``apply_delta``.
+        """
+        if not _is_stored(stored, ctx):
+            return False
+        if not isinstance(other_rows, AbstractSet) or len(stored_rows) > len(other_rows):
+            return True
+        if len(stored_rows) < len(other_rows):
+            return False
+        positions = self._positions(stored)
+        return (
+            len(positions) == len(stored.columns)
+            or ctx.db.has_index(stored.relation, positions)
+            or ctx.db.provenance_step() is not None
         )
 
     def label(self) -> str:
@@ -690,6 +863,8 @@ class Antijoin(Plan):
 
     __slots__ = ("left", "right", "shared")
 
+    counter = "antijoin"
+
     def __init__(self, left: Plan, right: Plan):
         super().__init__(left.columns)
         self.left = left
@@ -699,19 +874,19 @@ class Antijoin(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        left_rows = self.left.rows(ctx)
-        if not left_rows:
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        left_rows = _nonempty(self.left.stream(ctx))
+        if left_rows is None:
             return _EMPTY  # nothing to filter: the right side never runs
-        right_rows = self.right.rows(ctx)
-        if not self.shared:
-            result = frozenset() if right_rows else left_rows
+        right, shared = self.right, self.shared
+        if not shared:
+            return _EMPTY if right.nonempty(ctx) else left_rows
+        if shared == right.columns:
+            keys = right.rows(ctx)  # the key is the whole right row
         else:
-            keys = set(map(join_key(self.right.columns, self.shared), right_rows))
-            left_key = join_key(self.left.columns, self.shared)
-            result = frozenset(row for row in left_rows if left_key(row) not in keys)
-        ctx.count("antijoin", len(result))
-        return result
+            keys = set(map(join_key(right.columns, shared), right.stream(ctx)))
+        left_key = join_key(self.left.columns, shared)
+        return (row for row in left_rows if left_key(row) not in keys)
 
     def label(self) -> str:
         return f"Antijoin on {list(self.shared)}"
@@ -721,6 +896,8 @@ class UnionAll(Plan):
     """Set union of same-header children (disjunction)."""
 
     __slots__ = ("parts",)
+
+    counter = "union"
 
     def __init__(self, parts: Sequence[Plan]):
         if not parts:
@@ -737,10 +914,9 @@ class UnionAll(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return self.parts
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        result = frozenset().union(*[part.rows(ctx) for part in self.parts])
-        ctx.count("union", len(result))
-        return result
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        rows = itertools.chain.from_iterable(part.stream(ctx) for part in self.parts)
+        return _distinct(rows) if ctx.lazy else rows
 
     def label(self) -> str:
         return f"Union({len(self.parts)})"
@@ -751,6 +927,8 @@ class DomainComplement(Plan):
 
     __slots__ = ("child",)
 
+    counter = "complement"
+
     def __init__(self, child: Plan):
         super().__init__(child.columns)
         self.child = child
@@ -758,17 +936,15 @@ class DomainComplement(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        child_rows = self.child.rows(ctx)
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         if not self.columns:
-            return frozenset() if child_rows else frozenset({()})
-        result = frozenset(
+            return _EMPTY if self.child.nonempty(ctx) else _TRUE
+        child_rows = self.child.rows(ctx)
+        return (
             row
             for row in itertools.product(ctx.domain, repeat=len(self.columns))
             if row not in child_rows
         )
-        ctx.count("complement", len(result))
-        return result
 
     def label(self) -> str:
         return f"Complement^{len(self.columns)}"
@@ -780,10 +956,13 @@ class GroupCount(Plan):
     The child's non-group columns are the counted witnesses (the compiler
     arranges for them to be exactly the counting quantifier's bound variable),
     so the per-group row count is the number of distinct witnesses.  Output
-    columns are the group columns.
+    columns are the group columns; a stream yields each group the moment its
+    count reaches the threshold.
     """
 
     __slots__ = ("child", "threshold")
+
+    counter = "group_count"
 
     def __init__(self, child: Plan, group_columns: Sequence[str], threshold: int):
         if threshold < 1:
@@ -798,10 +977,15 @@ class GroupCount(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    def _rows(self, ctx: ExecutionContext) -> Rows:
-        result = group_count_rows(self, self.child.rows(ctx))
-        ctx.count("group_count", len(result))
-        return result
+    def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
+        key_of = join_key(self.child.columns, self.columns)
+        threshold = self.threshold
+        counts: Dict[Row, int] = {}
+        for row in self.child.stream(ctx):
+            group = key_of(row)
+            count = counts[group] = counts.get(group, 0) + 1
+            if count == threshold:
+                yield group
 
     def label(self) -> str:
         return f"GroupCount>={self.threshold} by {list(self.columns)}"
