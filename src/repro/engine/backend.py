@@ -57,9 +57,6 @@ from .optimize import (
     optimize_plan,
 )
 from .plan import ExecutionContext, Plan, Rows
-
-_TRUE: Rows = frozenset({()})
-_FALSE: Rows = frozenset()
 from .stats import size_bucket
 
 __all__ = [
@@ -305,17 +302,12 @@ class CompiledBackend(Backend):
     (``shared_carried`` / ``shared_rebuilt`` count the two outcomes per
     shared sub-plan).
 
-    A closed sentence — a constraint, a weakest precondition, a guard — asks
-    yes or no.  Where the memo and the delta rules both miss, its plan is
-    *streamed* (``ExecutionContext.lazy``): rows are pulled through the
-    operators only until the root has one, so a witness found early ends
-    the check, and no intermediate result is kept beyond the sides a join
-    had to hash.  The verdict is memoised and leaves a *deferred* state,
-    which a successor that asks for it turns into a real one by a full
-    execution at that state (``streamed``, ``states_deferred`` and
-    ``states_built_on_demand`` count the three events): an update stream
-    does the same incremental work as with eager states, one step later,
-    and a one-off check pays for no node state at all.
+    A closed sentence asks yes or no: where the memo and the delta rules
+    both miss, its plan is *streamed* to the first root row (``streamed``)
+    and leaves a *deferred* state (``states_deferred``), which the first
+    successor that asks turns into a real one by a full execution at that
+    state (``states_built_on_demand``).  Update streams do the same
+    incremental work one step later; one-off checks pay for no node state.
 
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
@@ -662,7 +654,7 @@ class CompiledBackend(Backend):
         return ExecutionContext(db, domain_key, signature, params=formula.shape()[1])
 
     def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
-        """Full execution, or a streamed verdict for a closed sentence (when
+        """Full execution or, for a closed sentence, a streamed verdict (when
         the incremental path declined), plus memoing."""
         if rows is None:
             sentence = not memo_key[1]
@@ -675,9 +667,7 @@ class CompiledBackend(Backend):
 
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode != "off":
-                self._remember_state(
-                    db, memo_key, PlanState(dict(ctx.cache), deferred=sentence)
-                )
+                self._remember_state(db, memo_key, PlanState(dict(ctx.cache), None, sentence))
                 if sentence:
                     self._bump("states_deferred")
             if self.optimizer_mode == "explain":
@@ -721,8 +711,7 @@ class CompiledBackend(Backend):
         whose rows came from carried state instead of being run is marked
         ``[carried]``; a node no line shows ``act=`` for was skipped by a
         short-circuiting join.  ``path:`` names the way :meth:`extension`
-        answers the formula at ``db`` right now (over no variables: the way
-        :meth:`evaluate` does) — memo, delta rules, streamed or full.
+        (over no variables: :meth:`evaluate`) answers it at ``db`` now.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -746,9 +735,8 @@ class CompiledBackend(Backend):
                 "parameters: "
                 + "  ".join(f"${slot}={value!r}" for slot, value in enumerate(bound))
             )
-        lines.append(
-            "path: " + self._path(formula, db, variables, domain_key, signature, chosen)
-        )
+        path = self._path(formula, db, variables, domain_key, signature, chosen)
+        lines.append(f"path: {path}")
         if chosen is None:
             lines.append(
                 "chosen: naive interpreter (every plan costed worse than "
@@ -771,30 +759,21 @@ class CompiledBackend(Backend):
 
     def _path(self, formula, db, variables, domain_key, signature, chosen) -> str:
         """Which way :meth:`extension` would answer ``formula`` at ``db`` now."""
+        key = (formula, variables, domain_key, signature)
         if chosen is None:
             return "naive interpreter"
-        memo_key = (formula, variables, domain_key, signature)
-        if self._memo_for(db).get(memo_key) is not None:
-            return "memo (answered at this database already)"
-        if self.delta_mode != "off":
-            current = db
-            for _ in range(_MAX_PROVENANCE_CHAIN):
-                link = current.provenance_step()
-                if link is None:
-                    break
-                current = link[0]
-                state = self._state_for(current, memo_key)
-                if state is not None:
-                    built = ", built there on demand" if state.deferred else ""
-                    return f"delta rules (from an ancestor's state{built})"
-        if not variables:
-            deferred = "; node state deferred" if self.delta_mode != "off" else ""
-            return f"streamed (closed sentence: stops at the first witness{deferred})"
-        return "full execution"
+        if self._memo_for(db).get(key) is not None:
+            return "memo"
+        found = self._ancestor_state(db, key) if self.delta_mode != "off" else None
+        if found is not None:
+            built = " (an ancestor's state, built there on demand)"
+            return "delta rules" + (built if found[1].deferred else "")
+        if variables:
+            return "full execution"
+        deferred = "; node state deferred" if self.delta_mode != "off" else ""
+        return f"streamed (stops at the first witness{deferred})"
 
-    def _execute_plan(
-        self, plan: Plan, ctx: ExecutionContext, lazy: bool = False
-    ) -> Rows:
+    def _execute_plan(self, plan: Plan, ctx: ExecutionContext, lazy: bool = False) -> Rows:
         """Full (non-incremental) plan execution, or a streamed verdict.
 
         Sub-plans the structural interner identified as shared between
@@ -807,13 +786,11 @@ class CompiledBackend(Backend):
         itself is remembered, so the next formula (or the next state) finds
         it.
 
-        ``lazy`` (a closed sentence's plan) streams the plan to its first
-        root row instead.  A plan with parameter slots is one binding of a
-        shape whose next bindings arrive with fresh constants: the shared
-        sub-plans its stream reaches are materialised and remembered all the
-        same, for them.  A constant-free sentence is its own memo and state
-        key, so its stream runs through shared sub-plans as through any
-        other (those with a state at hand are seeded either way).
+        ``lazy`` (a closed sentence) streams the plan to its first root row
+        instead.  Sub-plans read twice are materialised, and so are the
+        shared ones of a plan with parameter slots: its next bindings come
+        with fresh constants and carry them.  A constant-free sentence is
+        its own memo and state key; its stream runs through them.
         """
         built, seeded = [], []
         for node in self._shared_in(plan):
@@ -829,7 +806,7 @@ class CompiledBackend(Backend):
             if ctx.params:
                 materialise = materialise.union(built)
             ctx.lazy, ctx.materialise = True, materialise
-            rows = _TRUE if plan.nonempty(ctx) else _FALSE
+            rows = frozenset({()}) if plan.nonempty(ctx) else frozenset()
             ctx.lazy = False
             self._bump("streamed")
             if self.delta_mode == "verify":
@@ -859,21 +836,17 @@ class CompiledBackend(Backend):
         return state
 
     def _fan_in(self, plan: Plan) -> FrozenSet[Plan]:
-        """The nodes of ``plan``'s DAG read by more than one consumer: a
-        stream materialises them, so each still runs once."""
+        """The nodes of ``plan``'s DAG read by more than one consumer."""
         found = self._fan_ins.get(plan)
         if found is None:
             consumers: Dict[Plan, int] = {}
-            seen: Set[Plan] = set()
-            stack = [plan]
+            stack, seen = [plan], {plan}
             while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                for child in node.children():
+                for child in stack.pop().children():
                     consumers[child] = consumers.get(child, 0) + 1
-                    stack.append(child)
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
             found = frozenset(node for node, n in consumers.items() if n > 1)
             self._fan_ins.put(plan, found)
         return found
@@ -973,43 +946,44 @@ class CompiledBackend(Backend):
         climbed.  Remembers and returns the successor state, or ``None`` when
         no such ancestor is within reach.
         """
-        db = ctx.db
-        current = db
-        steps = []  # newest first; composed only once an ancestor state is found
-        for _ in range(_MAX_PROVENANCE_CHAIN):
-            link = current.provenance_step()
-            if link is None:
-                return None
+        found = self._ancestor_state(ctx.db, key)
+        if found is None:
+            return None
+        parent, state, steps = found
+        delta = steps.pop()
+        while steps:
+            delta = delta.then(steps.pop())
+        try:
+            if state.deferred:
+                state = self._build_deferred(plan, parent, key, state, ctx)
+            rows, new_state = incremental_update(
+                plan, parent, state, delta, ctx, fixed_domain=ctx.domain_key is not None
+            )
+        except (DatabaseError, SignatureError) as exc:
+            from ..logic.evaluation import EvaluationError
+
+            raise EvaluationError(str(exc)) from exc
+        if self.delta_mode == "verify":
+            self._verify(plan, ctx, rows, "incremental evaluation", key[0])
+        self._remember_state(ctx.db, key, new_state)
+        return new_state
+
+    def _ancestor_state(self, db: Database, key: Tuple):
+        """``(ancestor, state, steps)``: the nearest ``apply_delta`` ancestor of
+        ``db`` within reach with a state under ``key``, and the steps climbed
+        to it, newest first (composed only once one is found) — or ``None``."""
+        steps = []
+        link = db.provenance_step()
+        while link is not None and len(steps) < _MAX_PROVENANCE_CHAIN:
             parent, step = link
             steps.append(step)
             state = self._state_for(parent, key)
-            if state is None:
-                current = parent
-                continue
-            delta = steps.pop()
-            while steps:
-                delta = delta.then(steps.pop())
-            try:
-                if state.deferred:
-                    state = self._build_deferred(plan, parent, key, state, ctx)
-                rows, new_state = incremental_update(
-                    plan, parent, state, delta, ctx,
-                    fixed_domain=ctx.domain_key is not None,
-                )
-            except (DatabaseError, SignatureError) as exc:
-                from ..logic.evaluation import EvaluationError
-
-                raise EvaluationError(str(exc)) from exc
-            if self.delta_mode == "verify":
-                self._verify(plan, ctx, rows, "incremental evaluation", key[0])
-            self._remember_state(db, key, new_state)
-            return new_state
+            if state is not None:
+                return parent, state, steps
+            link = parent.provenance_step()
         return None
 
-    def _build_deferred(
-        self, plan: Plan, db: Database, key: Tuple, deferred: PlanState,
-        ctx: ExecutionContext,
-    ) -> PlanState:
+    def _build_deferred(self, plan, db, key, deferred, ctx) -> PlanState:
         """A streamed verdict's deferred state at ``db``, made real: a full
         execution there, seeded with the sub-plans the stream materialised
         (each a whole sub-DAG, see :meth:`Plan.rows`)."""
@@ -1024,27 +998,18 @@ class CompiledBackend(Backend):
         return state
 
     @staticmethod
-    def _verify(
-        plan: Plan, ctx: ExecutionContext, rows: Rows, what: str, subject,
-        nodes: bool = False,
-    ) -> None:
-        """``REPRO_DELTA=verify``: ``rows`` (and, with ``nodes``, every node
-        result in ``ctx.cache``) must equal a fresh full execution's."""
+    def _verify(plan, ctx, rows, what, subject, nodes=False) -> None:
+        """``REPRO_DELTA=verify``: ``rows`` (with ``nodes``, every node result
+        in ``ctx.cache`` too) must be what a fresh full execution gives."""
         full = ExecutionContext(ctx.db, ctx.domain_key, ctx.signature, params=ctx.params)
-        expected = plan.rows(full)
-        pairs = [(rows, expected)]
+        pairs = [(rows, plan.rows(full))]
         if nodes:
-            pairs += [
-                (ctx.cache[node], result)
-                for node, result in full.cache.items()
-                if node in ctx.cache
-            ]
+            pairs += [(ctx.cache[n], r) for n, r in full.cache.items() if n in ctx.cache]
         for got, want in pairs:
             if got != want:
                 raise AssertionError(
-                    f"{what} diverged for {subject!r}: "
-                    f"got {sorted(got, key=repr)[:5]}..., "
-                    f"full run says {sorted(want, key=repr)[:5]}..."
+                    f"{what} diverged for {subject!r}: got {sorted(got, key=repr)[:5]}"
+                    f"..., full run says {sorted(want, key=repr)[:5]}..."
                 )
 
     def evaluate(self, formula, db, assignment=None, signature=EMPTY_SIGNATURE, domain=None):

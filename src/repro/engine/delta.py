@@ -123,20 +123,13 @@ class PlanState:
     first time a node is updated incrementally and patched forward after
     that.
 
-    A ``deferred`` state stands for a plan whose verdict was streamed: its
-    ``rows`` hold only the sub-plans the stream materialised, and the
-    backend turns it into a real state, by a full execution seeded with
-    them, the first time a successor asks for it.
+    A ``deferred`` state (a streamed verdict's) holds only the sub-plans
+    the stream materialised, until a successor asks for the real one.
     """
 
     __slots__ = ("rows", "aux", "deferred")
 
-    def __init__(
-        self,
-        rows: Dict[Plan, Rows],
-        aux: Optional[Dict[Plan, object]] = None,
-        deferred: bool = False,
-    ):
+    def __init__(self, rows: Dict[Plan, Rows], aux=None, deferred: bool = False):
         self.rows = rows
         self.aux = aux if aux is not None else {}
         self.deferred = deferred

@@ -18,13 +18,10 @@ execution context (scans filter variable positions against it), which is the
 plan-level counterpart of active-domain semantics: the extension of a formula
 only contains domain values, whatever the database relations contain.
 
-Every operator's semantics is one method, :meth:`Plan._stream`, which may
-return a set or a lazy iterator of distinct rows.  A *full* execution
-(:meth:`Plan.rows`) materialises it and remembers the result per node; a
-*lazy* context (``ExecutionContext.lazy``) pulls rows through the operators
-only as far as a consumer asks, which is how a closed sentence is decided
-at its first witness (:meth:`Plan.nonempty`) without building the
-intermediate results a full execution keeps.
+Each operator's semantics is one method, :meth:`Plan._stream`.  A full
+execution (:meth:`Plan.rows`) materialises and caches every node; a lazy one
+pulls rows through the operators only as far as the consumer asks, so a
+closed sentence is decided at its first witness (:meth:`Plan.nonempty`).
 
 Plans are database-independent: they reference relations by name, read the
 domain from the :class:`ExecutionContext`, and look up interpreted symbols in
@@ -58,8 +55,6 @@ __all__ = [
     "join_rows",
     "build_right_table",
     "build_left_table",
-    "probe_right_table",
-    "probe_left_table",
     "ExecutionContext",
     "Plan",
     "Scan",
@@ -100,11 +95,8 @@ class ExecutionContext:
     plan is compiled once per formula *shape*, with a slot where each
     constant stood, and every execution supplies the constants of the
     formula at hand.  The context also counts rows produced by each operator kind, which the
-    tests and ``EXPLAIN``-style debugging use.
-
-    ``lazy`` makes :meth:`Plan.stream` pull rows through the operators
-    instead of materialising each node; the nodes in ``materialise`` are
-    materialised (and cached) all the same when a stream reaches them.
+    tests and ``EXPLAIN``-style debugging use.  ``lazy`` makes :meth:`Plan.stream`
+    pull rows through the operators, except the nodes in ``materialise``.
     """
 
     __slots__ = (
@@ -167,9 +159,6 @@ class Plan:
 
     __slots__ = ("columns", "_expands")
 
-    #: the ``ExecutionContext.stats`` key a materialised result is counted under
-    counter: Optional[str] = None
-
     def __init__(self, columns: Sequence[str]):
         self.columns: Tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
@@ -177,20 +166,16 @@ class Plan:
         self._expands: Optional[bool] = None
 
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:  # pragma: no cover - interface
-        """The operator: its distinct rows, as a set or a lazy iterator.
-
-        Inputs are read through the children's :meth:`stream` (a full
-        execution materialises them there) or :meth:`rows` where the
-        operator needs them whole.
-        """
+        """The operator: its distinct rows, as a set or a lazy iterator,
+        read off the children's :meth:`stream` (or :meth:`rows`, whole)."""
         raise NotImplementedError
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
         result = self._stream(ctx)
         if not isinstance(result, AbstractSet):
             result = frozenset(result)
-        if self.counter is not None:
-            ctx.count(self.counter, len(result))
+        if self.children() or isinstance(self, Scan):  # not the domain leaves
+            ctx.count(type(self).__name__, len(result))
         return result
 
     def rows(self, ctx: ExecutionContext) -> Rows:
@@ -199,31 +184,25 @@ class Plan:
         Identical subformulas compile to one shared plan node, so the
         per-context cache turns the repeated subtrees that formula
         transformations love to emit (weakest preconditions especially) into
-        single evaluations.  A node is always materialised together with its
-        whole sub-DAG, also inside a lazy execution: every cached node's
-        inputs are cached too, which is what the delta rules read.
+        single evaluations.  Its whole sub-DAG is materialised too, also in a
+        lazy context: a cached node's inputs are cached (the delta rules read them).
         """
         cache = ctx.cache
         if self in cache:
             return cache[self]
         lazy, ctx.lazy = ctx.lazy, False
-        try:
-            profiler = ctx.profiler
-            if profiler is None:
-                result = self._rows(ctx)
-            else:
-                result = profiler.measure(self, lambda: self._rows(ctx))
-        finally:
-            ctx.lazy = lazy
+        profiler = ctx.profiler
+        if profiler is None:
+            result = self._rows(ctx)
+        else:
+            result = profiler.measure(self, lambda: self._rows(ctx))
+        ctx.lazy = lazy
         cache[self] = result
         return result
 
     def stream(self, ctx: ExecutionContext) -> Iterable[Row]:
-        """This node's distinct rows: lazily in a lazy context, else :meth:`rows`.
-
-        A node already in ``ctx.cache`` (seeded from carried state, or
-        materialised earlier in this execution) is iterated as it is.
-        """
+        """This node's distinct rows: lazily in a lazy context, else :meth:`rows`;
+        a node already in ``ctx.cache`` is iterated as it is."""
         cached = ctx.cache.get(self)
         if cached is not None:
             return cached
@@ -231,16 +210,16 @@ class Plan:
             return self._stream(ctx)
         return self.rows(ctx)
 
+    def is_relation(self, ctx: ExecutionContext) -> bool:
+        return False  # see Scan.is_relation
+
     def nonempty(self, ctx: ExecutionContext) -> bool:
         """Does this node produce a row?  A lazy context stops at the first."""
         return _nonempty(self.stream(ctx)) is not None
 
     def expands(self) -> bool:
-        """Can this sub-plan produce more rows than its inputs hold?
-
-        True where it contains a join that adds columns: the side a lazy
-        join would rather stream than materialise.
-        """
+        """Can this sub-plan hold more rows than its inputs (a join adding
+        columns)?  A lazy join would rather stream such a side."""
         if self._expands is None:
             self._expands = any(child.expands() for child in self.children())
         return self._expands
@@ -372,8 +351,6 @@ class Scan(Plan):
             and ctx.covers_database()
         )
 
-    counter = "scan"
-
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         candidates: Iterable[Row] = ctx.db.relation(self.relation)
         if len(self.pattern) != ctx.db.schema[self.relation].arity:
@@ -427,9 +404,6 @@ class DomainProduct(Plan):
         if not self.columns:
             return _TRUE
         return itertools.product(ctx.domain, repeat=len(self.columns))
-
-    def expands(self) -> bool:
-        return len(self.columns) > 1
 
     def label(self) -> str:
         return f"DomainProduct^{len(self.columns)}"
@@ -535,8 +509,6 @@ class Select(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    counter = "select"
-
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         predicate = self.predicate
         return (row for row in self.child.stream(ctx) if predicate(row, ctx))
@@ -563,11 +535,7 @@ class Project(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
 
-    counter = "project"
-
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
-        if not self.columns:  # one row or none: the child's first row decides
-            return _TRUE if self.child.nonempty(ctx) else _EMPTY
         projected = map(row_key(self._indices), self.child.stream(ctx))
         if not ctx.lazy or len(self._indices) == len(self.child.columns):
             # a full execution's frozenset drops the duplicates; a
@@ -586,10 +554,7 @@ def join_key(columns: Sequence[str], shared: Sequence[str]) -> Callable[[Row], R
 
 
 def _nonempty(rows: Iterable[Row]) -> Optional[Iterable[Row]]:
-    """``rows`` again, or ``None`` when there are none.
-
-    A set is asked; a stream has its first row pulled and put back.
-    """
+    """``rows`` again (a stream's first row pulled and put back), or ``None``."""
     if isinstance(rows, AbstractSet):
         return rows if rows else None
     rows = iter(rows)
@@ -607,18 +572,10 @@ def _distinct(rows: Iterable[Row]) -> Iterable[Row]:
             yield row
 
 
-def _is_stored(node: Plan, ctx: ExecutionContext) -> bool:
-    return isinstance(node, Scan) and node.is_relation(ctx)
-
-
 def join_rows(node: "HashJoin", left_rows: Rows, right_rows: Rows) -> Rows:
-    """The :class:`HashJoin` semantics over explicit inputs, materialised.
-
-    The operator's join body, callable over inputs computed elsewhere.  The
-    hash table is built on the smaller side.
-    """
-    result = node._hash_join(left_rows, right_rows)
-    return result if isinstance(result, AbstractSet) else frozenset(result)
+    """The :class:`HashJoin` semantics over explicit inputs computed
+    elsewhere, materialised (the hash table on the smaller side)."""
+    return frozenset(node._hash_join(left_rows, right_rows))
 
 
 def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, List[Row]]:
@@ -631,15 +588,6 @@ def build_right_table(node: "HashJoin", right_rows: Rows) -> Dict[Row, List[Row]
     return table
 
 
-def probe_right_table(
-    node: "HashJoin", table: Dict[Row, List[Row]], left_rows: Iterable[Row]
-) -> Iterable[Row]:
-    """The join of ``left_rows`` with the side :func:`build_right_table` keyed."""
-    left_key = join_key(node.left.columns, node.shared)
-    get = table.get
-    return (row + extra for row in left_rows for extra in get(left_key(row), ()))
-
-
 def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, List[Row]]:
     """``join key -> full left rows`` for probing right rows (built once)."""
     left_key = join_key(node.left.columns, node.shared)
@@ -647,20 +595,6 @@ def build_left_table(node: "HashJoin", left_rows: Rows) -> Dict[Row, List[Row]]:
     for row in left_rows:
         table.setdefault(left_key(row), []).append(row)
     return table
-
-
-def probe_left_table(
-    node: "HashJoin", table: Dict[Row, List[Row]], right_rows: Iterable[Row]
-) -> Iterable[Row]:
-    """The join of the side :func:`build_left_table` keyed with ``right_rows``."""
-    right_key = join_key(node.right.columns, node.shared)
-    extra = join_key(node.right.columns, node._right_extra)
-    get = table.get
-    return (
-        left_row + extra(row)
-        for row in right_rows
-        for left_row in get(right_key(row), ())
-    )
 
 
 class HashJoin(Plan):
@@ -677,15 +611,14 @@ class HashJoin(Plan):
     other child is never run.
 
     When one input *is* a stored relation (:meth:`Scan.is_relation`) and the
-    other is not larger, the join probes the relation's own index
+    other is not larger (:meth:`_probed`), the join probes the relation's index
     (:meth:`~repro.db.database.Database.index`, which ``apply_delta`` keeps
     current from state to state) once per row of the other side, instead of
     walking the relation through a hash table built for the occasion.
 
-    In a lazy context one side streams and the other is probed: a stored
-    relation is always the probed side; otherwise the side that
-    :meth:`~Plan.expands` streams, and the left one when that does not
-    decide.  A side that streams is never materialised.
+    In a lazy context the left side streams into probes of the right one,
+    unless only the left is a stored relation, or only the right
+    :meth:`~Plan.expands`: then the other way round.
     """
 
     __slots__ = ("left", "right", "shared", "_right_extra")
@@ -701,12 +634,6 @@ class HashJoin(Plan):
     def children(self) -> Tuple[Plan, ...]:
         return (self.left, self.right)
 
-    @property
-    def counter(self) -> str:  # type: ignore[override]
-        if not self._right_extra:
-            return "semijoin"
-        return "join" if self.shared else "product"
-
     def expands(self) -> bool:
         return bool(self._right_extra) or super().expands()
 
@@ -717,8 +644,8 @@ class HashJoin(Plan):
             return left.stream(ctx) if right.nonempty(ctx) else _EMPTY
         stream_right = (
             ctx.lazy
-            and not _is_stored(right, ctx)
-            and (_is_stored(left, ctx) or (right.expands() and not left.expands()))
+            and not right.is_relation(ctx)
+            and (left.is_relation(ctx) or (right.expands() and not left.expands()))
         )
         # the filtering side runs first, and an empty side ends the join: the
         # other child is never evaluated (its rows stay out of ctx.cache)
@@ -743,49 +670,41 @@ class HashJoin(Plan):
         return probes if probes is not None else self._hash_join(left_rows, right_rows)
 
     def _hash_join(self, left_rows: Iterable[Row], right_rows: Iterable[Row]) -> Iterable[Row]:
-        """The join through a hash table over a materialised side (at most
-        one side may be a stream; with both materialised, the smaller)."""
-        shared = self.shared
+        """The join through a hash table over a materialised side: the
+        smaller one, where neither side is a stream."""
+        shared, right = self.shared, self.right
+        right_key = join_key(right.columns, shared)
+        left_key = join_key(self.left.columns, shared)
         if not self._right_extra:
-            # semijoin: the right side adds no columns, it only filters
-            if not shared:
-                return left_rows if _nonempty(right_rows) is not None else _EMPTY
-            # the key covers every right column: distinct right rows, distinct keys
-            right_key = join_key(self.right.columns, shared)
+            # semijoin: the key covers every right column, so keys are distinct
             if not isinstance(right_rows, AbstractSet):
-                table = build_left_table(self, left_rows)
-                get = table.get
+                get = build_left_table(self, left_rows).get
                 return (row for key in map(right_key, right_rows) for row in get(key, ()))
-            keys = right_rows if shared == self.right.columns else set(map(right_key, right_rows))
-            left_key = join_key(self.left.columns, shared)
+            keys = right_rows if shared == right.columns else set(map(right_key, right_rows))
             return (row for row in left_rows if left_key(row) in keys)
         if not shared:
             if isinstance(right_rows, AbstractSet):
                 return (l + r for l in left_rows for r in right_rows)
             return (l + r for r in right_rows for l in left_rows)
-        if shared == self.left.columns and isinstance(left_rows, AbstractSet):
-            # the key is the whole left row: the left rows are their own table
-            right_key = join_key(self.right.columns, shared)
-            extra = join_key(self.right.columns, self._right_extra)
-            return (
-                key + extra(row) for row in right_rows if (key := right_key(row)) in left_rows
-            )
-        if not isinstance(left_rows, AbstractSet) or (
-            isinstance(right_rows, AbstractSet) and len(right_rows) <= len(left_rows)
-        ):
-            return probe_right_table(self, build_right_table(self, right_rows), left_rows)
-        return probe_left_table(self, build_left_table(self, left_rows), right_rows)
+        extra = join_key(right.columns, self._right_extra)
+        if isinstance(left_rows, AbstractSet):
+            if shared == self.left.columns:
+                # the key is the whole left row: the left rows are their own table
+                return (
+                    key + extra(row) for row in right_rows if (key := right_key(row)) in left_rows
+                )
+            if not isinstance(right_rows, AbstractSet) or len(left_rows) < len(right_rows):
+                get = build_left_table(self, left_rows).get
+                return (l + extra(row) for row in right_rows for l in get(right_key(row), ()))
+        get = build_right_table(self, right_rows).get
+        return (row + e for row in left_rows for e in get(left_key(row), ()))
 
-    def _probe_stored(
-        self, ctx: ExecutionContext, left_rows: Rows, right_rows: Rows
-    ) -> Optional[Rows]:
+    def _probe_stored(self, ctx, left_rows: Rows, right_rows: Rows) -> Optional[Rows]:
         """:meth:`_probes`, materialised."""
         probes = self._probes(ctx, left_rows, right_rows)
         return None if probes is None else frozenset(probes)
 
-    def _probes(
-        self, ctx: ExecutionContext, left_rows: Iterable[Row], right_rows: Iterable[Row]
-    ) -> Optional[Iterable[Row]]:
+    def _probes(self, ctx, left_rows, right_rows) -> Optional[Iterable[Row]]:
         """The join by index probes; ``None`` unless one side is a stored
         relation worth probing (:meth:`_probed`), the right one first."""
         if not self.shared:
@@ -825,15 +744,11 @@ class HashJoin(Plan):
     def _probed(
         self, ctx: ExecutionContext, stored: Plan, stored_rows, other_rows
     ) -> bool:
-        """Should the join probe ``stored``'s index rather than hash it?
-
-        Where ``stored`` is a stored relation larger than the other side (a
-        stream counts as larger).  On a tie, where the probes need no index
-        (the key is the whole row) or where the index outlives the join:
-        built already, or carried to the successors of a database in an
-        update stream by ``apply_delta``.
-        """
-        if not _is_stored(stored, ctx):
+        """Probe ``stored``'s index, a stored relation larger than the other
+        side (a stream counts as larger)?  On a tie, where no index is needed
+        (the key is the whole row) or it outlives the join: built already, or
+        carried by ``apply_delta`` along the database's update stream."""
+        if not stored.is_relation(ctx):
             return False
         if not isinstance(other_rows, AbstractSet) or len(stored_rows) > len(other_rows):
             return True
@@ -862,8 +777,6 @@ class Antijoin(Plan):
     """
 
     __slots__ = ("left", "right", "shared")
-
-    counter = "antijoin"
 
     def __init__(self, left: Plan, right: Plan):
         super().__init__(left.columns)
@@ -897,8 +810,6 @@ class UnionAll(Plan):
 
     __slots__ = ("parts",)
 
-    counter = "union"
-
     def __init__(self, parts: Sequence[Plan]):
         if not parts:
             raise PlanError("UnionAll needs at least one child")
@@ -926,8 +837,6 @@ class DomainComplement(Plan):
     """``domain^k \\ child`` — negation under active-domain semantics."""
 
     __slots__ = ("child",)
-
-    counter = "complement"
 
     def __init__(self, child: Plan):
         super().__init__(child.columns)
@@ -961,8 +870,6 @@ class GroupCount(Plan):
     """
 
     __slots__ = ("child", "threshold")
-
-    counter = "group_count"
 
     def __init__(self, child: Plan, group_columns: Sequence[str], threshold: int):
         if threshold < 1:
