@@ -110,27 +110,6 @@ def _delta_mode_from_env() -> str:
     return "on"
 
 
-#: CompiledBackend counter attribute -> canonical dotted metric name (the
-#: legacy ``cache_stats()`` keys stay unchanged; this is the registry side)
-_BACKEND_METRICS = {
-    "fallbacks": "engine.compile.fallbacks",
-    "streamed": "engine.backend.streamed",
-    "delta_hits": "engine.delta.hits",
-    "delta_misses": "engine.delta.misses",
-    "states_deferred": "engine.delta.states_deferred",
-    "states_built_on_demand": "engine.delta.states_built_on_demand",
-    "plans_rewritten": "engine.optimizer.plans_rewritten",
-    "join_reorders": "engine.optimizer.join_reorders",
-    "shared_subplans": "engine.optimizer.shared_subplans",
-    "shared_carried": "engine.shared.carried",
-    "shared_rebuilt": "engine.shared.rebuilt",
-    "complements_avoided": "engine.optimizer.complements_avoided",
-    "naive_wins": "engine.optimizer.naive_wins",
-    "estimation_checks": "engine.optimizer.estimation_checks",
-    "estimation_error": "engine.optimizer.estimation_error",
-}
-
-
 def _optimizer_mode_from_env() -> str:
     """The optimizer mode selected by ``REPRO_OPTIMIZER``.
 
@@ -304,9 +283,9 @@ class CompiledBackend(Backend):
 
     A closed sentence asks yes or no: where the memo and the delta rules
     both miss, its plan is *streamed* to the first root row (``streamed``)
-    and leaves a *deferred* state (``states_deferred``), which the first
-    successor that asks turns into a real one by a full execution at that
-    state (``states_built_on_demand``).  Update streams do the same
+    and leaves a *deferred* state, which the first successor that asks
+    turns into a real one by a full execution at that state
+    (``states_built_on_demand``).  Update streams do the same
     incremental work one step later; one-off checks pay for no node state.
 
     When compilation fails (a formula type the compiler does not know) the
@@ -364,7 +343,6 @@ class CompiledBackend(Backend):
         self.delta_hits = 0
         self.delta_misses = 0
         self.streamed = 0
-        self.states_deferred = 0
         self.states_built_on_demand = 0
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
@@ -399,13 +377,16 @@ class CompiledBackend(Backend):
         self.naive_wins = 0
         self.estimation_checks = 0
         self.estimation_error = 0
-        # the registry twins of the bare-int counters above: _bump dual-writes
-        # into these, so the process-wide metrics snapshot carries the same
-        # numbers under the dotted scheme (docs/observability.md).  With
+        # the registry twins of the bare-int counters above, named by the
+        # alias table metrics.LEGACY_KEY_MAP: _bump dual-writes into these,
+        # so the process-wide metrics snapshot carries the same numbers
+        # under the dotted scheme (docs/observability.md).  With
         # REPRO_METRICS=off they are the shared no-op instrument.
         registry = _metrics.get_registry()
         self._metric_counters = {
-            attr: registry.counter(name) for attr, name in _BACKEND_METRICS.items()
+            attr: registry.counter(name)
+            for attr, name in _metrics.LEGACY_KEY_MAP.items()
+            if type(getattr(self, attr, None)) is int
         }
         self._m_memo_hits = registry.counter("engine.plan_cache.hits")
         self._m_memo_misses = registry.counter("engine.plan_cache.misses")
@@ -444,7 +425,6 @@ class CompiledBackend(Backend):
             "estimation_checks": self.estimation_checks,
             "estimation_error": self.estimation_error,
             "streamed": self.streamed,
-            "states_deferred": self.states_deferred,
             "states_built_on_demand": self.states_built_on_demand,
         }
 
@@ -668,8 +648,6 @@ class CompiledBackend(Backend):
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode != "off":
                 self._remember_state(db, memo_key, PlanState(dict(ctx.cache), None, sentence))
-                if sentence:
-                    self._bump("states_deferred")
             if self.optimizer_mode == "explain":
                 self._record_estimation(plan, db, memo_key, rows)
         memo.put(memo_key, rows)

@@ -76,6 +76,8 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "estimation_error": "engine.optimizer.estimation_error",
     "delta_hits": "engine.delta.hits",
     "delta_misses": "engine.delta.misses",
+    "states_built_on_demand": "engine.delta.states_built_on_demand",
+    "streamed": "engine.backend.streamed",
     "fallbacks": "engine.compile.fallbacks",
     "incremental_evaluations": "engine.delta.hits",
     # Store.storage_stats() / WalStorageEngine.stats()

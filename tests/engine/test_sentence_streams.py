@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, Delta
+from repro.db import Database
 from repro.engine import CompiledBackend, NaiveBackend
 from repro.engine import plan as plan_module
+from repro.engine.compile import CompileError
 from repro.engine.delta import PlanState
 from repro.engine.plan import ExecutionContext, HashJoin, Plan, Scan, join_rows
 from repro.logic import parse
+from repro.logic.signature import EMPTY_SIGNATURE
 from repro.obs import metrics
 from repro.service.workloads import forward_graph
 
@@ -83,7 +85,7 @@ def test_streamed_verdict_is_the_materialised_and_the_interpreted_one(sentence, 
     params = sentence.shape()[1]
     try:
         plans = {backend.plan_for(sentence, ())}
-    except Exception:  # the compiler rejects it: the interpreter answered
+    except CompileError:  # the interpreter answered
         assert backend.cache_stats()["streamed"] == 0
         return
     chosen = backend._plan_for_execution(sentence, (), db, None)
@@ -138,29 +140,22 @@ def test_deferred_states_keep_the_eager_results_and_counts(base, steps):
     assert (streaming.delta_hits, streaming.delta_misses) == (
         eager.delta_hits, eager.delta_misses,
     )
-    assert streaming.streamed == streaming.states_deferred == streaming.delta_misses
+    assert streaming.streamed == streaming.delta_misses
 
 
 def test_a_successor_builds_the_deferred_state_once():
     backend = CompiledBackend(delta="on")
     db = forward_graph(60, 4, seed=2)
     assert backend.evaluate(NO_TRIANGLES, db)
-    state = backend._state_for(db, (NO_TRIANGLES, (), None, db_signature()))
+    state = backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE))
     assert state.deferred
     first, second = db.insert("E", (3, 60)), db.insert("E", (4, 61))  # siblings
     assert backend.evaluate(NO_TRIANGLES, first)
     assert backend.evaluate(NO_TRIANGLES, second)
     stats = backend.cache_stats()
-    assert (stats["streamed"], stats["states_deferred"]) == (1, 1)
-    assert stats["states_built_on_demand"] == 1
+    assert (stats["streamed"], stats["states_built_on_demand"]) == (1, 1)
     assert (backend.delta_hits, backend.delta_misses) == (2, 1)
-    assert not backend._state_for(db, (NO_TRIANGLES, (), None, db_signature())).deferred
-
-
-def db_signature():
-    from repro.logic.signature import EMPTY_SIGNATURE
-
-    return EMPTY_SIGNATURE
+    assert not backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE)).deferred
 
 
 def test_one_off_checks_build_no_node_state():
@@ -170,7 +165,7 @@ def test_one_off_checks_build_no_node_state():
         backend.evaluate(sentence, db)
     assert backend.states_built_on_demand == 0
     for sentence in STANDING:
-        assert backend._state_for(db, (sentence, (), None, db_signature())).deferred
+        assert backend._state_for(db, (sentence, (), None, EMPTY_SIGNATURE)).deferred
 
 
 # -- work ----------------------------------------------------------------------------
@@ -308,7 +303,7 @@ def test_verify_catches_a_wrong_state_built_on_demand():
     backend = CompiledBackend(delta="verify")
     db = forward_graph(40, 3, seed=4)
     assert backend.evaluate(NO_TRIANGLES, db)
-    state = backend._state_for(db, (NO_TRIANGLES, (), None, db_signature()))
+    state = backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE))
     assert state.rows  # the sides the stream hashed, which seed the build
     state.rows.update({node: frozenset() for node in state.rows})
     with pytest.raises(AssertionError, match="state built on demand diverged"):
@@ -371,9 +366,7 @@ def test_counters_reach_cache_stats_and_the_registry():
     backend.evaluate(NO_TRIANGLES, db)
     backend.evaluate(NO_TRIANGLES, db.insert("E", (0, 29)))
     stats = backend.cache_stats()
-    assert (stats["streamed"], stats["states_deferred"], stats["states_built_on_demand"]) == (
-        1, 1, 1,
-    )
+    assert (stats["streamed"], stats["states_built_on_demand"]) == (1, 1)
     if metrics.metrics_enabled():
         assert registry.counter("engine.backend.streamed").value - before[
             "engine.backend.streamed"
