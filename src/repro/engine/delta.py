@@ -129,7 +129,10 @@ class PlanState:
 
     __slots__ = ("rows", "aux", "deferred")
 
-    def __init__(self, rows: Dict[Plan, Rows], aux=None, deferred: bool = False):
+    def __init__(
+        self, rows: Dict[Plan, Rows], aux: Optional[Dict[Plan, object]] = None,
+        deferred: bool = False,
+    ):
         self.rows = rows
         self.aux = aux if aux is not None else {}
         self.deferred = deferred

@@ -62,9 +62,9 @@ def partitioned_graphs():
     """Graphs of 64 rows or more, updated once so their relation is a
     partitioned row set."""
     edges = st.frozensets(
-        st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=64, max_size=90
+        st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=64, max_size=81
     )
-    return st.tuples(edges, graph_deltas(max_value=11)).map(
+    return st.tuples(edges, graph_deltas(max_value=8)).map(
         lambda pair: Database.graph(pair[0]).apply_delta(pair[1])
     )
 
