@@ -25,6 +25,7 @@ wins, else the ``REPRO_DURABLE`` / ``REPRO_WAL_DIR`` environment knobs decide
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
@@ -170,10 +171,20 @@ def engine_from_env() -> StorageEngine:
     set (shared across store lifetimes — that is what makes restart recovery
     work), else at a private temporary directory that is deleted again when
     the store closes (the full-test-suite durable leg runs this way).
-    Anything else returns a fresh :class:`MemoryEngine`.
+    ``off`` (or ``0``/``false``/``no``, or unset) returns a fresh
+    :class:`MemoryEngine`; so does any other value, with a warning — a typo
+    must not pass for a deliberate choice to lose commits on a crash.
     """
     raw = os.environ.get(DURABLE_ENV, "").strip().lower()
     if raw not in ("on", "1", "true", "yes"):
+        if raw not in ("off", "0", "false", "no", ""):
+            warnings.warn(
+                f"ignoring invalid {DURABLE_ENV}={raw!r}; expected 'on' or "
+                "'off' — using the in-memory engine (commits do not survive "
+                "a crash)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return MemoryEngine()
     from .wal import WalStorageEngine
 

@@ -38,14 +38,7 @@ from .plan import (
 )
 from .compile import CompileError, compile_extension, compile_sentence
 from .stats import ColumnStats, DatabaseStats, RelationStats
-from .optimize import (
-    Estimator,
-    OptimizerParams,
-    canonical_plan,
-    estimate_naive_cost,
-    explain_plan,
-    optimize_plan,
-)
+from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
 from .delta import (
     PlanState,
     evaluate_under,
@@ -88,9 +81,7 @@ __all__ = [
     "DatabaseStats",
     "RelationStats",
     "Estimator",
-    "OptimizerParams",
     "canonical_plan",
-    "estimate_naive_cost",
     "explain_plan",
     "optimize_plan",
     "OPTIMIZER_ENV",

@@ -45,17 +45,10 @@ from ..db.database import Database, DatabaseError
 from ..logic.signature import EMPTY_SIGNATURE, Signature, SignatureError
 from ..logic.syntax import Formula
 from ..obs import metrics as _metrics
-from ..obs.profile import PlanProfiler, observe_estimation
+from ..obs.profile import PlanProfiler
 from .compile import CompileError, compile_extension
 from .delta import PlanState, incremental_update
-from .optimize import (
-    Estimator,
-    OptimizerParams,
-    canonical_plan,
-    estimate_naive_cost,
-    explain_plan,
-    optimize_plan,
-)
+from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
 from .plan import ExecutionContext, Plan, Rows
 from .stats import size_bucket
 
@@ -76,14 +69,12 @@ Row = Tuple[object, ...]
 _UNCOMPILABLE = object()
 # how far up a database's apply_delta ancestry to look for a usable state
 _MAX_PROVENANCE_CHAIN = 16
-# never fall back to the interpreter when its estimated cost exceeds this —
-# a misestimated plan is recoverable, an interpreter run over a huge domain
-# product is not
-_NAIVE_FALLBACK_CAP = 250_000.0
-# ...and never abandon a plan this cheap: small plans execute in microseconds
-# anyway, and keeping them keeps the incremental delta path alive for update
-# streams over small databases
-_NAIVE_FALLBACK_FLOOR = 512.0
+# compiled plans (and optimized plans, and the fan-in sets of plans) kept
+_PLAN_CACHE_SIZE = 2048
+# memoised extensions per database; node-level states per remembered database
+_MEMO_SIZE = 512
+# databases whose node-level plan states are remembered for the delta rules
+_STATE_HISTORY = 8
 # plans already costed below this are not worth a rewrite pass: the join
 # reorderer's own overhead would exceed anything it could save (tiny
 # databases, trivial formulas) — they are canonicalised and run as-is
@@ -114,20 +105,16 @@ def _optimizer_mode_from_env() -> str:
     """The optimizer mode selected by ``REPRO_OPTIMIZER``.
 
     ``on`` (the default) rewrites plans cost-based; ``off`` executes the
-    compiler's syntactic plans unchanged; ``explain`` is ``on`` plus
-    estimated-vs-actual cardinality tracking on every full execution (the
-    ``estimation_error`` counter in :meth:`CompiledBackend.cache_stats`).
+    compiler's syntactic plans unchanged.
     """
     value = os.environ.get(OPTIMIZER_ENV, "on").strip().lower()
     if value in ("on", "1", "true", "yes", ""):
         return "on"
     if value in ("off", "0", "false", "no"):
         return "off"
-    if value == "explain":
-        return "explain"
     warnings.warn(
-        f"ignoring invalid {OPTIMIZER_ENV}={value!r}; expected 'on', 'off' "
-        "or 'explain' — using 'on'",
+        f"ignoring invalid {OPTIMIZER_ENV}={value!r}; expected 'on' or 'off' "
+        "— using 'on'",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -258,7 +245,7 @@ class CompiledBackend(Backend):
       over ever-new states retains nothing).  Repeated ``D |= phi`` checks
       (e.g. one candidate tuple at a time against the same database, the
       integrity-maintenance hot path) collapse into one plan execution plus
-      set membership.  ``memo_size`` bounds the entries *per database*.
+      set membership.  ``_MEMO_SIZE`` bounds the entries *per database*.
 
     A third mechanism makes the *update* hot path cheap: when a database was
     produced by :meth:`repro.db.database.Database.apply_delta` (every
@@ -297,16 +284,8 @@ class CompiledBackend(Backend):
 
     name = "compiled"
 
-    def __init__(
-        self,
-        plan_cache_size: int = 2048,
-        memo_size: int = 512,
-        delta: Optional[str] = None,
-        state_history: int = 8,
-        optimizer: Optional[str] = None,
-    ):
-        self._plans: _LRU = _LRU(plan_cache_size)
-        self._memo_size = memo_size
+    def __init__(self, delta: Optional[str] = None, optimizer: Optional[str] = None):
+        self._plans: _LRU = _LRU(_PLAN_CACHE_SIZE)
         self._memo: "weakref.WeakKeyDictionary[Database, _LRU]" = (
             weakref.WeakKeyDictionary()
         )
@@ -333,9 +312,8 @@ class CompiledBackend(Backend):
         # the store patching its snapshot) the parent loses its last strong
         # reference the moment the successor exists, which would sever the
         # provenance weakref before the next evaluation can use it.  The
-        # history is a small LRU (``state_history`` databases), so a long
+        # history is a small LRU (``_STATE_HISTORY`` databases), so a long
         # stream still retains only its recent past.
-        self._state_history = state_history
         self._states: "OrderedDict[int, Tuple[Database, Dict[Tuple, PlanState]]]" = (
             OrderedDict()
         )
@@ -347,21 +325,20 @@ class CompiledBackend(Backend):
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
             optimizer = _optimizer_mode_from_env()
-        if optimizer not in ("on", "off", "explain"):
+        if optimizer not in ("on", "off"):
             raise ValueError(
-                f"unknown optimizer mode {optimizer!r}; expected 'on', 'off' "
-                "or 'explain'"
+                f"unknown optimizer mode {optimizer!r}; expected 'on' or 'off'"
             )
         self.optimizer_mode = optimizer
-        # (syntactic plan, domain default?, stats profile) -> ("plan", plan,
-        # root estimate) or ("naive", plan, naive cost): one optimization per
-        # formula shape per database-size profile, shared across every
-        # database matching it.  Keyed by the cached plan *object* (identity
-        # hash, the key tuple keeps it alive) so the lookup hashes no formula.
-        self._opt_plans: _LRU = _LRU(plan_cache_size)
+        # (syntactic plan, domain default?, stats profile) -> the plan to run:
+        # one optimization per formula shape per database-size profile,
+        # shared across every database matching it.  Keyed by the cached
+        # plan *object* (identity hash, the key tuple keeps it alive) so the
+        # lookup hashes no formula.
+        self._opt_plans: _LRU = _LRU(_PLAN_CACHE_SIZE)
         self._opt_lock = threading.Lock()
         # plan -> the nodes of its DAG that several consumers read
-        self._fan_ins: _LRU = _LRU(plan_cache_size)
+        self._fan_ins: _LRU = _LRU(_PLAN_CACHE_SIZE)
         # structural-interning table (parameter-free sub-plans only) + the
         # sub-plans that formulas, or the bindings of one shape, share
         self._canon: Dict[Tuple, Plan] = {}
@@ -374,19 +351,15 @@ class CompiledBackend(Backend):
         self.shared_carried = 0
         self.shared_rebuilt = 0
         self.complements_avoided = 0
-        self.naive_wins = 0
-        self.estimation_checks = 0
-        self.estimation_error = 0
         # the registry twins of the bare-int counters above, named by the
-        # alias table metrics.LEGACY_KEY_MAP: _bump dual-writes into these,
+        # alias table metrics.BACKEND_KEY_MAP: _bump dual-writes into these,
         # so the process-wide metrics snapshot carries the same numbers
         # under the dotted scheme (docs/observability.md).  With
         # REPRO_METRICS=off they are the shared no-op instrument.
         registry = _metrics.get_registry()
         self._metric_counters = {
             attr: registry.counter(name)
-            for attr, name in _metrics.LEGACY_KEY_MAP.items()
-            if type(getattr(self, attr, None)) is int
+            for attr, name in _metrics.BACKEND_KEY_MAP.items()
         }
         self._m_memo_hits = registry.counter("engine.plan_cache.hits")
         self._m_memo_misses = registry.counter("engine.plan_cache.misses")
@@ -419,11 +392,8 @@ class CompiledBackend(Backend):
             "join_reorders": self.join_reorders,
             "shared_subplans": self.shared_subplans,
             "complements_avoided": self.complements_avoided,
-            "naive_wins": self.naive_wins,
             "shared_carried": self.shared_carried,
             "shared_rebuilt": self.shared_rebuilt,
-            "estimation_checks": self.estimation_checks,
-            "estimation_error": self.estimation_error,
             "streamed": self.streamed,
             "states_built_on_demand": self.states_built_on_demand,
         }
@@ -440,7 +410,7 @@ class CompiledBackend(Backend):
         with self._memo_lock:
             lru = self._memo.get(db)
             if lru is None:
-                lru = _LRU(self._memo_size)
+                lru = _LRU(_MEMO_SIZE)
                 self._memo[db] = lru
             return lru
 
@@ -476,19 +446,15 @@ class CompiledBackend(Backend):
         variables: Tuple[str, ...],
         db: Database,
         domain_key: Optional[frozenset],
-    ) -> Optional[Plan]:
-        """The plan to run for ``formula`` against ``db`` — or ``None``.
+    ) -> Plan:
+        """The plan to run for ``formula`` against ``db``.
 
         With the optimizer off this is the compiler's plan for the formula's
         shape, verbatim.  With it on, the plan is rewritten cost-based for
         the database's statistics profile (once per shape and profile: every
-        other formula of the shape finds the entry), canonicalised against the
-        backend's structural-interning table, and priced against the naive
-        interpreter;
-        ``None`` means the interpreter is estimated cheaper than every plan
-        the optimizer could find (the cheap-plan fallback — never run a plan
-        costed worse than naive evaluation).  Raises :class:`CompileError`
-        exactly like :meth:`plan_for`.
+        other formula of the shape finds the entry) and canonicalised against
+        the backend's structural-interning table.  Raises
+        :class:`CompileError` exactly like :meth:`plan_for`.
         """
         plan = self.plan_for(formula, variables)
         if self.optimizer_mode == "off":
@@ -505,40 +471,27 @@ class CompiledBackend(Backend):
             size_bucket(domain_size),
         )
         key = (plan, default_domain, profile)
-        entry = self._opt_plans.get(key)
-        if entry is None:
-            entry = self._optimize_entry(
-                formula, variables, plan, db, domain_size, default_domain
-            )
-            self._opt_plans.put(key, entry)
-        kind, chosen, _estimate = entry
-        if kind != "naive":
-            return chosen
-        if db.provenance_step() is not None:
-            # the database is part of an update stream: the plan amortises
-            # through the incremental delta path (O(|delta|) per step),
-            # which the one-shot interpreter never can — keep the plan
-            return chosen
-        return None
+        chosen = self._opt_plans.get(key)
+        if chosen is None:
+            chosen = self._optimize(formula, plan, db, domain_size, default_domain)
+            self._opt_plans.put(key, chosen)
+        return chosen
 
-    def _optimize_entry(
+    def _optimize(
         self,
         formula: Formula,
-        variables: Tuple[str, ...],
         plan: Plan,
         db: Database,
         domain_size: int,
         default_domain: bool,
-    ) -> Tuple[str, Optional[Plan], float]:
-        params = OptimizerParams()
+    ) -> Plan:
         stats = db.stats()
-        estimator = Estimator(stats, domain_size, default_domain, params)
-        syntactic_cost = estimator.cost(plan)
+        estimator = Estimator(stats, domain_size, default_domain)
         best = plan
-        if syntactic_cost >= _OPT_SKIP_COST:
+        if estimator.cost(plan) >= _OPT_SKIP_COST:
             try:
                 best, info = optimize_plan(
-                    plan, stats, domain_size, default_domain, params, estimator
+                    plan, stats, domain_size, default_domain, estimator
                 )
             except Exception as exc:  # a failed rewrite must never break evaluation
                 warnings.warn(
@@ -547,16 +500,7 @@ class CompiledBackend(Backend):
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                return ("plan", plan, -1.0)
-            naive_cost = estimate_naive_cost(formula, variables, domain_size)
-            if (
-                naive_cost < _NAIVE_FALLBACK_CAP
-                and info.optimized_cost > _NAIVE_FALLBACK_FLOOR
-                and info.optimized_cost > naive_cost * params.naive_margin
-            ):
-                # the entry keeps the best plan anyway: provenance-bearing
-                # databases (update streams) still run it incrementally
-                return ("naive", best, naive_cost)
+                return plan
             if info.rewritten:
                 self._bump("plans_rewritten")
                 if info.join_reorders:
@@ -567,7 +511,7 @@ class CompiledBackend(Backend):
             best, hits = canonical_plan(best, self._canon, self._shared_nodes)
         if hits:
             self._bump("shared_subplans", hits)
-        return ("plan", best, estimator.estimate(best).rows)
+        return best
 
     # -- the Backend API --------------------------------------------------------
 
@@ -598,9 +542,8 @@ class CompiledBackend(Backend):
                     plan = self._plan_for_execution(formula, variables, db, domain_key)
                 except CompileError:
                     return set(cached)
-                if plan is not None:
-                    ctx = self._context(formula, db, domain_key, signature)
-                    self._incremental_extension(plan, memo_key, ctx, warming=True)
+                ctx = self._context(formula, db, domain_key, signature)
+                self._incremental_extension(plan, memo_key, ctx, warming=True)
             return set(cached)
         self._m_memo_misses.inc()
         try:
@@ -609,15 +552,6 @@ class CompiledBackend(Backend):
             # interpreter fallback — memoised exactly like a compiled result,
             # so a repeated check against the same database is a lookup
             self._bump("fallbacks")
-            rows = frozenset(
-                self._naive.extension(formula, db, variables, signature, domain_key)
-            )
-            memo.put(memo_key, rows)
-            return set(rows)
-        if plan is None:
-            # the optimizer priced every plan worse than the interpreter —
-            # run (and memoise) the interpreter instead of a known-bad plan
-            self._bump("naive_wins")
             rows = frozenset(
                 self._naive.extension(formula, db, variables, signature, domain_key)
             )
@@ -648,27 +582,8 @@ class CompiledBackend(Backend):
                 raise EvaluationError(str(exc)) from exc
             if self.delta_mode != "off":
                 self._remember_state(db, memo_key, PlanState(dict(ctx.cache), None, sentence))
-            if self.optimizer_mode == "explain":
-                self._record_estimation(plan, db, memo_key, rows)
         memo.put(memo_key, rows)
         return set(rows)
-
-    def _record_estimation(self, plan, db, memo_key, rows) -> None:
-        """Explain mode: score the root estimate against the actual result."""
-        domain_key = memo_key[2]
-        domain_size = len(domain_key) if domain_key is not None else len(db.active_domain)
-        try:
-            estimator = Estimator(
-                db.stats(), domain_size, domain_key is None, OptimizerParams()
-            )
-            estimate = estimator.estimate(plan).rows
-        except Exception:  # estimation must never break evaluation
-            return
-        self._bump("estimation_checks")
-        actual = float(len(rows))
-        ratio = observe_estimation(estimate, actual)
-        if ratio > 4.0:
-            self._bump("estimation_error")
 
     def explain(
         self,
@@ -683,13 +598,13 @@ class CompiledBackend(Backend):
         Shows the plan the backend would execute, its estimated and *actual*
         per-node cardinalities (the formula is executed once to measure
         them), the values its constants bind the plan's parameter slots
-        (``$0``, ``$1``, ...) to, the modelled costs of the syntactic and
-        optimized plans, and the interpreter yardstick — the tool for
-        diagnosing why the optimizer picked (or refused) a shape.  A sub-plan
-        whose rows came from carried state instead of being run is marked
-        ``[carried]``; a node no line shows ``act=`` for was skipped by a
-        short-circuiting join.  ``path:`` names the way :meth:`extension`
-        (over no variables: :meth:`evaluate`) answers it at ``db`` now.
+        (``$0``, ``$1``, ...) to, and the modelled costs of the syntactic and
+        optimized plans — the tool for diagnosing why the optimizer picked a
+        shape.  A sub-plan whose rows came from carried state instead of
+        being run is marked ``[carried]``; a node no line shows ``act=`` for
+        was skipped by a short-circuiting join.  ``path:`` names the way
+        :meth:`extension` (over no variables: :meth:`evaluate`) answers it at
+        ``db`` now.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -697,15 +612,11 @@ class CompiledBackend(Backend):
             len(domain_key) if domain_key is not None else len(db.active_domain)
         )
         original = self.plan_for(formula, variables)  # CompileError propagates
-        params = OptimizerParams()
-        stats = db.stats()
-        estimator = Estimator(stats, domain_size, domain_key is None, params)
-        naive_cost = estimate_naive_cost(formula, variables, domain_size)
+        estimator = Estimator(db.stats(), domain_size, domain_key is None)
         chosen = self._plan_for_execution(formula, variables, db, domain_key)
         lines = [
             f"formula: {formula}",
-            f"optimizer: {self.optimizer_mode}  domain={domain_size}  "
-            f"naive_cost~{naive_cost:.0f}",
+            f"optimizer: {self.optimizer_mode}  domain={domain_size}",
         ]
         bound = formula.shape()[1]
         if bound:
@@ -713,16 +624,8 @@ class CompiledBackend(Backend):
                 "parameters: "
                 + "  ".join(f"${slot}={value!r}" for slot, value in enumerate(bound))
             )
-        path = self._path(formula, db, variables, domain_key, signature, chosen)
+        path = self._path(formula, db, variables, domain_key, signature)
         lines.append(f"path: {path}")
-        if chosen is None:
-            lines.append(
-                "chosen: naive interpreter (every plan costed worse than "
-                f"{params.naive_margin:.1f}x the interpreter)"
-            )
-            lines.append("rejected plan:")
-            lines.append(explain_plan(original, estimator))
-            return "\n".join(lines)
         ctx = self._context(formula, db, domain_key, signature)
         ctx.profiler = PlanProfiler()
         self._execute_plan(chosen, ctx)
@@ -735,11 +638,9 @@ class CompiledBackend(Backend):
         )
         return "\n".join(lines)
 
-    def _path(self, formula, db, variables, domain_key, signature, chosen) -> str:
+    def _path(self, formula, db, variables, domain_key, signature) -> str:
         """Which way :meth:`extension` would answer ``formula`` at ``db`` now."""
         key = (formula, variables, domain_key, signature)
-        if chosen is None:
-            return "naive interpreter"
         if self._memo_for(db).get(key) is not None:
             return "memo"
         found = self._ancestor_state(db, key) if self.delta_mode != "off" else None
@@ -890,9 +791,9 @@ class CompiledBackend(Backend):
             self._states.move_to_end(key)
             states = entry[1]
             states[memo_key] = state
-            while len(states) > self._memo_size:
+            while len(states) > _MEMO_SIZE:
                 states.pop(next(iter(states)))
-            while len(self._states) > self._state_history:
+            while len(self._states) > _STATE_HISTORY:
                 self._states.popitem(last=False)
 
     def _incremental_extension(

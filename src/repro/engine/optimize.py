@@ -11,8 +11,7 @@ statistics a database maintains (:mod:`repro.engine.stats`), it
 * **reorders joins**: maximal join blocks (trees of hash joins with their
   pushed-down selections and antijoin filters) are collected and re-assembled
   bottom-up — exact dynamic programming over subsets (bushy shapes included)
-  up to :attr:`OptimizerParams.dp_cap` relations, greedy cheapest-expansion
-  beyond;
+  up to ``_DP_CAP`` relations, greedy cheapest-expansion beyond;
 * **re-places selections and projections**: filters re-attach as soon as
   their variables are covered, and columns no later operator needs are
   projected away right after the join that made them dead;
@@ -32,9 +31,7 @@ consumer of the original — including the incremental delta rules, which see
 the same operator vocabulary they already know.
 
 A plan is only *replaced* when the cost model prices the rewrite strictly
-cheaper, and :func:`estimate_naive_cost` prices the recursive interpreter on
-the same formula so the backend can refuse to run any plan costed worse than
-naive evaluation (the cheap-plan fallback).
+cheaper.
 """
 
 from __future__ import annotations
@@ -42,20 +39,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..logic.syntax import (
-    And,
-    Atom,
-    CountingExists,
-    Eq,
-    Exists,
-    Forall,
-    Iff,
-    Implies,
-    InterpretedAtom,
-    Not,
-    Or,
-)
-from .compile import depends_for, predicate_for
+from .compile import predicate_for
 from .plan import (
     Antijoin,
     ConstantTable,
@@ -75,12 +59,10 @@ from .plan import (
 from .stats import DatabaseStats
 
 __all__ = [
-    "OptimizerParams",
     "Estimate",
     "Estimator",
     "OptimizeInfo",
     "optimize_plan",
-    "estimate_naive_cost",
     "canonical_plan",
     "explain_plan",
 ]
@@ -101,19 +83,17 @@ _PREDICATE_COST = 4.0
 _BLOCK_SKIP_COST = 128.0
 
 
-class OptimizerParams:
-    """Tuning knobs of the optimizer (one instance per backend)."""
-
-    __slots__ = ("dp_cap", "naive_margin")
-
-    def __init__(self, dp_cap: int = 5, naive_margin: float = 2.0):
-        self.dp_cap = dp_cap
-        # a plan must be costed worse than `naive_margin` x the interpreter
-        # before the backend abandons it for naive evaluation
-        self.naive_margin = naive_margin
+#: join blocks of up to this many items are ordered by exact dynamic
+#: programming, larger ones greedily
+_DP_CAP = 5
 
 
-DEFAULT_PARAMS = OptimizerParams()
+def _ndv_over(ndv: Dict[str, float], rows: float, columns) -> float:
+    """Distinct-tuple estimate over ``columns`` given per-column NDVs."""
+    product = 1.0
+    for column in columns:
+        product = min(product * max(ndv.get(column, rows), 1.0), _CAP)
+    return max(min(product, rows if rows > 0 else product), 1.0)
 
 
 class Estimate:
@@ -127,12 +107,7 @@ class Estimate:
 
     def ndv_of(self, columns: Sequence[str]) -> float:
         """Estimated number of distinct value tuples over ``columns``."""
-        if not columns:
-            return 1.0
-        product = 1.0
-        for column in columns:
-            product = min(product * max(self.ndv.get(column, self.rows), 1.0), _CAP)
-        return max(min(product, self.rows if self.rows > 0 else product), 1.0)
+        return _ndv_over(self.ndv, self.rows, columns)
 
 
 class Estimator:
@@ -150,12 +125,10 @@ class Estimator:
         stats: DatabaseStats,
         domain_size: int,
         default_domain: bool = True,
-        params: OptimizerParams = DEFAULT_PARAMS,
     ):
         self.stats = stats
         self.n = max(float(domain_size), 1.0)
         self.default_domain = default_domain
-        self.params = params
         self._estimates: Dict[Plan, Estimate] = {}
         self._op_costs: Dict[Plan, float] = {}
         self._total_costs: Dict[Plan, float] = {}
@@ -369,44 +342,6 @@ class Estimator:
 
 
 # ---------------------------------------------------------------------------
-# the naive-interpreter cost model (the cheap-plan fallback's yardstick)
-# ---------------------------------------------------------------------------
-
-def _check_cost(formula, n: float) -> float:
-    """Rough operation count of one interpreter ``check`` call."""
-    if isinstance(formula, Not):
-        return 1.0 + _check_cost(formula.body, n)
-    if isinstance(formula, (And, Or)):
-        return 1.0 + sum(_check_cost(part, n) for part in formula.parts)
-    if isinstance(formula, Implies):
-        return 1.0 + _check_cost(formula.premise, n) + _check_cost(formula.conclusion, n)
-    if isinstance(formula, Iff):
-        return 1.0 + _check_cost(formula.left, n) + _check_cost(formula.right, n)
-    if isinstance(formula, (Exists, Forall, CountingExists)):
-        return 1.0 + min(n * _check_cost(formula.body, n), _CAP)
-    return 1.0  # atoms, equalities, interpreted atoms, constants
-
-
-#: one interpreter operation costs about this many plan set-operations
-#: (recursive dispatch, environment dicts, per-tuple generator plumbing)
-_NAIVE_OP_COST = 3.0
-
-
-def estimate_naive_cost(formula, variables: Sequence[str], domain_size: int) -> float:
-    """Estimated operation count of the recursive interpreter on ``formula``.
-
-    The interpreter computes an extension by enumerating ``domain^k``
-    assignments and checking each, so the estimate is that product (scaled
-    by the interpreter's per-operation constant) — the yardstick the backend
-    compares optimized plan costs against before deciding a compiled plan is
-    worth running at all.
-    """
-    n = max(float(domain_size), 1.0)
-    per_check = _check_cost(formula, n)
-    return min((n ** len(tuple(variables))) * per_check * _NAIVE_OP_COST, _CAP)
-
-
-# ---------------------------------------------------------------------------
 # the rewriter
 # ---------------------------------------------------------------------------
 
@@ -471,20 +406,11 @@ class _Sub:
         self.attached: List[object] = []
 
 
-def _ndv_over(ndv: Dict[str, float], rows: float, columns) -> float:
-    """Distinct-tuple estimate over ``columns`` (the :class:`_Sub` analogue)."""
-    product = 1.0
-    for column in columns:
-        product = min(product * max(ndv.get(column, rows), 1.0), _CAP)
-    return max(min(product, rows if rows > 0 else product), 1.0)
-
-
 def optimize_plan(
     plan: Plan,
     stats: DatabaseStats,
     domain_size: int,
     default_domain: bool = True,
-    params: OptimizerParams = DEFAULT_PARAMS,
     estimator: Optional[Estimator] = None,
 ) -> Tuple[Plan, OptimizeInfo]:
     """Rewrite ``plan`` into the cheapest equivalent shape the model can find.
@@ -496,8 +422,8 @@ def optimize_plan(
     """
     info = OptimizeInfo()
     if estimator is None:
-        estimator = Estimator(stats, domain_size, default_domain, params)
-    rewriter = _Rewriter(estimator, params, info)
+        estimator = Estimator(stats, domain_size, default_domain)
+    rewriter = _Rewriter(estimator, info)
     rewritten = rewriter.rewrite(plan)
     info.original_cost = estimator.cost(plan)
     info.optimized_cost = estimator.cost(rewritten)
@@ -511,9 +437,8 @@ def optimize_plan(
 class _Rewriter:
     """One bottom-up rewrite pass over a plan DAG (memoised per node)."""
 
-    def __init__(self, estimator: Estimator, params: OptimizerParams, info: OptimizeInfo):
+    def __init__(self, estimator: Estimator, info: OptimizeInfo):
         self.estimator = estimator
-        self.params = params
         self.info = info
         self.memo: Dict[Plan, Plan] = {}
         # the filters/negations of the join block currently being ordered
@@ -540,28 +465,25 @@ class _Rewriter:
         if isinstance(node, GroupCount):
             return GroupCount(self.rewrite(node.child), node.columns, node.threshold)
         if isinstance(node, DomainComplement):
-            child = node.child
-            if isinstance(child, DomainComplement):
-                return self.rewrite(child.child)  # double complement
-            return DomainComplement(self.rewrite(child))
+            return DomainComplement(self.rewrite(node.child))
         return node  # leaves are already optimal
 
     # -- join blocks -------------------------------------------------------------
 
     def _rewrite_block(self, root: Plan) -> Plan:
-        if self.estimator.cost(root) < _BLOCK_SKIP_COST:
-            # too cheap to be worth ordering: keep the shape, still rewrite
-            # the children (a nested block may be the expensive one)
-            children = root.children()
-            rebuilt = tuple(self.rewrite(child) for child in children)
-            return root if rebuilt == children else _with_children(root, rebuilt)
         items: List[Plan] = []
         filters: List[_Filter] = []
         negations: List[Plan] = []  # antijoin right sides (columns must be covered)
-        self._collect(root, items, filters, negations)
+        if self.estimator.cost(root) >= _BLOCK_SKIP_COST:
+            self._collect(root, items, filters, negations)
         if len(items) <= 1 and not negations and not filters:
-            # nothing to reorder: a lone Select/Antijoin over one input
-            return self._rebuild_trivial(root)
+            # too cheap to be worth ordering, or nothing to reorder (a lone
+            # opaque Select, or an Antijoin adding columns, over one input):
+            # keep the shape, still rewrite the children (a nested block may
+            # be the expensive one)
+            children = root.children()
+            rebuilt = tuple(self.rewrite(child) for child in children)
+            return root if rebuilt == children else _with_children(root, rebuilt)
         covered: Set[str] = set()
         for item in items:
             covered.update(item.columns)
@@ -608,47 +530,9 @@ class _Rewriter:
             # the negated conjunct shape: shared == right.columns, so the
             # antijoin can re-attach anywhere those columns are covered
             self._collect(node.left, items, filters, negations)
-            right = node.right
-            if isinstance(right, DomainComplement):
-                # ¬¬C: antijoin against a complement is a semijoin against
-                # the complemented plan — fold it back into the join items
-                items.append(right.child)
-                self.info.complements_avoided += 1
-            else:
-                negations.append(self.rewrite(right))
+            negations.append(self.rewrite(node.right))
             return
         items.append(node)
-
-    def _rebuild_trivial(self, root: Plan) -> Plan:
-        if isinstance(root, HashJoin):
-            left = self.rewrite(root.left)
-            right = root.right
-            if isinstance(right, DomainComplement) and set(right.columns) <= set(
-                left.columns
-            ):
-                self.info.complements_avoided += 1
-                return _project_to(Antijoin(left, self.rewrite(right.child)), root.columns)
-            return HashJoin(left, self.rewrite(right))
-        if isinstance(root, Antijoin):
-            left = self.rewrite(root.left)
-            right = root.right
-            if (
-                isinstance(right, DomainComplement)
-                and set(right.columns) <= set(left.columns)
-                and set(right.columns) == set(root.shared)
-            ):
-                self.info.complements_avoided += 1
-                return _project_to(
-                    HashJoin(left, _project_to(self.rewrite(right.child), right.columns)),
-                    root.columns,
-                )
-            return Antijoin(left, self.rewrite(right))
-        if isinstance(root, Select):
-            child = self.rewrite(root.child)
-            if root.formula is not None:
-                return _Filter(root).attach(child)
-            return Select(child, root.predicate, root.description, root.depends)
-        return root
 
     # -- join ordering -----------------------------------------------------------
 
@@ -670,7 +554,7 @@ class _Rewriter:
             for item in items[1:]:
                 plan = HashJoin(plan, item)
                 plan = self._apply_covered(plan, pending_filters, pending_negations)
-        elif len(items) <= self.params.dp_cap:
+        elif len(items) <= _DP_CAP:
             plan = self._dp_order(items, pending_filters, pending_negations)
         else:
             plan = self._greedy_order(items, pending_filters, pending_negations)

@@ -28,7 +28,7 @@ from .metrics import (
     merge_snapshots,
     metrics_enabled,
 )
-from .profile import PlanProfiler, observe_estimation
+from .profile import PlanProfiler
 from .trace import TRACE_ENV, span, trace_enabled
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "get_registry",
     "merge_snapshots",
     "metrics_enabled",
-    "observe_estimation",
     "span",
     "trace",
     "trace_enabled",

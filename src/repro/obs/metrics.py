@@ -41,6 +41,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "LEGACY_KEY_MAP",
+    "BACKEND_KEY_MAP",
     "configure",
     "metrics_enabled",
     "get_registry",
@@ -58,27 +59,30 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     100.0, 500.0, 1000.0,
 )
 
-#: legacy per-component dict keys -> canonical dotted metric names.  The old
-#: dict views (``cache_stats()``, ``stats()``, ``storage_stats()``) keep their
-#: historical keys for backward compatibility; this table is the alias layer
-#: that maps each of them onto the one dotted scheme (see
-#: ``docs/observability.md``).
-LEGACY_KEY_MAP: Dict[str, str] = {
-    # CompiledBackend.cache_stats()
+#: the bare-int counters of ``CompiledBackend.cache_stats()`` (each one an
+#: attribute of the backend, which dual-writes it into its dotted twin)
+BACKEND_KEY_MAP: Dict[str, str] = {
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
     "shared_subplans": "engine.optimizer.shared_subplans",
     "shared_carried": "engine.shared.carried",
     "shared_rebuilt": "engine.shared.rebuilt",
     "complements_avoided": "engine.optimizer.complements_avoided",
-    "naive_wins": "engine.optimizer.naive_wins",
-    "estimation_checks": "engine.optimizer.estimation_checks",
-    "estimation_error": "engine.optimizer.estimation_error",
     "delta_hits": "engine.delta.hits",
     "delta_misses": "engine.delta.misses",
     "states_built_on_demand": "engine.delta.states_built_on_demand",
     "streamed": "engine.backend.streamed",
     "fallbacks": "engine.compile.fallbacks",
+}
+
+#: legacy per-component dict keys -> canonical dotted metric names.  The old
+#: dict views (``cache_stats()``, ``stats()``, ``storage_stats()``) keep their
+#: historical keys for backward compatibility; this table is the alias layer
+#: that maps each of them onto the one dotted scheme (see
+#: ``docs/observability.md``).
+LEGACY_KEY_MAP: Dict[str, str] = {
+    **BACKEND_KEY_MAP,
+    # MaintenanceReport
     "incremental_evaluations": "engine.delta.hits",
     # Store.storage_stats() / WalStorageEngine.stats()
     "wal_appends": "wal.appends",

@@ -7,12 +7,6 @@ adds the third column: measured wall time per plan node.  A
 (``ctx.profiler``) makes :meth:`Plan.rows` time each node's evaluation —
 `CompiledBackend.explain()` attaches one automatically, so estimated-vs-actual
 becomes measured-vs-actual without any caller changes.
-
-The module also owns the estimation-accuracy histogram: every explain-mode
-root-estimate check feeds its q-error (``max(est/act, act/est)``, both
-+1-smoothed) into the ``engine.optimizer.estimation_ratio`` histogram next to
-the optimizer's existing pass/fail counter, so the *distribution* of
-estimation error is visible, not just the count of gross misses.
 """
 
 from __future__ import annotations
@@ -20,19 +14,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-from .metrics import get_registry
-
-__all__ = [
-    "PlanProfiler",
-    "ESTIMATION_RATIO_BUCKETS",
-    "observe_estimation",
-]
-
-#: q-error bucket bounds: 1.0 is a perfect estimate, >4 is what the backend
-#: has always counted as an ``estimation_error``
-ESTIMATION_RATIO_BUCKETS: Tuple[float, ...] = (
-    1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0,
-)
+__all__ = ["PlanProfiler"]
 
 
 class PlanProfiler:
@@ -63,12 +45,3 @@ class PlanProfiler:
 
     def total_seconds(self) -> float:
         return sum(seconds for seconds, _rows, _calls in self.records.values())
-
-
-def observe_estimation(estimate: float, actual: float) -> float:
-    """Record one root-estimate q-error into the registry; return the ratio."""
-    ratio = max((estimate + 1.0) / (actual + 1.0), (actual + 1.0) / (estimate + 1.0))
-    get_registry().histogram(
-        "engine.optimizer.estimation_ratio", ESTIMATION_RATIO_BUCKETS
-    ).observe(ratio)
-    return ratio

@@ -140,6 +140,12 @@ def default_workers(fallback: int = 8) -> int:
     try:
         value = int(raw)
     except ValueError:
+        warnings.warn(
+            f"ignoring invalid {WORKERS_ENV}={raw!r}; expected an integer — "
+            f"using {fallback}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return fallback
     return max(1, value)
 

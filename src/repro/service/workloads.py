@@ -48,6 +48,7 @@ import os
 import random
 import threading
 import time
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -115,6 +116,12 @@ def default_seed(fallback: int = 0) -> int:
     try:
         return int(raw)
     except ValueError:
+        warnings.warn(
+            f"ignoring invalid {SEED_ENV}={raw!r}; expected an integer — "
+            f"using {fallback}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return fallback
 
 #: operation mix per scenario: (read, link-forward, unlink, add-edge) weights

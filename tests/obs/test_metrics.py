@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.obs import metrics
 from repro.obs.metrics import (
+    BACKEND_KEY_MAP,
     LEGACY_KEY_MAP,
     Counter,
     Gauge,
@@ -172,13 +173,23 @@ class TestLegacyKeyMap:
             # dotted twins mirror the legacy bare-int attributes exactly
             assert snap["engine.delta.misses"] == backend.delta_misses
             assert snap["engine.compile.fallbacks"] == backend.fallbacks
-            assert snap["engine.optimizer.naive_wins"] == backend.naive_wins
             # memo traffic is registry-only (no legacy attribute existed):
             # the second evaluate of the same formula must hit the memo
             assert snap["engine.plan_cache.hits"] >= 1
             assert snap["engine.plan_cache.misses"] >= 1
         finally:
             metrics.configure("on")
+
+    def test_backend_aliases_name_live_counters(self):
+        """Every alias of the ``CompiledBackend.cache_stats()`` block names
+        an int counter of a fresh backend: an alias left behind for a
+        deleted counter would register a twin nothing ever bumps."""
+        from repro.engine.backend import CompiledBackend
+
+        backend = CompiledBackend()
+        for attr, dotted in BACKEND_KEY_MAP.items():
+            assert type(getattr(backend, attr, None)) is int, attr
+            assert LEGACY_KEY_MAP[attr] == dotted
 
 
 def test_counter_instances_have_independent_state():

@@ -1,14 +1,11 @@
-"""Plan-execution profiling: measured node times in explain, q-error feed."""
+"""Plan-execution profiling: measured node times in explain."""
 
 import re
-
-import pytest
 
 from repro.db import Database
 from repro.engine.backend import CompiledBackend
 from repro.logic import parse
-from repro.obs import metrics
-from repro.obs.profile import PlanProfiler, observe_estimation
+from repro.obs.profile import PlanProfiler
 
 
 class TestPlanProfiler:
@@ -39,32 +36,3 @@ class TestPlanProfiler:
         backend = CompiledBackend()
         db = Database.graph([(1, 2)])
         assert backend.evaluate(parse("forall x . ~E(x, x)"), db)
-
-
-class TestEstimationFeedback:
-    def test_observe_estimation_is_a_smoothed_q_error(self):
-        try:
-            registry = metrics.configure("on")
-            assert observe_estimation(10.0, 10.0) == pytest.approx(1.0)
-            over = observe_estimation(100.0, 10.0)
-            under = observe_estimation(10.0, 100.0)
-            assert over > 1.0 and under > 1.0
-            hist = registry.snapshot()["engine.optimizer.estimation_ratio"]
-            assert hist["count"] == 3
-        finally:
-            metrics.configure("on")
-
-    def test_backend_estimation_checks_feed_the_histogram(self):
-        try:
-            registry = metrics.configure("on")
-            backend = CompiledBackend()
-            db = Database.graph([(i, i + 1) for i in range(20)])
-            backend.evaluate(
-                parse("forall x . forall y . (E(x, y) -> ~E(y, x))"), db
-            )
-            snap = registry.snapshot()
-            if backend.estimation_checks:
-                hist = snap["engine.optimizer.estimation_ratio"]
-                assert hist["count"] == backend.estimation_checks
-        finally:
-            metrics.configure("on")
