@@ -2,25 +2,25 @@
 
 Architecture (one process, stdlib only)::
 
-    clients ==TCP==> asyncio event loop ==batches==> worker-thread pool
-                     (decode, batch,                 (service.execute:
-                      order responses)                MVCC + group commit)
+    clients ==TCP==> asyncio event loop ==jobs==> worker-thread pool
+                     (decode, shed,              (one job per request kind:
+                      order responses)            reads; txns -> execute_many)
 
 The event loop owns the sockets and never blocks: each connection reads
-whatever bytes are available, decodes **every** complete pipelined request in
-the buffer, and dispatches the whole batch concurrently into a small
-``ThreadPoolExecutor``.  The worker threads call ``service.execute``, which
-is where the design pays off — transactions dispatched from the same network
-batch reach the group-commit queue together, so the first to take the commit
-lock drains the rest as followers and the batch commits in **one**
+whatever bytes are available and decodes **every** complete pipelined request
+in the buffer.  Control-plane requests are answered on the loop; the rest go
+to a small ``ThreadPoolExecutor`` as one job per kind — all the batch's reads
+in one, all its transactions in another.  The transaction job hands the
+whole batch to ``service.execute_many``, which enqueues the survivors of
+their optimistic phase together, so one drain commits them in **one**
 ``apply_delta`` (one WAL append under ``REPRO_DURABLE=on``).  Responses are
 written back in request order with one flush per batch.
 
-Observability: every request runs under a ``serve.request`` span (opened in
-the worker thread, so the service's ``service.txn`` tree nests beneath it),
-bumps the ``serve.inflight`` gauge, and lands its wall time in a per-endpoint
-``serve.<route>.latency_ms`` histogram; batch shape is recorded under
-``serve.batch_size``.  ``GET /metrics`` exposes the whole registry in
+Observability: every request runs under its own ``serve.request`` span
+(opened in the worker thread, so the service's ``service.txn`` tree nests
+beneath it), bumps the ``serve.inflight`` gauge, and lands its wall time in a
+per-endpoint ``serve.<route>.latency_ms`` histogram; batch shape is recorded
+under ``serve.batch_size``.  ``GET /metrics`` exposes the whole registry in
 Prometheus text format.
 
 Shutdown is graceful by construction: ``stop()`` closes the listener, wakes
@@ -33,18 +33,20 @@ the server owns it.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import faults as _faults
 from ..logic.parser import parse as parse_formula
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..service.scheduler import TransactionService, TxnOutcome
+from ..service.scheduler import TransactionService, TxnItem, TxnOutcome
 from ..service.snapshots import ServiceError
 from .protocol import (
     ProtocolError,
@@ -95,13 +97,17 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 _READ_CHUNK = 64 * 1024
 
+#: the routes that consume dispatch capacity (and are shed beyond it)
+_BOUNDED_ROUTES = ("txn", "read", "templates")
+
 
 def default_serve_workers(fallback: int = 8) -> int:
     """Worker-pool size selected by ``REPRO_SERVE_WORKERS`` (default 8).
 
-    More workers than cores is deliberate: a worker spends most of its time
-    parked in the group-commit pipeline (follower wait or leader validation),
-    so the pool size bounds the *batch* the leader can drain, not CPU use.
+    A worker runs one job: the reads, or the transactions, of one network
+    batch.  The pool size bounds how many such jobs (from different
+    connections) run at once; a batch never needs more than one worker per
+    request kind, and no job waits on another, so a pool of one works.
     """
     import warnings
 
@@ -313,73 +319,123 @@ class TransactionServer:
     # -- dispatch ---------------------------------------------------------------
 
     async def _dispatch(self, requests: List[Request]) -> List[bytes]:
-        """Answer one decoded batch; order preserved, work overlapped.
+        """Answer one decoded batch: replies in request order, for one flush.
 
-        Every request becomes its own coroutine and the slow ones (txn, read,
-        template registration) hop to the worker pool — so the transactions
-        of a pipelined batch enter the group-commit queue concurrently, which
-        is the whole point of batching at the connection layer.
+        Control-plane requests are answered on the loop.  The rest go to the
+        pool as one job per kind: all ``/read``s, all ``/txn``s (one
+        ``execute_many``: the flush reaches the commit queue whole, and reads
+        never wait behind its fsync), and each template registration alone.
         """
         self._m_batches.inc()
         self._m_batch_requests.inc(len(requests))
         self._m_batch_size.observe(len(requests))
-        return await asyncio.gather(*(self._respond(r) for r in requests))
-
-    async def _respond(self, request: Request) -> bytes:
-        route = self._route_name(request)
         begun = time.perf_counter()
-        self._m_requests.inc()
-        # only the dispatch-bound routes consume (and are limited by)
-        # capacity — control-plane probes must neither be shed nor make a
-        # bounded server look busy to its own health check
-        bounded = route in ("txn", "read", "templates")
-        if bounded and self._inflight >= self.max_inflight:
-            # overload: shed the dispatch-bound routes with an explicit
-            # retry hint instead of queueing without bound — health and
-            # metrics stay answerable so operators can see the overload
-            self._shed_total += 1
-            self._last_shed = time.monotonic()
-            self._m_shed.inc()
-            # the hint rides both the header (HTTP-proper) and the body
-            # (for clients that only look at the JSON payload)
-            return json_response(
-                503,
-                {
-                    "error": (
-                        f"overloaded: {self._inflight} requests in flight "
-                        f"(bound {self.max_inflight})"
-                    ),
-                    "retry_after": _RETRY_AFTER,
-                },
-                extra_headers=(("Retry-After", str(_RETRY_AFTER)),),
-            )
-        if bounded:
+        replies: List[Optional[bytes]] = [None] * len(requests)
+        # looked up per batch: the handlers are the per-request entry points
+        handlers = {
+            "/txn": self._execute_txn,
+            "/read": partial(self._serially, self._execute_read),
+            "/templates": partial(self._serially, self._register_template),
+        }
+        jobs: Dict[object, Tuple[Callable, List[int]]] = {}
+        for index, request in enumerate(requests):
+            self._m_requests.inc()
+            route = self._route_name(request)
+            # only the dispatch-bound routes consume (and are limited by)
+            # capacity — control-plane probes must neither be shed nor make a
+            # bounded server look busy to its own health check
+            if route in _BOUNDED_ROUTES and self._inflight >= self.max_inflight:
+                replies[index] = self._shed()
+                continue
+            handler = handlers.get(request.path) if request.method == "POST" else None
+            if handler is None:
+                replies[index] = self._answer(self._on_loop, request)
+                self._observe(route, begun)
+                continue
             self._inflight += 1
             self._m_inflight.inc()
+            # each template registration is a job of its own
+            key = index if route == "templates" else route
+            jobs.setdefault(key, (handler, []))[1].append(index)
+        done = await asyncio.gather(
+            *(
+                self._run_job(handler, [requests[i] for i in indices], begun)
+                for handler, indices in jobs.values()
+            )
+        )
+        for (_handler, indices), answers in zip(jobs.values(), done):
+            for index, answer in zip(indices, answers):
+                replies[index] = answer
+        return replies
+
+    async def _run_job(
+        self, handler: Callable, requests: List[Request], begun: float
+    ) -> List[bytes]:
         try:
-            return await self._handle(route, request)
-        except ProtocolError as exc:
-            self._m_errors.inc()
-            return error_response(400, str(exc))
-        except ServiceError as exc:
-            self._m_errors.inc()
-            return error_response(503, str(exc))
-        except Exception as exc:  # noqa: BLE001 - one request must not kill the connection
-            self._m_errors.inc()
-            return error_response(500, f"internal error: {exc!r}")
+            future = self._loop.run_in_executor(self._pool, handler, requests)
+            return await future
+        except asyncio.CancelledError:
+            # the awaiting side was cancelled (connection torn down) but the
+            # worker keeps running — retrieve its eventual result/exception
+            # so nothing leaks an "exception was never retrieved" warning
+            future.add_done_callback(lambda f: f.cancelled() or f.exception())
+            raise
+        except Exception as exc:  # noqa: BLE001 - the job itself failed
+            return [self._failure(exc) for _ in requests]
         finally:
-            if bounded:
+            for request in requests:
                 self._inflight -= 1
                 self._m_inflight.dec()
-            histogram = self._m_latency.get(route)
-            if histogram is not None:
-                histogram.observe((time.perf_counter() - begun) * 1e3)
+                self._observe(self._route_name(request), begun)
+
+    def _shed(self) -> bytes:
+        # overload: an explicit retry hint instead of queueing without bound
+        # — health and metrics stay answerable so operators can see it
+        self._shed_total += 1
+        self._last_shed = time.monotonic()
+        self._m_shed.inc()
+        # the hint rides both the header (HTTP-proper) and the body (for
+        # clients that only look at the JSON payload)
+        return json_response(
+            503,
+            {
+                "error": (
+                    f"overloaded: {self._inflight} requests in flight "
+                    f"(bound {self.max_inflight})"
+                ),
+                "retry_after": _RETRY_AFTER,
+            },
+            extra_headers=(("Retry-After", str(_RETRY_AFTER)),),
+        )
+
+    def _answer(self, handler: Callable, request: Request) -> bytes:
+        """``handler(request)``, or the error reply for its failure."""
+        try:
+            return handler(request)
+        except Exception as exc:  # noqa: BLE001 - one request must not kill the connection
+            return self._failure(exc)
+
+    def _failure(self, exc: Exception) -> bytes:
+        self._m_errors.inc()
+        if isinstance(exc, ProtocolError):
+            return error_response(400, str(exc))
+        if isinstance(exc, ServiceError):
+            return error_response(503, str(exc))
+        return error_response(500, f"internal error: {exc!r}")
+
+    def _serially(self, handler: Callable, requests: List[Request]) -> List[bytes]:
+        return [self._answer(handler, request) for request in requests]
+
+    def _observe(self, route: str, begun: float) -> None:
+        histogram = self._m_latency.get(route)
+        if histogram is not None:
+            histogram.observe((time.perf_counter() - begun) * 1e3)
 
     @staticmethod
     def _route_name(request: Request) -> str:
         return request.path.strip("/").split("/", 1)[0] or "health"
 
-    async def _handle(self, route: str, request: Request) -> bytes:
+    def _on_loop(self, request: Request) -> bytes:
         method, path = request.method, request.path
         if path in ("/", "/health") and method == "GET":
             # "degraded" = actively shedding, or shed within the last few
@@ -410,27 +466,8 @@ class TransactionServer:
             with self._templates_lock:
                 listed = [t.describe() for t in self._templates.values()]
             return json_response(200, {"templates": listed})
-        if path == "/templates" and method == "POST":
-            return await self._in_worker(self._register_template, request)
-        if path == "/txn" and method == "POST":
-            return await self._in_worker(self._execute_txn, request)
-        if path == "/read" and method == "POST":
-            return await self._in_worker(self._execute_read, request)
         self._m_errors.inc()
         return error_response(404, f"no route for {method} {path}")
-
-    async def _in_worker(self, fn, request: Request) -> bytes:
-        future = self._loop.run_in_executor(self._pool, fn, request)
-        try:
-            return await future
-        except asyncio.CancelledError:
-            # the awaiting side was cancelled (connection torn down) but the
-            # worker keeps running — retrieve its eventual result/exception
-            # so nothing leaks an "exception was never retrieved" warning
-            future.add_done_callback(
-                lambda f: f.cancelled() or f.exception()
-            )
-            raise
 
     # -- handlers (worker threads) ----------------------------------------------
 
@@ -459,46 +496,75 @@ class TransactionServer:
                 },
             )
 
-    def _execute_txn(self, request: Request) -> bytes:
+    def _execute_txn(self, requests: List[Request]) -> List[bytes]:
+        """Every ``/txn`` of one batch, committed through one ``execute_many``.
+
+        Each request keeps its own ``serve.request`` span, opened in a
+        private ``contextvars`` context that its ``service.txn`` span nests in.
+        """
+        replies: List[Optional[bytes]] = [None] * len(requests)
+        items: List[TxnItem] = []
+        opened = []
+        for index, request in enumerate(requests):
+            context = contextvars.copy_context()
+            span = context.run(_open_span, "serve.request", route="txn")
+            try:
+                items.append(self._txn_item(request, context))
+            except Exception as exc:  # noqa: BLE001 - mapped per request
+                replies[index] = self._settle(context, span, exc)
+                continue
+            opened.append((index, context, span))
+        outcomes = self.service.execute_many(items)
+        for (index, context, span), outcome in zip(opened, outcomes):
+            replies[index] = self._settle(context, span, outcome)
+        return replies
+
+    def _settle(self, context, span, outcome) -> bytes:
+        """Close one request's span (in its context) and build its reply."""
+        if isinstance(outcome, Exception):
+            context.run(span.__exit__, type(outcome), outcome, outcome.__traceback__)
+            return self._failure(outcome)
+        span.annotate(status=outcome.status)
+        context.run(span.__exit__, None, None, None)
+        return json_response(200, _outcome_payload(outcome))
+
+    def _txn_item(self, request: Request, context: contextvars.Context) -> TxnItem:
+        """Decode one ``/txn`` body into the service's work item."""
         payload = request.json()
         if not isinstance(payload, dict):
             raise ProtocolError("txn body must be a JSON object")
-        with _trace.span("serve.request", route="txn") as span:
-            name = payload.get("template")
-            tag = payload.get("tag")
-            deadline = None
-            deadline_ms = payload.get("deadline_ms")
-            if deadline_ms is not None:
-                if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-                    raise ProtocolError("'deadline_ms' must be a positive number")
-                deadline = time.monotonic() + float(deadline_ms) / 1e3
-            if name is not None:
-                if not isinstance(name, str):
-                    raise ProtocolError("'template' must be a string")
-                raw_params = payload.get("params", [])
-                if not isinstance(raw_params, list):
-                    raise ProtocolError("'params' must be a list")
-                params = tuple(raw_params)
-                with self._templates_lock:
-                    template = self._templates.get(name)
-                if template is None:
-                    raise ProtocolError(f"unknown template {name!r}")
-                work = template.tracked_work(params)
-                outcome = self.service.execute(
-                    work, template=name, params=params, tag=tag, deadline=deadline
-                )
-            elif "ops" in payload:
-                # ad-hoc transaction: no admission verdicts, runtime checks
-                anonymous = WireTemplate(
-                    {"name": "_adhoc", "ops": payload["ops"], "samples": [[]]}
-                )
-                outcome = self.service.execute(
-                    anonymous.tracked_work(()), tag=tag, deadline=deadline
-                )
-            else:
-                raise ProtocolError("txn body needs 'template' or 'ops'")
-            span.annotate(status=outcome.status)
-        return json_response(200, _outcome_payload(outcome))
+        tag = payload.get("tag")
+        deadline = None
+        deadline_ms = payload.get("deadline_ms")
+        if deadline_ms is not None:
+            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+                raise ProtocolError("'deadline_ms' must be a positive number")
+            deadline = time.monotonic() + float(deadline_ms) / 1e3
+        name = payload.get("template")
+        if name is not None:
+            if not isinstance(name, str):
+                raise ProtocolError("'template' must be a string")
+            raw_params = payload.get("params", [])
+            if not isinstance(raw_params, list):
+                raise ProtocolError("'params' must be a list")
+            params = tuple(raw_params)
+            with self._templates_lock:
+                template = self._templates.get(name)
+            if template is None:
+                raise ProtocolError(f"unknown template {name!r}")
+            return TxnItem(
+                template.tracked_work(params), name, params, tag, deadline, context
+            )
+        if "ops" in payload:
+            # ad-hoc transaction: no admission verdicts, runtime checks
+            anonymous = WireTemplate(
+                {"name": "_adhoc", "ops": payload["ops"], "samples": [[]]}
+            )
+            return TxnItem(
+                anonymous.tracked_work(()), tag=tag, deadline=deadline,
+                context=context,
+            )
+        raise ProtocolError("txn body needs 'template' or 'ops'")
 
     def _execute_read(self, request: Request) -> bytes:
         payload = request.json()
@@ -559,6 +625,10 @@ class TransactionServer:
         # commit-log tags and other caller objects are not JSON-safe; the
         # round trip below drops nothing the wire can represent anyway
         return json.loads(json.dumps(observed, default=repr, sort_keys=True))
+
+
+def _open_span(name: str, **attrs):
+    return _trace.span(name, **attrs).__enter__()
 
 
 def _outcome_payload(outcome: TxnOutcome) -> Dict[str, object]:

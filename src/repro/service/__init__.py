@@ -38,6 +38,7 @@ from .scheduler import (
     WORKERS_ENV,
     ServiceStats,
     TransactionService,
+    TxnItem,
     TxnOutcome,
     default_workers,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "WORKERS_ENV",
     "ServiceStats",
     "TransactionService",
+    "TxnItem",
     "TxnOutcome",
     "default_workers",
     "ReadSet",

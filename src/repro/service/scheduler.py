@@ -17,7 +17,10 @@ multi-client transaction processor.  The lifecycle of one client transaction:
    constraint work, composes the surviving deltas with
    :meth:`Delta.then <repro.db.delta.Delta.then>`, and applies the whole
    batch to the canonical store in **one** ``apply_delta`` — one write-log
-   pass, one version bump, amortised over the batch.  The state the leader
+   pass, one version bump, amortised over the batch.
+   :meth:`~TransactionService.execute_many` enqueues a caller's whole batch
+   at once (the serving front-end passes each network flush), so one drain
+   takes it whole.  The state the leader
    validated the last request against *is* the post-batch state, so it is
    handed to the store as the new committed snapshot: each surviving request
    costs one ``Database.apply_delta`` and the next ``pin()`` patches nothing.
@@ -46,12 +49,13 @@ the stress suite and CI rely on this to fail fast.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import warnings
 
@@ -81,6 +85,7 @@ __all__ = [
     "classify_commit_error",
     "ServiceStats",
     "TxnOutcome",
+    "TxnItem",
     "TransactionService",
 ]
 
@@ -255,13 +260,27 @@ class TxnOutcome:
         return self.status == "committed"
 
 
+class TxnItem(NamedTuple):
+    """:meth:`~TransactionService.execute`'s arguments, plus the context the
+    item's spans open in (``None``: a copy of the caller's)."""
+
+    work: Work
+    template: Optional[str] = None
+    params: Tuple = ()
+    tag: Optional[object] = None
+    deadline: Optional[float] = None
+    context: Optional[contextvars.Context] = None
+
+
 class _CommitRequest:
     __slots__ = (
         "handle", "delta", "template", "params", "work", "serial", "tag",
-        "done", "status", "reason", "version", "retryable",
+        "deadline", "done", "status", "reason", "version", "retryable", "error",
     )
 
-    def __init__(self, handle, delta, template, params, work, serial, tag=None):
+    def __init__(
+        self, handle, delta, template, params, work, serial, tag=None, deadline=None
+    ):
         self.handle = handle
         self.delta = delta
         self.template = template
@@ -269,11 +288,46 @@ class _CommitRequest:
         self.work = work
         self.serial = serial
         self.tag = tag
+        #: the client's absolute ``time.monotonic()`` deadline, if any
+        self.deadline = deadline
         self.done = threading.Event()
         self.status = "pending"
         self.reason = ""
         self.version = -1
         self.retryable = False
+        #: set when the wait ran out before an outcome (see ``_give_up``)
+        self.error: Optional[ServiceError] = None
+
+
+class _Run:
+    """One item of ``execute_many``: its lifecycle generator and context."""
+
+    __slots__ = ("context", "steps", "request", "wake", "result")
+
+    def __init__(self, context: contextvars.Context, steps) -> None:
+        self.context = context
+        self.steps = steps
+        self.request: Optional[_CommitRequest] = None
+        self.wake = 0.0
+        self.result: Union[TxnOutcome, Exception, None] = None
+
+    def step(self, failure: Optional[Exception] = None) -> bool:
+        """Resume (raising ``failure`` in); True if it stopped at ``request``."""
+        try:
+            if failure is None:
+                yielded = self.context.run(next, self.steps)
+            else:
+                yielded = self.context.run(self.steps.throw, failure)
+        except StopIteration as stop:
+            self.result = stop.value
+        except Exception as exc:  # noqa: BLE001 - the item's own failure
+            self.result = exc
+        else:
+            if isinstance(yielded, _CommitRequest):
+                self.request = yielded
+                return True
+            self.wake = yielded
+        return False
 
 
 class TransactionService:
@@ -371,7 +425,7 @@ class TransactionService:
         state = self.snapshot()
         return all(c.holds(state, self.signature) for c in self.constraints)
 
-    # -- the client entry point ------------------------------------------------------
+    # -- the client entry points -----------------------------------------------------
 
     def execute(
         self,
@@ -403,7 +457,61 @@ class TransactionService:
         surfaces its current outcome (or a :class:`ServiceError` if it never
         reached a leader).  Callers propagate it down from their own client
         budget; ``None`` keeps the classic commit_timeout-only behavior.
+
+        This is :meth:`execute_many` of one item.
         """
+        (result,) = self.execute_many([TxnItem(work, template, params, tag, deadline)])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def execute_many(
+        self, items: Sequence[TxnItem]
+    ) -> List[Union[TxnOutcome, Exception]]:
+        """Run several client transactions, committed together (thread-safe).
+
+        Each item gets :meth:`execute`'s treatment, in rounds: the calling
+        thread runs the optimistic phase of every pending item, enqueues the
+        survivors at once and leads or waits once, so one drain (one WAL
+        append) takes the whole round.  Conflicted and transiently failed
+        items go on to the next round.  Entry ``i`` is item ``i``'s outcome,
+        or the exception that ended it (:class:`ServiceError` on a timeout
+        or deadline, or whatever its work raised).
+        """
+        runs = [
+            _Run(
+                contextvars.copy_context() if item.context is None else item.context,
+                self._lifecycle(item),
+            )
+            for item in items
+        ]
+        live = runs
+        while live:
+            now = time.monotonic()
+            ready = [run for run in live if run.wake <= now]
+            if not ready:
+                # every pending item is backing off a transient failure
+                time.sleep(min(run.wake for run in live) - now)
+                continue
+            queued = [run for run in ready if run.step()]
+            if queued:
+                try:
+                    # the leader's spans nest under the first item's, as a
+                    # lone transaction's do under its own
+                    queued[0].context.run(
+                        self._submit_and_wait, [run.request for run in queued]
+                    )
+                except Exception as exc:  # noqa: BLE001 - ends every item of the round
+                    for run in queued:
+                        run.step(exc)
+            live = [run for run in live if run.result is None]
+        return [run.result for run in runs]
+
+    def _lifecycle(self, item: TxnItem):
+        """One item's life: yields each :class:`_CommitRequest` to commit (and
+        reads its outcome when resumed) or a monotonic instant to sleep until;
+        returns the :class:`TxnOutcome`."""
+        work, template, params = item.work, item.template, item.params
         if isinstance(work, Transaction):
             transaction = work
             if template is None and not params:
@@ -418,18 +526,20 @@ class TransactionService:
             work = lambda handle: handle.apply(transaction)  # noqa: E731
         self.stats.add(submitted=1)
         with _trace.span("service.txn", template=template) as txn_span:
-            outcome = self._execute_loop(work, template, params, tag, deadline)
+            outcome = yield from self._attempts(
+                work, template, params, item.tag, item.deadline
+            )
             txn_span.annotate(status=outcome.status, attempts=outcome.attempts)
         return outcome
 
-    def _execute_loop(
+    def _attempts(
         self,
         work: Callable[[SnapshotTransaction], object],
         template: Optional[str],
         params: Tuple,
         tag: Optional[object],
-        deadline: Optional[float] = None,
-    ) -> TxnOutcome:
+        deadline: Optional[float],
+    ):
         attempts = 0
         transient = 0
         while True:
@@ -448,7 +558,7 @@ class TransactionService:
                     template, attempts - 1, self.max_retries,
                 )
                 request = _CommitRequest(
-                    None, Delta(), template, params, work, True, tag
+                    None, Delta(), template, params, work, True, tag, deadline
                 )
             else:
                 with _trace.span("service.txn_attempt", attempt=attempts):
@@ -467,9 +577,11 @@ class TransactionService:
                         "committed", version=handle.version, attempts=attempts
                     )
                 request = _CommitRequest(
-                    handle, delta, template, params, work, False, tag
+                    handle, delta, template, params, work, False, tag, deadline
                 )
-            self._submit_and_wait(request, deadline)
+            yield request
+            if request.error is not None:
+                raise request.error
             if request.status == "conflict":
                 self.stats.add(conflicts=1, retries=1)
                 continue
@@ -491,7 +603,7 @@ class TransactionService:
                     request.reason, transient, self.commit_retries, backoff * 1e3,
                 )
                 if backoff > 0:
-                    time.sleep(backoff)
+                    yield time.monotonic() + backoff
                 continue
             self.stats.add(**{request.status: 1})
             return TxnOutcome(
@@ -501,38 +613,46 @@ class TransactionService:
 
     # -- the group-commit pipeline ---------------------------------------------------
 
-    def _submit_and_wait(
-        self, request: _CommitRequest, client_deadline: Optional[float] = None
-    ) -> None:
-        """Enqueue ``request`` and drive/await the group-commit leader.
+    def _submit_and_wait(self, requests: List[_CommitRequest]) -> None:
+        """Enqueue ``requests`` at once and drive/await the group-commit leader.
 
-        Followers never poll: a thread that loses the leader election blocks
-        on ``_commit_cond`` until the leader — after publishing every drained
-        outcome and releasing the commit lock — notifies.  The wake-up check
-        under the condition's own lock closes the race between a failed
-        try-acquire and the leader's notify, so a follower either sees its
-        ``done`` already set or is parked before the notify can be issued.
-        The ``commit_timeout`` deadline bounds every wait exactly as before
-        (``_give_up`` semantics unchanged).
+        One ``_queue_lock`` section enqueues them all, so one drain takes them
+        all.  Followers never poll: a thread that loses the leader election
+        blocks on ``_commit_cond`` until the leader — after publishing every
+        drained outcome and releasing the commit lock — notifies; the wake-up
+        check under the condition's own lock closes the race with that
+        notify.  A request waits at most ``commit_timeout``, or until its
+        client deadline if sooner, and then goes to :meth:`_give_up`.
         """
         with self._queue_lock:
-            self._queue.append(request)
-        deadline = time.monotonic() + self.commit_timeout
-        if client_deadline is not None:
-            deadline = min(deadline, client_deadline)
-        with _trace.span("service.leader_wait", serial=request.serial) as span:
+            self._queue.extend(requests)
+        timeout_at = time.monotonic() + self.commit_timeout
+
+        def expiry(request: _CommitRequest) -> float:
+            if request.deadline is not None and request.deadline < timeout_at:
+                return request.deadline
+            return timeout_at
+
+        waiting = requests
+        with _trace.span("service.leader_wait", requests=len(requests)) as span:
             became_leader = False
-            while not request.done.is_set():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._give_up(request)
-                    return
+            while True:
+                waiting = [r for r in waiting if not (r.done.is_set() or r.error)]
+                if not waiting:
+                    break
+                now = time.monotonic()
+                due = min(expiry(r) for r in waiting)
+                if due <= now:
+                    for request in waiting:
+                        if expiry(request) <= now:
+                            self._give_up(request, timeout_at)
+                    continue
                 with self._commit_cond:
                     acquired = self._commit_lock.acquire(blocking=False)
-                    if not acquired and not request.done.is_set():
+                    if not acquired and not all(r.done.is_set() for r in waiting):
                         # blocks until the leader's post-release notify (or
-                        # the deadline); re-checks done/leadership on wake
-                        self._commit_cond.wait(timeout=remaining)
+                        # the first expiry); re-checks done/leadership on wake
+                        self._commit_cond.wait(timeout=due - now)
                 if acquired:
                     became_leader = True
                     try:
@@ -541,19 +661,20 @@ class TransactionService:
                         with self._commit_cond:
                             self._commit_lock.release()
                             self._commit_cond.notify_all()
-                    # our request was either drained by us or re-queued
             span.annotate(leader=became_leader)
 
-    def _give_up(self, request: _CommitRequest) -> None:
-        """Abandon a timed-out request without leaving a ghost commit behind.
+    def _give_up(self, request: _CommitRequest, timeout_at: float) -> None:
+        """Abandon a request whose wait ran out, without a ghost commit.
 
         If the request is still queued it is withdrawn (no leader will ever
-        see it) and the timeout raises.  If a leader already took it, its
-        fate is decided — ``_drain`` guarantees ``done`` is eventually set
-        even when the leader fails — so wait one more grace period for the
-        definitive outcome instead of reporting a failure for a transaction
-        that may well have committed.
+        see it) and its ``error`` names the budget that ran out: the
+        client's deadline or ``commit_timeout``.  If a leader already took
+        it, its fate is decided — ``_drain`` guarantees ``done`` is
+        eventually set even when the leader fails — so wait one more grace
+        period for the definitive outcome instead of reporting a failure for
+        a transaction that may well have committed.
         """
+        by_client = request.deadline is not None and request.deadline < timeout_at
         with self._queue_lock:
             try:
                 self._queue.remove(request)
@@ -561,13 +682,18 @@ class TransactionService:
             except ValueError:
                 withdrawn = False
         if withdrawn:
-            raise ServiceError(
-                f"commit timed out after {self.commit_timeout:.1f}s "
+            request.error = ServiceError(
+                "client deadline expired while queued for the group commit"
+                if by_client
+                else f"commit timed out after {self.commit_timeout:.1f}s "
                 "(deadlocked or overloaded leader)"
             )
-        if not request.done.wait(timeout=self.commit_timeout):
-            raise ServiceError(
-                f"commit timed out after {2 * self.commit_timeout:.1f}s "
+        elif not request.done.wait(timeout=self.commit_timeout):
+            request.error = ServiceError(
+                "client deadline expired, and the leader that took the request "
+                f"did not finish within a further {self.commit_timeout:.1f}s"
+                if by_client
+                else f"commit timed out after {2 * self.commit_timeout:.1f}s "
                 "with the request already taken by a leader"
             )
 
@@ -590,7 +716,7 @@ class TransactionService:
             return
         try:
             with _trace.span("service.group_commit", requests=len(batch)) as gc_span:
-                _version, current = self.store.pin()
+                version, current = self.store.pin()
                 # every state of the batch, held strongly until the store has
                 # the batch: `Database` keeps its parent weakly, and the store
                 # accepts `running` as its next snapshot only while the
@@ -661,17 +787,18 @@ class TransactionService:
                             if self.store.in_transaction:
                                 self.store.rollback()
                             raise
-                    self.snapshots.record(self.store.version, batch_delta)
+                    # read once: validation records the version clients get
+                    version = self.store.version
+                    self.snapshots.record(version, batch_delta)
                     # the amortization metric: committed writers per store apply
                     # (conflicted/rejected/aborted requests are not part of the
                     # batch the store paid for, and drains that applied nothing
                     # are not batches)
                     self.stats.saw_batch(len(survivors))
-                new_version = self.store.version
-                gc_span.annotate(committed=len(survivors), version=new_version)
+                gc_span.annotate(committed=len(survivors), version=version)
                 for request in survivors:
                     request.status = "committed"
-                    request.version = new_version
+                    request.version = version
                     if request.tag is not None:
                         self.commit_log.append(request.tag)
         finally:

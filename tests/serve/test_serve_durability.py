@@ -96,3 +96,30 @@ def test_pipelined_flush_costs_one_wal_append(tmp_path):
                 f"{count} acked commits from one flush must cost one WAL "
                 f"append, not {appends}"
             )
+
+
+def test_pipelined_flush_is_one_wal_append_with_nothing_held(tmp_path):
+    """The same promise without wedging the leader seat, twenty flushes long.
+
+    The server hands the flush's transactions to the service as one batch,
+    so nothing but the batch itself decides what the leader drains.
+    """
+    service = _durable_service(tmp_path, forward_graph(20, 2, seed=12))
+    count = 8
+    with ServerThread(service, owns_service=True) as harness:
+        preregister(harness.server)
+        with ServeClient(*harness.address) as client:
+            for flush in range(20):
+                appends_before = service.store.storage_stats()["wal_appends"]
+                outcomes = client.submit_many(
+                    [{"template": "link-forward",
+                      "params": [1000 + count * flush + i, 2000 + count * flush + i]}
+                     for i in range(count)]
+                )
+                assert [p["status"] for _s, p in outcomes] == ["committed"] * count
+                assert len({p["version"] for _s, p in outcomes}) == 1
+                appends = service.store.storage_stats()["wal_appends"] - appends_before
+                assert appends == 1, (
+                    f"flush {flush}: {count} pipelined commits cost {appends} "
+                    "WAL appends, not one"
+                )

@@ -9,7 +9,7 @@ import pytest
 
 from repro import faults
 from repro.serve import ServeClient, ServerThread, preregister
-from repro.serve.client import encode_request
+from repro.serve.client import encode_request, parse_response
 from repro.serve.server import (
     DEFAULT_SERVE_QUEUE,
     SERVE_QUEUE_ENV,
@@ -77,6 +77,28 @@ class TestShedding:
         assert status == 503
         # it really did back off before the retry (Retry-After honored)
         assert time.monotonic() - begun >= 0.5
+
+    def test_pipelined_reads_beyond_the_bound_are_shed(self):
+        service = build_service(forward_graph(40, 2, seed=9), commit_timeout=30.0)
+        with ServerThread(service, owns_service=True, max_inflight=3) as harness:
+            with socket.create_connection(harness.address, timeout=10.0) as raw:
+                raw.sendall(b"".join(
+                    encode_request("POST", "/read", {"scan": "E"})
+                    for _ in range(8)
+                ))
+                blob, replies = b"", []
+                while len(replies) < 8:
+                    parsed = parse_response(blob)
+                    if parsed is None:
+                        blob += raw.recv(65536)
+                        continue
+                    reply, rest = parsed
+                    replies.append((reply, blob[: len(blob) - len(rest)]))
+                    blob = rest
+        assert [status for (status, _), _raw in replies] == [200] * 3 + [503] * 5
+        for (status, payload), wire in replies[3:]:
+            assert payload["retry_after"] >= 1
+            assert b"retry-after: 1\r\n" in wire.lower()
 
     def test_serve_queue_env_knob(self, monkeypatch):
         monkeypatch.setenv(SERVE_QUEUE_ENV, "17")

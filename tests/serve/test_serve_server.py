@@ -23,6 +23,8 @@ from repro.serve import ServeClient, ServerThread, encode_request, preregister
 from repro.serve.server import SERVE_WORKERS_ENV, default_serve_workers
 from repro.service.workloads import build_service, forward_graph
 
+from conftest import serving
+
 
 # a deterministic mixed sequence: forward links, risky adds (loops and
 # back-edges), deletes, and an ad-hoc multi-op transaction
@@ -149,6 +151,47 @@ class TestBatching:
         stats = service.stats.as_dict()
         assert stats["max_batch"] >= count
         assert stats["batches"] == batches_before + 1
+
+    def test_mixed_pipelined_batch_answers_in_order(self):
+        """Reads, txns and bad requests in one flush: each reply in its place,
+        each with the status the same request gets when sent alone."""
+        batch = [
+            ("POST", "/read", {"contains": ["E", [0, 1]]}),
+            ("POST", "/txn", {"template": "link-forward", "params": [960, 961]}),
+            ("POST", "/read", {"scan": "NoSuchRelation"}),
+            # the same link again: conflicts with its twin inside the batch
+            ("POST", "/txn", {"template": "link-forward", "params": [960, 961]}),
+            ("POST", "/txn", None),
+            ("POST", "/txn", {"template": "no-such-template", "params": []}),
+            ("GET", "/health", None),
+            ("POST", "/txn", {"template": "add-edge", "params": [962, 962]}),
+            ("POST", "/read", {"evaluate": {"formula": "exists y . E(x, y)",
+                                            "assignment": {"x": 0}}}),
+        ]
+
+        def fresh():
+            return serving(
+                build_service(forward_graph(40, 2, seed=9), commit_timeout=30.0)
+            )
+
+        with fresh() as (_service, _harness, client):
+            alone = [client.request(*request) for request in batch]
+        with fresh() as (service, _harness, client):
+            pipelined = client.pipeline(batch)
+            conflicts = service.stats.as_dict()["conflicts"]
+
+        def shape(reply):
+            status, payload = reply
+            if status != 200:
+                return status
+            return status, payload.get("status"), payload.get("result")
+
+        assert [shape(r) for r in pipelined] == [shape(r) for r in alone]
+        assert [status for status, _ in pipelined] == [
+            200, 200, 400, 200, 400, 400, 200, 200, 200
+        ]
+        assert pipelined[7][1]["status"] == "rejected"
+        assert conflicts >= 1, "the twin links never met in one batch"
 
     def test_batch_metrics_are_recorded(self, served_metered):
         _service, _harness, client = served_metered

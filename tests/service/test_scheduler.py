@@ -1,19 +1,23 @@
 """The transaction service: outcomes, group commit, retries, fail-fast."""
 
 import threading
+import time
 
 import pytest
 
+from repro import faults
 from repro.db import Database, Delta, GRAPH_SCHEMA, Store
 from repro.service import (
     ServiceError,
     TransactionService,
+    TxnItem,
     build_service,
     forward_graph,
     standard_constraints,
 )
 from repro.service.workloads import NO_LOOPS
 from repro.transactions import FOProgram, InsertTuple
+from repro.transactions.base import TransactionAbortedSignal
 
 
 @pytest.fixture
@@ -550,3 +554,211 @@ class TestEnvKnobs:
             assert default_seed() == 0
         monkeypatch.delenv(SEED_ENV)
         assert default_seed() == 0
+
+
+def _conflicted_once(service):
+    """A link whose first attempt read a row a nested commit then deleted."""
+    first = [True]
+
+    def work(txn):
+        txn.contains("E", (1, 2))
+        if first[0]:
+            first[0] = False
+            service.execute(lambda inner: inner.delete("E", (1, 2)))
+        txn.insert("E", (8, 9))
+
+    return (work, "link-forward", (8, 9))
+
+
+def _refused_by_guard(_service):
+    # (3, 1) closes the triangle 1 -> 2 -> 3 -> 1: the guard refuses it
+    return (lambda txn: txn.insert("E", (3, 1)), "add-edge", (3, 1))
+
+
+def _aborted_by_signal(_service):
+    def work(_txn):
+        raise TransactionAbortedSignal("no")
+
+    return (work, None, ())
+
+
+#: per path: (outcome fields, ServiceStats deltas) of one ``execute`` call,
+#: as recorded before ``execute`` became ``execute_many`` of one item
+PARITY = {
+    "commit": (
+        lambda _s: link(8, 9), {}, None,
+        ("committed", "", 1, 1, False),
+        {"submitted": 1, "committed": 1, "batches": 1, "batched_commits": 1,
+         "max_batch": 1, "static_skips": 1, "guard_checks": 1},
+    ),
+    "guard-reject": (
+        _refused_by_guard, {}, None,
+        ("rejected", "guard of 'no-triangles' failed on the pre-state", -1, 1, False),
+        {"submitted": 1, "rejected": 1, "guard_checks": 2},
+    ),
+    "signal-reject": (
+        _aborted_by_signal, {}, None,
+        ("rejected", "no", -1, 1, False),
+        {"submitted": 1, "rejected": 1},
+    ),
+    "conflict-retry": (
+        _conflicted_once, {}, None,
+        ("committed", "", 2, 2, False),
+        {"submitted": 2, "committed": 2, "conflicts": 1, "retries": 1,
+         "batches": 2, "batched_commits": 2, "max_batch": 1, "static_skips": 1,
+         "guard_checks": 1, "runtime_checks": 2},
+    ),
+    "serial-fallback": (
+        lambda _s: link(4, 5), {"max_retries": 0}, None,
+        ("committed", "", 1, 1, False),
+        {"submitted": 1, "committed": 1, "serial_fallbacks": 1, "batches": 1,
+         "batched_commits": 1, "max_batch": 1, "static_skips": 1,
+         "guard_checks": 1},
+    ),
+    "transient-retry": (
+        lambda _s: link(3, 4), {}, ("storage.commit_batch", (1,)),
+        ("committed", "", 1, 2, False),
+        {"submitted": 1, "committed": 1, "batches": 1, "batched_commits": 1,
+         "max_batch": 1, "static_skips": 2, "guard_checks": 2,
+         "transient_retries": 1, "commit_failures": 1},
+    ),
+}
+
+
+class TestExecuteMany:
+    @pytest.mark.parametrize("path", sorted(PARITY))
+    def test_one_item_matches_execute(self, path):
+        build, options, fault, expected, deltas = PARITY[path]
+        service = build_service(Database.graph([(1, 2), (2, 3)]), **options)
+        work, template, params = build(service)
+        if fault is not None:
+            site, hits = fault
+            faults.install(faults.FaultPlan().site(site, exc="storage", hits=hits))
+        before = service.stats.as_dict()
+        try:
+            (outcome,) = service.execute_many([TxnItem(work, template, params)])
+        finally:
+            faults.uninstall()
+        after = service.stats.as_dict()
+        assert (
+            outcome.status, outcome.reason, outcome.version, outcome.attempts,
+            outcome.retryable,
+        ) == expected
+        assert {k: after[k] - before[k] for k in after if after[k] != before[k]} == deltas
+        service.close()
+
+    def test_a_round_commits_as_one_batch(self, service):
+        version = service.store.version
+        outcomes = service.execute_many(
+            [TxnItem(*link(10 + i, 20 + i)) for i in range(6)]
+        )
+        assert [o.status for o in outcomes] == ["committed"] * 6
+        assert {o.version for o in outcomes} == {version + 1}
+        stats = service.stats.as_dict()
+        assert stats["batches"] == 1 and stats["max_batch"] == 6
+
+    def test_each_item_ends_on_its_own(self, service):
+        def broken(_txn):
+            raise KeyError("boom")
+
+        outcomes = service.execute_many([
+            TxnItem(*link(10, 11)),
+            TxnItem(*_refused_by_guard(service)),
+            TxnItem(broken),
+            TxnItem(*link(10, 11)),  # the same link: conflicts, then no-op
+            TxnItem(*link(12, 13), deadline=0.0),
+        ])
+        assert outcomes[0].committed
+        assert outcomes[1].status == "rejected"
+        assert isinstance(outcomes[2], KeyError)
+        assert outcomes[3].committed and outcomes[3].attempts == 2
+        assert isinstance(outcomes[4], ServiceError)
+        assert "deadline exceeded" in str(outcomes[4])
+        assert (12, 13) not in service.snapshot().relation("E")
+
+
+    def test_concurrent_batches_lose_no_commit(self):
+        """Threads racing execute_many rounds, with overlapping links: every
+        item commits, once, and the state holds every link."""
+        import sys
+
+        service = build_service(Database.graph([(1, 2)]))
+        threads, rounds, width = 6, 15, 5
+        results = [[] for _ in range(threads)]
+
+        def client(me):
+            for r in range(rounds):
+                # the second half of each round's links is shared with the
+                # next thread: cross-thread write-write conflicts
+                links = [link(100 + r, 200 + 10 * me + i) for i in range(width)]
+                links += [link(100 + r, 200 + 10 * ((me + 1) % threads) + i)
+                          for i in range(2)]
+                results[me].extend(
+                    service.execute_many([TxnItem(*l) for l in links])
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=client, args=(me,))
+                       for me in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        outcomes = [o for mine in results for o in mine]
+        assert len(outcomes) == threads * rounds * (width + 2)
+        assert all(o.committed for o in outcomes), outcomes
+        stats = service.stats.as_dict()
+        assert stats["committed"] == len(outcomes)
+        # every item is one writer commit or one read-only commit (a link
+        # another thread already made): nothing counted twice, none lost
+        assert stats["batched_commits"] + stats["read_only_commits"] == len(outcomes)
+        expected = {(100 + r, 200 + 10 * me + i)
+                    for r in range(rounds) for me in range(threads)
+                    for i in range(width)}
+        assert expected <= service.snapshot().relation("E")
+        assert stats["batched_commits"] == len(expected)
+        service.close()
+
+
+class TestWaitBudgets:
+    """A wait that runs out names the budget that expired."""
+
+    def _wedged(self, service, **kwargs):
+        service._commit_lock.acquire()
+        started = time.monotonic()
+        try:
+            with pytest.raises(ServiceError) as raised:
+                service.execute(
+                    lambda txn: txn.insert("E", (8, 9)),
+                    template="link-forward", params=(8, 9), **kwargs,
+                )
+        finally:
+            with service._commit_cond:
+                service._commit_lock.release()
+                service._commit_cond.notify_all()
+        assert not service._queue, "the expired request must be withdrawn"
+        return str(raised.value), time.monotonic() - started
+
+    def test_client_deadline_while_queued(self):
+        service = build_service(Database.graph([(1, 2)]), commit_timeout=60.0)
+        message, elapsed = self._wedged(
+            service, deadline=time.monotonic() + 0.05
+        )
+        assert "client deadline" in message
+        assert "timed out" not in message and "60" not in message
+        assert elapsed < 5.0
+        service.close()
+
+    def test_commit_timeout_while_queued(self):
+        service = build_service(Database.graph([(1, 2)]), commit_timeout=0.1)
+        message, _elapsed = self._wedged(
+            service, deadline=time.monotonic() + 60.0
+        )
+        assert message.startswith("commit timed out after 0.1s")
+        assert "client" not in message
+        service.close()
