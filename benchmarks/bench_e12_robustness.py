@@ -85,11 +85,11 @@ def test_e12_robust_across_extensions(benchmark, transaction_name, graphs_2):
 def test_e12_optimizer_beats_naive(benchmark, graphs_2):
     """Compiled (optimizer on) >= naive on the E12 sweep — the 0.9x fix."""
     import json
-    import os
     import time
 
     from repro.db import random_graph
     from repro.engine import CompiledBackend, NaiveBackend, using_backend
+    from repro.settings import setting
 
     program = transactions()["insert-pair"]
     spec = PrerelationSpec.from_fo_program(program)
@@ -136,9 +136,7 @@ def test_e12_optimizer_beats_naive(benchmark, graphs_2):
     }
     print(f"BENCH-METRIC {json.dumps(payload, sort_keys=True)}")
     benchmark.extra_info.update(payload)
-    if compiled.optimizer_mode != "off" and os.environ.get("REPRO_BACKEND", "compiled") in (
-        "compiled", "compiled-delta", "compiled-nodelta", ""
-    ):
+    if compiled.optimizer_mode != "off" and setting("REPRO_BACKEND") != "naive":
         assert speedup >= 1.0, (
             f"compiled engine regressed below the interpreter on E12: {speedup}x"
         )

@@ -27,7 +27,6 @@ are reproducible via ``--seed``/``--jobs`` in ``benchmarks/run_all.py``
 """
 
 import json
-import os
 
 import pytest
 
@@ -37,22 +36,19 @@ from repro.service import (
     SCENARIOS,
     build_service,
     build_streams,
-    default_workers,
     forward_graph,
     run_serial_baseline,
     run_workload,
     standard_constraints,
 )
+from repro.settings import setting
 
 # (accounts, edges_per, clients, ops_per_client)
 SIZES = {"small": (60, 3, 4, 40), "production": (200, 6, 8, 120)}
 
 
 def bench_seed() -> int:
-    try:
-        return int(os.environ.get("REPRO_SEED", "0"))
-    except ValueError:
-        return 0
+    return setting("REPRO_SEED")
 
 
 def emit_metric(name: str, payload: dict) -> None:
@@ -77,7 +73,7 @@ def test_e16_mixed_throughput_vs_serial(benchmark):
         pytest.skip("the service rides the compiled engine's incremental paths")
     accounts, edges_per, clients, ops_per_client = SIZES["production"]
     seed = bench_seed()
-    workers = default_workers()
+    workers = setting("REPRO_SERVICE_WORKERS")
     initial = forward_graph(accounts, edges_per, seed=1 + seed)
     streams = build_streams("mixed", clients, ops_per_client, accounts, seed=seed)
 
@@ -141,7 +137,7 @@ def test_e16_scenario_sweep(benchmark, scenario):
 
     def run():
         service = build_service(initial)
-        report = run_workload(service, streams, workers=default_workers())
+        report = run_workload(service, streams)
         report.scenario = scenario
         return service, report
 
@@ -240,7 +236,7 @@ def test_e16_admission_fast_path_counters(benchmark):
 
     def run():
         service = build_service(initial)
-        run_workload(service, streams, workers=default_workers())
+        run_workload(service, streams)
         return service
 
     service = benchmark(run)

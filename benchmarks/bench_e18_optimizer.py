@@ -54,9 +54,9 @@ def emit_metric(name: str, payload: dict) -> None:
 
 
 def bench_seed() -> int:
-    from repro.service import default_seed
+    from repro.settings import setting
 
-    return default_seed()
+    return setting("REPRO_SEED")
 
 
 def audit_db(accounts, users, transfers, follows, suspects, seed) -> Database:

@@ -29,6 +29,7 @@ from repro.db import WalStorageEngine
 from repro.engine import active_backend
 from repro.serve import ServerThread, drive_open_loop, encode_request, preregister
 from repro.service import build_service, forward_graph
+from repro.settings import setting
 
 CLIENTS = 1024
 REQUESTS_PER_CLIENT = 4
@@ -37,10 +38,7 @@ ACCOUNTS, EDGES_PER = 200, 6
 
 
 def bench_seed() -> int:
-    try:
-        return int(os.environ.get("REPRO_SEED", "0"))
-    except ValueError:
-        return 0
+    return setting("REPRO_SEED")
 
 
 def emit_metric(name: str, payload: dict) -> None:

@@ -27,6 +27,7 @@ from repro.db import WalStorageEngine
 from repro.engine import active_backend
 from repro.serve import ServerThread, drive_open_loop, encode_request, preregister
 from repro.service import build_service, forward_graph
+from repro.settings import setting
 
 CLIENTS = 96
 REQUESTS_PER_CLIENT = 4
@@ -36,10 +37,7 @@ MAX_INFLIGHT = 16  # small enough that stalls make the overload guard visible
 
 
 def bench_seed() -> int:
-    try:
-        return int(os.environ.get("REPRO_SEED", "0"))
-    except ValueError:
-        return 0
+    return setting("REPRO_SEED")
 
 
 def emit_metric(name: str, payload: dict) -> None:

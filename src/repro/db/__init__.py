@@ -43,8 +43,6 @@ from .graph import (
     weakly_connected,
 )
 from .engines import (
-    DURABLE_ENV,
-    WAL_DIR_ENV,
     MemoryEngine,
     RecoveredState,
     StorageEngine,
@@ -52,7 +50,7 @@ from .engines import (
     engine_from_env,
 )
 from .storage import Store, StorageError, TransactionAborted, TransactionStats, WriteOp
-from .wal import WAL_CHECKPOINT_ENV, WAL_FSYNC_ENV, WalStorageEngine
+from .wal import WalStorageEngine
 
 __all__ = [
     "GRAPH_SCHEMA",
@@ -92,10 +90,6 @@ __all__ = [
     "transitive_closure",
     "two_branch_tree",
     "weakly_connected",
-    "DURABLE_ENV",
-    "WAL_DIR_ENV",
-    "WAL_CHECKPOINT_ENV",
-    "WAL_FSYNC_ENV",
     "MemoryEngine",
     "RecoveredState",
     "StorageEngine",

@@ -24,32 +24,21 @@ wins, else the ``REPRO_DURABLE`` / ``REPRO_WAL_DIR`` environment knobs decide
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .. import faults as _faults
+from ..settings import setting
 from .delta import Delta
 from .schema import Schema
 
 __all__ = [
-    "DURABLE_ENV",
-    "WAL_DIR_ENV",
     "StorageEngineError",
     "RecoveredState",
     "StorageEngine",
     "MemoryEngine",
     "engine_from_env",
 ]
-
-#: environment knob: ``on`` routes every new :class:`Store` onto the durable
-#: WAL engine (anything else, or unset, keeps the in-memory engine)
-DURABLE_ENV = "REPRO_DURABLE"
-
-#: environment knob: the WAL directory of env-selected durable engines; when
-#: unset each store gets a private temporary directory removed on close
-WAL_DIR_ENV = "REPRO_WAL_DIR"
 
 Row = Tuple[object, ...]
 
@@ -166,29 +155,18 @@ class MemoryEngine(StorageEngine):
 def engine_from_env() -> StorageEngine:
     """The engine selected by ``REPRO_DURABLE`` / ``REPRO_WAL_DIR``.
 
-    ``REPRO_DURABLE=on`` (or ``1``/``true``/``yes``) builds a
-    :class:`~repro.db.wal.WalStorageEngine`: rooted at ``REPRO_WAL_DIR`` when
-    set (shared across store lifetimes — that is what makes restart recovery
-    work), else at a private temporary directory that is deleted again when
-    the store closes (the full-test-suite durable leg runs this way).
-    ``off`` (or ``0``/``false``/``no``, or unset) returns a fresh
-    :class:`MemoryEngine`; so does any other value, with a warning — a typo
-    must not pass for a deliberate choice to lose commits on a crash.
+    ``REPRO_DURABLE=on`` builds a :class:`~repro.db.wal.WalStorageEngine`:
+    rooted at ``REPRO_WAL_DIR`` when set (shared across store lifetimes —
+    that is what makes restart recovery work), else at a private temporary
+    directory that is deleted again when the store closes (the
+    full-test-suite durable leg runs this way).  Otherwise (``off``, unset,
+    or a typo, which warns) it returns a fresh :class:`MemoryEngine`.
     """
-    raw = os.environ.get(DURABLE_ENV, "").strip().lower()
-    if raw not in ("on", "1", "true", "yes"):
-        if raw not in ("off", "0", "false", "no", ""):
-            warnings.warn(
-                f"ignoring invalid {DURABLE_ENV}={raw!r}; expected 'on' or "
-                "'off' — using the in-memory engine (commits do not survive "
-                "a crash)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    if setting("REPRO_DURABLE") == "off":
         return MemoryEngine()
     from .wal import WalStorageEngine
 
-    wal_dir = os.environ.get(WAL_DIR_ENV, "").strip()
+    wal_dir = setting("REPRO_WAL_DIR")
     if wal_dir:
         return WalStorageEngine(wal_dir)
     return WalStorageEngine.ephemeral()

@@ -50,7 +50,6 @@ import struct
 import tempfile
 import threading
 import time
-import warnings
 import weakref
 import zlib
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
@@ -58,6 +57,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .. import faults as _faults
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..settings import KNOBS_BY_NAME, setting
 from .delta import Delta, DeltaError, decode_wire_value, encode_wire_value
 from .engines import RecoveredState, StorageEngine, StorageEngineError
 from .schema import Schema
@@ -65,19 +65,11 @@ from .schema import Schema
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "WAL_FSYNC_ENV",
-    "WAL_CHECKPOINT_ENV",
     "FSYNC_POLICIES",
     "WalStorageEngine",
 ]
 
-#: environment knob: fsync policy of env-selected WAL engines
-WAL_FSYNC_ENV = "REPRO_WAL_FSYNC"
-
-#: environment knob: batches between snapshot checkpoints (0 disables them)
-WAL_CHECKPOINT_ENV = "REPRO_WAL_CHECKPOINT"
-
-FSYNC_POLICIES = ("commit", "close", "never")
+FSYNC_POLICIES = KNOBS_BY_NAME["REPRO_WAL_FSYNC"].choices
 
 DEFAULT_CHECKPOINT_INTERVAL = 256
 
@@ -219,27 +211,15 @@ class WalStorageEngine(StorageEngine):
         directory: str,
         *,
         fsync: Optional[str] = None,
-        checkpoint_interval: Optional[int] = None,
+        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         _ephemeral: bool = False,
     ):
         if fsync is None:
-            fsync = os.environ.get(WAL_FSYNC_ENV, "").strip().lower() or "commit"
+            fsync = setting("REPRO_WAL_FSYNC")
         if fsync not in FSYNC_POLICIES:
             raise StorageEngineError(
                 f"unknown fsync policy {fsync!r}; have {FSYNC_POLICIES}"
             )
-        if checkpoint_interval is None:
-            raw = os.environ.get(WAL_CHECKPOINT_ENV, "").strip()
-            try:
-                checkpoint_interval = int(raw) if raw else DEFAULT_CHECKPOINT_INTERVAL
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid {WAL_CHECKPOINT_ENV}={raw!r}; expected "
-                    f"an integer — using {DEFAULT_CHECKPOINT_INTERVAL}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
         self.directory = os.path.abspath(directory)
         self.fsync_policy = fsync
         self.checkpoint_interval = max(0, checkpoint_interval)

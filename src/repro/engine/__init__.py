@@ -47,7 +47,6 @@ from .delta import (
 )
 from .backend import (
     BACKEND_NAMES,
-    OPTIMIZER_ENV,
     Backend,
     CompiledBackend,
     NaiveBackend,
@@ -84,7 +83,6 @@ __all__ = [
     "canonical_plan",
     "explain_plan",
     "optimize_plan",
-    "OPTIMIZER_ENV",
     "PlanState",
     "incremental_update",
     "evaluate_under",

@@ -24,7 +24,6 @@ dispatch through it, so the whole repo switches engines in one place.
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 import weakref
@@ -46,6 +45,7 @@ from ..logic.signature import EMPTY_SIGNATURE, Signature, SignatureError
 from ..logic.syntax import Formula
 from ..obs import metrics as _metrics
 from ..obs.profile import PlanProfiler
+from ..settings import KNOBS_BY_NAME, setting
 from .compile import CompileError, compile_extension
 from .delta import PlanState, incremental_update
 from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
@@ -60,7 +60,6 @@ __all__ = [
     "set_backend",
     "using_backend",
     "backend_from_name",
-    "OPTIMIZER_ENV",
 ]
 
 Row = Tuple[object, ...]
@@ -79,46 +78,6 @@ _STATE_HISTORY = 8
 # reorderer's own overhead would exceed anything it could save (tiny
 # databases, trivial formulas) — they are canonicalised and run as-is
 _OPT_SKIP_COST = 256.0
-#: environment knob selecting the cost-based optimizer mode
-OPTIMIZER_ENV = "REPRO_OPTIMIZER"
-
-
-def _delta_mode_from_env() -> str:
-    """The incremental-evaluation mode selected by ``REPRO_DELTA``."""
-    value = os.environ.get("REPRO_DELTA", "on").strip().lower()
-    if value in ("on", "1", "true", "yes", ""):
-        return "on"
-    if value in ("off", "0", "false", "no"):
-        return "off"
-    if value == "verify":
-        return "verify"
-    warnings.warn(
-        f"ignoring invalid REPRO_DELTA={value!r}; expected 'on', 'off' or "
-        "'verify' — using 'on'",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return "on"
-
-
-def _optimizer_mode_from_env() -> str:
-    """The optimizer mode selected by ``REPRO_OPTIMIZER``.
-
-    ``on`` (the default) rewrites plans cost-based; ``off`` executes the
-    compiler's syntactic plans unchanged.
-    """
-    value = os.environ.get(OPTIMIZER_ENV, "on").strip().lower()
-    if value in ("on", "1", "true", "yes", ""):
-        return "on"
-    if value in ("off", "0", "false", "no"):
-        return "off"
-    warnings.warn(
-        f"ignoring invalid {OPTIMIZER_ENV}={value!r}; expected 'on' or 'off' "
-        "— using 'on'",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return "on"
 
 
 class Backend:
@@ -297,7 +256,7 @@ class CompiledBackend(Backend):
         self._naive = NaiveBackend()
         self.fallbacks = 0
         if delta is None:
-            delta = _delta_mode_from_env()
+            delta = setting("REPRO_DELTA")
         if delta not in ("on", "off", "verify"):
             raise ValueError(
                 f"unknown delta mode {delta!r}; expected 'on', 'off' or 'verify'"
@@ -324,7 +283,7 @@ class CompiledBackend(Backend):
         self.states_built_on_demand = 0
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
-            optimizer = _optimizer_mode_from_env()
+            optimizer = setting("REPRO_OPTIMIZER")
         if optimizer not in ("on", "off"):
             raise ValueError(
                 f"unknown optimizer mode {optimizer!r}; expected 'on' or 'off'"
@@ -927,7 +886,7 @@ class CompiledBackend(Backend):
 # ---------------------------------------------------------------------------
 
 #: Names accepted by :func:`backend_from_name` (and ``REPRO_BACKEND``).
-BACKEND_NAMES = ("naive", "compiled", "compiled-delta", "compiled-nodelta")
+BACKEND_NAMES = KNOBS_BY_NAME["REPRO_BACKEND"].choices
 
 
 def backend_from_name(name: str) -> Backend:
@@ -937,37 +896,20 @@ def backend_from_name(name: str) -> Backend:
     incremental delta evaluation forced on / off regardless of
     ``REPRO_DELTA`` (the benchmarks use them to A/B the update fast path).
     """
-    normalized = name.strip().lower()
-    if normalized in ("naive", "interpreter", "model"):
+    if name == "naive":
         return NaiveBackend()
-    if normalized in ("compiled", "engine", "plans"):
+    if name == "compiled":
         return CompiledBackend()
-    if normalized == "compiled-delta":
+    if name == "compiled-delta":
         return CompiledBackend(delta="on")
-    if normalized == "compiled-nodelta":
+    if name == "compiled-nodelta":
         return CompiledBackend(delta="off")
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )
 
 
-_DEFAULT_BACKEND_NAME = "compiled"
-
-try:
-    _ACTIVE: Backend = backend_from_name(
-        os.environ.get("REPRO_BACKEND", _DEFAULT_BACKEND_NAME)
-    )
-except ValueError as exc:
-    # a typo in the environment must not make the package unimportable —
-    # warn, name the accepted values, and fall back to the default engine
-    warnings.warn(
-        f"ignoring invalid REPRO_BACKEND: {exc}; accepted values are "
-        f"{', '.join(BACKEND_NAMES)} — falling back to "
-        f"{_DEFAULT_BACKEND_NAME!r}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    _ACTIVE = backend_from_name(_DEFAULT_BACKEND_NAME)
+_ACTIVE: Backend = backend_from_name(setting("REPRO_BACKEND"))
 
 
 def active_backend() -> Backend:

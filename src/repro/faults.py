@@ -36,7 +36,6 @@ silently honored, never fatal.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -44,6 +43,8 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
+
+from .settings import setting
 
 __all__ = [
     "FaultError",
@@ -60,8 +61,6 @@ __all__ = [
     "parse_plan",
     "plan_from_env",
 ]
-
-ENV_KNOB = "REPRO_FAULTS"
 
 
 class FaultError(RuntimeError):
@@ -326,7 +325,7 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
                 seed = int(raw[len("seed="):])
             except ValueError:
                 warnings.warn(
-                    f"{ENV_KNOB}: invalid seed {raw!r}; using 0",
+                    f"REPRO_FAULTS: invalid seed {raw!r}; using 0",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -335,7 +334,7 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
         site = site.strip()
         if not sep or not site:
             warnings.warn(
-                f"{ENV_KNOB}: malformed entry {raw!r} (expected 'site:key=value,...'); skipped",
+                f"REPRO_FAULTS: malformed entry {raw!r} (expected 'site:key=value,...'); skipped",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -370,7 +369,7 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
                     raise ValueError("missing '='")
             except ValueError as err:
                 warnings.warn(
-                    f"{ENV_KNOB}: invalid option {pair!r} for site {site!r} ({err}); entry skipped",
+                    f"REPRO_FAULTS: invalid option {pair!r} for site {site!r} ({err}); entry skipped",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -382,7 +381,7 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
             entries.append(FaultSpec(site=site, **kwargs))  # type: ignore[arg-type]
         except ValueError as err:
             warnings.warn(
-                f"{ENV_KNOB}: invalid spec for site {site!r} ({err}); entry skipped",
+                f"REPRO_FAULTS: invalid spec for site {site!r} ({err}); entry skipped",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -391,10 +390,9 @@ def parse_plan(text: str) -> Optional[FaultPlan]:
     return FaultPlan(entries, seed=seed)
 
 
-def plan_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[FaultPlan]:
-    env = os.environ if environ is None else environ
-    text = env.get(ENV_KNOB, "").strip()
-    if not text or text.lower() in ("off", "0", "none"):
+def plan_from_env() -> Optional[FaultPlan]:
+    text = setting("REPRO_FAULTS")
+    if text.lower() in ("off", "0", "none"):
         return None
     return parse_plan(text)
 

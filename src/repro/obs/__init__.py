@@ -10,14 +10,13 @@ Three pillars, one import:
 * :mod:`repro.obs.profile` — per-plan-node wall-time/cardinality profiling
   merged into ``backend.explain()``.
 
-See ``docs/observability.md`` for the naming scheme, the span model and the
-knob table.
+See ``docs/observability.md`` for the naming scheme and the span model, and
+:mod:`repro.settings` for the knobs.
 """
 
 from . import trace
 from .metrics import (
     LEGACY_KEY_MAP,
-    METRICS_ENV,
     Counter,
     Gauge,
     Histogram,
@@ -29,11 +28,9 @@ from .metrics import (
     metrics_enabled,
 )
 from .profile import PlanProfiler
-from .trace import TRACE_ENV, span, trace_enabled
+from .trace import span, trace_enabled
 
 __all__ = [
-    "METRICS_ENV",
-    "TRACE_ENV",
     "Counter",
     "Gauge",
     "Histogram",

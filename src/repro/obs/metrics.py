@@ -28,13 +28,13 @@ front-end).
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..settings import setting
+
 __all__ = [
-    "METRICS_ENV",
     "Counter",
     "Gauge",
     "Histogram",
@@ -47,10 +47,6 @@ __all__ = [
     "get_registry",
     "merge_snapshots",
 ]
-
-#: environment knob: ``off`` replaces the process registry with a no-op
-#: registry (anything else, or unset, keeps metrics on — the default)
-METRICS_ENV = "REPRO_METRICS"
 
 #: default histogram bucket upper bounds (seconds-ish and counts-ish both fit:
 #: the scheme is powers-of-two-ish from tiny to large, plus +inf implicitly)
@@ -379,11 +375,6 @@ class MetricsRegistry:
 # process-global plumbing
 # ---------------------------------------------------------------------------
 
-def _mode_from_env() -> str:
-    value = os.environ.get(METRICS_ENV, "on").strip().lower()
-    return "off" if value in ("off", "0", "false", "no") else "on"
-
-
 _registry: Optional[object] = None
 _registry_lock = threading.Lock()
 
@@ -397,7 +388,8 @@ def get_registry():
             registry = _registry
             if registry is None:
                 registry = (
-                    MetricsRegistry() if _mode_from_env() == "on" else NullRegistry()
+                    MetricsRegistry() if setting("REPRO_METRICS") == "on"
+                    else NullRegistry()
                 )
                 _registry = registry
     return registry

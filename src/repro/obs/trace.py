@@ -39,8 +39,9 @@ import time
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
+from ..settings import setting
+
 __all__ = [
-    "TRACE_ENV",
     "Tracer",
     "span",
     "configure",
@@ -51,10 +52,6 @@ __all__ = [
     "span_forest",
     "render_tree",
 ]
-
-#: environment knob: ``off`` (default) / ``on`` (ring buffer) / a file path
-#: (ring buffer + JSON-lines dump)
-TRACE_ENV = "REPRO_TRACE"
 
 #: how many finished spans the in-process ring buffer retains
 RING_CAPACITY = 8192
@@ -180,17 +177,11 @@ class Tracer:
                 self._sink = None
 
 
-def _tracer_from_env() -> Tracer:
-    value = os.environ.get(TRACE_ENV, "off").strip()
-    lowered = value.lower()
-    if lowered in ("", "off", "0", "false", "no"):
-        return Tracer("off")
-    if lowered in ("on", "1", "true", "yes"):
-        return Tracer("on")
-    return Tracer("path", path=value)
-
-
-_TRACER: Tracer = _tracer_from_env()
+#: ``REPRO_TRACE``: ``off``, ``on``, or the path of a JSON-lines span file
+_TRACE = setting("REPRO_TRACE")
+_TRACER: Tracer = (
+    Tracer(_TRACE) if _TRACE in ("off", "on") else Tracer("path", path=_TRACE)
+)
 
 
 def configure(mode: str, path: Optional[str] = None) -> Tracer:

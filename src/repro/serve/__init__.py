@@ -39,27 +39,19 @@ from .protocol import (
     parse_request,
 )
 from .server import (
-    SERVE_HOST_ENV,
-    SERVE_PORT_ENV,
-    SERVE_WORKERS_ENV,
     ServerThread,
     TransactionServer,
-    default_serve_workers,
     preregister,
     standard_wire_templates,
 )
 
 __all__ = [
-    "SERVE_HOST_ENV",
-    "SERVE_PORT_ENV",
-    "SERVE_WORKERS_ENV",
     "ProtocolError",
     "Request",
     "ServeClient",
     "ServerThread",
     "TransactionServer",
     "WireTemplate",
-    "default_serve_workers",
     "drain_requests",
     "drive_open_loop",
     "encode_request",

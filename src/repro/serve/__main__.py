@@ -7,7 +7,7 @@ follows the ambient environment: start with ``REPRO_DURABLE=on`` to put the
 WAL engine under the store, ``REPRO_TRACE=on`` for span timelines, and scrape
 ``GET /metrics`` for the registry.
 
-Knobs (flags override the environment):
+Knobs (flags override the environment; README's knob table has the rest):
 
 * ``--host`` / ``REPRO_SERVE_HOST`` (default ``127.0.0.1``)
 * ``--port`` / ``REPRO_SERVE_PORT`` (default ``7453``; ``0`` = ephemeral)
@@ -24,22 +24,13 @@ import argparse
 import asyncio
 import contextlib
 import logging
-import os
 import signal
 import sys
 
 from ..db.engines import StorageEngineError
 from ..service.workloads import build_service, forward_graph
-from .server import (
-    SERVE_HOST_ENV,
-    SERVE_PORT_ENV,
-    TransactionServer,
-    default_serve_workers,
-    preregister,
-)
-
-#: the default listening port (spells "SERV" on a phone pad, near enough)
-DEFAULT_PORT = 7453
+from ..settings import setting
+from .server import TransactionServer, preregister
 
 logger = logging.getLogger("repro.serve")
 
@@ -58,8 +49,7 @@ async def _serve(args: argparse.Namespace) -> None:
     preregister(server)
     host, port = server.address
     print(f"repro.serve listening on {host}:{port} "
-          f"({args.workers or default_serve_workers()} workers, "
-          f"{args.accounts} accounts)", flush=True)
+          f"({server.workers} workers, {args.accounts} accounts)", flush=True)
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -72,22 +62,21 @@ async def _serve(args: argparse.Namespace) -> None:
     print("bye", flush=True)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve", description=__doc__.split("\n\n")[0]
     )
-    parser.add_argument(
-        "--host", default=os.environ.get(SERVE_HOST_ENV, "127.0.0.1")
-    )
-    parser.add_argument(
-        "--port", type=int,
-        default=int(os.environ.get(SERVE_PORT_ENV, "") or DEFAULT_PORT),
-    )
+    parser.add_argument("--host", default=setting("REPRO_SERVE_HOST"))
+    parser.add_argument("--port", type=int, default=setting("REPRO_SERVE_PORT"))
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--accounts", type=int, default=200)
     parser.add_argument("--edges-per", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         asyncio.run(_serve(args))
     except StorageEngineError as exc:

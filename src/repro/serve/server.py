@@ -35,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,6 +47,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..service.scheduler import TransactionService, TxnItem, TxnOutcome
 from ..service.snapshots import ServiceError
+from ..settings import setting
 from .protocol import (
     ProtocolError,
     Request,
@@ -59,27 +59,15 @@ from .protocol import (
 )
 
 __all__ = [
-    "SERVE_HOST_ENV",
-    "SERVE_PORT_ENV",
-    "SERVE_WORKERS_ENV",
-    "SERVE_QUEUE_ENV",
-    "default_serve_workers",
-    "default_serve_queue",
     "standard_wire_templates",
     "preregister",
     "TransactionServer",
     "ServerThread",
 ]
 
-#: environment knobs: bind address, port, and worker-thread count of the
-#: serving front-end (``python -m repro.serve`` reads all three)
-SERVE_HOST_ENV = "REPRO_SERVE_HOST"
-SERVE_PORT_ENV = "REPRO_SERVE_PORT"
-SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"
-
-#: environment knob: max in-flight requests before the server sheds load
-SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
-
+#: in-flight requests beyond which the server sheds with ``503`` +
+#: ``Retry-After`` instead of queueing without limit, so an overloaded server
+#: stays responsive (health, metrics and the requests it admitted)
 DEFAULT_SERVE_QUEUE = 4096
 
 #: seconds after the last shed during which /health reports "degraded"
@@ -101,54 +89,6 @@ _READ_CHUNK = 64 * 1024
 _BOUNDED_ROUTES = ("txn", "read", "templates")
 
 
-def default_serve_workers(fallback: int = 8) -> int:
-    """Worker-pool size selected by ``REPRO_SERVE_WORKERS`` (default 8).
-
-    A worker runs one job: the reads, or the transactions, of one network
-    batch.  The pool size bounds how many such jobs (from different
-    connections) run at once; a batch never needs more than one worker per
-    request kind, and no job waits on another, so a pool of one works.
-    """
-    import warnings
-
-    raw = os.environ.get(SERVE_WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid {SERVE_WORKERS_ENV}={raw!r}; expected an "
-                f"integer — using {fallback}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return fallback
-
-
-def default_serve_queue(fallback: int = DEFAULT_SERVE_QUEUE) -> int:
-    """In-flight request bound selected by ``REPRO_SERVE_QUEUE``.
-
-    Requests beyond the bound are shed with ``503`` + ``Retry-After``
-    instead of queueing without limit — an overloaded server stays
-    responsive (health, metrics and the requests it admitted) rather than
-    building unbounded dispatch debt.
-    """
-    import warnings
-
-    raw = os.environ.get(SERVE_QUEUE_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring invalid {SERVE_QUEUE_ENV}={raw!r}; expected an "
-                f"integer — using {fallback}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return fallback
-
-
 class TransactionServer:
     """One asyncio TCP server in front of one :class:`TransactionService`.
 
@@ -164,15 +104,17 @@ class TransactionServer:
         port: int = 0,
         workers: Optional[int] = None,
         owns_service: bool = False,
-        max_inflight: Optional[int] = None,
+        max_inflight: int = DEFAULT_SERVE_QUEUE,
     ):
         self.service = service
         self.host = host
         self.port = port
-        self.workers = workers if workers is not None else default_serve_workers()
-        self.max_inflight = (
-            max_inflight if max_inflight is not None else default_serve_queue()
+        # a worker runs one job: the reads, or the transactions, of one
+        # network batch; no job waits on another, so a pool of one works
+        self.workers = (
+            workers if workers is not None else setting("REPRO_SERVE_WORKERS")
         )
+        self.max_inflight = max_inflight
         self.address: Optional[Tuple[str, int]] = None
         self._owns_service = owns_service
         self._server: Optional[asyncio.AbstractServer] = None
@@ -622,6 +564,13 @@ class TransactionServer:
 
     def _stats_payload(self) -> Dict[str, object]:
         observed = self.service.observability()
+        # the serve knobs as this server runs them: flags and constructor
+        # arguments override the environment
+        host, port = self.address or (self.host, self.port)
+        observed["settings"].update(
+            REPRO_SERVE_HOST=host, REPRO_SERVE_PORT=port,
+            REPRO_SERVE_WORKERS=self.workers,
+        )
         # commit-log tags and other caller objects are not JSON-safe; the
         # round trip below drops nothing the wire can represent anyway
         return json.loads(json.dumps(observed, default=repr, sort_keys=True))
@@ -707,7 +656,7 @@ class ServerThread:
         port: int = 0,
         workers: Optional[int] = None,
         owns_service: bool = False,
-        max_inflight: Optional[int] = None,
+        max_inflight: int = DEFAULT_SERVE_QUEUE,
     ):
         self.server = TransactionServer(
             service, host=host, port=port, workers=workers,

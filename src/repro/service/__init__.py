@@ -29,18 +29,15 @@ executing the committed transactions serially in commit order (stress-tested
 by ``tests/service/test_serializability.py`` under ``REPRO_DELTA=verify``).
 
 The ``REPRO_SERVICE_WORKERS`` environment variable selects the default
-worker-thread count of the workload driver (see
-:func:`~repro.service.scheduler.default_workers`).
+worker-thread count of the workload driver (see :mod:`repro.settings`).
 """
 
 from .admission import AdmissionController, TransactionTemplate
 from .scheduler import (
-    WORKERS_ENV,
     ServiceStats,
     TransactionService,
     TxnItem,
     TxnOutcome,
-    default_workers,
 )
 from .snapshots import (
     ReadSet,
@@ -50,8 +47,6 @@ from .snapshots import (
     validate,
 )
 from .workloads import (
-    SEED_ENV,
-    default_seed,
     NO_LOOPS,
     NO_TRIANGLES,
     SCENARIOS,
@@ -69,12 +64,10 @@ from .workloads import (
 __all__ = [
     "AdmissionController",
     "TransactionTemplate",
-    "WORKERS_ENV",
     "ServiceStats",
     "TransactionService",
     "TxnItem",
     "TxnOutcome",
-    "default_workers",
     "ReadSet",
     "ServiceError",
     "SnapshotManager",
@@ -83,8 +76,6 @@ __all__ = [
     "NO_LOOPS",
     "NO_TRIANGLES",
     "SCENARIOS",
-    "SEED_ENV",
-    "default_seed",
     "WorkItem",
     "WorkloadReport",
     "build_service",

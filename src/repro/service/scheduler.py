@@ -51,13 +51,10 @@ from __future__ import annotations
 
 import contextvars
 import logging
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import warnings
 
 from .. import faults as _faults
 from ..core.maintenance import Constraint
@@ -71,6 +68,7 @@ from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import BOTTOM, TOP, Formula
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from ..settings import current as current_settings
 from ..transactions.base import Transaction, TransactionAbortedSignal
 from .admission import AdmissionController, TransactionTemplate
 from .snapshots import ServiceError, SnapshotManager, SnapshotTransaction, validate
@@ -78,10 +76,6 @@ from .snapshots import ServiceError, SnapshotManager, SnapshotTransaction, valid
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "WORKERS_ENV",
-    "COMMIT_RETRIES_ENV",
-    "default_workers",
-    "default_commit_retries",
     "classify_commit_error",
     "ServiceStats",
     "TxnOutcome",
@@ -89,13 +83,8 @@ __all__ = [
     "TransactionService",
 ]
 
-#: environment knob: default worker-thread count of the workload driver
-WORKERS_ENV = "REPRO_SERVICE_WORKERS"
-
-#: environment knob: transparent retries of a retryable commit failure
-COMMIT_RETRIES_ENV = "REPRO_COMMIT_RETRIES"
-
-DEFAULT_COMMIT_RETRIES = 3
+#: transparent retries of a retryable commit failure before it surfaces
+COMMIT_RETRIES = 3
 
 #: exponential backoff between transient-failure retries: base doubling per
 #: attempt, capped — a flapping disk gets breathing room without parking a
@@ -104,24 +93,6 @@ _BACKOFF_BASE = 0.01
 _BACKOFF_CAP = 0.5
 
 Work = Union[Transaction, Callable[[SnapshotTransaction], object]]
-
-
-def default_commit_retries(fallback: int = DEFAULT_COMMIT_RETRIES) -> int:
-    """Retry budget selected by ``REPRO_COMMIT_RETRIES`` (default 3)."""
-    raw = os.environ.get(COMMIT_RETRIES_ENV, "").strip()
-    if not raw:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {COMMIT_RETRIES_ENV}={raw!r}; expected an "
-            f"integer — using {fallback}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return fallback
-    return max(0, value)
 
 
 def classify_commit_error(exc: BaseException) -> bool:
@@ -135,24 +106,6 @@ def classify_commit_error(exc: BaseException) -> bool:
     return isinstance(
         exc, (StorageEngineError, OSError, TimeoutError, _faults.FaultError)
     )
-
-
-def default_workers(fallback: int = 8) -> int:
-    """The worker count selected by ``REPRO_SERVICE_WORKERS`` (default 8)."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {WORKERS_ENV}={raw!r}; expected an integer — "
-            f"using {fallback}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return fallback
-    return max(1, value)
 
 
 #: dotted registry names mirroring each :class:`ServiceStats` field
@@ -349,7 +302,6 @@ class TransactionService:
         admission: Optional[AdmissionController] = None,
         max_retries: int = 8,
         commit_timeout: float = 60.0,
-        commit_retries: Optional[int] = None,
         backend: Optional[Backend] = None,
         history_limit: int = 1024,
         owns_store: bool = False,
@@ -370,10 +322,9 @@ class TransactionService:
         self.snapshots = SnapshotManager(store, history_limit=history_limit)
         self.max_retries = max_retries
         self.commit_timeout = commit_timeout
-        self.commit_retries = (
-            default_commit_retries() if commit_retries is None
-            else max(0, commit_retries)
-        )
+        self.commit_retries = COMMIT_RETRIES
+        #: every knob as parsed when the service was built (see observability)
+        self.settings = current_settings()
         self.stats = ServiceStats()
         self._queue_lock = threading.Lock()
         self._queue: List[_CommitRequest] = []
@@ -907,8 +858,12 @@ class TransactionService:
         Combines the service's own counters, the admission controller's
         bookkeeping, the backend's cache statistics, the store's transaction
         and durability counters, the metrics-registry snapshot (empty under
-        ``REPRO_METRICS=off``), and the tracer status — the single dict the
-        benchmark harness embeds into its result files.
+        ``REPRO_METRICS=off``), the tracer status, and every ``REPRO_*``
+        knob's value as parsed when the service was built (an invalid one
+        shows the default it fell back to; a backend, registry or tracer
+        installed in code later shows in its own block) — the single dict
+        the benchmark harness embeds into its result files and ``GET /stats``
+        serves.
         """
         store_stats = self.store.stats
         with store_stats._lock:
@@ -937,6 +892,7 @@ class TransactionService:
                 "enabled": _trace.trace_enabled(),
                 "finished_spans": len(_trace.finished()),
             },
+            "settings": dict(self.settings),
         }
 
     def __repr__(self) -> str:

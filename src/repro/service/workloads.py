@@ -44,11 +44,9 @@ denial constraint only at the inserted rows.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -60,17 +58,16 @@ from ..db.storage import Store
 from ..logic.syntax import And, Atom, Eq, Exists
 from ..logic.terms import Const, Var
 from ..obs import metrics as _metrics
+from ..settings import setting
 from ..transactions.fo_transactions import DeleteWhere, FOProgram, InsertTuple
 from .admission import TransactionTemplate
-from .scheduler import TransactionService, TxnOutcome, default_workers
+from .scheduler import TransactionService, TxnOutcome
 from .snapshots import ServiceError, SnapshotTransaction
 
 __all__ = [
     "NO_LOOPS",
     "NO_TRIANGLES",
     "SCENARIOS",
-    "SEED_ENV",
-    "default_seed",
     "WorkItem",
     "WorkloadReport",
     "standard_templates",
@@ -102,27 +99,6 @@ SCENARIOS = (
     "hot-key",
     "flash-crowd",
 )
-
-#: environment knob: the workload seed (set by ``benchmarks/run_all.py --seed``
-#: and by the test harness, so a failing run can be replayed exactly)
-SEED_ENV = "REPRO_SEED"
-
-
-def default_seed(fallback: int = 0) -> int:
-    """The stream seed selected by ``REPRO_SEED`` (default ``fallback``)."""
-    raw = os.environ.get(SEED_ENV, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid {SEED_ENV}={raw!r}; expected an integer — "
-            f"using {fallback}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return fallback
 
 #: operation mix per scenario: (read, link-forward, unlink, add-edge) weights
 _MIXES: Dict[str, Tuple[float, float, float, float]] = {
@@ -450,7 +426,7 @@ def build_streams(
     failing CI run or benchmark reproduce from its recorded seed.
     """
     if seed is None:
-        seed = default_seed()
+        seed = setting("REPRO_SEED")
     if scenario not in _MIXES:
         raise ServiceError(f"unknown scenario {scenario!r}; have {SCENARIOS}")
     read_w, link_w, unlink_w, add_w = _MIXES[scenario]
@@ -562,7 +538,7 @@ def run_workload(
     workers, so the op multiset is identical at any worker count.
     """
     if workers is None:
-        workers = default_workers()
+        workers = setting("REPRO_SERVICE_WORKERS")
     workers = max(1, min(workers, len(streams) or 1))
     assigned: List[List[WorkItem]] = [[] for _ in range(workers)]
     for index, stream in enumerate(streams):

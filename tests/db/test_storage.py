@@ -233,22 +233,6 @@ class TestLifecycle:
         assert store.engine.name == expected
         assert store.storage_stats()["engine"] == expected
 
-    def test_durable_knob_typo_warns(self, monkeypatch):
-        import warnings
-
-        from repro.db.engines import DURABLE_ENV, engine_from_env
-
-        monkeypatch.setenv(DURABLE_ENV, "ture")
-        with pytest.warns(RuntimeWarning, match=DURABLE_ENV):
-            assert isinstance(engine_from_env(), MemoryEngine)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for off in ("off", "0", "false", "no", ""):
-                monkeypatch.setenv(DURABLE_ENV, off)
-                assert isinstance(engine_from_env(), MemoryEngine)
-            monkeypatch.delenv(DURABLE_ENV)
-            assert isinstance(engine_from_env(), MemoryEngine)
-
     def test_close_is_idempotent_and_blocks_new_transactions(self, store):
         store.close()
         assert store.closed

@@ -216,21 +216,6 @@ class TestCheckpoints:
             assert reborn.storage_stats()["recovered_batches"] == 1
             assert reborn.storage_stats()["checkpoint_version"] == 6
 
-    def test_checkpoint_env_knob_warns_on_garbage(self, tmp_path, monkeypatch):
-        from repro.db.wal import DEFAULT_CHECKPOINT_INTERVAL, WAL_CHECKPOINT_ENV
-
-        monkeypatch.setenv(WAL_CHECKPOINT_ENV, "16")
-        store = make_store(tmp_path / "good")
-        assert store.engine.checkpoint_interval == 16
-        store.close()
-        # garbage warns (like REPRO_DELTA) instead of a silent default —
-        # the operator asked for a custom interval and must hear it dropped
-        monkeypatch.setenv(WAL_CHECKPOINT_ENV, "often")
-        with pytest.warns(RuntimeWarning, match="REPRO_WAL_CHECKPOINT"):
-            fallback = make_store(tmp_path / "bad")
-        assert fallback.engine.checkpoint_interval == DEFAULT_CHECKPOINT_INTERVAL
-        fallback.close()
-
     def test_old_checkpoints_are_deleted(self, tmp_path):
         store = make_store(tmp_path, checkpoint_interval=2)
         for i in range(8):

@@ -274,16 +274,6 @@ def test_backend_from_name_rejects_the_removed_names(name):
         backend_from_name(name)
 
 
-def test_invalid_repro_delta_warns_and_defaults_on(monkeypatch):
-    from repro.engine.backend import _delta_mode_from_env
-
-    monkeypatch.setenv("REPRO_DELTA", "bogus")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert _delta_mode_from_env() == "on"
-    assert any("REPRO_DELTA" in str(w.message) for w in caught)
-
-
 def test_backend_from_name_knows_the_delta_variants():
     assert backend_from_name("compiled-delta").delta_mode == "on"
     assert backend_from_name("compiled-nodelta").delta_mode == "off"

@@ -377,14 +377,6 @@ class TestBackendIntegration:
         with pytest.raises(ValueError):
             CompiledBackend(optimizer="explain")
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OPTIMIZER", "off")
-        assert CompiledBackend().optimizer_mode == "off"
-        for invalid in ("explain", "bogus"):
-            monkeypatch.setenv("REPRO_OPTIMIZER", invalid)
-            with pytest.warns(RuntimeWarning):
-                assert CompiledBackend().optimizer_mode == "on"
-
     def test_optimizer_keeps_delta_path_alive(self):
         """Optimized plans keep the incremental path engaging on small
         stream databases."""

@@ -180,11 +180,11 @@ class TestEnvParsing:
 
     def test_off_values_mean_no_plan(self, monkeypatch):
         for value in ("", "off", "0", "none"):
-            monkeypatch.setenv(faults.ENV_KNOB, value)
+            monkeypatch.setenv("REPRO_FAULTS", value)
             assert faults.plan_from_env() is None
 
     def test_plan_from_env(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_KNOB, "a.b:prob=1.0,exc=timeout")
+        monkeypatch.setenv("REPRO_FAULTS", "a.b:prob=1.0,exc=timeout")
         plan = faults.plan_from_env()
         assert plan is not None
         with pytest.raises(TimeoutError):

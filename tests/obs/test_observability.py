@@ -31,6 +31,7 @@ class TestObservability:
             view = service.observability()
             assert set(view) == {
                 "service", "admission", "backend", "store", "metrics", "trace",
+                "settings",
             }
             assert view["service"] == service.stats.as_dict()
             assert view["service"]["submitted"] == 3

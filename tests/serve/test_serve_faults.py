@@ -10,11 +10,6 @@ import pytest
 from repro import faults
 from repro.serve import ServeClient, ServerThread, preregister
 from repro.serve.client import encode_request, parse_response
-from repro.serve.server import (
-    DEFAULT_SERVE_QUEUE,
-    SERVE_QUEUE_ENV,
-    default_serve_queue,
-)
 from repro.service.workloads import build_service, forward_graph
 
 from conftest import serving
@@ -99,15 +94,6 @@ class TestShedding:
         for (status, payload), wire in replies[3:]:
             assert payload["retry_after"] >= 1
             assert b"retry-after: 1\r\n" in wire.lower()
-
-    def test_serve_queue_env_knob(self, monkeypatch):
-        monkeypatch.setenv(SERVE_QUEUE_ENV, "17")
-        assert default_serve_queue() == 17
-        monkeypatch.setenv(SERVE_QUEUE_ENV, "unbounded")
-        with pytest.warns(RuntimeWarning, match=SERVE_QUEUE_ENV):
-            assert default_serve_queue() == DEFAULT_SERVE_QUEUE
-        monkeypatch.delenv(SERVE_QUEUE_ENV)
-        assert default_serve_queue() == DEFAULT_SERVE_QUEUE
 
 
 class TestHealthyPath:

@@ -20,8 +20,8 @@ import pytest
 
 from repro.obs import trace as _trace
 from repro.serve import ServeClient, ServerThread, encode_request, preregister
-from repro.serve.server import SERVE_WORKERS_ENV, default_serve_workers
 from repro.service.workloads import build_service, forward_graph
+from repro.settings import KNOBS
 
 from conftest import serving
 
@@ -321,11 +321,45 @@ class TestLifecycle:
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=2)
 
-    def test_workers_env_knob_warns_on_garbage(self, monkeypatch):
-        monkeypatch.setenv(SERVE_WORKERS_ENV, "12")
-        assert default_serve_workers() == 12
-        monkeypatch.setenv(SERVE_WORKERS_ENV, "a-few")
+
+class TestConfiguration:
+    def test_stats_shows_every_knob_as_parsed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SEED", "11")
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "a-few")
+        service = build_service(forward_graph(20, 2, seed=3))
         with pytest.warns(RuntimeWarning, match="REPRO_SERVE_WORKERS"):
-            assert default_serve_workers() == 8
-        monkeypatch.delenv(SERVE_WORKERS_ENV)
-        assert default_serve_workers() == 8
+            with serving(service) as (_service, _harness, client):
+                shown = client.stats()["settings"]
+        assert sorted(shown) == sorted(knob.name for knob in KNOBS)
+        assert shown["REPRO_SEED"] == 11
+        # the invalid value shows the default the server fell back to
+        assert shown["REPRO_SERVE_WORKERS"] == 8
+        assert shown["REPRO_DELTA"] in ("on", "off", "verify")
+
+    def test_stats_shows_what_the_server_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "5")
+        monkeypatch.setenv("REPRO_SERVE_PORT", "9999")
+        monkeypatch.setenv("REPRO_SEED", "11")
+        service = build_service(forward_graph(20, 2, seed=3))
+        # read when the service was built, not when /stats is asked
+        monkeypatch.setenv("REPRO_SEED", "12")
+        with serving(service, workers=3) as (_service, harness, client):
+            shown = client.stats()["settings"]
+            host, port = harness.address
+        assert shown["REPRO_SERVE_WORKERS"] == 3
+        assert (shown["REPRO_SERVE_HOST"], shown["REPRO_SERVE_PORT"]) == (host, port)
+        assert shown["REPRO_SEED"] == 11
+
+    def test_cli_port_typo_warns_and_listens_on_the_default(self, monkeypatch):
+        from repro.serve import __main__ as cli
+
+        started = []
+
+        async def record(args):
+            started.append(args)
+
+        monkeypatch.setattr(cli, "_serve", record)
+        monkeypatch.setenv("REPRO_SERVE_PORT", "abc")
+        with pytest.warns(RuntimeWarning, match="REPRO_SERVE_PORT"):
+            assert cli.main([]) == 0
+        assert started[0].port == 7453

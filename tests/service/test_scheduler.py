@@ -530,32 +530,6 @@ class TestOneSuccessorStatePerBatch:
         assert transactions["snapshot_repatched"] == 0
 
 
-class TestEnvKnobs:
-    """A non-integer worker count or seed warns, naming the knob."""
-
-    def test_workers_knob_warns_on_garbage(self, monkeypatch):
-        from repro.service.scheduler import WORKERS_ENV, default_workers
-
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert default_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV, "four")
-        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
-            assert default_workers() == 8
-        monkeypatch.delenv(WORKERS_ENV)
-        assert default_workers() == 8
-
-    def test_seed_knob_warns_on_garbage(self, monkeypatch):
-        from repro.service.workloads import SEED_ENV, default_seed
-
-        monkeypatch.setenv(SEED_ENV, "17")
-        assert default_seed() == 17
-        monkeypatch.setenv(SEED_ENV, "0x11")
-        with pytest.warns(RuntimeWarning, match=SEED_ENV):
-            assert default_seed() == 0
-        monkeypatch.delenv(SEED_ENV)
-        assert default_seed() == 0
-
-
 def _conflicted_once(service):
     """A link whose first attempt read a row a nested commit then deleted."""
     first = [True]

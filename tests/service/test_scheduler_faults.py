@@ -18,12 +18,7 @@ from repro import faults
 from repro.db import Database
 from repro.db.engines import StorageEngineError
 from repro.service import ServiceError, build_service
-from repro.service.scheduler import (
-    COMMIT_RETRIES_ENV,
-    DEFAULT_COMMIT_RETRIES,
-    classify_commit_error,
-    default_commit_retries,
-)
+from repro.service.scheduler import classify_commit_error
 
 
 @pytest.fixture(autouse=True)
@@ -174,14 +169,3 @@ class TestKnobsAndClassifier:
         assert classify_commit_error(faults.InjectedFault("site"))
         assert not classify_commit_error(ValueError("x"))
         assert not classify_commit_error(KeyError("x"))
-
-    def test_default_commit_retries_env(self, monkeypatch):
-        monkeypatch.setenv(COMMIT_RETRIES_ENV, "7")
-        assert default_commit_retries() == 7
-        monkeypatch.delenv(COMMIT_RETRIES_ENV)
-        assert default_commit_retries() == DEFAULT_COMMIT_RETRIES
-
-    def test_garbage_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(COMMIT_RETRIES_ENV, "many")
-        with pytest.warns(RuntimeWarning):
-            assert default_commit_retries() == DEFAULT_COMMIT_RETRIES
