@@ -96,16 +96,6 @@ class Constraint:
     def precondition_for(self, transaction: Transaction):
         return self.preconditions.get(transaction.name)
 
-    def register_precondition(self, transaction_name: str, precondition) -> None:
-        """Record the precondition of the transaction named ``transaction_name``.
-
-        The name must denote one transaction, not a template: a weakest
-        precondition is computed for one instance, and its constants are that
-        instance's.  (The service's admission controller keeps its guards per
-        template shape and writes nothing here.)
-        """
-        self.preconditions[transaction_name] = precondition
-
 
 @dataclass
 class MaintenanceReport:

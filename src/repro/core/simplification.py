@@ -73,7 +73,7 @@ from ..logic.terms import Const, Param, Term, Var
 from ..transactions.base import TransactionError
 from ..transactions.fo_transactions import DeleteWhere, FOProgram, InsertTuple
 from .prerelations import PrerelationSpec
-from .wpc import WpcCalculator, WpcError
+from .wpc import WpcCalculator, WpcError, weakest_precondition
 
 __all__ = [
     "equivalent_under",
@@ -84,6 +84,7 @@ __all__ = [
     "holds_after_update",
     "program_shape",
     "derived_guard",
+    "shape_guard",
     "bind_slots",
 ]
 
@@ -545,6 +546,30 @@ def derived_guard(
     key, values = shape
     guard = _derive(key, constraint)
     return None if guard is None else (guard, values)
+
+
+def shape_guard(
+    program: object, constraint: Formula
+) -> Tuple[str, Formula, Tuple[object, ...]]:
+    """``(source, guard, values)``: the pre-state guard of ``program``'s shape.
+
+    Inside :func:`derived_guard`'s fragment the guard is its ``Delta``
+    (``source`` ``"derived"``); otherwise it is the mechanical ``wpc`` of the
+    program with its constants in :func:`program_shape`'s slots, or of the
+    program itself when it has no shape (``"wpc"``, no ``values``).  Either
+    way it holds for every instance of the shape, and ``bind_slots(guard,
+    values)`` is this program's guard.  Raises :class:`WpcError` (or
+    ``FormulaError``) when no ``wpc`` can be built.
+    """
+    derived = derived_guard(program, constraint)
+    if derived is not None:
+        return ("derived",) + derived
+    shape = program_shape(program)
+    if shape is None:
+        return "wpc", weakest_precondition(program, constraint), ()
+    (schema, statements), values = shape
+    slotted = FOProgram(statements, schema=schema, signature=program.signature)
+    return "wpc", weakest_precondition(slotted, constraint), values
 
 
 def bind_slots(formula: Formula, values: Sequence[object]) -> Formula:

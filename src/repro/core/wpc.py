@@ -35,7 +35,7 @@ This module implements
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..db.database import Database
 from ..logic.evaluation import Model, evaluate
@@ -57,6 +57,7 @@ from ..logic.syntax import (
     InterpretedAtom,
     Not,
     Or,
+    TOP,
     Top,
     make_and,
     make_or,
@@ -461,76 +462,51 @@ class PreservationVerdict:
 
     ``mode`` is one of
 
-    * ``"static"`` — ``wpc(T, alpha)`` is implied by ``alpha`` itself (the
-      ``wpc(C) ≡ C``-after-simplification case): any state satisfying the
-      constraint is mapped to a state satisfying it, so a transaction admitted
-      against a consistent snapshot commits with **zero** runtime constraint
-      work;
-    * ``"guarded"`` — a syntactic precondition exists but is not implied by
-      the invariant; ``guard`` holds the (invariant-simplified) formula to
-      evaluate on the *pre*-state: if it fails the transaction is rejected
-      before executing, and nothing ever rolls back;
+    * ``"static"`` — the pair's guard is ``true``: ``alpha |= wpc(T, alpha)``
+      is proved, so a transaction admitted against a consistent snapshot
+      commits with **zero** runtime constraint work;
+    * ``"guarded"`` — ``guard`` is the formula to evaluate on the *pre*-state
+      (the derived ``Delta`` or the mechanical ``wpc``, both exact under the
+      invariant): if it fails the transaction is rejected before executing,
+      and nothing ever rolls back;
     * ``"runtime"`` — no syntactic precondition is available (the transaction
       does not admit prerelations, or the constraint is semantic): the
       post-state must be checked, incrementally, before the commit is kept.
 
-    Static and guarded verdicts are *bounded-verified* on a database family
-    (every graph up to 3 nodes by default), the same convention as the
-    ``Preserve`` procedures and :class:`BoundedSimplifier` — sound for every
-    database in the family, heuristic beyond it.  Pass a larger ``databases``
-    family to :func:`classify_preservation` to widen the certificate.
+    ``source`` says where the guard comes from: ``"derived"``, ``"wpc"``, or
+    ``None`` for a runtime verdict (whose ``guard`` is ``None``).
     """
 
-    __slots__ = ("mode", "guard", "precondition", "reason", "family_size")
+    __slots__ = ("mode", "guard", "source", "reason")
 
-    def __init__(self, mode, guard, precondition, reason, family_size=0):
+    def __init__(self, mode, guard, source, reason):
         self.mode = mode
         self.guard = guard
-        self.precondition = precondition
+        self.source = source
         self.reason = reason
-        self.family_size = family_size
 
     def __repr__(self) -> str:
         return f"PreservationVerdict({self.mode!r}, reason={self.reason!r})"
 
 
-def classify_preservation(
-    transaction,
-    constraint,
-    databases: Optional[Sequence[Database]] = None,
-    signature: Signature = EMPTY_SIGNATURE,
-    simplify_guard: bool = True,
-) -> PreservationVerdict:
+def classify_preservation(transaction, constraint) -> PreservationVerdict:
     """Classify how ``transaction`` must be checked against ``constraint``.
 
-    The admission fast path of the concurrent service: compute
-    ``wpc(T, alpha)`` once, simplify it under the invariant ``alpha`` (which
-    is guaranteed to hold on every committed state the transaction can be
-    admitted against), and decide
+    The guard is :func:`~repro.core.simplification.shape_guard`'s: the
+    derived ``Delta`` where the pair is in its fragment, the mechanical
+    ``wpc`` (Theorem 8) otherwise, taken over the slots of the program's
+    constants so that the proof covers every instance of its shape.  The
+    verdict is
 
-    * **static** when the simplified precondition is ``true`` — i.e.
-      ``alpha |= wpc(T, alpha)`` on the verification family, so the
-      transaction preserves the constraint from any consistent state;
-    * **guarded** when a precondition exists but genuinely constrains the
-      pre-state — the returned guard is checked on the snapshot instead of
-      re-checking the constraint on the post-state;
+    * **static** when the guard simplifies to ``true`` — a proof, never a
+      sweep over a family of databases;
+    * **guarded** by the guard, bound to the transaction's constants,
+      otherwise;
     * **runtime** when no syntactic precondition can be built (semantic
       constraints, transactions without prerelations) — the caller falls back
       to incremental post-state checking.
-
-    ``databases`` is the bounded-verification family; it defaults to every
-    graph on at most 3 nodes when the transaction's schema is the graph
-    schema, and to the empty family (purely syntactic simplification, never a
-    static verdict) otherwise.  ``simplify_guard=False`` skips the
-    invariant-aware guard simplification sweep and returns the raw ``wpc`` as
-    the guard — callers that substitute their own (verified) guards, like the
-    service's admission controller, avoid paying for a simplification they
-    will not use.
     """
-    from ..db.graph import all_graphs
-    from ..db.schema import GRAPH_SCHEMA
-    from ..logic.syntax import TOP
-    from .simplification import BoundedSimplifier, equivalent_under
+    from .simplification import bind_slots, shape_guard
 
     if not isinstance(constraint, Formula):
         return PreservationVerdict(
@@ -538,38 +514,12 @@ def classify_preservation(
             "semantic constraint: no syntactic precondition exists",
         )
     try:
-        precondition = weakest_precondition(transaction, constraint)
+        source, guard, values = shape_guard(transaction, constraint)
     except (WpcError, FormulaError) as exc:
         return PreservationVerdict("runtime", None, None, str(exc))
-
-    schema = getattr(transaction, "schema", None)
-    if databases is None:
-        databases = list(all_graphs(3)) if schema == GRAPH_SCHEMA else []
-    else:
-        databases = list(databases)
-    if databases and equivalent_under(
-        constraint, precondition, TOP, databases, signature
-    ):
-        return PreservationVerdict(
-            "static", None, precondition,
-            "invariant implies wpc on the verification family",
-            family_size=len(databases),
-        )
-    if databases and simplify_guard:
-        simplified = BoundedSimplifier(
-            databases=databases, signature=signature
-        ).simplify(constraint, precondition).simplified
-    elif not simplify_guard:
-        simplified = precondition
-    else:
-        simplified = simplify(precondition)
-        if simplified == TOP:
-            return PreservationVerdict(
-                "static", None, precondition,
-                "wpc simplifies to true syntactically",
-            )
+    if simplify(guard) == TOP:
+        return PreservationVerdict("static", TOP, source, f"the {source} guard is true")
     return PreservationVerdict(
-        "guarded", simplified, precondition,
-        "wpc constrains the pre-state",
-        family_size=len(databases),
+        "guarded", bind_slots(guard, values), source,
+        f"the {source} guard constrains the pre-state",
     )

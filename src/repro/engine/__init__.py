@@ -39,12 +39,7 @@ from .plan import (
 from .compile import CompileError, compile_extension, compile_sentence
 from .stats import ColumnStats, DatabaseStats, RelationStats
 from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
-from .delta import (
-    PlanState,
-    evaluate_under,
-    incremental_update,
-    predicate_changed,
-)
+from .delta import PlanState, incremental_update
 from .backend import (
     BACKEND_NAMES,
     Backend,
@@ -85,8 +80,6 @@ __all__ = [
     "optimize_plan",
     "PlanState",
     "incremental_update",
-    "evaluate_under",
-    "predicate_changed",
     "BACKEND_NAMES",
     "Backend",
     "CompiledBackend",

@@ -85,8 +85,6 @@ from .plan import (
 __all__ = [
     "PlanState",
     "incremental_update",
-    "evaluate_under",
-    "predicate_changed",
 ]
 
 Row = Tuple[object, ...]
@@ -605,62 +603,3 @@ class _IncrementalRun:
             removed.update(old_left_index.get(key, _EMPTY))
         self.new_aux[node] = (new_left_index, new_counts)
         return self._finish(node, old_rows, added, removed)
-
-
-# ---------------------------------------------------------------------------
-# predicate re-checks under a foreign delta
-# ---------------------------------------------------------------------------
-
-def evaluate_under(
-    formula,
-    base: Database,
-    delta: Delta,
-    signature=None,
-    backend=None,
-) -> bool:
-    """``base ⊕ delta |= formula`` — evaluated through the provenance chain.
-
-    The successor state is produced with :meth:`Database.apply_delta`, so a
-    delta-aware backend answers through the incremental rules above — O(|delta|)
-    given a warm state for ``base`` — instead of re-running the plan.  This is
-    the primitive the MVCC service uses to re-check a transaction's read
-    predicates under a *foreign* delta (another transaction's committed
-    effect) at validation time.
-    """
-    from ..logic.signature import EMPTY_SIGNATURE
-    from .backend import active_backend
-
-    if backend is None:
-        backend = active_backend()
-    if signature is None:
-        signature = EMPTY_SIGNATURE
-    return backend.evaluate(formula, base.apply_delta(delta), signature=signature)
-
-
-def predicate_changed(
-    formula,
-    base: Database,
-    delta: Delta,
-    signature=None,
-    backend=None,
-) -> bool:
-    """Does the truth value of ``formula`` differ between ``base`` and ``base ⊕ delta``?
-
-    Both evaluations go through the active (or given) backend; when the base
-    state was evaluated before — the usual case, since the predicate was read
-    by a live transaction — the first check is a memo hit and the second runs
-    incrementally, so the whole re-check costs O(|delta|).  An empty delta
-    never changes a predicate and short-circuits to ``False``.
-    """
-    from ..logic.signature import EMPTY_SIGNATURE
-    from .backend import active_backend
-
-    if delta.is_empty():
-        return False
-    if backend is None:
-        backend = active_backend()
-    if signature is None:
-        signature = EMPTY_SIGNATURE
-    before = backend.evaluate(formula, base, signature=signature)
-    after = backend.evaluate(formula, base.apply_delta(delta), signature=signature)
-    return before != after

@@ -15,7 +15,8 @@ Quick orientation:
 * :mod:`repro.service.admission` — WPC-verified admission: registered
   transaction shapes are classified once (``static`` / ``guarded`` /
   ``runtime``, see :func:`repro.core.wpc.classify_preservation`) and the
-  verdict cache decides the constraint work of every commit;
+  verdict cache decides the constraint work of every commit — ``static``
+  only when the shape's derived ``Delta`` or ``wpc`` is ``true``;
 * :mod:`repro.service.scheduler` — the service itself: optimistic parallel
   execution, a leader/follower **group-commit** pipeline batching committed
   deltas into one ``apply_delta`` on the canonical store, conflict retries

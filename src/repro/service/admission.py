@@ -5,8 +5,9 @@ transaction shape the constraint work of its commits is decided **once**,
 and every subsequent commit of that shape consults a per-``(transaction,
 constraint)`` verdict cache instead of doing constraint work:
 
-* **static** — the shape preserves the constraint from any consistent
-  state, so its commits run with *zero* runtime constraint checks;
+* **static** — the shape's guard is ``true``, a proof that it preserves the
+  constraint from any consistent state, so its commits run with *zero*
+  runtime constraint checks;
 * **guarded** — a pre-state guard is evaluated at commit time; a failing
   guard rejects the transaction before it touches the store, so nothing is
   ever rolled back;
@@ -16,17 +17,15 @@ constraint)`` verdict cache instead of doing constraint work:
 
 Shapes are registered as **templates**: a builder producing an
 :class:`~repro.transactions.fo_transactions.FOProgram` instance per parameter
-tuple, plus sample parameters.  For a program of tuple inserts and deletions
-and a constraint in denial form the guard is the paper's closing-remark
-``Delta``, derived from the program and the constraint
-(:func:`repro.core.simplification.derived_guard`): exact under the
-invariant, one formula per shape of the program's constants, so the verdict
-is ``static`` when every sample's ``Delta`` is ``true`` and ``guarded``
-otherwise — no bounded sweep.  Any other pair is classified by
-:func:`repro.core.wpc.classify_preservation` on every sample, the *most
-conservative* verdict winning, and guarded by its mechanical ``wpc``.
-Either guard is computed once per (template, constraint, shape) and bound
-to each instance's constants.
+tuple, plus sample parameters.  Each sample is classified by
+:func:`repro.core.wpc.classify_preservation`, the *most conservative*
+verdict winning: its guard is the paper's closing-remark ``Delta`` for a
+program of tuple inserts and deletions and a constraint in denial form
+(:func:`repro.core.simplification.derived_guard`), the mechanical ``wpc``
+otherwise — both exact under the invariant — and the verdict is ``static``
+only when that guard is ``true``.  The same guard is computed once per
+(template, constraint, shape of the instance's constants) and bound to each
+instance's constants.
 """
 
 from __future__ import annotations
@@ -35,18 +34,15 @@ import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.maintenance import Constraint
-from ..core.simplification import bind_slots, derived_guard, program_shape
-# classification of pairs outside the derived fragment (wrapped by bench/spans.py)
+from ..core.simplification import bind_slots, program_shape, shape_guard
+# the classification of every sample (wrapped by bench/spans.py)
 from ..core.wpc import PreservationVerdict, classify_preservation
-# the mechanical guard of pairs outside the fragment (wrapped by bench/spans.py)
+# the mechanical wpc /stats compares each guard with (wrapped by bench/spans.py)
 from ..core.wpc import WpcError, weakest_precondition
-from ..db.database import Database
-from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import TOP, Formula, FormulaError
+from ..logic.syntax import Formula, FormulaError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..transactions.base import Transaction
-from ..transactions.fo_transactions import FOProgram
 from .snapshots import ServiceError
 
 __all__ = ["TransactionTemplate", "AdmissionController"]
@@ -102,19 +98,8 @@ class AdmissionController:
     each instance's constants.
     """
 
-    def __init__(
-        self,
-        constraints: Sequence[Constraint],
-        signature: Signature = EMPTY_SIGNATURE,
-        family: Optional[Sequence[Database]] = None,
-    ):
+    def __init__(self, constraints: Sequence[Constraint]):
         self.constraints = list(constraints)
-        self.signature = signature
-        self.family = list(family) if family is not None else None
-        # the default verification family, built on first use and kept: the
-        # same Database objects serve every classification, so the engine
-        # evaluates an invariant on each of them once, not once per call
-        self._graph_family: Optional[List[Database]] = None
         self._lock = threading.Lock()
         self._templates: Dict[str, TransactionTemplate] = {}
         self._verdicts: Dict[str, Dict[str, PreservationVerdict]] = {}
@@ -162,55 +147,16 @@ class AdmissionController:
     def _classify(
         self, template: TransactionTemplate, constraint: Constraint
     ) -> Tuple[PreservationVerdict, _Pair]:
-        """One (template, constraint) verdict, from the derived guards of the
-        samples when every one has one, else the worst sample's
+        """One (template, constraint) verdict: the worst sample's
         :func:`classify_preservation`."""
-        programs = [template.build(*params) for params in template.samples]
-        derived = [derived_guard(program, constraint.formula) for program in programs]
-        if all(found is not None for found in derived):
-            guards = [found[0] for found in derived]
-            mode = "static" if all(guard == TOP for guard in guards) else "guarded"
-            verdict = PreservationVerdict(
-                mode, None, None, "guard derived from the constraint's denial form"
-            )
-            return verdict, _Pair(mode, "derived", guards)
-        worst: Optional[PreservationVerdict] = None
-        guards = []
-        for program in programs:
-            verdict = classify_preservation(
-                program,
-                constraint.formula,
-                databases=self._family_for(program),
-                signature=self.signature,
-                # the guard is the per-shape wpc — skip the simplification sweep
-                simplify_guard=False,
-            )
-            if verdict.precondition is not None:
-                guards.append(verdict.precondition)
-            if worst is None or _MODE_RANK[verdict.mode] > _MODE_RANK[worst.mode]:
-                worst = verdict
-        assert worst is not None
-        return worst, _Pair(worst.mode, "wpc", guards)
-
-    def _family_for(self, transaction: Transaction) -> List[Database]:
-        """The bounded-verification family for one transaction's schema.
-
-        The caller's family when one was given; otherwise every graph on at
-        most 3 nodes for graph-schema transactions (built once per
-        controller) and the empty family for anything else — the defaults of
-        :func:`~repro.core.wpc.classify_preservation`.
-        """
-        if self.family is not None:
-            return self.family
-        from ..db.graph import all_graphs
-        from ..db.schema import GRAPH_SCHEMA
-
-        if getattr(transaction, "schema", None) != GRAPH_SCHEMA:
-            return []
-        with self._lock:
-            if self._graph_family is None:
-                self._graph_family = list(all_graphs(3))
-            return self._graph_family
+        verdicts = [
+            classify_preservation(template.build(*params), constraint.formula)
+            for params in template.samples
+        ]
+        worst = max(verdicts, key=lambda verdict: _MODE_RANK[verdict.mode])
+        derived = all(verdict.source == "derived" for verdict in verdicts)
+        guards = [verdict.guard for verdict in verdicts if verdict.guard is not None]
+        return worst, _Pair(worst.mode, "derived" if derived else "wpc", guards)
 
     # -- commit-time lookups (hot path) -------------------------------------------
 
@@ -278,11 +224,11 @@ class AdmissionController:
     ) -> Formula:
         """The pre-state guard for one *guarded* instance.
 
-        The guard of the instance's shape — the derived ``Delta`` inside the
-        fragment, the mechanical ``wpc`` of the program over its slots
-        outside it — is computed once per (template, constraint, shape) and
-        bound to ``params``' constants; a program whose constants cannot be
-        factored into slots gets its own ``wpc`` every time.
+        The guard of the instance's shape — :func:`shape_guard`'s, the one
+        classification decides by — is computed once per (template,
+        constraint, shape) and bound to ``params``' constants; a program
+        whose constants cannot be factored into slots gets its own ``wpc``
+        every time.
         """
         with self._lock:
             template = self._templates.get(template_name)
@@ -290,10 +236,8 @@ class AdmissionController:
             raise ServiceError(f"template {template_name!r} is not registered")
         program = template.build(*params)
         shape = program_shape(program)
-        if shape is None:
-            if not isinstance(constraint.formula, Formula):
-                return TOP
-            return weakest_precondition(program, constraint.formula)
+        if shape is None:  # no slots to bind: the instance's own guard
+            return shape_guard(program, constraint.formula)[1]
         key, values = shape
         cache_key = (template_name, constraint.name, key)
         with self._lock:
@@ -303,17 +247,7 @@ class AdmissionController:
         if guard is not None:
             self._m_guard_cache_hits.inc()
             return bind_slots(guard, values)
-        derived = derived_guard(program, constraint.formula)
-        if derived is not None:
-            guard = derived[0]
-        elif isinstance(constraint.formula, Formula):
-            schema, statements = key
-            guard = weakest_precondition(
-                FOProgram(statements, schema=schema, signature=program.signature),
-                constraint.formula,
-            )
-        else:
-            guard = TOP
+        guard = shape_guard(program, constraint.formula)[1]
         with self._lock:
             self._guard_cache[cache_key] = guard
         return bind_slots(guard, values)

@@ -316,8 +316,8 @@ class TransactionService:
         self.store = store
         self.constraints = list(constraints)
         self.signature = signature
-        self.admission = admission if admission is not None else AdmissionController(
-            self.constraints, signature
+        self.admission = (
+            admission if admission is not None else AdmissionController(self.constraints)
         )
         self.snapshots = SnapshotManager(store, history_limit=history_limit)
         self.max_retries = max_retries

@@ -22,8 +22,8 @@ Three layers live here:
   (:meth:`Delta.overlaps`), row- and relation-level read-write overlap, and
   **incremental predicate re-validation** — each predicate the transaction
   read is re-evaluated under the foreign delta through the engine's delta
-  rules (:func:`repro.engine.delta.evaluate_under`, with the transaction's
-  own writes at read time layered on top), so a predicate read only
+  rules (at ``base ⊕ foreign ⊕ own``, the transaction's own writes at read
+  time layered on top by :meth:`Database.apply_delta`), so a predicate read only
   conflicts when a concurrent commit actually *changed its truth value*,
   not merely because it touched the same relation.
 
@@ -300,16 +300,15 @@ def _validate(
         if clash:
             return f"read row overwritten in {relation!r}: {sorted(clash, key=repr)[:3]}"
     if reads.predicates:
-        from ..engine.delta import evaluate_under
-
         if backend is None:
             backend = active_backend()
         shifted = base.apply_delta(foreign)
         for (formula, own), value in reads.predicates.items():
             # the predicate was observed on `base ⊕ own`; its value at the
-            # commit point is `(base ⊕ foreign) ⊕ own` — evaluate_under keeps
-            # the whole chain on the engine's incremental path
-            if evaluate_under(formula, shifted, own, signature, backend) != value:
+            # commit point is `(base ⊕ foreign) ⊕ own` — built by apply_delta,
+            # so the whole chain stays on the engine's incremental path
+            after = shifted.apply_delta(own)
+            if backend.evaluate(formula, after, signature=signature) != value:
                 return f"predicate changed under foreign delta: {formula}"
     return None
 

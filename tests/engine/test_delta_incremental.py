@@ -337,42 +337,3 @@ def test_cache_stats_is_consistent_and_locked():
     backend.clear_caches()
     cleared = backend.cache_stats()
     assert cleared["plans"] == 0 and cleared["memo"] == 0 and cleared["states"] == 0
-
-
-class TestForeignDeltaHelpers:
-    """evaluate_under / predicate_changed: the MVCC validation primitives."""
-
-    def test_evaluate_under_matches_direct_evaluation(self):
-        from repro.engine import evaluate_under
-
-        backend = CompiledBackend()
-        base = Database.graph([(0, 1), (1, 2)])
-        delta = Delta.insertion("E", (2, 2))
-        formula = parse("forall x . ~E(x, x)")
-        assert backend.evaluate(formula, base)
-        assert evaluate_under(formula, base, delta, backend=backend) is False
-        # an empty delta evaluates against the base itself
-        assert evaluate_under(formula, base, Delta(), backend=backend) is True
-
-    def test_predicate_changed_detects_flips_only(self):
-        from repro.engine import predicate_changed
-
-        backend = CompiledBackend()
-        base = Database.graph([(0, 1), (1, 2)])
-        no_loops = parse("forall x . ~E(x, x)")
-        assert predicate_changed(no_loops, base, Delta.insertion("E", (3, 3)), backend=backend)
-        assert not predicate_changed(no_loops, base, Delta.insertion("E", (3, 4)), backend=backend)
-        assert not predicate_changed(no_loops, base, Delta(), backend=backend)
-
-    def test_helpers_ride_the_incremental_path(self):
-        from repro.engine import predicate_changed
-
-        backend = CompiledBackend(delta="on")
-        base = Database.graph([(i, i + 1) for i in range(12)])
-        formula = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
-        backend.evaluate(formula, base)  # warm the node states
-        hits = backend.delta_hits
-        assert not predicate_changed(
-            formula, base, Delta.insertion("E", (50, 51)), backend=backend
-        )
-        assert backend.delta_hits > hits  # answered through the delta rules

@@ -1,6 +1,8 @@
 """WPC-verified admission: classification, verdict caching, guard handling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Constraint,
@@ -9,10 +11,13 @@ from repro.core import (
     StaticPreconditionPolicy,
     classify_preservation,
 )
-from repro.db import GRAPH_SCHEMA, MemoryEngine, Store
+from repro.core.simplification import denial_form
+from repro.db import Database, GRAPH_SCHEMA, MemoryEngine, Store
+from repro.engine import NaiveBackend
 from repro.logic import parse
 from repro.logic.syntax import BOTTOM, TOP
-from repro.service import AdmissionController, TransactionTemplate
+from repro.service import AdmissionController, TransactionService, TransactionTemplate
+from repro.transactions import FOProgram, InsertTuple
 from repro.service.workloads import (
     NO_LOOPS,
     NO_TRIANGLES,
@@ -23,6 +28,8 @@ from repro.service.workloads import (
     _link_forward_program,
     _unlink_program,
 )
+
+from strategies import maybe_seed
 
 
 class TestClassifyPreservation:
@@ -179,3 +186,123 @@ class TestController:
         controller = AdmissionController(standard_constraints())
         with pytest.raises(ServiceError):
             controller.guard_for("ghost", controller.constraints[0], ())
+
+
+# ---------------------------------------------------------------------------
+# static means proved: constraints outside the denial fragment
+# ---------------------------------------------------------------------------
+
+def _out_neighbours(k):
+    """``x`` has ``k`` pairwise distinct out-neighbours, spelled out."""
+    names = "abcd"[:k]
+    quantifiers = " . ".join(f"exists {v}" for v in names)
+    atoms = [f"E(x, {v})" for v in names]
+    distinct = [f"~({u} = {v})" for i, u in enumerate(names) for v in names[i + 1:]]
+    return f"({quantifiers} . {' & '.join(atoms + distinct)})"
+
+
+def _service(edges, constraint):
+    store = Store(GRAPH_SCHEMA, Database.graph(edges), engine=MemoryEngine())
+    return TransactionService(store, [constraint])
+
+
+def test_a_node_with_four_out_neighbours_is_not_waived():
+    """No graph on at most 3 nodes violates the constraint, so a sweep over
+    them calls ``add-edge`` static; a fourth out-neighbour of a loop-free
+    node is the counterexample."""
+    formula = parse(f"forall x . {_out_neighbours(4)} -> E(x, x)")
+    assert denial_form(formula) is None
+    service = _service([(0, 1), (0, 2), (0, 3)], Constraint("four-out-loop", formula))
+    add_edge = standard_templates()[2]
+    assert service.register(add_edge)["four-out-loop"].mode == "guarded"
+    outcome = service.execute(_insert_edge_program(0, 99), template="add-edge", params=(0, 99))
+    assert outcome.status == "rejected"
+    assert service.execute(_insert_edge_program(1, 99), template="add-edge", params=(1, 99)).status == "committed"
+    assert NaiveBackend().evaluate(formula, service.snapshot())
+
+
+def _add_pair_program(a, b):
+    return FOProgram([InsertTuple("E", a, b), InsertTuple("E", b, a)], name="add-pair")
+
+
+#: insert and delete templates; the samples cover both shapes of an edge's
+#: constants (distinct, equal), so a static verdict speaks for every instance
+OUT_OF_FRAGMENT_TEMPLATES = {
+    "add-edge": TransactionTemplate("add-edge", _insert_edge_program, samples=((0, 1), (2, 2))),
+    "add-pair": TransactionTemplate("add-pair", _add_pair_program, samples=((0, 1), (2, 2))),
+    "unlink": TransactionTemplate("unlink", _unlink_program, samples=((0, 1), (2, 2))),
+}
+
+#: a small grammar of constraints with no denial form: an existential under
+#: the universal prefix, positive atoms in the consequent, counting
+_EDGE_CONSEQUENTS = (
+    "exists w . E(y, w)",
+    "exists w . E(w, x) & E(w, y)",
+    "E(y, x)",
+    "E(x, x) | E(y, y)",
+    "exists>=2 w . E(x, w)",
+)
+_NODE_CONSEQUENTS = ("E(x, x)", "exists y . E(y, x)")
+
+out_of_fragment = st.one_of(
+    st.builds(
+        "forall x . forall y . E(x, y) -> {}".format,
+        st.sampled_from(_EDGE_CONSEQUENTS),
+    ),
+    st.builds(
+        "forall x . (exists>={} y . E(x, y)) -> {}".format,
+        st.sampled_from((2, 3)),
+        st.sampled_from(_NODE_CONSEQUENTS),
+    ),
+    # no graph on 3 nodes has a loop-free node with 3 out-neighbours
+    st.builds(
+        "forall x . {} -> {}".format,
+        st.sampled_from((2, 3)).map(_out_neighbours),
+        st.sampled_from(_NODE_CONSEQUENTS),
+    ),
+).map(parse)
+
+
+@maybe_seed
+@settings(max_examples=15, deadline=None)
+@given(
+    out_of_fragment,
+    st.integers(min_value=5, max_value=8).flatmap(
+        lambda nodes: st.tuples(
+            st.frozensets(st.tuples(*[st.integers(0, nodes - 1)] * 2), max_size=2 * nodes),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(OUT_OF_FRAGMENT_TEMPLATES)),
+                    st.integers(0, nodes - 1),
+                    st.integers(0, nodes - 1),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    ),
+)
+def test_every_committed_state_satisfies_a_constraint_outside_the_fragment(formula, run):
+    """Drive the service with drawn templates and check each outcome with
+    the naive oracle: a transaction commits iff its post-state satisfies the
+    constraint, from a consistent start (the empty graph when the drawn one
+    is not)."""
+    assert denial_form(formula) is None
+    edges, operations = run
+    oracle = NaiveBackend()
+    if not oracle.evaluate(formula, Database.graph(edges)):
+        edges = ()
+    service = _service(edges, Constraint("drawn", formula))
+    for template in OUT_OF_FRAGMENT_TEMPLATES.values():
+        service.register(template)
+    for name, a, b in operations:
+        program = OUT_OF_FRAGMENT_TEMPLATES[name].build(a, b)
+        pre = service.snapshot()
+        post = program.apply(pre)
+        outcome = service.execute(program, template=name, params=(a, b))
+        if oracle.evaluate(formula, post):
+            assert outcome.status == "committed", (name, a, b, outcome.reason)
+            assert service.snapshot() == post
+        else:
+            assert outcome.status in ("rejected", "aborted"), (name, a, b)
+            assert service.snapshot() == pre

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database, Delta, GRAPH_SCHEMA, Store
+from repro.engine import CompiledBackend
 from repro.logic import parse
 from repro.service import SnapshotManager, SnapshotTransaction, validate
 from repro.transactions import FOProgram, InsertTuple
@@ -123,6 +124,17 @@ class TestValidate:
         foreign = Delta.insertion("E", (7, 8))
         # foreign delta does not change the observed (False) value
         assert validate(txn.reads, txn.delta(), foreign, base) is None
+
+    def test_predicate_recheck_rides_the_incremental_path(self):
+        backend = CompiledBackend(delta="on")
+        base = Database.graph([(i, i + 1) for i in range(12)])
+        symmetric_free = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
+        txn = SnapshotTransaction(base, 0, backend=backend)
+        assert txn.evaluate(symmetric_free)
+        hits = backend.delta_hits
+        foreign = Delta.insertion("E", (50, 51))
+        assert validate(txn.reads, txn.delta(), foreign, base, backend=backend) is None
+        assert backend.delta_hits > hits  # answered through the delta rules
 
     def test_opaque_reads_conflict_with_anything(self, base):
         txn = handle_on(base)

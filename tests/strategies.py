@@ -36,6 +36,7 @@ from repro.logic.syntax import (
     TOP,
 )
 from repro.logic.terms import Const
+from repro.settings import setting
 
 __all__ = [
     "VARIABLES",
@@ -66,14 +67,11 @@ CONSTANTS = (0, 1, 2, 3, 7, "ghost")
 # ---------------------------------------------------------------------------
 
 def repro_seed() -> Optional[int]:
-    """The ``REPRO_SEED`` environment value, if set and numeric."""
-    raw = os.environ.get("REPRO_SEED", "").strip()
-    if not raw:
+    """``REPRO_SEED`` as the library parses it (an invalid value warns and
+    reads as the default), or ``None`` when it is unset or empty."""
+    if not os.environ.get("REPRO_SEED", "").strip():
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
+    return setting("REPRO_SEED")
 
 
 def maybe_seed(test):

@@ -20,6 +20,7 @@ from repro.serve import TransactionServer
 from repro.serve.__main__ import parse_args
 from repro.service.workloads import build_streams
 from repro.settings import INTEGER, KNOBS, TEXT, markdown_table, setting
+from strategies import repro_seed
 
 
 def _durable():
@@ -124,6 +125,16 @@ def test_on_off_synonyms(word, value, monkeypatch):
     assert setting("REPRO_DELTA") == value
     monkeypatch.setenv("REPRO_TRACE", word)
     assert setting("REPRO_TRACE") == value
+
+
+def test_the_test_harness_reads_the_seed_as_the_library_does(monkeypatch):
+    monkeypatch.delenv("REPRO_SEED", raising=False)
+    assert repro_seed() is None  # unset: hypothesis stays unseeded
+    monkeypatch.setenv("REPRO_SEED", " 17 ")
+    assert repro_seed() == setting("REPRO_SEED") == 17
+    monkeypatch.setenv("REPRO_SEED", "0x11")
+    with pytest.warns(RuntimeWarning, match="REPRO_SEED='0x11'"):
+        assert repro_seed() == 0
 
 
 def test_trace_takes_any_other_text_as_a_path(monkeypatch):
