@@ -125,25 +125,28 @@ def test_e13_policy_cost(benchmark, policy_name, accounts):
 
 
 def test_e13_ablation_simplified_preconditions(benchmark):
-    """The concluding-remarks ablation: guards simplified under the invariant.
+    """The concluding-remarks ablation: guards exact under the invariant.
 
-    The workload's no-loop-preserving transactions get their guards reduced
-    (often to ``true``) by :class:`repro.core.BoundedSimplifier`; the policy
-    then evaluates strictly smaller formulas while still maintaining the
-    invariant.
+    Each program of tuple inserts and deletions is guarded by its shape's
+    guard (:func:`repro.core.simplification.shape_guard` — the derived
+    ``Delta``, often ``true`` or ``false``) bound to its constants instead of
+    by its ``wpc``; ``symmetrise`` has no shape and keeps its (folded)
+    ``wpc``.  The policy then evaluates strictly smaller formulas while still
+    maintaining the invariant.
     """
-    from repro.core import BoundedSimplifier
+    from repro.core.simplification import bind_slots, program_shape, shape_guard
 
     workload = build_workload(30, 10, seed=7)
-    constraints = attach_preconditions(workload)
-    simplifier = BoundedSimplifier(max_nodes=2)
-    original = constraints[0]
+    original = attach_preconditions(workload)[0]
     simplified_preconditions = {}
     reductions = []
-    for name, precondition in original.preconditions.items():
-        result = simplifier.simplify(NO_LOOPS, precondition)
-        simplified_preconditions[name] = result.simplified if result.verified else precondition
-        reductions.append(result.size_reduction)
+    for program in {p.name: p for p in workload}.values():
+        precondition = guard = original.preconditions[program.name]
+        if program_shape(program) is not None:
+            _source, slotted, values = shape_guard(program, NO_LOOPS)
+            guard = bind_slots(slotted, values)
+        simplified_preconditions[program.name] = guard
+        reductions.append(1.0 - guard.size() / precondition.size())
     simplified_constraint = Constraint(original.name, original.formula, simplified_preconditions)
     start = initial_database(10)
 

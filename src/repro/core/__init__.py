@@ -49,7 +49,7 @@ from .robust import (
     proposition5_constraint,
     robustness_check,
 )
-from .simplification import BoundedSimplifier, SimplificationResult, equivalent_under
+from .simplification import equivalent_under
 from .diagonal import (
     DiagonalConstruction,
     DiagonalTransaction,
@@ -97,8 +97,6 @@ __all__ = [
     "generic_prerelation_from_wpc",
     "proposition5_constraint",
     "robustness_check",
-    "BoundedSimplifier",
-    "SimplificationResult",
     "equivalent_under",
     "DiagonalConstruction",
     "DiagonalTransaction",

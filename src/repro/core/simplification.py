@@ -10,22 +10,12 @@ so instead of guarding with the full ``wpc(T, alpha)`` one may guard with any
 and a ``Delta`` much simpler than the weakest precondition often exists
 (cf. Nicolas [29], Qian [31] and the other constraint-simplification work the
 paper cites).  Finding such a ``Delta`` in general requires theorem proving;
-this module provides the *bounded* version that fits the rest of the
-reproduction:
-
-* :func:`equivalent_under` — check ``alpha |= (a <-> b)`` exhaustively on a
-  family of databases (all graphs up to a node bound by default);
-* :class:`BoundedSimplifier` — produce a candidate ``Delta`` by (1) syntactic
-  simplification, (2) pruning conjuncts/disjuncts that are redundant under the
-  invariant, and (3) trying the trivial candidates ``true`` / the constraint
-  itself; every candidate is *verified* against the family before being
-  returned, so the result is sound for every database in the family (and, like
-  the bounded ``Preserve`` procedures, heuristic beyond it);
-* :class:`SimplificationResult` — the chosen ``Delta`` with bookkeeping
-  (size/rank before and after, what was verified).
-
-Experiment E13's ablation uses this to quantify how much cheaper the guarded
-transaction becomes when the invariant is exploited.
+for a program of tuple inserts and deletions and a constraint in *denial
+form* (:func:`denial_form`) this module constructs one exactly, once per
+program shape (:func:`derived_guard`, :func:`shape_guard`), and
+:func:`equivalent_under` checks ``alpha |= (a <-> b)`` on a listed family of
+databases, as an oracle for such constructions.  Experiment E13's ablation
+compares each derived guard with the ``wpc`` it replaces.
 
 The same remark applies *after* the transaction: when the pre-state is known
 to satisfy a universal constraint, the post-state check may be any sentence
@@ -41,13 +31,12 @@ transaction service — call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..db.database import Database
 from ..db.delta import Delta
-from ..db.graph import all_graphs
 from ..engine.backend import active_backend
 from ..logic.evaluation import evaluate
 from ..logic.normalform import simplify as syntactic_simplify
@@ -77,8 +66,6 @@ from .wpc import WpcCalculator, WpcError, weakest_precondition
 
 __all__ = [
     "equivalent_under",
-    "SimplificationResult",
-    "BoundedSimplifier",
     "DenialForm",
     "denial_form",
     "holds_after_update",
@@ -103,128 +90,6 @@ def equivalent_under(
         if evaluate(left, db, signature=signature) != evaluate(right, db, signature=signature):
             return False
     return True
-
-
-@dataclass
-class SimplificationResult:
-    """The outcome of a bounded precondition simplification."""
-
-    original: Formula
-    simplified: Formula
-    invariant: Formula
-    family_size: int
-    verified: bool
-
-    @property
-    def size_reduction(self) -> float:
-        """Fraction of AST nodes removed (0.0 = nothing, 1.0 = everything)."""
-        original_size = self.original.size()
-        if original_size == 0:
-            return 0.0
-        return 1.0 - self.simplified.size() / original_size
-
-    def __repr__(self) -> str:
-        return (
-            f"SimplificationResult(size {self.original.size()} -> {self.simplified.size()}, "
-            f"rank {self.original.quantifier_rank()} -> {self.simplified.quantifier_rank()}, "
-            f"verified={self.verified})"
-        )
-
-
-class BoundedSimplifier:
-    """Simplify preconditions under an invariant, verifying on a bounded family.
-
-    Parameters
-    ----------
-    max_nodes:
-        The family used for verification is every graph with at most this many
-        nodes (the same bounded-exhaustiveness convention as the ``Preserve``
-        procedures); alternatively pass an explicit ``databases`` family.
-    """
-
-    def __init__(
-        self,
-        max_nodes: int = 3,
-        databases: Optional[Sequence[Database]] = None,
-        signature: Signature = EMPTY_SIGNATURE,
-    ):
-        if databases is not None:
-            self.databases: List[Database] = list(databases)
-        else:
-            self.databases = list(all_graphs(max_nodes))
-        self.signature = signature
-
-    # -- public API --------------------------------------------------------------
-
-    def simplify(self, invariant: Formula, precondition: Formula) -> SimplificationResult:
-        """A ``Delta`` with ``invariant |= (Delta <-> precondition)`` on the family."""
-        candidates = self._candidates(invariant, precondition)
-        best = precondition
-        for candidate in candidates:
-            if candidate.size() >= best.size():
-                continue
-            if equivalent_under(invariant, candidate, precondition, self.databases, self.signature):
-                best = candidate
-        verified = equivalent_under(
-            invariant, best, precondition, self.databases, self.signature
-        )
-        return SimplificationResult(
-            original=precondition,
-            simplified=best,
-            invariant=invariant,
-            family_size=len(self.databases),
-            verified=verified,
-        )
-
-    # -- candidate generation -------------------------------------------------------
-
-    def _candidates(self, invariant: Formula, precondition: Formula) -> List[Formula]:
-        candidates: List[Formula] = [TOP, invariant]
-        reduced = syntactic_simplify(precondition)
-        candidates.append(reduced)
-        candidates.extend(self._pruned_conjunctions(invariant, reduced))
-        candidates.extend(self._pruned_disjunctions(invariant, reduced))
-        return candidates
-
-    def _pruned_conjunctions(self, invariant: Formula, formula: Formula) -> List[Formula]:
-        """Drop conjuncts implied by the invariant (checked on the family)."""
-        if not isinstance(formula, And):
-            return []
-        kept = []
-        for part in formula.parts:
-            if not self._implied_by(invariant, part):
-                kept.append(part)
-        if len(kept) == len(formula.parts):
-            return []
-        return [make_and(*kept) if kept else TOP]
-
-    def _pruned_disjunctions(self, invariant: Formula, formula: Formula) -> List[Formula]:
-        """Drop disjuncts that are unsatisfiable together with the invariant."""
-        if not isinstance(formula, Or):
-            return []
-        kept = []
-        for part in formula.parts:
-            if self._satisfiable_with(invariant, part):
-                kept.append(part)
-        if len(kept) == len(formula.parts) or not kept:
-            return []
-        return [make_or(*kept)]
-
-    # -- bounded semantic checks ------------------------------------------------------
-
-    def _implied_by(self, invariant: Formula, formula: Formula) -> bool:
-        return all(
-            evaluate(formula, db, signature=self.signature)
-            for db in self.databases
-            if evaluate(invariant, db, signature=self.signature)
-        )
-
-    def _satisfiable_with(self, invariant: Formula, formula: Formula) -> bool:
-        return any(
-            evaluate(formula, db, signature=self.signature)
-            for db in self.databases
-            if evaluate(invariant, db, signature=self.signature)
-        )
 
 
 # ---------------------------------------------------------------------------

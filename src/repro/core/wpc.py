@@ -457,8 +457,11 @@ class PreservationVerdict:
     """How much run-time checking a (transaction, constraint) pair needs.
 
     The verdict is the currency of the service's admission controller
-    (:mod:`repro.service.admission`): it is computed **once** per registered
-    transaction shape and then consulted on every commit.
+    (:mod:`repro.service.admission`): it is computed **once** per program
+    shape (:func:`~repro.core.simplification.program_shape` — the program
+    with its constants factored into :class:`~repro.logic.terms.Param`
+    slots), the first time an instance of that shape arrives, and then
+    consulted for every later instance of the same shape.
 
     ``mode`` is one of
 
@@ -467,8 +470,10 @@ class PreservationVerdict:
       commits with **zero** runtime constraint work;
     * ``"guarded"`` — ``guard`` is the formula to evaluate on the *pre*-state
       (the derived ``Delta`` or the mechanical ``wpc``, both exact under the
-      invariant): if it fails the transaction is rejected before executing,
-      and nothing ever rolls back;
+      invariant), over the shape's slots: bound to an instance's constants
+      (:func:`~repro.core.simplification.bind_slots`) it is that instance's
+      guard; if it fails the transaction is rejected before executing, and
+      nothing ever rolls back;
     * ``"runtime"`` — no syntactic precondition is available (the transaction
       does not admit prerelations, or the constraint is semantic): the
       post-state must be checked, incrementally, before the commit is kept.
@@ -498,15 +503,17 @@ def classify_preservation(transaction, constraint) -> PreservationVerdict:
     constants so that the proof covers every instance of its shape.  The
     verdict is
 
-    * **static** when the guard simplifies to ``true`` — a proof, never a
-      sweep over a family of databases;
-    * **guarded** by the guard, bound to the transaction's constants,
-      otherwise;
+    * **static** when the guard simplifies to ``true`` — a proof for the
+      whole shape, never a sweep over a family of databases;
+    * **guarded** by the guard otherwise, left over the slots: ``bind_slots(
+      verdict.guard, program_shape(transaction)[1])`` is the transaction's
+      own guard (a program with no shape gets its own ``wpc``, with no
+      slots);
     * **runtime** when no syntactic precondition can be built (semantic
       constraints, transactions without prerelations) — the caller falls back
       to incremental post-state checking.
     """
-    from .simplification import bind_slots, shape_guard
+    from .simplification import shape_guard
 
     if not isinstance(constraint, Formula):
         return PreservationVerdict(
@@ -514,12 +521,12 @@ def classify_preservation(transaction, constraint) -> PreservationVerdict:
             "semantic constraint: no syntactic precondition exists",
         )
     try:
-        source, guard, values = shape_guard(transaction, constraint)
+        source, guard, _values = shape_guard(transaction, constraint)
     except (WpcError, FormulaError) as exc:
         return PreservationVerdict("runtime", None, None, str(exc))
     if simplify(guard) == TOP:
         return PreservationVerdict("static", TOP, source, f"the {source} guard is true")
     return PreservationVerdict(
-        "guarded", bind_slots(guard, values), source,
+        "guarded", guard, source,
         f"the {source} guard constrains the pre-state",
     )

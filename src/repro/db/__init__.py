@@ -49,7 +49,7 @@ from .engines import (
     StorageEngineError,
     engine_from_env,
 )
-from .storage import Store, StorageError, TransactionAborted, TransactionStats, WriteOp
+from .storage import Store, StorageError, TransactionStats, WriteOp
 from .wal import WalStorageEngine
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
     "engine_from_env",
     "Store",
     "StorageError",
-    "TransactionAborted",
     "TransactionStats",
     "WriteOp",
 ]

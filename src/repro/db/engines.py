@@ -1,8 +1,7 @@
 """The pluggable storage-engine layer beneath :class:`~repro.db.storage.Store`.
 
-The store splits into two layers: *up top*, the buffered write log, the
-read-your-own-writes overlay and the integrity checkers (unchanged, in
-:mod:`repro.db.storage`); *below*, a :class:`StorageEngine` that decides what
+The store splits into two layers: *up top*, the buffered write log and the
+read-your-own-writes overlay (in :mod:`repro.db.storage`); *below*, a :class:`StorageEngine` that decides what
 happens to each committed group-commit batch.  The engine is the durability
 boundary — the store acks a commit only after the engine accepted the batch.
 

@@ -10,9 +10,9 @@ transactions and must keep a set of integrity constraints true, either by
   (``if wpc(T, alpha) then T else abort``).
 
 This module provides the substrate both strategies run on: an in-memory,
-multi-relation store with snapshots, explicit transactions (begin / commit /
-rollback), write logging, and pluggable integrity-checking hooks.  The
-integrity-maintenance engine in :mod:`repro.core.maintenance` builds the two
+multi-relation store with snapshots, explicit transactions (begin /
+``commit_unchecked`` / rollback) and write logging; it checks no constraint
+itself.  The integrity-maintenance engine in :mod:`repro.core.maintenance` builds the two
 strategies on top of it and the E13 benchmark compares them; the concurrent
 transaction service in :mod:`repro.service` uses it as the canonical tail of
 its MVCC version chain.
@@ -38,7 +38,7 @@ transaction at a time) is unchanged.
 
 **Layering.**  Persistence lives *below* the store, behind the pluggable
 :class:`~repro.db.engines.StorageEngine` interface: the write log, the RYOW
-overlay and the integrity checkers stay up here, while every committed batch
+overlay stay up here, while every committed batch
 is offered to the engine — as one :class:`~repro.db.delta.Delta` — before the
 in-memory state mutates.  The default :class:`~repro.db.engines.MemoryEngine`
 keeps the historical everything-in-RAM behavior; the durable
@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -69,7 +68,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "StorageError",
-    "TransactionAborted",
     "WriteOp",
     "TransactionStats",
     "Store",
@@ -80,10 +78,6 @@ Row = Tuple[object, ...]
 
 class StorageError(RuntimeError):
     """Raised on misuse of the storage engine (no open transaction, etc.)."""
-
-
-class TransactionAborted(RuntimeError):
-    """Raised when a transaction is aborted (explicitly or by an integrity check)."""
 
 
 @dataclass(frozen=True)
@@ -112,14 +106,6 @@ class TransactionStats:
     committed: int = 0
     aborted: int = 0
     rolled_back_writes: int = 0
-    constraint_checks: int = 0
-    precondition_checks: int = 0
-    # wall time split by outcome: an aborted transaction's time used to be
-    # folded into the same counter as committed time, which silently inflated
-    # per-commit latency figures — the legacy ``wall_time`` view below sums
-    # both for readers that want the old total
-    committed_wall_time: float = 0.0
-    aborted_wall_time: float = 0.0
     # how each changing commit advanced the committed snapshot: a successor
     # state that already existed was promoted, or the snapshot had to be
     # re-patched under the store lock by the next reader (the degraded mode)
@@ -138,21 +124,11 @@ class TransactionStats:
         for name, amount in deltas.items():
             registry.counter(f"store.{name}").inc(amount)
 
-    @property
-    def wall_time(self) -> float:
-        """Total transaction wall time, committed and aborted combined."""
-        with self._lock:
-            return self.committed_wall_time + self.aborted_wall_time
-
     def reset(self) -> None:
         with self._lock:
             self.committed = 0
             self.aborted = 0
             self.rolled_back_writes = 0
-            self.constraint_checks = 0
-            self.precondition_checks = 0
-            self.committed_wall_time = 0.0
-            self.aborted_wall_time = 0.0
             self.snapshot_promoted = 0
             self.snapshot_repatched = 0
 
@@ -187,9 +163,10 @@ class Store:
     Outside a transaction, reads are allowed but writes raise
     :class:`StorageError`.  Inside a transaction, writes are buffered in the
     write log and overlaid on every read (read-your-own-writes); ``rollback``
-    simply discards the log, and ``commit`` folds it into the committed state
-    after running all registered integrity checkers against the tentative
-    state (raising :class:`TransactionAborted` if any of them rejects it).
+    simply discards the log, and :meth:`commit_unchecked` folds it into the
+    committed state.  Integrity is not checked here: the caller (the
+    service's admission, or a maintenance policy) decided what to check
+    before it commits.
 
     Each commit that changes the store advances :attr:`version`;
     :meth:`pin` atomically returns ``(version, committed snapshot)``, the
@@ -253,7 +230,6 @@ class Store:
         self._pending_del: Dict[str, Set[Row]] = {}
         # tentative (committed + pending) snapshot, cached by log length
         self._tentative: Optional[Tuple[int, Database]] = None
-        self._checkers: List[Tuple[str, Callable[[Database], bool]]] = []
         self.stats = TransactionStats()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -313,8 +289,8 @@ class Store:
         Never includes the open transaction's write log — this is the view a
         concurrent snapshot reader is allowed to see while a writer is
         mid-transaction.  Cached: a commit that came with its successor state
-        (the checkers' tentative snapshot, or the group-commit leader's final
-        state — see :meth:`commit_unchecked`) already promoted it, so this is
+        (the tentative snapshot a read inside the transaction built, or the
+        group-commit leader's final state — see :meth:`commit_unchecked`) already promoted it, so this is
         a field read.  Otherwise the cached snapshot is patched forward here,
         under the store lock, by the deltas committed since —
         ``Database.apply_delta``, which still copies each touched relation's
@@ -419,26 +395,6 @@ class Store:
         if not added and not removed:
             return rows
         return (rows - (removed or set())) | (added or set())
-
-    # -- integrity checkers --------------------------------------------------------
-
-    def register_checker(self, name: str, checker: Callable[[Database], bool]) -> None:
-        """Register an integrity checker run at commit time.
-
-        ``checker`` receives the tentative post-state as a :class:`Database`
-        and must return ``True`` to accept it.
-        """
-        with self._lock:
-            self._checkers.append((name, checker))
-
-    def clear_checkers(self) -> None:
-        with self._lock:
-            self._checkers.clear()
-
-    @property
-    def checker_names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(name for name, _fn in self._checkers)
 
     # -- transactions ----------------------------------------------------------------
 
@@ -554,12 +510,12 @@ class Store:
             return undone
 
     def commit_unchecked(self, successor: Optional[Database] = None) -> None:
-        """Commit the open transaction without running the integrity checkers.
+        """Commit the open transaction; the store checks no constraint.
 
-        Used by maintenance policies that have already established integrity
-        by other means (e.g. a weakest-precondition check before execution),
-        and by the service's group-commit pipeline, whose admission controller
-        decided per transaction how much checking was needed.
+        Integrity is the caller's: maintenance policies establish it before
+        they commit (a weakest-precondition check before execution, or a
+        post-state check), and the service's group-commit pipeline commits
+        what its admission controller let through.
 
         ``successor`` is the post-commit state, if the caller already built
         it (the group-commit leader holds ``current ⊕ batch``).  It becomes
@@ -574,48 +530,6 @@ class Store:
             self._require_transaction()
             self._commit_pending(successor)
             self.stats.add(committed=1)
-
-    def commit(self) -> None:
-        """Run integrity checkers and either commit or roll back."""
-        with self._lock:
-            self._require_transaction()
-            started = time.perf_counter()
-            state = self.snapshot()  # tentative: committed + pending writes
-            for name, checker in self._checkers:
-                self.stats.add(constraint_checks=1)
-                if not checker(state):
-                    self.rollback()
-                    self.stats.add(aborted_wall_time=time.perf_counter() - started)
-                    raise TransactionAborted(
-                        f"integrity constraint {name!r} violated"
-                    )
-            self._commit_pending()
-            self.stats.add(
-                committed=1, committed_wall_time=time.perf_counter() - started
-            )
-
-    def run(self, body: Callable[["Store"], None]) -> bool:
-        """Run ``body`` inside a transaction; returns ``True`` on commit.
-
-        Any :class:`TransactionAborted` raised by ``body`` or by commit-time
-        checking results in a rollback and ``False``.
-        """
-        self.begin()
-        try:
-            body(self)
-        except TransactionAborted:
-            if self.in_transaction:
-                self.rollback()
-            return False
-        except Exception:
-            if self.in_transaction:
-                self.rollback()
-            raise
-        try:
-            self.commit()
-        except TransactionAborted:
-            return False
-        return True
 
     # -- internal ------------------------------------------------------------------
 
@@ -649,7 +563,7 @@ class Store:
             promoted: Optional[Database] = None
             if self._snapshot is not None and not self._since_snapshot:
                 if self._tentative is not None and self._tentative[0] == len(log):
-                    # the tentative snapshot the checkers just saw *is* the
+                    # the tentative snapshot the last read saw *is* the
                     # new committed state
                     promoted = self._tentative[1]
                 elif (

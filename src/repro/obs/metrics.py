@@ -92,10 +92,6 @@ LEGACY_KEY_MAP: Dict[str, str] = {
     "committed": "store.committed",
     "aborted": "store.aborted",
     "rolled_back_writes": "store.rolled_back_writes",
-    "constraint_checks": "store.constraint_checks",
-    "precondition_checks": "store.precondition_checks",
-    "committed_wall_time": "store.committed_wall_time",
-    "aborted_wall_time": "store.aborted_wall_time",
     "snapshot_promoted": "store.snapshot_promoted",
     "snapshot_repatched": "store.snapshot_repatched",
     # ServiceStats.as_dict()

@@ -12,9 +12,9 @@ Quick orientation:
 
 * :mod:`repro.serve.protocol` — the HTTP/1.1-subset framing, the JSON bodies,
   and :class:`~repro.serve.protocol.WireTemplate`: declarative transaction
-  shapes registered over the wire, compiled into both the FOProgram the
-  admission controller classifies and the tracked closure each submission
-  executes;
+  shapes registered over the wire, compiled into both the FOProgram each
+  submission is judged by (admission classifies its shape) and the tracked
+  closure it executes;
 * :mod:`repro.serve.server` — :class:`~repro.serve.server.TransactionServer`
   (the event loop + worker pool) and :class:`~repro.serve.server.ServerThread`
   (the background harness tests and benchmarks embed);

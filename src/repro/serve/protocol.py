@@ -18,17 +18,18 @@ of insert/delete operations over rows whose cells are either JSON literals or
 string starting with a dollar).  One spec yields both artifacts the service
 needs:
 
-* an :class:`~repro.transactions.fo_transactions.FOProgram` factory — what
-  the admission controller classifies once against the integrity constraints
-  (static / guarded / runtime), unlocking the zero-check and guard-only
+* an :class:`~repro.transactions.fo_transactions.FOProgram` factory — the
+  program each submission is judged by: the admission controller classifies
+  its shape against the integrity constraints (static / guarded / runtime)
+  the first time the shape is seen, unlocking the zero-check and guard-only
   commit paths for wire transactions exactly as for in-process ones;
 * a tracked-closure factory — what each submission actually executes against
   its MVCC snapshot, so optimistic validation sees precise row-level
   footprints instead of opaque reads.
 
-Templates carry no guards: admission derives each (template, constraint)
-guard from the program and the constraint, and a spec that sends a
-``guards`` field is refused.
+Templates carry no guards and no samples: admission derives each
+(shape, constraint) guard from the program and the constraint, and a spec
+that sends a ``guards`` or ``samples`` field is refused.
 """
 
 from __future__ import annotations
@@ -196,22 +197,28 @@ def error_response(
 # wire transaction templates
 # ---------------------------------------------------------------------------
 
+def _check_cell(cell: object) -> None:
+    """Refuse a row cell at registration: a list or object, or a ``"$"``
+    cell that is neither an ``"$i"`` placeholder nor ``"$$"``-escaped."""
+    if isinstance(cell, (list, dict)):
+        raise ProtocolError(f"row cells must be scalars, got {cell!r}")
+    if isinstance(cell, str) and cell[:1] == "$" and cell[:2] != "$$":
+        if not cell[1:].isdigit():
+            raise ProtocolError(f"bad placeholder {cell!r}")
+
+
 def _resolve_cell(cell: object, params: Sequence[object]) -> object:
-    """One row cell: a ``"$i"`` placeholder, a ``"$$"``-escaped literal, or a literal."""
+    """One row cell: a ``"$i"`` placeholder, a ``"$$"``-escaped literal, or a
+    literal (cells passed :func:`_check_cell` at registration)."""
     if isinstance(cell, str) and cell.startswith("$"):
         if cell.startswith("$$"):
             return cell[1:]
-        try:
-            index = int(cell[1:])
-        except ValueError:
-            raise ProtocolError(f"bad placeholder {cell!r}") from None
-        if not 0 <= index < len(params):
+        index = int(cell[1:])
+        if index >= len(params):
             raise ProtocolError(
                 f"placeholder {cell!r} out of range for {len(params)} parameter(s)"
             )
         return params[index]
-    if isinstance(cell, (list, dict)):
-        raise ProtocolError(f"row cells must be scalars, got {cell!r}")
     return cell
 
 
@@ -244,6 +251,8 @@ def _parse_ops(raw_ops: object) -> Tuple[_WireOp, ...]:
             or not isinstance(spec[1], list)
         ):
             raise ProtocolError(f"op spec must be [relation, [row...]], got {spec!r}")
+        for cell in spec[1]:
+            _check_cell(cell)
         ops.append(_WireOp(kind, spec[0], tuple(spec[1])))
     return tuple(ops)
 
@@ -251,9 +260,9 @@ def _parse_ops(raw_ops: object) -> Tuple[_WireOp, ...]:
 class WireTemplate:
     """A wire-registered transaction shape: spec -> program factory + closure factory.
 
-    The two factories are built from the *same* declarative ops, so what
-    admission classified is exactly what submissions execute — the soundness
-    of the static/guarded fast paths depends on that equality.
+    The two factories are built from the *same* declarative ops, so the
+    program admission judges is exactly what a submission executes — the
+    soundness of the static/guarded fast paths depends on that equality.
     """
 
     def __init__(self, spec: object):
@@ -264,24 +273,14 @@ class WireTemplate:
             raise ProtocolError("template spec needs a non-empty 'name'")
         self.name = name
         self.ops = _parse_ops(spec.get("ops"))
-        raw_samples = spec.get("samples", [[]])
-        if not isinstance(raw_samples, list) or not raw_samples:
-            raise ProtocolError("'samples' must be a non-empty list of parameter lists")
-        samples: List[Tuple[object, ...]] = []
-        for sample in raw_samples:
-            if not isinstance(sample, list):
-                raise ProtocolError(f"each sample must be a list, got {sample!r}")
-            samples.append(tuple(sample))
-        self.samples = tuple(samples)
         if "guards" in spec:
             raise ProtocolError(
                 "'guards' is not a template field: guards are derived at registration"
             )
-        # every sample must instantiate every op (catches out-of-range
-        # placeholders at registration, not first submission)
-        for sample in self.samples:
-            for op in self.ops:
-                op.resolve(sample)
+        if "samples" in spec:
+            raise ProtocolError(
+                "'samples' is not a template field: verdicts are per instance shape"
+            )
 
     # -- the two artifacts ------------------------------------------------------
 
@@ -316,8 +315,8 @@ class WireTemplate:
         return work
 
     def admission_template(self) -> TransactionTemplate:
-        """The :class:`TransactionTemplate` the service classifies once."""
-        return TransactionTemplate(self.name, self.build_program, samples=self.samples)
+        """The :class:`TransactionTemplate` whose programs admission judges."""
+        return TransactionTemplate(self.name, self.build_program)
 
     def describe(self) -> Dict[str, object]:
         """The JSON-safe registration record (``GET /templates``)."""
@@ -326,5 +325,4 @@ class WireTemplate:
             "ops": [
                 {op.kind: [op.relation, list(op.row)]} for op in self.ops
             ],
-            "samples": [list(sample) for sample in self.samples],
         }

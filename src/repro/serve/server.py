@@ -423,20 +423,12 @@ class TransactionServer:
                         f"template {template.name!r} is already registered "
                         "with a different shape"
                     )
-            # classification is idempotent per name inside the controller,
-            # so a concurrent duplicate registration is merely redundant work
-            verdicts = self.service.register(template.admission_template())
+            # registration is idempotent per name inside the controller, and
+            # classifies nothing: each submission is judged by its own shape
+            self.service.register(template.admission_template())
             with self._templates_lock:
                 self._templates[template.name] = template
-            return json_response(
-                200,
-                {
-                    "registered": template.name,
-                    "verdicts": {
-                        name: verdict.mode for name, verdict in verdicts.items()
-                    },
-                },
-            )
+            return json_response(200, {"registered": template.name})
 
     def _execute_txn(self, requests: List[Request]) -> List[bytes]:
         """Every ``/txn`` of one batch, committed through one ``execute_many``.
@@ -498,10 +490,8 @@ class TransactionServer:
                 template.tracked_work(params), name, params, tag, deadline, context
             )
         if "ops" in payload:
-            # ad-hoc transaction: no admission verdicts, runtime checks
-            anonymous = WireTemplate(
-                {"name": "_adhoc", "ops": payload["ops"], "samples": [[]]}
-            )
+            # ad-hoc transaction: no registered program, runtime checks
+            anonymous = WireTemplate({"name": "_adhoc", "ops": payload["ops"]})
             return TxnItem(
                 anonymous.tracked_work(()), tag=tag, deadline=deadline,
                 context=context,
@@ -597,39 +587,20 @@ def _outcome_payload(outcome: TxnOutcome) -> Dict[str, object]:
 def standard_wire_templates() -> List[WireTemplate]:
     """The standard referral-graph templates, re-expressed as wire specs.
 
-    The names and shapes match :func:`repro.service.workloads.
-    standard_templates` exactly, so the process-wide admission controller's
-    cached verdicts apply to wire submissions too — and conversely, a server
-    that pre-registers these serves the same admission fast paths a remote
-    ``POST /templates`` would have produced.
+    The names and programs match :func:`repro.service.workloads.
+    standard_templates`, so a server that pre-registers these serves the
+    same admission fast paths a remote ``POST /templates`` would have
+    produced.
     """
     return [
-        WireTemplate(
-            {
-                "name": "link-forward",
-                "ops": [{"insert": ["E", ["$0", "$1"]]}],
-                "samples": [[0, 1], [1, 2]],
-            }
-        ),
-        WireTemplate(
-            {
-                "name": "unlink",
-                "ops": [{"delete": ["E", ["$0", "$1"]]}],
-                "samples": [[0, 1], [2, 1]],
-            }
-        ),
-        WireTemplate(
-            {
-                "name": "add-edge",
-                "ops": [{"insert": ["E", ["$0", "$1"]]}],
-                "samples": [[0, 1], [1, 0], [2, 2]],
-            }
-        ),
+        WireTemplate({"name": "link-forward", "ops": [{"insert": ["E", ["$0", "$1"]]}]}),
+        WireTemplate({"name": "unlink", "ops": [{"delete": ["E", ["$0", "$1"]]}]}),
+        WireTemplate({"name": "add-edge", "ops": [{"insert": ["E", ["$0", "$1"]]}]}),
     ]
 
 
 def preregister(server: TransactionServer) -> None:
-    """Classify and install the standard wire templates on ``server``."""
+    """Register and install the standard wire templates on ``server``."""
     for wire in standard_wire_templates():
         server.service.register(wire.admission_template())
         with server._templates_lock:

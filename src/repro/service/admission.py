@@ -1,13 +1,18 @@
-"""WPC-verified admission: decide once how much checking each commit needs.
+"""WPC-verified admission: each program's constraint work, decided by its shape.
 
-The paper's point, turned into a serving-layer fast path: for a *registered*
-transaction shape the constraint work of its commits is decided **once**,
-and every subsequent commit of that shape consults a per-``(transaction,
-constraint)`` verdict cache instead of doing constraint work:
+The paper's point, turned into a serving-layer fast path.  A commit's
+constraint work is decided by the *program* it runs — ``template.build(
+*params)`` for an item of a registered template, the transaction itself for
+a bare :class:`~repro.transactions.base.Transaction` — and a verdict belongs
+to the program's **shape**: the program with its constants factored into
+:class:`~repro.logic.terms.Param` slots
+(:func:`repro.core.simplification.program_shape`).  ``link-forward(a, b)``
+and ``add-edge(a, b)`` with ``a != b`` are one shape whatever their names;
+``add-edge(a, a)`` is another.  Per (shape, constraint):
 
-* **static** — the shape's guard is ``true``, a proof that it preserves the
-  constraint from any consistent state, so its commits run with *zero*
-  runtime constraint checks;
+* **static** — the shape's guard is ``true``, a proof that every instance
+  preserves the constraint from any consistent state, so its commits run
+  with *zero* runtime constraint checks;
 * **guarded** — a pre-state guard is evaluated at commit time; a failing
   guard rejects the transaction before it touches the store, so nothing is
   ever rolled back;
@@ -15,27 +20,26 @@ constraint)`` verdict cache instead of doing constraint work:
   post-state checking (the :class:`RuntimeCheckPolicy` strategy: at the
   inserted rows for a constraint in denial form, in full otherwise).
 
-Shapes are registered as **templates**: a builder producing an
-:class:`~repro.transactions.fo_transactions.FOProgram` instance per parameter
-tuple, plus sample parameters.  Each sample is classified by
-:func:`repro.core.wpc.classify_preservation`, the *most conservative*
-verdict winning: its guard is the paper's closing-remark ``Delta`` for a
-program of tuple inserts and deletions and a constraint in denial form
+The first instance of a shape is classified by
+:func:`repro.core.wpc.classify_preservation` against every constraint — its
+guard is the paper's closing-remark ``Delta`` for a program of tuple inserts
+and deletions and a constraint in denial form
 (:func:`repro.core.simplification.derived_guard`), the mechanical ``wpc``
-otherwise — both exact under the invariant — and the verdict is ``static``
-only when that guard is ``true``.  The same guard is computed once per
-(template, constraint, shape of the instance's constants) and bound to each
-instance's constants.
+otherwise, both exact under the invariant and both over the shape's slots.
+Mode, slotted guard and source are cached under the shape; every later
+instance costs one dictionary read and :func:`bind_slots`.  A program with no
+shape is classified on its own, every time.  Templates carry only a name and
+a builder: registering one classifies nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.maintenance import Constraint
-from ..core.simplification import bind_slots, program_shape, shape_guard
-# the classification of every sample (wrapped by bench/spans.py)
+from ..core.simplification import bind_slots, program_shape
+# the classification of each new shape (wrapped by bench/spans.py)
 from ..core.wpc import PreservationVerdict, classify_preservation
 # the mechanical wpc /stats compares each guard with (wrapped by bench/spans.py)
 from ..core.wpc import WpcError, weakest_precondition
@@ -43,12 +47,9 @@ from ..logic.syntax import Formula, FormulaError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..transactions.base import Transaction
-from .snapshots import ServiceError
+from ..transactions.fo_transactions import FOProgram, InsertTuple
 
 __all__ = ["TransactionTemplate", "AdmissionController"]
-
-#: severity order used when samples of one template disagree
-_MODE_RANK = {"static": 0, "guarded": 1, "runtime": 2}
 
 
 class TransactionTemplate:
@@ -56,55 +57,42 @@ class TransactionTemplate:
 
     ``build(*params)`` must return the transaction instance (usually an
     :class:`FOProgram`, anything :func:`weakest_precondition` accepts) for one
-    parameter tuple; ``samples`` are representative parameter tuples used for
-    classification — supply one per qualitatively different instance shape.
+    parameter tuple: the program admission judges when a callable is
+    submitted under the template's name.
     """
 
-    def __init__(
-        self,
-        name: str,
-        build: Callable[..., Transaction],
-        samples: Sequence[Tuple] = ((),),
-    ):
-        if not samples:
-            raise ServiceError(f"template {name!r} needs at least one sample")
+    def __init__(self, name: str, build: Callable[..., Transaction]):
         self.name = name
         self.build = build
-        self.samples = tuple(tuple(s) for s in samples)
 
     def __repr__(self) -> str:
-        return f"TransactionTemplate({self.name!r}, samples={len(self.samples)})"
+        return f"TransactionTemplate({self.name!r})"
 
 
-class _Pair:
-    """What registration decided for one (template, constraint) pair."""
+class _Shape:
+    """What the first instance of one program shape decided."""
 
-    __slots__ = ("mode", "source", "guards", "wpcs")
+    __slots__ = ("program", "verdicts", "wpcs")
 
-    def __init__(self, mode: str, source: str, guards: List[Formula]):
-        self.mode = mode
-        self.source = source  # "derived" or "wpc"
-        self.guards = guards  # per sample: the guard registration computed
-        self.wpcs: Optional[List[Formula]] = None  # per sample, on first stats()
+    def __init__(self, program: FOProgram, verdicts: Dict[str, PreservationVerdict]):
+        self.program = program  # the shape itself: the program over its slots
+        self.verdicts = verdicts  # per constraint name, guards over the slots
+        self.wpcs: Optional[Dict[str, Optional[Formula]]] = None  # on first stats()
 
 
 class AdmissionController:
-    """Classify registered transaction shapes against the service's constraints.
+    """Classify program shapes against the service's constraints.
 
-    Thread-safe; classification happens at registration time (offline, the
-    point of static verification), lookups at commit time are dictionary
-    reads.  Guard formulas for *guarded* verdicts are computed once per
-    (template, constraint, shape of the instance's constants) and bound to
-    each instance's constants.
+    Thread-safe.  :meth:`register` records a template's builder;
+    :meth:`guard_for` judges one program, classifying its shape the first
+    time it is seen and reading the cache afterwards.
     """
 
     def __init__(self, constraints: Sequence[Constraint]):
         self.constraints = list(constraints)
         self._lock = threading.Lock()
         self._templates: Dict[str, TransactionTemplate] = {}
-        self._verdicts: Dict[str, Dict[str, PreservationVerdict]] = {}
-        self._pairs: Dict[Tuple[str, str], _Pair] = {}
-        self._guard_cache: Dict[Tuple[str, str, Tuple], Formula] = {}
+        self._shapes: Dict[Tuple[object, ...], _Shape] = {}
         # bookkeeping for reports/benchmarks (mirrored into the metrics
         # registry under service.admission.* — docs/observability.md)
         self.classified = 0
@@ -115,88 +103,112 @@ class AdmissionController:
             "service.admission.guard_cache_hits"
         )
 
-    # -- registration (offline) --------------------------------------------------
+    # -- registration --------------------------------------------------------------
 
     # the registration span of the traced benchmark (wrapped by bench/spans.py)
-    def register(self, template: TransactionTemplate) -> Dict[str, PreservationVerdict]:
-        """Classify ``template`` against every constraint; returns the verdicts.
+    def register(self, template: TransactionTemplate) -> None:
+        """Record ``template``'s builder under its name; classifies nothing.
 
-        Idempotent per template name.  Nothing is written into the
-        constraints' precondition tables: a precondition belongs to one
-        transaction instance, not to a template's name.
+        Idempotent per name: the first template registered under a name
+        keeps it.
         """
         with self._lock:
-            cached = self._verdicts.get(template.name)
-            if cached is not None:
-                return dict(cached)
-        verdicts: Dict[str, PreservationVerdict] = {}
-        pairs: Dict[Tuple[str, str], _Pair] = {}
-        with _trace.span("service.admission.classify", template=template.name):
-            for constraint in self.constraints:
-                verdicts[constraint.name], pairs[(template.name, constraint.name)] = (
-                    self._classify(template, constraint)
-                )
+            self._templates.setdefault(template.name, template)
+
+    def template(self, name: Optional[str]) -> Optional[TransactionTemplate]:
+        """The template registered under ``name`` (``None`` if unknown)."""
         with self._lock:
-            self._templates[template.name] = template
-            self._verdicts[template.name] = verdicts
-            self._pairs.update(pairs)
+            return self._templates.get(name)
+
+    # -- per-request verdicts (the caller's thread) --------------------------------
+
+    # the per-request verdict lookup of the traced benchmark (wrapped by bench/spans.py)
+    def guard_for(self, program: Transaction) -> Dict[str, PreservationVerdict]:
+        """``program``'s verdict for every constraint, by constraint name.
+
+        A *guarded* verdict carries the program's own guard: its shape's,
+        bound to its constants.  The shape is classified the first time one
+        of its instances arrives; a program :func:`program_shape` rejects is
+        classified on its own, uncached.
+        """
+        shape = program_shape(program)
+        if shape is None:
+            return {
+                constraint.name: classify_preservation(program, constraint.formula)
+                for constraint in self.constraints
+            }
+        key, values = shape
+        entry = self._shapes.get(key)
+        if entry is None:
+            entry = self._classify(program, key)
+        else:
+            with self._lock:
+                self.guard_cache_hits += 1
+            self._m_guard_cache_hits.inc()
+        return {
+            name: verdict
+            if verdict.mode != "guarded"
+            else PreservationVerdict(
+                "guarded", bind_slots(verdict.guard, values), verdict.source,
+                verdict.reason,
+            )
+            for name, verdict in entry.verdicts.items()
+        }
+
+    def _classify(self, program: Transaction, key: Tuple[object, ...]) -> _Shape:
+        """Classify the shape ``key`` of ``program`` against every constraint."""
+        schema, statements = key
+        with _trace.span("service.admission.classify", shape=_render(statements)):
+            verdicts = {
+                constraint.name: classify_preservation(program, constraint.formula)
+                for constraint in self.constraints
+            }
+        slotted = FOProgram(statements, schema=schema, signature=program.signature)
+        with self._lock:
+            entry = self._shapes.get(key)
+            if entry is not None:  # another caller classified it meanwhile
+                return entry
+            entry = self._shapes[key] = _Shape(slotted, verdicts)
             self.classified += len(verdicts)
         self._m_classified.inc(len(verdicts))
-        return dict(verdicts)
+        return entry
 
-    def _classify(
-        self, template: TransactionTemplate, constraint: Constraint
-    ) -> Tuple[PreservationVerdict, _Pair]:
-        """One (template, constraint) verdict: the worst sample's
-        :func:`classify_preservation`."""
-        verdicts = [
-            classify_preservation(template.build(*params), constraint.formula)
-            for params in template.samples
-        ]
-        worst = max(verdicts, key=lambda verdict: _MODE_RANK[verdict.mode])
-        derived = all(verdict.source == "derived" for verdict in verdicts)
-        guards = [verdict.guard for verdict in verdicts if verdict.guard is not None]
-        return worst, _Pair(worst.mode, "derived" if derived else "wpc", guards)
-
-    # -- commit-time lookups (hot path) -------------------------------------------
-
-    def verdicts_for(
-        self, template_name: Optional[str]
-    ) -> Optional[Mapping[str, PreservationVerdict]]:
-        """The cached verdicts of a registered template (``None`` if unknown)."""
-        if template_name is None:
-            return None
-        with self._lock:
-            return self._verdicts.get(template_name)
+    # -- observability -------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """Classification bookkeeping (part of the merged observability view).
 
-        ``guards`` lists, per (template, constraint), the verdict's ``mode``,
-        where its guard comes from (``source``: ``derived`` or ``wpc``), and
-        the largest size and quantifier rank among the samples' guards next
-        to their mechanical ``wpc``'s — computed on the first call, not at
-        registration.
+        ``guards`` lists, per classified (shape, constraint), the verdict's
+        ``mode``, where its guard comes from (``source``: ``derived`` or
+        ``wpc``), and the size and quantifier rank of the shape's guard next
+        to its mechanical ``wpc``'s — computed on the first call, not at
+        classification.
         """
         with self._lock:
-            templates = dict(self._templates)
-            pairs = dict(self._pairs)
+            shapes = list(self._shapes.values())
         rows = []
-        for (template_name, constraint_name), pair in sorted(pairs.items()):
-            if pair.wpcs is None:
-                pair.wpcs = self._mechanical(templates[template_name], constraint_name)
-            rows.append(
-                {
-                    "template": template_name,
-                    "constraint": constraint_name,
-                    "mode": pair.mode,
-                    "source": pair.source,
-                    "guard_size": max((g.size() for g in pair.guards), default=0),
-                    "guard_rank": max((g.quantifier_rank() for g in pair.guards), default=0),
-                    "wpc_size": max((w.size() for w in pair.wpcs), default=0),
-                    "wpc_rank": max((w.quantifier_rank() for w in pair.wpcs), default=0),
+        for entry in shapes:
+            if entry.wpcs is None:
+                entry.wpcs = {
+                    constraint.name: _mechanical(entry.program, constraint)
+                    for constraint in self.constraints
                 }
-            )
+            shape = _render(entry.program.statements)
+            for name, verdict in entry.verdicts.items():
+                guard, wpc = verdict.guard, entry.wpcs.get(name)
+                rows.append(
+                    {
+                        "shape": shape,
+                        "constraint": name,
+                        "mode": verdict.mode,
+                        "source": verdict.source,
+                        "guard_size": guard.size() if guard is not None else 0,
+                        "guard_rank": guard.quantifier_rank() if guard is not None else 0,
+                        "wpc_size": wpc.size() if wpc is not None else 0,
+                        "wpc_rank": wpc.quantifier_rank() if wpc is not None else 0,
+                    }
+                )
+        rows.sort(key=lambda row: (row["shape"], row["constraint"]))
         with self._lock:
             return {
                 "templates": len(self._templates),
@@ -205,56 +217,30 @@ class AdmissionController:
                 "guards": rows,
             }
 
-    def _mechanical(self, template: TransactionTemplate, constraint_name: str) -> List[Formula]:
-        """The mechanical ``wpc`` of each sample (none for a semantic constraint)."""
-        constraint = next(c for c in self.constraints if c.name == constraint_name)
-        if not isinstance(constraint.formula, Formula):
-            return []
-        try:
-            return [
-                weakest_precondition(template.build(*params), constraint.formula)
-                for params in template.samples
-            ]
-        except (WpcError, FormulaError):  # no prerelations: checked at run time
-            return []
-
-    # the per-instance guard lookup of the traced benchmark (wrapped by bench/spans.py)
-    def guard_for(
-        self, template_name: str, constraint: Constraint, params: Tuple
-    ) -> Formula:
-        """The pre-state guard for one *guarded* instance.
-
-        The guard of the instance's shape — :func:`shape_guard`'s, the one
-        classification decides by — is computed once per (template,
-        constraint, shape) and bound to ``params``' constants; a program
-        whose constants cannot be factored into slots gets its own ``wpc``
-        every time.
-        """
-        with self._lock:
-            template = self._templates.get(template_name)
-        if template is None:
-            raise ServiceError(f"template {template_name!r} is not registered")
-        program = template.build(*params)
-        shape = program_shape(program)
-        if shape is None:  # no slots to bind: the instance's own guard
-            return shape_guard(program, constraint.formula)[1]
-        key, values = shape
-        cache_key = (template_name, constraint.name, key)
-        with self._lock:
-            guard = self._guard_cache.get(cache_key)
-            if guard is not None:
-                self.guard_cache_hits += 1
-        if guard is not None:
-            self._m_guard_cache_hits.inc()
-            return bind_slots(guard, values)
-        guard = shape_guard(program, constraint.formula)[1]
-        with self._lock:
-            self._guard_cache[cache_key] = guard
-        return bind_slots(guard, values)
-
     def __repr__(self) -> str:
         with self._lock:
             return (
                 f"AdmissionController(templates={sorted(self._templates)}, "
+                f"shapes={len(self._shapes)}, "
                 f"constraints={[c.name for c in self.constraints]})"
             )
+
+
+def _mechanical(program: FOProgram, constraint: Constraint) -> Optional[Formula]:
+    """The mechanical ``wpc`` of a shape (``None`` when there is none)."""
+    if not isinstance(constraint.formula, Formula):
+        return None
+    try:
+        return weakest_precondition(program, constraint.formula)
+    except (WpcError, FormulaError):  # no prerelations: checked at run time
+        return None
+
+
+def _render(statements: Sequence[object]) -> str:
+    """A shape's statements, one line: ``insert E($0, $1)``, ``delete ...``."""
+    return "; ".join(
+        f"insert {s.relation}({', '.join(map(str, s.terms))})"
+        if type(s) is InsertTuple
+        else f"delete {s.relation}({', '.join(s.variables)}) where {s.condition}"
+        for s in statements
+    )

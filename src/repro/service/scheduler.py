@@ -35,9 +35,14 @@ multi-client transaction processor.  The lifecycle of one client transaction:
    which cannot conflict, so every transaction terminates.
 
 Admission (see :mod:`repro.service.admission`) decides the constraint work
-per request: ``static`` shapes commit with zero checks, ``guarded`` shapes
-get one pre-state guard evaluation (no rollback ever), everything else gets
-a post-state check — at the rows the request inserted for a constraint in
+per request, by the shape of the program it runs: the caller's thread builds
+that program once — ``template.build(*params)`` for a template item, the
+transaction itself for a bare :class:`Transaction` — and takes its verdicts
+from :meth:`AdmissionController.guard_for` before the request is queued, so
+the leader only reads them.  ``static`` shapes commit with zero checks,
+``guarded`` shapes get one pre-state guard evaluation (no rollback ever),
+everything else — a callable with no registered template included — gets a
+post-state check: at the rows the request inserted for a constraint in
 denial form (:func:`~repro.core.simplification.holds_after_update`; the
 invariant that assumes is established by one full check the first time such
 a request arrives), of the whole constraint otherwise.
@@ -59,13 +64,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 from .. import faults as _faults
 from ..core.maintenance import Constraint
 from ..core.simplification import holds_after_update
+from ..core.wpc import PreservationVerdict
 from ..db.database import Database
 from ..db.delta import Delta
 from ..db.engines import StorageEngineError
 from ..db.storage import Store
 from ..engine.backend import Backend, active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
-from ..logic.syntax import BOTTOM, TOP, Formula
+from ..logic.syntax import BOTTOM
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..settings import current as current_settings
@@ -227,17 +233,19 @@ class TxnItem(NamedTuple):
 
 class _CommitRequest:
     __slots__ = (
-        "handle", "delta", "template", "params", "work", "serial", "tag",
+        "handle", "delta", "template", "verdicts", "work", "serial", "tag",
         "deadline", "done", "status", "reason", "version", "retryable", "error",
     )
 
     def __init__(
-        self, handle, delta, template, params, work, serial, tag=None, deadline=None
+        self, handle, delta, template, verdicts, work, serial, tag=None, deadline=None
     ):
         self.handle = handle
         self.delta = delta
         self.template = template
-        self.params = params
+        #: per constraint name, the verdict for the request's program (empty:
+        #: every constraint checked at run time)
+        self.verdicts = verdicts
         self.work = work
         self.serial = serial
         self.tag = tag
@@ -288,10 +296,11 @@ class TransactionService:
 
     ``store`` may be a :class:`Store` or a plain :class:`Database` (wrapped).
     ``constraints`` are maintained across every commit; *how* each commit
-    pays for them is decided by the admission controller — register
-    transaction templates with :meth:`register` to unlock the static and
-    guarded fast paths.  Commits bypass the store's own checker hooks
-    (``commit_unchecked``) because admission already decided the checking.
+    pays for them is decided by the admission controller from the shape of
+    the program the commit runs — register transaction templates with
+    :meth:`register` so that callables submitted under a template's name
+    have a program to judge.  The store only applies what admission let
+    through (``commit_unchecked``).
     """
 
     def __init__(
@@ -359,9 +368,9 @@ class TransactionService:
 
     # -- registration and reads ----------------------------------------------------
 
-    def register(self, template: TransactionTemplate):
-        """Classify a transaction template once; returns its verdicts."""
-        return self.admission.register(template)
+    def register(self, template: TransactionTemplate) -> None:
+        """Record a transaction template's builder (see :mod:`.admission`)."""
+        self.admission.register(template)
 
     def begin(self) -> SnapshotTransaction:
         """A fresh tracked handle pinned to the committed head (for ad-hoc use)."""
@@ -391,8 +400,9 @@ class TransactionService:
         ``work`` is either a callable taking a :class:`SnapshotTransaction`
         (the tracked API — precise conflict detection) or a paper-style
         :class:`Transaction` (opaque reads — validated conservatively).
-        ``template``/``params`` name a registered admission template; without
-        them every constraint is checked at runtime.
+        A transaction is judged by its own shape; a callable by the program
+        the registered template ``template`` builds from ``params``, and
+        without one every constraint is checked at runtime.
 
         Conflicts are retried internally against fresh snapshots; after
         ``max_retries`` optimistic rounds the transaction is executed by the
@@ -462,23 +472,18 @@ class TransactionService:
         """One item's life: yields each :class:`_CommitRequest` to commit (and
         reads its outcome when resumed) or a monotonic instant to sleep until;
         returns the :class:`TxnOutcome`."""
-        work, template, params = item.work, item.template, item.params
+        work, template = item.work, item.template
         if isinstance(work, Transaction):
-            transaction = work
-            if template is None and not params:
-                # auto-adopt the transaction's registered verdicts only when
-                # they are all static: guarded verdicts need the instance
-                # parameters to build their guard, which a bare Transaction
-                # does not carry — those run with runtime verification unless
-                # the caller passes template/params explicitly
-                verdicts = self.admission.verdicts_for(transaction.name)
-                if verdicts and all(v.mode == "static" for v in verdicts.values()):
-                    template = transaction.name
+            program = transaction = work
             work = lambda handle: handle.apply(transaction)  # noqa: E731
+        else:
+            registered = self.admission.template(template)
+            program = registered.build(*item.params) if registered is not None else None
+        verdicts = self.admission.guard_for(program) if program is not None else {}
         self.stats.add(submitted=1)
         with _trace.span("service.txn", template=template) as txn_span:
             outcome = yield from self._attempts(
-                work, template, params, item.tag, item.deadline
+                work, template, verdicts, item.tag, item.deadline
             )
             txn_span.annotate(status=outcome.status, attempts=outcome.attempts)
         return outcome
@@ -487,7 +492,7 @@ class TransactionService:
         self,
         work: Callable[[SnapshotTransaction], object],
         template: Optional[str],
-        params: Tuple,
+        verdicts: Dict[str, PreservationVerdict],
         tag: Optional[object],
         deadline: Optional[float],
     ):
@@ -509,7 +514,7 @@ class TransactionService:
                     template, attempts - 1, self.max_retries,
                 )
                 request = _CommitRequest(
-                    None, Delta(), template, params, work, True, tag, deadline
+                    None, Delta(), template, verdicts, work, True, tag, deadline
                 )
             else:
                 with _trace.span("service.txn_attempt", attempt=attempts):
@@ -528,7 +533,7 @@ class TransactionService:
                         "committed", version=handle.version, attempts=attempts
                     )
                 request = _CommitRequest(
-                    handle, delta, template, params, work, False, tag, deadline
+                    handle, delta, template, verdicts, work, False, tag, deadline
                 )
             yield request
             if request.error is not None:
@@ -802,28 +807,21 @@ class TransactionService:
                 return None
             delta = request.delta
 
-        verdicts = self.admission.verdicts_for(request.template)
         runtime_checks: List[Constraint] = []
         for constraint in self.constraints:
-            verdict = verdicts.get(constraint.name) if verdicts else None
+            verdict = request.verdicts.get(constraint.name)
             mode = verdict.mode if verdict is not None else "runtime"
             if mode == "static":
                 self.stats.add(static_skips=1)
                 continue
             if mode == "guarded":
-                guard = self.admission.guard_for(
-                    request.template, constraint, request.params
-                )
+                guard = verdict.guard
                 self.stats.add(guard_checks=1)
-                if guard == TOP or guard == BOTTOM:
-                    ok = guard == TOP  # decided by the shape alone
-                else:
-                    ok = (
-                        self.backend.evaluate(guard, running, signature=self.signature)
-                        if isinstance(guard, Formula)
-                        else guard.holds(running)
-                    )
-                if not ok:
+                # a guard false for the whole shape (a loop under no-loops)
+                # decides with no evaluation
+                if guard == BOTTOM or not self.backend.evaluate(
+                    guard, running, signature=self.signature
+                ):
                     request.status = "rejected"
                     request.reason = f"guard of {constraint.name!r} failed on the pre-state"
                     return None
@@ -871,10 +869,6 @@ class TransactionService:
                 "committed": store_stats.committed,
                 "aborted": store_stats.aborted,
                 "rolled_back_writes": store_stats.rolled_back_writes,
-                "constraint_checks": store_stats.constraint_checks,
-                "precondition_checks": store_stats.precondition_checks,
-                "committed_wall_time": store_stats.committed_wall_time,
-                "aborted_wall_time": store_stats.aborted_wall_time,
                 "snapshot_promoted": store_stats.snapshot_promoted,
                 "snapshot_repatched": store_stats.snapshot_repatched,
             }

@@ -153,13 +153,15 @@ def standard_templates() -> List[TransactionTemplate]:
     * ``add-edge`` — insert an *arbitrary* edge (loops and back-edges
       included): guarded for both constraints.
 
-    The guards are derived at registration
+    The verdicts belong to each instance's shape, not to these names: a
+    ``link-forward`` loop is judged as the loop it is.  The guards are
+    derived when a shape is first seen
     (:func:`repro.core.simplification.derived_guard`), not written here.
     """
     return [
-        TransactionTemplate("link-forward", _link_forward_program, samples=((0, 1), (1, 2))),
-        TransactionTemplate("unlink", _unlink_program, samples=((0, 1), (2, 1))),
-        TransactionTemplate("add-edge", _insert_edge_program, samples=((0, 1), (1, 0), (2, 2))),
+        TransactionTemplate("link-forward", _link_forward_program),
+        TransactionTemplate("unlink", _unlink_program),
+        TransactionTemplate("add-edge", _insert_edge_program),
     ]
 
 
@@ -182,12 +184,11 @@ _ADMISSION: Optional[Tuple["AdmissionController", List[Constraint]]] = None
 
 
 def _standard_admission() -> Tuple["AdmissionController", List[Constraint]]:
-    """One classified admission controller per process.
+    """One admission controller per process.
 
-    Classification is the *offline* part of static verification (a bounded
-    sweep per (template, constraint, sample)), so every service built by
-    :func:`build_service` shares a single controller — the verdict cache is
-    exactly as reusable as a prepared-statement cache.
+    A shape's classification is paid once, by its first instance, so every
+    service built by :func:`build_service` shares a single controller — the
+    verdict cache is exactly as reusable as a prepared-statement cache.
     """
     global _ADMISSION
     with _ADMISSION_LOCK:
@@ -210,10 +211,10 @@ def build_service(
 ) -> TransactionService:
     """A service over ``initial`` with the standard constraints and templates.
 
-    The WPC classification of the standard templates is computed once per
-    process and shared (see :func:`_standard_admission`), so repeated
-    ``build_service`` calls — one per test, one per benchmark phase — pay for
-    admission verdicts exactly once.  The service evaluates on the ambient
+    The admission controller and its per-shape verdicts are shared per
+    process (see :func:`_standard_admission`), so repeated ``build_service``
+    calls — one per test, one per benchmark phase — classify each shape
+    exactly once.  The service evaluates on the ambient
     backend.
 
     ``engine`` selects the store's :class:`~repro.db.engines.StorageEngine`

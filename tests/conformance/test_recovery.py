@@ -15,7 +15,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,7 +113,7 @@ class TestKillAndRecover:
 
 
 class TestRecoveredStoreBehaviour:
-    """Post-recovery semantics: checkers, RYOW and unchecked commits."""
+    """Post-recovery semantics: RYOW and unchecked commits."""
 
     def _recovered_pair(self, directory):
         store = Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
@@ -125,37 +124,11 @@ class TestRecoveredStoreBehaviour:
         store.engine.crash()
         return Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
 
-    def test_reregistered_checkers_see_recovered_state(self, tmp_path):
-        recovered = self._recovered_pair(str(tmp_path))
-        seen = []
-        recovered.register_checker(
-            "spy", lambda db: (seen.append(db), True)[1]
-        )
-        recovered.begin()
-        recovered.insert("E", (3, 4))
-        recovered.commit()
-        # the checker ran against recovered-state + pending writes
-        assert seen and seen[0] == Database.graph([(1, 2), (2, 3), (3, 4)])
-        recovered.close()
-
-    def test_checker_rejection_rolls_back_over_recovered_state(self, tmp_path):
-        from repro.db import TransactionAborted
-
-        recovered = self._recovered_pair(str(tmp_path))
-        recovered.register_checker("at-most-2", lambda db: db.cardinality("E") <= 2)
-        recovered.begin()
-        recovered.insert("E", (9, 9))
-        with pytest.raises(TransactionAborted):
-            recovered.commit()
-        assert recovered.committed_snapshot() == Database.graph([(1, 2), (2, 3)])
-        recovered.close()
-
     def test_commit_unchecked_after_recovery_is_durable(self, tmp_path):
         recovered = self._recovered_pair(str(tmp_path))
-        recovered.register_checker("never", lambda db: False)
         recovered.begin()
         recovered.insert("E", (9, 9))
-        recovered.commit_unchecked()      # bypasses the rejecting checker
+        recovered.commit_unchecked()
         assert recovered.contains("E", (9, 9))
         recovered.engine.crash()
 

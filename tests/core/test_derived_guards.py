@@ -193,7 +193,7 @@ class TestOutsideTheFragment:
     def test_admission_classifies_by_wpc(self):
         no_isolated = Constraint("no-isolated", parse("forall x . exists y . E(x, y) | E(y, x)"))
         controller = AdmissionController([no_isolated])
-        controller.register(standard_templates()[2])
+        controller.guard_for(standard_templates()[2].build(0, 1))
         assert [row["source"] for row in controller.stats()["guards"]] == ["wpc"]
 
 
@@ -226,7 +226,7 @@ class TestStaticPolicy:
 # work, not time
 # ---------------------------------------------------------------------------
 
-def test_registering_the_standard_templates_evaluates_no_family(monkeypatch):
+def test_classifying_the_standard_shapes_evaluates_no_family(monkeypatch):
     calls = []
     original = simplification.equivalent_under
 
@@ -237,8 +237,9 @@ def test_registering_the_standard_templates_evaluates_no_family(monkeypatch):
     monkeypatch.setattr(simplification, "equivalent_under", counting)
     controller = AdmissionController(standard_constraints())
     for template in standard_templates():
-        verdicts = controller.register(template)
-        assert {v.mode for v in verdicts.values()} <= {"static", "guarded"}
+        for params in ((0, 1), (2, 2)):
+            verdicts = controller.guard_for(template.build(*params))
+            assert {v.mode for v in verdicts.values()} <= {"static", "guarded"}
     assert calls == []
 
 

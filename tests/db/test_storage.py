@@ -9,7 +9,6 @@ from repro.db import (
     Schema,
     Store,
     StorageError,
-    TransactionAborted,
 )
 
 
@@ -34,7 +33,7 @@ class TestBasics:
         with pytest.raises(StorageError):
             store.delete("E", (1, 2))
         with pytest.raises(StorageError):
-            store.commit()
+            store.commit_unchecked()
 
     def test_contains_and_scan(self, store):
         assert store.contains("E", (1, 2))
@@ -67,7 +66,7 @@ class TestReadYourOwnWrites:
         store.begin()
         store.insert("E", (3, 4))
         assert store.committed_snapshot() == Database.graph([(1, 2), (2, 3)])
-        store.commit()
+        store.commit_unchecked()
         assert store.committed_snapshot() == Database.graph([(1, 2), (2, 3), (3, 4)])
 
     def test_reinsert_of_own_delete_folds(self, store):
@@ -76,16 +75,16 @@ class TestReadYourOwnWrites:
         assert not store.contains("E", (1, 2))
         store.insert("E", (1, 2))
         assert store.contains("E", (1, 2))
-        store.commit()
+        store.commit_unchecked()
         assert store.snapshot() == Database.graph([(1, 2), (2, 3)])
 
 
 class TestVersionPinning:
     def test_version_advances_per_effective_commit(self, store):
         v0 = store.version
-        store.begin(); store.insert("E", (3, 4)); store.commit()
+        store.begin(); store.insert("E", (3, 4)); store.commit_unchecked()
         assert store.version == v0 + 1
-        store.begin(); store.commit()          # empty transaction
+        store.begin(); store.commit_unchecked()          # empty transaction
         assert store.version == v0 + 1
         store.begin(); store.insert("E", (4, 5)); store.rollback()
         assert store.version == v0 + 1
@@ -95,7 +94,7 @@ class TestVersionPinning:
         store.begin()
         store.insert("E", (7, 8))
         store.delete("E", (7, 8))   # net effect: nothing
-        store.commit()
+        store.commit_unchecked()
         assert store.version == v0
         assert store.snapshot() == Database.graph([(1, 2), (2, 3)])
 
@@ -106,14 +105,14 @@ class TestVersionPinning:
         # the pinned snapshot is immutable and pre-transaction
         assert snapshot == Database.graph([(1, 2), (2, 3)])
         assert store.pin()[0] == version
-        store.commit()
+        store.commit_unchecked()
         new_version, new_snapshot = store.pin()
         assert new_version == version + 1
         assert new_snapshot == Database.graph([(1, 2), (2, 3), (9, 9)])
 
     def test_pinned_snapshots_chain_provenance(self, store):
         _version, before = store.pin()
-        store.begin(); store.insert("E", (5, 6)); store.commit()
+        store.begin(); store.insert("E", (5, 6)); store.commit_unchecked()
         _version, after = store.pin()
         link = after.provenance_step()
         assert link is not None and link[0] is before
@@ -135,7 +134,7 @@ class TestTransactions:
         store.begin()
         assert store.insert("E", (3, 4))
         assert store.delete("E", (1, 2))
-        store.commit()
+        store.commit_unchecked()
         assert store.snapshot() == Database.graph([(2, 3), (3, 4)])
         assert store.stats.committed == 1
 
@@ -166,60 +165,8 @@ class TestTransactions:
         target = Database.graph([(7, 8)])
         store.begin()
         store.apply_database(target)
-        store.commit()
-        assert store.snapshot() == target
-
-    def test_commit_unchecked_skips_checkers(self, store):
-        store.register_checker("never", lambda db: False)
-        store.begin()
-        store.insert("E", (9, 9))
         store.commit_unchecked()
-        assert store.contains("E", (9, 9))
-
-
-class TestIntegrityCheckers:
-    def test_checker_accepts(self, store):
-        store.register_checker("at-most-5", lambda db: db.cardinality("E") <= 5)
-        store.begin()
-        store.insert("E", (3, 4))
-        store.commit()
-        assert store.cardinality("E") == 3
-
-    def test_checker_rejects_and_rolls_back(self, store):
-        store.register_checker("at-most-2", lambda db: db.cardinality("E") <= 2)
-        store.begin()
-        store.insert("E", (3, 4))
-        with pytest.raises(TransactionAborted):
-            store.commit()
-        assert store.cardinality("E") == 2
-        assert store.stats.aborted == 1
-        assert not store.in_transaction
-
-    def test_run_helper_commits(self, store):
-        ok = store.run(lambda s: s.insert("E", (5, 6)))
-        assert ok
-        assert store.contains("E", (5, 6))
-
-    def test_run_helper_rolls_back_on_violation(self, store):
-        store.register_checker("no-loops", lambda db: all(x != y for x, y in db.relation("E")))
-        ok = store.run(lambda s: s.insert("E", (7, 7)))
-        assert not ok
-        assert not store.contains("E", (7, 7))
-
-    def test_run_helper_propagates_unexpected_errors(self, store):
-        def body(s):
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError):
-            store.run(body)
-        assert not store.in_transaction
-
-    def test_checker_names(self, store):
-        store.register_checker("a", lambda db: True)
-        store.register_checker("b", lambda db: True)
-        assert store.checker_names == ("a", "b")
-        store.clear_checkers()
-        assert store.checker_names == ()
+        assert store.snapshot() == target
 
 
 class TestLifecycle:
@@ -268,8 +215,8 @@ class TestLifecycle:
     def test_engine_sees_each_effective_commit_batch(self):
         engine = MemoryEngine()
         store = Store(GRAPH_SCHEMA, engine=engine)
-        store.begin(); store.insert("E", (1, 2)); store.commit()
-        store.begin(); store.commit()                      # empty: no batch
+        store.begin(); store.insert("E", (1, 2)); store.commit_unchecked()
+        store.begin(); store.commit_unchecked()                      # empty: no batch
         store.begin(); store.insert("E", (3, 4)); store.rollback()
         store.begin(); store.insert("E", (5, 6)); store.commit_unchecked()
         assert engine.stats()["batches"] == 2

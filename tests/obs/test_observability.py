@@ -84,31 +84,3 @@ class TestObservability:
             assert view["service"]["submitted"] == 3
         finally:
             service.close()
-
-
-class TestWallTimeSplit:
-    def test_commit_and_abort_wall_time_are_separate(self):
-        from repro.db import GRAPH_SCHEMA, Store, TransactionAborted
-
-        store = Store(GRAPH_SCHEMA, Database.graph([(1, 2)]))
-        store.register_checker("no-loops", lambda db: not any(
-            a == b for a, b in db.relation("E")
-        ))
-        store.begin()
-        store.insert("E", (2, 3))
-        store.commit()
-        assert store.stats.committed_wall_time > 0.0
-        assert store.stats.aborted_wall_time == 0.0
-
-        committed_before = store.stats.committed_wall_time
-        store.begin()
-        store.insert("E", (4, 4))
-        with pytest.raises(TransactionAborted):
-            store.commit()
-        # the aborted attempt lands in its own bucket — the committed figure
-        # is no longer inflated by failed transactions
-        assert store.stats.aborted_wall_time > 0.0
-        assert store.stats.committed_wall_time == committed_before
-        assert store.stats.wall_time == pytest.approx(
-            store.stats.committed_wall_time + store.stats.aborted_wall_time
-        )

@@ -29,7 +29,7 @@ def _run_store():
     store = Store(GRAPH_SCHEMA, Database.graph([(1, 2)]))
     store.begin()
     store.insert("E", (2, 3))
-    store.commit()
+    store.commit_unchecked()
     return store
 
 
@@ -55,7 +55,6 @@ class TestOffModeParity:
         off_stats.pop("wal_dir", None)
         assert on_stats == off_stats
         assert on_store.stats.committed == off_store.stats.committed
-        assert on_store.stats.wall_time > 0 and off_store.stats.wall_time > 0
 
     def test_off_mode_registry_records_nothing(self, restore_registry):
         metrics.configure("off")

@@ -96,7 +96,6 @@ class TestFraming:
 LINK_SPEC = {
     "name": "proto-link",
     "ops": [{"insert": ["E", ["$0", "$1"]]}],
-    "samples": [[0, 1]],
 }
 
 SWAP_SPEC = {
@@ -105,7 +104,6 @@ SWAP_SPEC = {
         {"delete": ["E", ["$0", "$1"]]},
         {"insert": ["E", ["$1", "$0"]]},
     ],
-    "samples": [[0, 1]],
 }
 
 
@@ -122,26 +120,23 @@ class TestWireTemplates:
 
     def test_placeholders_resolve_and_escape(self):
         wire = WireTemplate(
-            {
-                "name": "proto-mixed",
-                "ops": [{"insert": ["E", ["$1", "$$0"]]}],
-                "samples": [[0, "ignored"]],
-            }
+            {"name": "proto-mixed", "ops": [{"insert": ["E", ["$1", "$$0"]]}]}
         )
         (kind, relation, row), = [
             op for op in [("insert", "E", wire.ops[0].resolve((9, 7)))]
         ]
         assert row == (7, "$0")
 
-    def test_out_of_range_placeholder_caught_at_registration(self):
-        with pytest.raises(ProtocolError):
-            WireTemplate(
-                {
-                    "name": "bad",
-                    "ops": [{"insert": ["E", ["$0", "$5"]]}],
-                    "samples": [[0, 1]],
-                }
-            )
+    @pytest.mark.parametrize("cell", ["$x", "$", "$-1", "$1.5"])
+    def test_a_bad_placeholder_is_caught_at_registration(self, cell):
+        with pytest.raises(ProtocolError, match="bad placeholder"):
+            WireTemplate({"name": "bad", "ops": [{"insert": ["E", ["$0", cell]]}]})
+
+    def test_too_few_params_are_caught_at_submission(self):
+        wire = WireTemplate({"name": "wide", "ops": [{"insert": ["E", ["$0", "$5"]]}]})
+        with pytest.raises(ProtocolError, match="out of range"):
+            wire.tracked_work((0, 1))
+        assert wire.build_program(*range(6)).statements[0].terms[1].value == 5
 
     @pytest.mark.parametrize(
         "spec",
@@ -151,8 +146,8 @@ class TestWireTemplates:
             {"name": "", "ops": [{"insert": ["E", [1, 2]]}]},
             {"name": "x", "ops": [{"upsert": ["E", [1, 2]]}]},
             {"name": "x", "ops": [{"insert": ["E", [1, 2]], "delete": ["E", [1, 2]]}]},
-            {"name": "x", "ops": [{"insert": ["E", [[1], 2]]}], "samples": [[]]},
-            {"name": "x", "ops": [{"insert": ["E", [1, 2]]}], "samples": []},
+            {"name": "x", "ops": [{"insert": ["E", [[1], 2]]}]},
+            {"name": "x", "ops": [{"insert": ["E", [1, {"a": 2}]]}]},
         ],
     )
     def test_malformed_specs_are_rejected(self, spec):
@@ -163,39 +158,56 @@ class TestWireTemplates:
         spec = {
             "name": "proto-guarded",
             "ops": [{"insert": ["E", ["$0", "$1"]]}],
-            "samples": [[0, 1]],
             "guards": {"no-loops": "~(p0 = p1)"},
         }
         with pytest.raises(ProtocolError, match="derived"):
             WireTemplate(spec)
 
-    def test_admission_template_derives_its_guards(self):
+    def test_a_spec_with_samples_is_refused(self):
+        spec = {"name": "proto-sampled", "ops": [{"insert": ["E", ["$0", "$1"]]}]}
+        with pytest.raises(ProtocolError, match="per instance shape"):
+            WireTemplate({**spec, "samples": [[0, 1]]})
+
+    def test_admission_judges_each_submission_by_its_shape(self):
         from repro.engine import NaiveBackend
         from repro.service import AdmissionController
         from repro.service.workloads import standard_constraints
 
         wire = WireTemplate(
-            {
-                "name": "proto-guarded",
-                "ops": [{"insert": ["E", ["$0", "$1"]]}],
-                "samples": [[0, 1], [1, 0], [2, 2]],
-            }
+            {"name": "proto-guarded", "ops": [{"insert": ["E", ["$0", "$1"]]}]}
         )
         template = wire.admission_template()
-        assert template.samples == ((0, 1), (1, 0), (2, 2))
         controller = AdmissionController(standard_constraints())
-        verdicts = controller.register(template)
-        assert {name: v.mode for name, v in verdicts.items()} == {
+        controller.register(template)
+        loop = controller.guard_for(template.build(3, 3))
+        edge = controller.guard_for(template.build(3, 4))
+        assert {name: v.mode for name, v in loop.items()} == {
             "no-loops": "guarded", "no-triangles": "guarded",
         }
-        no_loops = controller.constraints[0]
+        assert {name: v.mode for name, v in edge.items()} == {
+            "no-loops": "static", "no-triangles": "guarded",
+        }
         empty = Database.graph([])
-        assert not NaiveBackend().evaluate(
-            controller.guard_for("proto-guarded", no_loops, (3, 3)), empty
-        )
-        assert NaiveBackend().evaluate(
-            controller.guard_for("proto-guarded", no_loops, (3, 4)), empty
-        )
+        assert not NaiveBackend().evaluate(loop["no-loops"].guard, empty)
+        assert NaiveBackend().evaluate(edge["no-triangles"].guard, empty)
+
+    def test_a_loop_submitted_under_a_wire_template_is_rejected(self):
+        """The template's usual instances are edges of two distinct
+        constants; ``(5, 5)`` is a loop, whatever they proved."""
+        from repro.core import Constraint
+        from repro.service import TransactionService
+        from repro.service.workloads import NO_LOOPS
+
+        wire = WireTemplate({"name": "edge", "ops": [{"insert": ["E", ["$0", "$1"]]}]})
+        from repro.db import GRAPH_SCHEMA, MemoryEngine, Store
+
+        store = Store(GRAPH_SCHEMA, Database.graph([(0, 1)]), engine=MemoryEngine())
+        service = TransactionService(store, [Constraint("no-loops", NO_LOOPS)])
+        service.register(wire.admission_template())
+        assert service.execute(wire.tracked_work((0, 2)), template="edge", params=(0, 2)).committed
+        outcome = service.execute(wire.tracked_work((5, 5)), template="edge", params=(5, 5))
+        assert outcome.status == "rejected", outcome
+        assert service.invariant_holds()
 
     def test_describe_round_trips_through_json(self):
         wire = WireTemplate(SWAP_SPEC)

@@ -60,9 +60,7 @@ class TestConformance:
                 else:
                     from repro.serve import WireTemplate
 
-                    adhoc = WireTemplate(
-                        {"name": "_adhoc", "ops": step["ops"], "samples": [[]]}
-                    )
+                    adhoc = WireTemplate({"name": "_adhoc", "ops": step["ops"]})
                     local = oracle.execute(adhoc.tracked_work(()))
                 assert wire_outcome["status"] == local.status, step
             assert client.scan("E")["result"] == sorted(
@@ -89,16 +87,10 @@ class TestConformance:
         listed = client.request("GET", "/templates")[1]["templates"]
         names = {t["name"] for t in listed}
         assert {"link-forward", "unlink", "add-edge"} <= names
-        spec = {
-            "name": "listed",
-            "ops": [{"insert": ["E", ["$0", "$1"]]}],
-            "samples": [[0, 1]],
-        }
-        reply = client.register_template(spec)
-        assert reply["registered"] == "listed"
-        assert set(reply["verdicts"]) == {"no-loops", "no-triangles"}
+        spec = {"name": "listed", "ops": [{"insert": ["E", ["$0", "$1"]]}]}
+        assert client.register_template(spec) == {"registered": "listed"}
         listed = client.request("GET", "/templates")[1]["templates"]
-        assert any(t["name"] == "listed" for t in listed)
+        assert spec in listed
         # re-registering the same shape is idempotent; a different shape is not
         client.register_template(spec)
         status, payload = client.request(

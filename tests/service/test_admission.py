@@ -16,7 +16,13 @@ from repro.db import Database, GRAPH_SCHEMA, MemoryEngine, Store
 from repro.engine import NaiveBackend
 from repro.logic import parse
 from repro.logic.syntax import BOTTOM, TOP
-from repro.service import AdmissionController, TransactionService, TransactionTemplate
+from repro.serve import WireTemplate
+from repro.service import (
+    AdmissionController,
+    TransactionService,
+    TransactionTemplate,
+    build_service,
+)
 from repro.transactions import FOProgram, InsertTuple
 from repro.service.workloads import (
     NO_LOOPS,
@@ -63,60 +69,55 @@ class TestClassifyPreservation:
 
 
 class TestController:
-    def test_register_classifies_against_every_constraint(self):
+    def test_each_shape_is_classified_against_every_constraint(self):
         controller = AdmissionController(standard_constraints())
-        link, unlink, add_edge = standard_templates()
-        verdicts = controller.register(link)
+        verdicts = controller.guard_for(_link_forward_program(0, 1))
         assert verdicts["no-loops"].mode == "static"
         assert verdicts["no-triangles"].mode == "guarded"
-        verdicts = controller.register(unlink)
+        verdicts = controller.guard_for(_unlink_program(0, 1))
         assert {v.mode for v in verdicts.values()} == {"static"}
-        verdicts = controller.register(add_edge)
+        verdicts = controller.guard_for(_insert_edge_program(2, 2))
         assert verdicts["no-loops"].mode == "guarded"
         assert verdicts["no-triangles"].mode == "guarded"
+        assert controller.classified == 3 * 2
 
-    def test_worst_sample_wins(self):
-        # one sample is a safe forward edge, one is a loop: the template as a
-        # whole must be treated at the guarded level
-        controller = AdmissionController([Constraint("no-loops", NO_LOOPS)])
-        template = TransactionTemplate(
-            "sometimes-loopy", _insert_edge_program, samples=((0, 1), (2, 2))
-        )
-        verdicts = controller.register(template)
-        assert verdicts["no-loops"].mode == "guarded"
-
-    def test_register_is_idempotent_and_cached(self):
+    def test_registration_classifies_nothing_and_keeps_the_first_builder(self):
         controller = AdmissionController(standard_constraints())
-        template = standard_templates()[0]
-        first = controller.register(template)
-        classified = controller.classified
-        second = controller.register(template)
-        assert controller.classified == classified  # no re-classification
-        assert {k: v.mode for k, v in first.items()} == {
-            k: v.mode for k, v in second.items()
-        }
+        link = standard_templates()[0]
+        assert controller.register(link) is None
+        controller.register(TransactionTemplate(link.name, _unlink_program))
+        assert controller.template(link.name) is link
+        assert controller.classified == 0 and controller.stats()["guards"] == []
 
-    def test_verdicts_for_unknown_template_is_none(self):
+    def test_a_shape_is_classified_once_whatever_builds_it(self):
         controller = AdmissionController(standard_constraints())
-        assert controller.verdicts_for("nope") is None
-        assert controller.verdicts_for(None) is None
+        controller.guard_for(_link_forward_program(0, 1))
+        classified, hits = controller.classified, controller.guard_cache_hits
+        # another template's instance, and a bare program, of the same shape
+        controller.guard_for(_insert_edge_program(7, 3))
+        controller.guard_for(FOProgram([InsertTuple("E", 4, 5)], name="anything"))
+        assert controller.classified == classified
+        assert controller.guard_cache_hits == hits + 2
 
     def test_register_writes_no_precondition_table(self):
         constraints = standard_constraints()
         controller = AdmissionController(constraints)
         for template in standard_templates():
             controller.register(template)
+            controller.guard_for(template.build(3, 3))
+            controller.guard_for(template.build(3, 4))
         assert all(not c.preconditions for c in constraints)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_policies_agree_on_edges_after_registration(self, warm):
-        """A template's registration must not leave one sample's precondition
-        behind under the template's name for the static policy to apply to
-        every other instance."""
+        """Judging a template's instances must not leave one instance's
+        precondition behind under the template's name for the static policy
+        to apply to every other instance."""
         constraints = standard_constraints()
         controller = AdmissionController(constraints)
         for template in standard_templates():
             controller.register(template)
+            controller.guard_for(template.build(0, 1))
         initial = forward_graph(50, 3)
         for edge, kept in (((5, 40), True), ((41, 7), True), ((7, 7), False)):
             outcomes = []
@@ -132,60 +133,91 @@ class TestController:
 
     def test_derived_guards_are_used(self):
         controller = AdmissionController(standard_constraints())
-        add_edge = standard_templates()[2]
-        controller.register(add_edge)
-        no_loops, no_triangles = controller.constraints
         # a loop is refused by its shape alone; any other edge is fine
-        assert controller.guard_for("add-edge", no_loops, (3, 3)) == BOTTOM
-        assert controller.guard_for("add-edge", no_loops, (3, 4)) == TOP
-        # the 2-path probe: one quantifier, two atoms
-        triangle = controller.guard_for("add-edge", no_triangles, (3, 4))
+        loop = controller.guard_for(_insert_edge_program(3, 3))["no-loops"]
+        assert loop.mode == "guarded" and loop.guard == BOTTOM
+        edge = controller.guard_for(_insert_edge_program(3, 4))
+        assert edge["no-loops"].mode == "static" and edge["no-loops"].guard == TOP
+        # the 2-path probe: one quantifier, two atoms, at the edge's constants
+        triangle = edge["no-triangles"].guard
         assert triangle.quantifier_rank() == 1 and len(list(triangle.atoms())) == 2
+        assert {value for atom in triangle.atoms() for value in atom.constants()} == {3, 4}
         # memoised per shape: another edge of the same shape is a hit
         hits = controller.guard_cache_hits
-        controller.guard_for("add-edge", no_loops, (8, 9))
+        controller.guard_for(_insert_edge_program(8, 9))
         assert controller.guard_cache_hits == hits + 1
 
-    def test_guard_cache_holds_one_entry_per_shape(self):
+    def test_the_cache_holds_one_entry_per_shape(self):
         controller = AdmissionController(standard_constraints())
-        controller.register(standard_templates()[2])
         for a in range(100):
             for b in range(100):
-                for constraint in controller.constraints:
-                    controller.guard_for("add-edge", constraint, (a, b))
-        per_pair = {}
-        for template, constraint, _shape in controller._guard_cache:
-            per_pair[(template, constraint)] = per_pair.get((template, constraint), 0) + 1
-        assert per_pair and max(per_pair.values()) <= 2
-        assert controller.guard_cache_hits >= 2 * 100 * 100 - 4
+                controller.guard_for(_insert_edge_program(a, b))
+        assert len(controller._shapes) == 2  # an edge, a loop
+        assert controller.guard_cache_hits == 100 * 100 - 2
+
+    def test_a_program_with_no_shape_is_classified_uncached(self):
+        from repro.transactions import InsertWhere
+
+        controller = AdmissionController([Constraint("no-loops", NO_LOOPS)])
+        symmetrise = FOProgram([InsertWhere("E", ("x", "y"), parse("E(y, x)"))])
+        verdict = controller.guard_for(symmetrise)["no-loops"]
+        assert verdict.mode == "guarded" and verdict.source == "wpc"
+        controller.guard_for(symmetrise)
+        assert controller.classified == 0 and controller.guard_cache_hits == 0
 
     def test_pairs_outside_the_fragment_take_the_wpc_path(self):
         no_isolated = Constraint("no-isolated", parse("forall x . exists y . E(x, y) | E(y, x)"))
         controller = AdmissionController([no_isolated])
-        controller.register(standard_templates()[2])
+        guard = controller.guard_for(_insert_edge_program(3, 4))["no-isolated"].guard
+        assert guard.size() > 1
         (row,) = controller.stats()["guards"]
         assert row["source"] == "wpc"
-        guard = controller.guard_for("add-edge", no_isolated, (3, 4))
-        assert guard.size() > 1
 
-    def test_stats_list_each_pair(self):
+    def test_stats_list_each_shape_and_constraint(self):
         controller = AdmissionController(standard_constraints())
-        for template in standard_templates():
-            controller.register(template)
-        rows = {(r["template"], r["constraint"]): r for r in controller.stats()["guards"]}
+        for program in (
+            _link_forward_program(0, 1), _unlink_program(0, 1), _insert_edge_program(2, 2),
+            _insert_edge_program(5, 6),  # the first shape again: no new row
+        ):
+            controller.guard_for(program)
+        rows = {(r["shape"], r["constraint"]): r for r in controller.stats()["guards"]}
         assert len(rows) == 6
         assert {r["source"] for r in rows.values()} == {"derived"}
-        triangle = rows[("add-edge", "no-triangles")]
+        triangle = rows[("insert E($0, $1)", "no-triangles")]
         assert triangle["mode"] == "guarded"
         assert triangle["guard_size"] < triangle["wpc_size"]
-        assert rows[("unlink", "no-loops")]["guard_size"] == 1  # true
+        assert rows[("insert E($0, $0)", "no-loops")]["mode"] == "guarded"
+        unlink = next(r for (shape, _), r in rows.items() if shape.startswith("delete E"))
+        assert unlink["guard_size"] == 1  # true
 
-    def test_guard_for_unregistered_template_raises(self):
-        from repro.service import ServiceError
 
-        controller = AdmissionController(standard_constraints())
-        with pytest.raises(ServiceError):
-            controller.guard_for("ghost", controller.constraints[0], ())
+def _only(constraint):
+    service = TransactionService(
+        Store(GRAPH_SCHEMA, forward_graph(10, 2), engine=MemoryEngine()), [constraint]
+    )
+    for template in standard_templates():
+        service.register(template)
+    return service
+
+
+def test_a_loop_under_a_forward_template_is_judged_as_a_loop():
+    """``link-forward``'s usual instances have two distinct constants; a
+    loop instance is another shape, and no name lends it their proof."""
+    service = _only(Constraint("no-loops", NO_LOOPS))
+    outcome = service.execute(
+        _link_forward_program(5, 5), template="link-forward", params=(5, 5)
+    )
+    assert outcome.status == "rejected", outcome
+    assert service.invariant_holds()
+
+
+def test_a_bare_program_named_like_a_static_template_is_judged_by_its_shape():
+    """``unlink`` is static for both constraints; an insert named ``unlink``
+    is an insert."""
+    service = build_service(Database.graph([(1, 2), (2, 3)]))
+    outcome = service.execute(FOProgram([InsertTuple("E", 3, 3)], name="unlink"))
+    assert outcome.status == "rejected", outcome
+    assert service.invariant_holds()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +246,9 @@ def test_a_node_with_four_out_neighbours_is_not_waived():
     assert denial_form(formula) is None
     service = _service([(0, 1), (0, 2), (0, 3)], Constraint("four-out-loop", formula))
     add_edge = standard_templates()[2]
-    assert service.register(add_edge)["four-out-loop"].mode == "guarded"
+    service.register(add_edge)
+    verdicts = service.admission.guard_for(_insert_edge_program(0, 99))
+    assert verdicts["four-out-loop"].mode == "guarded"
     outcome = service.execute(_insert_edge_program(0, 99), template="add-edge", params=(0, 99))
     assert outcome.status == "rejected"
     assert service.execute(_insert_edge_program(1, 99), template="add-edge", params=(1, 99)).status == "committed"
@@ -225,12 +259,21 @@ def _add_pair_program(a, b):
     return FOProgram([InsertTuple("E", a, b), InsertTuple("E", b, a)], name="add-pair")
 
 
-#: insert and delete templates; the samples cover both shapes of an edge's
-#: constants (distinct, equal), so a static verdict speaks for every instance
+#: insert and delete templates: a name and a builder, nothing else
 OUT_OF_FRAGMENT_TEMPLATES = {
-    "add-edge": TransactionTemplate("add-edge", _insert_edge_program, samples=((0, 1), (2, 2))),
-    "add-pair": TransactionTemplate("add-pair", _add_pair_program, samples=((0, 1), (2, 2))),
-    "unlink": TransactionTemplate("unlink", _unlink_program, samples=((0, 1), (2, 2))),
+    "add-edge": TransactionTemplate("add-edge", _insert_edge_program),
+    "add-pair": TransactionTemplate("add-pair", _add_pair_program),
+    "unlink": TransactionTemplate("unlink", _unlink_program),
+}
+
+#: the same three as wire templates, submitted as tracked callables
+WIRE_TEMPLATES = {
+    name: WireTemplate({"name": f"wire-{name}", "ops": ops})
+    for name, ops in (
+        ("add-edge", [{"insert": ["E", ["$0", "$1"]]}]),
+        ("add-pair", [{"insert": ["E", ["$0", "$1"]]}, {"insert": ["E", ["$1", "$0"]]}]),
+        ("unlink", [{"delete": ["E", ["$0", "$1"]]}]),
+    )
 }
 
 #: a small grammar of constraints with no denial form: an existential under
@@ -263,46 +306,69 @@ out_of_fragment = st.one_of(
 ).map(parse)
 
 
-@maybe_seed
-@settings(max_examples=15, deadline=None)
-@given(
-    out_of_fragment,
-    st.integers(min_value=5, max_value=8).flatmap(
-        lambda nodes: st.tuples(
-            st.frozensets(st.tuples(*[st.integers(0, nodes - 1)] * 2), max_size=2 * nodes),
-            st.lists(
-                st.tuples(
-                    st.sampled_from(sorted(OUT_OF_FRAGMENT_TEMPLATES)),
-                    st.integers(0, nodes - 1),
-                    st.integers(0, nodes - 1),
-                ),
-                min_size=1,
-                max_size=6,
+def _submit(service, how, name, alias, a, b):
+    """One drawn submission: the program it runs, and its outcome."""
+    if how == "wire":
+        wire = WIRE_TEMPLATES[name]
+        outcome = service.execute(wire.tracked_work((a, b)), template=wire.name, params=(a, b))
+        return wire.build_program(a, b), outcome
+    program = OUT_OF_FRAGMENT_TEMPLATES[name].build(a, b)
+    if how == "template":
+        return program, service.execute(program, template=name, params=(a, b))
+    # a bare program, named like a registered template that may build another
+    bare = FOProgram(program.statements, name=alias)
+    return bare, service.execute(bare)
+
+
+def _edges_and_submissions(nodes):
+    node = st.integers(0, nodes - 1)
+    pair = node.flatmap(lambda a: st.tuples(st.just(a), st.one_of(st.just(a), node)))
+    return st.tuples(
+        st.frozensets(st.tuples(node, node), max_size=2 * nodes),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("template", "bare", "wire")),
+                st.sampled_from(sorted(OUT_OF_FRAGMENT_TEMPLATES)),
+                st.sampled_from(sorted(OUT_OF_FRAGMENT_TEMPLATES)),
+                pair,
             ),
-        )
-    ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+
+
+@maybe_seed
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(st.sampled_from((NO_LOOPS, NO_TRIANGLES)), out_of_fragment),
+    st.integers(min_value=5, max_value=8).flatmap(_edges_and_submissions),
 )
-def test_every_committed_state_satisfies_a_constraint_outside_the_fragment(formula, run):
-    """Drive the service with drawn templates and check each outcome with
+def test_every_committed_state_satisfies_the_constraint_whatever_submits_it(formula, run):
+    """Drive the service with drawn submissions and check each outcome with
     the naive oracle: a transaction commits iff its post-state satisfies the
     constraint, from a consistent start (the empty graph when the drawn one
-    is not)."""
-    assert denial_form(formula) is None
-    edges, operations = run
+    is not).  Constraints come mostly from outside the denial fragment, and
+    sometimes from inside it; a program reaches the service as a template
+    item, as a wire template's tracked callable, or as a bare program named
+    like a registered template, with repeated constants (``a = b``) drawn
+    often."""
+    edges, submissions = run
     oracle = NaiveBackend()
     if not oracle.evaluate(formula, Database.graph(edges)):
         edges = ()
     service = _service(edges, Constraint("drawn", formula))
     for template in OUT_OF_FRAGMENT_TEMPLATES.values():
         service.register(template)
-    for name, a, b in operations:
-        program = OUT_OF_FRAGMENT_TEMPLATES[name].build(a, b)
+    for wire in WIRE_TEMPLATES.values():
+        service.register(wire.admission_template())
+    for how, name, alias, (a, b) in submissions:
         pre = service.snapshot()
+        program, outcome = _submit(service, how, name, alias, a, b)
         post = program.apply(pre)
-        outcome = service.execute(program, template=name, params=(a, b))
         if oracle.evaluate(formula, post):
-            assert outcome.status == "committed", (name, a, b, outcome.reason)
+            assert outcome.status == "committed", (how, name, a, b, outcome.reason)
             assert service.snapshot() == post
         else:
-            assert outcome.status in ("rejected", "aborted"), (name, a, b)
+            assert outcome.status in ("rejected", "aborted"), (how, name, alias, a, b)
             assert service.snapshot() == pre

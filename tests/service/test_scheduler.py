@@ -16,7 +16,8 @@ from repro.service import (
     standard_constraints,
 )
 from repro.service.workloads import NO_LOOPS
-from repro.transactions import FOProgram, InsertTuple
+from repro.logic import parse
+from repro.transactions import DeleteWhere, FOProgram, InsertTuple
 from repro.transactions.base import TransactionAbortedSignal
 
 
@@ -114,29 +115,37 @@ class TestOutcomes:
         assert outcome.committed
         assert service.snapshot().relation("E") >= frozenset({(7, 8)})
 
-    def test_transaction_named_like_guarded_template_runs_at_runtime(self, service):
-        # "add-edge" is registered with *guarded* verdicts whose guards need
-        # the instance parameters; a bare Transaction does not carry them, so
-        # it must fall back to runtime verification — and still work
+    def test_transaction_named_like_guarded_template_is_judged_by_its_shape(self, service):
+        # a bare Transaction carries its own constants: its shape's guard,
+        # bound to them, decides — a loop's is false, so it never executes
         legal = FOProgram([InsertTuple("E", 5, 6)], name="add-edge")
         outcome = service.execute(legal)
         assert outcome.committed, outcome
         illegal = FOProgram([InsertTuple("E", 6, 6)], name="add-edge")
         outcome = service.execute(illegal)
-        assert outcome.status == "aborted"
+        assert outcome.status == "rejected"
         assert service.invariant_holds()
 
-    def test_transaction_named_like_static_template_skips_checks(self, service):
-        # "unlink" is static for every constraint: the bare Transaction can
-        # adopt the verdicts safely (no parameters needed)
-        runtime_before = service.stats.runtime_checks
-        program = FOProgram([InsertTuple("E", 1, 2)], name="unlink")  # no-op insert
-        service.execute(program)
-        outcome = service.execute(
-            FOProgram([InsertTuple("E", 11, 12)], name="unlink")
-        )
+    def test_a_transactions_own_shape_decides_not_its_name(self, service):
+        # "unlink" is static for every constraint, but an insert named
+        # "unlink" is still an insert: one static skip (no-loops holds for
+        # any edge of two distinct constants) and one guard (no-triangles)
+        before = service.stats.as_dict()
+        outcome = service.execute(FOProgram([InsertTuple("E", 11, 12)], name="unlink"))
         assert outcome.committed
-        assert service.stats.runtime_checks == runtime_before
+        after = service.stats.as_dict()
+        assert after["static_skips"] - before["static_skips"] == 1
+        assert after["guard_checks"] - before["guard_checks"] == 1
+        assert after["runtime_checks"] == before["runtime_checks"]
+        # and a delete named like a guarded template is a delete: no checks
+        program = FOProgram(
+            [DeleteWhere("E", ("x", "y"), parse("x = 11 & y = 12"))], name="add-edge"
+        )
+        outcome = service.execute(program)
+        assert outcome.committed and not service.snapshot().contains("E", (11, 12))
+        final = service.stats.as_dict()
+        assert final["static_skips"] - after["static_skips"] == 2
+        assert final["guard_checks"] == after["guard_checks"]
 
     def test_static_template_skips_all_checks(self, service):
         checks_before = (
@@ -557,7 +566,9 @@ def _aborted_by_signal(_service):
 
 
 #: per path: (outcome fields, ServiceStats deltas) of one ``execute`` call,
-#: as recorded before ``execute`` became ``execute_many`` of one item
+#: as recorded before ``execute`` became ``execute_many`` of one item — but
+#: for ``guard-reject``, whose edge is now judged by its shape: ``no-loops``
+#: is static for any edge of two distinct constants
 PARITY = {
     "commit": (
         lambda _s: link(8, 9), {}, None,
@@ -568,7 +579,7 @@ PARITY = {
     "guard-reject": (
         _refused_by_guard, {}, None,
         ("rejected", "guard of 'no-triangles' failed on the pre-state", -1, 1, False),
-        {"submitted": 1, "rejected": 1, "guard_checks": 2},
+        {"submitted": 1, "rejected": 1, "static_skips": 1, "guard_checks": 1},
     ),
     "signal-reject": (
         _aborted_by_signal, {}, None,
