@@ -136,6 +136,39 @@ class TestRecoveredStoreBehaviour:
         assert reread.contains("E", (9, 9))
         reread.close()
 
+    def test_rollback_over_recovered_state_keeps_it(self, tmp_path):
+        recovered = self._recovered_pair(str(tmp_path))
+        version = recovered.version
+        recovered.begin()
+        recovered.insert("E", (9, 9))
+        recovered.delete("E", (1, 2))
+        assert recovered.rollback() == 2
+        assert recovered.version == version
+        assert recovered.committed_snapshot() == Database.graph([(1, 2), (2, 3)])
+        recovered.engine.crash()
+
+        reread = Store(GRAPH_SCHEMA, engine=WalStorageEngine(str(tmp_path)))
+        assert reread.snapshot() == Database.graph([(1, 2), (2, 3)])
+        reread.close()
+
+    def test_recovered_version_continues_the_sequence(self, tmp_path):
+        directory = str(tmp_path)
+        store = Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
+        for edge in ((1, 2), (2, 3)):
+            store.begin()
+            store.insert("E", edge)
+            store.commit_unchecked()
+        assert store.version == 2
+        store.engine.crash()
+
+        recovered = Store(GRAPH_SCHEMA, engine=WalStorageEngine(directory))
+        assert recovered.version == 2
+        recovered.begin()
+        recovered.insert("E", (3, 4))
+        recovered.commit_unchecked()
+        assert recovered.version == 3
+        recovered.close()
+
     def test_ryow_preserved_after_recovery(self, tmp_path):
         recovered = self._recovered_pair(str(tmp_path))
         recovered.begin()

@@ -168,6 +168,15 @@ class TestTransactions:
         store.commit_unchecked()
         assert store.snapshot() == target
 
+    def test_commit_unchecked_checks_no_constraint(self, store):
+        # constraints are enforced before the commit (admission, maintenance
+        # policies); the store commits a loop as readily as an edge
+        store.begin()
+        store.insert("E", (9, 9))
+        store.commit_unchecked()
+        assert store.contains("E", (9, 9))
+        assert (store.stats.committed, store.stats.aborted) == (1, 0)
+
 
 class TestLifecycle:
     """close() and the context-manager protocol over the storage engine."""
