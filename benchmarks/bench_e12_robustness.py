@@ -132,7 +132,6 @@ def test_e12_optimizer_beats_naive(benchmark, graphs_2):
         "speedup": speedup,
         "optimizer": compiled.optimizer_mode,
         "plans_rewritten": counters["plans_rewritten"],
-        "shared_subplans": counters["shared_subplans"],
     }
     print(f"BENCH-METRIC {json.dumps(payload, sort_keys=True)}")
     benchmark.extra_info.update(payload)

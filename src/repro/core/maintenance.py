@@ -34,9 +34,7 @@ rules when it has seen an ancestor state), or the registered weakest
 precondition on the pre-state.  A precondition is usually a formula the
 engine has *not* seen (its constants are the transaction's tuple) — but
 only its constants are new: every instance of one shape runs one prepared
-plan, and the plan's parameter-free sub-plans are carried along the update
-stream like any remembered state — see "Shapes and parameters" and "Shared
-sub-plans along the stream" in ``docs/engine.md``.  Experiment E13 holds
+plan — see "Shapes and parameters" in ``docs/engine.md``.  Experiment E13 holds
 the ratio between the two policies under a ceiling.
 
 This module implements both policies (plus an unsafe baseline) on top of the

@@ -38,7 +38,7 @@ from .plan import (
 )
 from .compile import CompileError, compile_extension, compile_sentence
 from .stats import ColumnStats, DatabaseStats, RelationStats
-from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
+from .optimize import Estimator, explain_plan, optimize_plan
 from .delta import PlanState, incremental_update
 from .backend import (
     BACKEND_NAMES,
@@ -75,7 +75,6 @@ __all__ = [
     "DatabaseStats",
     "RelationStats",
     "Estimator",
-    "canonical_plan",
     "explain_plan",
     "optimize_plan",
     "PlanState",

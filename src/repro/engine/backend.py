@@ -48,7 +48,7 @@ from ..obs.profile import PlanProfiler
 from ..settings import KNOBS_BY_NAME, setting
 from .compile import CompileError, compile_extension
 from .delta import PlanState, incremental_update
-from .optimize import Estimator, canonical_plan, explain_plan, optimize_plan
+from .optimize import Estimator, explain_plan, optimize_plan
 from .plan import ExecutionContext, Plan, Rows
 from .stats import size_bucket
 
@@ -76,7 +76,7 @@ _MEMO_SIZE = 512
 _STATE_HISTORY = 8
 # plans already costed below this are not worth a rewrite pass: the join
 # reorderer's own overhead would exceed anything it could save (tiny
-# databases, trivial formulas) — they are canonicalised and run as-is
+# databases, trivial formulas) — they run as compiled
 _OPT_SKIP_COST = 256.0
 
 
@@ -112,13 +112,8 @@ class Backend:
         signature: Signature = EMPTY_SIGNATURE,
         domain: Optional[Iterable[object]] = None,
     ) -> Tuple[bool, ...]:
-        """Evaluate a whole constraint set against one database.
-
-        The base implementation just loops; the compiled backend makes the
-        batch cheaper than the sum of its parts by interning structurally
-        shared sub-plans across the set and materialising each shared
-        intermediate once per database (see ``docs/optimizer.md``).
-        """
+        """Evaluate a whole constraint set against one database, one
+        formula (and one plan) at a time."""
         domain_key = None if domain is None else frozenset(domain)
         return tuple(
             self.evaluate(formula, db, None, signature, domain_key)
@@ -218,14 +213,8 @@ class CompiledBackend(Backend):
     The result memo and the state history are keyed per formula, that is per
     *binding* of a shape.  A formula over fresh constants — every instance
     of a transaction's weakest precondition is one — finds its plan (by
-    shape) but no result and no state of its own.  What it shares with every
-    other binding is the parameter-free part of the plan: those sub-plans
-    are interned, and each keeps its node-level state along the update
-    stream exactly like a whole formula's, seeding whichever execution asks
-    next.  Such a formula therefore costs a shape lookup plus what its
-    constants touch, not a compilation and not the database
-    (``shared_carried`` / ``shared_rebuilt`` count the two outcomes per
-    shared sub-plan).
+    shape) but no result and no state of its own: it costs a shape lookup
+    and one execution of that plan, not a compilation.
 
     A closed sentence asks yes or no: where the memo and the delta rules
     both miss, its plan is *streamed* to the first root row (``streamed``)
@@ -262,10 +251,8 @@ class CompiledBackend(Backend):
                 f"unknown delta mode {delta!r}; expected 'on', 'off' or 'verify'"
             )
         self.delta_mode = delta
-        # per-(db, key) node-level plan states for incremental updates — the
-        # one state history.  A key is a memo key (a whole formula's plan) or
-        # ``(node, domain, signature)`` (a sub-plan shared between formulas);
-        # both kinds advance along the provenance chain the same way.
+        # per-(db, memo key) node-level plan states for incremental updates —
+        # the one state history, advanced along the provenance chain.
         # Unlike the result memo this holds the database *strongly*: in the
         # canonical stream pattern (``db = db.apply_delta(...)`` in a loop,
         # the store patching its snapshot) the parent loses its last strong
@@ -295,20 +282,10 @@ class CompiledBackend(Backend):
         # plan *object* (identity hash, the key tuple keeps it alive) so the
         # lookup hashes no formula.
         self._opt_plans: _LRU = _LRU(_PLAN_CACHE_SIZE)
-        self._opt_lock = threading.Lock()
         # plan -> the nodes of its DAG that several consumers read
         self._fan_ins: _LRU = _LRU(_PLAN_CACHE_SIZE)
-        # structural-interning table (parameter-free sub-plans only) + the
-        # sub-plans that formulas, or the bindings of one shape, share
-        self._canon: Dict[Tuple, Plan] = {}
-        self._shared_nodes: Set[Plan] = set()
         self.plans_rewritten = 0
         self.join_reorders = 0
-        self.shared_subplans = 0
-        # shared sub-plans brought to a successor state by the delta rules /
-        # executed in full because no ancestor state was within reach
-        self.shared_carried = 0
-        self.shared_rebuilt = 0
         self.complements_avoided = 0
         # the registry twins of the bare-int counters above, named by the
         # alias table metrics.BACKEND_KEY_MAP: _bump dual-writes into these,
@@ -333,9 +310,6 @@ class CompiledBackend(Backend):
             self._memo.clear()
         with self._states_lock:
             self._states.clear()
-        with self._opt_lock:
-            self._canon.clear()
-            self._shared_nodes.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         with self._states_lock:
@@ -349,10 +323,7 @@ class CompiledBackend(Backend):
             "optimized_plans": len(self._opt_plans),
             "plans_rewritten": self.plans_rewritten,
             "join_reorders": self.join_reorders,
-            "shared_subplans": self.shared_subplans,
             "complements_avoided": self.complements_avoided,
-            "shared_carried": self.shared_carried,
-            "shared_rebuilt": self.shared_rebuilt,
             "streamed": self.streamed,
             "states_built_on_demand": self.states_built_on_demand,
         }
@@ -411,8 +382,7 @@ class CompiledBackend(Backend):
         With the optimizer off this is the compiler's plan for the formula's
         shape, verbatim.  With it on, the plan is rewritten cost-based for
         the database's statistics profile (once per shape and profile: every
-        other formula of the shape finds the entry) and canonicalised against
-        the backend's structural-interning table.  Raises
+        other formula of the shape finds the entry).  Raises
         :class:`CompileError` exactly like :meth:`plan_for`.
         """
         plan = self.plan_for(formula, variables)
@@ -466,10 +436,6 @@ class CompiledBackend(Backend):
                     self._bump("join_reorders", info.join_reorders)
             if info.complements_avoided:
                 self._bump("complements_avoided", info.complements_avoided)
-        with self._opt_lock:
-            best, hits = canonical_plan(best, self._canon, self._shared_nodes)
-        if hits:
-            self._bump("shared_subplans", hits)
         return best
 
     # -- the Backend API --------------------------------------------------------
@@ -559,11 +525,9 @@ class CompiledBackend(Backend):
         them), the values its constants bind the plan's parameter slots
         (``$0``, ``$1``, ...) to, and the modelled costs of the syntactic and
         optimized plans — the tool for diagnosing why the optimizer picked a
-        shape.  A sub-plan whose rows came from carried state instead of
-        being run is marked ``[carried]``; a node no line shows ``act=`` for
-        was skipped by a short-circuiting join.  ``path:`` names the way
-        :meth:`extension` (over no variables: :meth:`evaluate`) answers it at
-        ``db`` now.
+        shape.  A node no line shows ``act=`` for was skipped by a
+        short-circuiting join.  ``path:`` names the way :meth:`extension`
+        (over no variables: :meth:`evaluate`) answers it at ``db`` now.
         """
         variables = tuple(variables)
         domain_key = None if domain is None else frozenset(domain)
@@ -592,9 +556,7 @@ class CompiledBackend(Backend):
             f"chosen: {'optimized' if chosen is not original else 'syntactic'} plan "
             f"(cost~{estimator.cost(chosen):.0f}, syntactic~{estimator.cost(original):.0f})"
         )
-        lines.append(
-            explain_plan(chosen, estimator, ctx.cache, ctx.profiler, ctx.seeded)
-        )
+        lines.append(explain_plan(chosen, estimator, ctx.cache, ctx.profiler))
         return "\n".join(lines)
 
     def _path(self, formula, db, variables, domain_key, signature) -> str:
@@ -614,64 +576,19 @@ class CompiledBackend(Backend):
     def _execute_plan(self, plan: Plan, ctx: ExecutionContext, lazy: bool = False) -> Rows:
         """Full (non-incremental) plan execution, or a streamed verdict.
 
-        Sub-plans the structural interner identified as shared between
-        formulas are not executed here when the state history can supply
-        them: each is looked up at ``ctx.db`` — or brought there from the
-        nearest evaluated ancestor by the delta rules — and its whole
-        sub-DAG's rows seed the execution.  A formula over fresh constants
-        therefore pays for what its constants touch; the constant-free part
-        arrives at delta cost.  A shared sub-plan this execution had to run
-        itself is remembered, so the next formula (or the next state) finds
-        it.
-
         ``lazy`` (a closed sentence) streams the plan to its first root row
-        instead.  Sub-plans read twice are materialised, and so are the
-        shared ones of a plan with parameter slots: its next bindings come
-        with fresh constants and carry them.  A constant-free sentence is
-        its own memo and state key; its stream runs through them.
+        instead; sub-plans read twice are materialised.  A constant-free
+        sentence is its own memo and state key; its stream runs through them.
         """
-        built, seeded = [], []
-        for node in self._shared_in(plan):
-            state = self._shared_state(node, ctx)
-            if state is None:
-                built.append(node)
-            else:
-                ctx.cache.update(state.rows)
-                seeded.append(node)
-        ctx.seeded = tuple(seeded)
-        if lazy:
-            materialise = self._fan_in(plan)
-            if ctx.params:
-                materialise = materialise.union(built)
-            ctx.lazy, ctx.materialise = True, materialise
-            rows = frozenset({()}) if plan.nonempty(ctx) else frozenset()
-            ctx.lazy = False
-            self._bump("streamed")
-            if self.delta_mode == "verify":
-                self._verify(plan, ctx, rows, "streamed verdict", ctx.db)
-        else:
-            rows = plan.rows(ctx)
-        for node in built:
-            if node in ctx.cache:  # a short-circuiting join may have skipped it
-                self._bump("shared_rebuilt")
-                self._remember_state(
-                    ctx.db,
-                    (node, ctx.domain_key, ctx.signature),
-                    PlanState(self._subtree_rows(node, ctx)),
-                )
+        if not lazy:
+            return plan.rows(ctx)
+        ctx.lazy, ctx.materialise = True, self._fan_in(plan)
+        rows = frozenset({()}) if plan.nonempty(ctx) else frozenset()
+        ctx.lazy = False
+        self._bump("streamed")
+        if self.delta_mode == "verify":
+            self._verify(plan, ctx, rows, "streamed verdict", ctx.db)
         return rows
-
-    def _shared_state(self, node: Plan, ctx: ExecutionContext) -> Optional[PlanState]:
-        """The shared sub-plan's state at ``ctx.db``, carried there if need be."""
-        key = (node, ctx.domain_key, ctx.signature)
-        state = self._state_for(ctx.db, key)
-        if state is None and self.delta_mode != "off":
-            state = self._advance_state(
-                node, key, ExecutionContext(ctx.db, ctx.domain_key, ctx.signature)
-            )
-            if state is not None:
-                self._bump("shared_carried")
-        return state
 
     def _fan_in(self, plan: Plan) -> FrozenSet[Plan]:
         """The nodes of ``plan``'s DAG read by more than one consumer."""
@@ -688,41 +605,6 @@ class CompiledBackend(Backend):
             found = frozenset(node for node, n in consumers.items() if n > 1)
             self._fan_ins.put(plan, found)
         return found
-
-    def _shared_in(self, plan: Plan) -> Tuple[Plan, ...]:
-        """The nodes of ``plan``'s DAG known to be shared with other plans."""
-        shared_nodes = self._shared_nodes
-        if not shared_nodes:
-            return ()
-        found = []
-        seen: Set[Plan] = set()
-        stack = [plan]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in shared_nodes and node is not plan:
-                found.append(node)
-                continue  # the whole subtree rides along with its root
-            stack.extend(node.children())
-        return tuple(found)
-
-    @staticmethod
-    def _subtree_rows(node: Plan, ctx: ExecutionContext) -> Dict[Plan, Rows]:
-        """``{node: rows}`` for the node's whole evaluated sub-DAG."""
-        rows: Dict[Plan, Rows] = {}
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current in rows:
-                continue
-            cached = ctx.cache.get(current)
-            if cached is None:
-                continue
-            rows[current] = cached
-            stack.extend(current.children())
-        return rows
 
     # -- incremental (delta) evaluation -----------------------------------------
 
@@ -778,10 +660,8 @@ class CompiledBackend(Backend):
         """Bring ``plan``'s remembered state under ``key`` forward to ``ctx.db``.
 
         Walks the database's ``apply_delta`` provenance until it finds an
-        ancestor with a state under ``key`` — a memo key for a whole
-        formula's plan, ``(node, domain, signature)`` for a shared sub-plan —
-        and applies the delta rules to it under the composition of the steps
-        climbed.  Remembers and returns the successor state, or ``None`` when
+        ancestor with a state under the memo key ``key`` and applies the delta
+        rules to it under the composition of the steps climbed.  Remembers and returns the successor state, or ``None`` when
         no such ancestor is within reach.
         """
         found = self._ancestor_state(ctx.db, key)

@@ -36,10 +36,9 @@ no remembered result at all — one a short-circuiting join skipped (or that a
 re-planned shape introduced): it is computed from its children and enters as
 all-new rows, which is exact because every remembered consumer of a skipped
 node holds what an empty input would have given it.  ``REPRO_DELTA=verify``
-makes the backend shadow every incremental result — whole formulas and
-carried shared sub-plans alike — with a full execution and assert equality,
-the delta analogue of keeping :class:`~repro.engine.backend.NaiveBackend` as
-the semantics oracle.
+makes the backend shadow every incremental result with a full execution and
+assert equality, the delta analogue of keeping
+:class:`~repro.engine.backend.NaiveBackend` as the semantics oracle.
 
 Nothing remembered is ever mutated, because the previous database's state
 must stay valid — a rolled-back transaction resumes the stream from the

@@ -18,12 +18,7 @@ statistics a database maintains (:mod:`repro.engine.stats`), it
 * **avoids complements** where a cheaper difference shape exists:
   ``L ⋈ ¬C`` becomes ``L ▷ C`` (antijoin) and ``L ▷ ¬C`` becomes a semijoin
   whenever the complement's columns are covered, so ``domain^k`` is never
-  materialised just to subtract from it;
-* **shares sub-plans across constraints**: :func:`canonical_plan` interns
-  structurally identical sub-plans (across separately compiled formulas)
-  into one node object, which is what lets the backend materialise a shared
-  intermediate once per ``(db, version)`` and reuse it for every constraint
-  of a schema.
+  materialised just to subtract from it.
 
 The rewriter never changes a node's output columns: ``rewrite(p).columns ==
 p.columns`` for every node it touches, so optimized plans drop into every
@@ -63,7 +58,6 @@ __all__ = [
     "Estimator",
     "OptimizeInfo",
     "optimize_plan",
-    "canonical_plan",
     "explain_plan",
 ]
 
@@ -855,119 +849,6 @@ def _project_keep(plan: Plan, needed: Set[str]) -> Plan:
     return _project_to(plan, keep)
 
 
-# ---------------------------------------------------------------------------
-# structural interning (multi-constraint plan sharing)
-# ---------------------------------------------------------------------------
-
-def _shallow_key(node: Plan) -> Optional[Tuple]:
-    """A one-level structural key over *canonical* children.
-
-    Children are interned before their parents, so structurally equal
-    subtrees are already the same object — a parent key only needs the
-    children's identities plus the node's own fields.  O(1) per node, where
-    a deep recursive key would make interning quadratic in plan size.
-    ``None`` marks nodes that must never unify (opaque predicates).
-    """
-    if isinstance(node, Scan):
-        return ("scan", node.relation, node.pattern)
-    if isinstance(node, (DomainScan, DomainDiagonal, DomainProduct)):
-        return (type(node).__name__, node.columns)
-    if isinstance(node, ConstantTable):
-        return ("constant", node.columns, node._data)
-    if isinstance(node, SingletonIfActive):
-        return ("singleton", node.columns, node.value)
-    if isinstance(node, Select):
-        if node.formula is None:
-            return None
-        return ("select", node.formula, id(node.child))
-    if isinstance(node, Project):
-        return ("project", node.columns, id(node.child))
-    if isinstance(node, HashJoin):
-        return ("join", id(node.left), id(node.right))
-    if isinstance(node, Antijoin):
-        return ("antijoin", id(node.left), id(node.right))
-    if isinstance(node, UnionAll):
-        return ("union",) + tuple(id(part) for part in node.parts)
-    if isinstance(node, GroupCount):
-        return ("group", node.columns, node.threshold, id(node.child))
-    return None
-
-
-def _mentions_constant(node: Plan) -> bool:
-    """Does the node's own operator (not its children) embed a formula constant?
-
-    A parameter slot counts: what the node yields depends on the binding.
-    """
-    if isinstance(node, Scan):
-        return bool(node._const_positions)
-    if isinstance(node, SingletonIfActive):
-        return True
-    if isinstance(node, ConstantTable):
-        return bool(node.columns)  # the 0-ary TRUE/FALSE tables carry no value
-    if isinstance(node, Select):
-        return node.formula is None or bool(node.formula.constants())
-    return False
-
-
-def canonical_plan(
-    plan: Plan,
-    interned: Dict[Tuple, Plan],
-    shared: Set[Plan],
-) -> Tuple[Plan, int]:
-    """Replace every constant-free sub-plan already seen by its first copy.
-
-    ``interned`` maps structural keys to canonical nodes across calls (the
-    backend owns it, and must hold its values strongly — the keys embed the
-    ids of canonical children).  Only sub-plans that mention no constant and
-    no parameter are interned — the part of a plan that is the same whatever
-    its constants are bound to.  ``shared`` collects the intermediates worth
-    keeping along the update stream: nodes that unify with a previously
-    interned copy (shared between formulas); the constant-free sub-plans
-    sitting directly under a node that does mention a constant (shared
-    between the bindings of one shape — whole-formula state is per binding,
-    so a fresh binding would otherwise rebuild them); and every
-    constant-free scan that has to look at the rows (a repeated variable),
-    the leaf whose cost is the relation's size.  A scan over distinct
-    variables is the stored relation and has nothing to carry.
-    Returns the canonicalised plan and the number of sub-plans that unified.
-    """
-    memo: Dict[Plan, Tuple[Plan, bool]] = {}
-    hits = 0
-
-    def visit(node: Plan) -> Tuple[Plan, bool]:
-        nonlocal hits
-        done = memo.get(node)
-        if done is not None:
-            return done
-        children = node.children()
-        visited = [visit(child) for child in children]
-        new_children = tuple(child for child, _free in visited)
-        rebuilt = node if new_children == children else _with_children(node, new_children)
-        constant_free = not _mentions_constant(rebuilt) and all(
-            free for _child, free in visited
-        )
-        key = _shallow_key(rebuilt) if constant_free else None
-        if key is not None:
-            canonical = interned.get(key)
-            if canonical is None:
-                interned[key] = rebuilt
-                if isinstance(rebuilt, Scan) and not rebuilt.is_identity:
-                    shared.add(rebuilt)
-            elif canonical is not rebuilt and canonical.columns == rebuilt.columns:
-                if canonical.children():  # leaves are cheap; only count real work
-                    shared.add(canonical)
-                    hits += 1
-                rebuilt = canonical
-        if not constant_free:
-            shared.update(
-                child for child, free in visited if free and child.children()
-            )
-        memo[node] = (rebuilt, constant_free)
-        return memo[node]
-
-    return visit(plan)[0], hits
-
-
 def _with_children(node: Plan, children: Tuple[Plan, ...]) -> Plan:
     """Rebuild ``node`` over replacement children (same column layouts)."""
     if isinstance(node, Select):
@@ -998,7 +879,6 @@ def explain_plan(
     estimator: Estimator,
     actual: Optional[Dict[Plan, object]] = None,
     profile=None,
-    seeded: Sequence[Plan] = (),
 ) -> str:
     """An indented rendering of ``plan`` with estimated (and actual) rows.
 
@@ -1007,9 +887,7 @@ def explain_plan(
     visible node by node — the optimizer's debugging loop.  ``profile`` (a
     :class:`repro.obs.profile.PlanProfiler` the execution context carried)
     additionally shows each node's measured wall time, turning
-    estimated-vs-actual into measured-vs-actual.  ``seeded`` lists the
-    sub-plan roots the backend supplied from carried state; they are marked
-    ``[carried]`` (and, never having run, show no time).
+    estimated-vs-actual into measured-vs-actual.
     """
     lines: List[str] = []
 
@@ -1022,8 +900,6 @@ def explain_plan(
             if rows is not None:
                 line += f" act={len(rows)}"
         line += f" cost={estimator.op_cost(node):.1f}"
-        if node in seeded:
-            line += " [carried]"
         if profile is not None:
             seconds = profile.seconds(node)
             if seconds is not None:

@@ -101,7 +101,7 @@ class ExecutionContext:
 
     __slots__ = (
         "db", "domain_key", "domain", "signature", "functions", "params", "stats",
-        "cache", "seeded", "profiler", "lazy", "materialise", "_covers",
+        "cache", "profiler", "lazy", "materialise", "_covers",
     )
 
     def __init__(
@@ -131,9 +131,6 @@ class ExecutionContext:
         # Keyed by the node itself (identity hash) — holding the reference
         # prevents id-reuse if a caller evaluates several plans in one context.
         self.cache: Dict["Plan", Rows] = {}
-        # the sub-plan roots whose rows the backend put into ``cache`` from
-        # carried state instead of running them (``explain()`` marks them)
-        self.seeded: Tuple["Plan", ...] = ()
         # optional per-node wall-time/cardinality recorder (a
         # repro.obs.profile.PlanProfiler); None keeps rows() on the fast path
         self.profiler = None

@@ -60,9 +60,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 BACKEND_KEY_MAP: Dict[str, str] = {
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
-    "shared_subplans": "engine.optimizer.shared_subplans",
-    "shared_carried": "engine.shared.carried",
-    "shared_rebuilt": "engine.shared.rebuilt",
     "complements_avoided": "engine.optimizer.complements_avoided",
     "delta_hits": "engine.delta.hits",
     "delta_misses": "engine.delta.misses",

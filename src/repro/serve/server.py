@@ -423,10 +423,19 @@ class TransactionServer:
                         f"template {template.name!r} is already registered "
                         "with a different shape"
                     )
-            # registration is idempotent per name inside the controller, and
-            # classifies nothing: each submission is judged by its own shape
-            self.service.register(template.admission_template())
-            with self._templates_lock:
+                # a name the service was given in code has a builder this
+                # server cannot compare: a submission would run the wire
+                # spec but be judged by that builder's program
+                if known is None and self.service.admission.template(template.name) is not None:
+                    raise ProtocolError(
+                        f"template {template.name!r} is already registered "
+                        "with the service"
+                    )
+                # under the same lock as the checks, so two concurrent
+                # registrations of one name cannot both pass them.
+                # Registration classifies nothing: each submission is judged
+                # by its own shape
+                self.service.register(template.admission_template())
                 self._templates[template.name] = template
             return json_response(200, {"registered": template.name})
 

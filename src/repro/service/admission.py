@@ -29,7 +29,10 @@ otherwise, both exact under the invariant and both over the shape's slots.
 Mode, slotted guard and source are cached under the shape; every later
 instance costs one dictionary read and :func:`bind_slots`.  A program with no
 shape is classified on its own, every time.  Templates carry only a name and
-a builder: registering one classifies nothing.
+a builder: registering one classifies nothing.  A verdict holds for every
+service over the same constraints, so services may share the shape cache
+(:meth:`AdmissionController.sharing_verdicts`); a template name belongs to
+the service it was registered with.
 """
 
 from __future__ import annotations
@@ -119,6 +122,13 @@ class AdmissionController:
         """The template registered under ``name`` (``None`` if unknown)."""
         with self._lock:
             return self._templates.get(name)
+
+    def sharing_verdicts(self) -> "AdmissionController":
+        """A controller over this one's constraints and shape -> verdict
+        cache, with a name -> builder table of its own (empty)."""
+        other = AdmissionController(self.constraints)
+        other._lock, other._shapes = self._lock, self._shapes
+        return other
 
     # -- per-request verdicts (the caller's thread) --------------------------------
 

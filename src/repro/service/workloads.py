@@ -184,11 +184,13 @@ _ADMISSION: Optional[Tuple["AdmissionController", List[Constraint]]] = None
 
 
 def _standard_admission() -> Tuple["AdmissionController", List[Constraint]]:
-    """One admission controller per process.
+    """A fresh admission controller over the one shape cache of the process.
 
     A shape's classification is paid once, by its first instance, so every
-    service built by :func:`build_service` shares a single controller — the
-    verdict cache is exactly as reusable as a prepared-statement cache.
+    service built by :func:`build_service` shares the standard constraints'
+    shape -> verdict cache — exactly as reusable as a prepared-statement
+    cache.  Template names are not shared: each call returns a controller
+    with its own table, holding the standard templates.
     """
     global _ADMISSION
     with _ADMISSION_LOCK:
@@ -196,11 +198,12 @@ def _standard_admission() -> Tuple["AdmissionController", List[Constraint]]:
             from .admission import AdmissionController
 
             constraints = standard_constraints()
-            controller = AdmissionController(constraints)
-            for template in standard_templates():
-                controller.register(template)
-            _ADMISSION = (controller, constraints)
-        return _ADMISSION
+            _ADMISSION = (AdmissionController(constraints), constraints)
+        shared, constraints = _ADMISSION
+    admission = shared.sharing_verdicts()
+    for template in standard_templates():
+        admission.register(template)
+    return admission, constraints
 
 
 def build_service(
@@ -211,11 +214,11 @@ def build_service(
 ) -> TransactionService:
     """A service over ``initial`` with the standard constraints and templates.
 
-    The admission controller and its per-shape verdicts are shared per
-    process (see :func:`_standard_admission`), so repeated ``build_service``
-    calls — one per test, one per benchmark phase — classify each shape
-    exactly once.  The service evaluates on the ambient
-    backend.
+    The per-shape verdicts are shared per process (see
+    :func:`_standard_admission`), so repeated ``build_service`` calls — one
+    per test, one per benchmark phase — classify each shape exactly once;
+    template names are the service's own.  The service evaluates on the
+    ambient backend.
 
     ``engine`` selects the store's :class:`~repro.db.engines.StorageEngine`
     (default: the ``REPRO_DURABLE``/``REPRO_WAL_DIR`` environment choice).

@@ -38,7 +38,6 @@ from repro.engine import (
     Project,
     Scan,
     Select,
-    canonical_plan,
     compile_extension,
     optimize_plan,
 )
@@ -319,26 +318,9 @@ class TestBackendIntegration:
         assert first == second
         stats = backend.cache_stats()
         for counter in (
-            "plans_rewritten", "join_reorders", "shared_subplans",
-            "complements_avoided",
+            "plans_rewritten", "join_reorders", "complements_avoided",
         ):
             assert counter in stats
-
-    def test_shared_subplans_across_constraints(self):
-        backend = CompiledBackend(optimizer="on")
-        # large enough (>= _OPT_EAGER_ROWS rows) that optimization is eager
-        # rather than request-counted
-        db = random_graph(60, 0.4, seed=7)
-        # constant-free: only such sub-plans are interned (a sub-plan over a
-        # constant cannot unify across instances of a formula shape)
-        premise = "(exists y . exists z . E(a, y) & E(y, z) & E(z, a))"
-        one = parse(f"forall a . {premise} -> (exists w . E(a, w))")
-        two = parse(f"forall a . {premise} -> (exists w . E(w, a))")
-        backend.evaluate(one, db)
-        before = backend.cache_stats()["shared_subplans"]
-        backend.evaluate(two, db)
-        after = backend.cache_stats()["shared_subplans"]
-        assert after > before, "structurally shared premise was not detected"
 
     def test_evaluate_many_matches_sequential(self):
         backend = CompiledBackend(optimizer="on")
@@ -387,30 +369,3 @@ class TestBackendIntegration:
         mirrored = db.apply_delta(Delta(inserted={"E": [(b, a) for (a, b) in db.edges]}))
         assert backend.evaluate(constraint, mirrored)
         assert backend.delta_hits >= 1
-
-
-# ---------------------------------------------------------------------------
-# canonicalisation
-# ---------------------------------------------------------------------------
-
-class TestCanonicalisation:
-    def test_identical_plans_unify(self):
-        formula = parse("exists y . E(x, y) & E(y, z)")
-        one = compile_extension(formula, ("x", "z"))
-        two = compile_extension(formula, ("x", "z"))
-        interned, shared = {}, set()
-        canon_one, hits_one = canonical_plan(one, interned, shared)
-        canon_two, hits_two = canonical_plan(two, interned, shared)
-        assert hits_one == 0
-        assert hits_two > 0
-        assert canon_two is canon_one
-
-    def test_opaque_selects_never_unify(self):
-        db = Database.graph([(0, 1)])
-        base = compile_extension(parse("E(x, y)"), ("x", "y"))
-        one = Select(base, lambda row, ctx: True, "opaque-1")
-        two = Select(base, lambda row, ctx: False, "opaque-2")
-        interned, shared = {}, set()
-        canon_one, _ = canonical_plan(one, interned, shared)
-        canon_two, _ = canonical_plan(two, interned, shared)
-        assert canon_one is not canon_two

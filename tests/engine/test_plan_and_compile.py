@@ -332,3 +332,37 @@ class TestBackendSelection:
         with using_backend("compiled"):
             compiled_answer = evaluate(formula, db)
         assert naive_answer == compiled_answer is True
+
+
+# -- short-circuiting joins ---------------------------------------------------
+
+LOOP_WITH_SUCCESSOR = parse("exists x . exists y . E(x, x) & E(x, y)")
+
+
+def test_join_with_an_empty_side_never_runs_the_other():
+    backend = CompiledBackend(delta="on")
+    db = Database.graph([(0, 1), (1, 2)])
+    plan = backend.plan_for(LOOP_WITH_SUCCESSOR, ())
+    nodes, stack = set(), [plan]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(node.children())
+    ctx = ExecutionContext(db)
+    assert plan.rows(ctx) == frozenset()
+    assert set(ctx.cache) < nodes  # E(x, y) was never scanned: no loop to extend
+
+
+def test_short_circuited_plan_answers_the_next_step_incrementally():
+    backend = CompiledBackend(delta="verify")
+    db = Database.graph([(0, 1), (1, 2)])
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    assert (backend.delta_hits, backend.delta_misses) == (0, 1)
+    db = db.insert("E", (3, 4))  # still no loop: the join stays empty
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    db = db.insert("E", (1, 1))  # the skipped side is needed now
+    assert backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    db = db.delete("E", (1, 2)).delete("E", (1, 1)).insert("E", (1, 0))
+    assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
+    assert (backend.delta_hits, backend.delta_misses) == (3, 1)

@@ -23,12 +23,13 @@ from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
 from repro.engine import plan as plan_module
 from repro.engine.plan import HashJoin, Plan, Scan, join_rows
 from repro.logic import arithmetic_signature, parse
+from repro.logic.signature import EMPTY_SIGNATURE
 from repro.logic.syntax import And, Atom, Eq, Exists, Formula, InterpretedAtom, Not
 from repro.logic.terms import Const, Func, Param, Var
 from repro.core.simplification import bind_slots, derived_guard
 from repro.db.graph import all_graphs
 from repro.service.workloads import NO_LOOPS, NO_TRIANGLES, _insert_edge_program, forward_graph
-from repro.transactions import FOProgram, InsertTuple
+from repro.transactions import DeleteWhere, FOProgram, InsertTuple, InsertWhere
 
 from strategies import formulas, graph_deltas, graphs, maybe_seed
 
@@ -248,9 +249,15 @@ def test_alpha_variants_agree():
 # -- what is cached on what -----------------------------------------------------------
 
 
-def precondition(a, b, constraint=parse("forall x . ~E(x, x)")):
-    program = FOProgram([InsertTuple("E", a, b)], name=f"insert-{a}-{b}")
+ANTISYMMETRIC = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
+
+
+def precondition(program: FOProgram, constraint=NO_LOOPS):
     return WpcCalculator(PrerelationSpec.from_fo_program(program)).wpc(constraint)
+
+
+def insert(a, b) -> FOProgram:
+    return FOProgram([InsertTuple("E", a, b)], name=f"insert-{a}-{b}")
 
 
 def test_a_maintenance_stream_of_fresh_preconditions_is_a_handful_of_plans():
@@ -258,13 +265,116 @@ def test_a_maintenance_stream_of_fresh_preconditions_is_a_handful_of_plans():
     db = forward_graph(150, 8, seed=1)
     for step in range(60):
         a, b = (step * 7) % 150, (step * 11 + 3) % 150
-        formula = precondition(a, b)
+        formula = precondition(insert(a, b))
         assert backend.evaluate(formula, db) == (a != b)
         db = db.insert("E", (min(a, b), max(a, b) + 1))
     stats = backend.cache_stats()
     assert stats["plans"] <= 8
     assert stats["optimized_plans"] <= 2 * stats["plans"]
-    assert stats["shared_carried"] > stats["shared_rebuilt"]
+
+
+# -- fresh preconditions along update streams ------------------------------------
+
+
+def programs():
+    """Single-tuple and bulk programs; the constants are drawn per step."""
+    node = st.sampled_from([0, 1, 2, 3, 7, 99])  # 7 and 99 are never active
+    single = st.tuples(node, node).map(lambda edge: insert(*edge))
+    remove = st.tuples(node, node).map(
+        lambda edge: FOProgram(
+            [DeleteWhere("E", ("x", "y"), parse(f"x = {edge[0]} & y = {edge[1]}"))],
+            name=f"delete-{edge[0]}-{edge[1]}",
+        )
+    )
+    bulk = st.sampled_from([
+        FOProgram([InsertWhere("E", ("x", "y"), parse("E(y, x)"))], name="symmetrise"),
+        FOProgram([DeleteWhere("E", ("x", "y"), parse("x = y"))], name="prune"),
+    ])
+    mixed = st.tuples(node, node).map(
+        lambda edge: FOProgram(
+            [InsertTuple("E", *edge), DeleteWhere("E", ("x", "y"), parse("x = y"))],
+            name=f"insert-{edge[0]}-{edge[1]}-then-prune",
+        )
+    )
+    return st.one_of(single, remove, bulk, mixed)
+
+
+@maybe_seed
+@given(
+    base=graphs(),
+    steps=st.lists(
+        st.tuples(st.booleans(), graph_deltas(), programs()), min_size=1, max_size=8
+    ),
+)
+def test_fresh_preconditions_along_a_branching_stream(base, steps):
+    carried = CompiledBackend(delta="verify", optimizer="on")  # carries are shadow-checked
+    full = CompiledBackend(delta="off")  # nothing is ever carried
+    history = [base]
+    for branch, delta, program in steps:
+        # the rollback pattern: the stream resumes from the parent state
+        origin = history[-2] if branch and len(history) > 1 else history[-1]
+        current = origin.apply_delta(delta)
+        history.append(current)
+        for constraint in (NO_LOOPS, ANTISYMMETRIC):
+            formula = precondition(program, constraint)
+            expected = NAIVE.evaluate(formula, current)
+            assert carried.evaluate(formula, current) == expected, (program, constraint)
+            assert full.evaluate(formula, current) == expected, (program, constraint)
+
+
+def test_partitioned_row_sets_are_shadowed_by_full_executions():
+    """The families above hold a handful of rows, so every row set in them is
+    one partition.  At 2 000 rows the relation, the 2-path join and the
+    carried scans span many: the same stream shapes — whole formulas, fresh
+    preconditions, a rolled-back branch — under ``verify``.  Three standing
+    preconditions share one plan with the fresh ones and are met again at
+    every state, so the plan's parameterised scans are also *updated*
+    incrementally, each binding from its own state, and shadowed."""
+    from repro.db.delta import RowSet
+
+    no_triangles = parse("forall x . forall y . forall z . (E(x, y) & E(y, z)) -> ~E(z, x)")
+    carried = CompiledBackend(delta="verify", optimizer="on")
+    full = CompiledBackend(delta="off")
+    db = Database.graph(
+        (a, a + 1 + (a * 7 + j * 13) % 40) for a in range(250) for j in range(8)
+    )
+    assert db.cardinality("E") >= 2000
+    standing = [
+        precondition(insert(3, 200), ANTISYMMETRIC),
+        precondition(insert(0, 1), ANTISYMMETRIC),
+        precondition(insert(249, 9999), ANTISYMMETRIC),  # 9999 is never active
+    ]
+    updates = [
+        ("insert", (3, 200)), ("insert", (200, 3)), ("delete", (200, 3)),
+        ("insert", (7, 7)), ("delete", (7, 7)), ("insert", (120, 5)),
+        ("delete", (0, 1)), ("insert", (400, 401)), ("delete", (400, 401)),
+        ("insert", (60, 2)), ("insert", (249, 0)), ("delete", (3, 200)),
+    ]
+    for step, (kind, edge) in enumerate(updates):
+        candidate = db.insert("E", edge) if kind == "insert" else db.delete("E", edge)
+        verdicts = [
+            carried.evaluate(constraint, candidate)  # shadowed by a full run
+            for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
+        ]
+        assert verdicts == [
+            full.evaluate(constraint, candidate)
+            for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
+        ]
+        fresh = precondition(insert(1000 + step, 5), ANTISYMMETRIC)
+        for formula in [fresh] + standing:
+            assert carried.evaluate(formula, candidate) == full.evaluate(formula, candidate)
+        if all(verdicts):  # keep it; otherwise the stream resumes from the parent
+            db = candidate
+    # no-op and re-met states hit the memo; past the first state every
+    # standing precondition is advanced, not re-run
+    assert carried.delta_hits >= len(updates) + len(standing) * (len(updates) - 2)
+    assert carried.cache_stats()["plans"] == 4  # three constraints, one precondition shape
+    state = carried._state_for(db, (no_triangles, (), None, EMPTY_SIGNATURE))
+    spans_partitions = [
+        rows for rows in state.rows.values()
+        if isinstance(rows, RowSet) and len(rows._parts) > 1
+    ]
+    assert len(spans_partitions) >= 2  # the relation and a join over it
 
 
 def _edge_guard(constraint, a, b):
@@ -325,8 +435,8 @@ def test_reads_and_guards_of_many_accounts_are_a_handful_of_plans():
 def test_a_warm_shape_builds_no_formula_and_no_plan(monkeypatch):
     backend = CompiledBackend()
     db = forward_graph(150, 8, seed=1)
-    backend.evaluate(precondition(3, 40), db)
-    fresh = precondition(5, 77)  # same shape, never evaluated
+    backend.evaluate(precondition(insert(3, 40)), db)
+    fresh = precondition(insert(5, 77))  # same shape, never evaluated
     built = []
 
     def counting(cls):

@@ -333,25 +333,6 @@ def test_a_sub_plan_read_twice_is_materialised_once(monkeypatch):
     assert all(runs.get(node, 0) <= 1 for node in fanned)
 
 
-def test_parameterised_streams_still_carry_their_shared_sub_plans():
-    # a fresh binding of one shape per state: the parameter-free part is
-    # materialised once and carried, not streamed anew each time
-    from repro.core import PrerelationSpec, WpcCalculator
-    from repro.transactions import FOProgram, InsertTuple
-
-    no_loops = parse("forall x . ~E(x, x)")
-    backend = CompiledBackend(delta="on", optimizer="on")
-    db = forward_graph(60, 4, seed=7)
-    for step in range(6):
-        program = FOProgram([InsertTuple("E", 100 + step, 200 + step)])
-        wpc = WpcCalculator(PrerelationSpec.from_fo_program(program)).wpc(no_loops)
-        assert backend.evaluate(wpc, db) == NAIVE.evaluate(wpc, db)
-        db = db.insert("E", (step, 59 - step))
-    stats = backend.cache_stats()
-    assert stats["streamed"] == 6
-    assert stats["shared_carried"] > stats["shared_rebuilt"] >= 1
-
-
 # -- observability -----------------------------------------------------------------------
 
 

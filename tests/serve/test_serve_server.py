@@ -99,6 +99,19 @@ class TestConformance:
         )
         assert status == 400 and "different shape" in payload["error"]
 
+    def test_a_name_the_service_already_has_is_refused(self):
+        """Without ``preregister`` the server does not know the service's
+        ``unlink``; an insert registered under that name would be judged as
+        the service's delete and commit a loop."""
+        service = build_service(forward_graph(10, 2, seed=9), commit_timeout=30.0)
+        with ServerThread(service, owns_service=True) as harness:
+            with ServeClient(*harness.address) as client:
+                spec = {"name": "unlink", "ops": [{"insert": ["E", ["$0", "$1"]]}]}
+                status, payload = client.request("POST", "/templates", spec)
+                assert status == 400 and "with the service" in payload["error"]
+                assert client.submit("unlink", [7, 7])[0] == 400  # unknown here
+            assert service.invariant_holds()
+
 
 class TestBatching:
     def test_pipelined_batch_commits_at_one_version(self, served):

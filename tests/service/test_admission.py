@@ -220,6 +220,24 @@ def test_a_bare_program_named_like_a_static_template_is_judged_by_its_shape():
     assert service.invariant_holds()
 
 
+def test_a_template_name_belongs_to_the_service_that_registered_it():
+    """Two standard services share the shape -> verdict cache, not their
+    template names: the second service's ``tidy`` is its own insert, not the
+    first's delete."""
+    delete = WireTemplate({"name": "tidy", "ops": [{"delete": ["E", ["$0", "$1"]]}]})
+    insert = WireTemplate({"name": "tidy", "ops": [{"insert": ["E", ["$0", "$1"]]}]})
+    first = build_service(Database.graph([(1, 2), (2, 3)]))
+    second = build_service(Database.graph([(1, 2), (2, 3)]))
+    first.register(delete.admission_template())
+    second.register(insert.admission_template())
+    outcome = second.execute(insert.tracked_work((7, 7)), template="tidy", params=(7, 7))
+    assert outcome.status == "rejected", outcome
+    assert second.invariant_holds()
+    assert first.execute(
+        delete.tracked_work((1, 2)), template="tidy", params=(1, 2)
+    ).status == "committed"
+
+
 # ---------------------------------------------------------------------------
 # static means proved: constraints outside the denial fragment
 # ---------------------------------------------------------------------------
