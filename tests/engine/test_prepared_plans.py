@@ -10,6 +10,7 @@ nothing of shapes.
 
 from __future__ import annotations
 
+import re
 import sys
 import threading
 
@@ -18,9 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PrerelationSpec, WpcCalculator
-from repro.db import Database, random_graph
+from repro.db import Database, Delta, random_graph
 from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
 from repro.engine import plan as plan_module
+from repro.engine.delta import _IncrementalRun
 from repro.engine.plan import HashJoin, Plan, Scan, join_rows
 from repro.logic import arithmetic_signature, parse
 from repro.logic.signature import EMPTY_SIGNATURE
@@ -375,6 +377,119 @@ def test_partitioned_row_sets_are_shadowed_by_full_executions():
         if isinstance(rows, RowSet) and len(rows._parts) > 1
     ]
     assert len(spans_partitions) >= 2  # the relation and a join over it
+
+
+# -- one formula, one plan: a formula borrows no other formula's state --------------
+
+
+def loop_free_stream(length):
+    db = random_graph(12, 0.2, seed=3)
+    db = db.apply_delta(Delta(deleted={"E": {(n, n) for n in range(12)}}))
+    yield db
+    for step in range(length):
+        db = db.insert("E", (step % 12, (step * 5 + 1) % 12))
+        yield db
+
+
+def test_each_fresh_precondition_along_a_stream_is_one_miss():
+    backend = CompiledBackend(delta="verify", optimizer="on")
+    for step, db in enumerate(loop_free_stream(10)):
+        formula = precondition(insert(100 + step, 200 + step))  # never seen before
+        assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+    # no ancestor holds a state under a formula never evaluated: each is one
+    # streamed execution of the shape's one plan, and nothing is advanced
+    assert (backend.delta_hits, backend.delta_misses) == (0, 11)
+    stats = backend.cache_stats()
+    assert stats["streamed"] == 11 and stats["plans"] == 1
+    assert not [name for name in stats if name.startswith("shared")]
+
+
+def test_a_rejected_update_finds_the_formula_state_where_it_left_it():
+    backend = CompiledBackend(delta="on", optimizer="on")
+    db = next(loop_free_stream(0))
+    assert backend.evaluate(NO_LOOPS, db)
+    assert not backend.evaluate(NO_LOOPS, db.insert("E", (5, 5)))  # rejected
+    assert backend.evaluate(NO_LOOPS, db)  # back at the parent: the memo
+    assert (backend.delta_hits, backend.delta_misses) == (1, 1)
+    # the next candidate still advances the parent's state
+    assert backend.evaluate(NO_LOOPS, db.insert("E", (5, 6)))
+    assert (backend.delta_hits, backend.delta_misses) == (2, 1)
+
+
+def test_the_state_history_holds_memo_keys_only():
+    backend = CompiledBackend(delta="on", optimizer="on")
+    db = next(loop_free_stream(0))
+    formulas = [precondition(insert(300 + step, 400 + step)) for step in range(40)]
+    for formula in formulas:
+        backend.evaluate(formula, db)
+    assert backend.cache_stats()["states"] == len(formulas)
+    keys = set(backend._states[id(db)][1])
+    assert keys == {(formula, (), None, EMPTY_SIGNATURE) for formula in formulas}
+
+
+def test_a_delta_off_backend_remembers_no_state():
+    backend = CompiledBackend(delta="off", optimizer="on")
+    for step, db in enumerate(loop_free_stream(3)):
+        for offset in (0, 50):  # two fresh formulas per state
+            formula = precondition(insert(100 + step + offset, 200 + step))
+            assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+        assert backend.evaluate(NO_LOOPS, db)
+    assert backend.delta_hits == backend.delta_misses == 0
+    assert backend.cache_stats()["states"] == 0
+
+
+def test_verify_mode_shadows_an_advanced_precondition_state(monkeypatch):
+    db = next(loop_free_stream(0))
+    formula = precondition(insert(102, 202))
+    warm = CompiledBackend(delta="verify", optimizer="on")
+    assert warm.evaluate(formula, db)
+    # break the scan rule: inserted rows never reach a remembered scan
+    monkeypatch.setattr(
+        _IncrementalRun, "_scan", lambda self, node, old_rows: self._unchanged(old_rows)
+    )
+    with pytest.raises(AssertionError, match="incremental evaluation diverged"):
+        warm.evaluate(formula, db.insert("E", (5, 5)))
+
+
+def test_explain_does_not_depend_on_what_else_was_evaluated():
+    states = list(loop_free_stream(2))
+    warm = CompiledBackend(delta="on", optimizer="on")
+    warm.evaluate(precondition(insert(100, 200)), states[0])
+    warm.evaluate(precondition(insert(101, 201)), states[1])
+    formula = precondition(insert(102, 202))
+
+    def untimed(backend):
+        return re.sub(r" time=[0-9.]+ms", "", backend.explain(formula, states[2]))
+
+    report = untimed(warm)
+    assert report == untimed(CompiledBackend(delta="on", optimizer="on"))
+    assert "path: streamed" in report and "[carried]" not in report
+
+
+def test_formulas_with_a_common_premise_run_plans_of_their_own():
+    backend = CompiledBackend(delta="verify", optimizer="on")
+    db = random_graph(60, 0.4, seed=7)
+    premise = "(exists y . exists z . E(a, y) & E(y, z) & E(z, a))"
+    one = parse(f"forall a . {premise} -> (exists w . E(a, w))")
+    two = parse(f"forall a . {premise} -> (exists w . E(w, a))")
+
+    def nodes(plan):
+        found, stack = {}, [plan]
+        while stack:
+            node = stack.pop()
+            if id(node) not in found:
+                found[id(node)] = node
+                stack.extend(node.children())
+        return set(found)
+
+    assert not nodes(backend.plan_for(one, ())) & nodes(backend.plan_for(two, ()))
+    for formula in (one, two, one):
+        assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+    successor = db.insert("E", (0, 0))
+    for formula in (two, one):
+        assert backend.evaluate(formula, successor) == NAIVE.evaluate(formula, successor)
+    assert backend.delta_hits == 2  # each formula advanced its own state
+    assert backend.cache_stats()["plans"] == 2
 
 
 def _edge_guard(constraint, a, b):

@@ -333,6 +333,26 @@ def test_a_sub_plan_read_twice_is_materialised_once(monkeypatch):
     assert all(runs.get(node, 0) <= 1 for node in fanned)
 
 
+def test_each_binding_along_a_stream_is_streamed_by_its_own_plan_run():
+    # a fresh binding of one shape per state: one plan, and each binding
+    # streamed once, with no state for the next binding to start from
+    from repro.core import PrerelationSpec, WpcCalculator
+    from repro.transactions import FOProgram, InsertTuple
+
+    no_loops = parse("forall x . ~E(x, x)")
+    backend = CompiledBackend(delta="on", optimizer="on")
+    db = forward_graph(60, 4, seed=7)
+    for step in range(6):
+        program = FOProgram([InsertTuple("E", 100 + step, 200 + step)])
+        wpc = WpcCalculator(PrerelationSpec.from_fo_program(program)).wpc(no_loops)
+        assert backend.evaluate(wpc, db) == NAIVE.evaluate(wpc, db)
+        db = db.insert("E", (step, 59 - step))
+    stats = backend.cache_stats()
+    assert stats["streamed"] == 6 and stats["plans"] == 1
+    assert (backend.delta_hits, backend.delta_misses) == (0, 6)
+    assert stats["states_built_on_demand"] == 0
+
+
 # -- observability -----------------------------------------------------------------------
 
 

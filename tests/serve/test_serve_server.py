@@ -112,6 +112,31 @@ class TestConformance:
                 assert client.submit("unlink", [7, 7])[0] == 400  # unknown here
             assert service.invariant_holds()
 
+    def test_concurrent_registrations_of_one_name_admit_one_shape(self, served):
+        service, harness, _client = served
+        specs = [
+            {"name": "race", "ops": [{"insert": ["E", ["$0", "$1"]]}]},
+            {"name": "race", "ops": [{"delete": ["E", ["$0", "$1"]]}]},
+        ]
+        start, statuses = threading.Barrier(len(specs)), []
+
+        def register(spec):
+            with ServeClient(*harness.address) as client:
+                start.wait(timeout=10)
+                statuses.append(client.request("POST", "/templates", spec)[0])
+
+        threads = [threading.Thread(target=register, args=(spec,)) for spec in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert sorted(statuses) == [200, 400]
+        with ServeClient(*harness.address) as client:
+            listed = client.request("GET", "/templates")[1]["templates"]
+            race = [t for t in listed if t["name"] == "race"]
+            assert len(race) == 1 and race[0] in specs
+            client.submit("race", [7, 7])  # a loop, if the insert won
+        assert service.invariant_holds()
 
 class TestBatching:
     def test_pipelined_batch_commits_at_one_version(self, served):

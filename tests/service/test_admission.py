@@ -99,6 +99,30 @@ class TestController:
         assert controller.classified == classified
         assert controller.guard_cache_hits == hits + 2
 
+    def test_a_controller_sharing_verdicts_has_a_name_table_of_its_own(self):
+        controller = AdmissionController(standard_constraints())
+        link, unlink = standard_templates()[:2]
+        controller.register(link)
+        other = controller.sharing_verdicts()
+        assert other.template(link.name) is None
+        other.register(TransactionTemplate(link.name, _unlink_program))
+        other.register(unlink)
+        assert controller.template(link.name) is link
+        assert controller.template(unlink.name) is None
+        assert other.template(link.name).build is _unlink_program
+
+    def test_a_shape_classified_by_one_controller_is_a_hit_for_the_other(self):
+        controller = AdmissionController(standard_constraints())
+        other = controller.sharing_verdicts()
+        first = controller.guard_for(_insert_edge_program(2, 2))
+        again = other.guard_for(_insert_edge_program(5, 5))
+        assert (controller.classified, other.classified) == (2, 0)
+        assert (controller.guard_cache_hits, other.guard_cache_hits) == (0, 1)
+        assert {name: v.mode for name, v in again.items()} == {
+            name: v.mode for name, v in first.items()
+        }
+        assert other.stats()["guards"] == controller.stats()["guards"]
+
     def test_register_writes_no_precondition_table(self):
         constraints = standard_constraints()
         controller = AdmissionController(constraints)
@@ -236,6 +260,17 @@ def test_a_template_name_belongs_to_the_service_that_registered_it():
     assert first.execute(
         delete.tracked_work((1, 2)), template="tidy", params=(1, 2)
     ).status == "committed"
+
+
+def test_each_standard_service_holds_the_standard_templates():
+    first = build_service(Database.graph([(1, 2)]))
+    second = build_service(Database.graph([(1, 2)]))
+    names = [template.name for template in standard_templates()]
+    for service in (first, second):
+        assert all(service.admission.template(name) is not None for name in names)
+    first.register(TransactionTemplate("only-first", _unlink_program))
+    assert first.admission.template("only-first") is not None
+    assert second.admission.template("only-first") is None
 
 
 # ---------------------------------------------------------------------------
