@@ -23,18 +23,18 @@ deletion (:func:`repro.core.simplification.holds_after_update`).  The static
 policy moves the same instances to the pre-state: for a program of tuple
 inserts and deletions it checks the ``Delta`` that
 :func:`repro.core.simplification.derived_guard` pulled back through the
-program once per shape of its constants, bound to the transaction's own —
-``true`` for a forward edge under ``no-loops`` and for any deletion,
-``false`` for a loop, both decided without evaluating anything, and the
-2-path probe ``~exists w . E(b, w) & E(w, a)`` for an edge under
-``no-triangles``.  Any other constraint or transaction, and any check from
-a state not known to satisfy the constraints, takes the general route: the
-whole constraint on the post-state (through the engine's incremental delta
-rules when it has seen an ancestor state), or the registered weakest
-precondition on the pre-state.  A precondition is usually a formula the
-engine has *not* seen (its constants are the transaction's tuple) — but
-only its constants are new: every instance of one shape runs one prepared
-plan — see "Shapes and parameters" in ``docs/engine.md``.  Experiment E13 holds
+program once per shape of its constants, with the transaction's own in its
+slots — ``true`` for a forward edge under ``no-loops`` and for any
+deletion, ``false`` for a loop, both decided without evaluating anything,
+and the 2-path probe ``~exists w . E($1, w) & E(w, $0)`` for an edge under
+``no-triangles``.  Both kinds of check, and a registered precondition,
+enter the engine through its prepared door (``holds_prepared``): a slotted
+sentence compiled once, run with the values beside it, touching no memo
+and no state history.  Any other constraint or transaction, and any check
+from a state not known to satisfy the constraints, takes the general
+route: the whole constraint on the post-state (through the engine's
+incremental delta rules when it has seen an ancestor state), or the
+registered weakest precondition on the pre-state.  Experiment E13 holds
 the ratio between the two policies under a ceiling.
 
 This module implements both policies (plus an unsafe baseline) on top of the
@@ -57,7 +57,7 @@ from ..engine.backend import active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import BOTTOM, TOP, Formula
 from ..transactions.base import Transaction
-from .simplification import bind_slots, derived_guard, holds_after_update
+from .simplification import derived_guard, holds_after_update
 
 __all__ = [
     "Constraint",
@@ -246,11 +246,13 @@ class StaticPreconditionPolicy(MaintenancePolicy):
     identity, exactly as :class:`RuntimeCheckPolicy` does — a transaction
     and constraint in the fragment of
     :func:`~repro.core.simplification.derived_guard` are checked by the
-    derived ``Delta`` bound to the transaction's constants; a ``Delta`` of
-    ``true`` or ``false`` decides without evaluating anything.  Otherwise
-    each constraint must supply a precondition for the transaction being
-    run (else the policy falls back to a run-time check for that constraint,
-    recorded separately so the benchmark stays honest).
+    derived ``Delta`` with the transaction's constants in its slots; a
+    ``Delta`` of ``true`` or ``false`` decides without evaluating anything.
+    Otherwise each constraint must supply a precondition for the transaction
+    being run (else the policy falls back to a run-time check for that
+    constraint, recorded separately so the benchmark stays honest).  Guards
+    and registered preconditions alike run through the backend's
+    ``holds_prepared``.
     """
 
     name = "static-precondition"
@@ -271,20 +273,20 @@ class StaticPreconditionPolicy(MaintenancePolicy):
         for constraint in constraints:
             derived = derived_guard(transaction, constraint.formula) if known else None
             if derived is None:
-                precondition = constraint.precondition_for(transaction)
+                precondition, values = constraint.precondition_for(transaction), ()
                 if precondition is None:
                     runtime_fallback.append(constraint)
                     continue
-            elif derived[0] == TOP:
-                continue
-            elif derived[0] == BOTTOM:
-                report.rejected_statically += 1
-                return False
             else:
-                precondition = bind_slots(*derived)
+                precondition, values = derived
+                if precondition == TOP:
+                    continue
+                if precondition == BOTTOM:
+                    report.rejected_statically += 1
+                    return False
             report.precondition_evaluations += 1
             ok = (
-                active_backend().evaluate(precondition, state, signature=signature)
+                active_backend().holds_prepared(precondition, state, values, signature)
                 if isinstance(precondition, Formula)
                 else precondition.holds(state)
             )

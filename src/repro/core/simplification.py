@@ -31,6 +31,7 @@ transaction service — call it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -55,6 +56,7 @@ from ..logic.syntax import (
     Or,
     TOP,
     Top,
+    bind_slots,
     make_and,
     make_or,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "denial_form",
     "holds_after_update",
     "program_shape",
+    "slotted_program",
     "derived_guard",
     "shape_guard",
     "bind_slots",
@@ -317,25 +320,46 @@ def holds_after_update(
     the constraint into ``post``, or ``None`` when no such pre-state is
     known.  With a delta, a constraint in denial form is decided by its
     :meth:`~DenialForm.instances` at the inserted rows, stopping at the
-    first that holds: exact under that assumption, and each instance is a
-    formula with fresh constants of a shape the engine has seen after the
-    first — one prepared plan whose constants probe the relations' indexes,
-    so O(|delta|) probes whatever the size of the database, nothing for a
-    deletion.  Otherwise — no delta, or no denial form — the whole
-    constraint is evaluated on ``post`` (``constraint.holds``) and ``full``
-    is ``True``.  ``constraint`` is a
-    :class:`~repro.core.maintenance.Constraint`: anything with a ``formula``
-    and ``holds(db, signature)``.
+    first that holds: exact under that assumption.  The instances are
+    derived once per (form, relation, equality pattern of the row) over
+    :class:`Param` slots, and each inserted row runs them through the
+    backend's prepared door (``holds_prepared``) with its own distinct
+    values: no formula is built per row, no engine state is kept, and each
+    instance is a plan whose slots probe the relations' indexes — O(|delta|)
+    probes whatever the size of the database, nothing for a deletion.
+    Otherwise — no delta, or no denial form — the whole constraint is
+    evaluated on ``post`` (``constraint.holds``) and ``full`` is ``True``.
+    ``constraint`` is a :class:`~repro.core.maintenance.Constraint`:
+    anything with a ``formula`` and ``holds(db, signature)``.
     """
     form = denial_form(constraint.formula) if delta is not None else None
     if form is None:
         return constraint.holds(post, signature), True
     backend = active_backend()
-    violated = any(
-        backend.evaluate(instance, post, signature=signature)
-        for instance in form.instances(delta)
-    )
-    return not violated, False
+    seen = set()
+    for relation, rows in delta.inserted.items():
+        for row in rows:
+            slots: Dict[object, int] = {}
+            pattern = tuple([slots.setdefault(value, len(slots)) for value in row])
+            values = tuple(slots)
+            for instance in _slotted_instances(form, relation, pattern):
+                if (instance, values) in seen:
+                    continue
+                seen.add((instance, values))
+                if backend.holds_prepared(instance, post, values, signature):
+                    return False, False
+    return True, False
+
+
+@lru_cache(maxsize=1024)
+def _slotted_instances(
+    form: DenialForm, relation: str, pattern: Tuple[int, ...]
+) -> Tuple[Formula, ...]:
+    """``form``'s instances at a row of ``relation`` whose cells hold the
+    slots ``pattern`` (equal values share a slot, distinct slots hold
+    distinct values)."""
+    row = tuple(Param(index) for index in pattern)
+    return tuple(form._instances({relation: (row,)}, keep_matched=False))
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +368,53 @@ def holds_after_update(
 
 
 def program_shape(program: object) -> Optional[Tuple[Tuple[object, ...], Tuple[object, ...]]]:
-    """``(key, values)``: ``program`` with its constants factored into slots.
+    """``(key, values)``: ``program``'s shape and the constants it is of.
 
     ``values`` lists the program's distinct constants in first-occurrence
-    order and ``key`` is the program with :class:`Param` ``i`` where the
-    ``i``-th of them stood (with its schema) — numbered the way
-    :meth:`Formula.shape` numbers a formula's constants, so equal values
-    share a slot and distinct slots are distinct values.  ``None`` outside
-    the fragment :func:`derived_guard` covers: an :class:`FOProgram` of
+    order, numbered the way :meth:`Formula.shape` numbers a formula's (equal
+    values share a slot, distinct slots are distinct values).  ``key`` is
+    flat and builds no formula: the schema, then per :class:`InsertTuple`
+    its relation and the slot of each term, per :class:`DeleteWhere` its
+    relation, variables, the condition's shape key and the slot of each of
+    the condition's constants.  Programs with equal keys are one
+    :func:`slotted_program` over their own ``values``.  ``None`` outside the
+    fragment :func:`derived_guard` covers: an :class:`FOProgram` of
     :class:`InsertTuple` statements over constants and :class:`DeleteWhere`
     statements without interpreted symbols.
     """
     if type(program) is not FOProgram:
         return None
+    slots: Dict[object, int] = {}
+    key: List[object] = [program.schema]
+    for statement in program.statements:
+        if type(statement) is InsertTuple:
+            terms = statement.terms
+            if any(type(term) is not Const for term in terms):
+                return None
+            key.append(
+                (statement.relation,
+                 tuple([slots.setdefault(term.value, len(slots)) for term in terms]))
+            )
+        elif type(statement) is DeleteWhere:
+            condition = statement.condition
+            if condition.interpreted_symbols():
+                return None
+            local, constants = condition.shape()
+            if any(type(token) is Param for token in local):
+                return None
+            key.append(
+                (statement.relation, statement.variables, local,
+                 tuple([slots.setdefault(value, len(slots)) for value in constants]))
+            )
+        else:
+            return None
+    return tuple(key), tuple(slots)
+
+
+def slotted_program(program: FOProgram) -> FOProgram:
+    """``program`` with :class:`Param` ``i`` where :func:`program_shape`'s
+    ``values[i]`` stood: the shape itself, which its guards are over.
+    Defined where :func:`program_shape` is not ``None``."""
     slots: Dict[object, Param] = {}
 
     def slot(term: Term) -> Term:
@@ -364,24 +422,19 @@ def program_shape(program: object) -> Optional[Tuple[Tuple[object, ...], Tuple[o
             return slots.setdefault(term.value, Param(len(slots)))
         return term
 
-    statements: List[object] = []
-    for statement in program.statements:
-        if type(statement) is InsertTuple:
-            if any(type(term) is not Const for term in statement.terms):
-                return None
-            statements.append(InsertTuple(statement.relation, *map(slot, statement.terms)))
-        elif type(statement) is DeleteWhere:
-            condition = statement.condition
-            if condition.interpreted_symbols() or any(
-                type(value) is Param for value in condition.constants()
-            ):
-                return None
-            statements.append(
-                DeleteWhere(statement.relation, statement.variables, condition.map_terms(slot))
-            )
-        else:
-            return None
-    return (program.schema, tuple(statements)), tuple(slots)
+    statements = [
+        InsertTuple(statement.relation, *map(slot, statement.terms))
+        if type(statement) is InsertTuple
+        else DeleteWhere(statement.relation, statement.variables, statement.condition.map_terms(slot))
+        for statement in program.statements
+    ]
+    return FOProgram(statements, schema=program.schema, signature=program.signature)
+
+
+#: (program shape, constraint) -> the shape's derived guard, or ``None``
+_DERIVED: Dict[Tuple[object, Formula], Optional[Formula]] = {}
+_DERIVED_SIZE = 1024
+_DERIVED_LOCK = threading.Lock()
 
 
 def derived_guard(
@@ -391,10 +444,10 @@ def derived_guard(
 
     Returns ``(guard, values)``: a sentence over the :class:`Param` slots of
     :func:`program_shape` with ``alpha |= (Delta <-> wpc(T, alpha))`` for
-    every instance of the shape, and this program's slot values
-    (:func:`bind_slots` puts them in).  ``None`` outside the fragment — a
-    program :func:`program_shape` rejects, a constraint without a
-    :func:`denial_form`.
+    every instance of the shape, and this program's slot values (a
+    backend's ``holds_prepared(guard, db, values)`` checks it).  ``None``
+    outside the fragment — a program :func:`program_shape` rejects, a
+    constraint without a :func:`denial_form`.
 
     The construction: on a pre-state satisfying ``alpha`` every violation on
     the post-state uses a row the program inserted, so the post-state
@@ -403,13 +456,21 @@ def derived_guard(
     later statement deletes is judged exactly.  Each instance is pulled back
     through the program by :class:`WpcCalculator`; ``Delta`` is the
     conjunction of their negations, folded.  A program that only deletes
-    gets ``true``.  Derived once per (shape, constraint) and remembered.
+    gets ``true``.  Derived from the :func:`slotted_program` the first time
+    a (shape, constraint) is seen, and remembered under the flat key.
     """
     shape = program_shape(program)
     if shape is None or denial_form(constraint) is None:
         return None
     key, values = shape
-    guard = _derive(key, constraint)
+    try:
+        guard = _DERIVED[key, constraint]
+    except KeyError:
+        guard = _derive(slotted_program(program), constraint)
+        with _DERIVED_LOCK:
+            if len(_DERIVED) >= _DERIVED_SIZE:
+                del _DERIVED[next(iter(_DERIVED))]
+            _DERIVED[key, constraint] = guard
     return None if guard is None else (guard, values)
 
 
@@ -420,11 +481,11 @@ def shape_guard(
 
     Inside :func:`derived_guard`'s fragment the guard is its ``Delta``
     (``source`` ``"derived"``); otherwise it is the mechanical ``wpc`` of the
-    program with its constants in :func:`program_shape`'s slots, or of the
-    program itself when it has no shape (``"wpc"``, no ``values``).  Either
-    way it holds for every instance of the shape, and ``bind_slots(guard,
-    values)`` is this program's guard.  Raises :class:`WpcError` (or
-    ``FormulaError``) when no ``wpc`` can be built.
+    :func:`slotted_program`, or of the program itself when it has no shape
+    (``"wpc"``, no ``values``).  Either way it holds for every instance of
+    the shape, and the guard with ``values`` in its slots is this program's
+    guard.  Raises :class:`WpcError` (or ``FormulaError``) when no ``wpc``
+    can be built.
     """
     derived = derived_guard(program, constraint)
     if derived is not None:
@@ -432,34 +493,19 @@ def shape_guard(
     shape = program_shape(program)
     if shape is None:
         return "wpc", weakest_precondition(program, constraint), ()
-    (schema, statements), values = shape
-    slotted = FOProgram(statements, schema=schema, signature=program.signature)
-    return "wpc", weakest_precondition(slotted, constraint), values
+    return "wpc", weakest_precondition(slotted_program(program), constraint), shape[1]
 
 
-def bind_slots(formula: Formula, values: Sequence[object]) -> Formula:
-    """``formula`` with the constant ``values[i]`` for each ``Param(i)``."""
-    if not values:
-        return formula
-    return formula.map_terms(
-        lambda term: Const(values[term.index]) if type(term) is Param else term
-    )
-
-
-@lru_cache(maxsize=1024)
-def _derive(key: Tuple[object, ...], constraint: Formula) -> Optional[Formula]:
-    schema, statements = key
+def _derive(slotted: FOProgram, constraint: Formula) -> Optional[Formula]:
     inserted: Dict[str, Dict[Tuple[Term, ...], None]] = {}
-    for statement in statements:
+    for statement in slotted.statements:
         if type(statement) is InsertTuple:
             inserted.setdefault(statement.relation, {})[statement.terms] = None
     instances = list(denial_form(constraint)._instances(inserted, keep_matched=True))
     if not instances:
         return TOP
     try:
-        calculator = _InstanceWpc(
-            PrerelationSpec.from_fo_program(FOProgram(statements, schema=schema))
-        )
+        calculator = _InstanceWpc(PrerelationSpec.from_fo_program(slotted))
         pulled = [calculator.wpc(instance) for instance in instances]
     except (WpcError, TransactionError):
         return None

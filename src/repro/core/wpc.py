@@ -470,10 +470,12 @@ class PreservationVerdict:
       commits with **zero** runtime constraint work;
     * ``"guarded"`` — ``guard`` is the formula to evaluate on the *pre*-state
       (the derived ``Delta`` or the mechanical ``wpc``, both exact under the
-      invariant), over the shape's slots: bound to an instance's constants
-      (:func:`~repro.core.simplification.bind_slots`) it is that instance's
-      guard; if it fails the transaction is rejected before executing, and
-      nothing ever rolls back;
+      invariant), over the shape's slots: with an instance's values in them
+      it is that instance's guard.  The verdict is shared by every instance
+      and never rebuilt; the values travel beside it (``guard_for`` returns
+      both) into a backend's ``holds_prepared(guard, db, values)``.  If it
+      fails the transaction is rejected before executing, and nothing ever
+      rolls back;
     * ``"runtime"`` — no syntactic precondition is available (the transaction
       does not admit prerelations, or the constraint is semantic): the
       post-state must be checked, incrementally, before the commit is kept.
@@ -505,10 +507,9 @@ def classify_preservation(transaction, constraint) -> PreservationVerdict:
 
     * **static** when the guard simplifies to ``true`` — a proof for the
       whole shape, never a sweep over a family of databases;
-    * **guarded** by the guard otherwise, left over the slots: ``bind_slots(
-      verdict.guard, program_shape(transaction)[1])`` is the transaction's
-      own guard (a program with no shape gets its own ``wpc``, with no
-      slots);
+    * **guarded** by the guard otherwise, left over the slots: with
+      ``program_shape(transaction)[1]`` in them it is the transaction's own
+      guard (a program with no shape gets its own ``wpc``, with no slots);
     * **runtime** when no syntactic precondition can be built (semantic
       constraints, transactions without prerelations) — the caller falls back
       to incremental post-state checking.

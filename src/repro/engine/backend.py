@@ -5,6 +5,12 @@ A :class:`Backend` answers the two questions every consumer in the repo asks:
 * ``evaluate(formula, db, assignment)`` — does ``D |= phi`` hold?
 * ``extension(formula, db, variables)`` — which tuples satisfy ``phi``?
 
+and, for the yes/no checks of the commit path, a third door:
+
+* ``holds_prepared(formula, db, values)`` — does the closed sentence
+  ``phi``, whose :class:`~repro.logic.terms.Param` slots read ``values``,
+  hold on ``D``?
+
 Two implementations are provided:
 
 * :class:`NaiveBackend` — the original tuple-at-a-time recursive interpreter
@@ -42,11 +48,11 @@ from typing import (
 
 from ..db.database import Database, DatabaseError
 from ..logic.signature import EMPTY_SIGNATURE, Signature, SignatureError
-from ..logic.syntax import Formula
+from ..logic.syntax import Formula, bind_slots
 from ..obs import metrics as _metrics
 from ..obs.profile import PlanProfiler
 from ..settings import KNOBS_BY_NAME, setting
-from .compile import CompileError, compile_extension
+from .compile import CompileError, compile_extension, compile_sentence
 from .delta import PlanState, incremental_update
 from .optimize import Estimator, explain_plan, optimize_plan
 from .plan import ExecutionContext, Plan, Rows
@@ -105,20 +111,22 @@ class Backend:
     ) -> Set[Row]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def evaluate_many(
+    def holds_prepared(
         self,
-        formulas: Sequence[Formula],
+        formula: Formula,
         db: Database,
+        values: Sequence[object] = (),
         signature: Signature = EMPTY_SIGNATURE,
-        domain: Optional[Iterable[object]] = None,
-    ) -> Tuple[bool, ...]:
-        """Evaluate a whole constraint set against one database, one
-        formula (and one plan) at a time."""
-        domain_key = None if domain is None else frozenset(domain)
-        return tuple(
-            self.evaluate(formula, db, None, signature, domain_key)
-            for formula in formulas
-        )
+    ) -> bool:
+        """Does the closed sentence ``formula`` hold on ``db`` with each
+        ``Param(i)`` read as ``values[i]``?
+
+        Distinct slots must hold distinct values (a program's shape and a
+        row's equality pattern number them so), which decides ``Param(i) =
+        Param(j)`` by the indexes alone.  By default: :meth:`evaluate` of
+        the sentence with the values put in.
+        """
+        return self.evaluate(bind_slots(formula, values), db, signature=signature)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -223,6 +231,10 @@ class CompiledBackend(Backend):
     (``states_built_on_demand``).  Update streams do the same
     incremental work one step later; one-off checks pay for no node state.
 
+    The yes/no checks of the commit path come in through
+    :meth:`holds_prepared` instead, which touches neither the memo nor the
+    state history (``prepared`` counts them).
+
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
     the interpreter's result exactly like a compiled one, so repeated checks
@@ -234,6 +246,8 @@ class CompiledBackend(Backend):
 
     def __init__(self, delta: Optional[str] = None, optimizer: Optional[str] = None):
         self._plans: _LRU = _LRU(_PLAN_CACHE_SIZE)
+        # slotted sentence -> its plan, compiled verbatim (holds_prepared)
+        self._prepared: _LRU = _LRU(_PLAN_CACHE_SIZE)
         self._memo: "weakref.WeakKeyDictionary[Database, _LRU]" = (
             weakref.WeakKeyDictionary()
         )
@@ -268,6 +282,7 @@ class CompiledBackend(Backend):
         self.delta_misses = 0
         self.streamed = 0
         self.states_built_on_demand = 0
+        self.prepared = 0
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
             optimizer = setting("REPRO_OPTIMIZER")
@@ -304,6 +319,7 @@ class CompiledBackend(Backend):
 
     def clear_caches(self) -> None:
         self._plans.clear()
+        self._prepared.clear()
         self._opt_plans.clear()
         self._fan_ins.clear()
         with self._memo_lock:
@@ -326,6 +342,7 @@ class CompiledBackend(Backend):
             "complements_avoided": self.complements_avoided,
             "streamed": self.streamed,
             "states_built_on_demand": self.states_built_on_demand,
+            "prepared": self.prepared,
         }
 
     def _bump(self, counter: str, amount: int = 1) -> None:
@@ -385,7 +402,12 @@ class CompiledBackend(Backend):
         other formula of the shape finds the entry).  Raises
         :class:`CompileError` exactly like :meth:`plan_for`.
         """
-        plan = self.plan_for(formula, variables)
+        return self._chosen(formula, self.plan_for(formula, variables), db, domain_key)
+
+    def _chosen(
+        self, formula: Formula, plan: Plan, db: Database, domain_key: Optional[frozenset]
+    ) -> Plan:
+        """``plan`` as the optimizer rewrites it for ``db``'s statistics profile."""
         if self.optimizer_mode == "off":
             return plan
         if domain_key is None:
@@ -582,12 +604,19 @@ class CompiledBackend(Backend):
         """
         if not lazy:
             return plan.rows(ctx)
+        rows = self._stream(plan, ctx, "streamed verdict")
+        self._bump("streamed")
+        return rows
+
+    def _stream(self, plan: Plan, ctx: ExecutionContext, what: str) -> Rows:
+        """A sentence's plan streamed to its first root row, the sub-plans
+        read twice materialised; shadowed by a full run under
+        ``REPRO_DELTA=verify``."""
         ctx.lazy, ctx.materialise = True, self._fan_in(plan)
         rows = frozenset({()}) if plan.nonempty(ctx) else frozenset()
         ctx.lazy = False
-        self._bump("streamed")
         if self.delta_mode == "verify":
-            self._verify(plan, ctx, rows, "streamed verdict", ctx.db)
+            self._verify(plan, ctx, rows, what, ctx.db)
         return rows
 
     def _fan_in(self, plan: Plan) -> FrozenSet[Plan]:
@@ -758,6 +787,35 @@ class CompiledBackend(Backend):
 
             formula = formula.substitute({v: Const(env[v]) for v in free})
         rows = self.extension(formula, db, (), signature, frozen)
+        return bool(rows)
+
+    def holds_prepared(self, formula, db, values=(), signature=EMPTY_SIGNATURE):
+        """:meth:`Backend.holds_prepared` through ``formula``'s own plan.
+
+        Compiled as it stands, once per formula: not by :meth:`Formula.shape`,
+        which would number its constants from slot 0, over the slots already
+        there.  The plan, chosen for ``db``'s statistics profile, streams to
+        its first witness with ``values`` in ``ctx.params``; no memo, no
+        provenance walk, no state.  A sentence the compiler rejects goes to
+        :meth:`evaluate` with its values put in.
+        """
+        plan = self._prepared.get(formula)
+        if plan is None:
+            try:
+                plan = compile_sentence(formula)
+            except CompileError:
+                plan = _UNCOMPILABLE
+            self._prepared.put(formula, plan)
+        if plan is _UNCOMPILABLE:
+            return self.evaluate(bind_slots(formula, values), db, signature=signature)
+        ctx = ExecutionContext(db, None, signature, params=tuple(values))
+        try:
+            rows = self._stream(self._chosen(formula, plan, db, None), ctx, "prepared check")
+        except (DatabaseError, SignatureError) as exc:
+            from ..logic.evaluation import EvaluationError
+
+            raise EvaluationError(str(exc)) from exc
+        self._bump("prepared")
         return bool(rows)
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "BOTTOM",
     "make_and",
     "make_or",
+    "bind_slots",
 ]
 
 
@@ -745,6 +746,15 @@ def _shape_terms(
             _shape_terms(term.args, slots, out)
         else:
             out.append(term)
+
+
+def bind_slots(formula: Formula, values: Sequence[object]) -> Formula:
+    """``formula`` with the constant ``values[i]`` for each ``Param(i)``."""
+    if not values:
+        return formula
+    return formula.map_terms(
+        lambda term: Const(values[term.index]) if type(term) is Param else term
+    )
 
 
 def _parameterise(term: Term, params: Mapping[object, Param]) -> Term:

@@ -65,6 +65,7 @@ BACKEND_KEY_MAP: Dict[str, str] = {
     "delta_misses": "engine.delta.misses",
     "states_built_on_demand": "engine.delta.states_built_on_demand",
     "streamed": "engine.backend.streamed",
+    "prepared": "engine.backend.prepared",
     "fallbacks": "engine.compile.fallbacks",
 }
 

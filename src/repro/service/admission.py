@@ -26,9 +26,12 @@ guard is the paper's closing-remark ``Delta`` for a program of tuple inserts
 and deletions and a constraint in denial form
 (:func:`repro.core.simplification.derived_guard`), the mechanical ``wpc``
 otherwise, both exact under the invariant and both over the shape's slots.
-Mode, slotted guard and source are cached under the shape; every later
-instance costs one dictionary read and :func:`bind_slots`.  A program with no
-shape is classified on its own, every time.  Templates carry only a name and
+Mode, slotted guard and source are cached under the shape's flat key;
+every later instance costs that key and one dictionary read, and is
+handed the shape's verdicts with its own slot values, which the commit
+path passes beside the guard to the backend's prepared door
+(``holds_prepared``).  A program with no shape is classified on its own,
+every time, and has no values.  Templates carry only a name and
 a builder: registering one classifies nothing.  A verdict holds for every
 service over the same constraints, so services may share the shape cache
 (:meth:`AdmissionController.sharing_verdicts`); a template name belongs to
@@ -41,7 +44,7 @@ import threading
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.maintenance import Constraint
-from ..core.simplification import bind_slots, program_shape
+from ..core.simplification import program_shape, slotted_program
 # the classification of each new shape (wrapped by bench/spans.py)
 from ..core.wpc import PreservationVerdict, classify_preservation
 # the mechanical wpc /stats compares each guard with (wrapped by bench/spans.py)
@@ -133,20 +136,25 @@ class AdmissionController:
     # -- per-request verdicts (the caller's thread) --------------------------------
 
     # the per-request verdict lookup of the traced benchmark (wrapped by bench/spans.py)
-    def guard_for(self, program: Transaction) -> Dict[str, PreservationVerdict]:
-        """``program``'s verdict for every constraint, by constraint name.
+    def guard_for(
+        self, program: Transaction
+    ) -> Tuple[Dict[str, PreservationVerdict], Tuple[object, ...]]:
+        """``(verdicts, values)``: ``program``'s verdict for every constraint,
+        by constraint name, and its slot values.
 
-        A *guarded* verdict carries the program's own guard: its shape's,
-        bound to its constants.  The shape is classified the first time one
-        of its instances arrives; a program :func:`program_shape` rejects is
-        classified on its own, uncached.
+        The verdicts are its shape's (shared: read them, do not change
+        them), a *guarded* one's guard over the shape's slots; ``values``
+        fill those slots for this program.  The shape is classified the
+        first time one of its instances arrives; a program
+        :func:`program_shape` rejects is classified on its own, uncached,
+        with no values.
         """
         shape = program_shape(program)
         if shape is None:
             return {
                 constraint.name: classify_preservation(program, constraint.formula)
                 for constraint in self.constraints
-            }
+            }, ()
         key, values = shape
         entry = self._shapes.get(key)
         if entry is None:
@@ -155,25 +163,16 @@ class AdmissionController:
             with self._lock:
                 self.guard_cache_hits += 1
             self._m_guard_cache_hits.inc()
-        return {
-            name: verdict
-            if verdict.mode != "guarded"
-            else PreservationVerdict(
-                "guarded", bind_slots(verdict.guard, values), verdict.source,
-                verdict.reason,
-            )
-            for name, verdict in entry.verdicts.items()
-        }
+        return entry.verdicts, values
 
-    def _classify(self, program: Transaction, key: Tuple[object, ...]) -> _Shape:
+    def _classify(self, program: FOProgram, key: Tuple[object, ...]) -> _Shape:
         """Classify the shape ``key`` of ``program`` against every constraint."""
-        schema, statements = key
-        with _trace.span("service.admission.classify", shape=_render(statements)):
+        slotted = slotted_program(program)
+        with _trace.span("service.admission.classify", shape=_render(slotted.statements)):
             verdicts = {
                 constraint.name: classify_preservation(program, constraint.formula)
                 for constraint in self.constraints
             }
-        slotted = FOProgram(statements, schema=schema, signature=program.signature)
         with self._lock:
             entry = self._shapes.get(key)
             if entry is not None:  # another caller classified it meanwhile

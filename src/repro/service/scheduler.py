@@ -233,19 +233,20 @@ class TxnItem(NamedTuple):
 
 class _CommitRequest:
     __slots__ = (
-        "handle", "delta", "template", "verdicts", "work", "serial", "tag",
+        "handle", "delta", "template", "admitted", "work", "serial", "tag",
         "deadline", "done", "status", "reason", "version", "retryable", "error",
     )
 
     def __init__(
-        self, handle, delta, template, verdicts, work, serial, tag=None, deadline=None
+        self, handle, delta, template, admitted, work, serial, tag=None, deadline=None
     ):
         self.handle = handle
         self.delta = delta
         self.template = template
-        #: per constraint name, the verdict for the request's program (empty:
-        #: every constraint checked at run time)
-        self.verdicts = verdicts
+        #: ``(verdicts, values)`` from ``guard_for``: per constraint name, the
+        #: verdict for the request's program's shape (empty: every constraint
+        #: checked at run time), and the values of the shape's slots
+        self.admitted = admitted
         self.work = work
         self.serial = serial
         self.tag = tag
@@ -479,11 +480,11 @@ class TransactionService:
         else:
             registered = self.admission.template(template)
             program = registered.build(*item.params) if registered is not None else None
-        verdicts = self.admission.guard_for(program) if program is not None else {}
+        admitted = self.admission.guard_for(program) if program is not None else ({}, ())
         self.stats.add(submitted=1)
         with _trace.span("service.txn", template=template) as txn_span:
             outcome = yield from self._attempts(
-                work, template, verdicts, item.tag, item.deadline
+                work, template, admitted, item.tag, item.deadline
             )
             txn_span.annotate(status=outcome.status, attempts=outcome.attempts)
         return outcome
@@ -492,7 +493,7 @@ class TransactionService:
         self,
         work: Callable[[SnapshotTransaction], object],
         template: Optional[str],
-        verdicts: Dict[str, PreservationVerdict],
+        admitted: Tuple[Dict[str, PreservationVerdict], Tuple[object, ...]],
         tag: Optional[object],
         deadline: Optional[float],
     ):
@@ -514,7 +515,7 @@ class TransactionService:
                     template, attempts - 1, self.max_retries,
                 )
                 request = _CommitRequest(
-                    None, Delta(), template, verdicts, work, True, tag, deadline
+                    None, Delta(), template, admitted, work, True, tag, deadline
                 )
             else:
                 with _trace.span("service.txn_attempt", attempt=attempts):
@@ -533,7 +534,7 @@ class TransactionService:
                         "committed", version=handle.version, attempts=attempts
                     )
                 request = _CommitRequest(
-                    handle, delta, template, verdicts, work, False, tag, deadline
+                    handle, delta, template, admitted, work, False, tag, deadline
                 )
             yield request
             if request.error is not None:
@@ -808,8 +809,9 @@ class TransactionService:
             delta = request.delta
 
         runtime_checks: List[Constraint] = []
+        verdicts, values = request.admitted
         for constraint in self.constraints:
-            verdict = request.verdicts.get(constraint.name)
+            verdict = verdicts.get(constraint.name)
             mode = verdict.mode if verdict is not None else "runtime"
             if mode == "static":
                 self.stats.add(static_skips=1)
@@ -818,9 +820,10 @@ class TransactionService:
                 guard = verdict.guard
                 self.stats.add(guard_checks=1)
                 # a guard false for the whole shape (a loop under no-loops)
-                # decides with no evaluation
-                if guard == BOTTOM or not self.backend.evaluate(
-                    guard, running, signature=self.signature
+                # decides with no evaluation; any other runs its slotted plan
+                # with the request's values
+                if guard == BOTTOM or not self.backend.holds_prepared(
+                    guard, running, values, self.signature
                 ):
                     request.status = "rejected"
                     request.reason = f"guard of {constraint.name!r} failed on the pre-state"

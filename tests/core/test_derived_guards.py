@@ -238,7 +238,7 @@ def test_classifying_the_standard_shapes_evaluates_no_family(monkeypatch):
     controller = AdmissionController(standard_constraints())
     for template in standard_templates():
         for params in ((0, 1), (2, 2)):
-            verdicts = controller.guard_for(template.build(*params))
+            verdicts, _ = controller.guard_for(template.build(*params))
             assert {v.mode for v in verdicts.values()} <= {"static", "guarded"}
     assert calls == []
 

@@ -1,8 +1,10 @@
 """Tests for precondition simplification under an invariant (concluding remarks)."""
 
+from hypothesis import given, strategies as st
+
 from repro.logic import parse
-from repro.logic.syntax import TOP
-from repro.logic.terms import Param
+from repro.logic.syntax import TOP, bind_slots
+from repro.logic.terms import Const, Param
 from repro.core import (
     PrerelationSpec,
     equivalent_under,
@@ -10,10 +12,12 @@ from repro.core import (
     preserves_on,
     weakest_precondition,
 )
-from repro.core.simplification import bind_slots, program_shape, shape_guard
+from repro.core.simplification import program_shape, shape_guard, slotted_program
 from repro.service.workloads import NO_LOOPS
 from repro.transactions import DeleteWhere, FOProgram, InsertTuple, InsertWhere
 from repro.transactions.base import FunctionTransaction
+
+from strategies import maybe_seed
 
 #: the programs of the E13 maintenance workload's shapes, over constants in {0, 1, 2}
 DROP_LOOPS = FOProgram([DeleteWhere("E", ("x", "y"), parse("x = y"))], name="drop-loops")
@@ -37,14 +41,89 @@ class TestEquivalentUnder:
         assert not equivalent_under(parse("true"), left, right, graphs_2)
 
 
+#: bulk-delete conditions with holes for constants, which the draws repeat
+_CONDITIONS = (
+    "x = {0} & y = {1}",
+    "x = {0} | E(y, {1}) | y = {0}",
+    "exists z . E(x, z) & E(z, {1}) & ~(z = {0})",
+    "E({1}, {0}) & x = y",
+)
+
+
+@st.composite
+def shaped_programs(draw, constants=st.sampled_from((0, 1, 2, "a"))):
+    """One to four inserts and bulk deletes over a few constants, which
+    repeat within and across statements."""
+    statements = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            statements.append(InsertTuple("E", draw(constants), draw(constants)))
+        else:
+            holes = [repr(draw(constants)) for _ in range(2)]
+            condition = parse(draw(st.sampled_from(_CONDITIONS)).format(*holes))
+            statements.append(DeleteWhere("E", ("x", "y"), condition))
+    return FOProgram(statements)
+
+
+def _renamed(program, mapping):
+    """``program`` with each constant ``c`` replaced by ``mapping[c]``."""
+
+    def rename(term):
+        return Const(mapping[term.value]) if type(term) is Const else term
+
+    return FOProgram([
+        InsertTuple("E", *map(rename, statement.terms))
+        if type(statement) is InsertTuple
+        else DeleteWhere("E", statement.variables, statement.condition.map_terms(rename))
+        for statement in program.statements
+    ])
+
+
 class TestProgramShape:
     def test_equal_constants_share_a_slot(self):
-        (_schema, statements), values = program_shape(_link(3, 4))
+        key, values = program_shape(_link(3, 4))
         assert values == (3, 4)
-        assert [statement.terms for statement in statements] == [
+        assert key[1:] == (("E", (0, 1)), ("E", (1, 0)))
+        assert [statement.terms for statement in slotted_program(_link(3, 4)).statements] == [
             (Param(0), Param(1)),
             (Param(1), Param(0)),
         ]
+
+    @maybe_seed
+    @given(shaped_programs(), st.data())
+    def test_the_flat_values_fill_the_slotted_program(self, program, data):
+        """The values :func:`program_shape` lists, put in the slots of the
+        :func:`slotted_program`, give the program back; and the program with
+        its constants renamed (some perhaps merged) has the same flat key
+        exactly when it has the same slotted program."""
+        key, values = program_shape(program)
+        assert len(set(values)) == len(values)
+        slotted = slotted_program(program)
+        for statement, original in zip(slotted.statements, program.statements):
+            if type(statement) is InsertTuple:
+                bound = tuple(values[term.index] for term in statement.terms)
+                assert bound == tuple(term.value for term in original.terms)
+            else:
+                assert bind_slots(statement.condition, values) == original.condition
+        slots = {
+            term.index
+            for statement in slotted.statements
+            for term in (
+                statement.terms
+                if type(statement) is InsertTuple
+                else statement.condition.constants()
+            )
+        }
+        assert slots == set(range(len(values)))
+        renamed = dict(zip(values, data.draw(
+            st.lists(st.sampled_from((0, 1, 2, 3, "a", "b")), min_size=len(values),
+                     max_size=len(values))
+        )))
+        other = _renamed(program, renamed)
+        same_key = program_shape(other)[0] == key
+        assert same_key == (slotted_program(other).statements == slotted.statements)
+        if len(set(renamed.values())) == len(values):
+            assert same_key and program_shape(other)[1] == tuple(renamed.values())
 
     def test_the_name_is_not_part_of_the_shape(self):
         first, _ = program_shape(_link(3, 4, name="link-forward"))

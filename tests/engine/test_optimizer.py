@@ -322,18 +322,6 @@ class TestBackendIntegration:
         ):
             assert counter in stats
 
-    def test_evaluate_many_matches_sequential(self):
-        backend = CompiledBackend(optimizer="on")
-        db = random_graph(14, 0.4, seed=8)
-        sentences = [
-            parse("forall x . ~E(x, x)"),
-            parse("forall x . forall y . E(x, y) -> (exists z . E(y, z))"),
-            parse("exists x . exists y . E(x, y) & E(y, x)"),
-        ]
-        batched = backend.evaluate_many(sentences, db)
-        oracle = NaiveBackend()
-        assert batched == tuple(oracle.evaluate(s, db) for s in sentences)
-
     def test_explain_reports_estimates_and_actuals(self):
         backend = CompiledBackend(optimizer="on")
         db = random_graph(20, 0.3, seed=4)

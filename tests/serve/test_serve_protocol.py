@@ -179,8 +179,8 @@ class TestWireTemplates:
         template = wire.admission_template()
         controller = AdmissionController(standard_constraints())
         controller.register(template)
-        loop = controller.guard_for(template.build(3, 3))
-        edge = controller.guard_for(template.build(3, 4))
+        loop, _ = controller.guard_for(template.build(3, 3))
+        edge, values = controller.guard_for(template.build(3, 4))
         assert {name: v.mode for name, v in loop.items()} == {
             "no-loops": "guarded", "no-triangles": "guarded",
         }
@@ -189,7 +189,7 @@ class TestWireTemplates:
         }
         empty = Database.graph([])
         assert not NaiveBackend().evaluate(loop["no-loops"].guard, empty)
-        assert NaiveBackend().evaluate(edge["no-triangles"].guard, empty)
+        assert NaiveBackend().holds_prepared(edge["no-triangles"].guard, empty, values)
 
     def test_a_loop_submitted_under_a_wire_template_is_rejected(self):
         """The template's usual instances are edges of two distinct

@@ -16,6 +16,7 @@ from repro.db import Database, GRAPH_SCHEMA, MemoryEngine, Store
 from repro.engine import NaiveBackend
 from repro.logic import parse
 from repro.logic.syntax import BOTTOM, TOP
+from repro.logic.terms import Param
 from repro.serve import WireTemplate
 from repro.service import (
     AdmissionController,
@@ -71,12 +72,12 @@ class TestClassifyPreservation:
 class TestController:
     def test_each_shape_is_classified_against_every_constraint(self):
         controller = AdmissionController(standard_constraints())
-        verdicts = controller.guard_for(_link_forward_program(0, 1))
+        verdicts, _ = controller.guard_for(_link_forward_program(0, 1))
         assert verdicts["no-loops"].mode == "static"
         assert verdicts["no-triangles"].mode == "guarded"
-        verdicts = controller.guard_for(_unlink_program(0, 1))
+        verdicts, _ = controller.guard_for(_unlink_program(0, 1))
         assert {v.mode for v in verdicts.values()} == {"static"}
-        verdicts = controller.guard_for(_insert_edge_program(2, 2))
+        verdicts, _ = controller.guard_for(_insert_edge_program(2, 2))
         assert verdicts["no-loops"].mode == "guarded"
         assert verdicts["no-triangles"].mode == "guarded"
         assert controller.classified == 3 * 2
@@ -114,8 +115,9 @@ class TestController:
     def test_a_shape_classified_by_one_controller_is_a_hit_for_the_other(self):
         controller = AdmissionController(standard_constraints())
         other = controller.sharing_verdicts()
-        first = controller.guard_for(_insert_edge_program(2, 2))
-        again = other.guard_for(_insert_edge_program(5, 5))
+        first, _ = controller.guard_for(_insert_edge_program(2, 2))
+        again, values = other.guard_for(_insert_edge_program(5, 5))
+        assert again is first and values == (5,)
         assert (controller.classified, other.classified) == (2, 0)
         assert (controller.guard_cache_hits, other.guard_cache_hits) == (0, 1)
         assert {name: v.mode for name, v in again.items()} == {
@@ -158,14 +160,18 @@ class TestController:
     def test_derived_guards_are_used(self):
         controller = AdmissionController(standard_constraints())
         # a loop is refused by its shape alone; any other edge is fine
-        loop = controller.guard_for(_insert_edge_program(3, 3))["no-loops"]
+        loop = controller.guard_for(_insert_edge_program(3, 3))[0]["no-loops"]
         assert loop.mode == "guarded" and loop.guard == BOTTOM
-        edge = controller.guard_for(_insert_edge_program(3, 4))
+        edge, values = controller.guard_for(_insert_edge_program(3, 4))
         assert edge["no-loops"].mode == "static" and edge["no-loops"].guard == TOP
-        # the 2-path probe: one quantifier, two atoms, at the edge's constants
+        # the 2-path probe: one quantifier, two atoms, over the shape's two
+        # slots, which the edge's constants fill
         triangle = edge["no-triangles"].guard
         assert triangle.quantifier_rank() == 1 and len(list(triangle.atoms())) == 2
-        assert {value for atom in triangle.atoms() for value in atom.constants()} == {3, 4}
+        assert {value for atom in triangle.atoms() for value in atom.constants()} == {
+            Param(0), Param(1)
+        }
+        assert values == (3, 4)
         # memoised per shape: another edge of the same shape is a hit
         hits = controller.guard_cache_hits
         controller.guard_for(_insert_edge_program(8, 9))
@@ -184,7 +190,9 @@ class TestController:
 
         controller = AdmissionController([Constraint("no-loops", NO_LOOPS)])
         symmetrise = FOProgram([InsertWhere("E", ("x", "y"), parse("E(y, x)"))])
-        verdict = controller.guard_for(symmetrise)["no-loops"]
+        verdicts, values = controller.guard_for(symmetrise)
+        verdict = verdicts["no-loops"]
+        assert values == ()
         assert verdict.mode == "guarded" and verdict.source == "wpc"
         controller.guard_for(symmetrise)
         assert controller.classified == 0 and controller.guard_cache_hits == 0
@@ -192,7 +200,7 @@ class TestController:
     def test_pairs_outside_the_fragment_take_the_wpc_path(self):
         no_isolated = Constraint("no-isolated", parse("forall x . exists y . E(x, y) | E(y, x)"))
         controller = AdmissionController([no_isolated])
-        guard = controller.guard_for(_insert_edge_program(3, 4))["no-isolated"].guard
+        guard = controller.guard_for(_insert_edge_program(3, 4))[0]["no-isolated"].guard
         assert guard.size() > 1
         (row,) = controller.stats()["guards"]
         assert row["source"] == "wpc"
@@ -300,7 +308,7 @@ def test_a_node_with_four_out_neighbours_is_not_waived():
     service = _service([(0, 1), (0, 2), (0, 3)], Constraint("four-out-loop", formula))
     add_edge = standard_templates()[2]
     service.register(add_edge)
-    verdicts = service.admission.guard_for(_insert_edge_program(0, 99))
+    verdicts, _ = service.admission.guard_for(_insert_edge_program(0, 99))
     assert verdicts["four-out-loop"].mode == "guarded"
     outcome = service.execute(_insert_edge_program(0, 99), template="add-edge", params=(0, 99))
     assert outcome.status == "rejected"
