@@ -1,23 +1,24 @@
 """E15 — the update stream: single-tuple maintenance cost scales with |Δ|.
 
-The PR-1 engine made *checking* a constraint fast (one compiled plan per
+Checking a constraint is fast on the compiled engine (one compiled plan per
 formula, memoised per database); this experiment measures the *update* hot
-path it left O(database): a long stream of single-tuple transactions, each
-followed by a re-check of the integrity constraints, in the style of the E13
-maintenance workload but at a per-update granularity.
+path: a long stream of single-tuple transactions, each followed by a
+re-check of the integrity constraints, in the style of the E13 maintenance
+workload but at a per-update granularity.
 
-Under ``REPRO_BACKEND=compiled`` (delta evaluation on, the default) every
-re-check walks the post-state's ``apply_delta`` provenance and re-derives the
-compiled plan node by node from the previous result — O(delta) work.  Under
-``compiled-nodelta`` the same engine re-executes the full plan per update —
-O(database) work.  ``benchmarks/run_all.py`` runs this file under both (plus
-``naive`` for the small oracle case) and records ``delta_speedup`` in the
-``BENCH_<rev>.json`` trajectory; the asymptotic claim is that the ratio grows
-with the database size.
+Every re-check starts from a state known to satisfy the constraints, so it
+is the paper's simplified check (Nicolas-style, what ``RuntimeCheckPolicy``
+and the transaction service run):
+:func:`~repro.core.simplification.holds_after_update` evaluates each denial
+constraint only at the rows the update inserted, a handful of index probes
+through the backend's prepared door — O(delta) work, and nothing for a
+deletion.  A full re-check would cost O(database).  ``benchmarks/run_all.py``
+runs this file under the compiled engine and ``naive`` (the small oracle
+case).
 
 The constraints are deliberately join-shaped (triangle-freedom plus
 loop-freedom) so a full re-check costs O(|E| * degree) while a single-tuple
-delta touches O(degree) intermediate rows.
+delta touches O(degree) rows.
 
 That the price of a step is the price of the *update*, not of the database,
 is recorded in its hardware-independent form: the per-transaction median of
@@ -36,12 +37,14 @@ from repro.db import Database, Delta, GRAPH_SCHEMA, Store
 from repro.engine import NaiveBackend, active_backend
 from repro.logic import parse
 from repro.core import Constraint, IntegrityMaintainer, RuntimeCheckPolicy
+from repro.core.simplification import holds_after_update
 from repro.transactions import FOProgram, InsertTuple
 
 NO_TRIANGLES = parse(
     "forall x . forall y . forall z . (E(x, y) & E(y, z)) -> ~E(z, x)"
 )
 NO_LOOPS = parse("forall x . ~E(x, x)")
+CONSTRAINTS = (Constraint("no-triangles", NO_TRIANGLES), Constraint("no-loops", NO_LOOPS))
 
 
 def initial_database(accounts, edges_per, seed=1):
@@ -74,18 +77,39 @@ def build_updates(accounts, length, seed=2):
     return updates
 
 
+def step(db, delta, constraints, backend):
+    """One transaction from ``db``, a state known to satisfy ``constraints``:
+    ``(candidate, holds, full_checks)``, or ``None`` for an ineffective delta.
+    Each constraint is re-checked at the rows ``delta`` inserted, stopping at
+    the first that fails."""
+    effective = delta.normalized(db)
+    if effective.is_empty():
+        return None
+    candidate = db.apply_delta(effective)
+    full_checks = 0
+    for constraint in constraints:
+        holds, full = holds_after_update(constraint, candidate, effective, backend=backend)
+        full_checks += full
+        if not holds:
+            return candidate, False, full_checks
+    return candidate, True, full_checks
+
+
 def run_stream(db, updates, constraints, backend):
     """Apply each delta, re-check the constraints, keep or discard — the
-    runtime-monitoring policy at single-tuple granularity."""
-    committed = 0
+    runtime-monitoring policy at single-tuple granularity.  Returns the final
+    state, the commits and the full checks that ran."""
+    committed = full_checks = 0
     for delta in updates:
-        candidate = db.apply_delta(delta)
-        if candidate is db:
+        outcome = step(db, delta, constraints, backend)
+        if outcome is None:
             continue
-        if all(backend.evaluate(c, candidate) for c in constraints):
+        candidate, holds, full = outcome
+        full_checks += full
+        if holds:
             db = candidate
             committed += 1
-    return db, committed
+    return db, committed, full_checks
 
 
 # the production-scale point: 300 accounts * 8 referrals = 2400 edges
@@ -100,48 +124,49 @@ def test_e15_single_tuple_update_stream(benchmark, size):
         pytest.skip("tuple-at-a-time interpretation is infeasible at this size")
     start = initial_database(accounts, edges_per)
     updates = build_updates(accounts, length)
-    constraints = (NO_TRIANGLES, NO_LOOPS)
-    assert all(backend.evaluate(c, start) for c in constraints)
+    assert all(c.holds(start, backend=backend) for c in CONSTRAINTS)
 
     def run():
-        return run_stream(start, updates, constraints, backend)
+        return run_stream(start, updates, CONSTRAINTS, backend)
 
-    final, committed = benchmark(run)
-    # both the commit and the reject path must have been exercised
+    final, committed, full_checks = benchmark(run)
+    # both the commit and the reject path must have been exercised, each
+    # re-check at the touched tuples alone
     assert 0 < committed < length
-    assert all(backend.evaluate(c, final) for c in constraints)
+    assert full_checks == 0
+    assert all(c.holds(final, backend=backend) for c in CONSTRAINTS)
     benchmark.extra_info["committed"] = committed
-    benchmark.extra_info["delta_hits"] = getattr(backend, "delta_hits", 0)
 
 
 def test_e15_update_cost_scale_ratio(benchmark):
     """What a single-tuple transaction costs at 8x the rows.
 
     The mix above at 300x8 and at 2400x8 rows, one transaction at a time
-    (apply, re-check, keep or discard); the figure is the ratio of the
-    per-transaction medians.  The first two transactions of each stream are
-    the cold ones — the first full evaluation, and the first incremental step,
-    which builds the join state — and are left out.  A claim about the
-    incremental engine, so the interpreter and the delta-off engine sit out.
+    (apply, re-check at the touched tuples, keep or discard); the figure is
+    the ratio of the per-transaction medians.  The first two transactions of
+    each stream are the cold ones — they compile the instances' plans — and
+    are left out.  A claim about the compiled engine's index probes, so the
+    interpreter sits out.
     """
     backend = active_backend()
-    if backend.name != "compiled" or backend.delta_mode == "off":
-        pytest.skip("update cost against |D| is a property of the incremental engine")
-    constraints = (NO_TRIANGLES, NO_LOOPS)
+    if backend.name != "compiled":
+        pytest.skip("update cost against |D| is a property of the compiled engine")
 
     def median_ms(accounts):
         db = initial_database(accounts, 8)
-        times = []
+        times, full_checks = [], 0
         for delta in build_updates(accounts, 160, seed=accounts):
             begun = time.perf_counter()
-            candidate = db.apply_delta(delta)
-            if candidate is db:
+            outcome = step(db, delta, CONSTRAINTS, backend)
+            if outcome is None:
                 continue
-            if all(backend.evaluate(c, candidate) for c in constraints):
+            candidate, holds, full = outcome
+            if holds:
                 db = candidate
             times.append(time.perf_counter() - begun)
+            full_checks += full
         warm = sorted(times[2:])
-        assert len(warm) >= 100 and backend.delta_hits > 0
+        assert len(warm) >= 100 and full_checks == 0
         return warm[len(warm) // 2] * 1e3
 
     def run():
@@ -161,8 +186,8 @@ def test_e15_update_cost_scale_ratio(benchmark):
 def test_e15_maintenance_policy_stream(benchmark):
     """The same claim through the full E13 machinery: store, transactions,
     runtime-check policy — per-transaction cost rides the delta path end to
-    end (patched snapshots, provenance-routed apply_database, incremental
-    constraint re-checks)."""
+    end (patched snapshots, provenance-routed apply_database, constraint
+    re-checks at the touched tuples once the first commit is known good)."""
     backend = active_backend()
     if backend.name == "naive":
         pytest.skip("tuple-at-a-time interpretation is infeasible at this size")
@@ -191,27 +216,27 @@ def test_e15_maintenance_policy_stream(benchmark):
     assert report.committed > 0
     assert report.rolled_back > 0
     benchmark.extra_info["committed"] = report.committed
-    benchmark.extra_info["incremental"] = report.incremental_evaluations
+    benchmark.extra_info["full_checks"] = report.full_checks
 
 
 def test_e15_stream_oracle(benchmark):
     """Small-size ground truth: the active backend's accept/reject decisions
-    along the stream equal the naive interpreter's, state by state."""
+    at the touched tuples equal the naive interpreter's full checks, state by
+    state."""
     backend = active_backend()
     naive = NaiveBackend()
     start = initial_database(14, 2, seed=5)
     updates = build_updates(14, 60, seed=6)
-    constraints = (NO_TRIANGLES, NO_LOOPS)
 
     def run():
         db = start
         decisions = []
         for delta in updates:
-            candidate = db.apply_delta(delta)
-            if candidate is db:
+            outcome = step(db, delta, CONSTRAINTS, backend)
+            if outcome is None:
                 continue
-            verdict = all(backend.evaluate(c, candidate) for c in constraints)
-            assert verdict == all(naive.evaluate(c, candidate) for c in constraints)
+            candidate, verdict, _full = outcome
+            assert verdict == all(naive.evaluate(c.formula, candidate) for c in CONSTRAINTS)
             decisions.append(verdict)
             if verdict:
                 db = candidate

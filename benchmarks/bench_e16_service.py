@@ -8,8 +8,7 @@ before each individual commit) while maintaining exactly the same integrity
 guarantee.
 
 The comparison is deliberately engine-fair: both sides run the same compiled
-backend with incremental delta evaluation, so the measured gap is what the
-*service layer itself* adds —
+backend, so the measured gap is what the *service layer itself* adds —
 
 * **admission fast paths**: statically-safe shapes commit with zero
   constraint work, guarded shapes pay one small pre-state guard instead of
@@ -70,7 +69,7 @@ def test_e16_mixed_throughput_vs_serial(benchmark):
     """The headline: mixed workload, 8 workers, >= 2x the serial baseline."""
     backend = active_backend()
     if backend.name == "naive":
-        pytest.skip("the service rides the compiled engine's incremental paths")
+        pytest.skip("the service rides the compiled engine's fast paths")
     accounts, edges_per, clients, ops_per_client = SIZES["production"]
     seed = bench_seed()
     workers = setting("REPRO_SERVICE_WORKERS")
@@ -129,7 +128,7 @@ def test_e16_scenario_sweep(benchmark, scenario):
     """All contention profiles stay correct and report their shape."""
     backend = active_backend()
     if backend.name == "naive":
-        pytest.skip("the service rides the compiled engine's incremental paths")
+        pytest.skip("the service rides the compiled engine's fast paths")
     accounts, edges_per, clients, ops_per_client = SIZES["small"]
     seed = bench_seed()
     initial = forward_graph(accounts, edges_per, seed=1 + seed)
@@ -178,7 +177,7 @@ def test_e16_hot_key_contention(benchmark):
     """
     backend = active_backend()
     if backend.name == "naive":
-        pytest.skip("the service rides the compiled engine's incremental paths")
+        pytest.skip("the service rides the compiled engine's fast paths")
     accounts, edges_per, _, _ = SIZES["production"]
     clients, ops_per_client = 16, 60      # oversubscribed: overlap regardless of cores
     seed = bench_seed()
@@ -227,7 +226,7 @@ def test_e16_admission_fast_path_counters(benchmark):
     """The write-heavy profile demonstrates the zero-check commit path."""
     backend = active_backend()
     if backend.name == "naive":
-        pytest.skip("the service rides the compiled engine's incremental paths")
+        pytest.skip("the service rides the compiled engine's fast paths")
     accounts, edges_per, clients, ops_per_client = SIZES["small"]
     initial = forward_graph(accounts, edges_per, seed=3)
     streams = build_streams(

@@ -59,15 +59,6 @@ ROOT = os.path.dirname(HERE)
 QUICK = (
     "e09", "e12", "e13", "e15", "e16", "e18", "e20", "e21", "e22",
 )
-# per-experiment extra backends beyond the requested ones: the update-stream
-# experiment A/Bs the compiled engine with delta evaluation off, so the
-# trajectory records the incremental win (``delta_speedup``) explicitly.
-# Recorded, not gated: the ratio falls whenever *full* execution gets faster
-# (8.54 at PR 10, 2.2 after PRs 13-18 made the non-incremental run 3.3x
-# faster), so it cannot tell a slower incremental path from a faster
-# baseline; ``e15-scale``'s ``scale_ratio`` ceiling below gates the
-# incremental path in a form that survives both that and a change of hardware
-EXTRA_BACKENDS = {"e15": ("compiled-nodelta",)}
 # per-experiment backend restriction: the service experiment compares the
 # concurrent pipeline against a serial baseline *inside* one process, and the
 # optimizer experiment times naive/unoptimized/optimized itself — the naive
@@ -140,8 +131,10 @@ METRIC_CEILINGS = {
     # a transaction is a function from databases to databases, so a step
     # must cost what the update touches: a single-tuple transaction at 19.2k
     # rows over the same at 2.4k rows.  About 8x while each step copied the
-    # flat row sets it patched; 2-3.5x since rows are persistent (what is
-    # left are cloned counters and the delete statement's scan).
+    # flat row sets it patched; 2-3.5x once rows were persistent, with the
+    # re-check through node-state delta rules; 1.1-1.7x since the re-check
+    # is the touched-tuple check at the inserted rows, the path the
+    # maintenance policy and the service run.
     "e15": (("e15-scale", "scale_ratio", 5.0),),
 }
 
@@ -186,13 +179,12 @@ def run_one(
     """One pytest pass over one benchmark file under one backend."""
     env = dict(os.environ)
     env["REPRO_BACKEND"] = backend
-    # an inherited REPRO_DELTA or REPRO_OPTIMIZER would silently corrupt
-    # the A/Bs: the backend name alone must decide what the trajectory
-    # measures (benchmarks that sweep the optimizer construct their own
-    # backends explicitly); likewise an ambient REPRO_METRICS/REPRO_TRACE
+    # an inherited REPRO_OPTIMIZER would silently corrupt the A/Bs: the
+    # backend name alone must decide what the trajectory measures
+    # (benchmarks that sweep the optimizer construct their own backends
+    # explicitly); likewise an ambient REPRO_METRICS/REPRO_TRACE
     # would skew timings, so observability is pinned per run (metrics on by
     # default, tracing off — the overhead gate passes REPRO_METRICS=off)
-    env.pop("REPRO_DELTA", None)
     env.pop("REPRO_OPTIMIZER", None)
     env.pop("REPRO_METRICS", None)
     env.pop("REPRO_TRACE", None)
@@ -351,10 +343,6 @@ def main(argv=None) -> int:
         help=f"only the engine-bound experiments {', '.join(QUICK)}",
     )
     parser.add_argument(
-        "--no-extra-backends", action="store_true",
-        help="skip the per-experiment extra backends (e.g. compiled-nodelta for e15)",
-    )
-    parser.add_argument(
         "--no-overhead-gate", action="store_true",
         help="skip the E15 REPRO_METRICS=off re-run and the "
         f"{METRICS_OVERHEAD_FLOOR}x metrics-overhead gate",
@@ -403,10 +391,6 @@ def main(argv=None) -> int:
         only = ONLY_BACKENDS.get(experiment)
         if only is not None:
             exp_backends = [b for b in exp_backends if b in only] or list(only)
-        if not args.no_extra_backends:
-            for extra in EXTRA_BACKENDS.get(experiment, ()):
-                if extra not in exp_backends:
-                    exp_backends.append(extra)
         for backend in exp_backends:
             outcome = run_one(
                 experiments[experiment], backend, args.timeout,
@@ -470,9 +454,6 @@ def main(argv=None) -> int:
         if "naive" in row and "compiled" in row and row["compiled"] > 0:
             row["speedup"] = round(row["naive"] / row["compiled"], 2)
             print(f"{experiment:<5} speedup  {row['speedup']:>7.2f}x")
-        if "compiled-nodelta" in row and "compiled" in row and row["compiled"] > 0:
-            row["delta_speedup"] = round(row["compiled-nodelta"] / row["compiled"], 2)
-            print(f"{experiment:<5} delta-speedup  {row['delta_speedup']:>7.2f}x")
         results[experiment] = row
 
     src_lines, repro_knobs = source_size()

@@ -31,8 +31,8 @@ Sub-packages
 ``repro.engine``
     The set-at-a-time query engine: FO formulas compiled to relational-
     algebra plans executed against indexed databases, behind a switchable
-    backend protocol (``REPRO_BACKEND=naive|compiled``), with incremental
-    delta re-evaluation along update streams (``REPRO_DELTA=on|off|verify``).
+    backend protocol (``REPRO_BACKEND=naive|compiled``); a closed sentence
+    is streamed to its first witness.
 ``repro.service``
     The concurrent transaction service: MVCC snapshots over the store,
     delta-based optimistic conflict validation, WPC-verified admission

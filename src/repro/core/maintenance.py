@@ -29,12 +29,11 @@ deletion, ``false`` for a loop, both decided without evaluating anything,
 and the 2-path probe ``~exists w . E($1, w) & E(w, $0)`` for an edge under
 ``no-triangles``.  Both kinds of check, and a registered precondition,
 enter the engine through its prepared door (``holds_prepared``): a slotted
-sentence compiled once, run with the values beside it, touching no memo
-and no state history.  Any other constraint or transaction, and any check
-from a state not known to satisfy the constraints, takes the general
-route: the whole constraint on the post-state (through the engine's
-incremental delta rules when it has seen an ancestor state), or the
-registered weakest precondition on the pre-state.  Experiment E13 holds
+sentence compiled once, run with the values beside it, touching no memo.
+Any other constraint or transaction, and any check from a state not known
+to satisfy the constraints, takes the general route: the whole constraint
+on the post-state (streamed to its first witness), or the registered
+weakest precondition on the pre-state.  Experiment E13 holds
 the ratio between the two policies under a ceiling.
 
 This module implements both policies (plus an unsafe baseline) on top of the
@@ -53,7 +52,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from ..db.database import Database
 from ..db.delta import Delta
 from ..db.storage import Store
-from ..engine.backend import active_backend
+from ..engine.backend import Backend, active_backend
 from ..logic.signature import EMPTY_SIGNATURE, Signature
 from ..logic.syntax import BOTTOM, TOP, Formula
 from ..transactions.base import Transaction
@@ -84,11 +83,19 @@ class Constraint:
     formula: object  # Formula or an object with .holds(db)
     preconditions: Dict[str, object] = field(default_factory=dict)
 
-    def holds(self, db: Database, signature: Signature = EMPTY_SIGNATURE) -> bool:
+    def holds(
+        self,
+        db: Database,
+        signature: Signature = EMPTY_SIGNATURE,
+        backend: Optional[Backend] = None,
+    ) -> bool:
+        """Does the constraint hold on ``db``?  Through ``backend``, by
+        default the active one."""
         if isinstance(self.formula, Formula):
             # one compiled plan per constraint, reused across the whole
             # transaction stream (the engine memoises per-(formula, db))
-            return active_backend().evaluate(self.formula, db, signature=signature)
+            backend = backend if backend is not None else active_backend()
+            return backend.evaluate(self.formula, db, signature=signature)
         return self.formula.holds(db)
 
     def precondition_for(self, transaction: Transaction):
@@ -99,12 +106,6 @@ class Constraint:
 class MaintenanceReport:
     """Outcome statistics of running a workload under a maintenance policy.
 
-    ``incremental_evaluations`` counts every evaluation the query engine
-    answered through delta rules instead of a full plan execution while the
-    workload ran — constraint and precondition checks *and* the
-    transaction-body condition queries of bulk statements, all of which sit
-    on the same per-update hot path (zero under the naive backend or with
-    ``REPRO_DELTA=off``; approximate if other threads share the backend).
     ``full_checks`` counts the constraint checks that evaluated the whole
     constraint rather than its instances at the inserted rows: every check
     of a constraint without a denial form, every check from a state not
@@ -120,7 +121,6 @@ class MaintenanceReport:
     violations_missed: int = 0
     constraint_evaluations: int = 0
     precondition_evaluations: int = 0
-    incremental_evaluations: int = 0
     full_checks: int = 0
     wall_time: float = 0.0
 
@@ -130,7 +130,6 @@ class MaintenanceReport:
             f"{self.rejected_statically} rejected statically, "
             f"{self.rolled_back} rolled back, "
             f"{self.violations_missed} violations missed, "
-            f"{self.incremental_evaluations} incremental evaluations, "
             f"{self.full_checks} full checks, "
             f"{self.wall_time * 1000:.1f} ms"
         )
@@ -162,7 +161,7 @@ def _post_state(store: Store, new_state: Database) -> Database:
 
     ``new_state`` itself when the transaction built it by ``apply_delta``
     (every functional update does): it already chains off the committed
-    snapshot, so incremental evaluation reaches the pre-state through it and
+    snapshot, so :meth:`Delta.between` recovers the update from it and
     :meth:`Store.commit_unchecked` can take it as the successor — patching
     the snapshot a second time with the write log would apply the same delta
     twice.  A state built from scratch has no such chain; the store's
@@ -336,12 +335,9 @@ class IntegrityMaintainer:
         evaluates a denial constraint only at the rows the transaction
         inserted — so the cost of one update scales with the delta, not with
         the database.  A constraint without a denial form is re-checked in
-        full, through the engine's incremental delta rules where the
-        post-state's provenance reaches a state it has evaluated.
+        full on the post-state.
         """
         report = MaintenanceReport(policy=self.policy.name)
-        backend = active_backend()
-        hits_before = getattr(backend, "delta_hits", 0)
         started = time.perf_counter()
         for transaction in transactions:
             report.attempted += 1
@@ -349,7 +345,6 @@ class IntegrityMaintainer:
                 self.store, transaction, self.constraints, report, self.signature
             )
         report.wall_time = time.perf_counter() - started
-        report.incremental_evaluations = getattr(backend, "delta_hits", 0) - hits_before
         return report
 
     def invariant_holds(self) -> bool:

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from ..db.database import Database
 from ..db.delta import Delta
-from ..engine.backend import active_backend
+from ..engine.backend import Backend, active_backend
 from ..logic.evaluation import evaluate
 from ..logic.normalform import simplify as syntactic_simplify
 from ..logic.signature import EMPTY_SIGNATURE, Signature
@@ -313,6 +313,7 @@ def holds_after_update(
     post: Database,
     delta: Optional[Delta],
     signature: Signature = EMPTY_SIGNATURE,
+    backend: Optional[Backend] = None,
 ) -> Tuple[bool, bool]:
     """Does ``constraint`` hold on ``post``?  Returns ``(holds, full)``.
 
@@ -330,12 +331,14 @@ def holds_after_update(
     Otherwise — no delta, or no denial form — the whole constraint is
     evaluated on ``post`` (``constraint.holds``) and ``full`` is ``True``.
     ``constraint`` is a :class:`~repro.core.maintenance.Constraint`:
-    anything with a ``formula`` and ``holds(db, signature)``.
+    anything with a ``formula`` and ``holds(db, signature, backend)``.
+    Every check runs through ``backend``, by default the active one.
     """
     form = denial_form(constraint.formula) if delta is not None else None
     if form is None:
-        return constraint.holds(post, signature), True
-    backend = active_backend()
+        return constraint.holds(post, signature, backend), True
+    if backend is None:
+        backend = active_backend()
     seen = set()
     for relation, rows in delta.inserted.items():
         for row in rows:

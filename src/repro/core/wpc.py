@@ -415,10 +415,9 @@ def check_wpc_stream(
     ``deltas`` is an iterable of :class:`~repro.db.delta.Delta` objects;
     each is applied to the running database and the ``wpc`` contract
     (``D |= precondition`` iff ``T(D) |= constraint``) is re-checked on the
-    new state.  Because the states chain through ``apply_delta``, the query
-    engine re-evaluates both formulas incrementally — this is the delta-aware
-    form of the validation sweep, with per-update cost proportional to the
-    delta.
+    new state.  The states chain through ``apply_delta``, so each shares
+    every untouched row and index with its predecessor — the delta-aware
+    form of the validation sweep.
     """
     return find_wpc_counterexample_stream(
         transaction, constraint, precondition, initial, deltas, signature, backend
@@ -478,7 +477,7 @@ class PreservationVerdict:
       rolls back;
     * ``"runtime"`` — no syntactic precondition is available (the transaction
       does not admit prerelations, or the constraint is semantic): the
-      post-state must be checked, incrementally, before the commit is kept.
+      post-state must be checked before the commit is kept.
 
     ``source`` says where the guard comes from: ``"derived"``, ``"wpc"``, or
     ``None`` for a runtime verdict (whose ``guard`` is ``None``).
@@ -512,7 +511,7 @@ def classify_preservation(transaction, constraint) -> PreservationVerdict:
       guard (a program with no shape gets its own ``wpc``, with no slots);
     * **runtime** when no syntactic precondition can be built (semantic
       constraints, transactions without prerelations) — the caller falls back
-      to incremental post-state checking.
+      to post-state checking.
     """
     from .simplification import shape_guard
 

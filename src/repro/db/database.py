@@ -57,9 +57,6 @@ class Database:
 
     # __weakref__ lets the query engine key its result memo weakly on the
     # database, so memoised extensions die with the database they describe.
-    # (The compiled backend additionally pins a small bounded LRU of recent
-    # databases strongly — the node-level states incremental delta evaluation
-    # resumes from; see CompiledBackend._states.)
     __slots__ = (
         "_schema", "_relations", "_domain", "_domain_counts", "_hash",
         "_hash_accs", "_canonical_key", "_sorted_rows", "_indexes",
@@ -191,8 +188,7 @@ class Database:
 
         The parent is held weakly (an update stream must not retain its whole
         history), so this returns ``None`` once the parent is gone — callers
-        (the incremental query engine, :meth:`Delta.between`) then fall back
-        to full evaluation.
+        (:meth:`Delta.between`) then fall back to a row-by-row diff.
         """
         if self._delta_base is None:
             return None
@@ -208,8 +204,8 @@ class Database:
         intermediate states of a multi-statement transaction die as soon as
         the final state exists), so every ``apply_delta`` result also carries
         a *skip link*: a composed delta to the nearest longer-lived ancestor.
-        Walkers prefer the parent (more ancestors to find cached state on)
-        and fall back to the skip link when the parent is gone.
+        Walkers prefer the parent and fall back to the skip link when the
+        parent is gone.
         """
         link = self.delta_base()
         if link is not None:
@@ -336,8 +332,8 @@ class Database:
         The active-domain occurrence counts, when the parent has them, are
         copied (O(|dom(D)|)) and patched — with the column counters, the
         terms still proportional to the data.  The result records its ``(parent,
-        delta)`` provenance (weakly), which is what the incremental query
-        engine and the transactional store's replay path consume.
+        delta)`` provenance (weakly), which is what the transactional
+        store's replay path consumes.
 
         An ineffective delta returns ``self`` unchanged.
         """

@@ -10,9 +10,8 @@ tuples deleted — and is the currency of the whole update fast path:
   (or even re-hashing) any untouched row, patching the active-domain,
   hash-index and canonical-ordering caches instead of discarding them;
 * the resulting database remembers ``(parent, delta)`` (weakly, so streams
-  retain nothing), which lets the query engine evaluate constraints
-  *incrementally* (:mod:`repro.engine.delta`) and lets the transactional
-  store replay a transaction's net effect in time proportional to the delta;
+  retain nothing), which lets the transactional store replay a
+  transaction's net effect in time proportional to the delta;
 * deltas compose (:meth:`then`), invert (:meth:`inverse`) and normalise
   against a concrete database (:meth:`normalized`), so the same object
   serves the write log, the maintenance policies and the benchmarks.
@@ -65,7 +64,7 @@ def row_key(indices: Sequence[int]) -> Callable[[Row], Row]:
     """A ``row -> tuple of its values at indices`` extractor, at C speed.
 
     The one key extractor behind the database's hash indexes, the join
-    family, projections and the incremental engine's per-key state.
+    family and projections.
     """
     if len(indices) > 1:
         return itemgetter(*indices)
@@ -106,7 +105,7 @@ class RowSet(_SetABC):
     """A persistent hash-partitioned immutable set of rows.
 
     The one representation of rows carried from state to state: a database's
-    relations and the node results the incremental engine patches.
+    relations.
     :meth:`patched` is the one place rows are patched — it costs O(√n) per
     changed row where a flat ``frozenset`` would be copied whole, and leaves
     the predecessor valid (rollback resumes from the parent state).
@@ -290,14 +289,13 @@ def _builtin(rows: AbstractSet) -> AbstractSet[Row]:
 class BucketMap(_MappingABC):
     """A persistent hash-partitioned ``key -> tuple-of-rows`` map.
 
-    The one representation behind both the database's hash indexes
-    (:meth:`Database.index <repro.db.database.Database.index>`) and the
-    incremental engine's per-key join state.  The buckets are spread over
-    about √n small dicts by ``hash(key)``; :meth:`patched` copies the
-    partition table and only the partitions a row delta touches, so a
-    successor costs O(√n) per touched key and shares every other partition
-    *by identity* with its predecessor — which is never mutated, so
-    predecessors stay valid.  Sized and re-partitioned by the rule
+    The representation behind the database's hash indexes
+    (:meth:`Database.index <repro.db.database.Database.index>`).  The
+    buckets are spread over about √n small dicts by ``hash(key)``;
+    :meth:`patched` copies the partition table and only the partitions a
+    row delta touches, so a successor costs O(√n) per touched key and
+    shares every other partition *by identity* with its predecessor — which
+    is never mutated, so predecessors stay valid.  Sized and re-partitioned by the rule
     :class:`RowSet` uses.
 
     A bucket is a tuple of distinct rows in no particular order: buckets are
@@ -779,8 +777,8 @@ class Delta:
         Validates relation names and tuple arities against the schema, drops
         insertions of rows already present and deletions of rows absent, and
         returns a delta whose insertions are disjoint from ``db`` and whose
-        deletions are a subset of it (the invariant ``apply_delta`` and the
-        incremental engine rely on).  Cost is O(|delta|).
+        deletions are a subset of it (the invariant ``apply_delta`` relies
+        on).  Cost is O(|delta|).
         """
         schema = db.schema
         unknown = self.touched() - set(schema.relation_names)
@@ -823,24 +821,3 @@ class Delta:
                 for value in row:
                     occurrences[value] = occurrences.get(value, 0) - 1
         return occurrences
-
-    def domain_delta(
-        self, base: "Database"
-    ) -> Tuple[FrozenSet[object], FrozenSet[object]]:
-        """``(added, removed)`` active-domain values, relative to ``base``.
-
-        Only values occurring in the delta's rows are examined, so the cost is
-        O(|delta|) given ``base``'s (lazily built, then patched-forward)
-        occurrence counts.  The delta must be normalized relative to ``base``.
-        """
-        counts = base.occurrence_counts()
-        added = set()
-        removed = set()
-        for value, change in self.occurrence_delta().items():
-            before = counts.get(value, 0)
-            after = before + change
-            if before == 0 and after > 0:
-                added.add(value)
-            elif before > 0 and after <= 0:
-                removed.add(value)
-        return frozenset(added), frozenset(removed)

@@ -196,7 +196,7 @@ class Store:
         # applied since; the next snapshot() patches the old one with the
         # accumulated delta, so repeated snapshots along a transaction stream
         # cost O(delta) instead of O(database) — and form the provenance
-        # chain the incremental query engine consumes
+        # chain Delta.between recovers updates from
         self._snapshot: Optional[Database] = None
         self._since_snapshot: List[WriteOp] = []
         recovered = self._engine.recover(schema)
@@ -326,7 +326,7 @@ class Store:
         **Read-your-own-writes**: during an open transaction this is the
         *tentative* state — the committed snapshot patched with the open
         write log (as a :class:`Delta`, so it provenance-chains off the
-        committed state and incremental constraint evaluation stays O(log)).
+        committed state and shares everything untouched with it).
         Outside a transaction it is simply the committed snapshot.
         """
         with self._lock:

@@ -39,7 +39,6 @@ from .plan import (
 from .compile import CompileError, compile_extension, compile_sentence
 from .stats import ColumnStats, DatabaseStats, RelationStats
 from .optimize import Estimator, explain_plan, optimize_plan
-from .delta import PlanState, incremental_update
 from .backend import (
     BACKEND_NAMES,
     Backend,
@@ -77,8 +76,6 @@ __all__ = [
     "Estimator",
     "explain_plan",
     "optimize_plan",
-    "PlanState",
-    "incremental_update",
     "BACKEND_NAMES",
     "Backend",
     "CompiledBackend",

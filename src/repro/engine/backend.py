@@ -18,8 +18,8 @@ Two implementations are provided:
 * :class:`CompiledBackend` — compiles formulas once to set-at-a-time algebra
   plans (:mod:`repro.engine.compile`) and executes them against indexed
   databases, with a per-``(formula, db)`` memo for repeated checks (the shape
-  of every validation sweep and of integrity maintenance: the same constraint
-  or precondition evaluated against a stream of databases).
+  of every validation sweep: the same constraint evaluated again against the
+  same database).
 
 The *active* backend is process-global, defaults to the compiled engine, and
 can be chosen with ``REPRO_BACKEND=naive|compiled`` in the environment, with
@@ -35,16 +35,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from ..db.database import Database, DatabaseError
 from ..logic.signature import EMPTY_SIGNATURE, Signature, SignatureError
@@ -53,7 +44,6 @@ from ..obs import metrics as _metrics
 from ..obs.profile import PlanProfiler
 from ..settings import KNOBS_BY_NAME, setting
 from .compile import CompileError, compile_extension, compile_sentence
-from .delta import PlanState, incremental_update
 from .optimize import Estimator, explain_plan, optimize_plan
 from .plan import ExecutionContext, Plan, Rows
 from .stats import size_bucket
@@ -72,14 +62,10 @@ Row = Tuple[object, ...]
 
 # sentinel cached for formulas the compiler rejected (avoids re-compiling)
 _UNCOMPILABLE = object()
-# how far up a database's apply_delta ancestry to look for a usable state
-_MAX_PROVENANCE_CHAIN = 16
 # compiled plans (and optimized plans, and the fan-in sets of plans) kept
 _PLAN_CACHE_SIZE = 2048
-# memoised extensions per database; node-level states per remembered database
+# memoised extensions per database
 _MEMO_SIZE = 512
-# databases whose node-level plan states are remembered for the delta rules
-_STATE_HISTORY = 8
 # plans already costed below this are not worth a rewrite pass: the join
 # reorderer's own overhead would exceed anything it could save (tiny
 # databases, trivial formulas) — they run as compiled
@@ -209,31 +195,21 @@ class CompiledBackend(Backend):
       integrity-maintenance hot path) collapse into one plan execution plus
       set membership.  ``_MEMO_SIZE`` bounds the entries *per database*.
 
-    A third mechanism makes the *update* hot path cheap: when a database was
-    produced by :meth:`repro.db.database.Database.apply_delta` (every
-    functional update and store snapshot is), the backend looks up the parent
-    state's per-node plan results and re-derives the new extension through the
-    incremental delta rules of :mod:`repro.engine.delta` — work proportional
-    to the delta, not the database.  ``REPRO_DELTA=on|off|verify`` (or the
-    ``delta`` constructor argument) controls this: ``verify`` shadows every
-    incremental result with a full execution and asserts they agree.
+    On a memo miss the plan runs, and nothing of the run outlives it.  A
+    closed sentence asks yes or no, so its plan is *streamed* to the first
+    root row (``streamed``); an extension is executed in full.  The result
+    memo is keyed per formula, that is per *binding* of a shape: a formula
+    over fresh constants — every instance of a transaction's weakest
+    precondition is one — finds its plan (by shape) but no result of its
+    own, and costs a shape lookup and one run of that plan, not a
+    compilation.
 
-    The result memo and the state history are keyed per formula, that is per
-    *binding* of a shape.  A formula over fresh constants — every instance
-    of a transaction's weakest precondition is one — finds its plan (by
-    shape) but no result and no state of its own: it costs a shape lookup
-    and one execution of that plan, not a compilation.
-
-    A closed sentence asks yes or no: where the memo and the delta rules
-    both miss, its plan is *streamed* to the first root row (``streamed``)
-    and leaves a *deferred* state, which the first successor that asks
-    turns into a real one by a full execution at that state
-    (``states_built_on_demand``).  Update streams do the same
-    incremental work one step later; one-off checks pay for no node state.
-
-    The yes/no checks of the commit path come in through
-    :meth:`holds_prepared` instead, which touches neither the memo nor the
-    state history (``prepared`` counts them).
+    The update hot path does not re-run a constraint: the yes/no checks of
+    the commit path — a denial constraint's instances at the rows an update
+    inserted, guards, registered preconditions — come in through
+    :meth:`holds_prepared`, which touches no memo (``prepared`` counts
+    them) and probes the indexes the database carries along its
+    ``apply_delta`` stream, so a check costs what the update touched.
 
     When compilation fails (a formula type the compiler does not know) the
     backend transparently falls back to the naive interpreter — and memoises
@@ -244,7 +220,7 @@ class CompiledBackend(Backend):
 
     name = "compiled"
 
-    def __init__(self, delta: Optional[str] = None, optimizer: Optional[str] = None):
+    def __init__(self, optimizer: Optional[str] = None):
         self._plans: _LRU = _LRU(_PLAN_CACHE_SIZE)
         # slotted sentence -> its plan, compiled verbatim (holds_prepared)
         self._prepared: _LRU = _LRU(_PLAN_CACHE_SIZE)
@@ -258,30 +234,7 @@ class CompiledBackend(Backend):
         self._counter_lock = threading.Lock()
         self._naive = NaiveBackend()
         self.fallbacks = 0
-        if delta is None:
-            delta = setting("REPRO_DELTA")
-        if delta not in ("on", "off", "verify"):
-            raise ValueError(
-                f"unknown delta mode {delta!r}; expected 'on', 'off' or 'verify'"
-            )
-        self.delta_mode = delta
-        # per-(db, memo key) node-level plan states for incremental updates —
-        # the one state history, advanced along the provenance chain.
-        # Unlike the result memo this holds the database *strongly*: in the
-        # canonical stream pattern (``db = db.apply_delta(...)`` in a loop,
-        # the store patching its snapshot) the parent loses its last strong
-        # reference the moment the successor exists, which would sever the
-        # provenance weakref before the next evaluation can use it.  The
-        # history is a small LRU (``_STATE_HISTORY`` databases), so a long
-        # stream still retains only its recent past.
-        self._states: "OrderedDict[int, Tuple[Database, Dict[Tuple, PlanState]]]" = (
-            OrderedDict()
-        )
-        self._states_lock = threading.Lock()
-        self.delta_hits = 0
-        self.delta_misses = 0
         self.streamed = 0
-        self.states_built_on_demand = 0
         self.prepared = 0
         # -- the cost-based optimizer (REPRO_OPTIMIZER / `optimizer` arg) ----
         if optimizer is None:
@@ -324,24 +277,18 @@ class CompiledBackend(Backend):
         self._fan_ins.clear()
         with self._memo_lock:
             self._memo.clear()
-        with self._states_lock:
-            self._states.clear()
 
     def cache_stats(self) -> Dict[str, int]:
-        with self._states_lock:
-            states = sum(len(states) for _db, states in self._states.values())
         with self._memo_lock:
             memo = sum(len(lru) for lru in self._memo.values())
         return {
             "plans": len(self._plans),
             "memo": memo,
-            "states": states,
             "optimized_plans": len(self._opt_plans),
             "plans_rewritten": self.plans_rewritten,
             "join_reorders": self.join_reorders,
             "complements_avoided": self.complements_avoided,
             "streamed": self.streamed,
-            "states_built_on_demand": self.states_built_on_demand,
             "prepared": self.prepared,
         }
 
@@ -479,18 +426,6 @@ class CompiledBackend(Backend):
         cached = memo.get(memo_key)
         if cached is not None:
             self._m_memo_hits.inc()
-            if self.delta_mode != "off" and self._state_for(db, memo_key) is None:
-                # the result memo is *content*-keyed, so a database that
-                # round-tripped back to a known state hits it without ever
-                # recording node-level plan states for this object — derive
-                # them through the (usually empty) composed delta so the
-                # provenance chain stays warm for the next update
-                try:
-                    plan = self._plan_for_execution(formula, variables, db, domain_key)
-                except CompileError:
-                    return set(cached)
-                ctx = self._context(formula, db, domain_key, signature)
-                self._incremental_extension(plan, memo_key, ctx, warming=True)
             return set(cached)
         self._m_memo_misses.inc()
         try:
@@ -505,32 +440,20 @@ class CompiledBackend(Backend):
             memo.put(memo_key, rows)
             return set(rows)
         ctx = self._context(formula, db, domain_key, signature)
-        rows = None
-        if self.delta_mode != "off":
-            rows = self._incremental_extension(plan, memo_key, ctx)
-        return self._finish_extension(plan, db, memo_key, ctx, memo, rows)
+        try:
+            rows = self._execute_plan(plan, ctx, lazy=not variables)
+        except (DatabaseError, SignatureError) as exc:
+            # match the interpreter's error contract (missing relations or
+            # Omega symbols surface as EvaluationError)
+            from ..logic.evaluation import EvaluationError
+
+            raise EvaluationError(str(exc)) from exc
+        memo.put(memo_key, rows)
+        return set(rows)
 
     def _context(self, formula, db, domain_key, signature) -> ExecutionContext:
         """An execution context binding the plan's slots to ``formula``'s constants."""
         return ExecutionContext(db, domain_key, signature, params=formula.shape()[1])
-
-    def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
-        """Full execution or, for a closed sentence, a streamed verdict (when
-        the incremental path declined), plus memoing."""
-        if rows is None:
-            sentence = not memo_key[1]
-            try:
-                rows = self._execute_plan(plan, ctx, lazy=sentence)
-            except (DatabaseError, SignatureError) as exc:
-                # match the interpreter's error contract (missing relations or
-                # Omega symbols surface as EvaluationError)
-                from ..logic.evaluation import EvaluationError
-
-                raise EvaluationError(str(exc)) from exc
-            if self.delta_mode != "off":
-                self._remember_state(db, memo_key, PlanState(dict(ctx.cache), None, sentence))
-        memo.put(memo_key, rows)
-        return set(rows)
 
     def explain(
         self,
@@ -583,40 +506,26 @@ class CompiledBackend(Backend):
 
     def _path(self, formula, db, variables, domain_key, signature) -> str:
         """Which way :meth:`extension` would answer ``formula`` at ``db`` now."""
-        key = (formula, variables, domain_key, signature)
-        if self._memo_for(db).get(key) is not None:
+        if self._memo_for(db).get((formula, variables, domain_key, signature)) is not None:
             return "memo"
-        found = self._ancestor_state(db, key) if self.delta_mode != "off" else None
-        if found is not None:
-            built = " (an ancestor's state, built there on demand)"
-            return "delta rules" + (built if found[1].deferred else "")
         if variables:
             return "full execution"
-        deferred = "; node state deferred" if self.delta_mode != "off" else ""
-        return f"streamed (stops at the first witness{deferred})"
+        return "streamed (stops at the first witness)"
 
     def _execute_plan(self, plan: Plan, ctx: ExecutionContext, lazy: bool = False) -> Rows:
-        """Full (non-incremental) plan execution, or a streamed verdict.
-
-        ``lazy`` (a closed sentence) streams the plan to its first root row
-        instead; sub-plans read twice are materialised.  A constant-free
-        sentence is its own memo and state key; its stream runs through them.
-        """
+        """Full plan execution, or (``lazy``, a closed sentence) a streamed verdict."""
         if not lazy:
             return plan.rows(ctx)
-        rows = self._stream(plan, ctx, "streamed verdict")
+        rows = self._stream(plan, ctx)
         self._bump("streamed")
         return rows
 
-    def _stream(self, plan: Plan, ctx: ExecutionContext, what: str) -> Rows:
+    def _stream(self, plan: Plan, ctx: ExecutionContext) -> Rows:
         """A sentence's plan streamed to its first root row, the sub-plans
-        read twice materialised; shadowed by a full run under
-        ``REPRO_DELTA=verify``."""
+        read twice materialised."""
         ctx.lazy, ctx.materialise = True, self._fan_in(plan)
         rows = frozenset({()}) if plan.nonempty(ctx) else frozenset()
         ctx.lazy = False
-        if self.delta_mode == "verify":
-            self._verify(plan, ctx, rows, what, ctx.db)
         return rows
 
     def _fan_in(self, plan: Plan) -> FrozenSet[Plan]:
@@ -634,130 +543,6 @@ class CompiledBackend(Backend):
             found = frozenset(node for node, n in consumers.items() if n > 1)
             self._fan_ins.put(plan, found)
         return found
-
-    # -- incremental (delta) evaluation -----------------------------------------
-
-    def _state_for(self, db: Database, memo_key: Tuple) -> Optional[PlanState]:
-        key = id(db)
-        with self._states_lock:
-            entry = self._states.get(key)
-            if entry is None or entry[0] is not db:
-                return None
-            state = entry[1].get(memo_key)
-            if state is not None:
-                # a hit marks the base as hot: the stream pattern keeps
-                # deriving successors from it (rejected updates especially),
-                # and evicting it would sever every future chain
-                self._states.move_to_end(key)
-            return state
-
-    def _remember_state(self, db: Database, memo_key: Tuple, state: PlanState) -> None:
-        key = id(db)
-        with self._states_lock:
-            entry = self._states.get(key)
-            if entry is None or entry[0] is not db:
-                entry = (db, {})
-                self._states[key] = entry
-            self._states.move_to_end(key)
-            states = entry[1]
-            states[memo_key] = state
-            while len(states) > _MEMO_SIZE:
-                states.pop(next(iter(states)))
-            while len(self._states) > _STATE_HISTORY:
-                self._states.popitem(last=False)
-
-    def _incremental_extension(
-        self, plan: Plan, memo_key: Tuple, ctx: ExecutionContext, warming: bool = False
-    ):
-        """Evaluate through the delta rules when a usable parent state exists.
-
-        Returns ``None`` — full execution — when no ancestor of ``ctx.db`` was
-        evaluated under ``memo_key``.  A ``warming`` call (state propagation
-        behind a memo hit) leaves the hit/miss counters (surfaced as
-        ``incremental_evaluations`` in maintenance reports) alone: the check
-        itself was answered by the memo, and no full execution follows a
-        failure, so nothing was missed.
-        """
-        state = self._advance_state(plan, memo_key, ctx)
-        if not warming:
-            self._bump("delta_misses" if state is None else "delta_hits")
-        return None if state is None else state.rows[plan]
-
-    def _advance_state(
-        self, plan: Plan, key: Tuple, ctx: ExecutionContext
-    ) -> Optional[PlanState]:
-        """Bring ``plan``'s remembered state under ``key`` forward to ``ctx.db``.
-
-        Walks the database's ``apply_delta`` provenance until it finds an
-        ancestor with a state under the memo key ``key`` and applies the delta
-        rules to it under the composition of the steps climbed.  Remembers and returns the successor state, or ``None`` when
-        no such ancestor is within reach.
-        """
-        found = self._ancestor_state(ctx.db, key)
-        if found is None:
-            return None
-        parent, state, steps = found
-        delta = steps.pop()
-        while steps:
-            delta = delta.then(steps.pop())
-        try:
-            if state.deferred:
-                state = self._build_deferred(plan, parent, key, state, ctx)
-            rows, new_state = incremental_update(
-                plan, parent, state, delta, ctx, fixed_domain=ctx.domain_key is not None
-            )
-        except (DatabaseError, SignatureError) as exc:
-            from ..logic.evaluation import EvaluationError
-
-            raise EvaluationError(str(exc)) from exc
-        if self.delta_mode == "verify":
-            self._verify(plan, ctx, rows, "incremental evaluation", key[0])
-        self._remember_state(ctx.db, key, new_state)
-        return new_state
-
-    def _ancestor_state(self, db: Database, key: Tuple):
-        """``(ancestor, state, steps)``: the nearest ``apply_delta`` ancestor of
-        ``db`` within reach with a state under ``key``, and the steps climbed
-        to it, newest first (composed only once one is found) — or ``None``."""
-        steps = []
-        link = db.provenance_step()
-        while link is not None and len(steps) < _MAX_PROVENANCE_CHAIN:
-            parent, step = link
-            steps.append(step)
-            state = self._state_for(parent, key)
-            if state is not None:
-                return parent, state, steps
-            link = parent.provenance_step()
-        return None
-
-    def _build_deferred(self, plan, db, key, deferred, ctx) -> PlanState:
-        """A streamed verdict's deferred state at ``db``, made real: a full
-        execution there, seeded with the sub-plans the stream materialised
-        (each a whole sub-DAG, see :meth:`Plan.rows`)."""
-        at = ExecutionContext(db, ctx.domain_key, ctx.signature, params=ctx.params)
-        at.cache.update(deferred.rows)
-        rows = self._execute_plan(plan, at)
-        if self.delta_mode == "verify":
-            self._verify(plan, at, rows, "state built on demand", key[0], nodes=True)
-        state = PlanState(dict(at.cache))
-        self._remember_state(db, key, state)
-        self._bump("states_built_on_demand")
-        return state
-
-    @staticmethod
-    def _verify(plan, ctx, rows, what, subject, nodes=False) -> None:
-        """``REPRO_DELTA=verify``: ``rows`` (with ``nodes``, every node result
-        in ``ctx.cache`` too) must be what a fresh full execution gives."""
-        full = ExecutionContext(ctx.db, ctx.domain_key, ctx.signature, params=ctx.params)
-        pairs = [(rows, plan.rows(full))]
-        if nodes:
-            pairs += [(ctx.cache[n], r) for n, r in full.cache.items() if n in ctx.cache]
-        for got, want in pairs:
-            if got != want:
-                raise AssertionError(
-                    f"{what} diverged for {subject!r}: got {sorted(got, key=repr)[:5]}"
-                    f"..., full run says {sorted(want, key=repr)[:5]}..."
-                )
 
     def evaluate(self, formula, db, assignment=None, signature=EMPTY_SIGNATURE, domain=None):
         env = dict(assignment or {})
@@ -795,8 +580,8 @@ class CompiledBackend(Backend):
         Compiled as it stands, once per formula: not by :meth:`Formula.shape`,
         which would number its constants from slot 0, over the slots already
         there.  The plan, chosen for ``db``'s statistics profile, streams to
-        its first witness with ``values`` in ``ctx.params``; no memo, no
-        provenance walk, no state.  A sentence the compiler rejects goes to
+        its first witness with ``values`` in ``ctx.params``; no memo.  A
+        sentence the compiler rejects goes to
         :meth:`evaluate` with its values put in.
         """
         plan = self._prepared.get(formula)
@@ -810,7 +595,7 @@ class CompiledBackend(Backend):
             return self.evaluate(bind_slots(formula, values), db, signature=signature)
         ctx = ExecutionContext(db, None, signature, params=tuple(values))
         try:
-            rows = self._stream(self._chosen(formula, plan, db, None), ctx, "prepared check")
+            rows = self._stream(self._chosen(formula, plan, db, None), ctx)
         except (DatabaseError, SignatureError) as exc:
             from ..logic.evaluation import EvaluationError
 
@@ -828,20 +613,11 @@ BACKEND_NAMES = KNOBS_BY_NAME["REPRO_BACKEND"].choices
 
 
 def backend_from_name(name: str) -> Backend:
-    """Instantiate a backend by its registry name (see :data:`BACKEND_NAMES`).
-
-    ``compiled-delta`` / ``compiled-nodelta`` are the compiled engine with
-    incremental delta evaluation forced on / off regardless of
-    ``REPRO_DELTA`` (the benchmarks use them to A/B the update fast path).
-    """
+    """Instantiate a backend by its registry name (see :data:`BACKEND_NAMES`)."""
     if name == "naive":
         return NaiveBackend()
     if name == "compiled":
         return CompiledBackend()
-    if name == "compiled-delta":
-        return CompiledBackend(delta="on")
-    if name == "compiled-nodelta":
-        return CompiledBackend(delta="off")
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )

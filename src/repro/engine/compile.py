@@ -76,7 +76,6 @@ __all__ = [
     "compile_extension",
     "compile_sentence",
     "predicate_for",
-    "depends_for",
 ]
 
 
@@ -208,13 +207,6 @@ def predicate_for(formula: Formula, columns: Tuple[str, ...]):
     raise CompileError(f"no row predicate for {type(formula).__name__}")
 
 
-def depends_for(formula: Formula) -> frozenset:
-    """Base relations a pushed-down selection reads (for delta evaluation)."""
-    if isinstance(formula, Atom):
-        return frozenset({formula.relation})
-    return frozenset()  # interpreted atoms and (in)equalities: signature only
-
-
 def _fallback_atomic(formula: Formula) -> Plan:
     """Standalone plan for an atomic formula needing per-row evaluation.
 
@@ -231,7 +223,6 @@ def _select(child: Plan, formula: Formula) -> Plan:
         child,
         predicate_for(formula, child.columns),
         description=str(formula),
-        depends=depends_for(formula),
         formula=formula,
     )
 

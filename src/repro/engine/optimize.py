@@ -22,8 +22,7 @@ statistics a database maintains (:mod:`repro.engine.stats`), it
 
 The rewriter never changes a node's output columns: ``rewrite(p).columns ==
 p.columns`` for every node it touches, so optimized plans drop into every
-consumer of the original — including the incremental delta rules, which see
-the same operator vocabulary they already know.
+consumer of the original.
 
 A plan is only *replaced* when the cost model prices the rewrite strictly
 cheaper.
@@ -361,12 +360,11 @@ class OptimizeInfo:
 class _Filter:
     """A movable pushed-down selection: formula + metadata to rebuild it."""
 
-    __slots__ = ("formula", "description", "depends", "variables")
+    __slots__ = ("formula", "description", "variables")
 
     def __init__(self, node: Select):
         self.formula = node.formula
         self.description = node.description
-        self.depends = node.depends
         self.variables = frozenset(node.formula.free_variables())
 
     def attach(self, plan: Plan) -> Plan:
@@ -374,7 +372,6 @@ class _Filter:
             plan,
             predicate_for(self.formula, plan.columns),
             description=self.description,
-            depends=self.depends,
             formula=self.formula,
         )
 
@@ -821,13 +818,10 @@ def prune_columns(plan: Plan, needed: Optional[Set[str]] = None) -> Plan:
                     child,
                     predicate_for(plan.formula, child.columns),
                     plan.description,
-                    plan.depends,
                     plan.formula,
                 )
             else:
-                rebuilt = Select(
-                    child, plan.predicate, plan.description, plan.depends, plan.formula
-                )
+                rebuilt = Select(child, plan.predicate, plan.description, plan.formula)
             return _project_keep(rebuilt, needed)
         return plan  # opaque predicate: cannot touch the child's layout
     if isinstance(plan, Antijoin):
@@ -852,9 +846,7 @@ def _project_keep(plan: Plan, needed: Set[str]) -> Plan:
 def _with_children(node: Plan, children: Tuple[Plan, ...]) -> Plan:
     """Rebuild ``node`` over replacement children (same column layouts)."""
     if isinstance(node, Select):
-        return Select(
-            children[0], node.predicate, node.description, node.depends, node.formula
-        )
+        return Select(children[0], node.predicate, node.description, node.formula)
     if isinstance(node, Project):
         return Project(children[0], node.columns)
     if isinstance(node, HashJoin):

@@ -74,8 +74,7 @@ __all__ = [
 
 Row = Tuple[object, ...]
 #: what a node evaluates to: an immutable set of rows — a ``frozenset``, or
-#: the persistent :class:`~repro.db.delta.RowSet` of a stored relation or of
-#: a result the delta rules carried here
+#: the persistent :class:`~repro.db.delta.RowSet` of a stored relation
 Rows = AbstractSet[Row]
 
 _EMPTY: FrozenSet[Row] = frozenset()
@@ -100,7 +99,7 @@ class ExecutionContext:
     """
 
     __slots__ = (
-        "db", "domain_key", "domain", "signature", "functions", "params", "stats",
+        "db", "domain", "signature", "functions", "params", "stats",
         "cache", "profiler", "lazy", "materialise", "_covers",
     )
 
@@ -113,16 +112,12 @@ class ExecutionContext:
     ):
         self.db = db
         self.params = params
-        # the domain as the caller fixed it (``None``: it follows the database)
-        self.domain_key: Optional[FrozenSet[object]] = (
-            frozenset(domain) if domain is not None else None
-        )
         self.domain: FrozenSet[object] = (
-            self.domain_key if self.domain_key is not None else db.active_domain
+            frozenset(domain) if domain is not None else db.active_domain
         )
         # ``None``: not compared yet (a domain that follows the database
         # always covers it)
-        self._covers: Optional[bool] = True if self.domain_key is None else None
+        self._covers: Optional[bool] = True if domain is None else None
         self.signature = signature
         self.functions = signature.functions_mapping()
         self.stats: Dict[str, int] = {}
@@ -182,7 +177,7 @@ class Plan:
         per-context cache turns the repeated subtrees that formula
         transformations love to emit (weakest preconditions especially) into
         single evaluations.  Its whole sub-DAG is materialised too, also in a
-        lazy context: a cached node's inputs are cached (the delta rules read them).
+        lazy context: a cached node's inputs are cached.
         """
         cache = ctx.cache
         if self in cache:
@@ -309,8 +304,8 @@ class Scan(Plan):
 
         The single source of truth for the scan semantics (constant
         positions, repeated-variable consistency, the active-domain filter,
-        wrong-arity rows matching nothing) — the full scan and the
-        incremental delta rule both go through it.
+        wrong-arity rows matching nothing) — the full scan and the index
+        probe both go through it.
         """
         pattern = self.pattern
         if len(row) != len(pattern):
@@ -474,11 +469,6 @@ class Select(Plan):
     terms once all their variables are bound by the child — the pushed-down
     selection of the compiler.
 
-    ``depends`` declares which base relations the predicate reads (an empty
-    frozenset for signature-only predicates).  ``None`` means unknown; the
-    incremental evaluator then re-runs the selection instead of assuming the
-    predicate is stable under database deltas.
-
     ``formula`` (when given) is the atomic formula the predicate was derived
     from.  The predicate closure binds the child's column *positions*, so it
     cannot survive a column reordering — the cost-based optimizer uses the
@@ -486,21 +476,19 @@ class Select(Plan):
     column layout its rewritten plan produces.
     """
 
-    __slots__ = ("child", "predicate", "description", "depends", "formula")
+    __slots__ = ("child", "predicate", "description", "formula")
 
     def __init__(
         self,
         child: Plan,
         predicate: Callable[[Row, ExecutionContext], bool],
         description: str = "predicate",
-        depends: Optional[FrozenSet[str]] = None,
         formula: Optional[object] = None,
     ):
         super().__init__(child.columns)
         self.child = child
         self.predicate = predicate
         self.description = description
-        self.depends = depends
         self.formula = formula
 
     def children(self) -> Tuple[Plan, ...]:

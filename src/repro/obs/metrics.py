@@ -61,9 +61,6 @@ BACKEND_KEY_MAP: Dict[str, str] = {
     "plans_rewritten": "engine.optimizer.plans_rewritten",
     "join_reorders": "engine.optimizer.join_reorders",
     "complements_avoided": "engine.optimizer.complements_avoided",
-    "delta_hits": "engine.delta.hits",
-    "delta_misses": "engine.delta.misses",
-    "states_built_on_demand": "engine.delta.states_built_on_demand",
     "streamed": "engine.backend.streamed",
     "prepared": "engine.backend.prepared",
     "fallbacks": "engine.compile.fallbacks",
@@ -76,8 +73,6 @@ BACKEND_KEY_MAP: Dict[str, str] = {
 #: ``docs/observability.md``).
 LEGACY_KEY_MAP: Dict[str, str] = {
     **BACKEND_KEY_MAP,
-    # MaintenanceReport
-    "incremental_evaluations": "engine.delta.hits",
     # Store.storage_stats() / WalStorageEngine.stats()
     "wal_appends": "wal.appends",
     "fsyncs": "wal.fsyncs",

@@ -10,8 +10,8 @@ Quick orientation:
 
 * :mod:`repro.service.snapshots` — MVCC: pinned ``(version, Database)``
   snapshots, tracked read/write transaction handles, and delta-based
-  optimistic conflict validation (incremental predicate re-checks through
-  :mod:`repro.engine.delta`);
+  optimistic conflict validation (a predicate read is re-checked at the
+  shifted state, streamed to its first witness);
 * :mod:`repro.service.admission` — WPC-verified admission: registered
   transaction shapes are classified once (``static`` / ``guarded`` /
   ``runtime``, see :func:`repro.core.wpc.classify_preservation`) and the
@@ -27,7 +27,7 @@ Quick orientation:
 
 Isolation level: **serializable** — every committed history is equivalent to
 executing the committed transactions serially in commit order (stress-tested
-by ``tests/service/test_serializability.py`` under ``REPRO_DELTA=verify``).
+by ``tests/service/test_serializability.py``).
 
 The ``REPRO_SERVICE_WORKERS`` environment variable selects the default
 worker-thread count of the workload driver (see :mod:`repro.settings`).

@@ -384,7 +384,7 @@ class TransactionService:
     def invariant_holds(self) -> bool:
         """Do all constraints hold on the committed state?"""
         state = self.snapshot()
-        return all(c.holds(state, self.signature) for c in self.constraints)
+        return all(c.holds(state, self.signature, self.backend) for c in self.constraints)
 
     # -- the client entry points -----------------------------------------------------
 
@@ -837,12 +837,12 @@ class TransactionService:
         candidate = running.apply_delta(effective)
         if runtime_checks and not self._invariant_known:
             self._invariant_known = all(
-                c.holds(running, self.signature) for c in self.constraints
+                c.holds(running, self.signature, self.backend) for c in self.constraints
             )
         known = effective if self._invariant_known else None
         for constraint in runtime_checks:
             holds, full = holds_after_update(
-                constraint, candidate, known, self.signature
+                constraint, candidate, known, self.signature, self.backend
             )
             self.stats.add(runtime_checks=1, runtime_full_checks=int(full))
             if not holds:

@@ -20,10 +20,10 @@ Three layers live here:
   (read-your-own-writes), mirroring the store's own transaction semantics.
 * :func:`validate` — the conflict test: write-write overlap on touched rows
   (:meth:`Delta.overlaps`), row- and relation-level read-write overlap, and
-  **incremental predicate re-validation** — each predicate the transaction
-  read is re-evaluated under the foreign delta through the engine's delta
-  rules (at ``base ⊕ foreign ⊕ own``, the transaction's own writes at read
-  time layered on top by :meth:`Database.apply_delta`), so a predicate read only
+  **predicate re-validation** — each predicate the transaction read is
+  re-evaluated under the foreign delta, streamed to its first witness (at
+  ``base ⊕ foreign ⊕ own``, the transaction's own writes at read time
+  layered on top by :meth:`Database.apply_delta`), so a predicate read only
   conflicts when a concurrent commit actually *changed its truth value*,
   not merely because it touched the same relation.
 
@@ -96,7 +96,7 @@ class SnapshotTransaction:
 
     All reads are **read-your-own-writes**: the handle's buffered write delta
     is overlaid on the pinned snapshot (via ``apply_delta``, so the view
-    provenance-chains off the snapshot and incremental evaluation applies).
+    shares every untouched row and index with the snapshot).
     All reads are also **tracked** in :attr:`reads`, which is what makes
     fine-grained optimistic validation possible — prefer the handle API over
     :meth:`apply`, whose reads are opaque and validate conservatively.
@@ -263,10 +263,10 @@ def validate(
     2. write-write: a row touched by both deltas;
     3. scans: the foreign delta touched a relation read wholesale;
     4. row probes: the foreign delta touched a row that was probed;
-    5. predicates: incremental re-evaluation — the foreign delta changed the
-       observed truth value of a formula the transaction read (evaluated on
-       ``base ⊕ foreign ⊕ own-writes-at-read-time``, all provenance-chained,
-       so the engine answers through its delta rules).
+    5. predicates: re-evaluation — the foreign delta changed the observed
+       truth value of a formula the transaction read (evaluated on
+       ``base ⊕ foreign ⊕ own-writes-at-read-time``, streamed to its first
+       witness).
     """
     if foreign.is_empty():
         return None
@@ -306,7 +306,7 @@ def _validate(
         for (formula, own), value in reads.predicates.items():
             # the predicate was observed on `base ⊕ own`; its value at the
             # commit point is `(base ⊕ foreign) ⊕ own` — built by apply_delta,
-            # so the whole chain stays on the engine's incremental path
+            # which carries the indexes the streamed check probes
             after = shifted.apply_delta(own)
             if backend.evaluate(formula, after, signature=signature) != value:
                 return f"predicate changed under foreign delta: {formula}"

@@ -35,7 +35,7 @@ E16 throughput numbers reproducible.
 The serial baseline (:func:`run_serial_baseline`) is the pre-service
 execution model: one transaction at a time against the store, every
 constraint re-checked in full on the post-state before each individual
-commit (through the engine's incremental re-checks), so the comparison
+commit, so the comparison
 isolates what the service layer itself adds (admission fast paths, group
 commit, overlap of optimistic execution).  It deliberately keeps the full
 check where :class:`~repro.core.maintenance.RuntimeCheckPolicy` checks a
@@ -325,7 +325,7 @@ def _make_read(rng: random.Random, pick: Picker) -> WorkItem:
 
     def read(handle: SnapshotTransaction) -> bool:
         hit = handle.contains("E", (min(a, b), max(a, b)))
-        # a predicate read: does `a` refer anyone? (validated incrementally)
+        # a predicate read: does `a` refer anyone? (re-checked on validation)
         active = handle.evaluate(_OUT_DEGREE, x=a)
         return hit or active
 

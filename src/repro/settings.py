@@ -85,17 +85,11 @@ class Knob(NamedTuple):
 
 
 KNOBS: Tuple[Knob, ...] = (
-    Knob("REPRO_BACKEND", CHOICE, "compiled",
-         ("naive", "compiled", "compiled-delta", "compiled-nodelta"),
-         "evaluation backend, read at `import repro`; `compiled-delta` / "
-         "`compiled-nodelta` force incremental evaluation on / off"),
-    Knob("REPRO_DELTA", CHOICE, "on", ("on", "off", "verify"),
-         "incremental plan evaluation in the compiled backend; `verify` "
-         "shadows every incremental result with a full execution and "
-         "asserts agreement"),
+    Knob("REPRO_BACKEND", CHOICE, "compiled", ("naive", "compiled"),
+         "evaluation backend, read at `import repro`"),
     Knob("REPRO_OPTIMIZER", CHOICE, "on", ON_OFF,
          "cost-based plan rewriting in the compiled backend (join "
-         "reordering, complement avoidance, sub-plan sharing) — see "
+         "reordering, complement avoidance, projection pushdown) — see "
          "`docs/optimizer.md`"),
     Knob("REPRO_METRICS", CHOICE, "on", ON_OFF,
          "process-wide metrics registry; `off` swaps in a shared no-op "

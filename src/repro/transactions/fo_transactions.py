@@ -213,7 +213,7 @@ class InsertWhere(Statement):
         if not rows:
             return context
         # one bulk delta: the successor database shares everything untouched
-        # and carries the provenance the incremental engine keys on
+        # and carries the provenance apply_with_delta recovers the net effect from
         database = context.database.apply_delta(Delta(inserted={self.relation: rows}))
         return context.with_database(database)
 

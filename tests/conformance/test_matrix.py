@@ -1,10 +1,10 @@
 """Cross-configuration conformance: every backend agrees with the oracle.
 
-The matrix is **backend × delta mode × optimizer**: the compiled engine
-with incremental delta evaluation on and off and with the optimizer off —
-all compared against the naive recursive interpreter (the semantics
-oracle) on grammar-generated formulas crossed with random graph databases,
-under default and explicitly enlarged/shrunk quantification domains.
+The matrix is **backend × optimizer**: the compiled engine as configured
+and with the optimizer off — both compared against the naive recursive
+interpreter (the semantics oracle) on grammar-generated formulas crossed
+with random graph databases, under default and explicitly enlarged/shrunk
+quantification domains.
 
 The generators live in ``tests/strategies.py`` (shared with the property
 suites); ``REPRO_SEED`` pins them for exact replay, and every failure

@@ -1,7 +1,7 @@
 """The persistent partitioned index: equal to a rebuild, persistent, shared.
 
 ``BucketMap`` is the one ``key -> tuple-of-rows`` representation behind
-``Database.index()`` and the incremental engine's join state.  Three
+``Database.index()``.  Three
 properties carry the commit path's cost claim, and none of them is a timing:
 
 * patched through any delta stream it equals a from-scratch build at every

@@ -1,7 +1,6 @@
 """Regression tests for Delta algebra edge cases and Store provenance routing.
 
-These pin down behaviours the incremental engine and the transaction service
-lean on: composing a delta with its inverse is the identity, cancelling
+These pin down behaviours the store and the transaction service lean on: composing a delta with its inverse is the identity, cancelling
 writes normalize away, ``Delta.between`` still answers across skip-link
 boundaries once transient intermediates are gone, and the store's
 ``apply_database`` fast path degrades to a full diff (never a wrong answer)

@@ -1,7 +1,7 @@
 """The persistent partitioned row set: equal to a rebuild, persistent, shared.
 
-``RowSet`` is the one representation of rows carried from state to state —
-``Database`` relations and the node results the incremental engine patches.
+``RowSet`` is the one representation of rows carried from state to state:
+``Database`` relations.
 What carries the update path's cost claim is structural, not a timing:
 
 * patched through any stream it equals the rebuilt set at every step, and

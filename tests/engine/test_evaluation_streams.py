@@ -1,16 +1,17 @@
-"""Incremental (delta) plan evaluation: agreement, coverage, regressions.
+"""Plan evaluation along update streams, and backend regressions.
 
-Three layers of defence:
+Every state of an update stream is built by ``apply_delta``, which patches
+the row sets, indexes and statistics the engine reads instead of rebuilding
+them.  Three layers of defence:
 
 * hypothesis streams — random update sequences against a panel of formulas
-  covering every delta rule (scans, joins, semijoins, antijoins, unions,
-  complements, counting, equality, constants), evaluated by a ``verify``-mode
-  backend (every incremental result is shadowed by a full execution and must
-  match) *and* cross-checked against the naive interpreter;
+  covering every operator family (scans, joins, semijoins, antijoins,
+  unions, complements, counting, equality, constants), cross-checked
+  against the naive interpreter at every state;
 * targeted operator streams — deletions that kill the last support of a
   group/join key, domain growth and shrinkage, rollback-style branching;
-* regressions for the satellite bugfixes (``REPRO_BACKEND`` typos, the
-  naive-fallback memo, locked ``cache_stats``).
+* regressions for the satellite bugfixes (``REPRO_BACKEND`` typos and
+  removed names, the naive-fallback memo, locked ``cache_stats``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.logic import parse
 
 NAIVE = NaiveBackend()
 
-#: one formula per delta rule family
+#: one formula per operator family
 FORMULAS = [
     parse("forall x . ~E(x, x)"),                                        # scan + complement
     parse("forall x . forall y . E(x, y) -> E(y, x)"),                   # semijoin/antijoin
@@ -60,8 +61,8 @@ def edge():
     st.lists(st.tuples(st.sampled_from(["insert", "delete"]), edge()), max_size=12),
 )
 @settings(max_examples=60, deadline=None)
-def test_incremental_stream_agrees_with_full_and_naive(base, updates):
-    backend = CompiledBackend(delta="verify")  # every hit is shadow-checked
+def test_stream_agrees_with_the_interpreter(base, updates):
+    backend = CompiledBackend()
     db = Database.graph(base)
     for formula in FORMULAS:
         assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
@@ -71,19 +72,8 @@ def test_incremental_stream_agrees_with_full_and_naive(base, updates):
             assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
 
 
-def test_incremental_path_is_actually_taken():
-    backend = CompiledBackend(delta="on")
-    formula = parse("forall x . forall y . E(x, y) -> E(y, x)")
-    db = random_graph(10, 0.3, seed=5)
-    backend.evaluate(formula, db)
-    for step in range(20):
-        db = db.insert("E", (100 + step, 101 + step))  # always effective
-        backend.evaluate(formula, db)
-    assert backend.delta_hits == 20
-
-
-def test_extensions_are_updated_incrementally_not_only_sentences():
-    backend = CompiledBackend(delta="verify")
+def test_extensions_along_a_stream_not_only_sentences():
+    backend = CompiledBackend()
     formula = parse("E(x, y) & ~E(y, x)")
     db = Database.graph([(0, 1), (1, 0), (2, 3)])
     assert backend.extension(formula, db, ("x", "y")) == {(2, 3)}
@@ -91,13 +81,12 @@ def test_extensions_are_updated_incrementally_not_only_sentences():
     assert backend.extension(formula, db, ("x", "y")) == {(4, 5)}
     db = db.delete("E", (1, 0))
     assert backend.extension(formula, db, ("x", "y")) == {(0, 1), (4, 5)}
-    assert backend.delta_hits >= 2
 
 
-def test_joins_keyed_on_the_whole_left_row_patch_the_rows_forward():
+def test_joins_keyed_on_the_whole_left_row_over_patched_rows():
     # R(x, y) & condition, DeleteWhere's plan: the (semi/anti)join key is the
-    # whole left row, so the left index is the relation's rows themselves
-    backend = CompiledBackend(delta="verify")
+    # whole left row, over a relation patched partition by partition
+    backend = CompiledBackend()
     formulas = [parse("E(x, y) & x = y"), parse("E(x, y) & ~E(y, x)")]
     db = Database.graph((i, i % 9) for i in range(80))  # partitioned rows
     updates = [("insert", (40, 40)), ("insert", (2, 4)), ("insert", (4, 2)),
@@ -107,11 +96,10 @@ def test_joins_keyed_on_the_whole_left_row_patch_the_rows_forward():
         for formula in formulas:
             expected = NAIVE.extension(formula, db, ("x", "y"))
             assert backend.extension(formula, db, ("x", "y")) == expected
-    assert backend.delta_hits == 2 * len(updates)
 
 
 def test_domain_growth_and_shrinkage():
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     connected = parse("forall x . exists y . E(x, y) | E(y, x)")
     db = Database.graph([(0, 1), (1, 2)])
     assert backend.evaluate(connected, db)
@@ -128,7 +116,7 @@ def test_domain_growth_and_shrinkage():
 
 
 def test_group_count_support_dies_and_returns():
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     two_successors = parse("exists x . exists>=2 y . E(x, y)")
     db = Database.graph([(0, 1), (0, 2)])
     assert backend.evaluate(two_successors, db)
@@ -140,7 +128,7 @@ def test_group_count_support_dies_and_returns():
 
 def test_branching_streams_from_one_base_state():
     # rejected-update shape: many children of the same base, then a commit
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     no_loops = parse("forall x . ~E(x, x)")
     base = random_graph(8, 0.3, seed=2)
     base = base.delete("E", *[(v, v) for v in range(8)])
@@ -150,44 +138,10 @@ def test_branching_streams_from_one_base_state():
         assert not backend.evaluate(no_loops, candidate)  # each rejected
     committed = base.insert("E", (0, 1))
     assert backend.evaluate(no_loops, committed)
-    assert backend.delta_hits >= 5
-
-
-def test_lazily_built_join_state_serves_every_successor_of_its_state(monkeypatch):
-    # rejected-update shape again: what the first child builds from the
-    # parent's rows (a join's key indexes, a partitioned result) is a pure
-    # function of them, so the second child of the same parent finds it
-    from repro.db.delta import BucketMap, RowSet
-
-    calls = {"build": 0, "partition": 0}
-    build, of = BucketMap.build.__func__, RowSet.of.__func__
-
-    def counting_build(cls, rows, key_of):
-        calls["build"] += 1
-        return build(cls, rows, key_of)
-
-    def counting_of(cls, rows):
-        calls["partition"] += not isinstance(rows, RowSet)
-        return of(cls, rows)
-
-    monkeypatch.setattr(BucketMap, "build", classmethod(counting_build))
-    monkeypatch.setattr(RowSet, "of", classmethod(counting_of))
-    backend = CompiledBackend(delta="on", optimizer="off")
-    no_triangles = FORMULAS[2]
-    base = Database.graph([(a, (a + j) % 40) for a in range(40) for j in (1, 2)])
-    backend.evaluate(no_triangles, base)
-    assert calls["build"] == 0
-    backend.evaluate(no_triangles, base.insert("E", (0, 20)))
-    first_child = dict(calls)
-    assert first_child["build"] >= 2  # each side of a join was keyed ...
-    backend.evaluate(no_triangles, base.insert("E", (1, 21)))
-    backend.evaluate(no_triangles, base.delete("E", (2, 3)))
-    assert calls == first_child  # ... once, for all three children
-    assert backend.delta_hits == 3
 
 
 def test_explicit_domain_is_treated_as_fixed():
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     formula = parse("exists x . E(x, x)")
     domain = frozenset(range(4))
     db = Database.graph([(0, 1)])
@@ -199,18 +153,8 @@ def test_explicit_domain_is_treated_as_fixed():
     assert not backend.evaluate(parse("exists x . E(x, 9) & E(9, x)"), db, domain=domain)
 
 
-def test_delta_off_backend_never_walks_provenance():
-    backend = CompiledBackend(delta="off")
-    formula = parse("forall x . ~E(x, x)")
-    db = Database.graph([(0, 1)])
-    backend.evaluate(formula, db)
-    backend.evaluate(formula, db.insert("E", (1, 2)))
-    assert backend.delta_hits == 0
-    assert backend.delta_misses == 0
-
-
 def test_bulk_deltas_update_in_one_step():
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     symmetric = parse("forall x . forall y . E(x, y) -> E(y, x)")
     db = Database.graph([(a, b) for a in range(6) for b in range(6) if a < b])
     assert not backend.evaluate(symmetric, db)
@@ -218,7 +162,6 @@ def test_bulk_deltas_update_in_one_step():
         Delta(inserted={"E": [(b, a) for (a, b) in db.edges]})
     )
     assert backend.evaluate(symmetric, mirrored)
-    assert backend.delta_hits >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +198,11 @@ def test_invalid_repro_backend_warns_instead_of_crashing_import():
     _import_repro_with_backend("compilde")  # the typo of the bug report
 
 
-def test_removed_sharded_backend_name_is_an_invalid_value():
-    messages = _import_repro_with_backend("sharded")
-    assert "'sharded'" in messages
-    assert "naive, compiled, compiled-delta, compiled-nodelta" in messages
+@pytest.mark.parametrize("name", ["sharded", "compiled-delta", "compiled-nodelta"])
+def test_removed_sharded_backend_name_is_an_invalid_value(name):
+    messages = _import_repro_with_backend(name)
+    assert f"'{name}'" in messages
+    assert "expected one of naive, compiled —" in messages
     assert "falling back to 'compiled'" in messages
 
 
@@ -268,17 +212,12 @@ def test_removed_parallel_backend_name_is_an_invalid_value():
     assert "falling back to 'compiled'" in messages
 
 
-@pytest.mark.parametrize("name", ["sharded", "parallel"])
+@pytest.mark.parametrize(
+    "name", ["sharded", "parallel", "compiled-delta", "compiled-nodelta", "not-a-backend"]
+)
 def test_backend_from_name_rejects_the_removed_names(name):
     with pytest.raises(ValueError, match="naive, compiled"):
         backend_from_name(name)
-
-
-def test_backend_from_name_knows_the_delta_variants():
-    assert backend_from_name("compiled-delta").delta_mode == "on"
-    assert backend_from_name("compiled-nodelta").delta_mode == "off"
-    with pytest.raises(ValueError, match="naive"):
-        backend_from_name("not-a-backend")
 
 
 def test_naive_fallback_results_are_memoised(monkeypatch):
@@ -333,7 +272,120 @@ def test_cache_stats_is_consistent_and_locked():
     stats = backend.cache_stats()
     assert stats["plans"] >= 1
     assert stats["memo"] >= 1
-    assert "states" in stats
     backend.clear_caches()
     cleared = backend.cache_stats()
-    assert cleared["plans"] == 0 and cleared["memo"] == 0 and cleared["states"] == 0
+    assert cleared["plans"] == 0 and cleared["memo"] == 0
+
+
+@pytest.mark.parametrize("name", ["naive", "compiled"])
+def test_backend_from_name_builds_every_listed_backend(name):
+    from repro.engine import BACKEND_NAMES
+
+    assert name in BACKEND_NAMES
+    assert backend_from_name(name).name == name
+
+
+# ---------------------------------------------------------------------------
+# the memo, and the one rule behind it: a miss runs the plan
+# ---------------------------------------------------------------------------
+
+
+def test_a_memo_hit_hands_out_a_copy():
+    backend = CompiledBackend()
+    formula = parse("E(x, y) & ~E(y, x)")
+    db = Database.graph([(0, 1), (2, 3), (3, 2)])
+    rows = backend.extension(formula, db, ("x", "y"))
+    rows.add(("junk", "junk"))
+    rows.discard((0, 1))
+    assert backend.extension(formula, db, ("x", "y")) == {(0, 1)}
+
+
+def test_an_extension_is_executed_in_full_and_memoised():
+    backend = CompiledBackend()
+    formula = parse("E(x, y) & E(y, x)")
+    db = Database.graph([(0, 1), (1, 0), (1, 2)])
+    expected = NAIVE.extension(formula, db, ("x", "y"))
+    assert backend.extension(formula, db, ("x", "y")) == expected
+    stats = backend.cache_stats()
+    assert stats["streamed"] == 0 and stats["memo"] == 1
+    assert "path: memo" in backend.explain(formula, db, ("x", "y"))
+    assert backend.extension(formula, db, ("x", "y")) == expected
+    assert backend.cache_stats()["memo"] == 1
+
+
+def test_explain_runs_the_plan_and_memoises_nothing():
+    backend = CompiledBackend()
+    formula = parse("forall x . ~E(x, x)")
+    db = Database.graph([(0, 1), (1, 2)])
+    for _ in range(2):
+        assert "path: streamed" in backend.explain(formula, db)
+    stats = backend.cache_stats()
+    assert stats["memo"] == 0 and stats["streamed"] == 0
+    assert backend.evaluate(formula, db)
+    assert backend.cache_stats()["streamed"] == 1
+
+
+def test_a_dead_state_takes_its_memo_entries_with_it():
+    # the memo is weakly keyed by database: a stream over ever-new states
+    # keeps the entries of the states still alive, and no others
+    import gc
+
+    backend = CompiledBackend()
+    db = Database.graph([(0, 1)])
+    for step in range(30):
+        for formula in FORMULAS:
+            assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
+        db = db.insert("E", (step + 1, step + 2))  # a new state every step
+    gc.collect()
+    assert backend.cache_stats()["memo"] == 0
+    for formula in FORMULAS:
+        backend.evaluate(formula, db)
+    gc.collect()
+    assert backend.cache_stats()["memo"] == len(FORMULAS)
+
+
+def test_the_memo_keeps_an_explicit_domain_apart_from_the_default():
+    backend = CompiledBackend()
+    not_all_loops = parse("exists x . ~E(x, x)")
+    db = Database.graph([(0, 0), (1, 1)])
+    wider = frozenset({0, 1, 9})
+    assert not backend.evaluate(not_all_loops, db)
+    assert backend.evaluate(not_all_loops, db, domain=wider)
+    assert not backend.evaluate(not_all_loops, db)
+    assert backend.evaluate(not_all_loops, db, domain=iter(wider))  # one-shot
+    assert backend.cache_stats()["streamed"] == 2
+
+
+def test_threads_along_one_stream_agree_with_the_interpreter():
+    import threading
+
+    backend = CompiledBackend()
+    states = [Database.graph([(0, 1), (1, 2)])]
+    for step in range(12):
+        states.append(apply_update(states[-1], ("insert", "delete")[step % 3 == 2],
+                                   (step % 5, (step * 2 + 1) % 5)))
+    expected = [[NAIVE.evaluate(f, db) for f in FORMULAS] for db in states]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(states)):
+                index = (i + offset) % len(states)
+                got = [backend.evaluate(f, states[index]) for f in FORMULAS]
+                assert got == expected[index], (index, got)
+        except AssertionError as exc:  # surfaced in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k * 3,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # every (formula, state) pair ran its plan at least once (a no-op update
+    # gives back its state, and equal states share a memo), and at most
+    # once per thread
+    streamed = backend.cache_stats()["streamed"]
+    pairs = len(set(states)) * len(FORMULAS)
+    assert pairs <= streamed <= len(threads) * pairs

@@ -27,7 +27,6 @@ from repro.engine import (
 )
 from repro.engine.plan import join_rows
 from repro.logic import parse
-from repro.logic.signature import EMPTY_SIGNATURE
 from repro.logic.syntax import Atom, CountingExists, Exists, Not
 
 
@@ -178,8 +177,8 @@ class TestScanIsTheRelation:
             "E(x, y)", ("x", "y"), domain=[1, 2]
         ) == {(1, 2), (2, 2)}
 
-    def test_delta_rule_hands_on_the_successors_relation(self):
-        backend = CompiledBackend(delta="verify")
+    def test_fires_for_every_successor_along_a_stream(self):
+        backend = CompiledBackend()
         formula, db = parse("exists x . exists y . E(x, y) & E(y, x)"), self.DB
         backend.evaluate(formula, db)
         for inserted, deleted in (
@@ -187,10 +186,8 @@ class TestScanIsTheRelation:
         ):
             db = db.insert("E", *inserted).delete("E", *deleted)
             assert backend.evaluate(formula, db) == self.NAIVE.evaluate(formula, db)
-        assert backend.delta_hits == 3
-        state = backend._state_for(db, (formula, (), None, EMPTY_SIGNATURE))
-        scans = [node for node in state.rows if isinstance(node, Scan)]
-        assert scans and all(state.rows[node] is db.relation("E") for node in scans)
+            ctx = ExecutionContext(db)
+            assert scan_xy().is_relation(ctx) and scan_xy().rows(ctx) is db.relation("E")
 
 
 class TestCompiledShapes:
@@ -340,7 +337,7 @@ LOOP_WITH_SUCCESSOR = parse("exists x . exists y . E(x, x) & E(x, y)")
 
 
 def test_join_with_an_empty_side_never_runs_the_other():
-    backend = CompiledBackend(delta="on")
+    backend = CompiledBackend()
     db = Database.graph([(0, 1), (1, 2)])
     plan = backend.plan_for(LOOP_WITH_SUCCESSOR, ())
     nodes, stack = set(), [plan]
@@ -354,15 +351,13 @@ def test_join_with_an_empty_side_never_runs_the_other():
     assert set(ctx.cache) < nodes  # E(x, y) was never scanned: no loop to extend
 
 
-def test_short_circuited_plan_answers_the_next_step_incrementally():
-    backend = CompiledBackend(delta="verify")
+def test_short_circuited_plan_answers_every_step_of_a_stream():
+    backend = CompiledBackend()
     db = Database.graph([(0, 1), (1, 2)])
     assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
-    assert (backend.delta_hits, backend.delta_misses) == (0, 1)
     db = db.insert("E", (3, 4))  # still no loop: the join stays empty
     assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
     db = db.insert("E", (1, 1))  # the skipped side is needed now
     assert backend.evaluate(LOOP_WITH_SUCCESSOR, db)
     db = db.delete("E", (1, 2)).delete("E", (1, 1)).insert("E", (1, 0))
     assert not backend.evaluate(LOOP_WITH_SUCCESSOR, db)
-    assert (backend.delta_hits, backend.delta_misses) == (3, 1)

@@ -3,7 +3,7 @@
 A formula's shape is the formula with its constants factored out (numbered
 by first occurrence, equal values sharing a number).  The compiled backend
 keys its plan caches on the shape and hands the constants to each execution
-as parameters; the result memo and the state history stay per formula.
+as parameters; the result memo stays per formula.
 Everything here is checked against the naive interpreter, which knows
 nothing of shapes.
 """
@@ -22,10 +22,8 @@ from repro.core import PrerelationSpec, WpcCalculator
 from repro.db import Database, Delta, random_graph
 from repro.engine import CompiledBackend, ExecutionContext, NaiveBackend
 from repro.engine import plan as plan_module
-from repro.engine.delta import _IncrementalRun
 from repro.engine.plan import HashJoin, Plan, Scan, join_rows
 from repro.logic import arithmetic_signature, parse
-from repro.logic.signature import EMPTY_SIGNATURE
 from repro.logic.syntax import And, Atom, Eq, Exists, Formula, InterpretedAtom, Not
 from repro.logic.terms import Const, Func, Param, Var
 from repro.core.simplification import bind_slots, derived_guard
@@ -218,11 +216,11 @@ def test_one_true_and_one_point_zero_are_one_constant():
 @maybe_seed
 @given(case=shapes_with_bindings(formulas(max_leaves=5)), base=graphs(),
        steps=st.lists(graph_deltas(), min_size=1, max_size=5))
-def test_bindings_along_an_update_stream_are_shadowed_by_full_runs(case, base, steps):
-    """Each binding keeps its own whole-formula state; ``verify`` re-runs
-    every incremental step of the shared plan's parameterised scans in full."""
+def test_bindings_along_an_update_stream_agree_with_the_interpreter(case, base, steps):
+    """Every binding runs the shared plan's parameterised scans at every
+    state of the stream."""
     _formula, instances = case
-    backend = CompiledBackend(delta="verify")
+    backend = CompiledBackend()
     db = base
     for delta in [None] + steps:
         if delta is not None:
@@ -263,7 +261,7 @@ def insert(a, b) -> FOProgram:
 
 
 def test_a_maintenance_stream_of_fresh_preconditions_is_a_handful_of_plans():
-    backend = CompiledBackend(delta="on", optimizer="on")
+    backend = CompiledBackend(optimizer="on")
     db = forward_graph(150, 8, seed=1)
     for step in range(60):
         a, b = (step * 7) % 150, (step * 11 + 3) % 150
@@ -309,8 +307,8 @@ def programs():
     ),
 )
 def test_fresh_preconditions_along_a_branching_stream(base, steps):
-    carried = CompiledBackend(delta="verify", optimizer="on")  # carries are shadow-checked
-    full = CompiledBackend(delta="off")  # nothing is ever carried
+    optimized = CompiledBackend(optimizer="on")
+    syntactic = CompiledBackend(optimizer="off")
     history = [base]
     for branch, delta, program in steps:
         # the rollback pattern: the stream resumes from the parent state
@@ -320,23 +318,23 @@ def test_fresh_preconditions_along_a_branching_stream(base, steps):
         for constraint in (NO_LOOPS, ANTISYMMETRIC):
             formula = precondition(program, constraint)
             expected = NAIVE.evaluate(formula, current)
-            assert carried.evaluate(formula, current) == expected, (program, constraint)
-            assert full.evaluate(formula, current) == expected, (program, constraint)
+            assert optimized.evaluate(formula, current) == expected, (program, constraint)
+            assert syntactic.evaluate(formula, current) == expected, (program, constraint)
 
 
-def test_partitioned_row_sets_are_shadowed_by_full_executions():
+def test_partitioned_row_sets_agree_under_both_plan_choices():
     """The families above hold a handful of rows, so every row set in them is
-    one partition.  At 2 000 rows the relation, the 2-path join and the
-    carried scans span many: the same stream shapes — whole formulas, fresh
-    preconditions, a rolled-back branch — under ``verify``.  Three standing
+    one partition.  At 2 000 rows the relation and its indexes span many:
+    the same stream shapes — whole formulas, fresh preconditions, a
+    rolled-back branch — run by the optimized and the syntactic plans over
+    row sets and indexes patched from state to state.  Three standing
     preconditions share one plan with the fresh ones and are met again at
-    every state, so the plan's parameterised scans are also *updated*
-    incrementally, each binding from its own state, and shadowed."""
+    every state."""
     from repro.db.delta import RowSet
 
     no_triangles = parse("forall x . forall y . forall z . (E(x, y) & E(y, z)) -> ~E(z, x)")
-    carried = CompiledBackend(delta="verify", optimizer="on")
-    full = CompiledBackend(delta="off")
+    optimized = CompiledBackend(optimizer="on")
+    syntactic = CompiledBackend(optimizer="off")
     db = Database.graph(
         (a, a + 1 + (a * 7 + j * 13) % 40) for a in range(250) for j in range(8)
     )
@@ -355,31 +353,26 @@ def test_partitioned_row_sets_are_shadowed_by_full_executions():
     for step, (kind, edge) in enumerate(updates):
         candidate = db.insert("E", edge) if kind == "insert" else db.delete("E", edge)
         verdicts = [
-            carried.evaluate(constraint, candidate)  # shadowed by a full run
+            optimized.evaluate(constraint, candidate)
             for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
         ]
         assert verdicts == [
-            full.evaluate(constraint, candidate)
+            syntactic.evaluate(constraint, candidate)
             for constraint in (NO_LOOPS, ANTISYMMETRIC, no_triangles)
         ]
         fresh = precondition(insert(1000 + step, 5), ANTISYMMETRIC)
         for formula in [fresh] + standing:
-            assert carried.evaluate(formula, candidate) == full.evaluate(formula, candidate)
+            assert optimized.evaluate(formula, candidate) == syntactic.evaluate(
+                formula, candidate
+            )
         if all(verdicts):  # keep it; otherwise the stream resumes from the parent
             db = candidate
-    # no-op and re-met states hit the memo; past the first state every
-    # standing precondition is advanced, not re-run
-    assert carried.delta_hits >= len(updates) + len(standing) * (len(updates) - 2)
-    assert carried.cache_stats()["plans"] == 4  # three constraints, one precondition shape
-    state = carried._state_for(db, (no_triangles, (), None, EMPTY_SIGNATURE))
-    spans_partitions = [
-        rows for rows in state.rows.values()
-        if isinstance(rows, RowSet) and len(rows._parts) > 1
-    ]
-    assert len(spans_partitions) >= 2  # the relation and a join over it
+    assert optimized.cache_stats()["plans"] == 4  # three constraints, one precondition shape
+    relation = db.relation("E")
+    assert isinstance(relation, RowSet) and len(relation._parts) > 1
 
 
-# -- one formula, one plan: a formula borrows no other formula's state --------------
+# -- one formula, one plan: a formula borrows no other formula's result ------------
 
 
 def loop_free_stream(length):
@@ -392,68 +385,31 @@ def loop_free_stream(length):
 
 
 def test_each_fresh_precondition_along_a_stream_is_one_miss():
-    backend = CompiledBackend(delta="verify", optimizer="on")
+    backend = CompiledBackend(optimizer="on")
     for step, db in enumerate(loop_free_stream(10)):
         formula = precondition(insert(100 + step, 200 + step))  # never seen before
         assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
-    # no ancestor holds a state under a formula never evaluated: each is one
-    # streamed execution of the shape's one plan, and nothing is advanced
-    assert (backend.delta_hits, backend.delta_misses) == (0, 11)
+    # each is one streamed execution of the shape's one plan
     stats = backend.cache_stats()
     assert stats["streamed"] == 11 and stats["plans"] == 1
     assert not [name for name in stats if name.startswith("shared")]
 
 
-def test_a_rejected_update_finds_the_formula_state_where_it_left_it():
-    backend = CompiledBackend(delta="on", optimizer="on")
+def test_a_rejected_update_leaves_the_parent_verdict_in_the_memo():
+    backend = CompiledBackend(optimizer="on")
     db = next(loop_free_stream(0))
     assert backend.evaluate(NO_LOOPS, db)
     assert not backend.evaluate(NO_LOOPS, db.insert("E", (5, 5)))  # rejected
     assert backend.evaluate(NO_LOOPS, db)  # back at the parent: the memo
-    assert (backend.delta_hits, backend.delta_misses) == (1, 1)
-    # the next candidate still advances the parent's state
+    assert backend.streamed == 2
+    # the next candidate is a memo miss: its plan runs
     assert backend.evaluate(NO_LOOPS, db.insert("E", (5, 6)))
-    assert (backend.delta_hits, backend.delta_misses) == (2, 1)
-
-
-def test_the_state_history_holds_memo_keys_only():
-    backend = CompiledBackend(delta="on", optimizer="on")
-    db = next(loop_free_stream(0))
-    formulas = [precondition(insert(300 + step, 400 + step)) for step in range(40)]
-    for formula in formulas:
-        backend.evaluate(formula, db)
-    assert backend.cache_stats()["states"] == len(formulas)
-    keys = set(backend._states[id(db)][1])
-    assert keys == {(formula, (), None, EMPTY_SIGNATURE) for formula in formulas}
-
-
-def test_a_delta_off_backend_remembers_no_state():
-    backend = CompiledBackend(delta="off", optimizer="on")
-    for step, db in enumerate(loop_free_stream(3)):
-        for offset in (0, 50):  # two fresh formulas per state
-            formula = precondition(insert(100 + step + offset, 200 + step))
-            assert backend.evaluate(formula, db) == NAIVE.evaluate(formula, db)
-        assert backend.evaluate(NO_LOOPS, db)
-    assert backend.delta_hits == backend.delta_misses == 0
-    assert backend.cache_stats()["states"] == 0
-
-
-def test_verify_mode_shadows_an_advanced_precondition_state(monkeypatch):
-    db = next(loop_free_stream(0))
-    formula = precondition(insert(102, 202))
-    warm = CompiledBackend(delta="verify", optimizer="on")
-    assert warm.evaluate(formula, db)
-    # break the scan rule: inserted rows never reach a remembered scan
-    monkeypatch.setattr(
-        _IncrementalRun, "_scan", lambda self, node, old_rows: self._unchanged(old_rows)
-    )
-    with pytest.raises(AssertionError, match="incremental evaluation diverged"):
-        warm.evaluate(formula, db.insert("E", (5, 5)))
+    assert backend.streamed == 3
 
 
 def test_explain_does_not_depend_on_what_else_was_evaluated():
     states = list(loop_free_stream(2))
-    warm = CompiledBackend(delta="on", optimizer="on")
+    warm = CompiledBackend(optimizer="on")
     warm.evaluate(precondition(insert(100, 200)), states[0])
     warm.evaluate(precondition(insert(101, 201)), states[1])
     formula = precondition(insert(102, 202))
@@ -462,12 +418,12 @@ def test_explain_does_not_depend_on_what_else_was_evaluated():
         return re.sub(r" time=[0-9.]+ms", "", backend.explain(formula, states[2]))
 
     report = untimed(warm)
-    assert report == untimed(CompiledBackend(delta="on", optimizer="on"))
+    assert report == untimed(CompiledBackend(optimizer="on"))
     assert "path: streamed" in report and "[carried]" not in report
 
 
 def test_formulas_with_a_common_premise_run_plans_of_their_own():
-    backend = CompiledBackend(delta="verify", optimizer="on")
+    backend = CompiledBackend(optimizer="on")
     db = random_graph(60, 0.4, seed=7)
     premise = "(exists y . exists z . E(a, y) & E(y, z) & E(z, a))"
     one = parse(f"forall a . {premise} -> (exists w . E(a, w))")
@@ -488,7 +444,6 @@ def test_formulas_with_a_common_premise_run_plans_of_their_own():
     successor = db.insert("E", (0, 0))
     for formula in (two, one):
         assert backend.evaluate(formula, successor) == NAIVE.evaluate(formula, successor)
-    assert backend.delta_hits == 2  # each formula advanced its own state
     assert backend.cache_stats()["plans"] == 2
 
 
@@ -579,16 +534,16 @@ def test_a_warm_shape_builds_no_formula_and_no_plan(monkeypatch):
     assert "Scan" in built and "Atom" in built
 
 
-def test_memo_and_state_history_are_per_binding():
-    backend = CompiledBackend(delta="on")
+def test_the_memo_is_per_binding():
+    backend = CompiledBackend()
     db = Database.graph([(0, 1), (1, 2), (2, 3)])
     first, second = parse("exists x . E(1, x)"), parse("exists x . E(3, x)")
     assert backend.evaluate(first, db) and not backend.evaluate(second, db)
     stats = backend.cache_stats()
-    assert (stats["plans"], stats["memo"], stats["states"]) == (1, 2, 2)
+    assert (stats["plans"], stats["memo"]) == (1, 2)
     successor = db.insert("E", (3, 0))
     assert backend.evaluate(first, successor) and backend.evaluate(second, successor)
-    assert backend.delta_hits == 2  # each binding advanced its own state
+    assert backend.cache_stats()["memo"] == 4  # each binding at each state
 
 
 def test_explain_prints_slots_with_their_bound_values():

@@ -4,13 +4,13 @@
   the same plan and the interpreter's, on random sentences (nested
   quantifiers, counting, disjunction, negation, ``=``/``≠``, constants, so
   parameter slots) over tiny graphs and over partitioned ones;
-* deferred state — along update streams with branches and roll-backs, the
-  streaming backend answers and counts delta hits/misses exactly like a
-  backend that materialises every verdict with an eager state;
+* update streams — along streams with branches and roll-backs, the
+  streaming backend answers exactly like a backend that materialises every
+  verdict;
 * work — a cold existential over a 2-path reads O(1) stored rows and a cold
   ``no-triangles`` materialises no node result larger than ``E``; both
   bounds fail with the materialising path put back;
-* the join tie, verify-mode shadows, counters and ``explain``.
+* the join tie, counters and ``explain``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from repro.db import Database
 from repro.engine import CompiledBackend, NaiveBackend
 from repro.engine import plan as plan_module
 from repro.engine.compile import CompileError
-from repro.engine.delta import PlanState
 from repro.engine.plan import ExecutionContext, HashJoin, Plan, Scan, join_rows
 from repro.logic import parse
-from repro.logic.signature import EMPTY_SIGNATURE
 from repro.obs import metrics
 from repro.service.workloads import forward_graph
 
@@ -41,15 +39,10 @@ TWO_PATH = parse("exists x . exists y . exists z . E(x, y) & E(y, z)")
 
 class Materialising(CompiledBackend):
     """The backend with the materialising path put back: every verdict a
-    full execution that leaves an eager state."""
+    full execution."""
 
-    def _finish_extension(self, plan, db, memo_key, ctx, memo, rows):
-        if rows is None:
-            rows = self._execute_plan(plan, ctx)
-            if self.delta_mode != "off":
-                self._remember_state(db, memo_key, PlanState(dict(ctx.cache)))
-        memo.put(memo_key, rows)
-        return set(rows)
+    def _execute_plan(self, plan, ctx, lazy=False):
+        return plan.rows(ctx)
 
 
 def streamed(plan: Plan, db: Database, params) -> bool:
@@ -96,15 +89,7 @@ def test_streamed_verdict_is_the_materialised_and_the_interpreted_one(sentence, 
         assert streamed(plan, db, params) == expected
 
 
-@maybe_seed
-@settings(max_examples=60, deadline=None)
-@given(sentence=sentences(max_leaves=6), db=partitioned_graphs())
-def test_verify_mode_shadows_every_streamed_verdict(sentence, db):
-    backend = CompiledBackend(delta="verify")
-    assert backend.evaluate(sentence, db) == NAIVE.evaluate(sentence, db)
-
-
-# -- deferred state -----------------------------------------------------------------
+# -- update streams ------------------------------------------------------------------
 
 STANDING = [
     NO_TRIANGLES,
@@ -124,9 +109,9 @@ STANDING = [
         st.tuples(st.booleans(), graph_deltas(max_value=5)), min_size=1, max_size=6
     ),
 )
-def test_deferred_states_keep_the_eager_results_and_counts(base, steps):
-    streaming = CompiledBackend(delta="verify")  # built states are shadowed
-    eager = Materialising(delta="on")
+def test_streamed_verdicts_along_a_branching_stream_are_the_eager_ones(base, steps):
+    streaming = CompiledBackend()
+    eager = Materialising()
     history = [base]
     for rollback, delta in steps:
         # a rolled-back step resumes the stream from the parent state
@@ -137,35 +122,7 @@ def test_deferred_states_keep_the_eager_results_and_counts(base, steps):
             expected = NAIVE.evaluate(sentence, current)
             assert streaming.evaluate(sentence, current) == expected
             assert eager.evaluate(sentence, current) == expected
-    assert (streaming.delta_hits, streaming.delta_misses) == (
-        eager.delta_hits, eager.delta_misses,
-    )
-    assert streaming.streamed == streaming.delta_misses
-
-
-def test_a_successor_builds_the_deferred_state_once():
-    backend = CompiledBackend(delta="on")
-    db = forward_graph(60, 4, seed=2)
-    assert backend.evaluate(NO_TRIANGLES, db)
-    state = backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE))
-    assert state.deferred
-    first, second = db.insert("E", (3, 60)), db.insert("E", (4, 61))  # siblings
-    assert backend.evaluate(NO_TRIANGLES, first)
-    assert backend.evaluate(NO_TRIANGLES, second)
-    stats = backend.cache_stats()
-    assert (stats["streamed"], stats["states_built_on_demand"]) == (1, 1)
-    assert (backend.delta_hits, backend.delta_misses) == (2, 1)
-    assert not backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE)).deferred
-
-
-def test_one_off_checks_build_no_node_state():
-    backend = CompiledBackend(delta="on")
-    db = forward_graph(80, 4, seed=3)
-    for sentence in STANDING:
-        backend.evaluate(sentence, db)
-    assert backend.states_built_on_demand == 0
-    for sentence in STANDING:
-        assert backend._state_for(db, (sentence, (), None, EMPTY_SIGNATURE)).deferred
+    assert eager.streamed == 0
 
 
 # -- work ----------------------------------------------------------------------------
@@ -211,7 +168,7 @@ def test_a_cold_two_path_witness_reads_a_handful_of_rows(
     monkeypatch.setattr(
         Database, "relation", lambda self, name: CountingRows(relation(self, name), read)
     )
-    assert backend_class(delta="on").evaluate(TWO_PATH, db)
+    assert backend_class().evaluate(TWO_PATH, db)
     if backend_class is CompiledBackend:
         assert read[0] <= 16
     else:  # the materialising path walks the relation
@@ -232,7 +189,7 @@ def test_a_cold_no_triangles_check_materialises_nothing_larger_than_e(
         return result
 
     monkeypatch.setattr(Plan, "rows", measured)
-    assert backend_class(delta="on").evaluate(NO_TRIANGLES, db)
+    assert backend_class().evaluate(NO_TRIANGLES, db)
     if backend_class is CompiledBackend:
         assert largest[0] <= db.cardinality("E")
     else:  # the 2-path join
@@ -283,38 +240,11 @@ def test_a_tie_on_a_fresh_database_builds_no_index():
     assert not db.has_index("E", (0,)) and not db.has_index("E", (1,))
 
 
-# -- verify mode -----------------------------------------------------------------------
-
-
-def test_verify_catches_a_broken_stream(monkeypatch):
-    db = forward_graph(40, 3, seed=4)
-    scan = Scan._stream
-
-    def nothing_when_lazy(self, ctx):
-        rows = scan(self, ctx)
-        return iter(()) if ctx.lazy else rows
-
-    monkeypatch.setattr(Scan, "_stream", nothing_when_lazy)
-    with pytest.raises(AssertionError, match="streamed verdict diverged"):
-        CompiledBackend(delta="verify").evaluate(parse("exists x . E(x, 9) | E(9, x)"), db)
-
-
-def test_verify_catches_a_wrong_state_built_on_demand():
-    backend = CompiledBackend(delta="verify")
-    db = forward_graph(40, 3, seed=4)
-    assert backend.evaluate(NO_TRIANGLES, db)
-    state = backend._state_for(db, (NO_TRIANGLES, (), None, EMPTY_SIGNATURE))
-    assert state.rows  # the sides the stream hashed, which seed the build
-    state.rows.update({node: frozenset() for node in state.rows})
-    with pytest.raises(AssertionError, match="state built on demand diverged"):
-        backend.evaluate(NO_TRIANGLES, db.insert("E", (1, 39)))
-
-
 # -- shared and fanned-in sub-plans ----------------------------------------------------
 
 
 def test_a_sub_plan_read_twice_is_materialised_once(monkeypatch):
-    backend = CompiledBackend(delta="off", optimizer="off")
+    backend = CompiledBackend(optimizer="off")
     twice = parse("exists x . (exists y . E(x, y) & E(y, 3)) & ~(exists y . E(x, y) & E(y, 3))")
     plan = backend.plan_for(twice, ())
     fanned = backend._fan_in(plan)
@@ -335,12 +265,12 @@ def test_a_sub_plan_read_twice_is_materialised_once(monkeypatch):
 
 def test_each_binding_along_a_stream_is_streamed_by_its_own_plan_run():
     # a fresh binding of one shape per state: one plan, and each binding
-    # streamed once, with no state for the next binding to start from
+    # streamed once
     from repro.core import PrerelationSpec, WpcCalculator
     from repro.transactions import FOProgram, InsertTuple
 
     no_loops = parse("forall x . ~E(x, x)")
-    backend = CompiledBackend(delta="on", optimizer="on")
+    backend = CompiledBackend(optimizer="on")
     db = forward_graph(60, 4, seed=7)
     for step in range(6):
         program = FOProgram([InsertTuple("E", 100 + step, 200 + step)])
@@ -349,8 +279,6 @@ def test_each_binding_along_a_stream_is_streamed_by_its_own_plan_run():
         db = db.insert("E", (step, 59 - step))
     stats = backend.cache_stats()
     assert stats["streamed"] == 6 and stats["plans"] == 1
-    assert (backend.delta_hits, backend.delta_misses) == (0, 6)
-    assert stats["states_built_on_demand"] == 0
 
 
 # -- observability -----------------------------------------------------------------------
@@ -358,35 +286,23 @@ def test_each_binding_along_a_stream_is_streamed_by_its_own_plan_run():
 
 def test_counters_reach_cache_stats_and_the_registry():
     registry = metrics.get_registry()
-    before = {
-        name: registry.counter(name).value
-        for name in ("engine.backend.streamed", "engine.delta.states_built_on_demand")
-    }
-    backend = CompiledBackend(delta="on")
+    before = registry.counter("engine.backend.streamed").value
+    backend = CompiledBackend()
     db = forward_graph(30, 3, seed=8)
     backend.evaluate(NO_TRIANGLES, db)
-    backend.evaluate(NO_TRIANGLES, db.insert("E", (0, 29)))
-    stats = backend.cache_stats()
-    assert (stats["streamed"], stats["states_built_on_demand"]) == (1, 1)
+    backend.evaluate(NO_TRIANGLES, db)  # the memo answers
+    backend.evaluate(NO_TRIANGLES, db.insert("E", (0, 29)))  # a miss runs the plan
+    assert backend.cache_stats()["streamed"] == 2
     if metrics.metrics_enabled():
-        assert registry.counter("engine.backend.streamed").value - before[
-            "engine.backend.streamed"
-        ] == 1
-        assert registry.counter("engine.delta.states_built_on_demand").value - before[
-            "engine.delta.states_built_on_demand"
-        ] == 1
+        assert registry.counter("engine.backend.streamed").value - before == 2
 
 
 def test_explain_names_the_path_evaluate_takes():
-    backend = CompiledBackend(delta="on")
+    backend = CompiledBackend()
     db = forward_graph(30, 3, seed=9)
     assert "path: streamed" in backend.explain(NO_TRIANGLES, db)
     backend.evaluate(NO_TRIANGLES, db)
     assert "path: memo" in backend.explain(NO_TRIANGLES, db)
     successor = db.insert("E", (0, 29))
-    assert "built there on demand" in backend.explain(NO_TRIANGLES, successor)
-    backend.evaluate(NO_TRIANGLES, successor)
-    assert "path: delta rules" in backend.explain(NO_TRIANGLES, successor.insert("E", (1, 28)))
+    assert "path: streamed" in backend.explain(NO_TRIANGLES, successor)
     assert "path: full execution" in backend.explain(parse("E(x, y)"), db, ("x", "y"))
-    nodelta = CompiledBackend(delta="off")
-    assert "deferred" not in nodelta.explain(NO_TRIANGLES, db)

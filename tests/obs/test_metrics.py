@@ -171,7 +171,7 @@ class TestLegacyKeyMap:
             backend.evaluate(formula, db)
             snap = registry.snapshot()
             # dotted twins mirror the legacy bare-int attributes exactly
-            assert snap["engine.delta.misses"] == backend.delta_misses
+            assert snap["engine.backend.streamed"] == backend.streamed
             assert snap["engine.compile.fallbacks"] == backend.fallbacks
             # memo traffic is registry-only (no legacy attribute existed):
             # the second evaluate of the same formula must hit the memo

@@ -364,7 +364,7 @@ class TestConfiguration:
         assert shown["REPRO_SEED"] == 11
         # the invalid value shows the default the server fell back to
         assert shown["REPRO_SERVE_WORKERS"] == 8
-        assert shown["REPRO_DELTA"] in ("on", "off", "verify")
+        assert shown["REPRO_OPTIMIZER"] in ("on", "off")
 
     def test_stats_shows_what_the_server_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "5")

@@ -359,6 +359,34 @@ class TestStoreOwnership:
         assert service.store.committed_snapshot().contains("E", (3, 4))
 
 
+class TestOwnBackend:
+    def test_every_check_runs_on_the_service_backend(self):
+        # the run-time checks (touched tuples and the first full check) and
+        # invariant_holds go through the backend the service was given, not
+        # through the process-global one
+        from repro.core import Constraint
+        from repro.engine import CompiledBackend, NaiveBackend, using_backend
+        from repro.service.workloads import NO_TRIANGLES
+
+        with using_backend(CompiledBackend()) as global_backend:
+            before = global_backend.cache_stats()
+            service = TransactionService(
+                Database.graph([(1, 2), (2, 3)]),
+                [Constraint("no-triangles", NO_TRIANGLES)],
+                backend=NaiveBackend(),
+            )
+            try:
+                for edge in ((3, 4), (4, 5)):
+                    outcome = service.execute(lambda txn, edge=edge: txn.insert("E", edge))
+                    assert outcome.committed
+                assert service.stats.as_dict()["runtime_checks"] == 2
+                assert service.invariant_holds()
+            finally:
+                service.close()
+            after = global_backend.cache_stats()
+        assert (after["prepared"], after["streamed"]) == (before["prepared"], before["streamed"])
+
+
 def test_forward_graph_saturates_instead_of_hanging():
     # 4 accounts have only 6 distinct forward pairs; asking for 8 must
     # saturate, not spin forever

@@ -7,11 +7,6 @@ workloads — small node universe (heavy contention), state-*dependent*
 transactions (read-then-write toggles), risky constraint-violating writes —
 and every example is executed by several worker threads and then replayed
 serially against the commit log.
-
-Run under ``REPRO_DELTA=verify`` (the CI stress leg does) this also shadows
-every incremental evaluation the validation pipeline performs with a full
-plan execution, so the MVCC layer and the delta engine cross-check each
-other.
 """
 
 from __future__ import annotations

@@ -125,16 +125,19 @@ class TestValidate:
         # foreign delta does not change the observed (False) value
         assert validate(txn.reads, txn.delta(), foreign, base) is None
 
-    def test_predicate_recheck_rides_the_incremental_path(self):
-        backend = CompiledBackend(delta="on")
+    def test_predicate_recheck_is_a_streamed_check(self):
+        backend = CompiledBackend()
         base = Database.graph([(i, i + 1) for i in range(12)])
         symmetric_free = parse("forall x . forall y . E(x, y) -> ~E(y, x)")
         txn = SnapshotTransaction(base, 0, backend=backend)
         assert txn.evaluate(symmetric_free)
-        hits = backend.delta_hits
+        streamed = backend.streamed
         foreign = Delta.insertion("E", (50, 51))
         assert validate(txn.reads, txn.delta(), foreign, base, backend=backend) is None
-        assert backend.delta_hits > hits  # answered through the delta rules
+        assert backend.streamed == streamed + 1  # one plan run at the shifted state
+        changed = Delta.insertion("E", (5, 4))  # (4, 5) is there: the truth value flips
+        reason = validate(txn.reads, txn.delta(), changed, base, backend=backend)
+        assert reason is not None and "predicate changed" in reason
 
     def test_opaque_reads_conflict_with_anything(self, base):
         txn = handle_on(base)

@@ -9,7 +9,7 @@ Determinism: ``REPRO_SEED`` (the same knob ``benchmarks/run_all.py --seed``
 exports) pins hypothesis' randomness via :func:`maybe_seed`, and
 :func:`config_text` renders the active ``REPRO_*`` configuration — the test
 harness (``tests/conftest.py``) appends it to every failure report so a flake
-can be replayed exactly: same seed, same backend, same delta mode.
+can be replayed exactly: same seed, same backend, same optimizer mode.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ def maybe_seed(test):
 
 
 def config_text() -> str:
-    """The active backend/delta/seed configuration, for failure output."""
+    """The active backend/optimizer/seed configuration, for failure output."""
     parts = [
         f"REPRO_SEED={os.environ.get('REPRO_SEED', '<unset>')}",
         f"REPRO_BACKEND={os.environ.get('REPRO_BACKEND', '<unset>')}",
-        f"REPRO_DELTA={os.environ.get('REPRO_DELTA', '<unset>')}",
+        f"REPRO_OPTIMIZER={os.environ.get('REPRO_OPTIMIZER', '<unset>')}",
         f"REPRO_SERVICE_WORKERS={os.environ.get('REPRO_SERVICE_WORKERS', '<unset>')}",
     ]
     return (
@@ -230,7 +230,7 @@ def graph_deltas(max_value: int = 3, max_rows: int = 3):
 
 
 def update_streams(length: int = 6, max_value: int = 3):
-    """A stream of update steps for incremental/conformance testing."""
+    """A stream of update steps for conformance testing."""
     return st.lists(graph_deltas(max_value), min_size=1, max_size=length)
 
 
@@ -241,17 +241,15 @@ def update_streams(length: int = 6, max_value: int = 3):
 def backend_matrix():
     """Fresh instances of every non-oracle backend configuration under test.
 
-    Returns ``[(name, backend), ...]`` covering the compiled engine with
-    delta evaluation on and off, and the **optimizer axis**: an explicit
-    optimizer-off variant (the remaining configurations inherit
-    ``REPRO_OPTIMIZER`` from the environment, so the CI optimizer-off leg
-    flips the whole matrix at once).  The naive interpreter is the oracle
-    the matrix is compared against, so it is not part of the matrix itself.
+    Returns ``[(name, backend), ...]``: the compiled engine as the
+    environment configures it (``REPRO_OPTIMIZER``, so the CI optimizer-off
+    leg flips it) and the **optimizer axis**, an explicit optimizer-off
+    variant.  The naive interpreter is the oracle the matrix is compared
+    against, so it is not part of the matrix itself.
     """
     from repro.engine import CompiledBackend
 
     return [
-        ("compiled-delta", CompiledBackend(delta="on")),
-        ("compiled-nodelta", CompiledBackend(delta="off")),
+        ("compiled", CompiledBackend()),
         ("compiled-noopt", CompiledBackend(optimizer="off")),
     ]

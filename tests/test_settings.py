@@ -58,7 +58,6 @@ def _seed():
 
 #: knob -> what the component that reads it took from the environment
 READ_SITES = {
-    "REPRO_DELTA": lambda: CompiledBackend().delta_mode,
     "REPRO_OPTIMIZER": lambda: CompiledBackend().optimizer_mode,
     "REPRO_METRICS": _metrics,
     "REPRO_DURABLE": _durable,
@@ -121,8 +120,8 @@ def test_every_knob_follows_one_rule(knob, monkeypatch):
 @pytest.mark.parametrize("word, value", [("1", "on"), ("yes", "on"),
                                          ("FALSE", "off"), ("no", "off")])
 def test_on_off_synonyms(word, value, monkeypatch):
-    monkeypatch.setenv("REPRO_DELTA", word)
-    assert setting("REPRO_DELTA") == value
+    monkeypatch.setenv("REPRO_OPTIMIZER", word)
+    assert setting("REPRO_OPTIMIZER") == value
     monkeypatch.setenv("REPRO_TRACE", word)
     assert setting("REPRO_TRACE") == value
 
