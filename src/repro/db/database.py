@@ -60,7 +60,7 @@ class Database:
     __slots__ = (
         "_schema", "_relations", "_domain", "_domain_counts", "_hash",
         "_hash_accs", "_canonical_key", "_sorted_rows", "_indexes",
-        "_delta_base", "_delta_skip", "_stats", "__weakref__",
+        "_delta_base", "_delta_skip", "_stats", "_size_profile", "__weakref__",
     )
 
     #: skip links stop composing once the accumulated delta reaches this many
@@ -107,6 +107,7 @@ class Database:
         self._delta_base: Optional[Tuple["weakref.ref[Database]", "Delta"]] = None
         self._delta_skip: Optional[Tuple["weakref.ref[Database]", "Delta"]] = None
         self._stats = None  # lazily built DatabaseStats (see stats())
+        self._size_profile: Optional[Tuple[Tuple[int, ...], int]] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -169,7 +170,7 @@ class Database:
         return MappingProxyType(self._domain_counts)
 
     def stats(self):
-        """Per-relation cardinality/distinct/most-common-value statistics.
+        """Per-relation cardinality and per-column value-frequency statistics.
 
         Built lazily on first request (one pass over the database) and from
         then on carried forward through :meth:`apply_delta` without a rescan —
@@ -182,6 +183,22 @@ class Database:
 
             self._stats = DatabaseStats.from_database(self)
         return self._stats
+
+    def size_profile(self) -> Tuple[Tuple[int, ...], int]:
+        """The power-of-four size buckets of every relation, in schema order,
+        and of the active domain (cached): the optimizer plans once per
+        profile (see :func:`repro.engine.stats.size_bucket`)."""
+        if self._size_profile is None:
+            from ..engine.stats import size_bucket
+
+            self._size_profile = (
+                tuple(
+                    size_bucket(len(self._relations[name]))
+                    for name in self._schema.relation_names
+                ),
+                size_bucket(len(self.active_domain)),
+            )
+        return self._size_profile
 
     def delta_base(self) -> Optional[Tuple["Database", "Delta"]]:
         """The ``(parent, delta)`` provenance of an :meth:`apply_delta` result.

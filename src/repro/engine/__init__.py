@@ -38,7 +38,7 @@ from .plan import (
 )
 from .compile import CompileError, compile_extension, compile_sentence
 from .stats import ColumnStats, DatabaseStats, RelationStats
-from .optimize import Estimator, explain_plan, optimize_plan
+from .optimize import Estimator, optimize_plan
 from .backend import (
     BACKEND_NAMES,
     Backend,
@@ -74,7 +74,6 @@ __all__ = [
     "DatabaseStats",
     "RelationStats",
     "Estimator",
-    "explain_plan",
     "optimize_plan",
     "BACKEND_NAMES",
     "Backend",

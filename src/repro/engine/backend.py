@@ -44,7 +44,7 @@ from ..obs import metrics as _metrics
 from ..obs.profile import PlanProfiler
 from ..settings import KNOBS_BY_NAME, setting
 from .compile import CompileError, compile_extension, compile_sentence
-from .optimize import Estimator, explain_plan, optimize_plan
+from .optimize import Estimator, optimize_plan
 from .plan import ExecutionContext, Plan, Rows
 from .stats import size_bucket
 
@@ -357,18 +357,15 @@ class CompiledBackend(Backend):
         """``plan`` as the optimizer rewrites it for ``db``'s statistics profile."""
         if self.optimizer_mode == "off":
             return plan
+        sizes, domain_bucket = db.size_profile()
         if domain_key is None:
             domain_size = len(db.active_domain)
             default_domain = True
         else:
             domain_size = len(domain_key)
             default_domain = False
-        sizes = [len(db.relation(name)) for name in db.schema.relation_names]
-        profile = (
-            tuple(size_bucket(size) for size in sizes),
-            size_bucket(domain_size),
-        )
-        key = (plan, default_domain, profile)
+            domain_bucket = size_bucket(domain_size)
+        key = (plan, default_domain, sizes, domain_bucket)
         chosen = self._opt_plans.get(key)
         if chosen is None:
             chosen = self._optimize(formula, plan, db, domain_size, default_domain)
@@ -501,7 +498,7 @@ class CompiledBackend(Backend):
             f"chosen: {'optimized' if chosen is not original else 'syntactic'} plan "
             f"(cost~{estimator.cost(chosen):.0f}, syntactic~{estimator.cost(original):.0f})"
         )
-        lines.append(explain_plan(chosen, estimator, ctx.cache, ctx.profiler))
+        lines.append(chosen.explain(estimator, ctx.cache, ctx.profiler))
         return "\n".join(lines)
 
     def _path(self, formula, db, variables, domain_key, signature) -> str:

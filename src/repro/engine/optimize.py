@@ -5,9 +5,10 @@ in purely *syntactic* order — conjuncts are joined the way the user happened
 to write them.  This module is the Selinger-style answer: given the
 statistics a database maintains (:mod:`repro.engine.stats`), it
 
-* **estimates** the cardinality of every plan node (:class:`Estimator`) and
-  prices plans with a cost model that charges for rows scanned, hashed and
-  materialised;
+* **estimates** the cardinality of every plan node and prices plans with a
+  cost model that charges for rows scanned, hashed and materialised — each
+  operator declares its own row of the model beside its semantics in
+  :mod:`repro.engine.plan`; :class:`Estimator` memoises them per node;
 * **reorders joins**: maximal join blocks (trees of hash joins with their
   pushed-down selections and antijoin filters) are collected and re-assembled
   bottom-up — exact dynamic programming over subsets (bushy shapes included)
@@ -31,24 +32,25 @@ cheaper.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .compile import predicate_for
 from .plan import (
+    CAP,
     Antijoin,
     ConstantTable,
     DomainComplement,
-    DomainDiagonal,
-    DomainProduct,
-    DomainScan,
-    GroupCount,
+    Estimate,
     HashJoin,
     Plan,
     Project,
-    Scan,
     Select,
-    SingletonIfActive,
-    UnionAll,
+    antijoin_estimate,
+    join_columns,
+    join_cost,
+    join_estimate,
+    select_cost,
+    select_estimate,
 )
 from .stats import DatabaseStats
 
@@ -57,19 +59,7 @@ __all__ = [
     "Estimator",
     "OptimizeInfo",
     "optimize_plan",
-    "explain_plan",
 ]
-
-Row = Tuple[object, ...]
-
-#: estimates and costs are capped here so products never overflow a float
-_CAP = 1e30
-
-#: default selectivity of a pushed-down predicate the model cannot inspect
-_SELECT_SEL = 0.33
-
-#: cost charged per interpreted-predicate call relative to a set operation
-_PREDICATE_COST = 4.0
 
 #: join blocks costed below this run in syntactic order — ordering work on a
 #: block that executes in microseconds is pure overhead
@@ -81,36 +71,24 @@ _BLOCK_SKIP_COST = 128.0
 _DP_CAP = 5
 
 
-def _ndv_over(ndv: Dict[str, float], rows: float, columns) -> float:
-    """Distinct-tuple estimate over ``columns`` given per-column NDVs."""
-    product = 1.0
-    for column in columns:
-        product = min(product * max(ndv.get(column, rows), 1.0), _CAP)
-    return max(min(product, rows if rows > 0 else product), 1.0)
-
-
-class Estimate:
-    """Estimated output of one plan node: row count plus per-column NDVs."""
-
-    __slots__ = ("rows", "ndv")
-
-    def __init__(self, rows: float, ndv: Dict[str, float]):
-        self.rows = min(max(rows, 0.0), _CAP)
-        self.ndv = ndv
-
-    def ndv_of(self, columns: Sequence[str]) -> float:
-        """Estimated number of distinct value tuples over ``columns``."""
-        return _ndv_over(self.ndv, self.rows, columns)
+def _total(op_cost: float, *input_costs: float) -> float:
+    """A plan's cost: its root operator's plus its inputs' (capped)."""
+    for cost in input_costs:
+        op_cost = min(op_cost + cost, CAP)
+    return op_cost
 
 
 class Estimator:
     """Cardinality and cost estimation over one database's statistics.
 
-    Estimates are memoised per node object, so pricing the many candidate
-    trees the join reorderer builds re-prices only the nodes that changed.
-    ``domain_size`` is the quantification domain's size; ``default_domain``
-    says the domain is the database's own active domain (scans then need no
-    extra domain-filter selectivity).
+    Each operator declares its own estimate and cost
+    (:meth:`~repro.engine.plan.Plan.estimate`,
+    :meth:`~repro.engine.plan.Plan.op_cost`), reading ``stats``, the domain
+    size ``n`` and its children's estimates off this object.  Estimates are
+    memoised per node object, so pricing the many candidate trees the join
+    reorderer builds re-prices only the nodes that changed.
+    ``default_domain`` says the domain is the database's own active domain
+    (scans then need no extra domain-filter selectivity).
     """
 
     def __init__(
@@ -126,155 +104,17 @@ class Estimator:
         self._op_costs: Dict[Plan, float] = {}
         self._total_costs: Dict[Plan, float] = {}
 
-    # -- cardinalities -----------------------------------------------------------
-
     def estimate(self, node: Plan) -> Estimate:
         cached = self._estimates.get(node)
         if cached is None:
-            cached = self._estimate(node)
-            self._estimates[node] = cached
+            cached = self._estimates[node] = node.estimate(self)
         return cached
 
-    def _estimate(self, node: Plan) -> Estimate:
-        n = self.n
-        if isinstance(node, Scan):
-            return self._estimate_scan(node)
-        if isinstance(node, (DomainScan, DomainDiagonal)):
-            return Estimate(n, {c: n for c in node.columns})
-        if isinstance(node, DomainProduct):
-            return Estimate(
-                min(n ** len(node.columns), _CAP), {c: n for c in node.columns}
-            )
-        if isinstance(node, ConstantTable):
-            rows = float(len(node._data))
-            return Estimate(rows, {c: rows for c in node.columns})
-        if isinstance(node, SingletonIfActive):
-            return Estimate(1.0, {node.columns[0]: 1.0})
-        if isinstance(node, Select):
-            child = self.estimate(node.child)
-            rows = child.rows * _SELECT_SEL
-            return Estimate(
-                rows, {c: min(v, rows) for c, v in child.ndv.items()}
-            )
-        if isinstance(node, Project):
-            child = self.estimate(node.child)
-            if set(node.columns) == set(node.child.columns):
-                rows = child.rows  # pure reorder, no dedup
-            else:
-                rows = min(child.rows, child.ndv_of(node.columns))
-            return Estimate(
-                rows,
-                {c: min(child.ndv.get(c, rows), rows) for c in node.columns},
-            )
-        if isinstance(node, HashJoin):
-            return self._estimate_join(node)
-        if isinstance(node, Antijoin):
-            return self._estimate_antijoin(node)
-        if isinstance(node, UnionAll):
-            children = [self.estimate(part) for part in node.parts]
-            rows = min(sum(c.rows for c in children), min(n ** len(node.columns), _CAP))
-            ndv = {
-                c: min(sum(child.ndv.get(c, 0.0) for child in children), rows)
-                for c in node.columns
-            }
-            return Estimate(rows, ndv)
-        if isinstance(node, DomainComplement):
-            child = self.estimate(node.child)
-            total = min(n ** len(node.columns), _CAP)
-            rows = max(total - child.rows, 0.0)
-            return Estimate(rows, {c: min(n, rows) for c in node.columns})
-        if isinstance(node, GroupCount):
-            child = self.estimate(node.child)
-            groups = child.ndv_of(node.columns)
-            if node.threshold > 1 and groups > 0:
-                witnesses = child.rows / groups
-                groups *= min(1.0, witnesses / node.threshold)
-            rows = min(groups, child.rows)
-            return Estimate(
-                rows, {c: min(child.ndv.get(c, rows), rows) for c in node.columns}
-            )
-        # unknown operator: assume it passes its first child through
-        children = node.children()
-        if children:
-            child = self.estimate(children[0])
-            return Estimate(child.rows, dict(child.ndv))
-        return Estimate(1.0, {c: 1.0 for c in node.columns})
-
-    def _estimate_scan(self, node: Scan) -> Estimate:
-        try:
-            rel = self.stats.relation(node.relation)
-        except KeyError:
-            return Estimate(0.0, {c: 0.0 for c in node.columns})
-        if len(node.pattern) != len(rel.columns):
-            return Estimate(0.0, {c: 0.0 for c in node.columns})
-        cardinality = float(rel.cardinality)
-        if cardinality <= 0:
-            return Estimate(0.0, {c: 0.0 for c in node.columns})
-        selectivity = 1.0
-        first_position: Dict[str, int] = {}
-        for position, (kind, spec) in enumerate(node.pattern):
-            if kind == "const":
-                # the counters are complete, so this selectivity is exact
-                selectivity *= rel.column(position).frequency(spec) / cardinality
-            elif kind == "param":
-                # the plan serves every binding: the column's mean frequency
-                selectivity *= 1.0 / max(rel.column(position).distinct, 1)
-            elif spec in first_position:
-                # repeated variable: rows must agree across the two columns
-                selectivity *= 1.0 / max(rel.column(position).distinct, 1)
-            else:
-                first_position[spec] = position
-                if not self.default_domain:
-                    distinct = max(rel.column(position).distinct, 1)
-                    selectivity *= min(1.0, self.n / distinct)
-        rows = cardinality * selectivity
-        ndv = {
-            name: min(float(rel.column(pos).distinct), max(rows, 0.0))
-            for name, pos in first_position.items()
-        }
-        return Estimate(rows, ndv)
-
-    def _estimate_join(self, node: HashJoin) -> Estimate:
-        left = self.estimate(node.left)
-        right = self.estimate(node.right)
-        shared = node.shared
-        if not node._right_extra:
-            if not shared:  # emptiness guard
-                rows = left.rows if right.rows >= 0.5 else 0.0
-                return Estimate(rows, {c: min(v, rows) for c, v in left.ndv.items()})
-            match = min(
-                1.0, right.ndv_of(shared) / max(left.ndv_of(shared), 1.0)
-            )
-            rows = left.rows * match
-            return Estimate(rows, {c: min(v, rows) for c, v in left.ndv.items()})
-        if not shared:
-            rows = min(left.rows * right.rows, _CAP)
-        else:
-            denominator = max(left.ndv_of(shared), right.ndv_of(shared), 1.0)
-            rows = min(left.rows * right.rows / denominator, _CAP)
-        ndv: Dict[str, float] = {}
-        for column in node.columns:
-            source = left.ndv.get(column)
-            if source is None:
-                source = right.ndv.get(column, rows)
-            elif column in right.ndv:
-                source = min(source, right.ndv[column])
-            ndv[column] = min(source, rows)
-        return Estimate(rows, ndv)
-
-    def _estimate_antijoin(self, node: Antijoin) -> Estimate:
-        left = self.estimate(node.left)
-        right = self.estimate(node.right)
-        if not node.shared:
-            rows = left.rows if right.rows < 0.5 else 0.0
-        else:
-            match = min(
-                1.0, right.ndv_of(node.shared) / max(left.ndv_of(node.shared), 1.0)
-            )
-            rows = left.rows * max(1.0 - match, 0.05)
-        return Estimate(rows, {c: min(v, rows) for c, v in left.ndv.items()})
-
-    # -- costs -------------------------------------------------------------------
+    def op_cost(self, node: Plan) -> float:
+        cached = self._op_costs.get(node)
+        if cached is None:
+            cached = self._op_costs[node] = node.op_cost(self)
+        return cached
 
     def cost(self, root: Plan) -> float:
         """Total estimated cost of executing the plan rooted at ``root``.
@@ -286,52 +126,9 @@ class Estimator:
         """
         cached = self._total_costs.get(root)
         if cached is None:
-            cached = self.op_cost(root)
-            for child in root.children():
-                cached = min(cached + self.cost(child), _CAP)
+            cached = _total(self.op_cost(root), *map(self.cost, root.children()))
             self._total_costs[root] = cached
         return cached
-
-    def op_cost(self, node: Plan) -> float:
-        cached = self._op_costs.get(node)
-        if cached is None:
-            cached = self._op_cost(node)
-            self._op_costs[node] = cached
-        return cached
-
-    def _op_cost(self, node: Plan) -> float:
-        rows = self.estimate(node).rows
-        if isinstance(node, Scan):
-            if node._const_positions:
-                return rows + 1.0  # index lookup
-            try:
-                cardinality = float(self.stats.relation(node.relation).cardinality)
-            except KeyError:
-                cardinality = 0.0
-            return cardinality + rows + 1.0
-        if isinstance(node, (DomainScan, DomainDiagonal, DomainProduct)):
-            return rows + 1.0
-        if isinstance(node, (ConstantTable, SingletonIfActive)):
-            return 1.0
-        if isinstance(node, Select):
-            child_rows = self.estimate(node.child).rows
-            return child_rows * _PREDICATE_COST + rows
-        if isinstance(node, Project):
-            return self.estimate(node.child).rows + rows
-        if isinstance(node, (HashJoin, Antijoin)):
-            left = self.estimate(node.left).rows
-            right = self.estimate(node.right).rows
-            if isinstance(node, HashJoin) and not node.shared and node._right_extra:
-                return min(left * right, _CAP) + rows  # cartesian product
-            return left + right + rows
-        if isinstance(node, UnionAll):
-            return sum(self.estimate(part).rows for part in node.parts) + rows
-        if isinstance(node, DomainComplement):
-            total = min(self.n ** len(node.columns), _CAP)
-            return total + self.estimate(node.child).rows
-        if isinstance(node, GroupCount):
-            return self.estimate(node.child).rows + rows
-        return rows + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +176,20 @@ class _Filter:
 class _Sub:
     """One abstractly-priced join-order subproblem.
 
-    ``tree`` rebuilds the real plan on demand: an item index at the leaves,
-    a ``(left, right)`` pair of subproblems at joins; ``attached`` lists the
-    filters/negations priced into this node (re-attached in the same order
-    at materialisation), ``applied`` their ids across the whole subtree.
+    ``estimate``, ``cost`` and ``columns`` are what the plan it stands for
+    would have, priced by the operators' own formulas.  ``tree`` rebuilds
+    that plan on demand: an item index at the leaves, a ``(left, right)``
+    pair of subproblems at joins; ``attached`` lists the filters/negations
+    priced into this node (re-attached in the same order at
+    materialisation), ``applied`` their ids across the whole subtree.
     """
 
-    __slots__ = ("cost", "rows", "ndv", "cols", "tree", "applied", "attached")
+    __slots__ = ("cost", "estimate", "columns", "tree", "applied", "attached")
 
-    def __init__(self, cost, rows, ndv, cols, tree):
+    def __init__(self, cost: float, estimate: Estimate, columns: Tuple[str, ...], tree):
         self.cost = cost
-        self.rows = rows
-        self.ndv = ndv
-        self.cols = cols
+        self.estimate = estimate
+        self.columns = columns
         self.tree = tree
         self.applied: Set[int] = set()
         self.attached: List[object] = []
@@ -433,7 +231,7 @@ class _Rewriter:
         self.info = info
         self.memo: Dict[Plan, Plan] = {}
         # the filters/negations of the join block currently being ordered
-        # (set by _dp_order/_greedy_order for the _Sub pricing helpers)
+        # (set by _search for the _Sub pricing helpers)
         self._block_filters: List[_Filter] = []
         self._block_negations: List[Plan] = []
 
@@ -449,15 +247,13 @@ class _Rewriter:
     def _rewrite(self, node: Plan) -> Plan:
         if isinstance(node, (HashJoin, Antijoin, Select)):
             return self._rewrite_block(node)
-        if isinstance(node, Project):
-            return Project(self.rewrite(node.child), node.columns)
-        if isinstance(node, UnionAll):
-            return UnionAll([self.rewrite(part) for part in node.parts])
-        if isinstance(node, GroupCount):
-            return GroupCount(self.rewrite(node.child), node.columns, node.threshold)
-        if isinstance(node, DomainComplement):
-            return DomainComplement(self.rewrite(node.child))
-        return node  # leaves are already optimal
+        return self._rewrite_children(node)
+
+    def _rewrite_children(self, node: Plan) -> Plan:
+        """``node`` over its rewritten children (itself where none changed)."""
+        children = node.children()
+        rebuilt = tuple(self.rewrite(child) for child in children)
+        return node if rebuilt == children else node.with_children(rebuilt)
 
     # -- join blocks -------------------------------------------------------------
 
@@ -472,9 +268,7 @@ class _Rewriter:
             # opaque Select, or an Antijoin adding columns, over one input):
             # keep the shape, still rewrite the children (a nested block may
             # be the expensive one)
-            children = root.children()
-            rebuilt = tuple(self.rewrite(child) for child in children)
-            return root if rebuilt == children else _with_children(root, rebuilt)
+            return self._rewrite_children(root)
         covered: Set[str] = set()
         for item in items:
             covered.update(item.columns)
@@ -545,10 +339,11 @@ class _Rewriter:
             for item in items[1:]:
                 plan = HashJoin(plan, item)
                 plan = self._apply_covered(plan, pending_filters, pending_negations)
-        elif len(items) <= _DP_CAP:
-            plan = self._dp_order(items, pending_filters, pending_negations)
         else:
-            plan = self._greedy_order(items, pending_filters, pending_negations)
+            winner = self._search(items, filters, negations)
+            plan = self._materialize(winner, items)
+            pending_filters = [f for f in filters if id(f) not in winner.applied]
+            pending_negations = [neg for neg in negations if id(neg) not in winner.applied]
         # anything never covered mid-join is covered by the full column set
         plan = self._apply_covered(plan, pending_filters, pending_negations)
         if pending_filters or pending_negations:
@@ -567,120 +362,78 @@ class _Rewriter:
     def _apply_covered(
         self, plan: Plan, filters: List[_Filter], negations: List[Plan]
     ) -> Plan:
-        changed = True
-        while changed:
-            changed = False
-            covered = set(plan.columns)
-            for pending in list(filters):
-                if pending.variables <= covered:
-                    plan = pending.attach(plan)
-                    filters.remove(pending)
-                    changed = True
-            for pending in list(negations):
-                if set(pending.columns) <= covered:
-                    plan = Antijoin(plan, pending)
-                    negations.remove(pending)
-                    changed = True
+        # a filter or antijoin keeps the columns: one pass covers them all
+        covered = set(plan.columns)
+        for pending in list(filters):
+            if pending.variables <= covered:
+                plan = pending.attach(plan)
+                filters.remove(pending)
+        for pending in list(negations):
+            if set(pending.columns) <= covered:
+                plan = Antijoin(plan, pending)
+                negations.remove(pending)
         return plan
 
-    # Join orders are priced *abstractly* — floats and column sets, no plan
-    # nodes — and only the winning order is materialised into real operators.
+    # Join orders are priced *abstractly* — estimates and column tuples, no
+    # plan nodes — by the same formulas the operators price themselves with,
+    # and only the winning order is materialised into real operators.
     # Building and estimating a HashJoin object per DP candidate dominated
     # optimization time before this.
 
-    def _leaf_sub(self, index: int, item: Plan) -> "_Sub":
-        estimate = self.estimator.estimate(item)
-        sub = _Sub(
-            cost=self.estimator.cost(item),
-            rows=estimate.rows,
-            ndv=dict(estimate.ndv),
-            cols=frozenset(item.columns),
-            tree=index,
-        )
-        self._decorate_sub(sub)
-        return sub
+    def _search(
+        self, items: List[Plan], filters: List[_Filter], negations: List[Plan]
+    ) -> "_Sub":
+        """The cheapest join order of ``items`` the search finds, with the
+        filters and negations attached as soon as they are covered."""
+        self._block_filters = filters
+        self._block_negations = negations
+        leaves = []
+        for index, item in enumerate(items):
+            leaf = _Sub(
+                self.estimator.cost(item), self.estimator.estimate(item), item.columns, index
+            )
+            self._price_covered(leaf)
+            leaves.append(leaf)
+        if len(leaves) <= _DP_CAP:
+            return self._dp_order(leaves)
+        return self._greedy_order(leaves)
 
-    def _decorate_sub(self, sub: "_Sub") -> None:
-        """Price (and record) every filter/negation ``sub`` newly covers."""
+    def _price_covered(self, sub: "_Sub") -> None:
+        """Price (and record) every filter/negation ``sub`` newly covers, as
+        the ``Select`` / ``Antijoin`` over it would price itself."""
         estimator = self.estimator
-        changed = True
-        while changed:
-            changed = False
-            for pending in self._block_filters:
-                if id(pending) in sub.applied or not pending.variables <= sub.cols:
-                    continue
-                new_rows = sub.rows * _SELECT_SEL
-                sub.cost += sub.rows * _PREDICATE_COST + new_rows
-                sub.rows = new_rows
-                sub.ndv = {c: min(v, new_rows) for c, v in sub.ndv.items()}
-                sub.applied.add(id(pending))
-                sub.attached.append(pending)
-                changed = True
-            for pending in self._block_negations:
-                cols = frozenset(pending.columns)
-                if id(pending) in sub.applied or not cols <= sub.cols:
-                    continue
-                neg = estimator.estimate(pending)
-                match = min(
-                    1.0,
-                    _ndv_over(neg.ndv, neg.rows, cols)
-                    / max(_ndv_over(sub.ndv, sub.rows, cols), 1.0),
-                )
-                new_rows = sub.rows * max(1.0 - match, 0.05)
-                sub.cost += estimator.cost(pending) + sub.rows + neg.rows + new_rows
-                sub.rows = new_rows
-                sub.ndv = {c: min(v, new_rows) for c, v in sub.ndv.items()}
-                sub.applied.add(id(pending))
-                sub.attached.append(pending)
-                changed = True
-
-    def _join_subs(self, left: "_Sub", right: "_Sub") -> "_Sub":
-        """The priced (undecorated) join of two subproblems."""
-        shared = left.cols & right.cols
-        if not shared:
-            if right.cols <= left.cols:  # both 0-ary, or an emptiness guard
-                rows = left.rows if right.rows >= 0.5 else 0.0
-                work = left.rows + right.rows + rows
-            else:
-                rows = min(left.rows * right.rows, _CAP)
-                work = min(left.rows * right.rows, _CAP) + rows
-        elif right.cols <= left.cols:  # semijoin shape
-            match = min(
-                1.0,
-                _ndv_over(right.ndv, right.rows, shared)
-                / max(_ndv_over(left.ndv, left.rows, shared), 1.0),
-            )
-            rows = left.rows * match
-            work = left.rows + right.rows + rows
-        else:
-            denominator = max(
-                _ndv_over(left.ndv, left.rows, shared),
-                _ndv_over(right.ndv, right.rows, shared),
-                1.0,
-            )
-            rows = min(left.rows * right.rows / denominator, _CAP)
-            work = left.rows + right.rows + rows
-        ndv: Dict[str, float] = {}
-        for column in left.cols | right.cols:
-            value = left.ndv.get(column)
-            other = right.ndv.get(column)
-            if value is None:
-                value = other if other is not None else rows
-            elif other is not None:
-                value = min(value, other)
-            ndv[column] = min(value, rows) if rows > 0 else value
-        return _Sub(
-            cost=min(left.cost + right.cost + work, _CAP),
-            rows=rows,
-            ndv=ndv,
-            cols=left.cols | right.cols,
-            tree=(left, right),
-        )
+        covered = set(sub.columns)  # neither kind changes the columns
+        for pending in self._block_filters:
+            if id(pending) in sub.applied or not pending.variables <= covered:
+                continue
+            out = select_estimate(sub.estimate)
+            sub.cost = _total(select_cost(sub.estimate, out), sub.cost)
+            sub.estimate = out
+            sub.applied.add(id(pending))
+            sub.attached.append(pending)
+        for pending in self._block_negations:
+            if id(pending) in sub.applied or not covered.issuperset(pending.columns):
+                continue
+            right = estimator.estimate(pending)
+            shared = tuple(c for c in sub.columns if c in pending.columns)
+            out = antijoin_estimate(sub.estimate, right, shared)
+            work = join_cost(sub.estimate, right, out, shared, ())
+            sub.cost = _total(work, sub.cost, estimator.cost(pending))
+            sub.estimate = out
+            sub.applied.add(id(pending))
+            sub.attached.append(pending)
 
     def _candidate(self, left: "_Sub", right: "_Sub") -> "_Sub":
-        sub = self._join_subs(left, right)
-        sub.applied = set(left.applied) | set(right.applied)
-        self._decorate_sub(sub)
+        """The priced join of two subproblems, as their ``HashJoin`` would
+        price itself, with what it newly covers attached."""
+        shared, extra = join_columns(left.columns, right.columns)
+        out = join_estimate(left.estimate, right.estimate, shared, extra)
+        work = join_cost(left.estimate, right.estimate, out, shared, extra)
+        sub = _Sub(
+            _total(work, left.cost, right.cost), out, left.columns + extra, (left, right)
+        )
+        sub.applied = left.applied | right.applied
+        self._price_covered(sub)
         return sub
 
     def _materialize(self, sub: "_Sub", items: List[Plan]) -> Plan:
@@ -698,69 +451,51 @@ class _Rewriter:
                 plan = Antijoin(plan, pending)
         return plan
 
-    def _dp_order(
-        self, items: List[Plan], filters: List[_Filter], negations: List[Plan]
-    ) -> Plan:
+    def _dp_order(self, leaves: List["_Sub"]) -> "_Sub":
         """Exact bushy join ordering by dynamic programming over subsets.
 
         Filters and negations are attached greedily as soon as a subset
         covers their columns (they only shrink intermediates); cross products
         are only considered for subsets with no connected split.
         """
-        n = len(items)
-        self._block_filters = filters
-        self._block_negations = negations
-        best: Dict[FrozenSet[int], _Sub] = {}
-        for index in range(n):
-            best[frozenset((index,))] = self._leaf_sub(index, items[index])
-        if n > 1:
-            indices = list(range(n))
-            for size in range(2, n + 1):
-                for combo in combinations(indices, size):
-                    subset = frozenset(combo)
-                    best_connected: Optional[_Sub] = None
-                    best_any: Optional[_Sub] = None
-                    for left_key, right_key in _proper_splits(subset):
-                        left, right = best[left_key], best[right_key]
-                        if left.cols & right.cols:
-                            candidate = self._candidate(left, right)
-                            if best_connected is None or candidate.cost < best_connected.cost:
-                                best_connected = candidate
-                        elif best_connected is None:
-                            candidate = self._candidate(left, right)
-                            if best_any is None or candidate.cost < best_any.cost:
-                                best_any = candidate
-                    best[subset] = best_connected or best_any  # type: ignore[assignment]
-        winner = best[frozenset(range(n))]
-        plan = self._materialize(winner, items)
-        filters[:] = [f for f in filters if id(f) not in winner.applied]
-        negations[:] = [neg for neg in negations if id(neg) not in winner.applied]
-        return plan
+        n = len(leaves)
+        best: Dict[FrozenSet[int], _Sub] = {
+            frozenset((index,)): leaf for index, leaf in enumerate(leaves)
+        }
+        for size in range(2, n + 1):
+            for combo in combinations(range(n), size):
+                subset = frozenset(combo)
+                best_connected: Optional[_Sub] = None
+                best_any: Optional[_Sub] = None
+                for left_key, right_key in _proper_splits(subset):
+                    left, right = best[left_key], best[right_key]
+                    if not set(left.columns).isdisjoint(right.columns):
+                        candidate = self._candidate(left, right)
+                        if best_connected is None or candidate.cost < best_connected.cost:
+                            best_connected = candidate
+                    elif best_connected is None:
+                        candidate = self._candidate(left, right)
+                        if best_any is None or candidate.cost < best_any.cost:
+                            best_any = candidate
+                best[subset] = best_connected or best_any  # type: ignore[assignment]
+        return best[frozenset(range(n))]
 
-    def _greedy_order(
-        self, items: List[Plan], filters: List[_Filter], negations: List[Plan]
-    ) -> Plan:
+    def _greedy_order(self, leaves: List["_Sub"]) -> "_Sub":
         """Cheapest-expansion greedy join ordering for large blocks."""
-        self._block_filters = filters
-        self._block_negations = negations
-        remaining = [self._leaf_sub(index, item) for index, item in enumerate(items)]
-        remaining.sort(key=lambda sub: sub.rows)
+        remaining = sorted(leaves, key=lambda sub: sub.estimate.rows)
         acc = remaining.pop(0)
         while remaining:
-            best_index, best_cost, best_sub = -1, _CAP * 4, None
+            best_index, best_cost, best_sub = -1, CAP * 4, None
             for index, sub in enumerate(remaining):
                 candidate = self._candidate(acc, sub)
                 cost = candidate.cost
-                if not acc.cols & sub.cols:
+                if set(acc.columns).isdisjoint(sub.columns):
                     cost *= 8.0  # discourage cross products
                 if cost < best_cost:
                     best_index, best_cost, best_sub = index, cost, candidate
             remaining.pop(best_index)
             acc = best_sub
-        plan = self._materialize(acc, items)
-        filters[:] = [f for f in filters if id(f) not in acc.applied]
-        negations[:] = [neg for neg in negations if id(neg) not in acc.applied]
-        return plan
+        return acc
 
 
 def _proper_splits(subset: FrozenSet[int]):
@@ -821,18 +556,18 @@ def prune_columns(plan: Plan, needed: Optional[Set[str]] = None) -> Plan:
                     plan.formula,
                 )
             else:
-                rebuilt = Select(child, plan.predicate, plan.description, plan.formula)
+                rebuilt = plan.with_children((child,))
             return _project_keep(rebuilt, needed)
         return plan  # opaque predicate: cannot touch the child's layout
     if isinstance(plan, Antijoin):
         required = set(needed) | set(plan.shared)
         child = prune_columns(plan.left, required)
-        return _project_keep(Antijoin(child, plan.right), needed)
+        return _project_keep(plan.with_children((child, plan.right)), needed)
     if isinstance(plan, HashJoin):
         shared = set(plan.shared)
         left = prune_columns(plan.left, (needed | shared) & set(plan.left.columns))
         right = prune_columns(plan.right, (needed | shared) & set(plan.right.columns))
-        return _project_keep(HashJoin(left, right), needed)
+        return _project_keep(plan.with_children((left, right)), needed)
     return plan
 
 
@@ -841,64 +576,3 @@ def _project_keep(plan: Plan, needed: Set[str]) -> Plan:
     if len(keep) == len(plan.columns):
         return plan
     return _project_to(plan, keep)
-
-
-def _with_children(node: Plan, children: Tuple[Plan, ...]) -> Plan:
-    """Rebuild ``node`` over replacement children (same column layouts)."""
-    if isinstance(node, Select):
-        return Select(children[0], node.predicate, node.description, node.formula)
-    if isinstance(node, Project):
-        return Project(children[0], node.columns)
-    if isinstance(node, HashJoin):
-        return HashJoin(children[0], children[1])
-    if isinstance(node, Antijoin):
-        return Antijoin(children[0], children[1])
-    if isinstance(node, UnionAll):
-        return UnionAll(children)
-    if isinstance(node, DomainComplement):
-        return DomainComplement(children[0])
-    if isinstance(node, GroupCount):
-        return GroupCount(children[0], node.columns, node.threshold)
-    return node
-
-
-# ---------------------------------------------------------------------------
-# explain
-# ---------------------------------------------------------------------------
-
-def explain_plan(
-    plan: Plan,
-    estimator: Estimator,
-    actual: Optional[Dict[Plan, object]] = None,
-    profile=None,
-) -> str:
-    """An indented rendering of ``plan`` with estimated (and actual) rows.
-
-    ``actual`` is an executed context's per-node result cache; when given,
-    each line shows ``est=<estimate> act=<actual>`` so estimation error is
-    visible node by node — the optimizer's debugging loop.  ``profile`` (a
-    :class:`repro.obs.profile.PlanProfiler` the execution context carried)
-    additionally shows each node's measured wall time, turning
-    estimated-vs-actual into measured-vs-actual.
-    """
-    lines: List[str] = []
-
-    def walk(node: Plan, indent: int) -> None:
-        estimate = estimator.estimate(node)
-        line = "  " * indent + f"{node.label()} -> {list(node.columns)}"
-        line += f"  est={estimate.rows:.1f}"
-        if actual is not None:
-            rows = actual.get(node)
-            if rows is not None:
-                line += f" act={len(rows)}"
-        line += f" cost={estimator.op_cost(node):.1f}"
-        if profile is not None:
-            seconds = profile.seconds(node)
-            if seconds is not None:
-                line += f" time={seconds * 1000.0:.3f}ms"
-        lines.append(line)
-        for child in node.children():
-            walk(child, indent + 1)
-
-    walk(plan, 0)
-    return "\n".join(lines)

@@ -22,6 +22,11 @@ Each operator's semantics is one method, :meth:`Plan._stream`.  A full
 execution (:meth:`Plan.rows`) materialises and caches every node; a lazy one
 pulls rows through the operators only as far as the consumer asks, so a
 closed sentence is decided at its first witness (:meth:`Plan.nonempty`).
+Beside it each operator declares its row in the cost model — its
+cardinality estimate (:meth:`Plan.estimate`), its own cost
+(:meth:`Plan.op_cost`) — and how it is rebuilt over new inputs
+(:meth:`Plan.with_children`); the join, selection and antijoin formulas are
+module functions the optimizer's join-order search prices with too.
 
 Plans are database-independent: they reference relations by name, read the
 domain from the :class:`ExecutionContext`, and look up interpreted symbols in
@@ -51,6 +56,13 @@ from ..logic.signature import EMPTY_SIGNATURE, Signature
 
 __all__ = [
     "PlanError",
+    "Estimate",
+    "join_columns",
+    "join_estimate",
+    "join_cost",
+    "select_estimate",
+    "select_cost",
+    "antijoin_estimate",
     "join_key",
     "join_rows",
     "build_right_table",
@@ -146,6 +158,104 @@ class ExecutionContext:
         return self._covers
 
 
+# ---------------------------------------------------------------------------
+# the cost model: estimates over statistics, and the shared operator formulas
+# ---------------------------------------------------------------------------
+
+#: estimates and costs are capped here so products never overflow a float
+CAP = 1e30
+
+#: default selectivity of a pushed-down predicate the model cannot inspect
+_SELECT_SEL = 0.33
+
+#: cost charged per interpreted-predicate call relative to a set operation
+_PREDICATE_COST = 4.0
+
+
+class Estimate:
+    """Estimated output of one plan node: row count plus per-column NDVs."""
+
+    __slots__ = ("rows", "ndv")
+
+    def __init__(self, rows: float, ndv: Dict[str, float]):
+        self.rows = min(max(rows, 0.0), CAP)
+        self.ndv = ndv
+
+    def ndv_of(self, columns: Sequence[str]) -> float:
+        """Estimated number of distinct value tuples over ``columns``."""
+        product = 1.0
+        for column in columns:
+            product = min(product * max(self.ndv.get(column, self.rows), 1.0), CAP)
+        return max(min(product, self.rows if self.rows > 0 else product), 1.0)
+
+    def capped(self, rows: float) -> "Estimate":
+        """``rows`` rows over these columns, no NDV above the row count."""
+        return Estimate(rows, {c: min(v, rows) for c, v in self.ndv.items()})
+
+
+def join_columns(
+    left: Sequence[str], right: Sequence[str]
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(shared, right_extra)``: what a natural join matches on, and adds."""
+    return (
+        tuple(c for c in left if c in right),
+        tuple(c for c in right if c not in left),
+    )
+
+
+def _match(left: Estimate, right: Estimate, shared: Sequence[str]) -> float:
+    """The share of left keys with a right partner (containment of the
+    smaller key set in the larger)."""
+    return min(1.0, right.ndv_of(shared) / max(left.ndv_of(shared), 1.0))
+
+
+def join_estimate(
+    left: Estimate, right: Estimate, shared: Sequence[str], extra: Sequence[str]
+) -> Estimate:
+    """A natural join's output: ``|L|·|R| / max(ndv_L(key), ndv_R(key))``, a
+    semijoin (no ``extra`` columns) by containment.  A column on both sides
+    keeps the smaller NDV: every output value occurs on both sides."""
+    if extra:
+        rows = left.rows * right.rows
+        if shared:
+            rows /= max(left.ndv_of(shared), right.ndv_of(shared), 1.0)
+        rows = min(rows, CAP)
+    elif shared:
+        rows = left.rows * _match(left, right, shared)
+    else:  # an emptiness guard
+        rows = left.rows if right.rows >= 0.5 else 0.0
+    ndv = {c: min(v, right.ndv.get(c, v), rows) for c, v in left.ndv.items()}
+    for column in extra:
+        ndv[column] = min(right.ndv.get(column, rows), rows)
+    return Estimate(rows, ndv)
+
+
+def join_cost(
+    left: Estimate, right: Estimate, out: Estimate, shared: Sequence[str], extra: Sequence[str]
+) -> float:
+    """A join reads both inputs and writes its output; a cartesian product
+    pairs every left row with every right one."""
+    if extra and not shared:
+        return min(left.rows * right.rows, CAP) + out.rows
+    return left.rows + right.rows + out.rows
+
+
+def select_estimate(child: Estimate) -> Estimate:
+    return child.capped(child.rows * _SELECT_SEL)
+
+
+def select_cost(child: Estimate, out: Estimate) -> float:
+    return child.rows * _PREDICATE_COST + out.rows
+
+
+def antijoin_estimate(left: Estimate, right: Estimate, shared: Sequence[str]) -> Estimate:
+    """The left rows without a right partner: what the matching semijoin
+    leaves, at least 5 %."""
+    if not shared:
+        return left.capped(left.rows if right.rows < 0.5 else 0.0)
+    return left.capped(left.rows * max(1.0 - _match(left, right, shared), 0.05))
+
+
 class Plan:
     """Base class of plan nodes.  ``columns`` is the ordered output header."""
 
@@ -160,6 +270,20 @@ class Plan:
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:  # pragma: no cover - interface
         """The operator: its distinct rows, as a set or a lazy iterator,
         read off the children's :meth:`stream` (or :meth:`rows`, whole)."""
+        raise NotImplementedError
+
+    def estimate(self, est) -> Estimate:  # pragma: no cover - interface
+        """This node's estimated output, read off ``est`` (an
+        :class:`~repro.engine.optimize.Estimator`: its ``stats``, domain
+        size ``n``, ``default_domain`` and the children's estimates)."""
+        raise NotImplementedError
+
+    def op_cost(self, est) -> float:  # pragma: no cover - interface
+        """The cost of this operator alone: rows read, hashed and written."""
+        raise NotImplementedError
+
+    def with_children(self, children: Sequence["Plan"]) -> "Plan":  # pragma: no cover - interface
+        """This operator over replacement children of the same columns."""
         raise NotImplementedError
 
     def _rows(self, ctx: ExecutionContext) -> Rows:
@@ -224,11 +348,34 @@ class Plan:
     def label(self) -> str:
         return type(self).__name__
 
-    def explain(self, indent: int = 0) -> str:
-        """An indented one-node-per-line rendering of the plan tree."""
-        lines = [("  " * indent) + f"{self.label()} -> {list(self.columns)}"]
-        for child in self.children():
-            lines.append(child.explain(indent + 1))
+    def explain(self, estimator=None, actual=None, profile=None) -> str:
+        """An indented one-node-per-line rendering of the plan tree.
+
+        With an ``estimator`` each line shows the node's estimated rows and
+        operator cost; ``actual`` (an executed context's per-node result
+        cache) adds the actual rows, ``profile`` (the
+        :class:`repro.obs.profile.PlanProfiler` the execution carried) the
+        measured wall time — estimation error and time, node by node.
+        """
+        lines: List[str] = []
+
+        def walk(node: Plan, indent: int) -> None:
+            line = "  " * indent + f"{node.label()} -> {list(node.columns)}"
+            if estimator is not None:
+                line += f"  est={estimator.estimate(node).rows:.1f}"
+            rows = None if actual is None else actual.get(node)
+            if rows is not None:
+                line += f" act={len(rows)}"
+            if estimator is not None:
+                line += f" cost={estimator.op_cost(node):.1f}"
+            seconds = None if profile is None else profile.seconds(node)
+            if seconds is not None:
+                line += f" time={seconds * 1000.0:.3f}ms"
+            lines.append(line)
+            for child in node.children():
+                walk(child, indent + 1)
+
+        walk(self, 0)
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -366,6 +513,49 @@ class Scan(Plan):
         # match_row is injective on the rows it matches: the outputs are distinct
         return (out for out in matches if out is not None)
 
+    def estimate(self, est) -> Estimate:
+        try:
+            rel = est.stats.relation(self.relation)
+        except KeyError:
+            rel = None
+        if rel is None or len(self.pattern) != len(rel.columns) or rel.cardinality <= 0:
+            return Estimate(0.0, {c: 0.0 for c in self.columns})
+        cardinality = float(rel.cardinality)
+        selectivity = 1.0
+        first_position: Dict[str, int] = {}
+        for position, (kind, spec) in enumerate(self.pattern):
+            distinct = max(rel.column(position).distinct, 1)
+            if kind == "const":
+                # the counters are complete, so this selectivity is exact
+                selectivity *= rel.column(position).frequency(spec) / cardinality
+            elif kind == "param" or spec in first_position:
+                # a parameter: the plan serves every binding, so the column's
+                # mean frequency; a repeated variable: rows must agree across
+                # the two columns
+                selectivity *= 1.0 / distinct
+            else:
+                first_position[spec] = position
+                if not est.default_domain:
+                    selectivity *= min(1.0, est.n / distinct)
+        rows = cardinality * selectivity
+        return Estimate(rows, {
+            name: min(float(rel.column(pos).distinct), max(rows, 0.0))
+            for name, pos in first_position.items()
+        })
+
+    def op_cost(self, est) -> float:
+        rows = est.estimate(self).rows
+        if self._const_positions:
+            return rows + 1.0  # index lookup
+        try:
+            cardinality = float(est.stats.relation(self.relation).cardinality)
+        except KeyError:
+            cardinality = 0.0
+        return cardinality + rows + 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
+
     def label(self) -> str:
         render = {"var": str, "const": repr, "param": "${}".format}
         rendered = ", ".join(render[kind](value) for kind, value in self.pattern)
@@ -383,6 +573,15 @@ class DomainScan(Plan):
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         return ((value,) for value in ctx.domain)
 
+    def estimate(self, est) -> Estimate:
+        return Estimate(est.n, {self.columns[0]: est.n})
+
+    def op_cost(self, est) -> float:
+        return est.n + 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
+
     def label(self) -> str:
         return f"DomainScan {self.columns[0]}"
 
@@ -396,6 +595,15 @@ class DomainProduct(Plan):
         if not self.columns:
             return _TRUE
         return itertools.product(ctx.domain, repeat=len(self.columns))
+
+    def estimate(self, est) -> Estimate:
+        return Estimate(min(est.n ** len(self.columns), CAP), {c: est.n for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return est.estimate(self).rows + 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
 
     def label(self) -> str:
         return f"DomainProduct^{len(self.columns)}"
@@ -412,6 +620,16 @@ class ConstantTable(Plan):
 
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         return self._data
+
+    def estimate(self, est) -> Estimate:
+        rows = float(len(self._data))
+        return Estimate(rows, {c: rows for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
 
     def label(self) -> str:
         return f"Constant({len(self._data)} rows)"
@@ -438,6 +656,15 @@ class SingletonIfActive(Plan):
             return frozenset({(value,)})
         return _EMPTY
 
+    def estimate(self, est) -> Estimate:
+        return Estimate(1.0, {self.columns[0]: 1.0})
+
+    def op_cost(self, est) -> float:
+        return 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
+
     def label(self) -> str:
         constant = repr(self.value) if self.slot is None else f"${self.slot}"
         return f"SingletonIfActive {self.columns[0]}={constant}"
@@ -453,6 +680,15 @@ class DomainDiagonal(Plan):
 
     def _stream(self, ctx: ExecutionContext) -> Iterable[Row]:
         return ((value, value) for value in ctx.domain)
+
+    def estimate(self, est) -> Estimate:
+        return Estimate(est.n, {c: est.n for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return est.n + 1.0
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return self
 
     def label(self) -> str:
         return f"Diagonal {self.columns[0]}={self.columns[1]}"
@@ -498,6 +734,15 @@ class Select(Plan):
         predicate = self.predicate
         return (row for row in self.child.stream(ctx) if predicate(row, ctx))
 
+    def estimate(self, est) -> Estimate:
+        return select_estimate(est.estimate(self.child))
+
+    def op_cost(self, est) -> float:
+        return select_cost(est.estimate(self.child), est.estimate(self))
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return Select(children[0], self.predicate, self.description, self.formula)
+
     def label(self) -> str:
         return f"Select[{self.description}]"
 
@@ -527,6 +772,20 @@ class Project(Plan):
             # reordering makes none
             return projected
         return _distinct(projected)  # a stream drops them as it goes
+
+    def estimate(self, est) -> Estimate:
+        child = est.estimate(self.child)
+        if len(self.columns) == len(self.child.columns):
+            rows = child.rows  # a pure reorder drops no duplicates
+        else:
+            rows = min(child.rows, child.ndv_of(self.columns))
+        return Estimate(rows, {c: min(child.ndv.get(c, rows), rows) for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return est.estimate(self.child).rows + est.estimate(self).rows
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return Project(children[0], self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +868,7 @@ class HashJoin(Plan):
     __slots__ = ("left", "right", "shared", "_right_extra")
 
     def __init__(self, left: Plan, right: Plan):
-        self.shared = tuple(c for c in left.columns if c in right.columns)
-        right_extra = tuple(c for c in right.columns if c not in left.columns)
+        self.shared, right_extra = join_columns(left.columns, right.columns)
         super().__init__(left.columns + right_extra)
         self.left = left
         self.right = right
@@ -746,6 +1004,20 @@ class HashJoin(Plan):
             or ctx.db.provenance_step() is not None
         )
 
+    def estimate(self, est) -> Estimate:
+        return join_estimate(
+            est.estimate(self.left), est.estimate(self.right), self.shared, self._right_extra
+        )
+
+    def op_cost(self, est) -> float:
+        return join_cost(
+            est.estimate(self.left), est.estimate(self.right), est.estimate(self),
+            self.shared, self._right_extra,
+        )
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return HashJoin(children[0], children[1])
+
     def label(self) -> str:
         if not self._right_extra:
             return f"Semijoin on {list(self.shared)}"
@@ -786,6 +1058,18 @@ class Antijoin(Plan):
         left_key = join_key(self.left.columns, shared)
         return (row for row in left_rows if left_key(row) not in keys)
 
+    def estimate(self, est) -> Estimate:
+        return antijoin_estimate(est.estimate(self.left), est.estimate(self.right), self.shared)
+
+    def op_cost(self, est) -> float:
+        # priced like the semijoin it complements
+        return join_cost(
+            est.estimate(self.left), est.estimate(self.right), est.estimate(self), self.shared, ()
+        )
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return Antijoin(children[0], children[1])
+
     def label(self) -> str:
         return f"Antijoin on {list(self.shared)}"
 
@@ -814,6 +1098,19 @@ class UnionAll(Plan):
         rows = itertools.chain.from_iterable(part.stream(ctx) for part in self.parts)
         return _distinct(rows) if ctx.lazy else rows
 
+    def estimate(self, est) -> Estimate:
+        parts = [est.estimate(part) for part in self.parts]
+        rows = min(sum(p.rows for p in parts), min(est.n ** len(self.columns), CAP))
+        return Estimate(rows, {
+            c: min(sum(p.ndv.get(c, 0.0) for p in parts), rows) for c in self.columns
+        })
+
+    def op_cost(self, est) -> float:
+        return sum(est.estimate(part).rows for part in self.parts) + est.estimate(self).rows
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return UnionAll(children)
+
     def label(self) -> str:
         return f"Union({len(self.parts)})"
 
@@ -839,6 +1136,16 @@ class DomainComplement(Plan):
             for row in itertools.product(ctx.domain, repeat=len(self.columns))
             if row not in child_rows
         )
+
+    def estimate(self, est) -> Estimate:
+        rows = max(min(est.n ** len(self.columns), CAP) - est.estimate(self.child).rows, 0.0)
+        return Estimate(rows, {c: min(est.n, rows) for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return min(est.n ** len(self.columns), CAP) + est.estimate(self.child).rows
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return DomainComplement(children[0])
 
     def label(self) -> str:
         return f"Complement^{len(self.columns)}"
@@ -878,6 +1185,20 @@ class GroupCount(Plan):
             count = counts[group] = counts.get(group, 0) + 1
             if count == threshold:
                 yield group
+
+    def estimate(self, est) -> Estimate:
+        child = est.estimate(self.child)
+        groups = child.ndv_of(self.columns)
+        if self.threshold > 1 and groups > 0:
+            groups *= min(1.0, child.rows / groups / self.threshold)
+        rows = min(groups, child.rows)
+        return Estimate(rows, {c: min(child.ndv.get(c, rows), rows) for c in self.columns})
+
+    def op_cost(self, est) -> float:
+        return est.estimate(self.child).rows + est.estimate(self).rows
+
+    def with_children(self, children: Sequence[Plan]) -> Plan:
+        return GroupCount(children[0], self.columns, self.threshold)
 
     def label(self) -> str:
         return f"GroupCount>={self.threshold} by {list(self.columns)}"

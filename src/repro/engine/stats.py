@@ -2,13 +2,12 @@
 
 The optimizer (:mod:`repro.engine.optimize`) prices candidate plans with
 cardinality estimates, and estimates need *statistics*: how big each relation
-is, how many distinct values each column holds, and which values are the
-common ones.  This module keeps those statistics on the database itself:
+is, and how often each value occurs in each column.  This module keeps those
+statistics on the database itself:
 
 * :class:`ColumnStats` — a per-column value-frequency counter.  Because the
   counter is complete (every value, not a sample), single-column equality
-  selectivities and distinct counts are exact, and the most-common-value list
-  is just the counter's top-``k``;
+  selectivities and distinct counts are exact;
 * :class:`RelationStats` — cardinality plus one :class:`ColumnStats` per
   column;
 * :class:`DatabaseStats` — one :class:`RelationStats` per relation, built
@@ -27,8 +26,7 @@ predecessors stay valid for rollback-style branching.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = ["ColumnStats", "RelationStats", "DatabaseStats", "size_bucket"]
 
@@ -36,10 +34,11 @@ __all__ = ["ColumnStats", "RelationStats", "DatabaseStats", "size_bucket"]
 def size_bucket(count: int) -> int:
     """The power-of-four bucket of a cardinality (or domain size).
 
-    The single definition of "roughly the same size" shared by
-    :meth:`DatabaseStats.profile` and the backend's optimized-plan cache
-    key: coarse enough to stay stable along realistic update streams, fine
-    enough that join orders adapt when a relation changes scale.
+    The single definition of "roughly the same size", the unit of
+    :meth:`Database.size_profile <repro.db.database.Database.size_profile>`
+    that keys the backend's optimized-plan cache: coarse enough to stay
+    stable along realistic update streams, fine enough that join orders
+    adapt when a relation changes scale.
     """
     return (int(count).bit_length() + 1) >> 1
 
@@ -47,9 +46,6 @@ Row = Tuple[object, ...]
 Rows = FrozenSet[Row]
 
 _EMPTY: Rows = frozenset()
-
-#: how many most-common values :meth:`ColumnStats.most_common` returns
-DEFAULT_MCV = 8
 
 
 class ColumnStats:
@@ -61,11 +57,10 @@ class ColumnStats:
     :meth:`patched` clones before applying a delta.
     """
 
-    __slots__ = ("counts", "_mcv")
+    __slots__ = ("counts",)
 
     def __init__(self, counts: Dict[object, int]):
         self.counts = counts
-        self._mcv: Optional[Tuple[Tuple[object, int], ...]] = None
 
     @property
     def distinct(self) -> int:
@@ -78,17 +73,6 @@ class ColumnStats:
             return self.counts.get(value, 0)
         except TypeError:  # unhashable probe value matches nothing
             return 0
-
-    def most_common(self, k: int = DEFAULT_MCV) -> Tuple[Tuple[object, int], ...]:
-        """The ``k`` most frequent ``(value, count)`` pairs (cached for the default ``k``)."""
-        if k == DEFAULT_MCV and self._mcv is not None:
-            return self._mcv
-        top = tuple(
-            heapq.nlargest(k, self.counts.items(), key=lambda item: (item[1], repr(item[0])))
-        )
-        if k == DEFAULT_MCV:
-            self._mcv = top
-        return top
 
     def patched(self, added: Iterable[object], removed: Iterable[object]) -> "ColumnStats":
         """A new ``ColumnStats`` with ``added``/``removed`` value occurrences applied."""
@@ -178,18 +162,6 @@ class DatabaseStats:
                 delta.inserted.get(name, _EMPTY), delta.deleted.get(name, _EMPTY)
             )
         return DatabaseStats(relations)
-
-    def profile(self) -> Tuple[Tuple[str, int], ...]:
-        """A coarse, hashable size fingerprint: per-relation size buckets.
-
-        Uses the same :func:`size_bucket` the backend's optimized-plan
-        cache key is built from (the backend computes its key from raw
-        relation sizes so a cache hit never materialises full statistics).
-        """
-        return tuple(
-            (name, size_bucket(stats.cardinality))
-            for name, stats in sorted(self._relations.items())
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(

@@ -9,15 +9,23 @@ from repro.db import Database, DatabaseError, chain, cycle
 from repro.engine import (
     Antijoin,
     CompiledBackend,
+    ConstantTable,
     DomainComplement,
+    DomainDiagonal,
+    DomainProduct,
     DomainScan,
+    Estimator,
     ExecutionContext,
     GroupCount,
     HashJoin,
     NaiveBackend,
+    Plan,
     PlanError,
     Project,
     Scan,
+    Select,
+    SingletonIfActive,
+    UnionAll,
     active_backend,
     backend_from_name,
     compile_sentence,
@@ -25,6 +33,7 @@ from repro.engine import (
     set_backend,
     using_backend,
 )
+from repro.engine import plan as plan_module
 from repro.engine.plan import join_rows
 from repro.logic import parse
 from repro.logic.syntax import Atom, CountingExists, Exists, Not
@@ -32,6 +41,26 @@ from repro.logic.syntax import Atom, CountingExists, Exists, Not
 
 def scan_xy():
     return Scan("E", [("var", "x"), ("var", "y")])
+
+
+def operator_samples():
+    """One node of every operator, keyed by its class."""
+    xy, yx = scan_xy(), Scan("E", [("var", "y"), ("var", "x")])
+    nodes = [
+        xy, DomainScan("x"), DomainProduct(["x", "y"]), ConstantTable(["x"], [(0,), (5,)]),
+        SingletonIfActive("x", 1), DomainDiagonal("x", "y"),
+        Select(xy, lambda row, ctx: row[0] < row[1], "x < y"), Project(xy, ["y"]),
+        HashJoin(xy, Scan("E", [("var", "y"), ("var", "z")])), Antijoin(xy, yx),
+        UnionAll([xy, Project(yx, ["x", "y"])]), DomainComplement(xy),
+        GroupCount(xy, ["x"], 2),
+    ]
+    return {type(node): node for node in nodes}
+
+
+OPERATORS = [
+    value for value in map(vars(plan_module).get, plan_module.__all__)
+    if isinstance(value, type) and issubclass(value, Plan) and value is not Plan
+]
 
 
 class TestPlanOperators:
@@ -115,6 +144,20 @@ class TestPlanOperators:
         counted = GroupCount(scan_xy(), ("x",), 2)
         assert counted.rows(ctx) == {(0,)}
         assert GroupCount(scan_xy(), ("x",), 3).rows(ctx) == set()
+
+    @pytest.mark.parametrize("operator", OPERATORS, ids=lambda cls: cls.__name__)
+    def test_every_operator_declares_its_estimate_cost_and_rebuild(self, operator):
+        """Each operator answers its cost-model row and its rebuild itself,
+        and a rebuild over its own children is the same operator."""
+        for method in ("_stream", "estimate", "op_cost", "with_children"):
+            assert method in vars(operator), f"{operator.__name__} inherits {method}"
+        node = operator_samples()[operator]
+        db = Database.graph([(0, 1), (1, 2), (2, 0), (1, 1)])
+        rebuilt = node.with_children(node.children())
+        assert rebuilt.columns == node.columns
+        assert rebuilt.rows(ExecutionContext(db)) == node.rows(ExecutionContext(db))
+        estimator = Estimator(db.stats(), len(db.active_domain))
+        assert estimator.estimate(node).rows >= 0.0 and estimator.op_cost(node) > 0.0
 
     def test_project_unknown_column_rejected(self):
         with pytest.raises(PlanError):
